@@ -10,14 +10,14 @@ single client), `--jobs 1` on every CLI call.
 --trace 0 repeats the workload's ops in order until S seconds have passed
 and at least one whole pass is done, then prints the end-to-end metrics.
 The machine's speed drifts by tens of percent within seconds, so a fixed
-reference computation runs in chunks before and after every timed step
-(each op and each set-up) and, from a timer signal, every SAMPLE_EVERY_S
-during an op; the chunks' time is taken out of the op's.  Times are
-reported in seconds at reference speed: the step's measured seconds times
-REF_CHUNK_S over the mean seconds of the chunks around and inside it.
-The raw figures are printed beside them.
---trace 1 runs one pass untraced and one pass with boundary tracing (see
-tracing.py), prints the per-layer metrics of the traced pass and the
+reference computation runs for REF_BRACKET_S before and after every
+timed step (each op and each set-up), never during one.  Times are
+reported in seconds at reference speed: the step's measured seconds
+times REF_CHUNK_S over the mean seconds of the chunks before and after
+it.  The raw figures are printed beside them.
+--trace 1 runs one pass in which every op runs twice back to back, once
+untraced and once with boundary tracing (see tracing.py), in alternating
+order.  It prints the per-layer metrics of the traced runs and the
 tracing overhead, and writes the spans to .bench_out/.
 
 Every op's output is checked; a failed check counts the op as failed and
@@ -31,7 +31,6 @@ import json
 import math
 import os
 import resource
-import signal
 import statistics
 import sys
 import time
@@ -45,9 +44,8 @@ SETUP_REPEATS = 7
 # nominal seconds of one reference chunk: about its median time on a
 # 2-core x86-64 Linux machine under Python 3.11
 REF_CHUNK_S = 0.04
-# reference time before and after each step, and the chunk period inside an op
+# reference seconds before and after each step
 REF_BRACKET_S = 0.15
-SAMPLE_EVERY_S = 0.4
 
 sys.path.insert(0, str(BENCH))
 
@@ -104,22 +102,19 @@ def _reference_work():
 
 
 class Reference:
-    """Chunks of a fixed mix of the program's kinds of work, in code the
-    program never shares: a small-modulus polynomial loop, big-integer
-    products with a square test, and Fraction sums."""
+    """REF_BRACKET_S of chunks of a fixed mix of the program's kinds of
+    work, in code the program never shares: a small-modulus polynomial
+    loop, big-integer products with a square test, and Fraction sums."""
 
-    def __init__(self, seconds=0.0):
+    def __init__(self):
         self.chunks, self.wall, self.cpu = 0, 0.0, 0.0
         start = time.perf_counter()
-        while time.perf_counter() - start < seconds:
-            self.chunk()
-
-    def chunk(self, *_signal_args):
-        cpu0, t0 = cpu_seconds(), time.perf_counter()
-        _reference_work()
-        self.wall += time.perf_counter() - t0
-        self.cpu += cpu_seconds() - cpu0
-        self.chunks += 1
+        while time.perf_counter() - start < REF_BRACKET_S:
+            cpu0, t0 = cpu_seconds(), time.perf_counter()
+            _reference_work()
+            self.wall += time.perf_counter() - t0
+            self.cpu += cpu_seconds() - cpu0
+            self.chunks += 1
 
 
 def at_reference_speed(wall, cpu, *refs):
@@ -128,27 +123,17 @@ def at_reference_speed(wall, cpu, *refs):
     return wall * nominal / sum(r.wall for r in refs), cpu * nominal / sum(r.cpu for r in refs)
 
 
-def run_op(index, op, tracer=None, sample=False):
-    """Time one op, then check it; returns a record dict.  With `sample`,
-    reference chunks run inside the op (see SAMPLE_EVERY_S) and their time
-    is subtracted."""
-    inside = Reference()
+def run_op(index, op, tracer=None):
+    """Time one op, then check it; returns a record dict."""
     if tracer is not None:
         tracer.op = index
-    if sample:
-        previous = signal.signal(signal.SIGALRM, inside.chunk)
-        signal.setitimer(signal.ITIMER_REAL, SAMPLE_EVERY_S, SAMPLE_EVERY_S)
     cpu0, t0 = cpu_seconds(), time.perf_counter()
     try:
         raw, error = op.run(), None
     except Exception as e:  # noqa: BLE001 - a crashing op is a failed op
         raw, error = None, f"{type(e).__name__}: {e}"
-    finally:
-        if sample:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-    wall = time.perf_counter() - t0 - inside.wall
-    cpu = cpu_seconds() - cpu0 - inside.cpu
+    wall = time.perf_counter() - t0
+    cpu = cpu_seconds() - cpu0
     if tracer is not None:
         tracer.op = None
     outcome = workloads.Outcome([error])
@@ -163,8 +148,23 @@ def run_op(index, op, tracer=None, sample=False):
                 if op.expect is not None else "no recorded output to compare with")
     for problem in outcome.problems:
         print(f"FAILED {op.kind}: {problem}", file=sys.stderr)
-    return {"kind": op.kind, "wall": wall, "cpu": cpu, "inside": inside,
-            "outcome": outcome}
+    return {"kind": op.kind, "wall": wall, "cpu": cpu, "outcome": outcome}
+
+
+class Bracketed:
+    """Runs ops with reference chunks before and after each; the chunks
+    after one op are also the chunks before the next."""
+
+    def __init__(self):
+        self.before = Reference()
+
+    def run(self, index, op, tracer=None):
+        r = run_op(index, op, tracer)
+        after = Reference()
+        r["ref_wall"], r["ref_cpu"] = at_reference_speed(
+            r["wall"], r["cpu"], self.before, after)
+        self.before = after
+        return r
 
 
 def kind_medians(records, key):
@@ -176,20 +176,15 @@ def kind_medians(records, key):
     return [statistics.median(v) for v in by_kind.values()]
 
 
-def measure(ops, seconds, tracer=None, sample=True):
+def measure(ops, seconds):
     """Ops in order until `seconds` have passed and one pass is done; adds
     each op's times at reference speed."""
+    steps = Bracketed()
     records = []
-    before = Reference(REF_BRACKET_S)
     start = time.perf_counter()
     i = 0
     while i < len(ops) or time.perf_counter() - start < seconds:
-        r = run_op(i, ops[i % len(ops)], tracer, sample)
-        after = Reference(REF_BRACKET_S)
-        r["ref_wall"], r["ref_cpu"] = at_reference_speed(
-            r["wall"], r["cpu"], before, r["inside"], after)
-        records.append(r)
-        before = after
+        records.append(steps.run(i, ops[i % len(ops)]))
         i += 1
     return records
 
@@ -266,26 +261,44 @@ def print_baseline(tracer, totals):
 
 
 def traced_pass(ops, workload, seed):
-    """One pass untraced, then one traced; returns (records, per-layer metrics)."""
-    # no chunks inside ops here: they would land inside the spans
-    base = measure(ops, 0, sample=False)
+    """One pass in which each op runs untraced and traced back to back,
+    untraced first on even ops and traced first on odd ones; returns
+    (records, per-layer metrics) with the metrics of the traced runs."""
     tracer = Tracer()
-    tracer.install()
-    try:
-        traced = measure(ops, 0, tracer, sample=False)
-    finally:
-        tracer.uninstall()
+    steps = Bracketed()
+    base, traced = [], []
+    for i, op in enumerate(ops):
+        for with_trace in ((False, True) if i % 2 == 0 else (True, False)):
+            if not with_trace:
+                base.append(steps.run(i, op))
+                continue
+            tracer.install()
+            try:
+                traced.append(steps.run(i, op, tracer))
+            finally:
+                tracer.uninstall()
     bad = tracer.check_nesting()
     if bad:
         raise RuntimeError(f"{len(bad)} spans are not nested in their parents")
     tracer.write(OUT / f"spans-{workload}-{seed}.jsonl")
     untraced_s = sum(r["ref_wall"] for r in base)
     traced_s = sum(r["ref_wall"] for r in traced)
-    overhead = traced_s - untraced_s
+    # each op's own pair, so that the machine's drift over the pass cancels
+    shares = sorted(t["ref_wall"] / u["ref_wall"] - 1 for u, t in zip(base, traced))
+    overhead = statistics.median(shares) * untraced_s
+    q1, _, q3 = statistics.quantiles(shares, n=4) if len(shares) > 1 else shares * 3
     print(f"trace: {len(tracer.spans)} spans; pass {traced_s:.3f} s traced, "
           f"{untraced_s:.3f} s untraced at reference speed (raw "
-          f"{sum(r['wall'] for r in traced):.3f} s and {sum(r['wall'] for r in base):.3f} s); "
-          f"overhead {overhead:+.3f} s ({overhead / untraced_s:+.1%})")
+          f"{sum(r['wall'] for r in traced):.3f} s and {sum(r['wall'] for r in base):.3f} s)")
+    if len(shares) < 4:
+        verdict = "too few pairs to tell the overhead from noise"
+    elif q1 <= 0 <= q3:
+        verdict = "the quartiles straddle 0: within the noise of one op"
+    else:
+        verdict = "the quartiles lie on one side of 0"
+    print(f"trace: overhead {overhead:+.3f} s per pass, the median of {len(shares)} "
+          f"op pairs ({statistics.median(shares):+.1%}; quartiles {q1:+.1%} to "
+          f"{q3:+.1%}); {verdict}")
     totals = tracer.totals()
     print_baseline(tracer, totals)
     return base + traced, per_layer(tracer, totals, traced, overhead)
@@ -306,11 +319,11 @@ def main(argv=None):
               "changes nothing", file=sys.stderr)
 
     setup = []  # (raw seconds, seconds at reference speed)
-    after = Reference(REF_BRACKET_S)
+    after = Reference()
     for _ in range(SETUP_REPEATS):
         before = after
         seconds, ops = set_up(args.workload, args.seed)
-        after = Reference(REF_BRACKET_S)
+        after = Reference()
         setup.append((seconds, at_reference_speed(seconds, 0.0, before, after)[0]))
     import hassecert
 
