@@ -415,6 +415,15 @@ def _poly_gcd_deg_mod(f, g, p):
         f, g = g, f
 
 
+def square_residues(m):
+    """The squares mod m, 0 included: a bytes table of length m whose entry
+    r is 1 iff r = x^2 mod m for some integer x."""
+    sq = bytearray(m)
+    for x in range(m // 2 + 1):
+        sq[x * x % m] = 1
+    return bytes(sq)
+
+
 def count_points_hyperelliptic(f_mod_p, g, p):
     """Number of F_p-points of the smooth projective hyperelliptic model
     s^2 = f(t), deg f = 2g+2, glued with its reversed chart.
@@ -431,9 +440,7 @@ def count_points_hyperelliptic(f_mod_p, g, p):
     fprime = [(i * c) % p for i, c in enumerate(f)][1:]
     if _poly_gcd_deg_mod(f, fprime, p) > 0:
         raise ValueError("f is not separable mod p")
-    sq = bytearray(p)
-    for x in range(p):
-        sq[x * x % p] = 1
+    sq = square_residues(p)
     count = 0
     for t in range(p):
         v = 0

@@ -269,7 +269,8 @@ def decide_real_points(curve):
         return False, None
     if f.leading > 0:
         t = cauchy_root_bound(f)
-        assert f(t) > 0
+        if not f(t) > 0:
+            raise RuntimeError(f"f(t) > 0 fails at the Cauchy root bound t = {t}")
         return True, Witness(kind="real", chart="st", prime=None, t_real=t)
     nroots = count_real_roots(f)
     if nroots == 0:
@@ -752,10 +753,6 @@ class SurfacePoint:
     coords: tuple
     prec: int | None = None
     source: str = "sampler"
-
-    def slot_values(self, surface_model):
-        """Exact or residue values of u and v for invariant evaluation."""
-        return self.coords[3], self.coords[4]
 
 
 def _refine_curve_witness(curve_m, wit, p, prec):

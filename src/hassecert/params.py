@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .arith import is_prime, legendre, sieve_primes_upto
+from .arith import is_prime, legendre, sieve_primes_upto, square_residues
 
 
 @dataclass(frozen=True)
@@ -169,13 +169,8 @@ class SieveExhausted(ValueError):
 
 
 def _qr_tables(omega0):
-    tables = {}
-    for q in omega0:
-        t = bytearray(q)
-        for x in range(1, q):
-            t[x * x % q] = 1
-        tables[q] = t
-    return tables
+    """Nonzero squares mod each prime q of omega0, as byte tables."""
+    return {q: b"\0" + square_residues(q)[1:] for q in omega0}
 
 
 # How many primes of omega0 the wheel over the multiplier k is built from.

@@ -60,10 +60,6 @@ class Polynomial:
         padded = list(self.coeffs) + [Fraction(0)] * (length - len(self.coeffs))
         return Polynomial(list(reversed(padded)))
 
-    def scale(self, c):
-        c = Fraction(c)
-        return Polynomial([c * x for x in self.coeffs])
-
     def __mul__(self, other):
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -104,21 +100,6 @@ class Polynomial:
             out.append(c.numerator * pow(c.denominator, -1, p) % p)
         return out
 
-    def int_cleared(self):
-        """(integer coefficient list, multiplier m) with m*self integral
-        and primitive up to sign."""
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, c)
-        if g > 1:
-            ints = [c // g for c in ints]
-            return ints, Fraction(den, g)
-        return ints, Fraction(den)
-
 
 def resultant(f, g):
     """res(f, g) over Q via the Euclidean polynomial remainder sequence."""
@@ -155,7 +136,9 @@ def squarefree_part(f):
     """f / gcd(f, f'), monic-normalized."""
     g = _poly_gcd(f, f.derivative())
     q, r = f.divmod(g)
-    assert r.degree < 0
+    if r.degree >= 0:
+        raise RuntimeError("gcd(f, f') does not divide f: remainder of degree "
+                           f"{r.degree}")
     return Polynomial([c / q.leading for c in q.coeffs])
 
 

@@ -1,30 +1,80 @@
-"""Brute-force rational point searches up to a height bound.
+"""Sieved rational point searches up to a height bound.
 
 These searches corroborate the certificates empirically: a certified fiber
 must come back empty, while synthetic control inputs with known points
-must surface them.  All square tests are exact.
+must surface them.
+
+Both searches sieve before any big-integer work, in the manner of
+ratpoints (M. Stoll; Bruin and Stoll, "Two-cover descent on hyperelliptic
+curves", Math. Comp. 78, 2009).  For each fixed outer coordinate, one
+bitmask per modulus in SIEVE_MODULI marks the numerators in the window
+whose square condition holds mod that modulus.  The masks are ANDed, and
+only the set bits reach the exact square tests.  A value that is not a
+square mod some modulus is not an integer square, so the sieve discards
+nothing the exact tests would keep: the output is that of testing every
+candidate, in the same order.
 """
 
 import math
 from fractions import Fraction
 
-from .arith import is_rational_square
+from .arith import is_rational_square, square_residues
 from .family import DP4Surface, HyperellipticCurve
 
-# residues of perfect squares mod 64, 63, 65: a cheap pre-filter that
-# rejects most non-squares before the big-int isqrt
-_SQ64 = {(x * x) % 64 for x in range(64)}
-_SQ63 = {(x * x) % 63 for x in range(63)}
-_SQ65 = {(x * x) % 65 for x in range(65)}
+# The prime powers 9, 25, 49 and 64 reject more non-squares than 3, 5, 7
+# and 2 would.  Ascending order builds the cheap masks first: a dearer one
+# is built only for a window that still has survivors.
+SIEVE_MODULI = (9, 11, 13, 17, 19, 23, 25, 29, 31, 37, 41, 43, 47, 49, 53, 64)
 
 
 def _is_square_int(n):
-    if n < 0:
-        return False
-    if n % 64 not in _SQ64 or n % 63 not in _SQ63 or n % 65 not in _SQ65:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def _residue_tables():
+    """Per sieve modulus: the modulus, its square table and an empty cache
+    for the window masks of one search call."""
+    return [(M, square_residues(M), {}) for M in SIEVE_MODULI]
+
+
+def _window_mask(pattern, modulus, lo, width):
+    """Bit i is bit (lo + i) mod modulus of pattern, for 0 <= i < width:
+    the residue pattern laid over the window lo, ..., lo + width - 1."""
+    s = lo % modulus
+    bits = ((pattern >> s) | (pattern << (modulus - s))) & ((1 << modulus) - 1)
+    span = modulus
+    while span < width:
+        bits |= bits << span
+        span *= 2
+    return bits & ((1 << width) - 1)
+
+
+def _set_bits(mask):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _sieve(tables, residues, pattern, height):
+    """Bitmask over the window -height, ..., height (bit i for numerator
+    i - height): the AND of the masks of every modulus, stopping once empty.
+
+    pattern(M, sq) gives the residue pattern mod M, with bit r set when the
+    numerators = r mod M pass.  Each mask is cached under residues(M), the
+    residues mod M of the outer coordinates that determine it."""
+    width = 2 * height + 1
+    alive = (1 << width) - 1
+    for M, sq, masks in tables:
+        key = residues(M)
+        mask = masks.get(key)
+        if mask is None:
+            mask = masks[key] = _window_mask(pattern(M, sq), M, -height, width)
+        alive &= mask
+        if not alive:
+            break
+    return alive
 
 
 def curve_point_search(curve, height):
@@ -39,28 +89,37 @@ def curve_point_search(curve, height):
     g = curve.genus
     a, b, A, B = curve.a, curve.b, curve.A, curve.B
     # s^2 = (b/a)(t^(g+1) - A)(t^(g+1) - B) with t = m/n is a rational
-    # square iff a b q^2 (m^(g+1) q - alpha n^(g+1)) (m^(g+1) q - beta n^(g+1))
-    # is a perfect integer square, with A = alpha/q, B = beta/q
+    # square iff k (m^(g+1) q - alpha n^(g+1)) (m^(g+1) q - beta n^(g+1))
+    # is a perfect integer square, with A = alpha/q, B = beta/q and
+    # k = num(ab) den(ab), which has the square class of a b
     q = A.denominator * B.denominator // math.gcd(A.denominator, B.denominator)
     alpha = int(A * q)
     beta = int(B * q)
-    ab = int(a * b) if (a * b).denominator == 1 else None
+    ab = a * b
+    k = ab.numerator * ab.denominator
+    tables = _residue_tables()
     found = []
     for n in range(1, height + 1):
         npow = n ** (g + 1)
-        for m in range(-height, height + 1):
+
+        def pattern(M, sq):
+            c1, c2 = alpha * npow % M, beta * npow % M
+            bits = 0
+            for r in range(M):
+                y = q * pow(r, g + 1, M)
+                if sq[k * (y - c1) * (y - c2) % M]:
+                    bits |= 1 << r
+            return bits
+
+        for i in _set_bits(_sieve(tables, lambda M: n % M, pattern, height)):
+            m = i - height
             if math.gcd(m, n) != 1:
                 continue
             mpow = m ** (g + 1)
-            p1 = mpow * q - alpha * npow
-            p2 = mpow * q - beta * npow
-            if ab is not None:
-                val = ab * p1 * p2
-                if not _is_square_int(val):
-                    continue
+            if not _is_square_int(k * (mpow * q - alpha * npow) * (mpow * q - beta * npow)):
+                continue
             t = Fraction(m, n)
-            v = curve.chart_value("st", t)
-            s = is_rational_square(v)
+            s = is_rational_square(curve.chart_value("st", t))
             if s is not None:
                 found.append((t, s))
     lead = is_rational_square(b / a)
@@ -79,6 +138,8 @@ def surface_point_search(surface, height):
 
         y^2 = a x1^2 + C^2 u v        (x = a x1)
         z^2 = (x^2 + b (u - Av)(u - Bv)) / a
+
+    For each v and x the u window is sieved on both square conditions.
     """
     if height < 1:
         raise ValueError("height bound must be >= 1")
@@ -95,37 +156,53 @@ def surface_point_search(surface, height):
     x_step = a_i if a_forces else 1
     found = set()
 
-    def check(u, v):
-        x1 = 0
-        while x_step * x1 <= height:
-            x = x_step * x1
-            # y^2 * nu^2 = (x^2 / a) nu^2 + gamma^2 u v; with x = a x1 (or
-            # direct x when not forced) the left side must be an integer
-            if a_forces:
-                My = a_i * x1 * x1 * nu * nu + gamma * gamma * u * v
-            else:
-                num = x * x * nu * nu + a_i * gamma * gamma * u * v
-                if num % a_i:
-                    x1 += 1
-                    continue
-                My = num // a_i
-            if My >= 0 and _is_square_int(My):
-                ry = math.isqrt(My)
-                if ry % nu == 0 and ry // nu <= height:
-                    # z^2 * a * q^2 = x^2 q^2 + b (uq - pA v)(uq - pB v)
-                    Nz = x * x * q * q + b_i * (u * q - pA * v) * (u * q - pB * v)
-                    if Nz >= 0 and Nz % a_i == 0 and _is_square_int(Nz // a_i):
-                        rz = math.isqrt(Nz // a_i)
-                        if rz % q == 0 and rz // q <= height:
-                            found.add((x, ry // nu, rz // q, u, v))
-            x1 += 1
+    def check(u, v, x1):
+        x = x_step * x1
+        # y^2 * nu^2 = (x^2 / a) nu^2 + gamma^2 u v; with x = a x1 (or
+        # direct x when not forced) the left side must be an integer
+        if a_forces:
+            My = a_i * x1 * x1 * nu * nu + gamma * gamma * u * v
+        else:
+            num = x * x * nu * nu + a_i * gamma * gamma * u * v
+            if num % a_i:
+                return
+            My = num // a_i
+        if _is_square_int(My):
+            ry = math.isqrt(My)
+            if ry % nu == 0 and ry // nu <= height:
+                # z^2 * a * q^2 = x^2 q^2 + b (uq - pA v)(uq - pB v)
+                Nz = x * x * q * q + b_i * (u * q - pA * v) * (u * q - pB * v)
+                if Nz >= 0 and Nz % a_i == 0 and _is_square_int(Nz // a_i):
+                    rz = math.isqrt(Nz // a_i)
+                    if rz % q == 0 and rz // q <= height:
+                        found.add((x, ry // nu, rz // q, u, v))
 
-    check(1, 0)
+    x1_max = height // x_step
+    for x1 in range(x1_max + 1):
+        check(1, 0, x1)
+    tables = _residue_tables()
+    zb = a_i * b_i
     for v in range(1, height + 1):
-        for u in range(-height, height + 1):
-            if u == 0 and v == 0:
-                continue
-            check(u, v)
+        for x1 in range(x1_max + 1):
+
+            def pattern(M, sq):
+                # mod M, both squares are polynomials in u: the y condition
+                # is y0 + y1 u (My when a forces x, else a num = a^2 My),
+                # and a Nz = a^2 (Nz / a) is z0 + a b (q u - pA v)(q u - pB v)
+                x = x_step * x1
+                if a_forces:
+                    y0, y1 = a_i * x1 * x1 * nu * nu, gamma * gamma * v
+                else:
+                    y0, y1 = a_i * x * x * nu * nu, a_i * a_i * gamma * gamma * v
+                z0, cA, cB = a_i * x * x * q * q, pA * v, pB * v
+                bits = 0
+                for r in range(M):
+                    if sq[(y0 + y1 * r) % M] and sq[(z0 + zb * (q * r - cA) * (q * r - cB)) % M]:
+                        bits |= 1 << r
+                return bits
+
+            for i in _set_bits(_sieve(tables, lambda M: v % M * M + x1 % M, pattern, height)):
+                check(i - height, v, x1)
     return sorted(found)
 
 

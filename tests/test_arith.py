@@ -20,6 +20,7 @@ from hassecert.arith import (
     legendre,
     padic_val,
     sieve_primes_upto,
+    square_residues,
     sqrt_mod,
     MR_DETERMINISTIC_BOUND,
 )
@@ -465,6 +466,13 @@ def test_factorize_roundtrip():
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+
+def test_square_residues():
+    for m in (1, 2, 8, 9, 11, 25, 49, 53, 64):
+        sq = square_residues(m)
+        assert len(sq) == m
+        assert {r for r in range(m) if sq[r]} == {x * x % m for x in range(m)}
 
 
 def test_is_rational_square():

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,83 @@ from hassecert.cli import (
     report_j_invariants,
     run_certify,
 )
-from hassecert.family import HyperellipticCurve, Theta, build_curve, build_surface, fiber_coeffs
+from hassecert.arith import is_rational_square
+from hassecert.family import (
+    DP4Surface,
+    HyperellipticCurve,
+    Theta,
+    build_curve,
+    build_surface,
+    fiber_coeffs,
+)
 from hassecert.params import sieve_params
 from hassecert.search import curve_point_search, rational_point_search, surface_point_search
 
 
 PARAMS = sieve_params(1, 0, bound=10**7, count=1)[0]
+
+
+# Oracle: the unsieved searches, which run the exact tests on every
+# candidate.  The sieved searches must return exactly their lists.
+
+
+def _oracle_is_square(n):
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def _oracle_curve_points(curve, height):
+    found = []
+    for n in range(1, height + 1):
+        for m in range(-height, height + 1):
+            if math.gcd(m, n) != 1:
+                continue
+            t = Fraction(m, n)
+            s = is_rational_square(curve.chart_value("st", t))
+            if s is not None:
+                found.append((t, s))
+    lead = is_rational_square(curve.b / curve.a)
+    if lead is not None:
+        found.append(("inf", lead))
+    return found
+
+
+def _oracle_surface_points(surface, height):
+    a, b, A, B, C = surface.a, surface.b, surface.A, surface.B, surface.C
+    a_i, b_i = int(a), int(b)
+    q = A.denominator * B.denominator // math.gcd(A.denominator, B.denominator)
+    pA, pB = int(A * q), int(B * q)
+    gamma, nu = C.numerator, C.denominator
+    a_forces = a_i > 1 and nu % a_i != 0
+    x_step = a_i if a_forces else 1
+    found = set()
+
+    def check(u, v):
+        for x1 in range(height // x_step + 1):
+            x = x_step * x1
+            if a_forces:
+                My = a_i * x1 * x1 * nu * nu + gamma * gamma * u * v
+            else:
+                num = x * x * nu * nu + a_i * gamma * gamma * u * v
+                if num % a_i:
+                    continue
+                My = num // a_i
+            if not _oracle_is_square(My):
+                continue
+            ry = math.isqrt(My)
+            if ry % nu or ry // nu > height:
+                continue
+            Nz = x * x * q * q + b_i * (u * q - pA * v) * (u * q - pB * v)
+            if Nz % a_i or not _oracle_is_square(Nz // a_i):
+                continue
+            rz = math.isqrt(Nz // a_i)
+            if rz % q == 0 and rz // q <= height:
+                found.add((x, ry // nu, rz // q, u, v))
+
+    check(1, 0)
+    for v in range(1, height + 1):
+        for u in range(-height, height + 1):
+            check(u, v)
+    return sorted(found)
 
 
 def test_control_curve_points():
@@ -47,8 +119,6 @@ def test_certified_fiber_is_empty():
 
 
 def test_surface_search_finds_synthetic_points():
-    from hassecert.family import DP4Surface
-
     # x^2 - 2 z^2 = -(u - v)(u - 4v), x^2 - 2 y^2 = -2 u v
     # (x,y,z,u,v) = (0, 1, 0, 1, 1): q1: 0 - 0 = -(0)(-3) = 0 ok;
     # q2: 0 - 2 = -2           ok
@@ -59,8 +129,6 @@ def test_surface_search_finds_synthetic_points():
 
 
 def test_surface_search_nonzero_x():
-    from hassecert.family import DP4Surface
-
     # a = 1: x is unconstrained; (2, 4, 2, 6, 2) solves
     # x^2 - z^2 = -(u-2v)(u-3v) and x^2 - y^2 = -uv
     surf = DP4Surface(a=Fraction(1), b=Fraction(1), A=Fraction(2),
@@ -70,6 +138,67 @@ def test_surface_search_nonzero_x():
     for x, y, z, u, v in pts:
         q1, q2 = surf.quadric_residuals((x, y, z, u, v))
         assert q1 == 0 and q2 == 0
+
+
+ORACLE_HEIGHT = 60
+
+
+# the 16 grid fibers at g = 1, then the g = 3 theta-zero fiber
+@pytest.mark.parametrize("g, theta", [(1, str(t)) for t in default_theta_grid()] + [(3, "0")])
+def test_sieved_search_matches_oracle_on_fibers(g, theta):
+    params = PARAMS if g == 1 else sieve_params(3, 0, bound=10**12, count=1)[0]
+    co = fiber_coeffs(params, Theta.parse(theta))
+    curve, surface = build_curve(co), build_surface(co)
+    assert curve_point_search(curve, ORACLE_HEIGHT) == _oracle_curve_points(curve, ORACLE_HEIGHT)
+    assert surface_point_search(surface, ORACLE_HEIGHT) == \
+        _oracle_surface_points(surface, ORACLE_HEIGHT)
+
+
+CONTROL_CURVES = {
+    "g1": HyperellipticCurve(a=Fraction(1), b=Fraction(1), A=Fraction(1), B=Fraction(4), genus=1),
+    "g3": HyperellipticCurve(a=Fraction(1), b=Fraction(1), A=Fraction(1), B=Fraction(4), genus=3),
+    # a b = 9/4 is not an integer; b/a = 1/4 gives the points at infinity
+    "ab-9/4": HyperellipticCurve(a=Fraction(3), b=Fraction(3, 4), A=Fraction(1), B=Fraction(4),
+                                 genus=1),
+    # a b = 3/2: the square class needs den(ab); (t, s) = (0, 3) is a point
+    "ab-3/2": HyperellipticCurve(a=Fraction(1), b=Fraction(3, 2), A=Fraction(2), B=Fraction(3),
+                                 genus=1),
+    # A = 1/4 puts q = 4 into the chart value
+    "q4": HyperellipticCurve(a=Fraction(1), b=Fraction(1), A=Fraction(1, 4), B=Fraction(9),
+                             genus=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTROL_CURVES))
+def test_sieved_search_matches_oracle_on_control_curves(name):
+    curve = CONTROL_CURVES[name]
+    expected = _oracle_curve_points(curve, ORACLE_HEIGHT)
+    assert expected
+    assert curve_point_search(curve, ORACLE_HEIGHT) == expected
+
+
+CONTROL_SURFACES = {
+    # a = 2 forces x = 2 x1
+    "a2-forced": DP4Surface(a=Fraction(2), b=Fraction(1), A=Fraction(1), B=Fraction(4),
+                            C=Fraction(1), genus=1),
+    # a = 1: x runs over every integer
+    "a1": DP4Surface(a=Fraction(1), b=Fraction(1), A=Fraction(2), B=Fraction(3),
+                     C=Fraction(1), genus=1),
+    # a = 2 divides den(C) = 2, so x is not forced and a must divide num
+    "a2-unforced": DP4Surface(a=Fraction(2), b=Fraction(1), A=Fraction(1), B=Fraction(4),
+                              C=Fraction(1, 2), genus=1),
+    # q = 2 and den(C) = 3
+    "q2": DP4Surface(a=Fraction(1), b=Fraction(2), A=Fraction(1, 2), B=Fraction(3),
+                     C=Fraction(2, 3), genus=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTROL_SURFACES))
+def test_sieved_search_matches_oracle_on_control_surfaces(name):
+    surface = CONTROL_SURFACES[name]
+    expected = _oracle_surface_points(surface, ORACLE_HEIGHT)
+    assert expected
+    assert surface_point_search(surface, ORACLE_HEIGHT) == expected
 
 
 def test_default_grid():
