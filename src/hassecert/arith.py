@@ -9,9 +9,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Strong-probable-prime test with these bases is known to be deterministic
-# for every n below MR_DETERMINISTIC_BOUND.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The strong-probable-prime test to the first 13 prime bases is
+# deterministic below psi_13 = MR_DETERMINISTIC_BOUND (Sorenson-Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).  The
+# bases up to 37 alone stop at psi_12 = 318,665,857,834,031,151,167,461,
+# itself a strong pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -37,21 +40,7 @@ def is_prime(n):
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for base in _MR_BASES:
-        x = pow(base, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return not _sprp_composite(n)
 
 
 def _check_odd_prime(p):
@@ -545,9 +534,9 @@ def _brent_rho(n, budget):
 
 
 def _sprp_composite(n):
-    """True only with a deterministic compositeness witness among the fixed
-    bases; False means probable prime (no certified verdict for n above
-    the deterministic bound)."""
+    """True only with a compositeness witness among _MR_BASES (n odd,
+    n > 41); False means strong probable prime, a proof of primality only
+    below MR_DETERMINISTIC_BOUND."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

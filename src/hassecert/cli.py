@@ -40,12 +40,16 @@ class ConfigError(ValueError):
     pass
 
 
-def default_theta_grid():
-    out = {Theta.of(0), Theta.infinity()}
-    for n in range(1, 4):
-        for m in range(-3, 4):
-            if m != 0:
-                out.add(Theta.of(m, n))
+def default_theta_grid(num_max=3, den_max=3, include_zero=True,
+                       include_infinity=True):
+    """Every m/n with 0 < |m| <= num_max and 1 <= n <= den_max, plus 0 and
+    inf unless excluded; sorted, inf last."""
+    out = {Theta.of(m, n) for n in range(1, den_max + 1)
+           for m in range(-num_max, num_max + 1) if m != 0}
+    if include_zero:
+        out.add(Theta.of(0))
+    if include_infinity:
+        out.add(Theta.infinity())
     return sorted(out, key=_theta_key)
 
 
@@ -107,36 +111,22 @@ class RunConfig:
     @classmethod
     def from_json(cls, obj):
         cfg = cls()
-        if "g" in obj:
-            cfg.g = int(obj["g"])
-        if "h" in obj:
-            cfg.h = int(obj["h"])
-        if "mode" in obj:
-            cfg.mode = obj["mode"]
         if "theta_list" in obj:
             cfg.theta_list = [Theta.parse(s) for s in obj["theta_list"]]
         elif "theta_grid" in obj:
             spec = obj["theta_grid"]
-            thetas = set()
-            if spec.get("include_zero", True):
-                thetas.add(Theta.of(0))
-            if spec.get("include_infinity", True):
-                thetas.add(Theta.infinity())
-            num_max = int(spec.get("num_max", 3))
-            den_max = int(spec.get("den_max", 3))
-            for n in range(1, den_max + 1):
-                for m in range(-num_max, num_max + 1):
-                    if m != 0:
-                        thetas.add(Theta.of(m, n))
-            cfg.theta_list = sorted(thetas, key=_theta_key)
+            cfg.theta_list = default_theta_grid(
+                int(spec.get("num_max", 3)), int(spec.get("den_max", 3)),
+                spec.get("include_zero", True), spec.get("include_infinity", True))
         if "params" in obj and obj["params"] is not None:
             cfg.params = ParamSet.from_json(obj["params"])
-        for key in ("sieve_bound", "sieve_count", "height_bound", "sample_count",
-                    "parallelism"):
+        for key in ("g", "h", "sieve_bound", "sieve_count", "height_bound",
+                    "sample_count", "parallelism"):
             if key in obj:
                 setattr(cfg, key, int(obj[key]))
-        if "output_path" in obj:
-            cfg.output_path = obj["output_path"]
+        for key in ("mode", "output_path"):
+            if key in obj:
+                setattr(cfg, key, obj[key])
         return cfg
 
     def to_json(self):
@@ -173,10 +163,28 @@ def _frac_str(x):
     return f"{x.numerator}/{x.denominator}"
 
 
-def certify_fiber(params, theta, height_bound=1000, sample_count=10, seed=0):
-    """The per-fiber pipeline: build, smoothness, local certificates,
-    obstruction certificate, point searches, j-invariant.  A failed stage
-    aborts the fiber (never the run) with the stage named."""
+# The stages certify_fiber runs after build, nonvanishing and smoothness,
+# keyed by subcommand.  Each stage subcommand prints one entry of the fiber
+# record, named in SECTIONS.
+STAGES = {
+    "certify-all": ("local", "brauer", "search", "j"),
+    "certify-local": ("local",),
+    "certify-brauer": ("local", "brauer"),
+    "point-search": ("search",),
+}
+SECTIONS = {
+    "certify-local": "local",
+    "certify-brauer": "obstruction",
+    "point-search": "point_search",
+}
+
+
+def certify_fiber(params, theta, height_bound=1000, sample_count=10, seed=0,
+                  stages=STAGES["certify-all"]):
+    """The per-fiber pipeline: build, nonvanishing, smoothness, then the
+    given stages in order (local certificates, obstruction certificate,
+    point searches, j-invariant).  A failed stage aborts the fiber (never
+    the run) with the stage named; stage "done" means every stage passed."""
     out = {"theta": str(theta), "certified": False, "stage": None}
     try:
         stage = "build"
@@ -191,30 +199,33 @@ def certify_fiber(params, theta, height_bound=1000, sample_count=10, seed=0):
             raise ArithmeticError("curve smoothness check failed")
         if not check_smooth_surface(surface):
             raise ArithmeticError("surface smoothness check failed")
-        stage = "local-solvability"
-        local = certify_all_local(curve, seed=seed)
-        out["local"] = local.to_json()
-        if not local.solvable_everywhere:
-            raise ArithmeticError(f"local certification failed: {local.failures}")
-        stage = "brauer-obstruction"
-        obs = obstruction_certificate(curve, surface, local,
-                                      samples=sample_count, seed=seed)
-        out["obstruction"] = obs.to_json()
-        if not obs.conclusion:
-            raise ArithmeticError(f"obstruction certificate incomplete: {obs.notes}")
-        stage = "point-search"
-        curve_pts = curve_point_search(curve, height_bound)
-        surf_pts = surface_point_search(surface, height_bound)
-        out["point_search"] = {
-            "height": str(height_bound),
-            "curve_points": [[str(t), _frac_str(s)] for t, s in curve_pts],
-            "surface_points": [[str(c) for c in pt] for pt in surf_pts],
-        }
-        if curve_pts or surf_pts:
-            raise ArithmeticError(
-                "rational points found on a certified fiber: the certificate is wrong"
-            )
-        if params.g == 1:
+        if "local" in stages:
+            stage = "local-solvability"
+            local = certify_all_local(curve, seed=seed)
+            out["local"] = local.to_json()
+            if not local.solvable_everywhere:
+                raise ArithmeticError(f"local certification failed: {local.failures}")
+        if "brauer" in stages:
+            stage = "brauer-obstruction"
+            obs = obstruction_certificate(curve, surface, local,
+                                          samples=sample_count, seed=seed)
+            out["obstruction"] = obs.to_json()
+            if not obs.conclusion:
+                raise ArithmeticError(f"obstruction certificate incomplete: {obs.notes}")
+        if "search" in stages:
+            stage = "point-search"
+            curve_pts = curve_point_search(curve, height_bound)
+            surf_pts = surface_point_search(surface, height_bound)
+            out["point_search"] = {
+                "height": str(height_bound),
+                "curve_points": [[str(t), _frac_str(s)] for t, s in curve_pts],
+                "surface_points": [[str(c) for c in pt] for pt in surf_pts],
+            }
+            if (curve_pts or surf_pts) and "brauer" in stages:
+                raise ArithmeticError(
+                    "rational points found on a certified fiber: the certificate is wrong"
+                )
+        if "j" in stages and params.g == 1:
             stage = "j-invariant"
             out["j_invariant"] = _frac_str(j_invariant(coeffs))
         out["certified"] = True
@@ -226,24 +237,30 @@ def certify_fiber(params, theta, height_bound=1000, sample_count=10, seed=0):
 
 
 def _fiber_task(args):
-    params_json, theta_str, height, samples, seed = args
+    params_json, theta_str, height, samples, seed, command = args
     params = ParamSet.from_json(params_json)
-    return certify_fiber(params, Theta.parse(theta_str), height, samples, seed)
+    return certify_fiber(params, Theta.parse(theta_str), height, samples, seed,
+                         stages=STAGES[command])
+
+
+def _certify_fibers(config, params, command):
+    """One fiber record per theta of the config, in order."""
+    tasks = [
+        (params.to_json(), str(theta), config.height_bound, config.sample_count, 0,
+         command)
+        for theta in config.theta_list
+    ]
+    if config.parallelism > 1:
+        with concurrent.futures.ProcessPoolExecutor(config.parallelism) as pool:
+            return list(pool.map(_fiber_task, tasks))
+    return [_fiber_task(t) for t in tasks]
 
 
 def run_certify(config):
     """Certify every fiber in the theta list; returns the report dict."""
     config.validate()
     params = resolve_params(config)
-    tasks = [
-        (params.to_json(), str(theta), config.height_bound, config.sample_count, 0)
-        for theta in config.theta_list
-    ]
-    if config.parallelism > 1:
-        with concurrent.futures.ProcessPoolExecutor(config.parallelism) as pool:
-            fibers = list(pool.map(_fiber_task, tasks))
-    else:
-        fibers = [_fiber_task(t) for t in tasks]
+    fibers = _certify_fibers(config, params, "certify-all")
     certified = sum(1 for f in fibers if f["certified"])
     report = {
         "tool": "hassecert",
@@ -297,34 +314,25 @@ def _add_common(sp):
     sp.add_argument("--out", help="output path for the JSON report")
 
 
+# command-line flag -> RunConfig field it overrides (besides --theta)
+_FLAG_FIELDS = (
+    ("g", "g"), ("h", "h"), ("height", "height_bound"), ("samples", "sample_count"),
+    ("jobs", "parallelism"), ("bound", "sieve_bound"), ("count", "sieve_count"),
+    ("mode", "mode"), ("out", "output_path"),
+)
+
+
 def _config_from_args(args):
     cfg = RunConfig()
     if args.config:
         with open(args.config) as fh:
             cfg = RunConfig.from_json(json.load(fh))
-    if args.g is not None:
-        cfg.g = args.g
-    if args.h is not None:
-        cfg.h = args.h
     if args.theta:
-        thetas = []
-        for chunk in args.theta:
-            thetas.extend(Theta.parse(x) for x in chunk.split(","))
-        cfg.theta_list = thetas
-    if args.height is not None:
-        cfg.height_bound = args.height
-    if args.samples is not None:
-        cfg.sample_count = args.samples
-    if args.jobs is not None:
-        cfg.parallelism = args.jobs
-    if args.bound is not None:
-        cfg.sieve_bound = args.bound
-    if args.count is not None:
-        cfg.sieve_count = args.count
-    if args.mode is not None:
-        cfg.mode = args.mode
-    if args.out is not None:
-        cfg.output_path = args.out
+        cfg.theta_list = [Theta.parse(x) for chunk in args.theta
+                          for x in chunk.split(",")]
+    for flag, key in _FLAG_FIELDS:
+        if getattr(args, flag) is not None:
+            setattr(cfg, key, getattr(args, flag))
     return cfg
 
 
@@ -366,52 +374,25 @@ def main(argv=None):
         if args.command == "j-report":
             _emit(report_j_invariants(cfg), cfg.output_path)
             return EXIT_OK
-        if args.command == "point-search":
+        if args.command in SECTIONS:
+            # the certify-all pipeline cut after the subcommand's stage
             cfg.validate()
-            params = resolve_params(cfg)
-            out = []
-            for theta in cfg.theta_list:
-                co = fiber_coeffs(params, theta)
-                curve, surface = build_curve(co), build_surface(co)
-                out.append({
-                    "theta": str(theta),
-                    "curve_points": [[str(t), _frac_str(s)]
-                                     for t, s in curve_point_search(curve, cfg.height_bound)],
-                    "surface_points": [[str(c) for c in pt]
-                                       for pt in surface_point_search(surface, cfg.height_bound)],
-                })
-            _emit({"height": str(cfg.height_bound), "results": out}, cfg.output_path)
-            return EXIT_OK
-        if args.command == "certify-local":
-            cfg.validate()
-            params = resolve_params(cfg)
-            out = []
-            ok = True
-            for theta in cfg.theta_list:
-                curve = build_curve(fiber_coeffs(params, theta))
-                res = certify_all_local(curve)
-                ok &= res.solvable_everywhere
-                out.append({"theta": str(theta), **res.to_json()})
-            _emit({"results": out}, cfg.output_path)
-            return EXIT_OK if ok else EXIT_CERTIFICATION_FAILED
-        if args.command == "certify-brauer":
-            cfg.validate()
-            params = resolve_params(cfg)
-            out = []
-            ok = True
-            for theta in cfg.theta_list:
-                co = fiber_coeffs(params, theta)
-                curve, surface = build_curve(co), build_surface(co)
-                res = certify_all_local(curve)
-                if not res.solvable_everywhere:
-                    ok = False
-                    out.append({"theta": str(theta), "error": "local solvability failed"})
-                    continue
-                obs = obstruction_certificate(curve, surface, res,
-                                              samples=cfg.sample_count)
-                ok &= obs.conclusion
-                out.append({"theta": str(theta), **obs.to_json()})
-            _emit({"results": out}, cfg.output_path)
+            fibers = _certify_fibers(cfg, resolve_params(cfg), args.command)
+            key = SECTIONS[args.command]
+            results = []
+            for f in fibers:
+                if key in f:
+                    # point-search prints the height once, beside the results
+                    section = {k: v for k, v in f[key].items() if k != "height"}
+                    results.append({"theta": f["theta"], **section})
+                else:
+                    results.append({"theta": f["theta"], "stage": f["stage"],
+                                    "error": f["error"]})
+            out = {"results": results}
+            if key == "point_search":
+                out["height"] = str(cfg.height_bound)
+            _emit(out, cfg.output_path)
+            ok = all(f["stage"] == "done" for f in fibers)
             return EXIT_OK if ok else EXIT_CERTIFICATION_FAILED
         # certify-all
         report = run_certify(cfg)

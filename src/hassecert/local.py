@@ -8,6 +8,7 @@ stated precision with a stated Hensel margin, so a consumer can confirm
 the existence of a genuine Q_p point without rerunning any search.
 """
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,17 +78,10 @@ class Witness:
         if self.kind == "exact":
             return curve_model.chart_value(self.chart, self.t_center) == self.s_exact**2
         p = self.prime
+        if self.kind == "root":
+            return _root_witness(curve_model, self.chart, p, self.t_center) is not None
         H, _ = cleared_chart_poly(curve_model, self.chart)
         V = _eval_int(H, self.t_center)
-        if self.kind == "root":
-            if V == 0:
-                return True
-            Hp = [i * c for i, c in enumerate(H)][1:]
-            dV = _eval_int(Hp, self.t_center)
-            if dV == 0:
-                return False
-            w, mu = _int_val(V, p), _int_val(dV, p)
-            return w > 2 * mu
         if self.kind == "sqrt":
             pk = p**self.precision
             if (self.sigma * self.sigma - V) % pk != 0:
@@ -110,21 +104,17 @@ class Witness:
         return out
 
 
+def _cleared(poly):
+    """(H, m): integer coefficients H = m^2 * poly, m the lcm of the
+    coefficient denominators."""
+    m = math.lcm(*(c.denominator for c in poly.coeffs))
+    return [int(c * m * m) for c in poly.coeffs], m
+
+
 def cleared_chart_poly(curve_model, chart):
     """(H, m): integer-coefficient H = m^2 * (chart polynomial)."""
-    poly = curve_model.f_poly() if chart == "st" else curve_model.F_poly()
-    den = 1
-    for c in poly.coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
-    m = Fraction(den)
-    H = [int(c * den * den) for c in poly.coeffs]
-    return H, m
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    H, m = _cleared(curve_model.f_poly() if chart == "st" else curve_model.F_poly())
+    return H, Fraction(m)
 
 
 def _eval_int(H, t):
@@ -227,10 +217,7 @@ def decide_qp_charts(f, F, p, depth_bound=None):
         raise ValueError("the generic residue-disc decider does not handle p = 2")
     maybe = False
     for chart, poly in (("st", f), ("ST", F)):
-        den = 1
-        for c in poly.coeffs:
-            den = den * c.denominator // _gcd(den, c.denominator)
-        H = [int(c * den * den) for c in poly.coeffs]
+        H, _ = _cleared(poly)
         bound = depth_bound if depth_bound is not None else default_depth_bound(poly, p)
         res = _disc_search(H, 0, p, 0, bound)
         if res[0] == "yes":
@@ -436,6 +423,9 @@ def _scan_fp_point(curve_m, p, scan_cap=1_000_000):
 
 
 def _root_witness(curve_m, chart, p, t_center):
+    """The root-margin rule, shared with Witness.verify: an exact witness
+    when H(t_center) = 0, a root witness when v_p(H(t_center)) >
+    2 v_p(H'(t_center)), else None."""
     H, _ = cleared_chart_poly(curve_m, chart)
     V = _eval_int(H, t_center)
     if V == 0:

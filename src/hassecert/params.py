@@ -10,6 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from . import arith
 from .arith import is_prime, legendre, sieve_primes_upto, square_residues
 
 
@@ -286,7 +287,9 @@ def _d_candidates(a, b, c, omega0, bound):
 def sieve_params(g, h, omega0=None, bound=10**7, count=1):
     """Up to `count` verified quadruples for the given (g, h), smallest first.
 
-    bound caps the magnitude of every slot.  The search is deterministic:
+    bound caps the magnitude of every slot, and so does the deterministic
+    primality bound: no slot reaches arith.MR_DETERMINISTIC_BOUND, above
+    which is_prime decides nothing.  The search is deterministic:
     each slot takes the smallest admissible value, and further quadruples
     come from advancing d, then c, then a, then b.  Every emitted
     quadruple is re-checked by verify_conditions.
@@ -297,6 +300,7 @@ def sieve_params(g, h, omega0=None, bound=10**7, count=1):
         omega0 = omega0_for_genus(g)
     omega0 = tuple(sorted(omega0))
     tables = _qr_tables(omega0)
+    cap = min(bound, arith.MR_DETERMINISTIC_BOUND - 1)
     out = []
     first_failure = None
 
@@ -306,16 +310,16 @@ def sieve_params(g, h, omega0=None, bound=10**7, count=1):
             first_failure = (slot, detail)
 
     b_seen = False
-    for b in _b_candidates(omega0, bound, tables):
+    for b in _b_candidates(omega0, cap, tables):
         b_seen = True
         a_seen = False
-        for a in _a_candidates(b, omega0, bound, tables):
+        for a in _a_candidates(b, omega0, cap, tables):
             a_seen = True
             c_seen = False
-            for c in _c_candidates(a, b, omega0, bound):
+            for c in _c_candidates(a, b, omega0, cap):
                 c_seen = True
                 d_seen = False
-                for d in _d_candidates(a, b, c, omega0, bound):
+                for d in _d_candidates(a, b, c, omega0, cap):
                     d_seen = True
                     ps = ParamSet(a=a, b=b, c=c, d=d, omega0=omega0, g=g, h=h)
                     report = verify_conditions(ps)
@@ -335,10 +339,12 @@ def sieve_params(g, h, omega0=None, bound=10**7, count=1):
         if not a_seen:
             note_failure("a", f"for b={b}, progression 1 mod {8 * b // math.gcd(8, b)}")
     if not b_seen:
-        raise SieveExhausted(
-            "b", bound, f"no prime = 1 mod 8 and a square mod each of {list(omega0)}"
-        )
-    if not out:
-        slot, detail = first_failure if first_failure else ("d", "")
-        raise SieveExhausted(slot, bound, detail)
-    raise SieveExhausted("d", bound, f"only {len(out)} of {count} quadruples found")
+        slot, detail = "b", f"no prime = 1 mod 8 and a square mod each of {list(omega0)}"
+    elif out:
+        slot, detail = "d", f"only {len(out)} of {count} quadruples found"
+    else:
+        slot, detail = first_failure
+    if cap < bound:
+        detail += ("; every slot stops below the deterministic primality bound "
+                   f"{arith.MR_DETERMINISTIC_BOUND}")
+    raise SieveExhausted(slot, bound, detail)

@@ -113,6 +113,20 @@ def test_is_prime_rejects_above_deterministic_bound():
         is_prime(-1)
 
 
+# psi_12, the least strong pseudoprime to the twelve prime bases up to 37
+# (Sorenson-Webster 2017): base 41 is what exposes it
+PSI_12 = 318_665_857_834_031_151_167_461
+PSI_12_FACTORS = (399_165_290_221, 798_330_580_441)
+
+
+def test_is_prime_rejects_psi_12():
+    assert PSI_12 == PSI_12_FACTORS[0] * PSI_12_FACTORS[1]
+    assert PSI_12 < MR_DETERMINISTIC_BOUND
+    assert not is_prime(PSI_12)
+    assert all(is_prime(p) for p in PSI_12_FACTORS)
+    assert factorize(PSI_12) == (dict.fromkeys(PSI_12_FACTORS, 1), [])
+
+
 # ----- legendre -------------------------------------------------------------
 
 def test_legendre_examples():

@@ -25,6 +25,7 @@ from hassecert.local import (
     sample_surface_points,
     _eval_int,
     _residue_quadrics,
+    _root_witness,
 )
 from hassecert.params import sieve_params
 from hassecert.polynomials import Polynomial
@@ -272,6 +273,21 @@ def test_witness_reverification_from_json_alone():
         assert V != 0 and prec > _int_val(V, p)  # the Hensel margin
         checked += 1
     assert checked >= 2
+
+
+def test_root_margin_is_strict():
+    # s^2 = (t^2 - A)(t^2 - B) at t = 1 over Q_5 with B = -9: A = -4 puts
+    # v(H(1)) = v(50) = 2 on the margin 2 v(H'(1)) = 2 v(30), so no root
+    # witness; A = -24 gives v(250) = 3 > 2 v(70) = 2.  Witness.verify and
+    # the witness builder must agree on both sides of the margin.
+    for A, accepted in ((-4, False), (-24, True)):
+        curve = HyperellipticCurve(a=Fraction(1), b=Fraction(1), A=Fraction(A),
+                                   B=Fraction(-9), genus=1)
+        wit = _root_witness(curve, "st", 5, 1)
+        assert (wit is not None) == accepted
+        claimed = Witness(kind="root", chart="st", prime=5, t_center=1,
+                          val=2 + accepted, mu=1)
+        assert claimed.verify(curve) == accepted
 
 
 # ----- surface points -----------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hassecert import params
+from hassecert import arith, params
 from hassecert.arith import is_prime, legendre
 from hassecert.params import (
     ParamSet,
@@ -63,6 +63,24 @@ def test_sieve_low_bound_exhausts_at_b():
     with pytest.raises(SieveExhausted) as ei:
         sieve_params(1, 0, bound=50, count=1)
     assert ei.value.slot == "b"
+    assert "primality bound" not in str(ei.value)
+
+
+def test_sieve_stops_below_primality_bound(monkeypatch, capsys):
+    from hassecert.cli import main
+
+    # with the primality bound lowered to 10^5, the first quadruple's
+    # d = 146,059 lies past it: every slot stays below the bound instead
+    monkeypatch.setattr(arith, "MR_DETERMINISTIC_BOUND", 10**5)
+    for ps in sieve_params(1, 0, bound=10**7, count=3):
+        assert max(ps.a, ps.b, ps.c, ps.d) < 10**5
+    monkeypatch.setattr(arith, "MR_DETERMINISTIC_BOUND", 2000)
+    with pytest.raises(SieveExhausted) as ei:
+        sieve_params(1, 0, bound=10**7)
+    assert ei.value.slot == "d" and ei.value.bound == 10**7
+    assert "deterministic primality bound 2000" in str(ei.value)
+    assert main(["sieve-params", "--g", "1", "--h", "0"]) == 2
+    assert "deterministic primality bound 2000" in capsys.readouterr().err
 
 
 def test_sieve_determinism():

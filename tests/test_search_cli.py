@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import hassecert.cli as cli
 from hassecert.cli import (
     ConfigError,
     RunConfig,
@@ -232,12 +233,36 @@ def test_config_json_roundtrip():
     assert [str(t) for t in loaded.theta_list] == ["0", "1/2"]
 
 
-def test_certify_fiber_reports_stage_on_failure():
-    # corrupt parameters: swap a condition so the local stage fails fast is
-    # hard to arrange; instead check a clean fiber reports stage done
+def test_certify_fiber_reports_stage_on_failure(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(cli, "check_smooth_surface", lambda surface: False)
+        out = certify_fiber(PARAMS, Theta.of(0), height_bound=20, sample_count=2)
+    assert not out["certified"] and out["stage"] == "smoothness"
+    assert out["error"] == "surface smoothness check failed"
+    assert "fiber" in out and "local" not in out
+
+    def broken(*args, **kwargs):
+        raise ArithmeticError("no invariant table")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "obstruction_certificate", broken)
+        out = certify_fiber(PARAMS, Theta.of(0), height_bound=20, sample_count=2)
+    assert not out["certified"] and out["stage"] == "brauer-obstruction"
+    assert out["error"] == "no invariant table"
+    assert out["local"]["solvable_everywhere"] is True
+    assert "obstruction" not in out and "point_search" not in out
+
+
+def test_found_points_refute_only_after_obstruction(monkeypatch):
+    monkeypatch.setattr(cli, "curve_point_search",
+                        lambda curve, height: [(Fraction(1), Fraction(2))])
+    out = certify_fiber(PARAMS, Theta.of(0), height_bound=20,
+                        stages=cli.STAGES["point-search"])
+    assert out["stage"] == "done"
+    assert out["point_search"]["curve_points"] == [["1", "2/1"]]
     out = certify_fiber(PARAMS, Theta.of(0), height_bound=20, sample_count=2)
-    assert out["certified"] and out["stage"] == "done"
-    assert out["point_search"]["curve_points"] == []
+    assert out["stage"] == "point-search"
+    assert out["error"].startswith("rational points found")
 
 
 def test_run_certify_and_determinism():
@@ -317,3 +342,54 @@ def test_cli_sieve_and_point_search(tmp_path):
                  "--height", "20", "--out", str(out2)]) == 0
     res = json.loads(out2.read_text())["results"]
     assert res[0]["curve_points"] == []
+
+
+STAGE_THETAS = [Theta.of(0), Theta.of(1, 2), Theta.infinity()]
+
+
+def test_stage_subcommands_print_certify_fiber_sections(tmp_path):
+    # each stage subcommand prints, per theta, the entry of the full
+    # certify-all fiber record that its stage produces
+    fibers = [certify_fiber(PARAMS, t, height_bound=300, sample_count=2)
+              for t in STAGE_THETAS]
+    assert all(f["stage"] == "done" for f in fibers)
+    theta_args = ["--theta", ",".join(str(t) for t in STAGE_THETAS)]
+    for command, key in [("certify-local", "local"),
+                         ("certify-brauer", "obstruction"),
+                         ("point-search", "point_search")]:
+        out = tmp_path / f"{command}.json"
+        code = main([command, "--g", "1", "--h", "0", *theta_args, "--height", "300",
+                     "--samples", "2", "--out", str(out)])
+        assert code == 0, command
+        printed = json.loads(out.read_text())
+        expected = []
+        for f in fibers:
+            section = dict(f[key])
+            if command == "point-search":
+                assert printed["height"] == section.pop("height") == "300"
+            expected.append({"theta": f["theta"], **section})
+        assert printed["results"] == expected, command
+
+
+def test_certify_brauer_names_failed_local_stage(tmp_path):
+    out = tmp_path / "brauer.json"
+    code = main(["certify-brauer", "--g", "1", "--h", "1", "--theta", "3/2",
+                 "--samples", "2", "--out", str(out)])
+    assert code == 1
+    (result,) = json.loads(out.read_text())["results"]
+    assert result["theta"] == "3/2"
+    assert result["stage"] == "local-solvability"
+    assert "unresolved" in result["error"]
+
+
+def test_certify_local_checks_smoothness(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "check_smooth_surface", lambda surface: False)
+    out = tmp_path / "local.json"
+    code = main(["certify-local", "--g", "1", "--h", "0", "--theta", "0",
+                 "--out", str(out)])
+    assert code == 1
+    assert json.loads(out.read_text())["results"] == [{
+        "theta": "0",
+        "stage": "smoothness",
+        "error": "surface smoothness check failed",
+    }]
