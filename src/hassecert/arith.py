@@ -3,6 +3,9 @@
 Everything works on plain ints and fractions.Fraction.  No floating point
 enters any computation; the single float in the module is math.inf, used
 as the valuation of zero (it is only ever compared, never computed with).
+
+Every function that takes a prime p proves it once per process, through one
+guard, _require_prime; a non-prime p raises ValueError on every call.
 """
 
 import math
@@ -43,23 +46,27 @@ def is_prime(n):
     return not _sprp_composite(n)
 
 
-def _check_odd_prime(p):
-    if p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
+_PROVED_PRIMES = set()  # moduli proved prime in this process; never a composite
 
 
-def _legendre_unchecked(a, p):
+def _require_prime(p, odd=False):
+    """Raise ValueError unless p is a prime (an odd one if odd is set)."""
+    if p not in _PROVED_PRIMES:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not {'an odd ' if odd else ''}prime")
+        _PROVED_PRIMES.add(p)
+    if odd and p == 2:
+        raise ValueError("2 is not an odd prime")
+
+
+def legendre(a, p):
+    """Legendre symbol (a|p) in {-1, 0, +1}; p must be an odd prime."""
+    _require_prime(p, odd=True)
     a %= p
     if a == 0:
         return 0
     r = pow(a, (p - 1) // 2, p)
     return -1 if r == p - 1 else 1
-
-
-def legendre(a, p):
-    """Legendre symbol (a|p) in {-1, 0, +1}; p must be an odd prime."""
-    _check_odd_prime(p)
-    return _legendre_unchecked(a, p)
 
 
 def sqrt_mod(a, p):
@@ -68,15 +75,11 @@ def sqrt_mod(a, p):
     Returns the canonical representative in [0, p/2], or None when a is a
     non-residue.
     """
-    _check_odd_prime(p)
-    return _sqrt_mod_unchecked(a, p)
-
-
-def _sqrt_mod_unchecked(a, p):
+    _require_prime(p, odd=True)
     a %= p
     if a == 0:
         return 0
-    if _legendre_unchecked(a, p) != 1:
+    if legendre(a, p) != 1:
         return None
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
@@ -86,7 +89,7 @@ def _sqrt_mod_unchecked(a, p):
         q //= 2
         s += 1
     z = 2
-    while _legendre_unchecked(z, p) != -1:
+    while legendre(z, p) != -1:
         z += 1
     m, c = s, pow(z, q, p)
     t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
@@ -103,17 +106,12 @@ def _sqrt_mod_unchecked(a, p):
 
 def padic_val(x, p):
     """p-adic valuation of an int or Fraction; math.inf for x = 0."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if x == 0:
         return INF
     if isinstance(x, Fraction):
-        return _int_val(x.numerator, p) - _int_val(x.denominator, p)
-    return _int_val(x, p)
-
-
-def _int_val(n, p):
-    n = abs(n)
+        return padic_val(x.numerator, p) - padic_val(x.denominator, p)
+    n = abs(x)
     v = 0
     while n % p == 0:
         n //= p
@@ -142,8 +140,8 @@ class Place:
     p: int | None = None  # None encodes the real place
 
     def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        if self.p is not None:
+            _require_prime(self.p)
 
     @classmethod
     def real(cls):
@@ -179,7 +177,7 @@ def is_local_square(x, place):
     u = unit_part(x, p)
     if p == 2:
         return frac_mod(u, 8) == 1
-    return _legendre_unchecked(frac_mod(u, p), p) == 1
+    return legendre(frac_mod(u, p), p) == 1
 
 
 def hensel_sqrt(a, p, k):
@@ -207,7 +205,7 @@ def hensel_sqrt(a, p, k):
                 r += 1 << (i - 1)
         r %= pk
         return min(r, pk - r)
-    r = _sqrt_mod_unchecked(frac_mod(a, p), p)
+    r = sqrt_mod(frac_mod(a, p), p)
     prec = 1
     while prec < k:
         prec = min(2 * prec, k)
@@ -267,7 +265,7 @@ def _all_prime_roots(a, r, p):
     """All r-th roots of a mod p for prime r (p odd, p != r, p ∤ a)."""
     a %= p
     if r == 2:
-        r0 = _sqrt_mod_unchecked(a, p)
+        r0 = sqrt_mod(a, p)
         return [] if r0 is None else sorted({r0, (p - r0) % p})
     if (p - 1) % r != 0:
         return [pow(a, pow(r, -1, p - 1), p)]
@@ -368,8 +366,8 @@ def hilbert_symbol(a, b, place):
             + beta * _two_unit_omega(um)
         )
         return -1 if exp % 2 else 1
-    lu = _legendre_unchecked(frac_mod(u, p), p)
-    lv = _legendre_unchecked(frac_mod(v, p), p)
+    lu = legendre(frac_mod(u, p), p)
+    lv = legendre(frac_mod(v, p), p)
     eps = ((p - 1) // 2) % 2
     sign = (-1) ** (alpha * beta * eps) * lu**beta * lv**alpha
     return 1 if sign > 0 else -1
@@ -422,7 +420,7 @@ def count_points_hyperelliptic(f_mod_p, g, p):
     t = infinity, which exist iff the leading coefficient is a square.
     Naive O(p) loop with a precomputed square table.
     """
-    _check_odd_prime(p)
+    _require_prime(p, odd=True)
     f = [c % p for c in f_mod_p]
     if len(f) != 2 * g + 3 or f[-1] == 0:
         raise ValueError("f must have exact degree 2g+2 mod p")
@@ -460,7 +458,7 @@ def find_smooth_fp_point(a, b, r, g, p):
     existence is guaranteed under the stated hypotheses, so exhausting the
     scan signals corrupted input and raises.
     """
-    _check_odd_prime(p)
+    _require_prime(p, odd=True)
     if p <= 4 * g * g:
         raise ValueError("requires p > 4g^2")
     if (g + 1) % p == 0:
@@ -474,7 +472,7 @@ def find_smooth_fp_point(a, b, r, g, p):
         if val == 0:
             # then rT^(g+1) = 1, so T != 0 and the Jacobian row is nonzero
             return FpPoint("ST", (0, t), p)
-        s = _sqrt_mod_unchecked(val, p)
+        s = sqrt_mod(val, p)
         if s is not None:
             return FpPoint("ST", (s, t), p)
     raise ArithmeticError(

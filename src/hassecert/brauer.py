@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .arith import (
     Place,
-    _int_val,
     frac_mod,
     hilbert_symbol,
     is_local_square,
@@ -82,7 +81,7 @@ class QuaternionClass:
             if num == 0 or den == 0:
                 out.append(None)
                 continue
-            wn, wd = _int_val(num, p), _int_val(den, p)
+            wn, wd = padic_val(num, p), padic_val(den, p)
             if wn > prec - 1 - margin or wd > prec - 1 - margin:
                 out.append(None)
                 continue

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .arith import (
     Place,
-    _int_val,
     count_points_hyperelliptic,
     factorize,
     find_smooth_fp_point,
@@ -88,7 +87,7 @@ class Witness:
                 return False
             if V == 0:
                 return False
-            w = _int_val(V, p)
+            w = padic_val(V, p)
             need = w + 2 if p == 2 else w
             return self.precision > need
         raise ValueError(f"unknown witness kind {self.kind}")
@@ -146,7 +145,7 @@ def _disc_search(G, twist, p, depth, bound):
     provably constant and non-square on it (unit center value); running
     out of depth yields 'maybe', never 'no'.
     """
-    vals = [_int_val(c, p) for c in G if c != 0]
+    vals = [padic_val(c, p) for c in G if c != 0]
     if not vals:
         return ("yes", 0)  # the polynomial vanishes identically: s = 0
     c = min(vals)
@@ -159,7 +158,7 @@ def _disc_search(G, twist, p, depth, bound):
         val = _eval_int(G, t0)
         if val == 0:
             return ("yes", t0)
-        w = _int_val(val, p)
+        w = padic_val(val, p)
         if (w + twist) % 2 == 0 and legendre(val // p**w, p) == 1:
             return ("yes", t0)
         if w == 0:
@@ -195,7 +194,7 @@ def _witness_from_center(curve_model, chart, p, t_center):
     if V == 0:
         return Witness(kind="exact", chart=chart, prime=p, t_center=Fraction(t_center),
                        s_exact=Fraction(0))
-    w = _int_val(V, p)
+    w = padic_val(V, p)
     unit = V // p**w
     prec = max(3, w + 2) if p != 2 else max(6, w + 4)
     r = hensel_sqrt(unit, p, prec - w)
@@ -435,7 +434,7 @@ def _root_witness(curve_m, chart, p, t_center):
     dV = _eval_int(Hp, t_center)
     if dV == 0:
         return None
-    w, mu = _int_val(V, p), _int_val(dV, p)
+    w, mu = padic_val(V, p), padic_val(dV, p)
     if w <= 2 * mu:
         return None
     return Witness(kind="root", chart=chart, prime=p, t_center=t_center, val=w, mu=mu)
@@ -550,11 +549,11 @@ def _try_center_probe(curve, place, centers=(0, 1, -1)):
                     place, True, "case-analysis(disc-center)", wit,
                     hypotheses=[f"chart {chart}: exact root at t = {t0}"],
                 )
-            w = _int_val(V, p)
-            if w % 2 == 0 and legendre(V // p**w, p) == 1:
+            if is_local_square(V, place):
                 wit = _witness_from_center(model, chart, p, t0)
                 hyp = [
-                    f"chart {chart}, disc center t = {t0}: value has even valuation {w}",
+                    f"chart {chart}, disc center t = {t0}: "
+                    f"value has even valuation {padic_val(V, p)}",
                     "the unit part is a square mod p",
                 ]
                 return LocalCertificate(place, True, "case-analysis(disc-center)",
@@ -753,7 +752,7 @@ def _refine_curve_witness(curve_m, wit, p, prec):
     H, m = cleared_chart_poly(curve_m, wit.chart)
     if wit.kind == "sqrt":
         V = _eval_int(H, wit.t_center)
-        w = _int_val(V, p)
+        w = padic_val(V, p)
         r = hensel_sqrt(V // p**w, p, prec + w + 2)
         sigma = p ** (w // 2) * r
         return Fraction(wit.t_center), Fraction(sigma) / m
@@ -765,10 +764,10 @@ def _refine_curve_witness(curve_m, wit, p, prec):
         modulus = p**target
         for _ in range(200):
             V = _eval_int(H, t)
-            if V == 0 or _int_val(V, p) >= target:
+            if V == 0 or padic_val(V, p) >= target:
                 break
             dV = _eval_int(Hp, t)
-            mu = _int_val(dV, p)
+            mu = padic_val(dV, p)
             step = (V // p**mu) * pow(dV // p**mu, -1, modulus) % modulus
             t = (t - step) % modulus
         return Fraction(t), Fraction(0)
@@ -850,11 +849,8 @@ def _exact_padic_sqrt(x, p, prec):
     v = padic_val(x, p)
     if v % 2 != 0 or v < 0 or v >= prec - 1:
         return None
-    u = unit_part(x, p)
-    if not is_local_square(u, Place.finite(p)):
-        return None
-    r = hensel_sqrt(u, p, prec - v)
-    return p ** (v // 2) * r % p**prec
+    r = hensel_sqrt(unit_part(x, p), p, prec - v)
+    return None if r is None else p ** (v // 2) * r % p**prec
 
 
 def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET,

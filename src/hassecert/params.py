@@ -109,12 +109,19 @@ def verify_conditions(ps):
     a, b, c, d = ps.a, ps.b, ps.c, ps.d
     omega0 = set(ps.omega0)
 
-    # (i) distinct odd primes avoiding omega0 and 2
+    # (i) distinct odd primes avoiding omega0 and 2.  Stop unless the slots
+    # and omega0 are odd primes below the primality bound: (ii)-(vi) need it.
     names = dict(a=a, b=b, c=c, d=d)
+    prime = {v: 2 < v < arith.MR_DETERMINISTIC_BOUND and v % 2 == 1 and is_prime(v)
+             for v in (a, b, c, d, *omega0)}
     for name, v in names.items():
-        r.add(f"i.{name}-prime", v > 2 and v % 2 == 1 and is_prime(v), f"{name} = {v}")
+        r.add(f"i.{name}-prime", prime[v], f"{name} = {v}")
         r.add(f"i.{name}-not-omega0", v not in omega0, f"{name} = {v}")
     r.add("i.distinct", len({a, b, c, d}) == 4, f"{sorted({a, b, c, d})}")
+    for q in sorted(q for q in omega0 if not prime[q]):
+        r.add(f"i.omega0-{q}-prime", False, f"omega0 entry {q}")
+    if not all(prime.values()):
+        return r
 
     # (ii) a, b squares in every completion at omega0, at 2, and at the real place
     for name, v in (("a", a), ("b", b)):

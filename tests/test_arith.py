@@ -1,9 +1,12 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hassecert import arith
 from hassecert.arith import (
     INF,
     FpPoint,
@@ -125,6 +128,69 @@ def test_is_prime_rejects_psi_12():
     assert not is_prime(PSI_12)
     assert all(is_prime(p) for p in PSI_12_FACTORS)
     assert factorize(PSI_12) == (dict.fromkeys(PSI_12_FACTORS, 1), [])
+
+
+# ----- the prime guard ------------------------------------------------------
+
+PRIME_TAKERS = [
+    ("padic_val", lambda p: padic_val(3, p)),
+    ("Place.finite", Place.finite),
+    ("legendre", lambda p: legendre(2, p)),
+    ("sqrt_mod", lambda p: sqrt_mod(2, p)),
+    ("hensel_sqrt", lambda p: hensel_sqrt(2, p, 3)),
+    ("count_points_hyperelliptic",
+     lambda p: count_points_hyperelliptic([1, 0, 0, 0, 1], 1, p)),
+    ("find_smooth_fp_point", lambda p: find_smooth_fp_point(1, 1, 1, 1, p)),
+]
+
+
+@pytest.mark.parametrize("name, call", PRIME_TAKERS, ids=[n for n, _ in PRIME_TAKERS])
+@pytest.mark.parametrize("p", [9, 15, 1])
+def test_prime_guard_rejects_non_primes_every_time(name, call, p):
+    for _ in range(2):  # a cached composite would pass the second call
+        with pytest.raises(ValueError):
+            call(p)
+
+
+def test_legendre_rejects_two_after_two_is_proved():
+    assert padic_val(8, 2) == 3
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            legendre(1, 2)
+
+
+def test_prime_guard_proves_each_prime_once(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(arith, "_PROVED_PRIMES", set())
+    monkeypatch.setattr(arith, "is_prime", counting_is_prime)
+    p = 1_000_003
+    for x in range(1, 1001):
+        assert padic_val(x * p, p) == 1
+    for _ in range(100):
+        assert Place.finite(p).p == p
+        assert legendre(4, p) == 1
+    assert calls == [p]
+
+
+def test_no_module_imports_private_arith_names():
+    src = Path(arith.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "arith.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                (node.level == 1 and node.module == "arith")
+                or node.module == "hassecert.arith"
+            ):
+                offenders += [(path.name, a.name) for a in node.names
+                              if a.name.startswith("_")]
+    assert offenders == []
 
 
 # ----- legendre -------------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hassecert.arith import Place, _int_val
+from hassecert.arith import Place, padic_val
 from hassecert.family import (
     HyperellipticCurve,
     Theta,
@@ -43,7 +43,7 @@ def _sq_table(p, k):
     best = {}
     for s in range(m):
         key = s * s % m
-        v = _int_val(s, p) if s else k
+        v = padic_val(s, p) if s else k
         if key not in best or v < best[key]:
             best[key] = v
     return best
@@ -66,7 +66,7 @@ def oracle_qp(curve_model, p, k):
                     return True
                 if v == 0:
                     dv = _eval_int(Hp, t) % m
-                    dvv = _int_val(dv, p) if dv else k
+                    dvv = padic_val(dv, p) if dv else k
                     if 2 * dvv < k:
                         return True
                 any_partial = True
@@ -270,7 +270,7 @@ def test_witness_reverification_from_json_alone():
         H, _ = cleared_chart_poly(model, data["chart"])
         V = _eval_int(H, t_center)
         assert (sigma * sigma - V) % p**prec == 0
-        assert V != 0 and prec > _int_val(V, p)  # the Hensel margin
+        assert V != 0 and prec > padic_val(V, p)  # the Hensel margin
         checked += 1
     assert checked >= 2
 

@@ -42,6 +42,26 @@ def test_verify_rejects_5_mod_8():
     assert "ii.a-mod8" in bad and "iii.a-mod8-congruence" in bad
 
 
+# the first g = 1 quadruple; each change makes a slot or an omega0 entry
+# something other than an odd prime below the primality bound, and names
+# the condition that must then fail
+G1_QUAD = dict(a=1753, b=73, c=5, d=146059, omega0=(3,), g=1, h=0)
+NOT_ODD_PRIMES = [
+    ({"a": 15}, "i.a-prime"),
+    ({"a": 10**25 + 1}, "i.a-prime"),
+    ({"omega0": (3, 9)}, "i.omega0-9-prime"),
+]
+
+
+@pytest.mark.parametrize("change, cond", NOT_ODD_PRIMES)
+def test_verify_fails_closed_on_non_primes(change, cond):
+    assert verify_conditions(ParamSet(**G1_QUAD)).ok
+    rep = verify_conditions(ParamSet(**{**G1_QUAD, **change}))
+    assert cond in {i for i, _ in rep.failures()}
+    # the Legendre conditions are undefined there and are not evaluated
+    assert all(i.startswith("i.") for i, _, _ in rep.items)
+
+
 def test_sieve_g1_first_quadruple():
     (ps,) = sieve_params(1, 0, bound=10**7, count=1)
     assert ps.b % 24 == 1  # b = 1 mod 8 and a square mod 3 forces 1 mod 24

@@ -331,6 +331,22 @@ def test_cli_exit_one_on_certification_failure(tmp_path):
     assert "unresolved" in fiber["error"]
 
 
+@pytest.mark.parametrize("change, cond", [
+    ({"a": "15"}, "i.a-prime"),
+    ({"a": str(10**25 + 1)}, "i.a-prime"),
+    ({"omega0": ["3", "9"]}, "i.omega0-9-prime"),
+])
+def test_cli_config_with_non_prime_params_exits_2(tmp_path, capsys, change, cond):
+    params = {"a": "1753", "b": "73", "c": "5", "d": "146059", "omega0": ["3"],
+              "g": "1", "h": "0", **change}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g": 1, "h": 0, "params": params}))
+    assert main(["certify-all", "--config", str(cfg), "--theta", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: explicit parameters fail verification: [")
+    assert cond in err
+
+
 def test_cli_sieve_and_point_search(tmp_path):
     out = tmp_path / "q.json"
     assert main(["sieve-params", "--g", "1", "--h", "0", "--count", "2",
