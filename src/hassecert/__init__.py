@@ -34,7 +34,6 @@ from .family import (
     check_nonvanishing,
     check_smooth_curve,
     check_smooth_surface,
-    delta_map,
     fiber_coeffs,
     integral_model,
     j_invariant,
@@ -47,7 +46,6 @@ from .local import (
     critical_places,
     decide_qp_points,
     decide_real_points,
-    surface_local_point,
 )
 from .params import (
     ParamSet,
@@ -56,6 +54,6 @@ from .params import (
     sieve_params,
     verify_conditions,
 )
-from .search import curve_point_search, rational_point_search, surface_point_search
+from .search import curve_point_search, surface_point_search
 
 __version__ = "0.1.0"

@@ -493,6 +493,8 @@ def sieve_primes_upto(n):
 
 
 _TRIAL_PRIMES = sieve_primes_upto(10_000)
+# rho iterations spent on one cofactor before factorize lists it as unresolved
+RHO_BUDGET = 4_000_000
 
 
 def _brent_rho(n, budget):
@@ -552,11 +554,11 @@ def _sprp_composite(n):
     return False
 
 
-def factorize(n, rho_budget=4_000_000):
+def factorize(n):
     """Factor |n| into primes: returns (dict prime -> exponent, unresolved).
 
     unresolved lists cofactors that could not be certified: composites
-    whose splitting exceeded the rho budget, and probable primes above the
+    that RHO_BUDGET rho iterations did not split, and probable primes above the
     deterministic primality bound.  Callers must treat those as incomplete
     coverage.
     """
@@ -588,7 +590,7 @@ def factorize(n, rho_budget=4_000_000):
         if root * root == m:
             stack.extend([root, root])
             continue
-        d = _brent_rho(m, rho_budget)
+        d = _brent_rho(m, RHO_BUDGET)
         if d is None:
             unresolved.append(m)
             continue

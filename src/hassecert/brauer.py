@@ -29,6 +29,7 @@ from .local import (
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
+REFUSED = "refused"
 
 
 class PrecisionError(ArithmeticError):
@@ -157,8 +158,11 @@ def sample_invariant(surface_model, place, n, seed=0, extra_points=()):
 
 @dataclass
 class InvariantCertificate:
+    """One entry of the invariant table: a value proved by a branch, or a
+    refusal (method "refused", value None, the reason in warning)."""
+
     place: Place
-    value: Fraction
+    value: Fraction | None
     method: str
     hypothesis_trace: list = field(default_factory=list)
     sample_count: int = 0
@@ -167,12 +171,12 @@ class InvariantCertificate:
 
     @property
     def rigorous(self):
-        return self.method != "sampled" and all(ok for _, ok in self.hypothesis_trace)
+        return self.method != REFUSED
 
     def to_json(self):
         return {
             "place": str(self.place),
-            "value": "0" if self.value == 0 else "1/2",
+            "value": None if self.value is None else "0" if self.value == 0 else "1/2",
             "method": self.method,
             "hypotheses": [[text, ok] for text, ok in self.hypothesis_trace],
             "sample_count": self.sample_count,
@@ -196,15 +200,16 @@ def certify_invariant(surface, place, theta):
                    unit part of A non-square -> 0
       prop-a:      v_p(a) = 1, p not dividing ABC(B-A), b a square,
                    B - A a non-square -> 1/2
-    A fiber over verified parameters always lands in a branch; anything
-    else falls back to sampling, marked non-rigorous.
+    A fiber over verified parameters always lands in a branch.  Where no
+    branch applies the entry is a refusal: method "refused", value None,
+    the failed hypotheses in the trace and the reason in warning.  No value
+    read off sampled points ever enters the table.
     """
-    params = surface.coeffs.params
     trace = []
     if place.is_real:
         if _trace(trace, "a > 0, so a is a real square", surface.a > 0):
             return InvariantCertificate(place, ZERO, "prop-square", trace)
-        return _sampled_fallback(surface, place, trace, "negative a at the real place")
+        return _refused(place, trace, "negative a at the real place")
     p = place.p
     model, change = admissible_model(surface, p, theta)
     change.assert_square_factor()
@@ -214,8 +219,7 @@ def certify_invariant(surface, place, theta):
         return InvariantCertificate(place, ZERO, "prop-square", trace)
     if p == 2:
         _trace(trace, "a is a square in Q_2", False)
-        return _sampled_fallback(surface, place, trace,
-                                 "no deterministic branch at 2 when a is not a square")
+        return _refused(place, trace, "no branch at 2 when a is not a square")
     A, B, C = model.A, model.B, model.C
     va = padic_val(a, p)
     if va == 1:
@@ -231,7 +235,7 @@ def certify_invariant(surface, place, theta):
         ]
         if all(_trace(trace, t, ok) for t, ok in conds):
             return InvariantCertificate(place, HALF, "prop-a", trace)
-        return _sampled_fallback(surface, place, trace, "prop-a hypotheses failed")
+        return _refused(place, trace, "prop-a hypotheses failed")
     # p odd, a a p-adic unit, a not a square (checked above)
     _trace(trace, "a is not a square mod p", True)
     vBA = padic_val(B - A, p)
@@ -244,7 +248,7 @@ def certify_invariant(surface, place, theta):
         ]
         if all(_trace(trace, t, ok) for t, ok in conds):
             return InvariantCertificate(place, ZERO, "prop-good", trace)
-        return _sampled_fallback(surface, place, trace, "prop-good hypotheses failed")
+        return _refused(place, trace, "prop-good hypotheses failed")
     vA = padic_val(A, p)
     conds = [
         ("p does not divide 2ab", padic_val(2 * a * model.b, p) == 0),
@@ -255,21 +259,11 @@ def certify_invariant(surface, place, theta):
     ]
     if all(_trace(trace, t, ok) for t, ok in conds):
         return InvariantCertificate(place, ZERO, "prop-c", trace)
-    return _sampled_fallback(surface, place, trace, "no deterministic branch applies")
+    return _refused(place, trace, "no branch applies")
 
 
-def _sampled_fallback(surface, place, trace, why):
-    theta = surface.coeffs.theta
-    p = None if place.is_real else place.p
-    model = surface
-    if p is not None:
-        model, _ = admissible_model(surface, p, theta)
-    value, consistent, count = sample_invariant(model, place, 10)
-    return InvariantCertificate(
-        place, value, "sampled", trace, sample_count=count,
-        samples_consistent=consistent,
-        warning=f"non-rigorous: {why}; value from sampling only",
-    )
+def _refused(place, trace, why):
+    return InvariantCertificate(place, None, REFUSED, trace, warning=f"refused: {why}")
 
 
 @dataclass
@@ -297,13 +291,14 @@ class ObstructionCertificate:
         }
 
 
-def obstruction_certificate(curve, surface, local_result, samples=10, seed=0):
+def obstruction_certificate(curve, surface, local_result, samples=10):
     """The per-place invariant table, its sum, and the final conclusion.
 
     Requires everywhere-local solvability (otherwise the adelic pairing is
     vacuous).  Every certified value is additionally confirmed on sampled
     local points (delta images of the curve witnesses plus direct samples);
-    any disagreement or an unexpected table is a hard failure.
+    any disagreement, refusal or unexpected table is a hard failure.  A
+    refused place adds nothing to the sum.
     """
     if not local_result.solvable_everywhere:
         raise ValueError("obstruction table needs everywhere-local solvability first")
@@ -314,7 +309,11 @@ def obstruction_certificate(curve, surface, local_result, samples=10, seed=0):
     errors = []
     for place in local_result.critical.places:
         cert = certify_invariant(surface, place, theta)
-        # sampling confirmation at every place
+        table[place] = cert
+        if not cert.rigorous:
+            errors.append(f"invariant at {place} {cert.warning}")
+            continue
+        # sampling confirmation at every proved place
         model = surface
         if not place.is_real:
             model, _ = admissible_model(surface, place.p, theta)
@@ -326,9 +325,8 @@ def obstruction_certificate(curve, surface, local_result, samples=10, seed=0):
             except (ArithmeticError, ValueError):
                 extra = []
         try:
-            sval, consistent, count = sample_invariant(
-                model, place, samples, seed=seed, extra_points=extra
-            )
+            sval, consistent, count = sample_invariant(model, place, samples,
+                                                       extra_points=extra)
             cert.sample_count = count
             cert.samples_consistent = consistent
             if not consistent:
@@ -340,13 +338,12 @@ def obstruction_certificate(curve, surface, local_result, samples=10, seed=0):
         except SamplerBudgetExceeded:
             cert.warning = (cert.warning + "; " if cert.warning else "") + \
                 "sampling unavailable at this place"
-        table[place] = cert
     expected_half = {Place.finite(params.a)}
     support = {pl for pl, cert in table.items() if cert.value == HALF}
     if support != expected_half:
         errors.append(f"invariant support {sorted(str(pl) for pl in support)} "
                       f"is not exactly the place of a = {params.a}")
-    total = sum((cert.value for cert in table.values()), start=ZERO)
+    total = sum((cert.value for cert in table.values() if cert.rigorous), start=ZERO)
     total = total - int(total)  # value in Q/Z
     blanket = (
         "at every place outside the critical set: p is odd, does not divide "

@@ -179,7 +179,7 @@ SECTIONS = {
 }
 
 
-def certify_fiber(params, theta, height_bound=1000, sample_count=10, seed=0,
+def certify_fiber(params, theta, height_bound=1000, sample_count=10,
                   stages=STAGES["certify-all"]):
     """The per-fiber pipeline: build, nonvanishing, smoothness, then the
     given stages in order (local certificates, obstruction certificate,
@@ -201,14 +201,13 @@ def certify_fiber(params, theta, height_bound=1000, sample_count=10, seed=0,
             raise ArithmeticError("surface smoothness check failed")
         if "local" in stages:
             stage = "local-solvability"
-            local = certify_all_local(curve, seed=seed)
+            local = certify_all_local(curve)
             out["local"] = local.to_json()
             if not local.solvable_everywhere:
                 raise ArithmeticError(f"local certification failed: {local.failures}")
         if "brauer" in stages:
             stage = "brauer-obstruction"
-            obs = obstruction_certificate(curve, surface, local,
-                                          samples=sample_count, seed=seed)
+            obs = obstruction_certificate(curve, surface, local, samples=sample_count)
             out["obstruction"] = obs.to_json()
             if not obs.conclusion:
                 raise ArithmeticError(f"obstruction certificate incomplete: {obs.notes}")
@@ -237,17 +236,16 @@ def certify_fiber(params, theta, height_bound=1000, sample_count=10, seed=0,
 
 
 def _fiber_task(args):
-    params_json, theta_str, height, samples, seed, command = args
+    params_json, theta_str, height, samples, command = args
     params = ParamSet.from_json(params_json)
-    return certify_fiber(params, Theta.parse(theta_str), height, samples, seed,
+    return certify_fiber(params, Theta.parse(theta_str), height, samples,
                          stages=STAGES[command])
 
 
 def _certify_fibers(config, params, command):
     """One fiber record per theta of the config, in order."""
     tasks = [
-        (params.to_json(), str(theta), config.height_bound, config.sample_count, 0,
-         command)
+        (params.to_json(), str(theta), config.height_bound, config.sample_count, command)
         for theta in config.theta_list
     ]
     if config.parallelism > 1:

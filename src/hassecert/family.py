@@ -133,10 +133,6 @@ class CurveChange:
     s_mult: Fraction = Fraction(1)
     t_mult: Fraction = Fraction(1)
 
-    @property
-    def is_identity(self):
-        return self.s_mult == 1 and self.t_mult == 1
-
 
 @dataclass(frozen=True)
 class HyperellipticCurve:
@@ -189,10 +185,6 @@ class SurfaceChange:
     mults: tuple = (Fraction(1),) * 5  # (x, y, z, u, v)
     brauer_factor: Fraction = Fraction(1)
 
-    @property
-    def is_identity(self):
-        return all(m == 1 for m in self.mults)
-
     def assert_square_factor(self):
         if is_rational_square(self.brauer_factor) is None:
             raise ArithmeticError(
@@ -219,23 +211,6 @@ class DP4Surface:
         q1 = x**2 - self.a * z**2 + self.b * (u - self.A * v) * (u - self.B * v)
         q2 = x**2 - self.a * y**2 + self.a * self.C**2 * u * v
         return q1, q2
-
-    def quadric_matrices(self):
-        """The two quadrics as symmetric 5x5 rational matrices in the
-        coordinate order (x, y, z, u, v), so Q_i(P) = P^T M_i P."""
-        a, b, A, B, C = self.a, self.b, self.A, self.B, self.C
-        zero = Fraction(0)
-        m1 = [[zero] * 5 for _ in range(5)]
-        m1[0][0] = Fraction(1)
-        m1[2][2] = -a
-        m1[3][3] = b
-        m1[3][4] = m1[4][3] = -b * (A + B) / 2
-        m1[4][4] = b * A * B
-        m2 = [[zero] * 5 for _ in range(5)]
-        m2[0][0] = Fraction(1)
-        m2[1][1] = -a
-        m2[3][4] = m2[4][3] = a * C * C / 2
-        return m1, m2
 
 
 def build_curve(coeffs):
@@ -295,12 +270,6 @@ def delta_coords(chart, s, t, C, g):
     if chart == "ST":
         return (0 * t, C * t**half, s, t**0, t ** (g + 1))
     raise ValueError(f"unknown chart {chart!r}")
-
-
-def delta_map(point, coeffs):
-    """Exact-rational delta image of (chart, s, t) on the fiber of coeffs."""
-    chart, s, t = point
-    return delta_coords(chart, Fraction(s), Fraction(t), coeffs.C, coeffs.params.g)
 
 
 def j_invariant(coeffs):

@@ -36,6 +36,10 @@ from .polynomials import cauchy_root_bound, count_real_roots, discriminant
 COUNT_CAP = 200_000
 # the residue-disc decision procedure is an O(p)-per-level scan
 GENERIC_P_CAP = 1_000_000
+# residues tried when scanning F_p for a liftable point
+SCAN_CAP = 1_000_000
+# the disc centers the exact-evaluation probe tries on each chart
+PROBE_CENTERS = (0, 1, -1)
 SAMPLER_BUDGET = 10_000
 
 
@@ -186,6 +190,19 @@ def default_depth_bound(poly, p):
     return max(0, vd) + 2 * max(0, vl) + 3
 
 
+def _exact_padic_sqrt(x, p, prec):
+    """Residue r mod p^prec with r^2 = x (x an exact rational), or None
+    when x is not a square in Q_p or is too deep to represent."""
+    x = Fraction(x)
+    if x == 0:
+        return 0
+    v = padic_val(x, p)
+    if v % 2 != 0 or v < 0 or v >= prec - 1:
+        return None
+    r = hensel_sqrt(unit_part(x, p), p, prec - v)
+    return None if r is None else p ** (v // 2) * r % p**prec
+
+
 def _witness_from_center(curve_model, chart, p, t_center):
     """A sqrt/exact witness at an integer center whose exact chart value is
     a p-adic square (or zero)."""
@@ -195,12 +212,10 @@ def _witness_from_center(curve_model, chart, p, t_center):
         return Witness(kind="exact", chart=chart, prime=p, t_center=Fraction(t_center),
                        s_exact=Fraction(0))
     w = padic_val(V, p)
-    unit = V // p**w
     prec = max(3, w + 2) if p != 2 else max(6, w + 4)
-    r = hensel_sqrt(unit, p, prec - w)
-    if r is None:
+    sigma = _exact_padic_sqrt(V, p, prec)
+    if sigma is None:
         raise ArithmeticError("center value is not a p-adic square; search bug")
-    sigma = (p ** (w // 2) * r) % p**prec
     return Witness(kind="sqrt", chart=chart, prime=p, t_center=t_center,
                    sigma=sigma, precision=prec, val=w)
 
@@ -298,7 +313,7 @@ class CriticalSet:
         }
 
 
-def critical_places(curve, rho_budget=4_000_000):
+def critical_places(curve):
     """{Real, 2} ∪ omega0 ∪ {a,b,c,d} ∪ primes of num(A) num(B) num(D)
     ∪ primes of den(theta), with provenance.
 
@@ -325,7 +340,7 @@ def critical_places(curve, rho_budget=4_000_000):
     if not coeffs.theta.is_infinity:
         jobs.append(("den(theta)", coeffs.theta.value.denominator))
     for label, n in jobs:
-        fac, bad = factorize(n, rho_budget)
+        fac, bad = factorize(n)
         for m in bad:
             unresolved.append((label, m))
         for p in fac:
@@ -402,15 +417,14 @@ def _try_ab_square(curve, place):
     return LocalCertificate(place, True, "ab-square", wit, hypotheses=hyp)
 
 
-def _scan_fp_point(curve_m, p, scan_cap=1_000_000):
+def _scan_fp_point(curve_m, p):
     """First t whose reduction is liftable on either chart: a nonzero
     square value mod p, or a simple root of the reduction."""
     for chart in ("st", "ST"):
         H, _ = cleared_chart_poly(curve_m, chart)
         Hbar = [c % p for c in H]
         Hpbar = [(i * c) % p for i, c in enumerate(H)][1:]
-        limit = min(p, scan_cap)
-        for t in range(limit):
+        for t in range(min(p, SCAN_CAP)):
             v = _eval_int(Hbar, t) % p
             if v == 0:
                 if _eval_int(Hpbar, t) % p != 0:
@@ -440,6 +454,13 @@ def _root_witness(curve_m, chart, p, t_center):
     return Witness(kind="root", chart=chart, prime=p, t_center=t_center, val=w, mu=mu)
 
 
+def _in_hasse_weil_window(n, g, p):
+    """n >= 1 and |n - (p + 1)| <= 2g sqrt(p), tested in integers: a
+    point count no smooth genus-g curve over F_p can miss."""
+    d = n - (p + 1)
+    return n >= 1 and d * d <= 4 * g * g * p
+
+
 def _try_good_reduction(curve, place):
     if place.is_real or place.p == 2:
         return None
@@ -464,8 +485,7 @@ def _try_good_reduction(curve, place):
         # separable reduction: Hasse-Weil guarantees a smooth point
         if p <= COUNT_CAP:
             n = count_points_hyperelliptic(model.f_poly().mod_p(p), g, p)
-            d = abs(n - (p + 1))
-            if not (n >= 1 and d * d <= 4 * g * g * p):
+            if not _in_hasse_weil_window(n, g, p):
                 return LocalCertificate(place, None, "good-reduction-hw",
                                         notes=f"count {n} escaped the Hasse-Weil window")
             hyp.append(f"|X(F_p)| = {n}, inside the Hasse-Weil window")
@@ -530,7 +550,7 @@ def _try_power(curve, place):
         prec *= 2
 
 
-def _try_center_probe(curve, place, centers=(0, 1, -1)):
+def _try_center_probe(curve, place):
     """Exact-evaluation probes: the curve-side case analysis at the place
     dividing b reduces to the disc t = 0 carrying a square value, and the
     probe checks exactly that (plus two cheap neighbours)."""
@@ -540,7 +560,7 @@ def _try_center_probe(curve, place, centers=(0, 1, -1)):
     model = _model_at(curve, place)
     for chart in ("st", "ST"):
         H, _ = cleared_chart_poly(model, chart)
-        for t0 in centers:
+        for t0 in PROBE_CENTERS:
             V = _eval_int(H, t0)
             if V == 0:
                 wit = Witness(kind="exact", chart=chart, prime=p,
@@ -632,9 +652,21 @@ class CurveLocalResult:
         }
 
 
-def _blanket_check(curve, crit, sample_count=20, seed=0):
+def _cofactor(n, primes):
+    """|n| (1 for n = 0) with every prime of primes divided out."""
+    n = abs(n) or 1
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
+
+
+def _blanket_check(curve, crit, sample_count=20):
     """Re-verify the inclusions that make every non-critical place good,
-    then spot-check random non-critical primes for nonempty reductions."""
+    then spot-check random non-critical primes for nonempty reductions.
+
+    num(D) and den(theta) are covered when dividing the critical primes
+    out of each leaves 1; neither is factored a second time."""
     coeffs = curve.coeffs
     params = coeffs.params
     g = curve.genus
@@ -650,13 +682,10 @@ def _blanket_check(curve, crit, sample_count=20, seed=0):
     statements.append(f"B - A = 2 c D^2 holds exactly: {ident}")
     crit_primes = set(crit.primes())
     base = {2, params.a, params.b, params.c} | set(params.omega0)
-    facD, badD = factorize(abs(coeffs.D.numerator) or 1)
-    covered = base | set(facD)
-    badT = []
+    numbers = [coeffs.D.numerator]
     if not coeffs.theta.is_infinity:
-        facT, badT = factorize(coeffs.theta.value.denominator)
-        covered |= set(facT)
-    inc2 = covered <= crit_primes and not badD and not badT
+        numbers.append(coeffs.theta.value.denominator)
+    inc2 = base <= crit_primes and all(_cofactor(n, crit_primes) == 1 for n in numbers)
     ok &= inc2
     statements.append(
         "the critical set contains 2, a, b, c, omega0 and every prime dividing "
@@ -668,7 +697,7 @@ def _blanket_check(curve, crit, sample_count=20, seed=0):
         "good-reduction existence argument applies"
     )
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     pool = [q for q in sieve_primes_upto(100_000)
             if q not in crit_primes and q > 4 * g * g]
     sampled = sorted(rng.sample(pool, min(sample_count, len(pool))))
@@ -676,15 +705,14 @@ def _blanket_check(curve, crit, sample_count=20, seed=0):
     for q in sampled:
         n = count_points_hyperelliptic(curve.f_poly().mod_p(q), g, q)
         counts[q] = n
-        d = abs(n - (q + 1))
-        if not (n >= 1 and d * d <= 4 * g * g * q):
+        if not _in_hasse_weil_window(n, g, q):
             ok = False
             statements.append(f"spot-check failed at p = {q}: count {n}")
     return BlanketRecord(ok=ok, statements=statements, sampled_primes=sampled,
                          sample_counts=counts)
 
 
-def certify_all_local(curve, sample_count=20, seed=0, rho_budget=4_000_000):
+def certify_all_local(curve, sample_count=20):
     """Certificates at every critical place plus the symbolic blanket.
 
     Fibers away from theta = 0 need the full-family divisibility
@@ -698,7 +726,7 @@ def certify_all_local(curve, sample_count=20, seed=0, rho_budget=4_000_000):
             "fibers away from theta = 0 need g = 1 mod 4 and (g+1) | (4h+2); "
             f"got g = {params.g}, h = {params.h}"
         )
-    crit = critical_places(curve, rho_budget)
+    crit = critical_places(curve)
     certs = {}
     failures = []
     for place in crit.places:
@@ -710,7 +738,7 @@ def certify_all_local(curve, sample_count=20, seed=0, rho_budget=4_000_000):
             model = _model_at(curve, place)
             if not cert.witness.verify(model):
                 failures.append((place, cert.method, "witness failed re-verification"))
-    blanket = _blanket_check(curve, crit, sample_count, seed)
+    blanket = _blanket_check(curve, crit, sample_count)
     if not crit.complete:
         failures.append(("factorization", "critical-set",
                          f"unresolved composites: {crit.unresolved}"))
@@ -752,9 +780,9 @@ def _refine_curve_witness(curve_m, wit, p, prec):
     H, m = cleared_chart_poly(curve_m, wit.chart)
     if wit.kind == "sqrt":
         V = _eval_int(H, wit.t_center)
-        w = padic_val(V, p)
-        r = hensel_sqrt(V // p**w, p, prec + w + 2)
-        sigma = p ** (w // 2) * r
+        sigma = _exact_padic_sqrt(V, p, prec + 2 * padic_val(V, p) + 2)
+        if sigma is None:
+            raise ArithmeticError(f"sqrt witness value is not a square in Q_{p}")
         return Fraction(wit.t_center), Fraction(sigma) / m
     if wit.kind == "root":
         # Newton-refine the center toward the exact root; s = 0
@@ -809,9 +837,7 @@ def delta_surface_point(surface_model, curve, place, cert, prec=None):
         scaled = tuple(c * Fraction(p) ** (-m0) for c in model_coords)
         pk = p**prec
         try:
-            residues = tuple(
-                int(c.numerator * pow(c.denominator, -1, pk) % pk) for c in scaled
-            )
+            residues = tuple(frac_mod(c, pk) for c in scaled)
         except ValueError:
             continue
         pt = SurfacePoint(place=place, coords=residues, prec=prec, source="delta")
@@ -825,11 +851,7 @@ def delta_surface_point(surface_model, curve, place, cert, prec=None):
 
 def _residue_quadrics(surface_model, pt, p, prec):
     pk = p**prec
-
-    def red(x):
-        return x.numerator * pow(x.denominator, -1, pk) % pk
-
-    a, b, A, B, C = (red(getattr(surface_model, k)) for k in "abABC")
+    a, b, A, B, C = (frac_mod(getattr(surface_model, k), pk) for k in "abABC")
     x, y, z, u, v = [c % pk for c in pt.coords]
     q1 = (x * x - a * z * z + b * (u - A * v) * (u - B * v)) % pk
     q2 = (x * x - a * y * y + a * C * C * u * v) % pk
@@ -838,19 +860,6 @@ def _residue_quadrics(surface_model, pt, p, prec):
 
 class SamplerBudgetExceeded(RuntimeError):
     pass
-
-
-def _exact_padic_sqrt(x, p, prec):
-    """Residue r mod p^prec with r^2 = x (x an exact rational), or None
-    when x is not a square in Q_p or is too deep to represent."""
-    x = Fraction(x)
-    if x == 0:
-        return 0
-    v = padic_val(x, p)
-    if v % 2 != 0 or v < 0 or v >= prec - 1:
-        return None
-    r = hensel_sqrt(unit_part(x, p), p, prec - v)
-    return None if r is None else p ** (v // 2) * r % p**prec
 
 
 def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET,
@@ -928,8 +937,7 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
             y = _exact_padic_sqrt(y2, p, prec)
             if y is None:
                 continue
-            u_res = int(Fraction(u).numerator * pow(Fraction(u).denominator, -1, pk) % pk)
-            coords = ((p * x1) % pk, y % pk, z % pk, u_res, 1)
+            coords = ((p * x1) % pk, y % pk, z % pk, frac_mod(u, pk), 1)
         else:
             raise ValueError(f"sampler does not handle v_p(a) = {va}")
         pt = SurfacePoint(place=place, coords=coords, prec=prec, source="sampler")
@@ -938,17 +946,3 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
             continue
         out.append(pt)
     return out
-
-
-def surface_local_point(surface_model, curve, place, cert,
-                        sample_budget=SAMPLER_BUDGET, seed=0):
-    """A local surface point at the place: the delta image of the curve
-    witness, plus one direct sample as independent corroboration when the
-    sampler succeeds within budget (otherwise the delta image stands alone)."""
-    primary = delta_surface_point(surface_model, curve, place, cert)
-    try:
-        extra = sample_surface_points(surface_model, place, 1,
-                                      seed=seed, budget=sample_budget)
-    except (SamplerBudgetExceeded, ValueError):
-        extra = []
-    return primary, extra

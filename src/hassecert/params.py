@@ -6,7 +6,6 @@ residue conditions the quadruple must satisfy; it shares no search logic
 with the sieve, so a sieve bug cannot certify itself.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -66,13 +65,6 @@ class ParamSet:
             g=int(obj["g"]),
             h=int(obj["h"]),
         )
-
-    def dumps(self):
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, s):
-        return cls.from_json(json.loads(s))
 
 
 @dataclass

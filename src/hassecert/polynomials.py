@@ -2,8 +2,9 @@
 curve models need: evaluation, derivatives, coefficient reversal,
 resultants/discriminants, and Sturm-chain real root counting."""
 
-import math
 from fractions import Fraction
+
+from .arith import frac_mod
 
 
 class Polynomial:
@@ -93,12 +94,7 @@ class Polynomial:
     def mod_p(self, p):
         """Dense int coefficient list reduced mod p (denominators must be
         invertible mod p)."""
-        out = []
-        for c in self.coeffs:
-            if math.gcd(c.denominator, p) != 1:
-                raise ValueError("coefficient denominator not invertible mod p")
-            out.append(c.numerator * pow(c.denominator, -1, p) % p)
-        return out
+        return [frac_mod(c, p) for c in self.coeffs]
 
 
 def resultant(f, g):

@@ -19,7 +19,6 @@ import math
 from fractions import Fraction
 
 from .arith import is_rational_square, square_residues
-from .family import DP4Surface, HyperellipticCurve
 
 # The prime powers 9, 25, 49 and 64 reject more non-squares than 3, 5, 7
 # and 2 would.  Ascending order builds the cheap masks first: a dearer one
@@ -204,12 +203,3 @@ def surface_point_search(surface, height):
             for i in _set_bits(_sieve(tables, lambda M: v % M * M + x1 % M, pattern, height)):
                 check(i - height, v, x1)
     return sorted(found)
-
-
-def rational_point_search(target, height):
-    """Dispatch on the model type."""
-    if isinstance(target, HyperellipticCurve):
-        return curve_point_search(target, height)
-    if isinstance(target, DP4Surface):
-        return surface_point_search(target, height)
-    raise TypeError(f"cannot search points on {type(target).__name__}")

@@ -107,30 +107,58 @@ def test_sample_invariant_rejects_zero_count():
 
 def test_sampled_fallback_marked_non_rigorous():
     # synthetic coefficients outside the family: a non-square mod 5,
-    # B - A divisible by 5, and C divisible by 5 defeat every branch
+    # B - A divisible by 5, and C divisible by 5 defeat every branch, so
+    # the place is refused; no value is read off samples
     from hassecert.family import DP4Surface
 
     surf = DP4Surface(a=Fraction(3), b=Fraction(1), A=Fraction(1),
                       B=Fraction(51), C=Fraction(5), genus=1,
                       coeffs=CO_0)
     cert = certify_invariant(surf, Place.finite(5), Theta.of(0))
-    assert cert.method == "sampled"
+    assert cert.method == "refused"
+    assert cert.value is None
     assert not cert.rigorous
-    assert "non-rigorous" in cert.warning
-    assert cert.sample_count >= 1
+    assert cert.warning.startswith("refused: ")
+    assert cert.sample_count == 0
+    assert ["p does not divide C", False] in cert.to_json()["hypotheses"]
+    assert cert.to_json()["value"] is None
 
 
-def test_quadric_matrix_export_consistency():
-    import random
+def test_refused_place_fails_the_fiber(monkeypatch, tmp_path):
+    # one refused place: no conclusion, an incomplete certificate whose
+    # notes name the place, and the fiber stops at brauer-obstruction
+    import json
 
-    rng = random.Random(31)
-    m1, m2 = SURFACE_0.quadric_matrices()
-    for _ in range(20):
-        pt = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(5)]
-        q1, q2 = SURFACE_0.quadric_residuals(pt)
-        e1 = sum(pt[i] * m1[i][j] * pt[j] for i in range(5) for j in range(5))
-        e2 = sum(pt[i] * m2[i][j] * pt[j] for i in range(5) for j in range(5))
-        assert (e1, e2) == (q1, q2)
+    from hassecert import brauer, cli
+
+    refused = Place.finite(PARAMS.c)
+    certify = brauer.certify_invariant
+
+    def refuse_at_c(surface, place, theta):
+        if place == refused:
+            return brauer._refused(place, [], "test refusal")
+        return certify(surface, place, theta)
+
+    monkeypatch.setattr(brauer, "certify_invariant", refuse_at_c)
+    res = certify_all_local(CURVE_0, sample_count=2)
+    obs = obstruction_certificate(CURVE_0, SURFACE_0, res, samples=2)
+    assert obs.conclusion is False and obs.complete is False
+    assert f"invariant at {refused} refused: test refusal" in obs.notes
+    assert obs.total == HALF  # the refused place adds nothing
+    entry = next(e for e in obs.to_json()["table"] if e["place"] == str(refused))
+    assert entry["value"] is None and entry["method"] == "refused"
+
+    out = cli.certify_fiber(PARAMS, Theta.of(0), height_bound=20, sample_count=2)
+    assert out["certified"] is False
+    assert out["stage"] == "brauer-obstruction"
+    assert f"invariant at {refused} refused" in out["error"]
+
+    report = tmp_path / "report.json"
+    code = cli.main(["certify-all", "--g", "1", "--h", "0", "--theta", "0",
+                     "--height", "20", "--samples", "2", "--out", str(report)])
+    assert code == cli.EXIT_CERTIFICATION_FAILED
+    (fiber,) = json.loads(report.read_text())["fibers"]
+    assert fiber["stage"] == "brauer-obstruction"
 
 
 def test_obstruction_certificate_theta_zero():

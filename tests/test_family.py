@@ -15,7 +15,9 @@ from hassecert.family import (
     check_nonvanishing,
     check_smooth_curve,
     check_smooth_surface,
-    delta_map,
+    CurveChange,
+    SurfaceChange,
+    delta_coords,
     fiber_coeffs,
     integral_model,
     j_invariant,
@@ -133,7 +135,7 @@ def test_delta_residual_identity():
             t = F(rng.randrange(-50, 51), rng.randrange(1, 20))
             s = F(rng.randrange(-50, 51), rng.randrange(1, 20))
             for chart in ("st", "ST"):
-                pt = delta_map((chart, s, t), co)
+                pt = delta_coords(chart, s, t, co.C, co.params.g)
                 q1, q2 = surf.quadric_residuals(pt)
                 assert q2 == 0
                 assert q1 == -a * (s * s - curve.chart_value(chart, t))
@@ -179,7 +181,7 @@ def test_integral_model_identity_when_integral():
     co = fiber_coeffs(PARAMS, Theta.of(3))
     curve = build_curve(co)
     model, change = integral_model(curve, 7)
-    assert change.is_identity and model.A == co.A
+    assert change == CurveChange() and model.A == co.A
 
 
 def test_integral_model_clears_denominator():
@@ -209,7 +211,7 @@ def test_admissible_model_theta_zero_identity():
     surf = build_surface(co)
     for p in (2, PARAMS.a, PARAMS.b, PARAMS.c, 11):
         model, change = admissible_model(surf, p, Theta.of(0))
-        assert change.is_identity
+        assert change == SurfaceChange()
 
 
 def test_admissible_model_infinity_dot():
@@ -257,7 +259,7 @@ def test_admissible_model_at_a_negative_valuation():
             assert padic_val(val, a) >= 0, (l, ps.h, val)
         assert model.A != model.B
         change.assert_square_factor()
-        if not change.is_identity:
+        if change != SurfaceChange():
             u, v = F(10), F(3)
             slot_model = model.b * (u - model.A * v) / v
             u_orig, v_orig = change.mults[3] * u, change.mults[4] * v

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hassecert.arith import Place, padic_val
+from hassecert.arith import Place, factorize, padic_val
 from hassecert.family import (
     HyperellipticCurve,
     Theta,
@@ -12,6 +12,7 @@ from hassecert.family import (
     integral_model,
 )
 from hassecert.local import (
+    CriticalSet,
     SamplerBudgetExceeded,
     Witness,
     certify_all_local,
@@ -23,6 +24,7 @@ from hassecert.local import (
     decide_real_points,
     delta_surface_point,
     sample_surface_points,
+    _blanket_check,
     _eval_int,
     _residue_quadrics,
     _root_witness,
@@ -188,16 +190,26 @@ def test_real_touching_zero():
 # ----- critical set -----------------------------------------------------------
 
 def test_critical_places_theta_zero():
+    # at theta = 0: A = b c^2 d, B = c (bcd + 2) and D = -1, so the set is
+    # {2} ∪ omega0 ∪ {a, b, c, d} ∪ primes(bcd + 2), each for stated reasons
+    a, b, c, d = PARAMS.a, PARAMS.b, PARAMS.c, PARAMS.d
+    assert (CO_0.A, CO_0.B, CO_0.D) == (b * c * c * d, c * (b * c * d + 2), -1)
+    extra, unresolved = factorize(b * c * d + 2)
+    assert not unresolved
     crit = critical_places(CURVE_0)
-    primes = set(crit.primes())
-    for q in (2, 3, PARAMS.a, PARAMS.b, PARAMS.c, PARAMS.d):
-        assert q in primes
-    # primes of num(A) num(B): A = b c^2 d, B = c (bcd + 2)
-    n = (CO_0.A * CO_0.B).numerator
-    for q in primes:
-        pass
     assert crit.complete
-    assert any(pl.is_real for pl in crit.places)
+    assert crit.places[0].is_real and crit.provenance["real"] == ["archimedean place"]
+    expected = {2} | set(PARAMS.omega0) | {a, b, c, d} | set(extra)
+    assert set(crit.primes()) == expected
+    assert len(crit.primes()) == len(expected)
+    for q in expected:
+        reasons = ["divides 2ab"] * (q == 2)
+        reasons += ["member of omega0"] * (q in PARAMS.omega0)
+        reasons += [f"equals parameter {name}" for name, v in zip("abcd", (a, b, c, d))
+                    if v == q]
+        reasons += ["divides num(A)"] * (q in (b, c, d))
+        reasons += ["divides num(B)"] * (q == c or q in extra)
+        assert sorted(crit.provenance[q]) == sorted(reasons), q
 
 
 def test_critical_places_theta_denominator():
@@ -233,6 +245,24 @@ def test_certify_all_local_theta_zero():
     assert len(res.blanket.sampled_primes) == 20
     for pl, cert in res.certificates.items():
         assert cert.solvable is True
+
+
+def test_blanket_inclusion_fails_without_a_prime_of_num_D():
+    # theta = 1: D = ab - 1; drop one of its primes from the critical set
+    # and the inclusion of num(D) must read False
+    curve = build_curve(fiber_coeffs(PARAMS, Theta.of(1)))
+    crit = critical_places(curve)
+    base = {2, PARAMS.a, PARAMS.b, PARAMS.c, *PARAMS.omega0}
+    q = max(p for p in factorize(curve.coeffs.D.numerator)[0] if p not in base)
+    assert q in crit.primes()
+    inclusion = "the critical set contains 2, a, b, c, omega0 and every prime dividing " \
+        "num(D) and den(theta)"
+    full = _blanket_check(curve, crit, sample_count=1)
+    assert full.ok and f"{inclusion}: True" in full.statements
+    dropped = CriticalSet(places=[pl for pl in crit.places if pl != Place.finite(q)],
+                          provenance=crit.provenance)
+    blanket = _blanket_check(curve, dropped, sample_count=1)
+    assert not blanket.ok and f"{inclusion}: False" in blanket.statements
 
 
 def test_certify_all_local_rejects_bad_mode():
@@ -326,24 +356,6 @@ def test_sampler_budget_error():
     surface = build_surface(CO_0)
     with pytest.raises(SamplerBudgetExceeded):
         sample_surface_points(surface, Place.finite(11), 10**6, budget=5)
-
-
-def test_surface_local_point_api():
-    from hassecert.family import admissible_model
-    from hassecert.local import surface_local_point
-
-    surface = build_surface(CO_0)
-    for p in (PARAMS.a, PARAMS.b, 11):
-        place = Place.finite(p)
-        cert = certify_local_curve(CURVE_0, place)
-        model, _ = admissible_model(surface, p, CO_0.theta)
-        primary, extra = surface_local_point(model, CURVE_0, place, cert)
-        assert primary.source == "delta"
-        q1, q2 = _residue_quadrics(model, primary, p, primary.prec)
-        assert q1 == 0 and q2 == 0
-        for pt in extra:
-            q1, q2 = _residue_quadrics(model, pt, p, pt.prec)
-            assert q1 % p ** (pt.prec - 1) == 0 and q2 % p ** (pt.prec - 1) == 0
 
 
 def test_config_grid_spec():

@@ -125,7 +125,7 @@ def test_reciprocity_crosscheck():
 
 def test_json_roundtrip():
     (ps,) = sieve_params(1, 0, bound=10**7, count=1)
-    assert ParamSet.loads(ps.dumps()) == ps
+    assert ParamSet.from_json(ps.to_json()) == ps
     obj = ps.to_json()
     assert all(isinstance(v, str) for k, v in obj.items() if k != "omega0")
     assert all(isinstance(q, str) for q in obj["omega0"])

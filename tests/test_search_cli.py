@@ -24,7 +24,7 @@ from hassecert.family import (
     fiber_coeffs,
 )
 from hassecert.params import sieve_params
-from hassecert.search import curve_point_search, rational_point_search, surface_point_search
+from hassecert.search import curve_point_search, surface_point_search
 
 
 PARAMS = sieve_params(1, 0, bound=10**7, count=1)[0]
@@ -109,8 +109,6 @@ def test_search_rejects_zero_height():
                                  A=Fraction(1), B=Fraction(4), genus=1)
     with pytest.raises(ValueError):
         curve_point_search(control, 0)
-    with pytest.raises(TypeError):
-        rational_point_search(object(), 10)
 
 
 def test_certified_fiber_is_empty():
