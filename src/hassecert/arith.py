@@ -418,7 +418,16 @@ def count_points_hyperelliptic(f_mod_p, g, p):
     f_mod_p is the dense coefficient list (low to high) reduced mod p.
     The count is the affine chart plus the two (or zero) points above
     t = infinity, which exist iff the leading coefficient is a square.
-    Naive O(p) loop with a precomputed square table.
+    Each affine t adds 1 + chi(f(t)), chi the quadratic character.
+
+    When f = q(t^n) with n = g+1 and q(u) = c0 + c_n u + c_2n u^2 (every
+    coefficient at an index not divisible by n is 0), the sum over t != 0
+    runs over u = t^n instead.  The map t -> t^n on the cyclic group F_p^*
+    has kernel of order d = gcd(n, p-1), so its image is the subgroup of
+    (p-1)/d n-th powers, generated by z^d for a primitive root z, and each
+    u in it has exactly d preimages t:
+        sum_{t != 0} (1 + chi(f(t))) = d * sum_{u in <z^d>} (1 + chi(q(u))).
+    Any other f is summed over every t.
     """
     _require_prime(p, odd=True)
     f = [c % p for c in f_mod_p]
@@ -428,15 +437,35 @@ def count_points_hyperelliptic(f_mod_p, g, p):
     if _poly_gcd_deg_mod(f, fprime, p) > 0:
         raise ValueError("f is not separable mod p")
     sq = square_residues(p)
-    count = 0
-    for t in range(p):
-        v = 0
-        for c in reversed(f):
-            v = (v * t + c) % p
-        if v == 0:
-            count += 1
-        elif sq[v]:
-            count += 2
+    n = g + 1
+    if any(c for i, c in enumerate(f) if i % n):
+        count = 0
+        for t in range(p):
+            v = 0
+            for c in reversed(f):
+                v = (v * t + c) % p
+            if v == 0:
+                count += 1
+            elif sq[v]:
+                count += 2
+    else:
+        c0, cn, c2n = f[0], f[n], f[2 * n]
+        count = 1 if c0 == 0 else 2 * sq[c0]  # t = 0
+        qs = set(_prime_factors(p - 1))
+        z = 2
+        while any(pow(z, (p - 1) // q, p) == 1 for q in qs):
+            z += 1
+        d = math.gcd(n, p - 1)
+        step = pow(z, d, p)
+        u, per_u = 1, 0
+        for _ in range((p - 1) // d):
+            v = (c0 + u * (cn + c2n * u)) % p
+            if v == 0:
+                per_u += 1
+            elif sq[v]:
+                per_u += 2
+            u = u * step % p
+        count += d * per_u
     if sq[f[-1]]:
         count += 2
     return count

@@ -31,8 +31,8 @@ from .arith import (
 from .family import delta_coords, integral_model
 from .polynomials import cauchy_root_bound, count_real_roots, discriminant
 
-# naive O(p) point counting is only used below this cap; larger primes get
-# scan-and-lift certificates instead
+# good-reduction places are certified by an F_p point count only below this
+# cap; larger primes get scan-and-lift certificates instead
 COUNT_CAP = 200_000
 # the residue-disc decision procedure is an O(p)-per-level scan
 GENERIC_P_CAP = 1_000_000

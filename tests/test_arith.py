@@ -27,6 +27,9 @@ from hassecert.arith import (
     sqrt_mod,
     MR_DETERMINISTIC_BOUND,
 )
+from hassecert.family import Theta, build_curve, fiber_coeffs
+from hassecert.local import certify_all_local
+from hassecert.params import sieve_params
 
 
 # ----- independent oracles -------------------------------------------------
@@ -93,6 +96,22 @@ def double_loop_count(f, g, p):
     affine = sum(1 for t in range(p) for s in range(p) if s * s % p == ev(f, t))
     inf_chart = sum(1 for s in range(p) if s * s % p == ev(F, 0))
     return affine + inf_chart
+
+
+def single_loop_count(f, p):
+    """Oracle point count for large p: one pass over t, Euler's criterion
+    for each value, plus the points above t = infinity."""
+    def points_over(v):
+        v %= p
+        return 1 if v == 0 else 2 if pow(v, (p - 1) // 2, p) == 1 else 0
+
+    count = points_over(f[-1])
+    for t in range(p):
+        v = 0
+        for c in reversed(f):
+            v = (v * t + c) % p
+        count += points_over(v)
+    return count
 
 
 # ----- is_prime -------------------------------------------------------------
@@ -500,6 +519,79 @@ def test_count_points_rejects_nonseparable():
         count_points_hyperelliptic([0, 0, 1], 0, 5)  # t^2: double root
 
 
+def _powers_supported(rng, g, p, c0=None, lead=None):
+    """A random dense f = c0 + c_n t^n + c_2n t^2n with n = g + 1."""
+    n = g + 1
+    f = [0] * (2 * n + 1)
+    f[0] = rng.randrange(p) if c0 is None else c0
+    f[n] = rng.randrange(p)
+    f[2 * n] = rng.randrange(1, p) if lead is None else lead
+    return f
+
+
+def _non_square(p):
+    return next(x for x in range(2, p) if legendre(x, p) == -1)
+
+
+# Every d = gcd(g + 1, p - 1) that an odd prime p can give: g = 3 gives 4
+# at p = 1 mod 4 and 2 at p = 3 mod 4; g = 5 gives 6 at p = 1 mod 6 and 2
+# at p = 5 mod 6.
+_ALL_D = {0: {1}, 1: {2}, 3: {2, 4}, 5: {2, 6}}
+
+
+@pytest.mark.parametrize("g", sorted(_ALL_D))
+def test_count_points_over_powers_small_primes(g):
+    rng = random.Random(11 + g)
+    seen_d = set()
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 53, 61, 73):
+        cases = [_powers_supported(rng, g, p) for _ in range(2)]
+        cases.append(_powers_supported(rng, g, p, lead=_non_square(p)))
+        if g == 0:
+            cases.append(_powers_supported(rng, g, p, c0=0))
+        for f in cases:
+            try:
+                n = count_points_hyperelliptic(f, g, p)
+            except ValueError:
+                continue  # not separable mod p
+            assert n == double_loop_count(f, g, p), (f, g, p)
+            seen_d.add(math.gcd(g + 1, p - 1))
+    assert seen_d == _ALL_D[g]
+
+
+@pytest.mark.parametrize("g, p, d", [
+    (0, 50_021, 1), (1, 50_023, 2), (3, 60_013, 4), (3, 70_019, 2),
+    (5, 70_009, 6), (5, 80_039, 2),
+])
+def test_count_points_over_powers_large_primes(g, p, d):
+    assert math.gcd(g + 1, p - 1) == d
+    rng = random.Random(p)
+    f = _powers_supported(rng, g, p, c0=0 if g == 0 else None, lead=_non_square(p))
+    assert count_points_hyperelliptic(f, g, p) == single_loop_count(f, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 50_023])
+def test_count_points_over_powers_rejects_nonseparable(p):
+    with pytest.raises(ValueError, match="not separable"):
+        count_points_hyperelliptic([1, 0, -2, 0, 1], 1, p)  # (t^2 - 1)^2
+
+
+@pytest.mark.parametrize("g, p", [(1, 13), (3, 29), (5, 37), (1, 50_023), (5, 70_009)])
+def test_count_points_one_coefficient_off_the_powers(g, p):
+    # one nonzero coefficient at an index not divisible by g + 1 puts f
+    # outside the (g+1)-th-power form, so every t is summed
+    rng = random.Random(g * p)
+    while True:
+        f = _powers_supported(rng, g, p)
+        f[rng.choice([i for i in range(1, 2 * g + 2) if i % (g + 1)])] = rng.randrange(1, p)
+        try:
+            n = count_points_hyperelliptic(f, g, p)
+            break
+        except ValueError:
+            continue
+    oracle = double_loop_count(f, g, p) if p < 100 else single_loop_count(f, p)
+    assert n == oracle
+
+
 # ----- find_smooth_fp_point ---------------------------------------------------
 
 def test_find_smooth_point_genus0():
@@ -560,3 +652,16 @@ def test_is_rational_square():
     assert is_rational_square(2) is None
     assert is_rational_square(Fraction(-1)) is None
     assert is_rational_square(0) == 0
+
+
+# ----- the blanket spot-check on real fibers ----------------------------------
+
+@pytest.mark.parametrize("g, bound, theta", [(1, 10**7, Fraction(1, 2)), (3, 10**12, 0)])
+def test_blanket_counts_on_real_fibers(g, bound, theta):
+    # theta = 1/2 at g = 1, and the g = 3 theta-zero fiber
+    params = sieve_params(g, 0, bound=bound, count=1)[0]
+    curve = build_curve(fiber_coeffs(params, Theta.of(theta)))
+    counts = certify_all_local(curve).blanket.sample_counts
+    assert len(counts) == 20
+    for q in sorted(counts)[::8]:  # three of the twenty primes
+        assert counts[q] == single_loop_count(curve.f_poly().mod_p(q), q), q
