@@ -411,6 +411,76 @@ def square_residues(m):
     return bytes(sq)
 
 
+def _ec_add(P, Q, a2, a4, p):
+    """P + Q on Y^2 = X^3 + a2 X^2 + a4 X over F_p; None is the point at
+    infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - a2 - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _ec_mul(n, P, a2, a4, p):
+    """n P for n >= 0, by double-and-add."""
+    R = None
+    while n:
+        if n & 1:
+            R = _ec_add(R, P, a2, a4, p)
+        P = _ec_add(P, P, a2, a4, p)
+        n >>= 1
+    return R
+
+
+_EC_ORDER_POINTS = 4  # points tried before _ec_order gives up
+
+
+def _ec_order(a2, a4, p):
+    """#E(F_p) for a smooth E: Y^2 = X^3 + a2 X^2 + a4 X, or None.
+
+    #E lies in the Hasse interval [lo, hi] = [p+1 - isqrt(4p), p+1 +
+    isqrt(4p)] and kills every point.  For the points P with x = 1, 2, ...
+    a baby-step giant-step search collects every N in [lo, hi] with
+    N P = O (Mestre; Cohen, A Course in Computational Algebraic Number
+    Theory, 7.4), and the sets are intersected.  #E is in each of them, so
+    when one N survives it is #E.  None after _EC_ORDER_POINTS points.
+    """
+    w = math.isqrt(4 * p)
+    lo, hi = max(1, p + 1 - w), p + 1 + w
+    m = math.isqrt(hi - lo) + 1  # N = lo + i m + j, 0 <= i, j < m, covers [lo, hi]
+    survivors, tried = None, 0
+    for x in range(1, p):
+        y = sqrt_mod(x * (x * (x + a2) + a4), p)
+        if y is None:
+            continue
+        P, baby, jP = (x, y), {}, None
+        for j in range(m):
+            baby.setdefault(jP, []).append(j)
+            jP = _ec_add(jP, P, a2, a4, p)
+        G, kills = _ec_mul(lo, P, a2, a4, p), set()  # G = (lo + i m) P
+        for i in range(m):
+            minus_G = None if G is None else (G[0], -G[1] % p)
+            kills.update(lo + i * m + j for j in baby.get(minus_G, ())
+                         if i * m + j <= hi - lo)
+            G = _ec_add(G, jP, a2, a4, p)  # jP = m P
+        survivors = kills if survivors is None else survivors & kills
+        if len(survivors) == 1:
+            return survivors.pop()
+        tried += 1
+        if tried == _EC_ORDER_POINTS:
+            break
+    return None
+
+
 def count_points_hyperelliptic(f_mod_p, g, p):
     """Number of F_p-points of the smooth projective hyperelliptic model
     s^2 = f(t), deg f = 2g+2, glued with its reversed chart.
@@ -419,6 +489,19 @@ def count_points_hyperelliptic(f_mod_p, g, p):
     The count is the affine chart plus the two (or zero) points above
     t = infinity, which exist iff the leading coefficient is a square.
     Each affine t adds 1 + chi(f(t)), chi the quadratic character.
+
+    At g = 1 with f = q(t^2), q(u) = c0 + c2 u + c4 u^2, the count is the
+    order of the elliptic curve E: Y^2 = X^3 + c2 X^2 + c0 c4 X.  Each
+    u != 0 is t^2 for 1 + chi(u) values of t, and a separable quadratic
+    has sum_u chi(q(u)) = -chi(c4), so the t = 0 term and the points at
+    infinity cancel against it and
+        count = p + 1 + sum_u chi(u q(u)) = #E(F_p)
+    under X = c4 u, Y = c4 y.  Separability of f gives c0 != 0 (else t^2
+    divides f) and c2^2 - 4 c0 c4 != 0 (else f = c4 (t^2 - r)^2), so E is
+    smooth, and _ec_order finds #E as the one N in the Hasse interval that
+    kills every point tried.  E is 2-isogenous to the Jacobian of the
+    quartic; the proof uses only the character sum.  When _ec_order is
+    undecided, the walk below runs.
 
     When f = q(t^n) with n = g+1 and q(u) = c0 + c_n u + c_2n u^2 (every
     coefficient at an index not divisible by n is 0), the sum over t != 0
@@ -436,6 +519,10 @@ def count_points_hyperelliptic(f_mod_p, g, p):
     fprime = [(i * c) % p for i, c in enumerate(f)][1:]
     if _poly_gcd_deg_mod(f, fprime, p) > 0:
         raise ValueError("f is not separable mod p")
+    if g == 1 and f[1] == f[3] == 0:
+        n = _ec_order(f[2], f[0] * f[4] % p, p)
+        if n is not None:
+            return n
     sq = square_residues(p)
     n = g + 1
     if any(c for i, c in enumerate(f) if i % n):

@@ -546,6 +546,8 @@ def test_count_points_over_powers_small_primes(g):
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 53, 61, 73):
         cases = [_powers_supported(rng, g, p) for _ in range(2)]
         cases.append(_powers_supported(rng, g, p, lead=_non_square(p)))
+        cases.append(_powers_supported(rng, g, p))
+        cases[-1][g + 1] = 0  # c_n = 0
         if g == 0:
             cases.append(_powers_supported(rng, g, p, c0=0))
         for f in cases:
@@ -590,6 +592,76 @@ def test_count_points_one_coefficient_off_the_powers(g, p):
             continue
     oracle = double_loop_count(f, g, p) if p < 100 else single_loop_count(f, p)
     assert n == oracle
+
+
+def _ec_order_of(f, p):
+    """arith._ec_order on the curve Y^2 = X^3 + c2 X^2 + c0 c4 X of the even
+    quartic f = c0 + c2 t^2 + c4 t^4."""
+    return arith._ec_order(f[2] % p, f[0] * f[4] % p, p)
+
+
+# Primes in (5*10^4, 10^5): 50,021, 70,001 and 99,989 are 1 mod 4; 50,023,
+# 80,039 and 99,991 are 3 mod 4.
+@pytest.mark.parametrize("p, c2_zero, lead_square", [
+    (50_021, False, True), (50_023, False, False), (70_001, True, False),
+    (80_039, True, True), (99_989, False, False), (99_991, False, True),
+])
+def test_genus1_even_quartics_large_primes(p, c2_zero, lead_square):
+    rng = random.Random(p)
+    while True:
+        f = _powers_supported(rng, 1, p, lead=None if lead_square else _non_square(p))
+        if lead_square:
+            f[4] = f[4] ** 2 % p
+        if c2_zero:
+            f[2] = 0
+        try:
+            n = count_points_hyperelliptic(f, 1, p)
+            break
+        except ValueError:
+            continue
+    oracle = single_loop_count(f, p)
+    assert n == oracle
+    assert _ec_order_of(f, p) == oracle  # decided by the order search, not the walk
+
+
+# #E at either end of the Hasse interval [p + 1 - isqrt(4p), p + 1 + isqrt(4p)]:
+# within 7 of the top at p = 1277 and 1723, within 2 of the bottom at p = 1069
+# and 2243.
+@pytest.mark.parametrize("p, f, n", [
+    (1277, [586, 0, 765, 0, 202], 1346), (1723, [1218, 0, 642, 0, 194], 1800),
+    (1069, [514, 0, 667, 0, 561], 1006), (2243, [1881, 0, 1441, 0, 1721], 2152),
+])
+def test_genus1_orders_at_the_ends_of_the_hasse_interval(p, f, n):
+    assert single_loop_count(f, p) == n
+    assert _ec_order_of(f, p) == n
+    assert count_points_hyperelliptic(f, 1, p) == n
+
+
+# The first point leaves more than one candidate in the Hasse interval.  At
+# p = 61 and 1259 the second point alone decides; at p = 59 and 1021 neither
+# of the first two does, and only their intersection leaves one candidate
+# (p = 59: {48, 60, 72} and {54, 72}; p = 1021: {972, 1053} and {972, 1080}).
+@pytest.mark.parametrize("p, f, n", [
+    (61, [53, 0, 55, 0, 18], 76), (1259, [1182, 0, 910, 0, 275], 1308),
+    (59, [41, 0, 54, 0, 20], 72), (1021, [365, 0, 446, 0, 765], 972),
+])
+def test_genus1_order_decided_by_a_later_point(monkeypatch, p, f, n):
+    assert single_loop_count(f, p) == n
+    assert _ec_order_of(f, p) == n
+    assert count_points_hyperelliptic(f, 1, p) == n
+    monkeypatch.setattr(arith, "_EC_ORDER_POINTS", 1)
+    assert _ec_order_of(f, p) is None
+
+
+# No point tried leaves a single candidate (the group exponent has several
+# multiples in the Hasse interval), so the walk counts.
+@pytest.mark.parametrize("p, f, n", [
+    (373, [327, 0, 239, 0, 238], 348), (2689, [1685, 0, 1011, 0, 610], 2624),
+])
+def test_genus1_undecided_order_falls_back_to_the_walk(p, f, n):
+    assert _ec_order_of(f, p) is None
+    assert single_loop_count(f, p) == n
+    assert count_points_hyperelliptic(f, 1, p) == n
 
 
 # ----- find_smooth_fp_point ---------------------------------------------------
@@ -663,5 +735,27 @@ def test_blanket_counts_on_real_fibers(g, bound, theta):
     curve = build_curve(fiber_coeffs(params, Theta.of(theta)))
     counts = certify_all_local(curve).blanket.sample_counts
     assert len(counts) == 20
+    for q in sorted(counts)[::8]:  # three of the twenty primes
+        assert counts[q] == single_loop_count(curve.f_poly().mod_p(q), q), q
+
+
+@pytest.mark.parametrize("theta", [Theta.of(1, 2), Theta.infinity()])
+def test_blanket_genus1_counts_are_curve_orders(monkeypatch, theta):
+    # every g = 1 fiber's f is an even quartic mod each blanket prime, and the
+    # order search decides all twenty counts: the walk, which starts with a
+    # square_residues table, never runs
+    def no_walk(p):
+        raise AssertionError(f"the walk ran at p = {p}")
+
+    params = sieve_params(1, 0, bound=10**7, count=1)[0]
+    curve = build_curve(fiber_coeffs(params, theta))
+    monkeypatch.setattr(arith, "square_residues", no_walk)
+    counts = certify_all_local(curve).blanket.sample_counts
+    monkeypatch.undo()
+    assert len(counts) == 20
+    for q, n in counts.items():
+        f = curve.f_poly().mod_p(q)
+        assert f[1] == f[3] == 0, q
+        assert _ec_order_of(f, q) == n, q
     for q in sorted(counts)[::8]:  # three of the twenty primes
         assert counts[q] == single_loop_count(curve.f_poly().mod_p(q), q), q
