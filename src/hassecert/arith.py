@@ -373,35 +373,6 @@ def hilbert_symbol(a, b, place):
     return 1 if sign > 0 else -1
 
 
-def _poly_gcd_deg_mod(f, g, p):
-    """Degree of gcd(f, g) over F_p for dense int coefficient lists."""
-    f = [c % p for c in f]
-    g = [c % p for c in g]
-
-    def deg(h):
-        d = len(h) - 1
-        while d >= 0 and h[d] == 0:
-            d -= 1
-        return d
-
-    while True:
-        df, dg = deg(f), deg(g)
-        if dg < 0:
-            return df
-        if df < 0:
-            return dg
-        if df < dg:
-            f, g = g, f
-            continue
-        inv = pow(g[dg], -1, p)
-        while deg(f) >= dg:
-            dfc = deg(f)
-            coef = f[dfc] * inv % p
-            for i in range(dg + 1):
-                f[dfc - dg + i] = (f[dfc - dg + i] - coef * g[i]) % p
-        f, g = g, f
-
-
 def square_residues(m):
     """The squares mod m, 0 included: a bytes table of length m whose entry
     r is 1 iff r = x^2 mod m for some integer x."""
@@ -483,77 +454,74 @@ def _ec_order(a2, a4, p):
 
 def count_points_hyperelliptic(f_mod_p, g, p):
     """Number of F_p-points of the smooth projective hyperelliptic model
-    s^2 = f(t), deg f = 2g+2, glued with its reversed chart.
+    s^2 = f(t), deg f = 2g+2, glued with its reversed chart, for
+    f = q(t^n) with n = g+1 and q(u) = c0 + c_n u + c_2n u^2, as every
+    fiber's f = (b/a)(t^n - A)(t^n - B) is.
 
-    f_mod_p is the dense coefficient list (low to high) reduced mod p.
+    f_mod_p is the dense coefficient list (low to high) reduced mod p.  An
+    f with a nonzero coefficient at an index not divisible by n raises
+    ValueError, and so does an f that is not separable mod p.  f = q(t^n)
+    is separable mod p iff p does not divide n, c_n^2 - 4 c0 c_2n != 0 and
+    (for n >= 2) c0 != 0.  Proof: f' = n t^(n-1) q'(t^n), so f' = 0 when
+    p | n.  Otherwise a common root of f and f' (over the algebraic
+    closure) is either t = 0 with c0 = 0 (n >= 2), or a t != 0 where t^n
+    is a double root of q.  Conversely, for n >= 2, c0 = 0 makes t^n
+    divide f, and a double root u0 of q gives the common roots t^n = u0.
+
     The count is the affine chart plus the two (or zero) points above
     t = infinity, which exist iff the leading coefficient is a square.
     Each affine t adds 1 + chi(f(t)), chi the quadratic character.
 
-    At g = 1 with f = q(t^2), q(u) = c0 + c2 u + c4 u^2, the count is the
-    order of the elliptic curve E: Y^2 = X^3 + c2 X^2 + c0 c4 X.  Each
-    u != 0 is t^2 for 1 + chi(u) values of t, and a separable quadratic
-    has sum_u chi(q(u)) = -chi(c4), so the t = 0 term and the points at
+    At g = 1, q(u) = c0 + c2 u + c4 u^2 and the count is the order of the
+    elliptic curve E: Y^2 = X^3 + c2 X^2 + c0 c4 X.  Each u != 0 is t^2
+    for 1 + chi(u) values of t, and a separable quadratic has
+    sum_u chi(q(u)) = -chi(c4), so the t = 0 term and the points at
     infinity cancel against it and
         count = p + 1 + sum_u chi(u q(u)) = #E(F_p)
-    under X = c4 u, Y = c4 y.  Separability of f gives c0 != 0 (else t^2
-    divides f) and c2^2 - 4 c0 c4 != 0 (else f = c4 (t^2 - r)^2), so E is
-    smooth, and _ec_order finds #E as the one N in the Hasse interval that
-    kills every point tried.  E is 2-isogenous to the Jacobian of the
-    quartic; the proof uses only the character sum.  When _ec_order is
-    undecided, the walk below runs.
+    under X = c4 u, Y = c4 y.  Separability of f gives c0 != 0 and
+    c2^2 - 4 c0 c4 != 0, so E is smooth, and _ec_order finds #E as the one
+    N in the Hasse interval that kills every point tried.  E is
+    2-isogenous to the Jacobian of the quartic; the proof uses only the
+    character sum.  When _ec_order is undecided, the walk below runs.
 
-    When f = q(t^n) with n = g+1 and q(u) = c0 + c_n u + c_2n u^2 (every
-    coefficient at an index not divisible by n is 0), the sum over t != 0
-    runs over u = t^n instead.  The map t -> t^n on the cyclic group F_p^*
-    has kernel of order d = gcd(n, p-1), so its image is the subgroup of
-    (p-1)/d n-th powers, generated by z^d for a primitive root z, and each
-    u in it has exactly d preimages t:
+    The walk sums over u = t^n instead of t.  The map t -> t^n on the
+    cyclic group F_p^* has kernel of order d = gcd(n, p-1), so its image
+    is the subgroup of (p-1)/d n-th powers, generated by z^d for a
+    primitive root z, and each u in it has exactly d preimages t:
         sum_{t != 0} (1 + chi(f(t))) = d * sum_{u in <z^d>} (1 + chi(q(u))).
-    Any other f is summed over every t.
     """
     _require_prime(p, odd=True)
     f = [c % p for c in f_mod_p]
     if len(f) != 2 * g + 3 or f[-1] == 0:
         raise ValueError("f must have exact degree 2g+2 mod p")
-    fprime = [(i * c) % p for i, c in enumerate(f)][1:]
-    if _poly_gcd_deg_mod(f, fprime, p) > 0:
-        raise ValueError("f is not separable mod p")
-    if g == 1 and f[1] == f[3] == 0:
-        n = _ec_order(f[2], f[0] * f[4] % p, p)
-        if n is not None:
-            return n
-    sq = square_residues(p)
     n = g + 1
     if any(c for i, c in enumerate(f) if i % n):
-        count = 0
-        for t in range(p):
-            v = 0
-            for c in reversed(f):
-                v = (v * t + c) % p
-            if v == 0:
-                count += 1
-            elif sq[v]:
-                count += 2
-    else:
-        c0, cn, c2n = f[0], f[n], f[2 * n]
-        count = 1 if c0 == 0 else 2 * sq[c0]  # t = 0
-        qs = set(_prime_factors(p - 1))
-        z = 2
-        while any(pow(z, (p - 1) // q, p) == 1 for q in qs):
-            z += 1
-        d = math.gcd(n, p - 1)
-        step = pow(z, d, p)
-        u, per_u = 1, 0
-        for _ in range((p - 1) // d):
-            v = (c0 + u * (cn + c2n * u)) % p
-            if v == 0:
-                per_u += 1
-            elif sq[v]:
-                per_u += 2
-            u = u * step % p
-        count += d * per_u
-    if sq[f[-1]]:
+        raise ValueError("f must be a polynomial in t^(g+1) mod p")
+    c0, cn, c2n = f[0], f[n], f[2 * n]
+    if n % p == 0 or (cn * cn - 4 * c0 * c2n) % p == 0 or (n > 1 and c0 == 0):
+        raise ValueError("f is not separable mod p")
+    if g == 1:
+        order = _ec_order(cn, c0 * c2n % p, p)
+        if order is not None:
+            return order
+    sq = square_residues(p)
+    count = 1 if c0 == 0 else 2 * sq[c0]  # t = 0
+    qs = set(_prime_factors(p - 1))
+    z = 2
+    while any(pow(z, (p - 1) // q, p) == 1 for q in qs):
+        z += 1
+    d = math.gcd(n, p - 1)
+    step = pow(z, d, p)
+    u, per_u = 1, 0
+    for _ in range((p - 1) // d):
+        v = (c0 + u * (cn + c2n * u)) % p
+        if v == 0:
+            per_u += 1
+        elif sq[v]:
+            per_u += 2
+        u = u * step % p
+    count += d * per_u
+    if sq[c2n]:
         count += 2
     return count
 

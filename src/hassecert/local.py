@@ -8,6 +8,7 @@ stated precision with a stated Hensel margin, so a consumer can confirm
 the existence of a genuine Q_p point without rerunning any search.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -29,7 +30,8 @@ from .arith import (
     unit_part,
 )
 from .family import delta_coords, integral_model
-from .polynomials import cauchy_root_bound, count_real_roots, discriminant
+from .params import omega0_for_genus
+from .polynomials import cauchy_root_bound, discriminant
 
 # good-reduction places are certified by an F_p point count only below this
 # cap; larger primes get scan-and-lift certificates instead
@@ -259,11 +261,13 @@ def decide_qp_points(curve_model, p, depth_bound=None):
 def decide_real_points(curve):
     """(solvable, witness) over R: the chart value must be >= 0 somewhere.
 
-    Positive leading coefficient: value > 0 beyond every root.  Negative
-    lead (synthetic inputs): values reach >= 0 iff f has a real root, by
-    the intermediate value theorem; a rational witness is reported when
-    one exists on a modest grid (double roots at irrational points admit
-    none, and the witness is then omitted).
+    f = L (t^n - A)(t^n - B) with L = b/a and n = g+1.  Positive L: value
+    > 0 beyond every root.  Negative L (synthetic inputs): f(t) >= 0 iff
+    t^n lies between A and B.  For even n, t^n takes every value >= 0, so
+    such a t exists iff max(A, B) >= 0; for odd n, t^n takes every real
+    value, so it always exists.  A rational witness is reported when one
+    exists on a modest grid (double roots at irrational points admit none,
+    and the witness is then omitted).
     """
     f = curve.f_poly()
     if f.degree < 0:
@@ -273,8 +277,7 @@ def decide_real_points(curve):
         if not f(t) > 0:
             raise RuntimeError(f"f(t) > 0 fails at the Cauchy root bound t = {t}")
         return True, Witness(kind="real", chart="st", prime=None, t_real=t)
-    nroots = count_real_roots(f)
-    if nroots == 0:
+    if (curve.genus + 1) % 2 == 0 and max(curve.A, curve.B) < 0:
         return False, None
     bound = cauchy_root_bound(f)
     t = -bound
@@ -661,6 +664,13 @@ def _cofactor(n, primes):
     return n
 
 
+@functools.cache
+def _spot_check_primes():
+    """The primes below 10^5 that the blanket spot-check samples from,
+    sieved once per process."""
+    return tuple(sieve_primes_upto(100_000))
+
+
 def _blanket_check(curve, crit, sample_count=20):
     """Re-verify the inclusions that make every non-critical place good,
     then spot-check random non-critical primes for nonempty reductions.
@@ -673,8 +683,7 @@ def _blanket_check(curve, crit, sample_count=20):
     statements = []
     ok = True
 
-    small_odd = [q for q in sieve_primes_upto(4 * g * g) if q != 2]
-    inc = set(small_odd) <= set(params.omega0)
+    inc = set(omega0_for_genus(g)) <= set(params.omega0)
     ok &= inc
     statements.append(f"every odd prime <= 4g^2 = {4 * g * g} lies in omega0: {inc}")
     ident = coeffs.B - coeffs.A == 2 * params.c * coeffs.D**2
@@ -698,12 +707,13 @@ def _blanket_check(curve, crit, sample_count=20):
     )
 
     rng = random.Random(0)
-    pool = [q for q in sieve_primes_upto(100_000)
+    pool = [q for q in _spot_check_primes()
             if q not in crit_primes and q > 4 * g * g]
     sampled = sorted(rng.sample(pool, min(sample_count, len(pool))))
     counts = {}
+    f = curve.f_poly()
     for q in sampled:
-        n = count_points_hyperelliptic(curve.f_poly().mod_p(q), g, q)
+        n = count_points_hyperelliptic(f.mod_p(q), g, q)
         counts[q] = n
         if not _in_hasse_weil_window(n, g, q):
             ok = False

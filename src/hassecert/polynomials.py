@@ -1,6 +1,6 @@
 """Dense univariate polynomials over Q with the exact operations the
 curve models need: evaluation, derivatives, coefficient reversal,
-resultants/discriminants, and Sturm-chain real root counting."""
+division, resultants/discriminants and a Cauchy root bound."""
 
 from fractions import Fraction
 
@@ -61,19 +61,6 @@ class Polynomial:
         padded = list(self.coeffs) + [Fraction(0)] * (length - len(self.coeffs))
         return Polynomial(list(reversed(padded)))
 
-    def __mul__(self, other):
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return Polynomial([x - y for x, y in zip(a, b)])
-
     def divmod(self, other):
         if other.degree < 0:
             raise ZeroDivisionError("polynomial division by zero")
@@ -126,58 +113,6 @@ def discriminant(f):
         raise ValueError("discriminant needs degree >= 1")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * resultant(f, f.derivative()) / f.leading
-
-
-def squarefree_part(f):
-    """f / gcd(f, f'), monic-normalized."""
-    g = _poly_gcd(f, f.derivative())
-    q, r = f.divmod(g)
-    if r.degree >= 0:
-        raise RuntimeError("gcd(f, f') does not divide f: remainder of degree "
-                           f"{r.degree}")
-    return Polynomial([c / q.leading for c in q.coeffs])
-
-
-def _poly_gcd(f, g):
-    while g.degree >= 0:
-        _, r = f.divmod(g)
-        f, g = g, r
-    if f.degree < 0:
-        return Polynomial([1])
-    return Polynomial([c / f.leading for c in f.coeffs])
-
-
-def _sign_changes(signs):
-    signs = [s for s in signs if s != 0]
-    return sum(1 for x, y in zip(signs, signs[1:]) if x * y < 0)
-
-
-def count_real_roots(f):
-    """Number of distinct real roots of f, by Sturm's theorem on (-inf, inf)."""
-    f = squarefree_part(f)
-    if f.degree <= 0:
-        return 0
-    chain = [f, f.derivative()]
-    while chain[-1].degree > 0:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.degree < 0 and r.coeffs[0] == 0:
-            break
-        chain.append(Polynomial([-c for c in r.coeffs]))
-        if chain[-1].degree < 0:
-            chain.pop()
-            break
-
-    def sign_at_inf(poly, positive):
-        if poly.degree < 0:
-            return 0
-        s = 1 if poly.leading > 0 else -1
-        if not positive and poly.degree % 2 == 1:
-            s = -s
-        return s
-
-    minus = _sign_changes([sign_at_inf(q, False) for q in chain])
-    plus = _sign_changes([sign_at_inf(q, True) for q in chain])
-    return minus - plus
 
 
 def cauchy_root_bound(f):

@@ -30,6 +30,7 @@ from hassecert.arith import (
 from hassecert.family import Theta, build_curve, fiber_coeffs
 from hassecert.local import certify_all_local
 from hassecert.params import sieve_params
+from hassecert.polynomials import Polynomial, discriminant
 
 
 # ----- independent oracles -------------------------------------------------
@@ -480,38 +481,44 @@ def test_count_points_quartic_oracle():
     assert count_points_hyperelliptic(f, 1, 5) == double_loop_count(f, 1, 5)
 
 
+OFF_THE_POWERS = r"t\^\(g\+1\)"
+
+
+def _refused_or_powers(rng, g, p):
+    """A random dense f of degree 2g+2 must be refused when a coefficient
+    off the powers t^(g+1) is nonzero; returns a separable f = q(t^(g+1))
+    and its count."""
+    f = [rng.randrange(p) for _ in range(2 * g + 2)] + [rng.randrange(1, p)]
+    if any(c for i, c in enumerate(f) if i % (g + 1)):
+        with pytest.raises(ValueError, match=OFF_THE_POWERS):
+            count_points_hyperelliptic(f, g, p)
+    while True:
+        f = _powers_supported(rng, g, p)
+        try:
+            return f, count_points_hyperelliptic(f, g, p)
+        except ValueError as e:
+            assert "not separable" in str(e)
+
+
 def test_count_points_oracle_many():
     rng = random.Random(6)
     for p in (5, 7, 11, 13):
         for _ in range(8):
             g = rng.choice((0, 1))
-            while True:
-                f = [rng.randrange(p) for _ in range(2 * g + 2)] + [rng.randrange(1, p)]
-                try:
-                    n = count_points_hyperelliptic(f, g, p)
-                    break
-                except ValueError:
-                    continue
+            f, n = _refused_or_powers(rng, g, p)
             assert n == double_loop_count(f, g, p)
 
 
 def test_count_points_hasse_weil_window():
     rng = random.Random(7)
     for p in (29, 101, 211):
-        for _ in range(5):
-            g = rng.choice((1, 2))
-            if p <= 4 * g * g:
-                continue
-            while True:
-                f = [rng.randrange(p) for _ in range(2 * g + 2)] + [rng.randrange(1, p)]
-                try:
-                    n = count_points_hyperelliptic(f, g, p)
-                    break
-                except ValueError:
-                    continue
-            # |n - (p+1)| <= 2g sqrt(p), checked by integer squaring
-            d = abs(n - (p + 1))
-            assert d * d <= 4 * g * g * p
+        for g in (1, 2):  # g = 2 has odd n = 3
+            for _ in range(3):
+                f, n = _refused_or_powers(rng, g, p)
+                assert n == single_loop_count(f, p)
+                # |n - (p+1)| <= 2g sqrt(p), checked by integer squaring
+                d = abs(n - (p + 1))
+                assert d * d <= 4 * g * g * p
 
 
 def test_count_points_rejects_nonseparable():
@@ -579,19 +586,52 @@ def test_count_points_over_powers_rejects_nonseparable(p):
 
 @pytest.mark.parametrize("g, p", [(1, 13), (3, 29), (5, 37), (1, 50_023), (5, 70_009)])
 def test_count_points_one_coefficient_off_the_powers(g, p):
-    # one nonzero coefficient at an index not divisible by g + 1 puts f
-    # outside the (g+1)-th-power form, so every t is summed
+    # a separable f = q(t^(g+1)) is counted; one nonzero coefficient at an
+    # index not divisible by g + 1 puts f outside that form, and it is refused
     rng = random.Random(g * p)
     while True:
         f = _powers_supported(rng, g, p)
-        f[rng.choice([i for i in range(1, 2 * g + 2) if i % (g + 1)])] = rng.randrange(1, p)
         try:
             n = count_points_hyperelliptic(f, g, p)
             break
-        except ValueError:
-            continue
+        except ValueError as e:
+            assert "not separable" in str(e)
     oracle = double_loop_count(f, g, p) if p < 100 else single_loop_count(f, p)
     assert n == oracle
+    f[rng.choice([i for i in range(1, 2 * g + 2) if i % (g + 1)])] = rng.randrange(1, p)
+    with pytest.raises(ValueError, match=OFF_THE_POWERS):
+        count_points_hyperelliptic(f, g, p)
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 3, 5])
+def test_count_points_separability_matches_the_discriminant(g):
+    # f = q(t^n), n = g + 1, is refused as not separable exactly when
+    # disc(f) = 0 mod p (the leading coefficient is a unit); cases force a
+    # double root of q, c0 = 0, and p | n (p = 3 at g = 2 and g = 5)
+    rng = random.Random(100 + g)
+    n = g + 1
+    seen = set()
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        cases = [_powers_supported(rng, g, p) for _ in range(4)]
+        cases.append(_powers_supported(rng, g, p, c0=0))
+        for r in (0, rng.randrange(1, p)):  # q = c (u - r)^2
+            c = rng.randrange(1, p)
+            f = [0] * (2 * n + 1)
+            f[0], f[n], f[2 * n] = c * r * r % p, -2 * c * r % p, c
+            cases.append(f)
+        for f in cases:
+            disc = discriminant(Polynomial(f))
+            assert disc.denominator == 1
+            separable = disc.numerator % p != 0
+            if not separable:
+                seen.add("p | n" if n % p == 0 else "c0 = 0" if n > 1 and f[0] == 0
+                         else "double root")
+                with pytest.raises(ValueError, match="not separable"):
+                    count_points_hyperelliptic(f, g, p)
+            else:
+                assert count_points_hyperelliptic(f, g, p) == single_loop_count(f, p)
+    expected = {"c0 = 0", "double root"} if g else {"double root"}
+    assert seen == expected | ({"p | n"} if n % 3 == 0 else set())
 
 
 def _ec_order_of(f, p):

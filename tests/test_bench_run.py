@@ -1,8 +1,9 @@
-"""One untraced pass of the benchmark's grid-certify workload at seed 0.
+"""One untraced seed-0 pass of two of the benchmark's workloads.
 
-bench/run.py checks each of the 16 fiber reports against the digest pinned
-in bench/expected.json, so this test fails when any report's bytes change
-(apart from generated_at).
+bench/run.py checks each report against the digest pinned in
+bench/expected.json, so these tests fail when any report's bytes change
+(apart from generated_at): grid-certify runs the 16 genus-1 fibers,
+theta-zero the g = 3 report and the g = 7 refusal.
 """
 
 import json
@@ -13,12 +14,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_grid_certify_seed0_matches_pinned_reports():
+def _seed0_pass(workload):
     run = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "grid-certify",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "0", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert run.returncode == 0, run.stderr
     summary = json.loads(run.stdout.strip().splitlines()[-1])
     assert summary["correct"] is True, run.stderr
+
+
+def test_grid_certify_seed0_matches_pinned_reports():
+    _seed0_pass("grid-certify")
+
+
+def test_theta_zero_seed0_matches_pinned_reports():
+    _seed0_pass("theta-zero")

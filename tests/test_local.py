@@ -187,6 +187,24 @@ def test_real_touching_zero():
         assert curve.chart_value("st", wit.t_real) >= 0
 
 
+@pytest.mark.parametrize("L", [-1, -3])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_real_negative_lead_sweep(L, g):
+    # f = L (t^n - A)(t^n - B) with L < 0 and n = g + 1 is >= 0 exactly where
+    # t^n lies between A and B: for even n iff max(A, B) >= 0, for odd n always
+    values = (-4, -1, 0, 1, 16)
+    for A in values:
+        for B in values:
+            if A == B:
+                continue
+            curve = HyperellipticCurve(a=Fraction(1), b=Fraction(L),
+                                       A=Fraction(A), B=Fraction(B), genus=g)
+            ok, wit = decide_real_points(curve)
+            assert ok is (max(A, B) >= 0 or g % 2 == 0), (A, B)
+            if wit is not None:
+                assert curve.chart_value("st", wit.t_real) >= 0, (A, B)
+
+
 # ----- critical set -----------------------------------------------------------
 
 def test_critical_places_theta_zero():

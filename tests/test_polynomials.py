@@ -1,15 +1,11 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from hassecert.polynomials import (
     Polynomial,
     cauchy_root_bound,
-    count_real_roots,
     discriminant,
     resultant,
-    squarefree_part,
 )
 
 
@@ -38,7 +34,8 @@ def test_divmod_roundtrip():
         if g.degree < 0:
             continue
         q, r = f.divmod(g)
-        assert q * g - (f - r) == Polynomial([0]) or (q * g)(7) + r(7) == f(7)
+        for x in range(8):
+            assert q(x) * g(x) + r(x) == f(x)
         assert r.degree < g.degree or r.degree < 0
 
 
@@ -68,27 +65,6 @@ def test_discriminant_quadratic_cubic():
         p, q = rng.randrange(-9, 10), rng.randrange(-9, 10)
         f = Polynomial([q, p, 0, 1])
         assert discriminant(f) == -4 * p**3 - 27 * q**2
-
-
-def test_squarefree_part():
-    # (x-1)^2 (x+2) -> (x-1)(x+2) up to normalization
-    f = Polynomial([2, -3, 0, 1])
-    sf = squarefree_part(f)
-    assert sf.degree == 2
-    assert sf(1) == 0 and sf(-2) == 0
-
-
-def test_count_real_roots():
-    assert count_real_roots(Polynomial([-1, 0, 1])) == 2  # x^2-1
-    assert count_real_roots(Polynomial([1, 0, 1])) == 0  # x^2+1
-    assert count_real_roots(Polynomial([0, -1, 0, 1])) == 3  # x^3 - x
-    assert count_real_roots(Polynomial([1, -2, 1])) == 1  # (x-1)^2
-    # -(t^2+1)^2 - 1 has no real roots
-    f = Polynomial([-2, 0, -2, 0, -1])
-    assert count_real_roots(f) == 0
-    # -(t^2-1)^2 touches zero at t = 1, -1
-    g = Polynomial([-1, 0, 2, 0, -1])
-    assert count_real_roots(g) == 2
 
 
 def test_cauchy_bound():
