@@ -21,11 +21,7 @@ from .arith import (
     unit_part,
 )
 from .family import admissible_model
-from .local import (
-    SamplerBudgetExceeded,
-    delta_surface_point,
-    sample_surface_points,
-)
+from .local import delta_surface_point, sample_surface_points
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
@@ -33,12 +29,7 @@ REFUSED = "refused"
 
 
 class PrecisionError(ArithmeticError):
-    """All slot representations were indeterminate at the available
-    precision; carries the precision a retry should use."""
-
-    def __init__(self, required):
-        self.required = required
-        super().__init__(f"slot values indeterminate; resample at precision {required}")
+    """Every slot representation is indeterminate at the point's precision."""
 
 
 @dataclass(frozen=True)
@@ -113,7 +104,8 @@ def evaluate_invariant_at_point(surface_model, point, place):
         reps = qc.slot_residues(int(u), int(v), place.p, point.prec)
     defined = [r for r in reps if r is not None]
     if not defined:
-        raise PrecisionError((point.prec or 8) * 2)
+        raise PrecisionError(f"every slot representation is indeterminate at {place} "
+                             f"to precision {point.prec}")
     symbols = {hilbert_symbol(surface_model.a, r, place) for r in defined}
     if len(symbols) != 1:
         raise ArithmeticError(
@@ -123,37 +115,19 @@ def evaluate_invariant_at_point(surface_model, point, place):
 
 
 def sample_invariant(surface_model, place, n, seed=0, extra_points=()):
-    """Invariant at n independently sampled local points.
+    """Invariant at n local points: the caller's (delta images), then
+    direct samples up to n.
 
-    Returns (value, consistent, count).  Points come from the direct
-    sampler plus any caller-provided ones (delta images); if the sampler
-    cannot reach n points within budget, whatever was obtained is used.
+    Returns (value, consistent, count).  A sampler shortfall or an
+    indeterminate point raises; no point is dropped.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
     pts = list(extra_points)
-    try:
-        need = max(0, n - len(pts))
-        if need:
-            pts.extend(sample_surface_points(surface_model, place, need, seed=seed))
-    except (SamplerBudgetExceeded, ValueError):
-        pass
-    if not pts:
-        raise SamplerBudgetExceeded(f"no local points available at {place}")
-    values = []
-    for pt in pts:
-        while True:
-            try:
-                values.append(evaluate_invariant_at_point(surface_model, pt, place))
-                break
-            except PrecisionError as e:
-                # escalate precision by doubling, capped at 64 digits
-                if place.is_real or e.required > 64:
-                    raise
-                pt = sample_surface_points(surface_model, place, 1,
-                                           seed=seed + 7, prec=e.required)[0]
-    consistent = len(set(values)) == 1
-    return values[0], consistent, len(values)
+    if len(pts) < n:
+        pts += sample_surface_points(surface_model, place, n - len(pts), seed=seed)
+    values = [evaluate_invariant_at_point(surface_model, pt, place) for pt in pts]
+    return values[0], len(set(values)) == 1, len(values)
 
 
 @dataclass
@@ -297,8 +271,9 @@ def obstruction_certificate(curve, surface, local_result, samples=10):
     Requires everywhere-local solvability (otherwise the adelic pairing is
     vacuous).  Every certified value is additionally confirmed on sampled
     local points (delta images of the curve witnesses plus direct samples);
-    any disagreement, refusal or unexpected table is a hard failure.  A
-    refused place adds nothing to the sum.
+    any disagreement, refusal or unexpected table is a hard failure, and a
+    failed delta image, sampler shortfall or indeterminate point raises.
+    A refused place adds nothing to the sum.
     """
     if not local_result.solvable_everywhere:
         raise ValueError("obstruction table needs everywhere-local solvability first")
@@ -320,24 +295,17 @@ def obstruction_certificate(curve, surface, local_result, samples=10):
         extra = []
         curve_cert = local_result.certificates.get(place)
         if curve_cert is not None and curve_cert.witness is not None:
-            try:
-                extra = [delta_surface_point(model, curve, place, curve_cert)]
-            except (ArithmeticError, ValueError):
-                extra = []
-        try:
-            sval, consistent, count = sample_invariant(model, place, samples,
-                                                       extra_points=extra)
-            cert.sample_count = count
-            cert.samples_consistent = consistent
-            if not consistent:
-                errors.append(f"samples disagree among themselves at {place}")
-            if sval != cert.value:
-                errors.append(
-                    f"sampled value {sval} contradicts certified {cert.value} at {place}"
-                )
-        except SamplerBudgetExceeded:
-            cert.warning = (cert.warning + "; " if cert.warning else "") + \
-                "sampling unavailable at this place"
+            extra = [delta_surface_point(model, curve, place, curve_cert)]
+        sval, consistent, count = sample_invariant(model, place, samples,
+                                                   extra_points=extra)
+        cert.sample_count = count
+        cert.samples_consistent = consistent
+        if not consistent:
+            errors.append(f"samples disagree among themselves at {place}")
+        if sval != cert.value:
+            errors.append(
+                f"sampled value {sval} contradicts certified {cert.value} at {place}"
+            )
     expected_half = {Place.finite(params.a)}
     support = {pl for pl, cert in table.items() if cert.value == HALF}
     if support != expected_half:

@@ -489,8 +489,7 @@ def _try_good_reduction(curve, place):
         if p <= COUNT_CAP:
             n = count_points_hyperelliptic(model.f_poly().mod_p(p), g, p)
             if not _in_hasse_weil_window(n, g, p):
-                return LocalCertificate(place, None, "good-reduction-hw",
-                                        notes=f"count {n} escaped the Hasse-Weil window")
+                raise ArithmeticError(f"count {n} escaped the Hasse-Weil window at {place}")
             hyp.append(f"|X(F_p)| = {n}, inside the Hasse-Weil window")
             method = "good-reduction-hw"
         else:
@@ -498,13 +497,12 @@ def _try_good_reduction(curve, place):
             hyp.append("p too large to count; existence via the Hasse-Weil bound")
         found = _scan_fp_point(model, p)
         if found is None:
-            return LocalCertificate(place, None, method,
-                                    notes="no liftable residue inside the scan cap")
+            raise ArithmeticError(f"no liftable residue inside the scan cap at {place}")
         chart, t0, kind = found
         wit = (_witness_from_center(model, chart, p, t0) if kind == "sqrt"
                else _root_witness(model, chart, p, t0))
         if wit is None:
-            return LocalCertificate(place, None, method, notes="margin failure at root")
+            raise ArithmeticError(f"margin failure at the root t = {t0} at {place}")
         return LocalCertificate(place, True, method, wit, hypotheses=hyp)
     # p | AB but p does not divide A - B: the reversed chart reduces to the
     # one-term model a S^2 = b (1 - r T^(g+1)) with r the surviving coefficient
@@ -515,7 +513,7 @@ def _try_good_reduction(curve, place):
     wit = (_witness_from_center(model, "ST", p, T0) if S0 != 0
            else _root_witness(model, "ST", p, T0))
     if wit is None:
-        return LocalCertificate(place, None, "fp-smooth-lift", notes="margin failure")
+        raise ArithmeticError(f"margin failure at the root T = {T0} at {place}")
     return LocalCertificate(place, True, "fp-smooth-lift", wit, hypotheses=hyp)
 
 
@@ -603,12 +601,12 @@ def _try_generic(curve, place):
 
 
 def certify_local_curve(curve, place):
-    """Certificate for one place: fast paths in a fixed order, then the
-    generic decision procedure."""
+    """Certificate for one place: the first fast path (in a fixed order)
+    that returns one, else the generic decision procedure."""
     for path in (_try_trivial, _try_ab_square, _try_good_reduction, _try_power,
                  _try_center_probe):
         cert = path(curve, place)
-        if cert is not None and cert.solvable is True:
+        if cert is not None:
             return cert
     return _try_generic(curve, place)
 
@@ -779,7 +777,6 @@ class SurfacePoint:
     place: Place
     coords: tuple
     prec: int | None = None
-    source: str = "sampler"
 
 
 def _refine_curve_witness(curve_m, wit, p, prec):
@@ -812,9 +809,11 @@ def _refine_curve_witness(curve_m, wit, p, prec):
     raise ValueError(wit.kind)
 
 
-def delta_surface_point(surface_model, curve, place, cert, prec=None):
+def delta_surface_point(surface_model, curve, place, cert):
     """Image of the curve certificate's witness on the given surface model:
-    residues mod p^prec at finite places, exact data at the real place."""
+    residues mod p^prec at finite places (prec the working precision of
+    sample_surface_points), exact data at the real place.  Raises when the
+    image fails the model's quadrics."""
     wit = cert.witness
     if wit is None:
         raise ValueError("certificate carries no witness")
@@ -824,39 +823,33 @@ def delta_surface_point(surface_model, curve, place, cert, prec=None):
         t = wit.t_real if wit.kind == "real" else Fraction(wit.t_center)
         y = co.C * t ** ((g + 1) // 2)
         u, v = (t ** (g + 1), Fraction(1)) if wit.chart == "st" else (Fraction(1), t ** (g + 1))
-        return SurfacePoint(place=place, coords=(Fraction(0), y, None, u, v),
-                            source="delta")
+        return SurfacePoint(place=place, coords=(Fraction(0), y, None, u, v))
     p = place.p
-    if prec is None:
-        prec = max(6, 2 * max(0, int(padic_val(surface_model.a, p))) + 4)
+    prec = _working_precision(surface_model, p)
     curve_m, curve_change = integral_model(curve, p)
+    mults = surface_model.change.mults
     shift = sum(
         abs(int(padic_val(fr, p)))
-        for fr in (curve_change.s_mult, curve_change.t_mult, *surface_model.change.mults)
+        for fr in (curve_change.s_mult, curve_change.t_mult, *mults)
     ) * (2 * g + 2)
-    for attempt in (1, 2, 3):
-        work = prec + shift * attempt + 8 * attempt
-        t_m, s_m = _refine_curve_witness(curve_m, wit, p, work)
-        t = curve_change.t_mult * t_m
-        s = curve_change.s_mult * s_m
-        coords = delta_coords(wit.chart, s, t, co.C, g)
-        mults = surface_model.change.mults
-        model_coords = tuple(c / m for c, m in zip(coords, mults))
-        nonzero_vals = [padic_val(c, p) for c in model_coords if c != 0]
-        m0 = min(nonzero_vals)
-        scaled = tuple(c * Fraction(p) ** (-m0) for c in model_coords)
-        pk = p**prec
-        try:
-            residues = tuple(frac_mod(c, pk) for c in scaled)
-        except ValueError:
-            continue
-        pt = SurfacePoint(place=place, coords=residues, prec=prec, source="delta")
-        q1, q2 = _residue_quadrics(surface_model, pt, p, prec)
-        if q1 % pk == 0 and q2 % pk == 0:
-            return pt
-    raise ArithmeticError(
-        f"delta image failed to verify against the surface equations at {place}"
-    )
+    t_m, s_m = _refine_curve_witness(curve_m, wit, p, prec + shift + 8)
+    if wit.chart == "st":
+        t, s = curve_change.t_mult * t_m, curve_change.s_mult * s_m
+    else:
+        # T = 1/t scales by 1/t_mult; S = s/t^(g+1) is unchanged, since
+        # s_mult = t_mult^(g+1)
+        t, s = t_m / curve_change.t_mult, s_m
+    coords = delta_coords(wit.chart, s, t, co.C, g)
+    model_coords = [c / m for c, m in zip(coords, mults)]
+    m0 = min(padic_val(c, p) for c in model_coords if c != 0)
+    pk = p**prec
+    residues = tuple(frac_mod(c * Fraction(p) ** -m0, pk) for c in model_coords)
+    pt = SurfacePoint(place=place, coords=residues, prec=prec)
+    if _residue_quadrics(surface_model, pt, p, prec) != (0, 0):
+        raise ArithmeticError(
+            f"delta image failed to verify against the surface equations at {place}"
+        )
+    return pt
 
 
 def _residue_quadrics(surface_model, pt, p, prec):
@@ -872,8 +865,16 @@ class SamplerBudgetExceeded(RuntimeError):
     pass
 
 
-def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET,
-                          prec=None):
+def _working_precision(surface_model, p):
+    """max(6, 2 v_p(a) + 4, v_p(b) + v_p(B - A) + m + 2), m the slot
+    margin (3 at p = 2, else 1); see sample_surface_points."""
+    m = 3 if p == 2 else 1
+    return max(6, 2 * padic_val(surface_model.a, p) + 4,
+               padic_val(surface_model.b, p)
+               + padic_val(surface_model.B - surface_model.A, p) + m + 2)
+
+
+def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET):
     """n independent local points of the surface model at the place.
 
     Finite places: random residue points built from exact square roots of
@@ -882,6 +883,16 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
     point must have there: x = p x1, v a unit (taken 1), u = A + p u1.
     Real place: (u, v, y) rational with y large enough that both quadrics
     are solvable in x and z over R.
+
+    Residues are taken mod p^prec, prec = _working_precision(model, p),
+    which determines the square class of b phi / v or of -psi / v (phi =
+    u - Av, psi = u - Bv) at every returned point: slot_residues in brauer
+    needs numerator and denominator nonzero mod p^prec, of valuation at
+    most prec - 1 - m.  The denominator v is a unit (drawn as one, or 1)
+    and prec >= 6 > m.  Mod p^prec, phi - psi = (B - A) v has valuation
+    v_p(B - A) < prec (A, B, b are p-integral on the model), so phi and
+    psi cannot both have larger valuation; hence min(v_p(psi), v_p(b) +
+    v_p(phi)) <= v_p(b) + v_p(B - A) <= prec - m - 2.
     """
     rng = random.Random(seed)
     a, b, A, B, C = (surface_model.a, surface_model.b, surface_model.A,
@@ -901,13 +912,11 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
             z2 = (x2 + b * (u - A * v) * (u - B * v)) / a
             if x2 < 0 or z2 < 0:
                 continue
-            out.append(SurfacePoint(place=place, coords=(None, y, None, u, v),
-                                    source="sampler"))
+            out.append(SurfacePoint(place=place, coords=(None, y, None, u, v)))
         return out
     p = place.p
     va = max(0, int(padic_val(a, p)))
-    if prec is None:
-        prec = max(6, 2 * va + 4)
+    prec = _working_precision(surface_model, p)
     pk = p**prec
     trials = 0
     while len(out) < n:
@@ -950,7 +959,7 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
             coords = ((p * x1) % pk, y % pk, z % pk, frac_mod(u, pk), 1)
         else:
             raise ValueError(f"sampler does not handle v_p(a) = {va}")
-        pt = SurfacePoint(place=place, coords=coords, prec=prec, source="sampler")
+        pt = SurfacePoint(place=place, coords=coords, prec=prec)
         q1, q2 = _residue_quadrics(surface_model, pt, p, prec)
         if q1 % p ** (prec - 1) or q2 % p ** (prec - 1):
             continue

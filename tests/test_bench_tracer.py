@@ -43,3 +43,24 @@ def test_tracer_installs_and_uninstalls_over_the_package():
     for name, attrs in before.items():
         assert all(after[name][k] is v for k, v in attrs.items()), name
     assert hassecert.local.Witness.__dict__["verify"] is verify
+
+
+def test_traced_fiber_raises_through_no_wrapper():
+    # every exception that crosses a traced boundary fails the fiber, so a
+    # certified fiber leaves every error counter at 0; theta = 1/3 has a
+    # reversed-chart witness at 3 and sampled points whose slots need more
+    # than 6 digits
+    from hassecert.family import Theta
+    from hassecert.params import sieve_params
+
+    params = sieve_params(1, 0, bound=10**7, count=1)[0]
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        out = hassecert.cli.certify_fiber(params, Theta.of(1, 3), height_bound=20)
+    finally:
+        tracer.uninstall()
+    assert out["certified"] is True
+    assert tracer.counts["local.delta_surface_point.errors"] == 0
+    assert tracer.counts["brauer.evaluate_invariant_at_point.errors"] == 0
+    assert tracer.counts["brauer.evaluate_invariant_at_point.calls"] > 0

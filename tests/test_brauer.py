@@ -14,7 +14,12 @@ from hassecert.brauer import (
     sample_invariant,
 )
 from hassecert.family import Theta, admissible_model, build_curve, build_surface, fiber_coeffs
-from hassecert.local import SurfacePoint, certify_all_local, sample_surface_points
+from hassecert.local import (
+    SamplerBudgetExceeded,
+    SurfacePoint,
+    certify_all_local,
+    sample_surface_points,
+)
 from hassecert.params import sieve_params
 
 
@@ -159,6 +164,25 @@ def test_refused_place_fails_the_fiber(monkeypatch, tmp_path):
     assert code == cli.EXIT_CERTIFICATION_FAILED
     (fiber,) = json.loads(report.read_text())["fibers"]
     assert fiber["stage"] == "brauer-obstruction"
+
+
+@pytest.mark.parametrize("target, error", [
+    ("delta_surface_point", ArithmeticError("delta image failed in a test")),
+    ("sample_surface_points", SamplerBudgetExceeded("sampler budget spent in a test")),
+])
+def test_sampling_failures_fail_the_fiber(monkeypatch, target, error):
+    # a failed delta image or a sampler shortfall is never dropped: the
+    # fiber stops at brauer-obstruction with the message
+    from hassecert import brauer, cli
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(brauer, target, fail)
+    out = cli.certify_fiber(PARAMS, Theta.of(0), height_bound=20, sample_count=2)
+    assert out["certified"] is False
+    assert out["stage"] == "brauer-obstruction"
+    assert out["error"] == str(error)
 
 
 def test_obstruction_certificate_theta_zero():

@@ -357,6 +357,41 @@ def test_delta_surface_points_verify():
         assert q1 == 0 and q2 == 0
 
 
+@pytest.mark.parametrize("theta", ["1/2", "1/3", "-2/3", "3/2"])
+def test_delta_images_at_primes_of_den_theta(theta):
+    # the witness at a prime of den(theta) lives on the integral model;
+    # on its reversed chart T scales by 1/t_mult and S does not change
+    from hassecert.brauer import certify_invariant, evaluate_invariant_at_point
+    from hassecert.family import admissible_model
+
+    th = Theta.parse(theta)
+    co = fiber_coeffs(PARAMS, th)
+    curve, surface = build_curve(co), build_surface(co)
+    for p in factorize(th.value.denominator)[0]:
+        place = Place.finite(p)
+        model, _ = admissible_model(surface, p, th)
+        pt = delta_surface_point(model, curve, place, certify_local_curve(curve, place))
+        assert _residue_quadrics(model, pt, p, pt.prec) == (0, 0)
+        value = certify_invariant(surface, place, th).value
+        assert evaluate_invariant_at_point(model, pt, place) == value
+
+
+def test_good_reduction_failures_raise(monkeypatch):
+    # a count outside the Hasse-Weil window, or no liftable residue, is a
+    # broken argument: it raises instead of falling through to later paths
+    from hassecert import local
+
+    place = Place.finite(11)
+    assert certify_local_curve(CURVE_0, place).method == "good-reduction-hw"
+    monkeypatch.setattr(local, "count_points_hyperelliptic", lambda f, g, p: 0)
+    with pytest.raises(ArithmeticError, match="escaped the Hasse-Weil window at 11"):
+        certify_local_curve(CURVE_0, place)
+    monkeypatch.undo()
+    monkeypatch.setattr(local, "_scan_fp_point", lambda model, p: None)
+    with pytest.raises(ArithmeticError, match="no liftable residue"):
+        certify_local_curve(CURVE_0, place)
+
+
 def test_sampler_points_satisfy_quadrics():
     surface = build_surface(CO_0)
     for p in (11, PARAMS.c, PARAMS.a):
