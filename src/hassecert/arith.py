@@ -163,6 +163,13 @@ class Place:
         return (0, 0) if self.is_real else (1, self.p)
 
 
+def square_class(x, p):
+    """(v_p(x), unit part of x mod p, mod 8 at p = 2) for a nonzero rational
+    x: the data that fixes the class of x in Q_p* / Q_p*^2."""
+    v = padic_val(x, p)
+    return v, frac_mod(Fraction(x) / Fraction(p) ** v, 8 if p == 2 else p)
+
+
 def is_local_square(x, place):
     """True iff the nonzero rational x is a square in the completion at place."""
     x = Fraction(x)
@@ -171,13 +178,12 @@ def is_local_square(x, place):
     if place.is_real:
         return x > 0
     p = place.p
-    v = padic_val(x, p)
+    v, u = square_class(x, p)
     if v % 2 != 0:
         return False
-    u = unit_part(x, p)
     if p == 2:
-        return frac_mod(u, 8) == 1
-    return legendre(frac_mod(u, p), p) == 1
+        return u == 1
+    return legendre(u, p) == 1
 
 
 def hensel_sqrt(a, p, k):
@@ -185,32 +191,38 @@ def hensel_sqrt(a, p, k):
 
     Returns None when a is not a square in Q_p.  At p = 2 the unit square
     criterion is a = 1 mod 8; lifting proceeds bit by bit since the usual
-    Newton step degenerates there.
+    Newton step degenerates there.  An int a is read as a unit residue:
+    only a mod p^k (mod 2^max(k, 3) at p = 2) matters, and no Fraction is
+    built; any other a is an exact rational, reduced to such a residue.
     """
     if k < 1:
         raise ValueError("precision k must be >= 1")
-    a = Fraction(a)
-    if padic_val(a, p) != 0:
+    _require_prime(p)
+    if not isinstance(a, int):
+        a = Fraction(a)
+        a = frac_mod(a, p ** max(k, 3)) if padic_val(a, p) == 0 else 0
+    if a % p == 0:
         raise ValueError("hensel_sqrt expects a p-adic unit (factor out even powers first)")
-    if not is_local_square(a, Place.finite(p)):
-        return None
     pk = p**k
     if p == 2:
+        if a % 8 != 1:
+            return None
         if k <= 2:
             return 1
-        am = frac_mod(a, 1 << (k + 1))
         r = 1
         for i in range(3, k):
-            if (r * r - am) % (1 << (i + 1)) != 0:
+            if (r * r - a) % (1 << (i + 1)) != 0:
                 r += 1 << (i - 1)
         r %= pk
         return min(r, pk - r)
-    r = sqrt_mod(frac_mod(a, p), p)
+    r = sqrt_mod(a, p)
+    if r is None:
+        return None
     prec = 1
     while prec < k:
         prec = min(2 * prec, k)
         mod = p**prec
-        r = (r + frac_mod(a, mod) * pow(r, -1, mod)) * pow(2, -1, mod) % mod
+        r = (r + a * pow(r, -1, mod)) * pow(2, -1, mod) % mod
     r %= pk
     return min(r, pk - r)
 
@@ -348,6 +360,24 @@ def _two_unit_omega(u):
     return ((u * u - 1) // 8) % 2
 
 
+def hilbert_symbol_units(alpha, u, beta, v, p):
+    """Hilbert symbol (p^alpha u, p^beta v)_p in {+1,-1} for ints alpha,
+    beta and p-adic units u, v given as int residues: only u, v mod p (mod
+    8 at p = 2) matter.  The one formula behind hilbert_symbol."""
+    if u % p == 0 or v % p == 0:
+        raise ValueError("hilbert_symbol_units expects p-adic units u, v")
+    if p == 2:
+        odd = (_two_unit_eps(u) * _two_unit_eps(v)
+               + alpha * _two_unit_omega(v) + beta * _two_unit_omega(u))
+    else:
+        odd = alpha * beta * ((p - 1) // 2)
+        if legendre(u, p) == -1:
+            odd += beta
+        if legendre(v, p) == -1:
+            odd += alpha
+    return -1 if odd % 2 else 1
+
+
 def hilbert_symbol(a, b, place):
     """Hilbert symbol (a,b)_v in {+1,-1} for nonzero rationals a, b."""
     a, b = Fraction(a), Fraction(b)
@@ -356,21 +386,7 @@ def hilbert_symbol(a, b, place):
     if place.is_real:
         return -1 if (a < 0 and b < 0) else 1
     p = place.p
-    alpha, beta = padic_val(a, p), padic_val(b, p)
-    u, v = unit_part(a, p), unit_part(b, p)
-    if p == 2:
-        um, vm = frac_mod(u, 8), frac_mod(v, 8)
-        exp = (
-            _two_unit_eps(um) * _two_unit_eps(vm)
-            + alpha * _two_unit_omega(vm)
-            + beta * _two_unit_omega(um)
-        )
-        return -1 if exp % 2 else 1
-    lu = legendre(frac_mod(u, p), p)
-    lv = legendre(frac_mod(v, p), p)
-    eps = ((p - 1) // 2) % 2
-    sign = (-1) ** (alpha * beta * eps) * lu**beta * lv**alpha
-    return 1 if sign > 0 else -1
+    return hilbert_symbol_units(*square_class(a, p), *square_class(b, p), p)
 
 
 def square_residues(m):

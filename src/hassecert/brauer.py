@@ -4,8 +4,9 @@ certificate that rules out rational points.
 
 The class is (a, b(u - Av)/v), with three further equivalent slot
 expressions obtained from the defining quadrics; only the square class of
-the slot matters, so every evaluation goes through Hilbert symbols on
-exact rational representatives.
+the slot matters, so every evaluation goes through one Hilbert-symbol
+formula: on exact rationals at the real place, on (valuation, unit
+residue) pairs at finite places.
 """
 
 from dataclasses import dataclass, field
@@ -15,9 +16,11 @@ from .arith import (
     Place,
     frac_mod,
     hilbert_symbol,
+    hilbert_symbol_units,
     is_local_square,
     legendre,
     padic_val,
+    square_class,
     unit_part,
 )
 from .family import admissible_model
@@ -59,14 +62,16 @@ class QuaternionClass:
         return out
 
     def slot_residues(self, u, v, p, prec):
-        """Square-class representatives of the four representations at a
-        residue point (u, v) mod p^prec; None where indeterminate."""
+        """Square classes (w, r) of the four representations at a residue
+        point (u, v) mod p^prec: w the valuation, r the unit part mod
+        p^(margin+1) as an int; None where indeterminate."""
         pk = p**prec
         au = frac_mod(self.a, pk)
         A_, B_, b_ = frac_mod(self.A, pk), frac_mod(self.B, pk), frac_mod(self.b, pk)
         phi = (u - A_ * v) % pk
         psi = (u - B_ * v) % pk
         margin = 3 if p == 2 else 1
+        unit_mod = p ** (margin + 1)
         out = []
         for num, den in ((b_ * phi % pk, v % pk), ((-psi) % pk, v % pk),
                          (b_ * phi % pk, (-au * u) % pk), ((-psi) % pk, (-au * u) % pk)):
@@ -77,10 +82,9 @@ class QuaternionClass:
             if wn > prec - 1 - margin or wd > prec - 1 - margin:
                 out.append(None)
                 continue
-            un = (num // p**wn) % p ** (margin + 1)
-            ud = (den // p**wd) % p ** (margin + 1)
-            rep = Fraction(p) ** (wn - wd) * Fraction(un) / Fraction(ud)
-            out.append(rep)
+            un = num // p**wn
+            ud = den // p**wd
+            out.append((wn - wd, un * pow(ud, -1, unit_mod) % unit_mod))
         return out
 
 
@@ -100,13 +104,14 @@ def evaluate_invariant_at_point(surface_model, point, place):
     u, v = point.coords[3], point.coords[4]
     if place.is_real:
         reps = qc.slot_fractions(Fraction(u), Fraction(v))
+        symbols = {hilbert_symbol(surface_model.a, r, place) for r in reps if r is not None}
     else:
         reps = qc.slot_residues(int(u), int(v), place.p, point.prec)
-    defined = [r for r in reps if r is not None]
-    if not defined:
+        alpha, ua = square_class(surface_model.a, place.p)
+        symbols = {hilbert_symbol_units(alpha, ua, *r, place.p) for r in reps if r is not None}
+    if not symbols:
         raise PrecisionError(f"every slot representation is indeterminate at {place} "
                              f"to precision {point.prec}")
-    symbols = {hilbert_symbol(surface_model.a, r, place) for r in defined}
     if len(symbols) != 1:
         raise ArithmeticError(
             f"representations disagree at {place}: {reps} -> {symbols}"

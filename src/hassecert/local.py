@@ -205,6 +205,27 @@ def _exact_padic_sqrt(x, p, prec):
     return None if r is None else p ** (v // 2) * r % p**prec
 
 
+def _residue_sqrt(r, p, prec, exact):
+    """_exact_padic_sqrt(x, p, prec) for a p-integral x, read off its
+    residue r = x mod p^(prec+2).
+
+    Below p^(prec-1) the residue fixes v_p(x), and the unit part is known
+    mod p^(prec+2-v), enough for the lift to p^(prec-v) (and for the mod 8
+    test at p = 2).  Only when r = 0 mod p^(prec-1) is exact() called, for
+    the exact x, to tell a zero (root 0) from a deep nonzero value (None).
+    """
+    if r % p ** (prec - 1) == 0:
+        return 0 if exact() == 0 else None
+    v = 0
+    while r % p == 0:
+        r //= p
+        v += 1
+    if v % 2:
+        return None
+    root = hensel_sqrt(r, p, prec - v)
+    return None if root is None else p ** (v // 2) * root % p**prec
+
+
 def _witness_from_center(curve_model, chart, p, t_center):
     """A sqrt/exact witness at an integer center whose exact chart value is
     a p-adic square (or zero)."""
@@ -852,13 +873,23 @@ def delta_surface_point(surface_model, curve, place, cert):
     return pt
 
 
-def _residue_quadrics(surface_model, pt, p, prec):
-    pk = p**prec
-    a, b, A, B, C = (frac_mod(getattr(surface_model, k), pk) for k in "abABC")
-    x, y, z, u, v = [c % pk for c in pt.coords]
+def _model_residues(surface_model, p, prec):
+    """a, b, A, B, C of the model mod p^(prec+2): the sampler reduces them
+    once per call for its draws and its quadric check on every point."""
+    m = p ** (prec + 2)
+    return tuple(frac_mod(getattr(surface_model, k), m) for k in "abABC")
+
+
+def _quadrics_mod(residues, coords, pk):
+    a, b, A, B, C = residues
+    x, y, z, u, v = coords
     q1 = (x * x - a * z * z + b * (u - A * v) * (u - B * v)) % pk
     q2 = (x * x - a * y * y + a * C * C * u * v) % pk
     return q1, q2
+
+
+def _residue_quadrics(surface_model, pt, p, prec):
+    return _quadrics_mod(_model_residues(surface_model, p, prec), pt.coords, p**prec)
 
 
 class SamplerBudgetExceeded(RuntimeError):
@@ -877,8 +908,10 @@ def _working_precision(surface_model, p):
 def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET):
     """n independent local points of the surface model at the place.
 
-    Finite places: random residue points built from exact square roots of
-    exact rational values, so the quadrics hold identically.  At places
+    Finite places: random residue points whose x^2, y^2, z^2 are formed
+    as residues mod p^(prec+2) of exact p-integral values and rooted by
+    _residue_sqrt, with _exact_padic_sqrt's verdict on each, so the
+    quadrics hold to the working precision.  At places
     with v_p(a) = 1 the sampler uses the structured shape that any local
     point must have there: x = p x1, v a unit (taken 1), u = A + p u1.
     Real place: (u, v, y) rational with y large enough that both quadrics
@@ -918,6 +951,13 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
     va = max(0, int(padic_val(a, p)))
     prec = _working_precision(surface_model, p)
     pk = p**prec
+    # every value below is p-integral and is drawn and tested as a residue
+    # mod p^(prec+2); a / p^va is a unit
+    m = p ** (prec + 2)
+    residues = _model_residues(surface_model, p, prec)
+    a_, b_, A_, B_, C_ = residues
+    c2 = C_ * C_ % m
+    inv = pow(frac_mod(a / p**va, m), -1, m)
     trials = 0
     while len(out) < n:
         trials += 1
@@ -932,36 +972,42 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
             y = rng.randrange(pk)
             if u % p == 0 or v % p == 0:
                 continue
-            x2 = a * (Fraction(y) ** 2 - C * C * u * v)
-            x = _exact_padic_sqrt(x2, p, prec)
+            w = (y * y - c2 * u * v) % m  # x^2 / a
+            x = _residue_sqrt(a_ * w % m, p, prec,
+                              lambda: a * (Fraction(y) ** 2 - C * C * u * v))
             if x is None:
                 continue
-            z2 = Fraction(y) ** 2 - C * C * u * v + b * (u - A * v) * (u - B * v) / a
-            z = _exact_padic_sqrt(z2, p, prec)
+            z = _residue_sqrt(
+                (w + b_ * (u - A_ * v) * (u - B_ * v) * inv) % m, p, prec,
+                lambda: Fraction(y) ** 2 - C * C * u * v + b * (u - A * v) * (u - B * v) / a,
+            )
             if z is None:
                 continue
-            coords = (x % pk, y % pk, z % pk, u % pk, v % pk)
+            coords = (x, y, z, u, v)
         elif va == 1:
             u1 = rng.randrange(1, pk)
             x1 = rng.randrange(pk)
-            u = A + p * u1
-            phi = Fraction(p * u1)
-            psi = u - B
-            x2 = Fraction(p) ** 2 * x1 * x1
-            z2 = (x2 + b * phi * psi) / a
-            z = _exact_padic_sqrt(z2, p, prec)
+            # x = p x1, u = A + p u1, v = 1: z^2 = (x^2 + b p u1 psi) / a and
+            # y^2 = (x^2 + a C^2 u) / a, with the p of a cancelled
+            u = (A_ + p * u1) % m
+            px2 = p * x1 * x1
+            z = _residue_sqrt(
+                (px2 + b_ * u1 * (u - B_)) * inv % m, p, prec,
+                lambda: (Fraction(p) ** 2 * x1 * x1 + b * p * u1 * (A + p * u1 - B)) / a,
+            )
             if z is None:
                 continue
-            y2 = (x2 + a * C * C * u) / a
-            y = _exact_padic_sqrt(y2, p, prec)
+            y = _residue_sqrt(
+                (px2 * inv + c2 * u) % m, p, prec,
+                lambda: (Fraction(p) ** 2 * x1 * x1 + a * C * C * (A + p * u1)) / a,
+            )
             if y is None:
                 continue
-            coords = ((p * x1) % pk, y % pk, z % pk, frac_mod(u, pk), 1)
+            coords = (p * x1 % pk, y, z, u % pk, 1)
         else:
             raise ValueError(f"sampler does not handle v_p(a) = {va}")
-        pt = SurfacePoint(place=place, coords=coords, prec=prec)
-        q1, q2 = _residue_quadrics(surface_model, pt, p, prec)
+        q1, q2 = _quadrics_mod(residues, coords, pk)
         if q1 % p ** (prec - 1) or q2 % p ** (prec - 1):
             continue
-        out.append(pt)
+        out.append(SurfacePoint(place=place, coords=coords, prec=prec))
     return out

@@ -14,9 +14,11 @@ from hassecert.arith import (
     count_points_hyperelliptic,
     factorize,
     find_smooth_fp_point,
+    frac_mod,
     hensel_nth_root,
     hensel_sqrt,
     hilbert_symbol,
+    hilbert_symbol_units,
     is_local_square,
     is_prime,
     is_rational_square,
@@ -158,6 +160,7 @@ PRIME_TAKERS = [
     ("legendre", lambda p: legendre(2, p)),
     ("sqrt_mod", lambda p: sqrt_mod(2, p)),
     ("hensel_sqrt", lambda p: hensel_sqrt(2, p, 3)),
+    ("hilbert_symbol_units", lambda p: hilbert_symbol_units(0, 2, 1, 3, p)),
     ("count_points_hyperelliptic",
      lambda p: count_points_hyperelliptic([1, 0, 0, 0, 1], 1, p)),
     ("find_smooth_fp_point", lambda p: find_smooth_fp_point(1, 1, 1, 1, p)),
@@ -356,6 +359,25 @@ def test_hensel_sqrt_two_adic():
 def test_hensel_sqrt_rejects_non_unit():
     with pytest.raises(ValueError):
         hensel_sqrt(Fraction(7), 7, 2)
+    with pytest.raises(ValueError):
+        hensel_sqrt(14, 7, 2)
+
+
+def test_hensel_sqrt_int_residue_matches_fraction():
+    # an int is read as a unit residue: any representative mod p^k (mod 8
+    # at least, at p = 2) gives the root of the exact rational
+    rng = random.Random(11)
+    for p in (2, 3, 5, 73):
+        for k in (1, 2, 3, 5, 8):
+            for _ in range(40):
+                x = Fraction(rng.randrange(1, 10**6), rng.randrange(1, 10**3))
+                if padic_val(x, p) != 0:
+                    continue
+                want = hensel_sqrt(x, p, k)
+                for m in (p ** max(k, 3), p ** (k + 2)):
+                    r = frac_mod(x, m)
+                    assert hensel_sqrt(r, p, k) == want, (x, p, k, m)
+                    assert hensel_sqrt(r + 5 * m, p, k) == want
 
 
 # ----- hensel_nth_root -------------------------------------------------------
@@ -424,6 +446,35 @@ def test_hilbert_symbol_exhaustive_oracle_odd():
                 assert hilbert_symbol(a, b, Place.finite(p)) == exhaustive_hilbert_small(
                     a % p**3, b % p**3, p, 3
                 ), (a, b, p)
+
+
+@pytest.mark.parametrize("p, k", [(2, 6), (3, 3), (5, 3), (7, 2)])
+def test_hilbert_kernel_entry_points_against_exhaustive(p, k):
+    # (p^alpha u, p^beta v)_p through the Fraction entry point and the
+    # integer kernel, for every unit class (mod 8 at 2) and valuation 0, 1
+    m = p**k
+    units = (1, 3, 5, 7) if p == 2 else range(1, p)
+    for alpha in (0, 1):
+        for beta in (0, 1):
+            for u in units:
+                for v in units:
+                    a, b = p**alpha * u, p**beta * v
+                    want = exhaustive_hilbert_small(a % m, b % m, p, k)
+                    assert hilbert_symbol(a, b, Place.finite(p)) == want, (a, b, p)
+                    assert hilbert_symbol(Fraction(a, 9 if p != 3 else 4), b,
+                                          Place.finite(p)) == want
+                    assert hilbert_symbol_units(alpha, u, beta, v, p) == want
+                    # only the class matters: other unit representatives,
+                    # valuations shifted by 2
+                    assert hilbert_symbol_units(alpha - 2, u + 8 * p, beta + 2,
+                                                v + 8 * p * p, p) == want
+
+
+def test_hilbert_kernel_rejects_non_units():
+    with pytest.raises(ValueError):
+        hilbert_symbol_units(0, 5, 1, 3, 5)
+    with pytest.raises(ValueError):
+        hilbert_symbol_units(0, 3, 1, 4, 2)
 
 
 def test_hilbert_symbol_rejects_zero():

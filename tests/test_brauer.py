@@ -78,17 +78,37 @@ def test_sampled_values_agree_with_certified():
         assert value == cert.value, p
 
 
+def _grid_thetas():
+    """The 16-fiber README grid: 0, inf and m/n with |m| <= 3, 1 <= n <= 3."""
+    vals = sorted({Fraction(m, n) for n in range(1, 4) for m in range(-3, 4)})
+    return [str(v) for v in vals] + ["inf"]
+
+
 def test_representation_independence_on_samples():
-    place = Place.finite(PARAMS.a)
-    model, _ = admissible_model(SURFACE_0, PARAMS.a, CO_0.theta)
-    pts = sample_surface_points(model, place, 8, seed=5)
-    qc = quaternion_class(model)
-    for pt in pts:
-        reps = qc.slot_residues(int(pt.coords[3]), int(pt.coords[4]), PARAMS.a, pt.prec)
-        defined = [r for r in reps if r is not None]
-        assert len(defined) >= 2
-        symbols = {hilbert_symbol(model.a, r, place) for r in defined}
-        assert len(symbols) == 1
+    # at every finite critical place of the grid, every determined slot
+    # gives the same Fraction Hilbert symbol, and the integer evaluation
+    # agrees with it
+    from hassecert.local import critical_places
+
+    places_seen = 0
+    for theta in _grid_thetas():
+        th = Theta.parse(theta)
+        co = fiber_coeffs(PARAMS, th)
+        surface = build_surface(co)
+        for p in critical_places(build_curve(co)).primes():
+            place = Place.finite(p)
+            model, _ = admissible_model(surface, p, th)
+            qc = quaternion_class(model)
+            for pt in sample_surface_points(model, place, 8, seed=5):
+                reps = qc.slot_residues(int(pt.coords[3]), int(pt.coords[4]), p, pt.prec)
+                defined = [Fraction(p) ** w * r for w, r in (x for x in reps if x is not None)]
+                assert len(defined) >= 2 or p != PARAMS.a
+                symbols = {hilbert_symbol(model.a, r, place) for r in defined}
+                assert len(symbols) == 1, (theta, p)
+                value = evaluate_invariant_at_point(model, pt, place)
+                assert value == (ZERO if symbols.pop() == 1 else HALF), (theta, p)
+            places_seen += 1
+    assert places_seen >= 16 * 6
 
 
 def test_real_evaluation_uses_exact_slots():

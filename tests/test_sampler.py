@@ -1,0 +1,191 @@
+"""The direct surface sampler against an exact-rational oracle of the same
+draw, and the residue square root against _exact_padic_sqrt."""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from hassecert.arith import Place, factorize, frac_mod, padic_val
+from hassecert.family import Theta, admissible_model, build_curve, build_surface, fiber_coeffs
+from hassecert.local import (
+    SAMPLER_BUDGET,
+    SamplerBudgetExceeded,
+    SurfacePoint,
+    _exact_padic_sqrt,
+    _residue_quadrics,
+    _residue_sqrt,
+    _working_precision,
+    critical_places,
+    sample_surface_points,
+)
+from hassecert.params import sieve_params
+
+
+PARAMS_G1 = sieve_params(1, 0, bound=10**7, count=1)[0]
+PARAMS_G3 = sieve_params(3, 0, bound=10**12, count=1)[0]
+
+
+# ----- oracle: every square built as an exact Fraction ----------------------
+
+def oracle_sample(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET):
+    """The finite-place draw on exact rationals: the same randrange calls in
+    the same order, each x^2, y^2, z^2 an exact Fraction rooted by
+    _exact_padic_sqrt, each point checked by _residue_quadrics."""
+    rng = random.Random(seed)
+    a, b, A, B, C = (surface_model.a, surface_model.b, surface_model.A,
+                     surface_model.B, surface_model.C)
+    out = []
+    p = place.p
+    va = max(0, int(padic_val(a, p)))
+    prec = _working_precision(surface_model, p)
+    pk = p**prec
+    trials = 0
+    while len(out) < n:
+        trials += 1
+        if trials > budget:
+            raise SamplerBudgetExceeded(f"oracle exceeded {budget} trials at {place}")
+        if va == 0:
+            u = rng.randrange(1, pk)
+            v = rng.randrange(1, pk)
+            y = rng.randrange(pk)
+            if u % p == 0 or v % p == 0:
+                continue
+            x2 = a * (Fraction(y) ** 2 - C * C * u * v)
+            x = _exact_padic_sqrt(x2, p, prec)
+            if x is None:
+                continue
+            z2 = Fraction(y) ** 2 - C * C * u * v + b * (u - A * v) * (u - B * v) / a
+            z = _exact_padic_sqrt(z2, p, prec)
+            if z is None:
+                continue
+            coords = (x % pk, y % pk, z % pk, u % pk, v % pk)
+        elif va == 1:
+            u1 = rng.randrange(1, pk)
+            x1 = rng.randrange(pk)
+            u = A + p * u1
+            phi = Fraction(p * u1)
+            psi = u - B
+            x2 = Fraction(p) ** 2 * x1 * x1
+            z2 = (x2 + b * phi * psi) / a
+            z = _exact_padic_sqrt(z2, p, prec)
+            if z is None:
+                continue
+            y2 = (x2 + a * C * C * u) / a
+            y = _exact_padic_sqrt(y2, p, prec)
+            if y is None:
+                continue
+            coords = ((p * x1) % pk, y % pk, z % pk, frac_mod(u, pk), 1)
+        else:
+            raise ValueError(f"oracle does not handle v_p(a) = {va}")
+        pt = SurfacePoint(place=place, coords=coords, prec=prec)
+        q1, q2 = _residue_quadrics(surface_model, pt, p, prec)
+        if q1 % p ** (prec - 1) or q2 % p ** (prec - 1):
+            continue
+        out.append(pt)
+    return out
+
+
+# ----- the sampler draws exactly the oracle's points ------------------------
+
+def _height5_thetas():
+    vals = sorted({Fraction(m, n) for n in range(1, 6) for m in range(-5, 6)})
+    return [str(v) for v in vals] + ["inf"]
+
+
+CASES = [(1, t) for t in _height5_thetas()] + [(3, "0")]
+
+
+@pytest.mark.parametrize("g, theta", CASES)
+def test_sampler_matches_exact_oracle(g, theta):
+    # every finite critical place of the fiber, with the pipeline's draw
+    # (seed 0, 9 points beside the delta image) and a second seed
+    params = PARAMS_G1 if g == 1 else PARAMS_G3
+    th = Theta.parse(theta)
+    co = fiber_coeffs(params, th)
+    curve, surface = build_curve(co), build_surface(co)
+    primes = critical_places(curve).primes()
+    # the required kinds of place are all present: 2, the place of a (where
+    # the model has v_p(a) = 1) and every prime of den(theta)
+    assert 2 in primes and params.a in primes
+    if not th.is_infinity:
+        assert set(factorize(th.value.denominator)[0]) <= set(primes)
+    for p in primes:
+        place = Place.finite(p)
+        model, _ = admissible_model(surface, p, th)
+        if p == params.a:
+            assert padic_val(model.a, p) == 1
+        for seed, n in ((0, 9), (1, 3)):
+            got = sample_surface_points(model, place, n, seed=seed)
+            assert got == oracle_sample(model, place, n, seed=seed), (theta, p, seed)
+
+
+@pytest.mark.parametrize("scale", [4, 5, 7])
+def test_sampler_matches_exact_oracle_when_a_over_p_is_not_one(scale):
+    # the fibers' models at the place of a have a = p exactly; scaling a by
+    # a unit (4, and the non-squares 5 and 7 mod p) exercises the division
+    # by a / p
+    p = PARAMS_G1.a
+    model, _ = admissible_model(build_surface(fiber_coeffs(PARAMS_G1, Theta.of(0))), p,
+                                Theta.of(0))
+    model = replace(model, a=model.a * scale)
+    assert padic_val(model.a, p) == 1
+    place = Place.finite(p)
+    got = sample_surface_points(model, place, 9)
+    assert got == oracle_sample(model, place, 9)
+
+
+def test_cases_include_theta_inf_and_den_theta_primes():
+    thetas = [t for g, t in CASES if g == 1]
+    assert len(thetas) == 40 and "inf" in thetas
+    assert any(Fraction(t).denominator > 1 for t in thetas if t != "inf")
+    assert (3, "0") in CASES
+
+
+# ----- the residue square root ----------------------------------------------
+
+def _p_integral(rng, p, v):
+    """A random rational of valuation exactly v, denominator prime to p."""
+    num = rng.randrange(1, 10**6)
+    while num % p == 0:
+        num = rng.randrange(1, 10**6)
+    den = rng.randrange(1, 10**3)
+    while den % p == 0:
+        den = rng.randrange(1, 10**3)
+    return Fraction(rng.choice((-1, 1)) * num * p**v, den)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 73])
+def test_residue_sqrt_matches_exact(p):
+    rng = random.Random(p)
+    for prec in (6, 7, 9):
+        m = p ** (prec + 2)
+        for v in range(prec + 1):
+            for _ in range(30):
+                x = _p_integral(rng, p, v)
+                got = _residue_sqrt(frac_mod(x, m), p, prec, lambda: x)
+                assert got == _exact_padic_sqrt(x, p, prec), (x, p, prec)
+
+
+@pytest.mark.parametrize("p", [2, 7])
+def test_residue_sqrt_zero_and_deep_values(p):
+    prec = 6
+    m = p ** (prec + 2)
+    # an exact zero has the root 0
+    assert _residue_sqrt(0, p, prec, lambda: 0) == 0
+    assert _exact_padic_sqrt(0, p, prec) == 0
+    # nonzero values that vanish mod p^(prec-1) are too deep: None, even
+    # when the residue itself is 0
+    for x in (Fraction(p ** (prec - 1)), Fraction(p ** (prec + 2), 3), Fraction(p ** (prec + 4))):
+        assert _residue_sqrt(frac_mod(x, m), p, prec, lambda: x) is None
+        assert _exact_padic_sqrt(x, p, prec) is None
+
+
+def test_residue_sqrt_reads_exact_value_only_when_deep():
+    def forbidden():
+        raise AssertionError("the exact value is needed only for deep residues")
+
+    assert _residue_sqrt(4, 5, 6, forbidden) == 2
+    assert _residue_sqrt(2, 5, 6, forbidden) is None
+    assert _residue_sqrt(5, 5, 6, forbidden) is None
