@@ -44,8 +44,6 @@ from .local import (
     certify_all_local,
     certify_local_curve,
     critical_places,
-    decide_qp_points,
-    decide_real_points,
 )
 from .params import (
     ParamSet,

@@ -1,11 +1,16 @@
-"""Local solvability: decision procedures, fast-path certificates with
-verifiable witnesses, and the finite critical set outside which a uniform
-good-reduction argument applies.
+"""Local solvability: one certificate per critical place from the first
+local lemma that applies there (ab a local square, good reduction, a
+(g+1)-th power root of A, a square value at a disc center), a named
+refusal where none applies, and the finite critical set outside which a
+uniform good-reduction argument applies.  No general decision procedure
+runs here: a refused place fails the fiber.
 
-Witness discipline: every solvable verdict at a finite place carries data
-that re-verifies against the chart equation of the p-integral model at a
-stated precision with a stated Hensel margin, so a consumer can confirm
-the existence of a genuine Q_p point without rerunning any search.
+Witness discipline: every solvable verdict carries a witness, and
+certify_all_local re-verifies each one.  At a finite place it re-verifies
+against the chart equation of the p-integral model at a stated precision
+with a stated Hensel margin, so a consumer can confirm the existence of a
+genuine Q_p point without rerunning any search; at the real place it is a
+rational t with a nonnegative chart value.
 """
 
 import functools
@@ -23,7 +28,6 @@ from .arith import (
     hensel_nth_root,
     hensel_sqrt,
     is_local_square,
-    is_rational_square,
     legendre,
     padic_val,
     sieve_primes_upto,
@@ -31,13 +35,10 @@ from .arith import (
 )
 from .family import delta_coords, integral_model
 from .params import omega0_for_genus
-from .polynomials import cauchy_root_bound, discriminant
 
 # good-reduction places are certified by an F_p point count only below this
 # cap; larger primes get scan-and-lift certificates instead
 COUNT_CAP = 200_000
-# the residue-disc decision procedure is an O(p)-per-level scan
-GENERIC_P_CAP = 1_000_000
 # residues tried when scanning F_p for a liftable point
 SCAN_CAP = 1_000_000
 # the disc centers the exact-evaluation probe tries on each chart
@@ -129,69 +130,6 @@ def _eval_int(H, t):
     return acc
 
 
-def _shift_scale(G, t0, p):
-    """Coefficients of G(t0 + p*x) from those of G (integers)."""
-    n = len(G)
-    res = list(G)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            res[j] += t0 * res[j + 1]
-    return [c * p**i for i, c in enumerate(res)]
-
-
-# --------------------------------------------------------------------------
-# the generic Q_p decision procedure (odd p)
-
-
-def _disc_search(G, twist, p, depth, bound):
-    """Decide whether p^twist * G(tau) is a square (or zero) for some
-    tau in Z_p.  Returns ('yes', tau_center), ('no',) or ('maybe',).
-
-    Sound refutations only: a sub-disc is rejected when the value class is
-    provably constant and non-square on it (unit center value); running
-    out of depth yields 'maybe', never 'no'.
-    """
-    vals = [padic_val(c, p) for c in G if c != 0]
-    if not vals:
-        return ("yes", 0)  # the polynomial vanishes identically: s = 0
-    c = min(vals)
-    if c:
-        pc = p**c
-        G = [x // pc for x in G]
-        twist = (twist + c) % 2
-    any_maybe = False
-    for t0 in range(p):
-        val = _eval_int(G, t0)
-        if val == 0:
-            return ("yes", t0)
-        w = padic_val(val, p)
-        if (w + twist) % 2 == 0 and legendre(val // p**w, p) == 1:
-            return ("yes", t0)
-        if w == 0:
-            continue  # unit class is constant on the sub-disc: refuted
-        if depth + 1 > bound:
-            any_maybe = True
-            continue
-        sub = _disc_search(_shift_scale(G, t0, p), twist, p, depth + 1, bound)
-        if sub[0] == "yes":
-            return ("yes", t0 + p * sub[1])
-        if sub[0] == "maybe":
-            any_maybe = True
-    return ("maybe",) if any_maybe else ("no",)
-
-
-def default_depth_bound(poly, p):
-    """v_p(disc) + 2 v_p(lc) + 3, floored at 3."""
-    if poly.degree < 1:
-        return 3
-    d = discriminant(poly)
-    if d == 0:
-        return 12
-    vd = padic_val(d, p)
-    vl = padic_val(poly.leading, p)
-    return max(0, vd) + 2 * max(0, vl) + 3
-
-
 def _exact_padic_sqrt(x, p, prec):
     """Residue r mod p^prec with r^2 = x (x an exact rational), or None
     when x is not a square in Q_p or is too deep to represent."""
@@ -241,75 +179,6 @@ def _witness_from_center(curve_model, chart, p, t_center):
         raise ArithmeticError("center value is not a p-adic square; search bug")
     return Witness(kind="sqrt", chart=chart, prime=p, t_center=t_center,
                    sigma=sigma, precision=prec, val=w)
-
-
-def decide_qp_charts(f, F, p, depth_bound=None):
-    """Generic decision for s^2 = f(t) (t in Z_p) or S^2 = F(T) (T in Z_p).
-
-    Returns (verdict, center): verdict True/False/None, center (chart, t)
-    for True.  p must be odd: at 2 unit classes are not determined mod p
-    and the procedure refuses to guess.
-    """
-    if p == 2:
-        raise ValueError("the generic residue-disc decider does not handle p = 2")
-    maybe = False
-    for chart, poly in (("st", f), ("ST", F)):
-        H, _ = _cleared(poly)
-        bound = depth_bound if depth_bound is not None else default_depth_bound(poly, p)
-        res = _disc_search(H, 0, p, 0, bound)
-        if res[0] == "yes":
-            return True, (chart, res[1])
-        if res[0] == "maybe":
-            maybe = True
-    return (None, None) if maybe else (False, None)
-
-
-def decide_qp_points(curve_model, p, depth_bound=None):
-    """(verdict, witness) for the curve model over Q_p, p odd."""
-    verdict, center = decide_qp_charts(
-        curve_model.f_poly(), curve_model.F_poly(), p, depth_bound
-    )
-    if verdict is not True:
-        return verdict, None
-    chart, t_center = center
-    return True, _witness_from_center(curve_model, chart, p, t_center)
-
-
-# --------------------------------------------------------------------------
-# the real place
-
-
-def decide_real_points(curve):
-    """(solvable, witness) over R: the chart value must be >= 0 somewhere.
-
-    f = L (t^n - A)(t^n - B) with L = b/a and n = g+1.  Positive L: value
-    > 0 beyond every root.  Negative L (synthetic inputs): f(t) >= 0 iff
-    t^n lies between A and B.  For even n, t^n takes every value >= 0, so
-    such a t exists iff max(A, B) >= 0; for odd n, t^n takes every real
-    value, so it always exists.  A rational witness is reported when one
-    exists on a modest grid (double roots at irrational points admit none,
-    and the witness is then omitted).
-    """
-    f = curve.f_poly()
-    if f.degree < 0:
-        return False, None
-    if f.leading > 0:
-        t = cauchy_root_bound(f)
-        if not f(t) > 0:
-            raise RuntimeError(f"f(t) > 0 fails at the Cauchy root bound t = {t}")
-        return True, Witness(kind="real", chart="st", prime=None, t_real=t)
-    if (curve.genus + 1) % 2 == 0 and max(curve.A, curve.B) < 0:
-        return False, None
-    bound = cauchy_root_bound(f)
-    t = -bound
-    step = Fraction(1, 4)
-    iterations = 0
-    while t <= bound and iterations < 100_000:
-        if f(t) >= 0:
-            return True, Witness(kind="real", chart="st", prime=None, t_real=t)
-        t += step
-        iterations += 1
-    return True, None  # value 0 is attained, but only at irrational points
 
 
 # --------------------------------------------------------------------------
@@ -404,27 +273,6 @@ def _model_at(curve, place):
         return curve
     model, _ = integral_model(curve, place.p)
     return model
-
-
-def _try_trivial(curve, place):
-    model = _model_at(curve, place)
-    p = None if place.is_real else place.p
-    if model.A == 0 or model.B == 0:
-        w = Witness(kind="exact", chart="st", prime=p, t_center=Fraction(0),
-                    s_exact=Fraction(0))
-        return LocalCertificate(place, True, "trivial-point", w,
-                                notes="A or B vanishes: (s,t) = (0,0)")
-    co = curve.coeffs
-    if co is not None and co.D == 0:
-        root = is_rational_square(model.b / model.a)
-        if root is not None:
-            w = Witness(kind="exact", chart="ST", prime=p, t_center=Fraction(0),
-                        s_exact=root)
-            return LocalCertificate(
-                place, True, "trivial-point", w,
-                notes="D vanishes: b/a is a rational square, (S,T) = (sqrt(b/a), 0)",
-            )
-    return None
 
 
 def _try_ab_square(curve, place):
@@ -603,33 +451,18 @@ def _try_center_probe(curve, place):
     return None
 
 
-def _try_generic(curve, place):
-    if place.is_real:
-        ok, wit = decide_real_points(curve)
-        return LocalCertificate(place, ok, "generic-search", wit,
-                                notes="real chart-value analysis")
-    p = place.p
-    if p == 2:
-        return LocalCertificate(place, None, "generic-search",
-                                notes="refused: the generic decider does not handle p = 2")
-    if p > GENERIC_P_CAP:
-        return LocalCertificate(place, None, "generic-search",
-                                notes=f"p exceeds the generic scan cap {GENERIC_P_CAP}")
-    model = _model_at(curve, place)
-    verdict, wit = decide_qp_points(model, p)
-    return LocalCertificate(place, verdict, "generic-search", wit,
-                            notes="" if verdict is not None else "depth exhausted: inconclusive")
-
-
 def certify_local_curve(curve, place):
-    """Certificate for one place: the first fast path (in a fixed order)
-    that returns one, else the generic decision procedure."""
-    for path in (_try_trivial, _try_ab_square, _try_good_reduction, _try_power,
-                 _try_center_probe):
+    """Certificate for one place from the first lemma, in a fixed order,
+    whose hypotheses hold there: ab-square, good reduction
+    (good-reduction-hw or fp-smooth-lift), g+1-power, then the disc-center
+    case analysis.  Where none applies the certificate is a refusal:
+    solvable None, method "refused", the place named in the notes."""
+    for path in (_try_ab_square, _try_good_reduction, _try_power, _try_center_probe):
         cert = path(curve, place)
         if cert is not None:
             return cert
-    return _try_generic(curve, place)
+    return LocalCertificate(place, None, "refused",
+                            notes=f"refused: no local lemma applies at {place}")
 
 
 # --------------------------------------------------------------------------
@@ -763,10 +596,8 @@ def certify_all_local(curve, sample_count=20):
         certs[place] = cert
         if cert.solvable is not True:
             failures.append((place, cert.method, cert.notes))
-        elif cert.witness is not None and not place.is_real:
-            model = _model_at(curve, place)
-            if not cert.witness.verify(model):
-                failures.append((place, cert.method, "witness failed re-verification"))
+        elif not cert.witness.verify(_model_at(curve, place)):
+            failures.append((place, cert.method, "witness failed re-verification"))
     blanket = _blanket_check(curve, crit, sample_count)
     if not crit.complete:
         failures.append(("factorization", "critical-set",

@@ -39,10 +39,11 @@ from hassecert.family import (
     integral_model,
     j_invariant,
 )
-from hassecert.local import certify_all_local, decide_qp_points
+from hassecert.local import certify_all_local
 from hassecert.params import omega0_for_genus, sieve_params, verify_conditions
 from hassecert.search import curve_point_search, surface_point_search
 
+from oracles import decide_qp_charts, decide_qp_points, default_depth_bound
 from test_local import oracle_qp
 
 
@@ -146,6 +147,9 @@ def test_ac2_smoothness_all_quadruples():
 # --------------------------------------------------------------------------
 # 3. local solvability everywhere
 
+LOCAL_LEMMAS = {"ab-square", "fp-smooth-lift", "g+1-power", "good-reduction-hw",
+                "case-analysis(disc-center)"}
+
 
 def _check_local_criterion(g, h):
     start = time.monotonic()
@@ -155,9 +159,9 @@ def _check_local_criterion(g, h):
         assert local.critical.complete
         for place, cert in local.certificates.items():
             assert cert.solvable is True
-            if cert.witness is not None and not place.is_real:
-                model, _ = integral_model(curve, place.p)
-                assert cert.witness.verify(model)
+            assert cert.method in LOCAL_LEMMAS, (str(theta), str(place), cert.method)
+            model = curve if place.is_real else integral_model(curve, place.p)[0]
+            assert cert.witness.verify(model)
         assert local.blanket.ok
         assert len(local.blanket.sampled_primes) == 20
         for q, n in local.blanket.sample_counts.items():
@@ -192,8 +196,6 @@ def test_ac3_local_solvability_g5_h1():
 
 
 def test_ac4_generic_decider_matches_exhaustive_oracle():
-    from hassecert.local import decide_qp_charts, default_depth_bound
-
     ps, rows = grid_certifications(1, 0)
     checked = 0
     for theta, co, curve, surface, local in rows:
@@ -208,10 +210,15 @@ def test_ac4_generic_decider_matches_exhaustive_oracle():
             f, F = model.f_poly(), model.F_poly()
             deeper = max(default_depth_bound(f, p), default_depth_bound(F, p)) + 2
             assert decide_qp_charts(f, F, p, depth_bound=deeper)[0] == verdict
+            # the production lemma certifies exactly where the decider does
+            cert = local.certificates[Place.finite(p)]
+            certified = cert.solvable is True and cert.witness.verify(model)
+            assert certified == (verdict is True), (str(theta), p, cert.method)
             checked += 1
     assert checked > 0
     report(f"AC4 oracle equivalence: PASS - {checked} fiber/prime pairs, "
-           "100% agreement, verdicts stable under deeper search")
+           "100% agreement, verdicts stable under deeper search, "
+           "production certificates agree")
 
 
 # --------------------------------------------------------------------------

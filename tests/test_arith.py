@@ -32,7 +32,8 @@ from hassecert.arith import (
 from hassecert.family import Theta, build_curve, fiber_coeffs
 from hassecert.local import certify_all_local
 from hassecert.params import sieve_params
-from hassecert.polynomials import Polynomial, discriminant
+from hassecert.polynomials import Polynomial
+from oracles import discriminant
 
 
 # ----- independent oracles -------------------------------------------------

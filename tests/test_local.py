@@ -19,9 +19,6 @@ from hassecert.local import (
     certify_local_curve,
     cleared_chart_poly,
     critical_places,
-    decide_qp_charts,
-    decide_qp_points,
-    decide_real_points,
     delta_surface_point,
     sample_surface_points,
     _blanket_check,
@@ -31,6 +28,12 @@ from hassecert.local import (
 )
 from hassecert.params import sieve_params
 from hassecert.polynomials import Polynomial
+from oracles import (
+    decide_qp_charts,
+    decide_qp_points,
+    decide_real_points,
+    default_depth_bound,
+)
 
 
 PARAMS = sieve_params(1, 0, bound=10**7, count=1)[0]
@@ -120,8 +123,6 @@ def test_decide_negative_case_and_depth_stability():
     # no-false-negative: deeper exploration cannot flip a refutation
     for extra in (2, 4):
         f, F = curve.f_poly(), curve.F_poly()
-        from hassecert.local import default_depth_bound
-
         bound = default_depth_bound(f, 3) + extra
         assert decide_qp_charts(f, F, 3, depth_bound=bound)[0] is False
 
@@ -283,6 +284,44 @@ def test_blanket_inclusion_fails_without_a_prime_of_num_D():
     assert not blanket.ok and f"{inclusion}: False" in blanket.statements
 
 
+# the finite and the real synthetic curve of the oracle tests above: neither
+# has a local point at the place, and no lemma applies there
+NO_LEMMA = [
+    (HyperellipticCurve(a=Fraction(1), b=Fraction(3), A=Fraction(3), B=Fraction(5),
+                        genus=1), Place.finite(3)),
+    (HyperellipticCurve(a=Fraction(1), b=Fraction(-1), A=Fraction(-1), B=Fraction(-2),
+                        genus=1), Place.real()),
+]
+
+
+@pytest.mark.parametrize("curve, place", NO_LEMMA, ids=["p=3", "real"])
+def test_place_without_a_lemma_is_refused(curve, place):
+    cert = certify_local_curve(curve, place)
+    assert cert.solvable is None and cert.method == "refused"
+    assert cert.witness is None
+    assert cert.notes == f"refused: no local lemma applies at {place}"
+    assert cert.to_json()["solvable"] is None
+    # the oracles agree that no lemma was missed: there is no local point
+    if place.is_real:
+        assert decide_real_points(curve)[0] is False
+    else:
+        assert decide_qp_points(curve, place.p)[0] is False
+
+
+def test_refused_place_fails_the_fiber(monkeypatch):
+    # with the disc-center lemma taken away, place b of the theta = 0 fiber
+    # has no lemma left: certify_all_local lists the refusal as a failure
+    from hassecert import local
+
+    place = Place.finite(PARAMS.b)
+    assert certify_local_curve(CURVE_0, place).method == "case-analysis(disc-center)"
+    monkeypatch.setattr(local, "_try_center_probe", lambda curve, place: None)
+    res = certify_all_local(CURVE_0, sample_count=1)
+    assert not res.solvable_everywhere
+    assert res.failures == [(place, "refused", f"refused: no local lemma applies at {place}")]
+    assert res.certificates[place].solvable is None
+
+
 def test_certify_all_local_rejects_bad_mode():
     g3 = sieve_params(3, 0, bound=10**12, count=1)[0]
     curve = build_curve(fiber_coeffs(g3, Theta.of(1)))
@@ -295,9 +334,8 @@ def test_witnesses_verify_and_serialize():
     for pl, cert in res.certificates.items():
         j = cert.to_json()
         assert j["place"] == str(pl)
-        if cert.witness is not None and not pl.is_real:
-            model, _ = integral_model(CURVE_0, pl.p)
-            assert cert.witness.verify(model)
+        model = CURVE_0 if pl.is_real else integral_model(CURVE_0, pl.p)[0]
+        assert cert.witness.verify(model)
 
 
 def test_witness_reverification_from_json_alone():

@@ -1,7 +1,10 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and the primitives it
+lists are exported."""
 
 import re
 from pathlib import Path
+
+import hassecert
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +17,12 @@ def test_readme_library_example_runs():
     exec(compile(snippet, "README.md", "exec"), namespace)
     assert namespace["local"].solvable_everywhere
     assert namespace["obstruction"].conclusion
+
+
+def test_readme_primitives_are_exported():
+    text = README.read_text()
+    (listed,) = re.findall(r"Lower-level primitives \((.*?)\)", text, re.S)
+    names = re.findall(r"`(\w+)`", listed)
+    assert names
+    missing = [name for name in names if not hasattr(hassecert, name)]
+    assert not missing, missing
