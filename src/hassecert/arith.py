@@ -488,23 +488,28 @@ def count_points_hyperelliptic(f_mod_p, g, p):
     t = infinity, which exist iff the leading coefficient is a square.
     Each affine t adds 1 + chi(f(t)), chi the quadratic character.
 
-    At g = 1, q(u) = c0 + c2 u + c4 u^2 and the count is the order of the
-    elliptic curve E: Y^2 = X^3 + c2 X^2 + c0 c4 X.  Each u != 0 is t^2
-    for 1 + chi(u) values of t, and a separable quadratic has
-    sum_u chi(q(u)) = -chi(c4), so the t = 0 term and the points at
-    infinity cancel against it and
-        count = p + 1 + sum_u chi(u q(u)) = #E(F_p)
-    under X = c4 u, Y = c4 y.  Separability of f gives c0 != 0 and
-    c2^2 - 4 c0 c4 != 0, so E is smooth, and _ec_order finds #E as the one
-    N in the Hasse interval that kills every point tried.  E is
-    2-isogenous to the Jacobian of the quartic; the proof uses only the
-    character sum.  When _ec_order is undecided, the walk below runs.
+    The count depends on n only through d = gcd(n, p-1).  On the cyclic
+    group F_p^* the maps t -> t^n and t -> t^d have the same image, the
+    subgroup of index d generated by z^d for a primitive root z, and every
+    fiber of each has d elements.  So
+        sum_{t != 0} (1 + chi(q(t^n))) = sum_{t != 0} (1 + chi(q(t^d)))
+                                       = d * sum_{u in <z^d>} (1 + chi(q(u))),
+    while the t = 0 term depends only on c0 and the points at infinity
+    only on c_2n.  Hence #{s^2 = q(t^n)}(F_p) = #{s^2 = q(t^d)}(F_p).
 
-    The walk sums over u = t^n instead of t.  The map t -> t^n on the
-    cyclic group F_p^* has kernel of order d = gcd(n, p-1), so its image
-    is the subgroup of (p-1)/d n-th powers, generated by z^d for a
-    primitive root z, and each u in it has exactly d preimages t:
-        sum_{t != 0} (1 + chi(f(t))) = d * sum_{u in <z^d>} (1 + chi(q(u))).
+    When d = 2 (every odd p at g = 1; p = 3 mod 4 at g = 3; p = 5 mod 6 at
+    g = 5) the right side is the even quartic c0 + c_n t^2 + c_2n t^4, and
+    its count is the order of the elliptic curve
+    E: Y^2 = X^3 + c_n X^2 + c0 c_2n X.  Each u != 0 is t^2 for 1 + chi(u)
+    values of t, and a separable quadratic has sum_u chi(q(u)) = -chi(c_2n),
+    so the t = 0 term and the points at infinity cancel against it and
+        count = p + 1 + sum_u chi(u q(u)) = #E(F_p)
+    under X = c_2n u, Y = c_2n y.  Separability of f gives c0 != 0 and
+    c_n^2 - 4 c0 c_2n != 0, so E is smooth, and _ec_order finds #E as the
+    one N in the Hasse interval that kills every point tried.  E is
+    2-isogenous to the Jacobian of the quartic; the proof uses only the
+    character sum.  When _ec_order is undecided, and whenever d != 2, the
+    walk over u in <z^d> (the middle sum above) counts.
     """
     _require_prime(p, odd=True)
     f = [c % p for c in f_mod_p]
@@ -516,7 +521,8 @@ def count_points_hyperelliptic(f_mod_p, g, p):
     c0, cn, c2n = f[0], f[n], f[2 * n]
     if n % p == 0 or (cn * cn - 4 * c0 * c2n) % p == 0 or (n > 1 and c0 == 0):
         raise ValueError("f is not separable mod p")
-    if g == 1:
+    d = math.gcd(n, p - 1)
+    if d == 2:
         order = _ec_order(cn, c0 * c2n % p, p)
         if order is not None:
             return order
@@ -526,7 +532,6 @@ def count_points_hyperelliptic(f_mod_p, g, p):
     z = 2
     while any(pow(z, (p - 1) // q, p) == 1 for q in qs):
         z += 1
-    d = math.gcd(n, p - 1)
     step = pow(z, d, p)
     u, per_u = 1, 0
     for _ in range((p - 1) // d):

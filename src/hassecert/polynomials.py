@@ -1,5 +1,5 @@
 """Dense univariate polynomials over Q with the exact operations the
-curve models need: evaluation, coefficient reversal and reduction mod p."""
+curve models need: coefficient reversal and reduction mod p."""
 
 from fractions import Fraction
 
@@ -9,7 +9,7 @@ from .arith import frac_mod
 class Polynomial:
     """Dense polynomial, coefficients low-to-high, always Fractions.
 
-    The zero polynomial has coefficient list [0] and degree -1.
+    The zero polynomial has coefficient list [0].
     """
 
     __slots__ = ("coeffs",)
@@ -22,16 +22,6 @@ class Polynomial:
             cs = [Fraction(0)]
         self.coeffs = tuple(cs)
 
-    @property
-    def degree(self):
-        if len(self.coeffs) == 1 and self.coeffs[0] == 0:
-            return -1
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self):
-        return self.coeffs[-1]
-
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
@@ -40,13 +30,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"
-
-    def __call__(self, x):
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def reversed_coeffs(self, length):
         """Coefficients of x^(length-1) * self(1/x), padded to `length`."""

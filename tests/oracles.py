@@ -19,67 +19,85 @@ from hassecert.polynomials import Polynomial
 # polynomial algebra over Q
 
 
+def degree(f):
+    """deg f, with -1 for the zero polynomial."""
+    return -1 if f.coeffs == (0,) else len(f.coeffs) - 1
+
+
+def leading(f):
+    return f.coeffs[-1]
+
+
+def evaluate(f, x):
+    """f(x) as an exact Fraction, by Horner's rule."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def derivative(f):
-    if f.degree <= 0:
+    if degree(f) <= 0:
         return Polynomial([0])
     return Polynomial([i * c for i, c in enumerate(f.coeffs)][1:])
 
 
 def poly_divmod(f, g):
     """(q, r) with f = q g + r and deg r < deg g."""
-    if g.degree < 0:
+    if degree(g) < 0:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(f.coeffs)
-    dq = f.degree - g.degree
+    dq = degree(f) - degree(g)
     if dq < 0:
         return Polynomial([0]), Polynomial(rem)
     quo = [Fraction(0)] * (dq + 1)
-    lead = g.leading
+    lead = leading(g)
     for i in range(dq, -1, -1):
-        c = rem[g.degree + i] / lead
+        c = rem[degree(g) + i] / lead
         quo[i] = c
         if c != 0:
             for j, gc in enumerate(g.coeffs):
                 rem[i + j] -= c * gc
-    return Polynomial(quo), Polynomial(rem[: g.degree] or [0])
+    return Polynomial(quo), Polynomial(rem[: degree(g)] or [0])
 
 
 def resultant(f, g):
     """res(f, g) over Q via the Euclidean polynomial remainder sequence."""
-    if f.degree < 0 or g.degree < 0:
+    if degree(f) < 0 or degree(g) < 0:
         return Fraction(0)
     acc = Fraction(1)
     while True:
-        if g.degree == 0:
-            return acc * g.leading**f.degree
-        if f.degree < g.degree:
-            if (f.degree * g.degree) % 2 == 1:
+        if degree(g) == 0:
+            return acc * leading(g)**degree(f)
+        if degree(f) < degree(g):
+            if (degree(f) * degree(g)) % 2 == 1:
                 acc = -acc
             f, g = g, f
             continue
         _, r = poly_divmod(f, g)
-        if r.degree < 0:
+        if degree(r) < 0:
             return Fraction(0)
-        acc *= g.leading ** (f.degree - r.degree)
-        if (f.degree * g.degree) % 2 == 1:
+        acc *= leading(g) ** (degree(f) - degree(r))
+        if (degree(f) * degree(g)) % 2 == 1:
             acc = -acc
         f, g = g, r
 
 
 def discriminant(f):
     """disc(f) = (-1)^(n(n-1)/2) res(f, f') / lc(f)."""
-    n = f.degree
+    n = degree(f)
     if n < 1:
         raise ValueError("discriminant needs degree >= 1")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, derivative(f)) / f.leading
+    return sign * resultant(f, derivative(f)) / leading(f)
 
 
 def cauchy_root_bound(f):
     """Rational M with every real root of f inside (-M, M)."""
-    if f.degree < 1:
+    if degree(f) < 1:
         return Fraction(1)
-    lead = abs(f.leading)
+    lead = abs(leading(f))
     m = max(abs(c) for c in f.coeffs[:-1])
     return Fraction(1) + m / lead
 
@@ -137,13 +155,13 @@ def _disc_search(G, twist, p, depth, bound):
 
 def default_depth_bound(poly, p):
     """v_p(disc) + 2 v_p(lc) + 3, floored at 3."""
-    if poly.degree < 1:
+    if degree(poly) < 1:
         return 3
     d = discriminant(poly)
     if d == 0:
         return 12
     vd = padic_val(d, p)
-    vl = padic_val(poly.leading, p)
+    vl = padic_val(leading(poly), p)
     return max(0, vd) + 2 * max(0, vl) + 3
 
 
@@ -195,11 +213,11 @@ def decide_real_points(curve):
     and the witness is then omitted).
     """
     f = curve.f_poly()
-    if f.degree < 0:
+    if degree(f) < 0:
         return False, None
-    if f.leading > 0:
+    if leading(f) > 0:
         t = cauchy_root_bound(f)
-        if not f(t) > 0:
+        if not evaluate(f, t) > 0:
             raise RuntimeError(f"f(t) > 0 fails at the Cauchy root bound t = {t}")
         return True, Witness(kind="real", chart="st", prime=None, t_real=t)
     if (curve.genus + 1) % 2 == 0 and max(curve.A, curve.B) < 0:
@@ -209,7 +227,7 @@ def decide_real_points(curve):
     step = Fraction(1, 4)
     iterations = 0
     while t <= bound and iterations < 100_000:
-        if f(t) >= 0:
+        if evaluate(f, t) >= 0:
             return True, Witness(kind="real", chart="st", prime=None, t_real=t)
         t += step
         iterations += 1

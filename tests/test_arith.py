@@ -30,7 +30,7 @@ from hassecert.arith import (
     MR_DETERMINISTIC_BOUND,
 )
 from hassecert.family import Theta, build_curve, fiber_coeffs
-from hassecert.local import certify_all_local
+from hassecert.local import _blanket_check, certify_all_local, critical_places
 from hassecert.params import sieve_params
 from hassecert.polynomials import Polynomial
 from oracles import discriminant
@@ -598,18 +598,27 @@ def _non_square(p):
 _ALL_D = {0: {1}, 1: {2}, 3: {2, 4}, 5: {2, 6}}
 
 
+_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 53, 61, 73)
+
+
+def _small_prime_cases(g, p, rng):
+    """Random f = q(t^(g+1)) mod p, with a non-square leading coefficient,
+    c_n = 0 and (at g = 0) c0 = 0 among them."""
+    cases = [_powers_supported(rng, g, p) for _ in range(2)]
+    cases.append(_powers_supported(rng, g, p, lead=_non_square(p)))
+    cases.append(_powers_supported(rng, g, p))
+    cases[-1][g + 1] = 0  # c_n = 0
+    if g == 0:
+        cases.append(_powers_supported(rng, g, p, c0=0))
+    return cases
+
+
 @pytest.mark.parametrize("g", sorted(_ALL_D))
 def test_count_points_over_powers_small_primes(g):
     rng = random.Random(11 + g)
     seen_d = set()
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 53, 61, 73):
-        cases = [_powers_supported(rng, g, p) for _ in range(2)]
-        cases.append(_powers_supported(rng, g, p, lead=_non_square(p)))
-        cases.append(_powers_supported(rng, g, p))
-        cases[-1][g + 1] = 0  # c_n = 0
-        if g == 0:
-            cases.append(_powers_supported(rng, g, p, c0=0))
-        for f in cases:
+    for p in _SMALL_PRIMES:
+        for f in _small_prime_cases(g, p, rng):
             try:
                 n = count_points_hyperelliptic(f, g, p)
             except ValueError:
@@ -619,14 +628,66 @@ def test_count_points_over_powers_small_primes(g):
     assert seen_d == _ALL_D[g]
 
 
-@pytest.mark.parametrize("g, p, d", [
+_LARGE_PRIMES = [
     (0, 50_021, 1), (1, 50_023, 2), (3, 60_013, 4), (3, 70_019, 2),
     (5, 70_009, 6), (5, 80_039, 2),
-])
+]
+
+
+def _large_prime_case(g, p):
+    return _powers_supported(random.Random(p), g, p, c0=0 if g == 0 else None,
+                             lead=_non_square(p))
+
+
+@pytest.mark.parametrize("g, p, d", _LARGE_PRIMES)
 def test_count_points_over_powers_large_primes(g, p, d):
     assert math.gcd(g + 1, p - 1) == d
-    rng = random.Random(p)
-    f = _powers_supported(rng, g, p, c0=0 if g == 0 else None, lead=_non_square(p))
+    f = _large_prime_case(g, p)
+    assert count_points_hyperelliptic(f, g, p) == single_loop_count(f, p)
+
+
+def _count_ec_order_calls(monkeypatch):
+    """Wrap arith._ec_order in a call counter; returns the list of calls."""
+    calls, ec_order = [], arith._ec_order
+
+    def counted(a2, a4, p):
+        calls.append(p)
+        return ec_order(a2, a4, p)
+
+    monkeypatch.setattr(arith, "_ec_order", counted)
+    return calls
+
+
+def test_order_search_runs_exactly_when_d_is_2(monkeypatch):
+    # count_points_hyperelliptic asks the elliptic-curve order search exactly
+    # when gcd(g + 1, p - 1) = 2, at every genus, and never at d = 4 or 6
+    calls = _count_ec_order_calls(monkeypatch)
+    seen_d = set()
+    cases = []
+    for g in (1, 3, 5):
+        rng = random.Random(11 + g)
+        cases += [(g, p, f) for p in _SMALL_PRIMES for f in _small_prime_cases(g, p, rng)]
+    cases += [(g, p, _large_prime_case(g, p)) for g, p, _ in _LARGE_PRIMES if g]
+    for g, p, f in cases:
+        calls.clear()
+        try:
+            n = count_points_hyperelliptic(f, g, p)
+        except ValueError:
+            assert calls == [], (f, g, p)
+            continue  # not separable mod p
+        d = math.gcd(g + 1, p - 1)
+        seen_d.add((g, d))
+        assert calls == ([p] if d == 2 else []), (f, g, p)
+        oracle = double_loop_count(f, g, p) if p < 100 else single_loop_count(f, p)
+        assert n == oracle, (f, g, p)
+    assert seen_d == {(g, d) for g in (1, 3, 5) for d in _ALL_D[g]}
+
+
+@pytest.mark.parametrize("g, p", [(3, 70_019), (5, 80_039)])
+def test_undecided_order_at_higher_genus_falls_back_to_the_walk(monkeypatch, g, p):
+    assert math.gcd(g + 1, p - 1) == 2
+    f = _large_prime_case(g, p)
+    monkeypatch.setattr(arith, "_ec_order", lambda a2, a4, p: None)
     assert count_points_hyperelliptic(f, g, p) == single_loop_count(f, p)
 
 
@@ -820,11 +881,15 @@ def test_is_rational_square():
 
 # ----- the blanket spot-check on real fibers ----------------------------------
 
+def _real_fiber(g, bound, theta):
+    params = sieve_params(g, 0, bound=bound, count=1)[0]
+    return build_curve(fiber_coeffs(params, Theta.of(theta)))
+
+
 @pytest.mark.parametrize("g, bound, theta", [(1, 10**7, Fraction(1, 2)), (3, 10**12, 0)])
 def test_blanket_counts_on_real_fibers(g, bound, theta):
     # theta = 1/2 at g = 1, and the g = 3 theta-zero fiber
-    params = sieve_params(g, 0, bound=bound, count=1)[0]
-    curve = build_curve(fiber_coeffs(params, Theta.of(theta)))
+    curve = _real_fiber(g, bound, theta)
     counts = certify_all_local(curve).blanket.sample_counts
     assert len(counts) == 20
     for q in sorted(counts)[::8]:  # three of the twenty primes
@@ -851,3 +916,15 @@ def test_blanket_genus1_counts_are_curve_orders(monkeypatch, theta):
         assert _ec_order_of(f, q) == n, q
     for q in sorted(counts)[::8]:  # three of the twenty primes
         assert counts[q] == single_loop_count(curve.f_poly().mod_p(q), q), q
+
+
+def test_blanket_counts_do_not_depend_on_the_order_search(monkeypatch):
+    # the g = 3 theta-zero fiber's report records the same twenty counts
+    # whether the order search decides the d = 2 primes or the walk does
+    curve = _real_fiber(3, 10**12, 0)
+    crit = critical_places(curve)
+    calls = _count_ec_order_calls(monkeypatch)
+    searched = _blanket_check(curve, crit).sample_counts
+    assert calls and set(calls) == {q for q in searched if q % 4 == 3}
+    monkeypatch.setattr(arith, "_ec_order", lambda a2, a4, p: None)
+    assert _blanket_check(curve, crit).sample_counts == searched

@@ -4,8 +4,10 @@ from fractions import Fraction
 from hassecert.polynomials import Polynomial
 from oracles import (
     cauchy_root_bound,
+    degree,
     derivative,
     discriminant,
+    evaluate,
     poly_divmod,
     resultant,
 )
@@ -13,10 +15,10 @@ from oracles import (
 
 def test_basic_ops():
     f = Polynomial([1, 2, 3])  # 3x^2 + 2x + 1
-    assert f.degree == 2
-    assert f(2) == 17
+    assert degree(f) == 2
+    assert evaluate(f, 2) == 17
     assert derivative(f) == Polynomial([2, 6])
-    assert Polynomial([0, 0]).degree == -1
+    assert degree(Polynomial([0, 0])) == -1
 
 
 def test_reversal():
@@ -25,7 +27,7 @@ def test_reversal():
     assert rev == Polynomial([4, 3, 2, 1])
     # x^(n) f(1/x) identity at a sample point
     x = Fraction(3, 2)
-    assert rev(x) == x**3 * f(1 / x)
+    assert evaluate(rev, x) == x**3 * evaluate(f, 1 / x)
 
 
 def test_divmod_roundtrip():
@@ -33,12 +35,12 @@ def test_divmod_roundtrip():
     for _ in range(50):
         f = Polynomial([rng.randrange(-9, 10) for _ in range(rng.randrange(1, 7))])
         g = Polynomial([rng.randrange(-9, 10) for _ in range(rng.randrange(1, 5))])
-        if g.degree < 0:
+        if degree(g) < 0:
             continue
         q, r = poly_divmod(f, g)
         for x in range(8):
-            assert q(x) * g(x) + r(x) == f(x)
-        assert r.degree < g.degree or r.degree < 0
+            assert evaluate(q, x) * evaluate(g, x) + evaluate(r, x) == evaluate(f, x)
+        assert degree(r) < degree(g) or degree(r) < 0
 
 
 def test_resultant_vs_root_product():
@@ -72,4 +74,4 @@ def test_discriminant_quadratic_cubic():
 def test_cauchy_bound():
     f = Polynomial([-6, 11, -6, 1])  # roots 1, 2, 3
     m = cauchy_root_bound(f)
-    assert f(m) != 0 and m > 3
+    assert evaluate(f, m) != 0 and m > 3
