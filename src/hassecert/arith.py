@@ -47,6 +47,9 @@ def is_prime(n):
 
 
 _PROVED_PRIMES = set()  # moduli proved prime in this process; never a composite
+# the least quadratic non-residue of each proved prime p = 1 mod 4 that
+# sqrt_mod has rooted at: a constant of p, looked up after the guard
+_NON_RESIDUES = {}
 
 
 def _require_prime(p, odd=False):
@@ -88,9 +91,12 @@ def sqrt_mod(a, p):
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
+    z = _NON_RESIDUES.get(p)
+    if z is None:
+        z = 2
+        while legendre(z, p) != -1:
+            z += 1
+        _NON_RESIDUES[p] = z
     m, c = s, pow(z, q, p)
     t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
@@ -222,7 +228,7 @@ def hensel_sqrt(a, p, k):
     while prec < k:
         prec = min(2 * prec, k)
         mod = p**prec
-        r = (r + a * pow(r, -1, mod)) * pow(2, -1, mod) % mod
+        r = (r + a * pow(r, -1, mod)) * ((mod + 1) // 2) % mod  # 1/2 mod odd mod
     r %= pk
     return min(r, pk - r)
 
@@ -360,22 +366,42 @@ def _two_unit_omega(u):
     return ((u * u - 1) // 8) % 2
 
 
+def unit_character(u, p):
+    """What a Hilbert symbol at p reads of the p-adic unit residue u: u mod 8
+    at p = 2, the Legendre symbol (u|p) at odd p."""
+    _require_prime(p)
+    if u % p == 0:
+        raise ValueError("unit_character expects a p-adic unit")
+    return u % 8 if p == 2 else legendre(u, p)
+
+
+def hilbert_symbol_char(alpha, chi, beta, v, p):
+    """Hilbert symbol (p^alpha u, p^beta v)_p in {+1,-1}, with u given by
+    its character chi = unit_character(u, p) and v as an int unit residue
+    (only v mod p, mod 8 at p = 2, matters).  The one formula behind
+    hilbert_symbol_units and hilbert_symbol; at odd p it reads (v|p) only
+    when alpha is odd, so a caller holding a fixed first argument's
+    character pays no exponentiation at an even alpha."""
+    _require_prime(p)
+    if v % p == 0:
+        raise ValueError("hilbert_symbol_char expects a p-adic unit v")
+    if p == 2:
+        odd = (_two_unit_eps(chi) * _two_unit_eps(v)
+               + alpha * _two_unit_omega(v) + beta * _two_unit_omega(chi))
+    else:
+        odd = alpha * beta * ((p - 1) // 2)
+        if beta % 2 and chi == -1:
+            odd += 1
+        if alpha % 2 and legendre(v, p) == -1:
+            odd += 1
+    return -1 if odd % 2 else 1
+
+
 def hilbert_symbol_units(alpha, u, beta, v, p):
     """Hilbert symbol (p^alpha u, p^beta v)_p in {+1,-1} for ints alpha,
     beta and p-adic units u, v given as int residues: only u, v mod p (mod
-    8 at p = 2) matter.  The one formula behind hilbert_symbol."""
-    if u % p == 0 or v % p == 0:
-        raise ValueError("hilbert_symbol_units expects p-adic units u, v")
-    if p == 2:
-        odd = (_two_unit_eps(u) * _two_unit_eps(v)
-               + alpha * _two_unit_omega(v) + beta * _two_unit_omega(u))
-    else:
-        odd = alpha * beta * ((p - 1) // 2)
-        if legendre(u, p) == -1:
-            odd += beta
-        if legendre(v, p) == -1:
-            odd += alpha
-    return -1 if odd % 2 else 1
+    8 at p = 2) matter."""
+    return hilbert_symbol_char(alpha, unit_character(u, p), beta, v, p)
 
 
 def hilbert_symbol(a, b, place):

@@ -16,15 +16,14 @@ from .arith import (
     Place,
     frac_mod,
     hilbert_symbol,
-    hilbert_symbol_units,
+    hilbert_symbol_char,
     is_local_square,
     legendre,
     padic_val,
-    square_class,
     unit_part,
 )
 from .family import admissible_model
-from .local import delta_surface_point, sample_surface_points
+from .local import ResidueContext, delta_surface_point, sample_surface_points
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
@@ -35,80 +34,48 @@ class PrecisionError(ArithmeticError):
     """Every slot representation is indeterminate at the point's precision."""
 
 
-@dataclass(frozen=True)
-class QuaternionClass:
-    """The order-2 class (a, slot) with its four slot representations
-    b(u-Av)/v, -(u-Bv)/v, b(u-Av)/(-au), -(u-Bv)/(-au): any two differ by
-    a norm from Q(sqrt(a)) times a square, so their symbols agree at every
-    point where both are defined and nonzero."""
-
-    a: Fraction
-    b: Fraction
-    A: Fraction
-    B: Fraction
-
-    def slot_fractions(self, u, v):
-        """The four representations at exact rational (u, v); entries are
-        None where the value is zero or undefined."""
-        out = []
-        phi = u - self.A * v
-        psi = u - self.B * v
-        for num, den in ((self.b * phi, v), (-psi, v),
-                         (self.b * phi, -self.a * u), (-psi, -self.a * u)):
-            if den == 0 or num == 0:
-                out.append(None)
-            else:
-                out.append(num / den)
-        return out
-
-    def slot_residues(self, u, v, p, prec):
-        """Square classes (w, r) of the four representations at a residue
-        point (u, v) mod p^prec: w the valuation, r the unit part mod
-        p^(margin+1) as an int; None where indeterminate."""
-        pk = p**prec
-        au = frac_mod(self.a, pk)
-        A_, B_, b_ = frac_mod(self.A, pk), frac_mod(self.B, pk), frac_mod(self.b, pk)
-        phi = (u - A_ * v) % pk
-        psi = (u - B_ * v) % pk
-        margin = 3 if p == 2 else 1
-        unit_mod = p ** (margin + 1)
-        out = []
-        for num, den in ((b_ * phi % pk, v % pk), ((-psi) % pk, v % pk),
-                         (b_ * phi % pk, (-au * u) % pk), ((-psi) % pk, (-au * u) % pk)):
-            if num == 0 or den == 0:
-                out.append(None)
-                continue
-            wn, wd = padic_val(num, p), padic_val(den, p)
-            if wn > prec - 1 - margin or wd > prec - 1 - margin:
-                out.append(None)
-                continue
-            un = num // p**wn
-            ud = den // p**wd
-            out.append((wn - wd, un * pow(ud, -1, unit_mod) % unit_mod))
-        return out
+def slot_fractions(surface_model, u, v):
+    """The class (a, slot)'s four slot representations b(u-Av)/v,
+    -(u-Bv)/v, b(u-Av)/(-au), -(u-Bv)/(-au) at exact rational (u, v);
+    entries are None where the value is zero or undefined.  Any two differ
+    by a norm from Q(sqrt(a)) times a square, so their symbols agree at
+    every point where both are defined and nonzero.  At finite places
+    ResidueContext.slot_residues reads the same four off residues."""
+    a, b, A, B = surface_model.a, surface_model.b, surface_model.A, surface_model.B
+    out = []
+    phi = u - A * v
+    psi = u - B * v
+    for num, den in ((b * phi, v), (-psi, v), (b * phi, -a * u), (-psi, -a * u)):
+        if den == 0 or num == 0:
+            out.append(None)
+        else:
+            out.append(num / den)
+    return out
 
 
-def quaternion_class(surface_model):
-    return QuaternionClass(a=surface_model.a, b=surface_model.b,
-                           A=surface_model.A, B=surface_model.B)
-
-
-def evaluate_invariant_at_point(surface_model, point, place):
+def evaluate_invariant_at_point(surface_model, point, place, ctx=None):
     """Invariant in {0, 1/2} of the class at one local point.
 
     Picks every representation whose square class is determined at the
     point's precision, asserts they agree, and converts the Hilbert symbol
-    (a, slot)_v: +1 -> 0, -1 -> 1/2.
+    (a, slot)_v: +1 -> 0, -1 -> 1/2.  At a finite place ctx is the model's
+    ResidueContext at the point's precision (built here when not given):
+    the slots are read off its residues and each symbol off a's character
+    in it.
     """
-    qc = quaternion_class(surface_model)
     u, v = point.coords[3], point.coords[4]
     if place.is_real:
-        reps = qc.slot_fractions(Fraction(u), Fraction(v))
+        reps = slot_fractions(surface_model, Fraction(u), Fraction(v))
         symbols = {hilbert_symbol(surface_model.a, r, place) for r in reps if r is not None}
     else:
-        reps = qc.slot_residues(int(u), int(v), place.p, point.prec)
-        alpha, ua = square_class(surface_model.a, place.p)
-        symbols = {hilbert_symbol_units(alpha, ua, *r, place.p) for r in reps if r is not None}
+        if ctx is None:
+            ctx = ResidueContext.of(surface_model, place.p, point.prec)
+        elif ctx.prec != point.prec:
+            raise ValueError(f"point of precision {point.prec} evaluated in a residue "
+                             f"context of precision {ctx.prec}")
+        reps = ctx.slot_residues(int(u), int(v))
+        symbols = {hilbert_symbol_char(ctx.a_val, ctx.a_char, *r, place.p)
+                   for r in reps if r is not None}
     if not symbols:
         raise PrecisionError(f"every slot representation is indeterminate at {place} "
                              f"to precision {point.prec}")
@@ -119,19 +86,22 @@ def evaluate_invariant_at_point(surface_model, point, place):
     return ZERO if symbols.pop() == 1 else HALF
 
 
-def sample_invariant(surface_model, place, n, seed=0, extra_points=()):
+def sample_invariant(surface_model, place, n, seed=0, extra_points=(), ctx=None):
     """Invariant at n local points: the caller's (delta images), then
-    direct samples up to n.
+    direct samples up to n.  At a finite place every point is drawn and
+    evaluated in one ResidueContext: ctx, or one built here.
 
     Returns (value, consistent, count).  A sampler shortfall or an
     indeterminate point raises; no point is dropped.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
+    if ctx is None and not place.is_real:
+        ctx = ResidueContext.of(surface_model, place.p)
     pts = list(extra_points)
     if len(pts) < n:
-        pts += sample_surface_points(surface_model, place, n - len(pts), seed=seed)
-    values = [evaluate_invariant_at_point(surface_model, pt, place) for pt in pts]
+        pts += sample_surface_points(surface_model, place, n - len(pts), seed=seed, ctx=ctx)
+    values = [evaluate_invariant_at_point(surface_model, pt, place, ctx) for pt in pts]
     return values[0], len(set(values)) == 1, len(values)
 
 
@@ -169,7 +139,7 @@ def _trace(trace, text, ok):
     return bool(ok)
 
 
-def certify_invariant(surface, place, theta):
+def certify_invariant(surface, place, theta, model=None):
     """Walk the per-place decision tree and certify the invariant value.
 
     Branches (hypotheses re-verified numerically, never assumed):
@@ -182,7 +152,8 @@ def certify_invariant(surface, place, theta):
     A fiber over verified parameters always lands in a branch.  Where no
     branch applies the entry is a refusal: method "refused", value None,
     the failed hypotheses in the trace and the reason in warning.  No value
-    read off sampled points ever enters the table.
+    read off sampled points ever enters the table.  At a finite place model
+    is the surface's admissible_model at p, built here when not given.
     """
     trace = []
     if place.is_real:
@@ -190,8 +161,9 @@ def certify_invariant(surface, place, theta):
             return InvariantCertificate(place, ZERO, "prop-square", trace)
         return _refused(place, trace, "negative a at the real place")
     p = place.p
-    model, change = admissible_model(surface, p, theta)
-    change.assert_square_factor()
+    if model is None:
+        model, _ = admissible_model(surface, p, theta)
+    model.change.assert_square_factor()
     a = model.a
     if padic_val(a, p) == 0 and is_local_square(a, place):
         _trace(trace, f"a is a square in Q_{p}", True)
@@ -288,21 +260,24 @@ def obstruction_certificate(curve, surface, local_result, samples=10):
     table = {}
     errors = []
     for place in local_result.critical.places:
-        cert = certify_invariant(surface, place, theta)
+        # one model and one residue context per place, for the branch and
+        # for every point of the sampling confirmation
+        model, ctx = surface, None
+        if not place.is_real:
+            model, _ = admissible_model(surface, place.p, theta)
+        cert = certify_invariant(surface, place, theta, model=model)
         table[place] = cert
         if not cert.rigorous:
             errors.append(f"invariant at {place} {cert.warning}")
             continue
-        # sampling confirmation at every proved place
-        model = surface
         if not place.is_real:
-            model, _ = admissible_model(surface, place.p, theta)
+            ctx = ResidueContext.of(model, place.p)
         extra = []
         curve_cert = local_result.certificates.get(place)
         if curve_cert is not None and curve_cert.witness is not None:
-            extra = [delta_surface_point(model, curve, place, curve_cert)]
+            extra = [delta_surface_point(model, curve, place, curve_cert, ctx)]
         sval, consistent, count = sample_invariant(model, place, samples,
-                                                   extra_points=extra)
+                                                   extra_points=extra, ctx=ctx)
         cert.sample_count = count
         cert.samples_consistent = consistent
         if not consistent:

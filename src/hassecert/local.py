@@ -31,6 +31,8 @@ from .arith import (
     legendre,
     padic_val,
     sieve_primes_upto,
+    square_class,
+    unit_character,
     unit_part,
 )
 from .family import delta_coords, integral_model
@@ -661,11 +663,102 @@ def _refine_curve_witness(curve_m, wit, p, prec):
     raise ValueError(wit.kind)
 
 
-def delta_surface_point(surface_model, curve, place, cert):
+def _split_residue(x, p, pk, deepest):
+    """(v_p(x), x / p^v_p(x)) for a residue x mod pk, or None when x is 0
+    mod pk or its valuation exceeds deepest."""
+    x %= pk
+    if x == 0:
+        return None
+    w = 0
+    while x % p == 0:
+        x //= p
+        w += 1
+    return None if w > deepest else (w, x)
+
+
+@dataclass(frozen=True)
+class ResidueContext:
+    """A surface model's residue data at one finite place, reduced once and
+    read by the delta image's quadric check, the sampler and the invariant
+    evaluation at every point.
+
+    prec is the working precision (_working_precision unless a point of
+    another precision is evaluated), pk = p^prec, pk1 = p^(prec-1);
+    coeffs are a, b, A, B, C mod m = p^(prec+2); a_val = v_p(a), a_char
+    the character of a's unit part (arith.unit_character), and a_inv the
+    inverse of a / p^max(0, a_val) mod m.
+    """
+
+    p: int
+    prec: int
+    pk: int
+    pk1: int
+    m: int
+    coeffs: tuple
+    a_val: int
+    a_char: int
+    a_inv: int
+
+    @classmethod
+    def of(cls, surface_model, p, prec=None):
+        if prec is None:
+            prec = _working_precision(surface_model, p)
+        m = p ** (prec + 2)
+        a = surface_model.a
+        a_val, a_unit = square_class(a, p)
+        return cls(
+            p=p, prec=prec, pk=p**prec, pk1=p ** (prec - 1), m=m,
+            coeffs=tuple(frac_mod(getattr(surface_model, k), m) for k in "abABC"),
+            a_val=a_val, a_char=unit_character(a_unit, p),
+            a_inv=pow(frac_mod(a / p ** max(0, a_val), m), -1, m),
+        )
+
+    def quadrics(self, coords):
+        """The two quadrics at residue coords, mod p^prec."""
+        a, b, A, B, C = self.coeffs
+        x, y, z, u, v = coords
+        pk = self.pk
+        q1 = (x * x - a * z * z + b * (u - A * v) * (u - B * v)) % pk
+        q2 = (x * x - a * y * y + a * C * C * u * v) % pk
+        return q1, q2
+
+    def slot_residues(self, u, v):
+        """Square classes (w, r) of the four representations b(u-Av)/v,
+        -(u-Bv)/v, b(u-Av)/(-au), -(u-Bv)/(-au) of the quaternion class's
+        slot at a residue point (u, v) mod p^prec: w the valuation, r the
+        unit part mod p^(margin+1) as an int (margin 3 at p = 2, else 1);
+        None where indeterminate (zero mod p^prec, or a numerator or
+        denominator of valuation above prec - 1 - margin).  Any two differ
+        by a norm from Q(sqrt(a)) times a square, so their symbols agree
+        wherever both are determined."""
+        p, pk = self.p, self.pk
+        a, b, A, B, _ = self.coeffs
+        margin = 3 if p == 2 else 1
+        unit_mod = p ** (margin + 1)
+        deepest = self.prec - 1 - margin
+        nums = (_split_residue(b * (u - A * v), p, pk, deepest),
+                _split_residue(B * v - u, p, pk, deepest))
+        dens = (_split_residue(v, p, pk, deepest),
+                _split_residue(-a * u, p, pk, deepest))
+        out = []
+        for den in dens:
+            if den is not None:
+                wd, ud = den
+                inv = pow(ud, -1, unit_mod)
+            for num in nums:
+                if num is None or den is None:
+                    out.append(None)
+                else:
+                    out.append((num[0] - wd, num[1] * inv % unit_mod))
+        return out
+
+
+def delta_surface_point(surface_model, curve, place, cert, ctx=None):
     """Image of the curve certificate's witness on the given surface model:
     residues mod p^prec at finite places (prec the working precision of
     sample_surface_points), exact data at the real place.  Raises when the
-    image fails the model's quadrics."""
+    image fails the model's quadrics.  ctx is the model's ResidueContext
+    at p; it is built here when not given."""
     wit = cert.witness
     if wit is None:
         raise ValueError("certificate carries no witness")
@@ -677,7 +770,9 @@ def delta_surface_point(surface_model, curve, place, cert):
         u, v = (t ** (g + 1), Fraction(1)) if wit.chart == "st" else (Fraction(1), t ** (g + 1))
         return SurfacePoint(place=place, coords=(Fraction(0), y, None, u, v))
     p = place.p
-    prec = _working_precision(surface_model, p)
+    if ctx is None:
+        ctx = ResidueContext.of(surface_model, p)
+    prec = ctx.prec
     curve_m, curve_change = integral_model(curve, p)
     mults = surface_model.change.mults
     shift = sum(
@@ -694,33 +789,30 @@ def delta_surface_point(surface_model, curve, place, cert):
     coords = delta_coords(wit.chart, s, t, co.C, g)
     model_coords = [c / m for c, m in zip(coords, mults)]
     m0 = min(padic_val(c, p) for c in model_coords if c != 0)
-    pk = p**prec
-    residues = tuple(frac_mod(c * Fraction(p) ** -m0, pk) for c in model_coords)
-    pt = SurfacePoint(place=place, coords=residues, prec=prec)
-    if _residue_quadrics(surface_model, pt, p, prec) != (0, 0):
+    residues = tuple(frac_mod(c * Fraction(p) ** -m0, ctx.pk) for c in model_coords)
+    if ctx.quadrics(residues) != (0, 0):
         raise ArithmeticError(
             f"delta image failed to verify against the surface equations at {place}"
         )
-    return pt
-
-
-def _model_residues(surface_model, p, prec):
-    """a, b, A, B, C of the model mod p^(prec+2): the sampler reduces them
-    once per call for its draws and its quadric check on every point."""
-    m = p ** (prec + 2)
-    return tuple(frac_mod(getattr(surface_model, k), m) for k in "abABC")
-
-
-def _quadrics_mod(residues, coords, pk):
-    a, b, A, B, C = residues
-    x, y, z, u, v = coords
-    q1 = (x * x - a * z * z + b * (u - A * v) * (u - B * v)) % pk
-    q2 = (x * x - a * y * y + a * C * C * u * v) % pk
-    return q1, q2
+    return SurfacePoint(place=place, coords=residues, prec=prec)
 
 
 def _residue_quadrics(surface_model, pt, p, prec):
-    return _quadrics_mod(_model_residues(surface_model, p, prec), pt.coords, p**prec)
+    return ResidueContext.of(surface_model, p, prec).quadrics(pt.coords)
+
+
+def _may_be_square(r, p, pk1):
+    """False iff _residue_sqrt(r, p, prec, ...) is None for p odd and r !=
+    0 mod pk1 = p^(prec-1): v_p(r) odd, or its unit part a non-residue by
+    Euler's criterion.  True at p = 2 and for deep r, left to
+    _residue_sqrt."""
+    if p == 2 or r % pk1 == 0:
+        return True
+    v = 0
+    while r % p == 0:
+        r //= p
+        v += 1
+    return v % 2 == 0 and pow(r, (p - 1) // 2, p) == 1
 
 
 class SamplerBudgetExceeded(RuntimeError):
@@ -736,21 +828,24 @@ def _working_precision(surface_model, p):
                + padic_val(surface_model.B - surface_model.A, p) + m + 2)
 
 
-def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET):
+def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET, ctx=None):
     """n independent local points of the surface model at the place.
 
     Finite places: random residue points whose x^2, y^2, z^2 are formed
     as residues mod p^(prec+2) of exact p-integral values and rooted by
     _residue_sqrt, with _exact_padic_sqrt's verdict on each, so the
-    quadrics hold to the working precision.  At places
+    quadrics hold to the working precision.  Both squares of a trial are
+    tested by _may_be_square before either is rooted, so a rejected trial
+    lifts nothing.  At places
     with v_p(a) = 1 the sampler uses the structured shape that any local
     point must have there: x = p x1, v a unit (taken 1), u = A + p u1.
     Real place: (u, v, y) rational with y large enough that both quadrics
-    are solvable in x and z over R.
+    are solvable in x and z over R.  ctx is the model's ResidueContext at
+    p as ResidueContext.of builds it; it is built here when not given.
 
     Residues are taken mod p^prec, prec = _working_precision(model, p),
     which determines the square class of b phi / v or of -psi / v (phi =
-    u - Av, psi = u - Bv) at every returned point: slot_residues in brauer
+    u - Av, psi = u - Bv) at every returned point: slot_residues
     needs numerator and denominator nonzero mod p^prec, of valuation at
     most prec - 1 - m.  The denominator v is a unit (drawn as one, or 1)
     and prec >= 6 > m.  Mod p^prec, phi - psi = (B - A) v has valuation
@@ -779,16 +874,14 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
             out.append(SurfacePoint(place=place, coords=(None, y, None, u, v)))
         return out
     p = place.p
-    va = max(0, int(padic_val(a, p)))
-    prec = _working_precision(surface_model, p)
-    pk = p**prec
+    if ctx is None:
+        ctx = ResidueContext.of(surface_model, p)
+    va = max(0, ctx.a_val)
+    prec, pk, pk1, m, inv = ctx.prec, ctx.pk, ctx.pk1, ctx.m, ctx.a_inv
     # every value below is p-integral and is drawn and tested as a residue
-    # mod p^(prec+2); a / p^va is a unit
-    m = p ** (prec + 2)
-    residues = _model_residues(surface_model, p, prec)
-    a_, b_, A_, B_, C_ = residues
+    # mod m = p^(prec+2); a / p^va is a unit with inverse inv
+    a_, b_, A_, B_, C_ = ctx.coeffs
     c2 = C_ * C_ % m
-    inv = pow(frac_mod(a / p**va, m), -1, m)
     trials = 0
     while len(out) < n:
         trials += 1
@@ -804,12 +897,16 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
             if u % p == 0 or v % p == 0:
                 continue
             w = (y * y - c2 * u * v) % m  # x^2 / a
-            x = _residue_sqrt(a_ * w % m, p, prec,
+            x2 = a_ * w % m
+            z2 = (w + b_ * (u - A_ * v) * (u - B_ * v) * inv) % m
+            if not (_may_be_square(x2, p, pk1) and _may_be_square(z2, p, pk1)):
+                continue
+            x = _residue_sqrt(x2, p, prec,
                               lambda: a * (Fraction(y) ** 2 - C * C * u * v))
             if x is None:
                 continue
             z = _residue_sqrt(
-                (w + b_ * (u - A_ * v) * (u - B_ * v) * inv) % m, p, prec,
+                z2, p, prec,
                 lambda: Fraction(y) ** 2 - C * C * u * v + b * (u - A * v) * (u - B * v) / a,
             )
             if z is None:
@@ -822,14 +919,18 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
             # y^2 = (x^2 + a C^2 u) / a, with the p of a cancelled
             u = (A_ + p * u1) % m
             px2 = p * x1 * x1
+            z2 = (px2 + b_ * u1 * (u - B_)) * inv % m
+            y2 = (px2 * inv + c2 * u) % m
+            if not (_may_be_square(z2, p, pk1) and _may_be_square(y2, p, pk1)):
+                continue
             z = _residue_sqrt(
-                (px2 + b_ * u1 * (u - B_)) * inv % m, p, prec,
+                z2, p, prec,
                 lambda: (Fraction(p) ** 2 * x1 * x1 + b * p * u1 * (A + p * u1 - B)) / a,
             )
             if z is None:
                 continue
             y = _residue_sqrt(
-                (px2 * inv + c2 * u) % m, p, prec,
+                y2, p, prec,
                 lambda: (Fraction(p) ** 2 * x1 * x1 + a * C * C * (A + p * u1)) / a,
             )
             if y is None:
@@ -837,8 +938,8 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
             coords = (p * x1 % pk, y, z, u % pk, 1)
         else:
             raise ValueError(f"sampler does not handle v_p(a) = {va}")
-        q1, q2 = _quadrics_mod(residues, coords, pk)
-        if q1 % p ** (prec - 1) or q2 % p ** (prec - 1):
+        q1, q2 = ctx.quadrics(coords)
+        if q1 % pk1 or q2 % pk1:
             continue
         out.append(SurfacePoint(place=place, coords=coords, prec=prec))
     return out

@@ -176,6 +176,17 @@ def test_prime_guard_rejects_non_primes_every_time(name, call, p):
             call(p)
 
 
+@pytest.mark.parametrize("p", [9, 15, 1])
+def test_hilbert_character_form_rejects_non_primes_every_time(p):
+    # the character form reads no Legendre symbol at an even alpha, so it
+    # must guard p itself
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            arith.unit_character(2, p)
+        with pytest.raises(ValueError):
+            arith.hilbert_symbol_char(0, 1, 1, 2, p)
+
+
 def test_legendre_rejects_two_after_two_is_proved():
     assert padic_val(8, 2) == 3
     for _ in range(2):
@@ -271,6 +282,21 @@ def test_sqrt_mod_exhaustive_small_primes():
                 assert r is None
             else:
                 assert r == min(cands)
+
+
+@pytest.mark.parametrize("p", [257, 7681, 12289, 65537])
+def test_sqrt_mod_exhaustive_at_high_two_power_primes(p):
+    # p - 1 = 2^8, 2^9 * 15, 2^12 * 3, 2^16: Tonelli-Shanks runs its longest
+    # loops, with the non-residue remembered after the first call
+    squares = {x * x % p for x in range(p)}
+    for a in range(p):
+        r = sqrt_mod(a, p)
+        if a in squares:
+            assert r * r % p == a and r <= p // 2, (a, p)
+        else:
+            assert r is None, (a, p)
+    z = arith._NON_RESIDUES[p]
+    assert legendre(z, p) == -1 and all(legendre(k, p) == 1 for k in range(2, z))
 
 
 def test_sqrt_mod_large_prime():

@@ -63,4 +63,7 @@ def test_traced_fiber_raises_through_no_wrapper():
     assert out["certified"] is True
     assert tracer.counts["local.delta_surface_point.errors"] == 0
     assert tracer.counts["brauer.evaluate_invariant_at_point.errors"] == 0
-    assert tracer.counts["brauer.evaluate_invariant_at_point.calls"] > 0
+    # one evaluation per sampled point, each through the public boundary
+    table = out["obstruction"]["table"]
+    assert tracer.counts["brauer.evaluate_invariant_at_point.calls"] == sum(
+        entry["sample_count"] for entry in table) > 0

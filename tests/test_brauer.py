@@ -10,11 +10,11 @@ from hassecert.brauer import (
     certify_invariant,
     evaluate_invariant_at_point,
     obstruction_certificate,
-    quaternion_class,
     sample_invariant,
 )
 from hassecert.family import Theta, admissible_model, build_curve, build_surface, fiber_coeffs
 from hassecert.local import (
+    ResidueContext,
     SamplerBudgetExceeded,
     SurfacePoint,
     certify_all_local,
@@ -98,9 +98,9 @@ def test_representation_independence_on_samples():
         for p in critical_places(build_curve(co)).primes():
             place = Place.finite(p)
             model, _ = admissible_model(surface, p, th)
-            qc = quaternion_class(model)
+            ctx = ResidueContext.of(model, p)
             for pt in sample_surface_points(model, place, 8, seed=5):
-                reps = qc.slot_residues(int(pt.coords[3]), int(pt.coords[4]), p, pt.prec)
+                reps = ctx.slot_residues(int(pt.coords[3]), int(pt.coords[4]))
                 defined = [Fraction(p) ** w * r for w, r in (x for x in reps if x is not None)]
                 assert len(defined) >= 2 or p != PARAMS.a
                 symbols = {hilbert_symbol(model.a, r, place) for r in defined}
@@ -159,10 +159,10 @@ def test_refused_place_fails_the_fiber(monkeypatch, tmp_path):
     refused = Place.finite(PARAMS.c)
     certify = brauer.certify_invariant
 
-    def refuse_at_c(surface, place, theta):
+    def refuse_at_c(surface, place, theta, **kwargs):
         if place == refused:
             return brauer._refused(place, [], "test refusal")
-        return certify(surface, place, theta)
+        return certify(surface, place, theta, **kwargs)
 
     monkeypatch.setattr(brauer, "certify_invariant", refuse_at_c)
     res = certify_all_local(CURVE_0, sample_count=2)

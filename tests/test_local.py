@@ -449,6 +449,87 @@ def test_sampler_budget_error():
         sample_surface_points(surface, Place.finite(11), 10**6, budget=5)
 
 
+# ----- the residue context ---------------------------------------------------
+
+@pytest.mark.parametrize("theta, p", [
+    ("0", 2), ("0", PARAMS.a), ("0", PARAMS.c), ("1/2", 2), ("1/3", 3), ("-2/3", 3),
+    ("inf", 2), ("inf", PARAMS.a), ("inf", PARAMS.c),
+])
+def test_residue_context_matches_model_and_callers(theta, p):
+    # 2, the place of a (v_p(a) = 1), primes of den(theta) and theta = inf:
+    # the context holds the model's own residues, and every caller returns
+    # the same points and values with the context as without it
+    from hassecert.arith import frac_mod, legendre, square_class
+    from hassecert.brauer import certify_invariant, evaluate_invariant_at_point
+    from hassecert.family import admissible_model
+    from hassecert.local import ResidueContext, _working_precision
+
+    th = Theta.parse(theta)
+    co = fiber_coeffs(PARAMS, th)
+    curve, surface = build_curve(co), build_surface(co)
+    model, _ = admissible_model(surface, p, th)
+    place = Place.finite(p)
+    ctx = ResidueContext.of(model, p)
+    prec = _working_precision(model, p)
+    assert (ctx.p, ctx.prec, ctx.pk, ctx.pk1, ctx.m) == (
+        p, prec, p**prec, p ** (prec - 1), p ** (prec + 2))
+    assert ctx.coeffs == tuple(frac_mod(getattr(model, k), ctx.m) for k in "abABC")
+    alpha, unit = square_class(model.a, p)
+    assert ctx.a_val == alpha == padic_val(model.a, p)
+    assert ctx.a_char == (unit % 8 if p == 2 else legendre(unit, p))
+    assert ctx.a_inv * frac_mod(model.a / p ** max(0, alpha), ctx.m) % ctx.m == 1
+    if p == PARAMS.a:
+        assert alpha == 1
+
+    pts = sample_surface_points(model, place, 9, seed=0, ctx=ctx)
+    assert pts == sample_surface_points(model, place, 9, seed=0)
+    delta = delta_surface_point(model, curve, place, certify_local_curve(curve, place), ctx)
+    assert delta == delta_surface_point(model, curve, place, certify_local_curve(curve, place))
+    value = certify_invariant(surface, place, th).value
+    for pt in [delta] + pts:
+        assert ctx.quadrics(pt.coords) == _residue_quadrics(model, pt, p, pt.prec)
+        assert evaluate_invariant_at_point(model, pt, place, ctx) == value
+        assert evaluate_invariant_at_point(model, pt, place) == value
+
+
+def test_residue_context_refuses_a_point_of_another_precision():
+    from hassecert.brauer import evaluate_invariant_at_point
+    from hassecert.local import ResidueContext
+
+    place = Place.finite(PARAMS.c)
+    surface = build_surface(CO_0)
+    (pt,) = sample_surface_points(surface, place, 1)
+    ctx = ResidueContext.of(surface, PARAMS.c, pt.prec + 1)
+    with pytest.raises(ValueError, match="precision"):
+        evaluate_invariant_at_point(surface, pt, place, ctx)
+
+
+@pytest.mark.parametrize("p", [3, 5, 73, 1753])
+def test_squareness_pretest_predicts_residue_sqrt(p):
+    # at odd p the pretest is _residue_sqrt's verdict for every residue not
+    # divisible by p^(prec-1); it never rejects a residue that has a root
+    import random
+
+    from hassecert.local import _may_be_square, _residue_sqrt
+
+    rng = random.Random(p)
+    prec = 6
+    m, pk1 = p ** (prec + 2), p ** (prec - 1)
+
+    def forbidden():
+        raise AssertionError("the exact value is needed only for deep residues")
+
+    for v in range(prec - 1):
+        for _ in range(40):
+            r = rng.randrange(1, p ** (prec + 2 - v)) * p**v % m
+            if r % p ** (v + 1) == 0:
+                continue
+            rooted = _residue_sqrt(r, p, prec, forbidden) is not None
+            assert _may_be_square(r, p, pk1) == rooted, (r, p)
+    assert _may_be_square(0, p, pk1) and _may_be_square(pk1, p, pk1)
+    assert _may_be_square(3, 2, 2**5)  # p = 2 is left to _residue_sqrt
+
+
 def test_config_grid_spec():
     from hassecert.cli import RunConfig
 
