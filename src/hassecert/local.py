@@ -797,10 +797,6 @@ def delta_surface_point(surface_model, curve, place, cert, ctx=None):
     return SurfacePoint(place=place, coords=residues, prec=prec)
 
 
-def _residue_quadrics(surface_model, pt, p, prec):
-    return ResidueContext.of(surface_model, p, prec).quadrics(pt.coords)
-
-
 def _may_be_square(r, p, pk1):
     """False iff _residue_sqrt(r, p, prec, ...) is None for p odd and r !=
     0 mod pk1 = p^(prec-1): v_p(r) odd, or its unit part a non-residue by

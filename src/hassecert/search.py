@@ -13,27 +13,66 @@ only the set bits reach the exact square tests.  A value that is not a
 square mod some modulus is not an integer square, so the sieve discards
 nothing the exact tests would keep: the output is that of testing every
 candidate, in the same order.
+
+The residue patterns behind the masks come from few direct builds, by a
+homogeneity lemma.  Each square condition is a form F(r, w, z) of even
+degree 2e in the numerator r, the outer coordinate w and the other outer
+coordinates z: k (q m^(g+1) - alpha n^(g+1)) (q m^(g+1) - beta n^(g+1))
+in (m, n) for the curve, degree 2(g+1); and the y- and z-conditions in
+(u, v, x1) for the surface, degree 2.
+
+Lemma.  Let w = d u mod M with d = gcd(w, M) and u a unit mod M.  Then
+F(r, w, z) is a square mod M iff F(r u^-1, d, z u^-1) is.
+
+Proof.  By homogeneity F(r, w, z) = u^(2e) F(r u^-1, d, z u^-1) mod M, and
+c = u^(2e) = (u^e)^2 is a unit square.  Multiplying by a unit square maps
+the squares mod M into themselves (x = y^2 gives c x = (u^e y)^2), and so
+does multiplying by its inverse, which is the unit square (u^-e)^2.  Every
+residue w has such a form: w / d is a unit mod M / d, and every unit mod
+M / d lifts to a unit mod M.
+
+So the pattern of (w, z) is the base pattern of (d, z u^-1) read at
+r u^-1, and one search call builds a pattern directly only once per
+(d, z u^-1), in a Python loop over the residues.  Every other pattern is
+the base pattern permuted by bytes.translate, in C.
 """
 
+import functools
 import math
 from fractions import Fraction
 
-from .arith import is_rational_square, square_residues
+from .arith import is_prime, is_rational_square, square_residues
 
 # The prime powers 9, 25, 49 and 64 reject more non-squares than 3, 5, 7
 # and 2 would.  Ascending order builds the cheap masks first: a dearer one
 # is built only for a window that still has survivors.
 SIEVE_MODULI = (9, 11, 13, 17, 19, 23, 25, 29, 31, 37, 41, 43, 47, 49, 53, 64)
 
+# the bytes 0 and 1 of a direct pattern as the digits of int(..., 2)
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
 
 def _is_square_int(n):
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def _residue_tables():
-    """Per sieve modulus: the modulus, its square table and an empty cache
-    for the window masks of one search call."""
-    return [(M, square_residues(M), {}) for M in SIEVE_MODULI]
+@functools.cache
+def _modulus_constants(M):
+    """The squares mod M (as square_residues) and, for each residue w,
+    (d, inv, perm): w = d u mod M with d = gcd(w, M) and u a unit,
+    inv = u^-1 mod M, and perm the bytes inv r mod M for r = M - 1, ..., 0.
+
+    Built on first use, not at import, which every set-up pays."""
+    divisors = [d for d in range(1, M + 1) if M % d == 0]
+    forms = [None] * M
+    for u in range(1, M):
+        if math.gcd(u, M) == 1:
+            inv = pow(u, -1, M)
+            perm = bytes(inv * r % M for r in range(M - 1, -1, -1))
+            for d in divisors:
+                if forms[d * u % M] is None:
+                    forms[d * u % M] = (d, inv, perm)
+    return square_residues(M), forms
 
 
 def _window_mask(pattern, modulus, lo, width):
@@ -56,24 +95,49 @@ def _set_bits(mask):
         mask ^= low
 
 
-def _sieve(tables, residues, pattern, height):
-    """Bitmask over the window -height, ..., height (bit i for numerator
-    i - height): the AND of the masks of every modulus, stopping once empty.
+class _Sieve:
+    """The sieve of one search call over the numerator window -height, ...,
+    height (bit i for numerator i - height).
 
-    pattern(M, sq) gives the residue pattern mod M, with bit r set when the
-    numerators = r mod M pass.  Each mask is cached under residues(M), the
-    residues mod M of the outer coordinates that determine it."""
-    width = 2 * height + 1
-    alive = (1 << width) - 1
-    for M, sq, masks in tables:
-        key = residues(M)
-        mask = masks.get(key)
-        if mask is None:
-            mask = masks[key] = _window_mask(pattern(M, sq), M, -height, width)
-        alive &= mask
-        if not alive:
-            break
-    return alive
+    direct(M, sq, d, z) builds the residue pattern mod M of the outer
+    coordinates (d, z), d a divisor of M, from the squares sq mod M: bytes
+    of length M whose entry r is 1 when the numerators = r mod M pass, else
+    0.  The base patterns and window masks are cached for this call only."""
+
+    def __init__(self, height, direct):
+        self.height = height
+        self.direct = direct
+        self.bases = {}
+        self.masks = [(M, {}) for M in SIEVE_MODULI]
+
+    def pattern(self, M, w, z):
+        """The residue pattern mod M of the outer coordinates (w, z), bit r
+        set when the numerators = r mod M pass: by the lemma, the base
+        pattern of (d, z u^-1) read at r u^-1, where w = d u mod M."""
+        sq, forms = _modulus_constants(M)
+        d, inv, perm = forms[w % M]
+        zs = z * inv % M
+        base = self.bases.get((M, d, zs))
+        if base is None:
+            base = self.bases[M, d, zs] = self.direct(M, sq, d, zs).translate(_DIGITS)
+        # translate reads a 256-byte table; only its first M entries are hit
+        return int(perm.translate(base.ljust(256)), 2)
+
+    def survivors(self, w, z=0):
+        """Bitmask of the numerators that pass every modulus at the outer
+        coordinates (w, z): the AND of one mask per modulus, stopping once
+        empty."""
+        width = 2 * self.height + 1
+        alive = (1 << width) - 1
+        for M, masks in self.masks:
+            key = w % M * M + z % M
+            mask = masks.get(key)
+            if mask is None:
+                mask = masks[key] = _window_mask(self.pattern(M, w, z), M, -self.height, width)
+            alive &= mask
+            if not alive:
+                break
+        return alive
 
 
 def curve_point_search(curve, height):
@@ -96,21 +160,18 @@ def curve_point_search(curve, height):
     beta = int(B * q)
     ab = a * b
     k = ab.numerator * ab.denominator
-    tables = _residue_tables()
+
+    def direct(M, sq, n, _):
+        npow = pow(n, g + 1, M)
+        c1, c2 = alpha * npow % M, beta * npow % M
+        ys = [q * pow(r, g + 1, M) for r in range(M)]
+        return bytes(sq[k * (y - c1) * (y - c2) % M] for y in ys)
+
+    sieve = _Sieve(height, direct)
     found = []
     for n in range(1, height + 1):
         npow = n ** (g + 1)
-
-        def pattern(M, sq):
-            c1, c2 = alpha * npow % M, beta * npow % M
-            bits = 0
-            for r in range(M):
-                y = q * pow(r, g + 1, M)
-                if sq[k * (y - c1) * (y - c2) % M]:
-                    bits |= 1 << r
-            return bits
-
-        for i in _set_bits(_sieve(tables, lambda M: n % M, pattern, height)):
+        for i in _set_bits(sieve.survivors(n)):
             m = i - height
             if math.gcd(m, n) != 1:
                 continue
@@ -132,8 +193,9 @@ def surface_point_search(surface, height):
 
     Enumerates (u, v) in the box and, per pair, the x values the second
     quadric allows: when a is a prime not dividing den(C), x must be a
-    multiple of a, which for desk-scale fibers pins x = 0 immediately.
-    y and z then come from exact integer square tests:
+    multiple of a, which for desk-scale fibers pins x = 0 immediately;
+    otherwise x runs over 0, ..., height.  y and z then come from exact
+    integer square tests:
 
         y^2 = a x1^2 + C^2 u v        (x = a x1)
         z^2 = (x^2 + b (u - Av)(u - Bv)) / a
@@ -149,9 +211,10 @@ def surface_point_search(surface, height):
     q = A.denominator * B.denominator // math.gcd(A.denominator, B.denominator)
     pA, pB = int(A * q), int(B * q)
     gamma, nu = C.numerator, C.denominator
-    # a | x is forced by the second quadric whenever a stays away from the
-    # denominator of C (a prime, the valuation argument at a)
-    a_forces = a_i > 1 and nu % a_i != 0
+    # x^2 nu^2 = a (y^2 nu^2 - gamma^2 u v) puts a | x^2 nu^2, which forces
+    # a | x when a is a prime not dividing nu; a composite a (4 | 6^2) or
+    # one sharing a factor with nu forces nothing
+    a_forces = a_i > 1 and nu % a_i != 0 and is_prime(a_i)
     x_step = a_i if a_forces else 1
     found = set()
 
@@ -176,30 +239,27 @@ def surface_point_search(surface, height):
                     if rz % q == 0 and rz // q <= height:
                         found.add((x, ry // nu, rz // q, u, v))
 
+    zb = a_i * b_i
+
+    def direct(M, sq, v, x1):
+        # mod M, both squares are polynomials in u: the y condition is
+        # y0 + y1 u (My when a forces x, else a num = a^2 My), and
+        # a Nz = a^2 (Nz / a) is z0 + a b (q u - pA v)(q u - pB v)
+        x = x_step * x1
+        if a_forces:
+            y0, y1 = a_i * x1 * x1 * nu * nu, gamma * gamma * v
+        else:
+            y0, y1 = a_i * x * x * nu * nu, a_i * a_i * gamma * gamma * v
+        z0, cA, cB = a_i * x * x * q * q, pA * v, pB * v
+        return bytes(sq[(y0 + y1 * r) % M] & sq[(z0 + zb * (q * r - cA) * (q * r - cB)) % M]
+                     for r in range(M))
+
     x1_max = height // x_step
     for x1 in range(x1_max + 1):
         check(1, 0, x1)
-    tables = _residue_tables()
-    zb = a_i * b_i
+    sieve = _Sieve(height, direct)
     for v in range(1, height + 1):
         for x1 in range(x1_max + 1):
-
-            def pattern(M, sq):
-                # mod M, both squares are polynomials in u: the y condition
-                # is y0 + y1 u (My when a forces x, else a num = a^2 My),
-                # and a Nz = a^2 (Nz / a) is z0 + a b (q u - pA v)(q u - pB v)
-                x = x_step * x1
-                if a_forces:
-                    y0, y1 = a_i * x1 * x1 * nu * nu, gamma * gamma * v
-                else:
-                    y0, y1 = a_i * x * x * nu * nu, a_i * a_i * gamma * gamma * v
-                z0, cA, cB = a_i * x * x * q * q, pA * v, pB * v
-                bits = 0
-                for r in range(M):
-                    if sq[(y0 + y1 * r) % M] and sq[(z0 + zb * (q * r - cA) * (q * r - cB)) % M]:
-                        bits |= 1 << r
-                return bits
-
-            for i in _set_bits(_sieve(tables, lambda M: v % M * M + x1 % M, pattern, height)):
+            for i in _set_bits(sieve.survivors(v, x1)):
                 check(i - height, v, x1)
     return sorted(found)

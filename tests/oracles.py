@@ -1,5 +1,6 @@
 """Reference oracles for the tests: general local decision procedures and
-the polynomial algebra they need.
+the polynomial algebra they need, the point searches' residue patterns
+built one residue at a time, and the residue check of a surface point.
 
 The library certifies each place by a named local lemma and refuses a
 place where none applies; it never runs a general decision procedure.
@@ -8,10 +9,17 @@ discs (odd p) or over the real line, so the tests can check every lemma
 verdict, and every refusal, against an independent answer.
 """
 
+import math
 from fractions import Fraction
 
-from hassecert.arith import legendre, padic_val
-from hassecert.local import Witness, _cleared, _eval_int, _witness_from_center
+from hassecert.arith import is_prime, legendre, padic_val, square_residues
+from hassecert.local import (
+    ResidueContext,
+    Witness,
+    _cleared,
+    _eval_int,
+    _witness_from_center,
+)
 from hassecert.polynomials import Polynomial
 
 
@@ -232,3 +240,63 @@ def decide_real_points(curve):
         t += step
         iterations += 1
     return True, None  # value 0 is attained, but only at irrational points
+
+
+# --------------------------------------------------------------------------
+# residue checks of surface points
+
+
+def residue_quadrics(surface_model, pt, p, prec):
+    """The two quadrics of surface_model at the residue point pt, mod p^prec."""
+    return ResidueContext.of(surface_model, p, prec).quadrics(pt.coords)
+
+
+# --------------------------------------------------------------------------
+# point-search residue patterns, one residue at a time
+
+
+def curve_sieve_pattern(curve, n, M):
+    """The curve search's residue pattern mod M at denominator n: bit r set
+    when k (q r^(g+1) - alpha n^(g+1)) (q r^(g+1) - beta n^(g+1)) is a
+    square mod M, with A = alpha/q, B = beta/q and k = num(ab) den(ab)."""
+    g = curve.genus
+    A, B = curve.A, curve.B
+    q = A.denominator * B.denominator // math.gcd(A.denominator, B.denominator)
+    alpha, beta = int(A * q), int(B * q)
+    ab = curve.a * curve.b
+    k = ab.numerator * ab.denominator
+    sq = square_residues(M)
+    npow = n ** (g + 1)
+    c1, c2 = alpha * npow % M, beta * npow % M
+    bits = 0
+    for r in range(M):
+        y = q * pow(r, g + 1, M)
+        if sq[k * (y - c1) * (y - c2) % M]:
+            bits |= 1 << r
+    return bits
+
+
+def surface_sieve_pattern(surface, v, x1, M):
+    """The surface search's residue pattern mod M at (v, x1): bit r set when
+    both the y and the z condition at u = r are squares mod M.  x = a x1
+    when a is a prime not dividing den(C), else x = x1."""
+    a, b, A, B, C = surface.a, surface.b, surface.A, surface.B, surface.C
+    a_i, b_i = int(a), int(b)
+    q = A.denominator * B.denominator // math.gcd(A.denominator, B.denominator)
+    pA, pB = int(A * q), int(B * q)
+    gamma, nu = C.numerator, C.denominator
+    a_forces = a_i > 1 and nu % a_i != 0 and is_prime(a_i)
+    x_step = a_i if a_forces else 1
+    zb = a_i * b_i
+    sq = square_residues(M)
+    x = x_step * x1
+    if a_forces:
+        y0, y1 = a_i * x1 * x1 * nu * nu, gamma * gamma * v
+    else:
+        y0, y1 = a_i * x * x * nu * nu, a_i * a_i * gamma * gamma * v
+    z0, cA, cB = a_i * x * x * q * q, pA * v, pB * v
+    bits = 0
+    for r in range(M):
+        if sq[(y0 + y1 * r) % M] and sq[(z0 + zb * (q * r - cA) * (q * r - cB)) % M]:
+            bits |= 1 << r
+    return bits

@@ -23,7 +23,6 @@ from hassecert.local import (
     sample_surface_points,
     _blanket_check,
     _eval_int,
-    _residue_quadrics,
     _root_witness,
 )
 from hassecert.params import sieve_params
@@ -33,6 +32,7 @@ from oracles import (
     decide_qp_points,
     decide_real_points,
     default_depth_bound,
+    residue_quadrics as _residue_quadrics,
 )
 
 

@@ -14,13 +14,13 @@ from hassecert.local import (
     SamplerBudgetExceeded,
     SurfacePoint,
     _exact_padic_sqrt,
-    _residue_quadrics,
     _residue_sqrt,
     _working_precision,
     critical_places,
     sample_surface_points,
 )
 from hassecert.params import sieve_params
+from oracles import residue_quadrics as _residue_quadrics
 
 
 PARAMS_G1 = sieve_params(1, 0, bound=10**7, count=1)[0]

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +28,9 @@ from hassecert.family import (
     fiber_coeffs,
 )
 from hassecert.params import sieve_params
-from hassecert.search import curve_point_search, surface_point_search
+import hassecert.search as search
+from hassecert.search import SIEVE_MODULI, curve_point_search, surface_point_search
+from oracles import curve_sieve_pattern, surface_sieve_pattern
 
 
 PARAMS = sieve_params(1, 0, bound=10**7, count=1)[0]
@@ -54,37 +60,38 @@ def _oracle_curve_points(curve, height):
     return found
 
 
+def _oracle_root(num, den):
+    """sqrt(num / den) when it is an integer, else None."""
+    if num < 0 or num % den:
+        return None
+    r = math.isqrt(num // den)
+    return r if r * r == num // den else None
+
+
 def _oracle_surface_points(surface, height):
+    """Every (x, y, z, u, v) on both quadrics with 0 <= x, y, z <= height and
+    (u, v) = (1, 0) or |u| <= height, 1 <= v <= height: a brute force over
+    x that assumes no rule forcing a | x.  From the quadrics,
+    a nu^2 y^2 = x^2 nu^2 + a gamma^2 u v and
+    a q^2 z^2 = x^2 q^2 + b (uq - pA v)(uq - pB v)."""
     a, b, A, B, C = surface.a, surface.b, surface.A, surface.B, surface.C
     a_i, b_i = int(a), int(b)
     q = A.denominator * B.denominator // math.gcd(A.denominator, B.denominator)
     pA, pB = int(A * q), int(B * q)
     gamma, nu = C.numerator, C.denominator
-    a_forces = a_i > 1 and nu % a_i != 0
-    x_step = a_i if a_forces else 1
-    found = set()
+    found = []
 
     def check(u, v):
-        for x1 in range(height // x_step + 1):
-            x = x_step * x1
-            if a_forces:
-                My = a_i * x1 * x1 * nu * nu + gamma * gamma * u * v
-            else:
-                num = x * x * nu * nu + a_i * gamma * gamma * u * v
-                if num % a_i:
-                    continue
-                My = num // a_i
-            if not _oracle_is_square(My):
+        y_off = a_i * gamma * gamma * u * v
+        z_off = b_i * (u * q - pA * v) * (u * q - pB * v)
+        for x in range(height + 1):
+            y = _oracle_root(x * x * nu * nu + y_off, a_i * nu * nu)
+            if y is None or y > height:
                 continue
-            ry = math.isqrt(My)
-            if ry % nu or ry // nu > height:
-                continue
-            Nz = x * x * q * q + b_i * (u * q - pA * v) * (u * q - pB * v)
-            if Nz % a_i or not _oracle_is_square(Nz // a_i):
-                continue
-            rz = math.isqrt(Nz // a_i)
-            if rz % q == 0 and rz // q <= height:
-                found.add((x, ry // nu, rz // q, u, v))
+            z = _oracle_root(x * x * q * q + z_off, a_i * q * q)
+            if z is not None and z <= height:
+                assert surface.quadric_residuals((x, y, z, u, v)) == (0, 0)
+                found.append((x, y, z, u, v))
 
     check(1, 0)
     for v in range(1, height + 1):
@@ -189,6 +196,16 @@ CONTROL_SURFACES = {
     # q = 2 and den(C) = 3
     "q2": DP4Surface(a=Fraction(1), b=Fraction(2), A=Fraction(1, 2), B=Fraction(3),
                      C=Fraction(2, 3), genus=1),
+    # a = 4 is not squarefree, so 4 | x^2 does not give 4 | x: the points
+    # include (x, y, z, u, v) = (6, 1, 6, -2, 4), and 7 of the 9 of a4-AB23
+    # at height 6 have 4 not dividing x
+    "a4": DP4Surface(a=Fraction(4), b=Fraction(1), A=Fraction(1), B=Fraction(4),
+                     C=Fraction(1), genus=1),
+    "a4-AB23": DP4Surface(a=Fraction(4), b=Fraction(1), A=Fraction(2), B=Fraction(3),
+                          C=Fraction(1), genus=1),
+    # a = 6 shares 2 with den(C) = 2: (3, 2, 0, 5, 2) has x = 3
+    "a6-nu2": DP4Surface(a=Fraction(6), b=Fraction(1), A=Fraction(1), B=Fraction(4),
+                         C=Fraction(1, 2), genus=1),
 }
 
 
@@ -198,6 +215,99 @@ def test_sieved_search_matches_oracle_on_control_surfaces(name):
     expected = _oracle_surface_points(surface, ORACLE_HEIGHT)
     assert expected
     assert surface_point_search(surface, ORACLE_HEIGHT) == expected
+
+
+# The sieve's residue patterns against the oracles' residue-by-residue
+# loops, at every key mod every modulus: every unit and non-unit outer
+# coordinate, and for the surfaces every x1 residue.
+MASK_CURVES = {
+    **CONTROL_CURVES,
+    # q = 4 and den(ab) = 2 at g = 5
+    "g5-q4-ab3/2": HyperellipticCurve(a=Fraction(1), b=Fraction(3, 2), A=Fraction(1, 4),
+                                      B=Fraction(9), genus=5),
+    "fiber-g1": build_curve(fiber_coeffs(PARAMS, Theta.of(0))),
+}
+MASK_SURFACES = {
+    name: CONTROL_SURFACES[name] for name in ("a2-forced", "a2-unforced", "q2", "a6-nu2")
+} | {
+    # a = 3 forces x = 3 x1 with q = 2 and den(C) = 5
+    "forced-q2-nu5": DP4Surface(a=Fraction(3), b=Fraction(2), A=Fraction(1, 2), B=Fraction(3),
+                                C=Fraction(2, 5), genus=1),
+    "fiber-g1": build_surface(fiber_coeffs(PARAMS, Theta.of(Fraction(1, 2)))),
+}
+
+
+def _sieve_of(monkeypatch, search_fn, obj):
+    """The sieve that search_fn(obj, 1) builds, with its pattern builder."""
+    sieves = []
+    sieve_class = search._Sieve
+
+    def recording(height, direct):
+        sieves.append(sieve_class(height, direct))
+        return sieves[-1]
+
+    monkeypatch.setattr(search, "_Sieve", recording)
+    search_fn(obj, 1)
+    (sieve,) = sieves
+    return sieve
+
+
+@pytest.mark.parametrize("name", sorted(MASK_CURVES))
+def test_curve_sieve_patterns_match_oracle(monkeypatch, name):
+    curve = MASK_CURVES[name]
+    sieve = _sieve_of(monkeypatch, curve_point_search, curve)
+    for M in SIEVE_MODULI:
+        for n in range(M):
+            assert sieve.pattern(M, n, 0) == curve_sieve_pattern(curve, n, M), (M, n)
+
+
+@pytest.mark.parametrize("name", sorted(MASK_SURFACES))
+def test_surface_sieve_patterns_match_oracle(monkeypatch, name):
+    surface = MASK_SURFACES[name]
+    sieve = _sieve_of(monkeypatch, surface_point_search, surface)
+    for M in SIEVE_MODULI:
+        for v in range(M):
+            for x1 in range(M):
+                assert sieve.pattern(M, v, x1) == surface_sieve_pattern(surface, v, x1, M), \
+                    (M, v, x1)
+
+
+@pytest.mark.parametrize("search_fn, build", [(curve_point_search, build_curve),
+                                              (surface_point_search, build_surface)])
+def test_fiber_search_builds_each_base_pattern_once(monkeypatch, search_fn, build):
+    """At height 1000 a pattern is built residue by residue only for the
+    outer coordinates (d, 0), d a divisor of M, each at most once: never
+    more than one build per non-unit key, plus the unit base."""
+    calls = []
+
+    def counting(direct):
+        def counted(M, sq, d, z):
+            calls.append((M, d, z))
+            return direct(M, sq, d, z)
+
+        return counted
+
+    sieve_class = search._Sieve
+    monkeypatch.setattr(search, "_Sieve",
+                        lambda height, direct: sieve_class(height, counting(direct)))
+    assert search_fn(build(fiber_coeffs(PARAMS, Theta.of(0))), 1000) == []
+    assert calls and len(set(calls)) == len(calls)
+    for M, d, z in calls:
+        assert M % d == 0 and z == 0
+    for M in SIEVE_MODULI:
+        non_units = sum(math.gcd(w, M) > 1 for w in range(M))
+        assert sum(c[0] == M for c in calls) <= 1 + non_units
+
+
+def test_import_builds_no_modulus_tables():
+    root = Path(__file__).resolve().parent.parent
+    code = ("import hassecert, hassecert.cli, hassecert.search as s; "
+            "assert s._modulus_constants.cache_info().currsize == 0")
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=root, env=env, timeout=60)
+    # the probe can see a build
+    search._modulus_constants(9)
+    assert search._modulus_constants.cache_info().currsize > 0
 
 
 def test_default_grid():
