@@ -494,6 +494,29 @@ def _ec_order(a2, a4, p):
     return None
 
 
+def _split_count(c0, cn, c2n, d, p):
+    """#{s^2 = q(t^d)}(F_p) for d = 2 or 4 as elliptic-curve orders, by the
+    lemmas in count_points_hyperelliptic, or None where they do not apply
+    (d = 4 and c0 c_2n a non-square) or _ec_order is undecided."""
+    if d == 4 and legendre(c0 * c2n, p) != 1:
+        return None
+    count = _ec_order(cn, c0 * c2n % p, p)
+    if count is None or d == 2:
+        return count
+    inv = pow(c2n, -1, p)
+    lam = sqrt_mod(c0 * inv, p)
+    mu = sqrt_mod(lam, p)
+    if mu is None:  # chi(lam) = -1: T = 0
+        return count
+    a = cn * inv % p
+    if (a + 2 * lam) * (a - 2 * lam) % p == 0:
+        raise ArithmeticError(f"E_mu is singular mod {p} although f is separable")
+    order = _ec_order(4 * mu % p, (a + 2 * lam) % p, p)
+    if order is None:
+        return None
+    return count + 2 * legendre(c2n, p) * (order - p - 1)
+
+
 def count_points_hyperelliptic(f_mod_p, g, p):
     """Number of F_p-points of the smooth projective hyperelliptic model
     s^2 = f(t), deg f = 2g+2, glued with its reversed chart, for
@@ -534,8 +557,40 @@ def count_points_hyperelliptic(f_mod_p, g, p):
     c_n^2 - 4 c0 c_2n != 0, so E is smooth, and _ec_order finds #E as the
     one N in the Hasse interval that kills every point tried.  E is
     2-isogenous to the Jacobian of the quartic; the proof uses only the
-    character sum.  When _ec_order is undecided, and whenever d != 2, the
-    walk over u in <z^d> (the middle sum above) counts.
+    character sum.
+
+    When d = 4 (p = 1 mod 4 at g = 3, p = 5 mod 8 at g = 7) the count
+    still splits into elliptic-curve orders when kappa = c0/c_2n is a
+    square mod p.  Each w != 0 is t^2 for 1 + chi(w) values of t, so
+        #{s^2 = q(t^4)} = #{s^2 = q(t^2)} + T = #E + T,
+        T = sum_{u != 0} chi(u q(u^2)) = chi(c_2n) sum_{u != 0} chi(u) h(u),
+    with h(u) = chi(u^4 + a u^2 + kappa) and a = c_n/c_2n.  Here p = 1 mod 4,
+    so chi(-1) = 1 and both square roots of kappa have the same character.
+    Let lam^2 = kappa.
+      - chi(lam) = -1.  u -> lam/u permutes F_p^*, and since
+        (lam/u)^4 + a (lam/u)^2 + kappa = kappa (u^4 + a u^2 + kappa)/u^4
+        and chi(lam/u) = -chi(u), it negates each summand.  So T = -T = 0.
+      - lam = mu^2.  Put v = u + lam/u.  Then u^4 + a u^2 + kappa =
+        u^2 (v^2 + a - 2 lam) and u (v + 2 mu) = (u + mu)^2, so chi(u) =
+        chi(v + 2 mu) unless u = -mu, and h(u) = k(v) with
+        k(v) = chi(v^2 + a - 2 lam).  Each v is v(u) for
+        1 + chi(v - 2 mu) chi(v + 2 mu) values of u, so
+            sum_{u != 0} chi(u) h(u)
+              = sum_v (1 + chi(v - 2 mu) chi(v + 2 mu)) chi(v + 2 mu) k(v)
+                + chi(-mu) k(-2 mu)
+              = sum_v (chi(v + 2 mu) + chi(v - 2 mu)) k(v),
+        because chi(v + 2 mu)^2 = 1 except at v = -2 mu, where the
+        chi(v - 2 mu) term chi(-4 mu) k(-2 mu) is the added term.  Under
+        X = v - 2 mu, (v - 2 mu)(v^2 + a - 2 lam) is
+        X^3 + 4 mu X^2 + (a + 2 lam) X, so the chi(v - 2 mu) sum is
+        #E_mu - p - 1 for E_mu: Y^2 = X^3 + 4 mu X^2 + (a + 2 lam) X.  The
+        chi(v + 2 mu) sum is the same for E_-mu, which X -> -X maps to the
+        twist of E_mu by chi(-1) = 1.  So T = 2 chi(c_2n) (#E_mu - p - 1).
+        E_mu is smooth iff a + 2 lam != 0 and 4 (2 lam - a) != 0, that is
+        a^2 != 4 kappa, which is c_n^2 != 4 c0 c_2n: separability again.
+    When kappa is a non-square, when d is neither 2 nor 4, and whenever
+    _ec_order is undecided, the walk over u in <z^d> (the middle sum of the
+    n -> d identity above) counts.
     """
     _require_prime(p, odd=True)
     f = [c % p for c in f_mod_p]
@@ -548,10 +603,10 @@ def count_points_hyperelliptic(f_mod_p, g, p):
     if n % p == 0 or (cn * cn - 4 * c0 * c2n) % p == 0 or (n > 1 and c0 == 0):
         raise ValueError("f is not separable mod p")
     d = math.gcd(n, p - 1)
-    if d == 2:
-        order = _ec_order(cn, c0 * c2n % p, p)
-        if order is not None:
-            return order
+    if d == 2 or d == 4:
+        count = _split_count(c0, cn, c2n, d, p)
+        if count is not None:
+            return count
     sq = square_residues(p)
     count = 1 if c0 == 0 else 2 * sq[c0]  # t = 0
     qs = set(_prime_factors(p - 1))

@@ -192,8 +192,12 @@ def _progression_survivors(step, omega0, bound, tables):
     2M, ...  In each block one residue table per remaining prime, shifted
     by base mod q and applied to the byte string of r mod q with
     bytes.translate, marks the residues that pass; the marks are ANDed as
-    integers.  Primes q >= 256, which do not fit a byte, are checked term
-    by term on the survivors.
+    integers.  Each mark passes about half the residues, so after
+    len(residues).bit_length() of them about one survivor is left per
+    block: only that many primes are marked, since building a prime's
+    string of r mod q costs one Python step per residue.  The other
+    primes, and every q >= 256, which does not fit a byte, are checked
+    term by term on the survivors.
     A prime dividing step needs no check: every term is 1 mod q.
     """
     kmax = (bound - 1) // step
@@ -207,9 +211,10 @@ def _progression_survivors(step, omega0, bound, tables):
                     if ok[k % q]]
         m *= q
     rest = qs[WHEEL_PRIMES:]
+    marked = [q for q in rest if q < 256][:len(residues).bit_length()]
     marks = [(q, kok[q] * 2, bytes(256 - q), bytes(r % q for r in residues))
-             for q in rest if q < 256]
-    big = [q for q in rest if q >= 256]
+             for q in marked]
+    late = [q for q in rest if q not in marked]
     width = len(residues)
     full = int.from_bytes(bytes([1]) * width, "little")
     for base in range(0, kmax + 1, m):
@@ -227,7 +232,7 @@ def _progression_survivors(step, omega0, bound, tables):
             k = base + residues[i]
             if k > kmax:
                 return
-            if k and all(kok[q][k % q] for q in big):
+            if k and all(kok[q][k % q] for q in late):
                 yield 1 + step * k
             i = flags.find(1, i + 1)
 

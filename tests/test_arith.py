@@ -684,11 +684,35 @@ def _count_ec_order_calls(monkeypatch):
     return calls
 
 
+def _count_square_residues(monkeypatch):
+    """Wrap arith.square_residues, the walk's first step, in a recorder;
+    returns the list of moduli it was built for."""
+    built, square_residues = [], arith.square_residues
+    monkeypatch.setattr(arith, "square_residues", lambda m: built.append(m) or square_residues(m))
+    return built
+
+
+def _kappa_class(f, g, p):
+    """The class of kappa = c0/c_2n mod p = 1 mod 4, for f = q(t^(g+1))."""
+    n = g + 1
+    kappa = f[0] * pow(f[2 * n], -1, p) % p
+    if pow(kappa, (p - 1) // 2, p) != 1:
+        return "non-square"
+    return "square" if pow(kappa, (p - 1) // 4, p) != 1 else "fourth power"
+
+
+_KAPPA_CLASSES = ("non-square", "square", "fourth power")
+
+
 def test_order_search_runs_exactly_when_d_is_2(monkeypatch):
-    # count_points_hyperelliptic asks the elliptic-curve order search exactly
-    # when gcd(g + 1, p - 1) = 2, at every genus, and never at d = 4 or 6
+    # count_points_hyperelliptic asks the elliptic-curve order search at
+    # d = gcd(g + 1, p - 1) = 2, and at d = 4 exactly when kappa = c0/c_2n is
+    # a square: once for E, and once more for E_mu when kappa is a fourth
+    # power and E's order was decided.  Never at d = 6 or for a non-square
+    # kappa.
+    ec_order = arith._ec_order
     calls = _count_ec_order_calls(monkeypatch)
-    seen_d = set()
+    seen = set()
     cases = []
     for g in (1, 3, 5):
         rng = random.Random(11 + g)
@@ -702,11 +726,20 @@ def test_order_search_runs_exactly_when_d_is_2(monkeypatch):
             assert calls == [], (f, g, p)
             continue  # not separable mod p
         d = math.gcd(g + 1, p - 1)
-        seen_d.add((g, d))
-        assert calls == ([p] if d == 2 else []), (f, g, p)
+        kappa = _kappa_class(f, g, p) if d == 4 else None
+        seen.add((g, d, kappa))
+        if d == 2 or kappa == "square":
+            expected = [p]
+        elif kappa == "fourth power":
+            decided = ec_order(f[g + 1], f[0] * f[2 * g + 2] % p, p) is not None
+            expected = [p, p] if decided else [p]
+        else:
+            expected = []
+        assert calls == expected, (f, g, p)
         oracle = double_loop_count(f, g, p) if p < 100 else single_loop_count(f, p)
         assert n == oracle, (f, g, p)
-    assert seen_d == {(g, d) for g in (1, 3, 5) for d in _ALL_D[g]}
+    assert seen == ({(g, d, None) for g in (1, 3, 5) for d in _ALL_D[g] if d != 4}
+                    | {(3, 4, kappa) for kappa in _KAPPA_CLASSES})
 
 
 @pytest.mark.parametrize("g, p", [(3, 70_019), (5, 80_039)])
@@ -715,6 +748,75 @@ def test_undecided_order_at_higher_genus_falls_back_to_the_walk(monkeypatch, g, 
     f = _large_prime_case(g, p)
     monkeypatch.setattr(arith, "_ec_order", lambda a2, a4, p: None)
     assert count_points_hyperelliptic(f, g, p) == single_loop_count(f, p)
+
+
+def _d4_case(rng, g, p, kappa_class):
+    """A random separable f = q(t^(g+1)) mod p whose kappa is in the class."""
+    n = g + 1
+    while True:
+        f = _powers_supported(rng, g, p, c0=rng.randrange(1, p))
+        if (f[n] ** 2 - 4 * f[0] * f[2 * n]) % p and _kappa_class(f, g, p) == kappa_class:
+            return f
+
+
+# p < 100 with d = gcd(g + 1, p - 1) = 4: p = 1 mod 4 at g = 3, p = 5 mod 8 at
+# g = 7
+_D4_SMALL_PRIMES = {3: (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97),
+                    7: (5, 13, 29, 37, 53, 61)}
+
+
+@pytest.mark.parametrize("g", sorted(_D4_SMALL_PRIMES))
+@pytest.mark.parametrize("kappa_class", _KAPPA_CLASSES)
+def test_d4_count_small_primes(g, kappa_class):
+    rng = random.Random(f"{g} {kappa_class}")
+    for p in _D4_SMALL_PRIMES[g]:
+        assert math.gcd(g + 1, p - 1) == 4
+        for _ in range(2):
+            f = _d4_case(rng, g, p, kappa_class)
+            assert count_points_hyperelliptic(f, g, p) == double_loop_count(f, g, p), (f, p)
+
+
+@pytest.mark.parametrize("g, p", [(3, 50_021), (3, 50_033), (7, 50_021), (7, 50_053)])
+@pytest.mark.parametrize("kappa_class", _KAPPA_CLASSES)
+def test_d4_count_large_primes(monkeypatch, g, p, kappa_class):
+    # the order search decides every square kappa, so the walk, which starts
+    # with a square_residues table, runs exactly for a non-square kappa
+    assert math.gcd(g + 1, p - 1) == 4
+    f = _d4_case(random.Random(p + g), g, p, kappa_class)
+    built = _count_square_residues(monkeypatch)
+    assert count_points_hyperelliptic(f, g, p) == single_loop_count(f, p)
+    assert built == ([p] if kappa_class == "non-square" else [])
+
+
+@pytest.mark.parametrize("g, p", [(3, 50_033), (7, 50_021)])
+@pytest.mark.parametrize("kappa_class, undecided", [
+    ("square", 1), ("fourth power", 1), ("fourth power", 2)])
+def test_undecided_order_at_d4_falls_back_to_the_walk(monkeypatch, g, p, kappa_class,
+                                                       undecided):
+    # the order search is undecided on its first call (E) or its second (E_mu)
+    f = _d4_case(random.Random(p + g), g, p, kappa_class)
+    calls, ec_order = [], arith._ec_order
+
+    def flaky(a2, a4, p):
+        calls.append(p)
+        return None if len(calls) == undecided else ec_order(a2, a4, p)
+
+    monkeypatch.setattr(arith, "_ec_order", flaky)
+    assert count_points_hyperelliptic(f, g, p) == single_loop_count(f, p)
+    assert calls == [p] * undecided
+
+
+def test_singular_e_mu_raises(monkeypatch):
+    # under separability E_mu is smooth; a root lam of kappa with
+    # a + 2 lam = 0 (possible only if sqrt_mod were wrong) must raise, not walk
+    g, p = 3, 50_033
+    f = _d4_case(random.Random(p), g, p, "fourth power")
+    inv = pow(f[8], -1, p)
+    kappa, bad_lam = f[0] * inv % p, -f[4] * inv * pow(2, -1, p) % p
+    monkeypatch.setattr(arith, "sqrt_mod", lambda x, p: bad_lam if x % p == kappa else 1)
+    monkeypatch.setattr(arith, "_ec_order", lambda a2, a4, p: p + 1)
+    with pytest.raises(ArithmeticError, match="singular"):
+        count_points_hyperelliptic(f, g, p)
 
 
 @pytest.mark.parametrize("p", [5, 7, 50_023])
@@ -944,13 +1046,39 @@ def test_blanket_genus1_counts_are_curve_orders(monkeypatch, theta):
         assert counts[q] == single_loop_count(curve.f_poly().mod_p(q), q), q
 
 
+# The g = 3 theta-zero fiber's blanket primes with d = gcd(4, q - 1) = 4, by
+# the class of kappa = c0/c_2n mod q: a square at the first six, a
+# non-square at the last three.
+_THETA_ZERO_SPLIT = {44537, 48437, 66697, 85037, 90217, 99761}
+_THETA_ZERO_WALKED = {20369, 58057, 81533}
+
+
+def test_blanket_theta_zero_walks_only_where_kappa_is_a_non_square(monkeypatch):
+    # the walk, which starts with a square_residues table, runs at exactly
+    # the three d = 4 primes with a non-square kappa; the order search
+    # decides the other seventeen counts
+    curve = _real_fiber(3, 10**12, 0)
+    crit = critical_places(curve)
+    built = _count_square_residues(monkeypatch)
+    counts = _blanket_check(curve, crit).sample_counts
+    monkeypatch.undo()
+    assert sorted(built) == sorted(_THETA_ZERO_WALKED)
+    assert {q for q in counts if q % 4 == 1} == _THETA_ZERO_SPLIT | _THETA_ZERO_WALKED
+    for q in _THETA_ZERO_SPLIT | _THETA_ZERO_WALKED:
+        kappa = _kappa_class(curve.f_poly().mod_p(q), 3, q)
+        assert (kappa == "non-square") == (q in _THETA_ZERO_WALKED), q
+    for q in sorted(_THETA_ZERO_SPLIT)[::2]:  # three of the six
+        assert counts[q] == single_loop_count(curve.f_poly().mod_p(q), q), q
+
+
 def test_blanket_counts_do_not_depend_on_the_order_search(monkeypatch):
     # the g = 3 theta-zero fiber's report records the same twenty counts
-    # whether the order search decides the d = 2 primes or the walk does
+    # whether the order search decides the d = 2 primes and the six d = 4
+    # primes with a square kappa, or the walk decides them all
     curve = _real_fiber(3, 10**12, 0)
     crit = critical_places(curve)
     calls = _count_ec_order_calls(monkeypatch)
     searched = _blanket_check(curve, crit).sample_counts
-    assert calls and set(calls) == {q for q in searched if q % 4 == 3}
+    assert set(calls) == {q for q in searched if q % 4 == 3} | _THETA_ZERO_SPLIT
     monkeypatch.setattr(arith, "_ec_order", lambda a2, a4, p: None)
     assert _blanket_check(curve, crit).sample_counts == searched

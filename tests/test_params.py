@@ -193,21 +193,24 @@ def test_wheel_matches_stepwise_candidates(omega0):
 
 
 @pytest.mark.parametrize("omega0", [omega0_for_genus(3), omega0_for_genus(5),
-                                    _CUSTOM_OMEGA0, (3, 5, 7)])
+                                    omega0_for_genus(7), _CUSTOM_OMEGA0, (3, 5, 7)])
 @pytest.mark.parametrize("wheel", [0, 1, 3, params.WHEEL_PRIMES])
 def test_wheel_matches_stepwise_survivors(omega0, wheel, monkeypatch):
-    # before the primality test; for omega0(5) the survivors below 2*10^5 are
-    # the odd squares prime to omega0, so the lists are not empty.  Small
-    # wheels cross many blocks; steps divisible by 3 drop 3 from the checks.
+    # before the primality test; for omega0(5) and omega0(7) the survivors
+    # below 2*10^5 are the odd squares prime to omega0, so the lists are not
+    # empty.  Small wheels cross many blocks and mark few primes; at omega0(7)
+    # the full wheel marks 14 of the 36 primes left and tests the other 22
+    # term by term.  Steps divisible by 3 drop 3 from the checks.
     monkeypatch.setattr(params, "WHEEL_PRIMES", wheel)
     tables = _qr_tables(omega0)
     for step in (8, 24, 8 * 73, 8 * 1201):
         for bound in (1, 9, 10, 10**4 + 1, 2 * 10**5):
             got = list(_progression_survivors(step, omega0, bound, tables))
             assert got == list(_stepwise_survivors(step, omega0, bound, tables))
-    if omega0 == omega0_for_genus(5):
+    if omega0 in (omega0_for_genus(5), omega0_for_genus(7)):
         got = list(_progression_survivors(8, omega0, 2 * 10**5, tables))
-        assert got and all(math.isqrt(n) ** 2 == n for n in got)
+        assert got and all(math.isqrt(n) ** 2 == n and n % 2 and
+                           all(n % q for q in omega0) for n in got)
 
 
 def test_sieve_custom_omega0_matches_stepwise():
