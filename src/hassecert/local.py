@@ -13,6 +13,7 @@ genuine Q_p point without rerunning any search; at the real place it is a
 rational t with a nonnegative chart value.
 """
 
+import bisect
 import functools
 import math
 import random
@@ -560,9 +561,14 @@ def _blanket_check(curve, crit, sample_count=20):
         "good-reduction existence argument applies"
     )
 
+    # the spot-check primes above 4g^2 that are not critical, in order
+    primes = _spot_check_primes()
+    pool = list(primes[bisect.bisect_right(primes, 4 * g * g):])
+    for q in crit_primes:
+        i = bisect.bisect_left(pool, q)
+        if i < len(pool) and pool[i] == q:
+            del pool[i]
     rng = random.Random(0)
-    pool = [q for q in _spot_check_primes()
-            if q not in crit_primes and q > 4 * g * g]
     sampled = sorted(rng.sample(pool, min(sample_count, len(pool))))
     counts = {}
     f = curve.f_poly()

@@ -173,68 +173,95 @@ def _qr_tables(omega0):
     return {q: b"\0" + square_residues(q)[1:] for q in omega0}
 
 
-# How many primes of omega0 the wheel over the multiplier k is built from.
+# How many primes of omega0 the wheel over the multiplier k may grow to.
 # For omega0 of genus 3 or more, seven give 12,960 residues mod
-# 3*5*...*19 = 4,849,845: blocks long enough that the per-block table pass
-# costs little, and a build that stays small next to a genus-3 search.
-# An eighth prime would make 142,560 residues.
+# 3*5*...*19 = 4,849,845.  The genus-5 search at 10^24 would otherwise
+# grow an eighth (142,560 residues), whose longer blocks save less time
+# than its set-up costs, and which takes several MB more memory.
 WHEEL_PRIMES = 7
+
+
+def _wheel_stage(residues, m, q, ok):
+    """Lift the wheel residues mod m to the residues mod m*q whose terms
+    pass q, ascending; ok[x] is 1 when the term with k = x mod q passes."""
+    return [k for k in (j + r for j in range(0, m * q, m) for r in residues)
+            if ok[k % q]]
 
 
 def _progression_survivors(step, omega0, bound, tables):
     """Terms n = 1 + step*k, k >= 1, n <= bound, that are nonzero squares
-    mod every q in omega0, ascending.
+    mod every q in omega0 and are not perfect squares, ascending.
 
     A wheel over k skips the terms that fail one of its primes.  Its
-    residues mod M = q_1 ... q_w (the first WHEEL_PRIMES primes of omega0
-    not dividing step) are built prime by prime, ascending by construction,
-    and k runs through them block by block: k = base + r, base = 0, M,
-    2M, ...  In each block one residue table per remaining prime, shifted
-    by base mod q and applied to the byte string of r mod q with
-    bytes.translate, marks the residues that pass; the marks are ANDed as
-    integers.  Each mark passes about half the residues, so after
-    len(residues).bit_length() of them about one survivor is left per
-    block: only that many primes are marked, since building a prime's
-    string of r mod q costs one Python step per residue.  The other
-    primes, and every q >= 256, which does not fit a byte, are checked
-    term by term on the survivors.
-    A prime dividing step needs no check: every term is 1 mod q.
+    residues mod M = q_1 ... q_w (the first w primes of omega0 not
+    dividing step) are ascending, and k runs through them block by block:
+    k = base + r, base = 0, M, 2M, ...  In each block one residue table
+    per marked prime, shifted by base mod q and applied to the byte
+    string of r mod q with bytes.translate, marks the residues that pass;
+    the marks are ANDed as integers.  Each mark passes about half the
+    residues, so len(residues).bit_length() marked primes (the first
+    primes below 256 after the wheel's) leave about one survivor per
+    block.  The other primes are checked term by term on the survivors.
+
+    The wheel grows with the scan.  It starts from q_1.  Setting up
+    wheel w + 1 costs one Python step per residue and marked prime, so
+    wheel w scans blocks until the residues it has passed over reach that
+    cost and base is a multiple of M*q_{w+1}; then _wheel_stage lifts its
+    residues by q_{w+1} and the scan goes on from base.  Set-up never
+    costs more than the scan it shortens, so a short progression builds
+    only a small wheel; the wheel stops growing at WHEEL_PRIMES primes.
+
+    A prime dividing step needs no check: every term is 1 mod q.  A
+    perfect square (n = 1 at k = 0 among them) passes every residue test
+    and is never prime, so it is dropped before the term-by-term checks.
     """
     kmax = (bound - 1) // step
     qs = [q for q in omega0 if step % q]
     # kok[q][x]: 1 when the term with k = x mod q is a nonzero square mod q
     kok = {q: bytes(tables[q][(1 + step * x) % q] for x in range(q)) for q in qs}
-    m, residues = 1, [0]
-    for q in qs[:WHEEL_PRIMES]:
-        ok = kok[q]
-        residues = [k for k in (j + r for j in range(0, m * q, m) for r in residues)
-                    if ok[k % q]]
-        m *= q
-    rest = qs[WHEEL_PRIMES:]
-    marked = [q for q in rest if q < 256][:len(residues).bit_length()]
-    marks = [(q, kok[q] * 2, bytes(256 - q), bytes(r % q for r in residues))
-             for q in marked]
-    late = [q for q in rest if q not in marked]
-    width = len(residues)
-    full = int.from_bytes(bytes([1]) * width, "little")
-    for base in range(0, kmax + 1, m):
-        alive = full
-        for q, ok2, pad, rq in marks:
-            s = base % q
-            alive &= int.from_bytes(rq.translate(ok2[s:s + q] + pad), "little")
-            if not alive:
-                break
-        if not alive:
-            continue
-        flags = alive.to_bytes(width, "little")
-        i = flags.find(1)
-        while i >= 0:
-            k = base + residues[i]
-            if k > kmax:
+    cap = min(WHEEL_PRIMES, len(qs))
+    w, m, residues, base = 0, 1, [0], 0
+    while True:
+        if w < cap:
+            residues = _wheel_stage(residues, m, qs[w], kok[qs[w]])
+            m, w = m * qs[w], w + 1
+        rest = qs[w:]
+        marked = [q for q in rest if q < 256][:len(residues).bit_length()]
+        marks = [(q, kok[q] * 2, bytes(256 - q), bytes(r % q for r in residues))
+                 for q in marked]
+        late = [q for q in rest if q not in marked]
+        width = len(residues)
+        full = int.from_bytes(bytes([1]) * width, "little")
+        # the set-up of wheel w + 1: its residues times its marked primes
+        setup = math.inf
+        if w < cap:
+            size = width * (qs[w] - 1) // 2
+            setup = size * len([q for q in qs[w + 1:] if q < 256][:size.bit_length()])
+        scanned = 0
+        while True:
+            alive = full
+            for q, ok2, pad, rq in marks:
+                s = base % q
+                alive &= int.from_bytes(rq.translate(ok2[s:s + q] + pad), "little")
+                if not alive:
+                    break
+            if alive:
+                flags = alive.to_bytes(width, "little")
+                i = flags.find(1)
+                while i >= 0:
+                    k = base + residues[i]
+                    if k > kmax:
+                        return
+                    n = 1 + step * k
+                    if math.isqrt(n) ** 2 != n and all(kok[q][k % q] for q in late):
+                        yield n
+                    i = flags.find(1, i + 1)
+            base += m
+            if base > kmax:
                 return
-            if k and all(kok[q][k % q] for q in late):
-                yield 1 + step * k
-            i = flags.find(1, i + 1)
+            scanned += width
+            if scanned >= setup and base % (m * qs[w]) == 0:
+                break
 
 
 def _b_candidates(omega0, bound, tables):

@@ -1016,9 +1016,17 @@ def _real_fiber(g, bound, theta):
 
 @pytest.mark.parametrize("g, bound, theta", [(1, 10**7, Fraction(1, 2)), (3, 10**12, 0)])
 def test_blanket_counts_on_real_fibers(g, bound, theta):
-    # theta = 1/2 at g = 1, and the g = 3 theta-zero fiber
+    # theta = 1/2 at g = 1, and the g = 3 theta-zero fiber.  The sampled
+    # primes are those that Random(0) draws from every prime below 10^5
+    # above 4g^2 and outside the critical set, in order
     curve = _real_fiber(g, bound, theta)
-    counts = certify_all_local(curve).blanket.sample_counts
+    local = certify_all_local(curve)
+    crit_primes = set(local.critical.primes())
+    pool = [q for q in sieve_primes_upto(100_000)
+            if q not in crit_primes and q > 4 * g * g]
+    assert any(4 * g * g < q < 100_000 for q in crit_primes)
+    assert local.blanket.sampled_primes == sorted(random.Random(0).sample(pool, 20))
+    counts = local.blanket.sample_counts
     assert len(counts) == 20
     for q in sorted(counts)[::8]:  # three of the twenty primes
         assert counts[q] == single_loop_count(curve.f_poly().mod_p(q), q), q

@@ -149,8 +149,8 @@ def test_sieve_g3_large_bound():
 # the wheel against the term-by-term scan it replaced
 
 
-def _stepwise_survivors(step, omega0, bound, tables):
-    n = 1
+def _stepwise_survivors(step, omega0, bound, tables, start=1):
+    n = 1 + step * (start - 1)
     while True:
         n += step
         if n > bound:
@@ -192,25 +192,131 @@ def test_wheel_matches_stepwise_candidates(omega0):
             list(_stepwise_a(b, omega0, 10**7, tables))
 
 
+def _is_square(n):
+    return math.isqrt(n) ** 2 == n
+
+
 @pytest.mark.parametrize("omega0", [omega0_for_genus(3), omega0_for_genus(5),
                                     omega0_for_genus(7), _CUSTOM_OMEGA0, (3, 5, 7)])
 @pytest.mark.parametrize("wheel", [0, 1, 3, params.WHEEL_PRIMES])
 def test_wheel_matches_stepwise_survivors(omega0, wheel, monkeypatch):
-    # before the primality test; for omega0(5) and omega0(7) the survivors
-    # below 2*10^5 are the odd squares prime to omega0, so the lists are not
-    # empty.  Small wheels cross many blocks and mark few primes; at omega0(7)
-    # the full wheel marks 14 of the 36 primes left and tests the other 22
-    # term by term.  Steps divisible by 3 drop 3 from the checks.
+    # before the primality test, and without the perfect squares, which the
+    # wheel drops; for omega0(5) and omega0(7) the stepwise survivors below
+    # 2*10^5 are odd squares prime to omega0, so exactly those are dropped and
+    # they are not none.  Below 2*10^5 the wheel grows to at most five
+    # primes; a cap of 0, 1 or 3 primes stops it early, so that many blocks
+    # are scanned with few marked primes and many tested term by term.  Steps
+    # divisible by 3 drop 3 from the checks.
     monkeypatch.setattr(params, "WHEEL_PRIMES", wheel)
     tables = _qr_tables(omega0)
     for step in (8, 24, 8 * 73, 8 * 1201):
         for bound in (1, 9, 10, 10**4 + 1, 2 * 10**5):
             got = list(_progression_survivors(step, omega0, bound, tables))
-            assert got == list(_stepwise_survivors(step, omega0, bound, tables))
+            assert got == [n for n in _stepwise_survivors(step, omega0, bound, tables)
+                           if not _is_square(n)]
     if omega0 in (omega0_for_genus(5), omega0_for_genus(7)):
-        got = list(_progression_survivors(8, omega0, 2 * 10**5, tables))
-        assert got and all(math.isqrt(n) ** 2 == n and n % 2 and
-                           all(n % q for q in omega0) for n in got)
+        stepwise = list(_stepwise_survivors(8, omega0, 2 * 10**5, tables))
+        dropped = set(stepwise) - set(_progression_survivors(8, omega0, 2 * 10**5, tables))
+        assert dropped and dropped == {n for n in stepwise if _is_square(n)}
+        assert all(n % 2 and all(n % q for q in omega0) for n in dropped)
+
+
+def _stage_starts(step, omega0):
+    # the first k of each wheel after the first, by the growth rule: wheel w
+    # (modulus M, |R| residues) scans whole blocks, one at least, until it has
+    # passed over the set-up of wheel w + 1, its residues times its marked
+    # primes (the first bit_length of them below 256 after its own), and
+    # on to the next multiple of wheel w + 1's modulus
+    qs = [q for q in omega0 if step % q]
+    starts, start, m, size = [], 0, 1, 1
+    for w in range(1, min(params.WHEEL_PRIMES, len(qs))):
+        m, size = m * qs[w - 1], size * (qs[w - 1] - 1) // 2
+        nxt = size * (qs[w] - 1) // 2
+        setup = nxt * len([q for q in qs[w + 1:] if q < 256][:nxt.bit_length()])
+        end = start + max(1, -(-setup // size)) * m
+        start = -(-end // (m * qs[w])) * m * qs[w]
+        starts.append(start)
+    return starts
+
+
+def _record_wheels(monkeypatch):
+    # the modulus of every wheel that _progression_survivors builds
+    built = []
+    stage = params._wheel_stage
+
+    def recorded(residues, m, q, ok):
+        built.append(m * q)
+        return stage(residues, m, q, ok)
+
+    monkeypatch.setattr(params, "_wheel_stage", recorded)
+    return built
+
+
+@pytest.mark.parametrize("omega0", [omega0_for_genus(3), omega0_for_genus(5),
+                                    omega0_for_genus(7), _CUSTOM_OMEGA0])
+def test_wheel_growth_stages_match_stepwise(omega0, monkeypatch):
+    # bounds at each stage start k, one term before and after it, and one
+    # below each of those terms: the wheel changes there and the scan goes on
+    # from k.  Every start below k = 10^5 is taken, which crosses at least
+    # three growth stages.  Bounds just below and at a start tell the lifts
+    # apart: the lift to the next wheel runs exactly when the bound reaches
+    # the term at its start
+    built = _record_wheels(monkeypatch)
+    tables = _qr_tables(omega0)
+    for step in (8, 24, 8 * 73, 8 * 1201):
+        starts = [k for k in _stage_starts(step, omega0) if k < 10**5]
+        assert len(starts) >= 3, step
+        top = 1 + step * (starts[-1] + 1)
+        stepwise = [n for n in _stepwise_survivors(step, omega0, top, tables)
+                    if not _is_square(n)]
+        for i, k in enumerate(starts):
+            for n in (1 + step * (k - 1), 1 + step * k, 1 + step * (k + 1)):
+                for bound in (n - 1, n):
+                    built.clear()
+                    got = list(_progression_survivors(step, omega0, bound, tables))
+                    assert got == [x for x in stepwise if x <= bound], (step, bound)
+                    assert len(built) == 1 + i + (bound >= 1 + step * k), (step, bound)
+
+
+@pytest.mark.parametrize("omega0, step", [(omega0_for_genus(3), 8),
+                                          (_CUSTOM_OMEGA0, 24)])
+def test_full_wheel_matches_stepwise_at_its_start(omega0, step, monkeypatch):
+    # the lift to the WHEEL_PRIMES-prime wheel, at k ~ 9.7*10^6 and 3.7*10^7:
+    # the survivors of the 3*10^4 terms on each side of its start.  At
+    # omega0(3) it marks the three primes left; at the custom set it marks
+    # none and tests 263 and 271 term by term
+    built = _record_wheels(monkeypatch)
+    tables = _qr_tables(omega0)
+    k = _stage_starts(step, omega0)[-1]
+    lo, hi = k - 3 * 10**4, k + 3 * 10**4
+    got = [n for n in _progression_survivors(step, omega0, 1 + step * hi, tables)
+           if n >= 1 + step * lo]
+    assert len(built) == params.WHEEL_PRIMES
+    assert got == [n for n in _stepwise_survivors(step, omega0, 1 + step * hi, tables, lo)
+                   if not _is_square(n)]
+    assert got[0] < 1 + step * k < got[-1]
+
+
+def _wheel_primes_built(built, omega0):
+    return max(sum(m % q == 0 for q in omega0) for m in built)
+
+
+def test_wheel_grows_only_as_far_as_the_scan(monkeypatch):
+    # work counter: the largest wheel each search builds.  The genus-3 answer
+    # lies early in each progression, the genus-7 refusal's whole range is 2.6
+    # blocks of the 7-prime wheel, and the genus-5 search runs to
+    # b = L_97 ~ 2.4*10^10
+    built = _record_wheels(monkeypatch)
+    sieve_params(3, 0, bound=10**12, count=1)
+    assert _wheel_primes_built(built, omega0_for_genus(3)) <= 5
+    built.clear()
+    with pytest.raises(SieveExhausted) as ei:
+        sieve_params(7, 0, bound=10**8)
+    assert ei.value.slot == "b"
+    assert _wheel_primes_built(built, omega0_for_genus(7)) < params.WHEEL_PRIMES
+    built.clear()
+    sieve_params(5, 1, bound=10**24, count=1)
+    assert _wheel_primes_built(built, omega0_for_genus(5)) == params.WHEEL_PRIMES
 
 
 def test_sieve_custom_omega0_matches_stepwise():
@@ -223,7 +329,8 @@ def test_sieve_custom_omega0_matches_stepwise():
 
 
 def test_sieve_g5_below_1e7_exhausts_at_b():
-    # every survivor of the residue filter below 10^7 is a perfect square
+    # below 10^7 the residue filter passes only perfect squares, which the
+    # wheel drops, so no candidate for b is left
     with pytest.raises(SieveExhausted) as ei:
         sieve_params(5, 1, bound=10**7)
     assert ei.value.slot == "b"
