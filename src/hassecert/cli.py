@@ -9,6 +9,7 @@ runs up to the generated_at timestamp.
 import argparse
 import concurrent.futures
 import datetime
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -343,7 +344,10 @@ def _emit(payload, path):
         print(text)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process; parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="hassecert",
         description="certificates of Hasse principle violations for "
@@ -354,7 +358,11 @@ def main(argv=None):
                  "certify-all", "point-search", "j-report"):
         sp = sub.add_parser(name)
         _add_common(sp)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         if args.command == "sieve-params":

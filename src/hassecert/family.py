@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .arith import is_rational_square, padic_val
 from .params import ParamSet
-from .polynomials import Polynomial
 
 
 @dataclass(frozen=True)
@@ -138,8 +137,8 @@ class CurveChange:
 class HyperellipticCurve:
     """Two-chart model a s^2 = b prod, with exact structured coefficients.
 
-    The chart polynomials f (in t) and F (in T) are derived; F's
-    coefficient list is the reversal of f's.
+    Each chart polynomial is c0 + c_n u + c_2n u^2 in u = t^n (T^n on the
+    reversed chart), n = g + 1; chart_coeffs gives the triple.
     """
 
     a: Fraction
@@ -150,28 +149,22 @@ class HyperellipticCurve:
     coeffs: FamilyCoeffs | None = None
     change: CurveChange = CurveChange()
 
-    def f_poly(self):
-        g = self.genus
+    def chart_coeffs(self, chart):
+        """(c0, c_n, c_2n): (b/a) (AB, -(A+B), 1) on "st", the same triple
+        with c0 and c_2n swapped on "ST"."""
         lead = self.b / self.a
-        cs = [Fraction(0)] * (2 * g + 3)
-        cs[0] = lead * self.A * self.B
-        cs[g + 1] = -lead * (self.A + self.B)
-        cs[2 * g + 2] = lead
-        return Polynomial(cs)
-
-    def F_poly(self):
-        return self.f_poly().reversed_coeffs(2 * self.genus + 3)
+        c0, cn, c2n = lead * self.A * self.B, -lead * (self.A + self.B), lead
+        if chart == "st":
+            return c0, cn, c2n
+        if chart == "ST":
+            return c2n, cn, c0
+        raise ValueError(f"unknown chart {chart!r}")
 
     def chart_value(self, chart, t):
         """f(t) or F(T) as an exact Fraction."""
-        t = Fraction(t)
-        g = self.genus
-        lead = self.b / self.a
-        if chart == "st":
-            return lead * (t ** (g + 1) - self.A) * (t ** (g + 1) - self.B)
-        if chart == "ST":
-            return lead * (1 - self.A * t ** (g + 1)) * (1 - self.B * t ** (g + 1))
-        raise ValueError(f"unknown chart {chart!r}")
+        c0, cn, c2n = self.chart_coeffs(chart)
+        u = Fraction(t) ** (self.genus + 1)
+        return c0 + (cn + c2n * u) * u
 
 
 @dataclass(frozen=True)

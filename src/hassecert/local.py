@@ -58,9 +58,10 @@ class Witness:
     """A re-verifiable local point on one chart of a curve model.
 
     kinds:
-      sqrt  - sigma^2 = H(t_center) mod p^precision, where H is the
-              integer-cleared chart polynomial (H = clearing^2 * chart
-              polynomial) and val = v_p(H(t_center)); the margin
+      sqrt  - sigma^2 = H(t_center) mod p^precision, val = v_p(H(t_center)),
+              for H(t) = m^2 (c0 + c_n t^n + c_2n t^(2n)), n = g + 1, with
+              (c0, c_n, c_2n) = (b/a)(AB, -(A+B), 1) on "st", c0 and c_2n
+              swapped on "ST", m the lcm of their denominators; the margin
               precision > val (+2 at p = 2) yields a true Q_p point.
       root  - v_p(H(t_center)) = val > 2 mu = 2 v_p(H'(t_center)): the
               center converges to an exact root of H, giving s = 0.
@@ -89,8 +90,8 @@ class Witness:
         p = self.prime
         if self.kind == "root":
             return _root_witness(curve_model, self.chart, p, self.t_center) is not None
-        H, _ = cleared_chart_poly(curve_model, self.chart)
-        V = _eval_int(H, self.t_center)
+        h, _ = _cleared_chart(curve_model, self.chart)
+        V, _ = _chart_values(h, curve_model.genus + 1, self.t_center)
         if self.kind == "sqrt":
             pk = p**self.precision
             if (self.sigma * self.sigma - V) % pk != 0:
@@ -113,24 +114,21 @@ class Witness:
         return out
 
 
-def _cleared(poly):
-    """(H, m): integer coefficients H = m^2 * poly, m the lcm of the
-    coefficient denominators."""
-    m = math.lcm(*(c.denominator for c in poly.coeffs))
-    return [int(c * m * m) for c in poly.coeffs], m
+def _cleared_chart(curve_model, chart):
+    """(h, m): the integer triple h = m^2 (c0, c_n, c_2n) of the chart, m
+    the lcm of the triple's denominators."""
+    cs = curve_model.chart_coeffs(chart)
+    m = math.lcm(*(c.denominator for c in cs))
+    return tuple(int(c * m * m) for c in cs), m
 
 
-def cleared_chart_poly(curve_model, chart):
-    """(H, m): integer-coefficient H = m^2 * (chart polynomial)."""
-    H, m = _cleared(curve_model.f_poly() if chart == "st" else curve_model.F_poly())
-    return H, Fraction(m)
-
-
-def _eval_int(H, t):
-    acc = 0
-    for c in reversed(H):
-        acc = acc * t + c
-    return acc
+def _chart_values(h, n, t):
+    """(H(t), H'(t)) for H(t) = h0 + h_n t^n + h_2n t^(2n):
+    H'(t) = n t^(n-1) (h_n + 2 h_2n t^n)."""
+    h0, hn, h2n = h
+    tn1 = t ** (n - 1)
+    u = tn1 * t
+    return h0 + (hn + h2n * u) * u, n * tn1 * (hn + 2 * h2n * u)
 
 
 def _exact_padic_sqrt(x, p, prec):
@@ -170,8 +168,8 @@ def _residue_sqrt(r, p, prec, exact):
 def _witness_from_center(curve_model, chart, p, t_center):
     """A sqrt/exact witness at an integer center whose exact chart value is
     a p-adic square (or zero)."""
-    H, _ = cleared_chart_poly(curve_model, chart)
-    V = _eval_int(H, t_center)
+    h, _ = _cleared_chart(curve_model, chart)
+    V, _ = _chart_values(h, curve_model.genus + 1, t_center)
     if V == 0:
         return Witness(kind="exact", chart=chart, prime=p, t_center=Fraction(t_center),
                        s_exact=Fraction(0))
@@ -278,8 +276,8 @@ def _model_at(curve, place):
     return model
 
 
-def _try_ab_square(curve, place):
-    ab = curve.a * curve.b
+def _try_ab_square(model, place):
+    ab = model.a * model.b
     if ab == 0 or not is_local_square(ab, place):
         return None
     hyp = [f"ab is a square in the completion at {place}"]
@@ -287,7 +285,6 @@ def _try_ab_square(curve, place):
         w = Witness(kind="real", chart="ST", prime=None, t_real=Fraction(0))
         return LocalCertificate(place, True, "ab-square", w, hypotheses=hyp)
     p = place.p
-    model = _model_at(curve, place)
     wit = _witness_from_center(model, "ST", p, 0)
     return LocalCertificate(place, True, "ab-square", wit, hypotheses=hyp)
 
@@ -295,14 +292,15 @@ def _try_ab_square(curve, place):
 def _scan_fp_point(curve_m, p):
     """First t whose reduction is liftable on either chart: a nonzero
     square value mod p, or a simple root of the reduction."""
+    n = curve_m.genus + 1
     for chart in ("st", "ST"):
-        H, _ = cleared_chart_poly(curve_m, chart)
-        Hbar = [c % p for c in H]
-        Hpbar = [(i * c) % p for i, c in enumerate(H)][1:]
+        h0, hn, h2n = (c % p for c in _cleared_chart(curve_m, chart)[0])
         for t in range(min(p, SCAN_CAP)):
-            v = _eval_int(Hbar, t) % p
+            tn1 = pow(t, n - 1, p)
+            u = tn1 * t % p
+            v = (h0 + (hn + h2n * u) * u) % p
             if v == 0:
-                if _eval_int(Hpbar, t) % p != 0:
+                if n * tn1 * (hn + 2 * h2n * u) % p != 0:
                     return chart, t, "root"
                 continue
             if legendre(v, p) == 1:
@@ -314,13 +312,11 @@ def _root_witness(curve_m, chart, p, t_center):
     """The root-margin rule, shared with Witness.verify: an exact witness
     when H(t_center) = 0, a root witness when v_p(H(t_center)) >
     2 v_p(H'(t_center)), else None."""
-    H, _ = cleared_chart_poly(curve_m, chart)
-    V = _eval_int(H, t_center)
+    h, _ = _cleared_chart(curve_m, chart)
+    V, dV = _chart_values(h, curve_m.genus + 1, t_center)
     if V == 0:
         return Witness(kind="exact", chart=chart, prime=p, t_center=Fraction(t_center),
                        s_exact=Fraction(0))
-    Hp = [i * c for i, c in enumerate(H)][1:]
-    dV = _eval_int(Hp, t_center)
     if dV == 0:
         return None
     w, mu = padic_val(V, p), padic_val(dV, p)
@@ -336,14 +332,21 @@ def _in_hasse_weil_window(n, g, p):
     return n >= 1 and d * d <= 4 * g * g * p
 
 
-def _try_good_reduction(curve, place):
+def _st_mod_p(curve, p):
+    """The st chart polynomial as the dense coefficient list mod p that
+    count_points_hyperelliptic reads."""
+    c0, cn, c2n = (frac_mod(c, p) for c in curve.chart_coeffs("st"))
+    gap = [0] * curve.genus
+    return [c0, *gap, cn, *gap, c2n]
+
+
+def _try_good_reduction(model, place):
     if place.is_real or place.p == 2:
         return None
     p = place.p
-    g = curve.genus
+    g = model.genus
     if p <= 4 * g * g or (g + 1) % p == 0:
         return None
-    model = _model_at(curve, place)
     a, b, A, B = model.a, model.b, model.A, model.B
     if A == B or A == 0 or B == 0:
         return None
@@ -359,7 +362,7 @@ def _try_good_reduction(curve, place):
     if vA == 0 and vB == 0:
         # separable reduction: Hasse-Weil guarantees a smooth point
         if p <= COUNT_CAP:
-            n = count_points_hyperelliptic(model.f_poly().mod_p(p), g, p)
+            n = count_points_hyperelliptic(_st_mod_p(model, p), g, p)
             if not _in_hasse_weil_window(n, g, p):
                 raise ArithmeticError(f"count {n} escaped the Hasse-Weil window at {place}")
             hyp.append(f"|X(F_p)| = {n}, inside the Hasse-Weil window")
@@ -389,15 +392,13 @@ def _try_good_reduction(curve, place):
     return LocalCertificate(place, True, "fp-smooth-lift", wit, hypotheses=hyp)
 
 
-def _try_power(curve, place):
+def _try_power(model, place):
     if place.is_real or place.p == 2:
         return None
     p = place.p
-    g = curve.genus
-    n = g + 1
+    n = model.genus + 1
     if n % p == 0:
         return None
-    model = _model_at(curve, place)
     A = model.A
     if A == 0:
         return None
@@ -423,18 +424,18 @@ def _try_power(curve, place):
         prec *= 2
 
 
-def _try_center_probe(curve, place):
+def _try_center_probe(model, place):
     """Exact-evaluation probes: the curve-side case analysis at the place
     dividing b reduces to the disc t = 0 carrying a square value, and the
     probe checks exactly that (plus two cheap neighbours)."""
     if place.is_real or place.p == 2:
         return None
     p = place.p
-    model = _model_at(curve, place)
+    n = model.genus + 1
     for chart in ("st", "ST"):
-        H, _ = cleared_chart_poly(model, chart)
+        h, _ = _cleared_chart(model, chart)
         for t0 in PROBE_CENTERS:
-            V = _eval_int(H, t0)
+            V, _ = _chart_values(h, n, t0)
             if V == 0:
                 wit = Witness(kind="exact", chart=chart, prime=p,
                               t_center=Fraction(t0), s_exact=Fraction(0))
@@ -460,8 +461,9 @@ def certify_local_curve(curve, place):
     (good-reduction-hw or fp-smooth-lift), g+1-power, then the disc-center
     case analysis.  Where none applies the certificate is a refusal:
     solvable None, method "refused", the place named in the notes."""
+    model = _model_at(curve, place)
     for path in (_try_ab_square, _try_good_reduction, _try_power, _try_center_probe):
-        cert = path(curve, place)
+        cert = path(model, place)
         if cert is not None:
             return cert
     return LocalCertificate(place, None, "refused",
@@ -571,9 +573,8 @@ def _blanket_check(curve, crit, sample_count=20):
     rng = random.Random(0)
     sampled = sorted(rng.sample(pool, min(sample_count, len(pool))))
     counts = {}
-    f = curve.f_poly()
     for q in sampled:
-        n = count_points_hyperelliptic(f.mod_p(q), g, q)
+        n = count_points_hyperelliptic(_st_mod_p(curve, q), g, q)
         counts[q] = n
         if not _in_hasse_weil_window(n, g, q):
             ok = False
@@ -644,9 +645,10 @@ def _refine_curve_witness(curve_m, wit, p, prec):
     a true chart point is at least p^-prec (s carries the approximation)."""
     if wit.kind == "exact":
         return Fraction(wit.t_center), Fraction(wit.s_exact)
-    H, m = cleared_chart_poly(curve_m, wit.chart)
+    h, m = _cleared_chart(curve_m, wit.chart)
+    n = curve_m.genus + 1
     if wit.kind == "sqrt":
-        V = _eval_int(H, wit.t_center)
+        V, _ = _chart_values(h, n, wit.t_center)
         sigma = _exact_padic_sqrt(V, p, prec + 2 * padic_val(V, p) + 2)
         if sigma is None:
             raise ArithmeticError(f"sqrt witness value is not a square in Q_{p}")
@@ -654,14 +656,12 @@ def _refine_curve_witness(curve_m, wit, p, prec):
     if wit.kind == "root":
         # Newton-refine the center toward the exact root; s = 0
         t = int(wit.t_center)
-        Hp = [i * c for i, c in enumerate(H)][1:]
         target = prec + 2 * (wit.mu or 0) + 4
         modulus = p**target
         for _ in range(200):
-            V = _eval_int(H, t)
+            V, dV = _chart_values(h, n, t)
             if V == 0 or padic_val(V, p) >= target:
                 break
-            dV = _eval_int(Hp, t)
             mu = padic_val(dV, p)
             step = (V // p**mu) * pow(dV // p**mu, -1, modulus) % modulus
             t = (t - step) % modulus

@@ -1,6 +1,7 @@
-"""Reference oracles for the tests: general local decision procedures and
-the polynomial algebra they need, the point searches' residue patterns
-built one residue at a time, and the residue check of a surface point.
+"""Reference oracles for the tests: dense chart polynomials and the
+polynomial algebra over Q, general local decision procedures, the F_p
+scan over dense coefficients, the point searches' residue patterns built
+one residue at a time, and the residue check of a surface point.
 
 The library certifies each place by a named local lemma and refuses a
 place where none applies; it never runs a general decision procedure.
@@ -12,19 +13,103 @@ verdict, and every refusal, against an independent answer.
 import math
 from fractions import Fraction
 
-from hassecert.arith import is_prime, legendre, padic_val, square_residues
-from hassecert.local import (
-    ResidueContext,
-    Witness,
-    _cleared,
-    _eval_int,
-    _witness_from_center,
-)
-from hassecert.polynomials import Polynomial
+from hassecert.arith import frac_mod, is_prime, legendre, padic_val, square_residues
+from hassecert.local import SCAN_CAP, ResidueContext, Witness, _witness_from_center
 
 
 # --------------------------------------------------------------------------
-# polynomial algebra over Q
+# dense polynomials over Q and the curve's chart polynomials
+
+
+class Polynomial:
+    """Dense polynomial, coefficients low-to-high, always Fractions.
+
+    The zero polynomial has coefficient list [0].
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        while len(cs) > 1 and cs[-1] == 0:
+            cs.pop()
+        if not cs:
+            cs = [Fraction(0)]
+        self.coeffs = tuple(cs)
+
+    def __eq__(self, other):
+        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"Polynomial({list(self.coeffs)})"
+
+    def reversed_coeffs(self, length):
+        """Coefficients of x^(length-1) * self(1/x), padded to `length`."""
+        if length < len(self.coeffs):
+            raise ValueError("length too small for reversal")
+        padded = list(self.coeffs) + [Fraction(0)] * (length - len(self.coeffs))
+        return Polynomial(list(reversed(padded)))
+
+    def mod_p(self, p):
+        """Dense int coefficient list reduced mod p (denominators must be
+        invertible mod p)."""
+        return [frac_mod(c, p) for c in self.coeffs]
+
+
+def f_poly(curve):
+    """The st chart polynomial (b/a)(t^n - A)(t^n - B), n = g + 1, dense."""
+    g = curve.genus
+    lead = curve.b / curve.a
+    cs = [Fraction(0)] * (2 * g + 3)
+    cs[0] = lead * curve.A * curve.B
+    cs[g + 1] = -lead * (curve.A + curve.B)
+    cs[2 * g + 2] = lead
+    return Polynomial(cs)
+
+
+def F_poly(curve):
+    """The ST chart polynomial: f's coefficient list reversed."""
+    return f_poly(curve).reversed_coeffs(2 * curve.genus + 3)
+
+
+def _cleared(poly):
+    """(H, m): integer coefficients H = m^2 * poly, m the lcm of the
+    coefficient denominators."""
+    m = math.lcm(*(c.denominator for c in poly.coeffs))
+    return [int(c * m * m) for c in poly.coeffs], m
+
+
+def cleared_chart_poly(curve_model, chart):
+    """(H, m): the dense integer-coefficient H = m^2 * (chart polynomial)."""
+    return _cleared(f_poly(curve_model) if chart == "st" else F_poly(curve_model))
+
+
+def _eval_int(H, t):
+    """H(t) by Horner's rule, for an integer coefficient list H."""
+    acc = 0
+    for c in reversed(H):
+        acc = acc * t + c
+    return acc
+
+
+def scan_fp_point_dense(curve_m, p):
+    """The first liftable residue on either chart, as local._scan_fp_point
+    finds it, read off the dense cleared polynomial and its derivative."""
+    for chart in ("st", "ST"):
+        H, _ = cleared_chart_poly(curve_m, chart)
+        Hp = [i * c for i, c in enumerate(H)][1:]
+        for t in range(min(p, SCAN_CAP)):
+            v = _eval_int(H, t) % p
+            if v == 0:
+                if _eval_int(Hp, t) % p != 0:
+                    return chart, t, "root"
+                continue
+            if legendre(v, p) == 1:
+                return chart, t, "sqrt"
+    return None
 
 
 def degree(f):
@@ -196,9 +281,8 @@ def decide_qp_charts(f, F, p, depth_bound=None):
 
 def decide_qp_points(curve_model, p, depth_bound=None):
     """(verdict, witness) for the curve model over Q_p, p odd."""
-    verdict, center = decide_qp_charts(
-        curve_model.f_poly(), curve_model.F_poly(), p, depth_bound
-    )
+    verdict, center = decide_qp_charts(f_poly(curve_model), F_poly(curve_model), p,
+                                       depth_bound)
     if verdict is not True:
         return verdict, None
     chart, t_center = center
@@ -220,7 +304,7 @@ def decide_real_points(curve):
     exists on a modest grid (double roots at irrational points admit none,
     and the witness is then omitted).
     """
-    f = curve.f_poly()
+    f = f_poly(curve)
     if degree(f) < 0:
         return False, None
     if leading(f) > 0:

@@ -43,7 +43,7 @@ from hassecert.local import certify_all_local
 from hassecert.params import omega0_for_genus, sieve_params, verify_conditions
 from hassecert.search import curve_point_search, surface_point_search
 
-from oracles import decide_qp_charts, decide_qp_points, default_depth_bound
+from oracles import F_poly, decide_qp_charts, decide_qp_points, default_depth_bound, f_poly
 from test_local import oracle_qp
 
 
@@ -207,7 +207,7 @@ def test_ac4_generic_decider_matches_exhaustive_oracle():
             assert expected is not None, (str(theta), p)
             assert verdict == expected, (str(theta), p)
             # verdict stability: a deeper bound never flips the answer
-            f, F = model.f_poly(), model.F_poly()
+            f, F = f_poly(model), F_poly(model)
             deeper = max(default_depth_bound(f, p), default_depth_bound(F, p)) + 2
             assert decide_qp_charts(f, F, p, depth_bound=deeper)[0] == verdict
             # the production lemma certifies exactly where the decider does

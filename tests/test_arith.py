@@ -32,8 +32,7 @@ from hassecert.arith import (
 from hassecert.family import Theta, build_curve, fiber_coeffs
 from hassecert.local import _blanket_check, certify_all_local, critical_places
 from hassecert.params import sieve_params
-from hassecert.polynomials import Polynomial
-from oracles import discriminant
+from oracles import Polynomial, discriminant, f_poly
 
 
 # ----- independent oracles -------------------------------------------------
@@ -1029,7 +1028,7 @@ def test_blanket_counts_on_real_fibers(g, bound, theta):
     counts = local.blanket.sample_counts
     assert len(counts) == 20
     for q in sorted(counts)[::8]:  # three of the twenty primes
-        assert counts[q] == single_loop_count(curve.f_poly().mod_p(q), q), q
+        assert counts[q] == single_loop_count(f_poly(curve).mod_p(q), q), q
 
 
 @pytest.mark.parametrize("theta", [Theta.of(1, 2), Theta.infinity()])
@@ -1047,11 +1046,11 @@ def test_blanket_genus1_counts_are_curve_orders(monkeypatch, theta):
     monkeypatch.undo()
     assert len(counts) == 20
     for q, n in counts.items():
-        f = curve.f_poly().mod_p(q)
+        f = f_poly(curve).mod_p(q)
         assert f[1] == f[3] == 0, q
         assert _ec_order_of(f, q) == n, q
     for q in sorted(counts)[::8]:  # three of the twenty primes
-        assert counts[q] == single_loop_count(curve.f_poly().mod_p(q), q), q
+        assert counts[q] == single_loop_count(f_poly(curve).mod_p(q), q), q
 
 
 # The g = 3 theta-zero fiber's blanket primes with d = gcd(4, q - 1) = 4, by
@@ -1073,10 +1072,10 @@ def test_blanket_theta_zero_walks_only_where_kappa_is_a_non_square(monkeypatch):
     assert sorted(built) == sorted(_THETA_ZERO_WALKED)
     assert {q for q in counts if q % 4 == 1} == _THETA_ZERO_SPLIT | _THETA_ZERO_WALKED
     for q in _THETA_ZERO_SPLIT | _THETA_ZERO_WALKED:
-        kappa = _kappa_class(curve.f_poly().mod_p(q), 3, q)
+        kappa = _kappa_class(f_poly(curve).mod_p(q), 3, q)
         assert (kappa == "non-square") == (q in _THETA_ZERO_WALKED), q
     for q in sorted(_THETA_ZERO_SPLIT)[::2]:  # three of the six
-        assert counts[q] == single_loop_count(curve.f_poly().mod_p(q), q), q
+        assert counts[q] == single_loop_count(f_poly(curve).mod_p(q), q), q
 
 
 def test_blanket_counts_do_not_depend_on_the_order_search(monkeypatch):

@@ -1,9 +1,11 @@
-"""One untraced seed-0 pass of two of the benchmark's workloads.
+"""One untraced seed-0 pass of each of the benchmark's workloads.
 
 bench/run.py checks each report against the digest pinned in
-bench/expected.json, so these tests fail when any report's bytes change
-(apart from generated_at): grid-certify runs the 16 genus-1 fibers,
-theta-zero the g = 3 report and the g = 7 refusal.
+bench/expected.json, and each point search against its pinned point list,
+so these tests fail when any report's bytes change (apart from
+generated_at) or a search finds other points: grid-certify runs the 16
+genus-1 fibers, theta-zero the g = 3 report and the g = 7 refusal, and
+point-search the certified fibers and the control curves and surfaces.
 """
 
 import json
@@ -31,3 +33,7 @@ def test_grid_certify_seed0_matches_pinned_reports():
 
 def test_theta_zero_seed0_matches_pinned_reports():
     _seed0_pass("theta-zero")
+
+
+def test_point_search_seed0_matches_pinned_lists():
+    _seed0_pass("point-search")

@@ -24,7 +24,7 @@ from hassecert.family import (
     smoothness_quartic,
 )
 from hassecert.params import sieve_params
-from oracles import evaluate
+from oracles import F_poly, evaluate, f_poly
 
 
 PARAMS = sieve_params(1, 0, bound=10**7, count=1)[0]
@@ -79,16 +79,21 @@ def test_nonvanishing_names_symbol():
 def test_build_curve_theta_zero_polynomial():
     co = fiber_coeffs(PARAMS, Theta.of(0))
     curve = build_curve(co)
-    f = curve.f_poly()
+    f = f_poly(curve)
     # f(t) = (b/a)(t^2 - A)(t^2 - B) for g = 1
     a, b = F(PARAMS.a), F(PARAMS.b)
     t = F(5, 3)
     assert evaluate(f, t) == (b / a) * (t * t - co.A) * (t * t - co.B)
-    # chart consistency: F is the reversal of f
-    Fp = curve.F_poly()
+    assert curve.chart_value("st", t) == evaluate(f, t)
+    # chart consistency: F is the reversal of f, so the ST triple is the st
+    # triple with c0 and c_2n swapped
+    Fp = F_poly(curve)
     assert list(Fp.coeffs) == list(reversed(f.coeffs))
+    assert curve.chart_coeffs("st") == f.coeffs[::2]
+    assert curve.chart_coeffs("ST") == Fp.coeffs[::2]
     T = F(2, 7)
     assert evaluate(Fp, T) == T**4 * evaluate(f, 1 / T)
+    assert curve.chart_value("ST", T) == evaluate(Fp, T)
 
 
 def test_smoothness_random_theta_and_special_fibers():

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from hassecert.arith import Place, factorize, padic_val
+from hassecert.cli import default_theta_grid
 from hassecert.family import (
     HyperellipticCurve,
     Theta,
@@ -17,22 +19,28 @@ from hassecert.local import (
     Witness,
     certify_all_local,
     certify_local_curve,
-    cleared_chart_poly,
     critical_places,
     delta_surface_point,
     sample_surface_points,
     _blanket_check,
-    _eval_int,
+    _chart_values,
+    _cleared_chart,
     _root_witness,
+    _scan_fp_point,
 )
 from hassecert.params import sieve_params
-from hassecert.polynomials import Polynomial
 from oracles import (
+    F_poly,
+    Polynomial,
+    _eval_int,
+    cleared_chart_poly,
     decide_qp_charts,
     decide_qp_points,
     decide_real_points,
     default_depth_bound,
+    f_poly,
     residue_quadrics as _residue_quadrics,
+    scan_fp_point_dense,
 )
 
 
@@ -110,7 +118,7 @@ def test_chart_completeness_point_only_at_infinity():
     assert wit.verify(curve)
     # and the affine chart alone has no solution (the second slot is a
     # constant with odd valuation, refuted immediately)
-    v_affine = decide_qp_charts(curve.f_poly(), Polynomial([3]), 3)[0]
+    v_affine = decide_qp_charts(f_poly(curve), Polynomial([3]), 3)[0]
     assert v_affine is False
 
 
@@ -122,7 +130,7 @@ def test_decide_negative_case_and_depth_stability():
     assert verdict is False
     # no-false-negative: deeper exploration cannot flip a refutation
     for extra in (2, 4):
-        f, F = curve.f_poly(), curve.F_poly()
+        f, F = f_poly(curve), F_poly(curve)
         bound = default_depth_bound(f, 3) + extra
         assert decide_qp_charts(f, F, 3, depth_bound=bound)[0] is False
 
@@ -340,7 +348,10 @@ def test_witnesses_verify_and_serialize():
 
 def test_witness_reverification_from_json_alone():
     # an external consumer must be able to confirm a sqrt witness with
-    # nothing but the serialized fields and the model's chart polynomial
+    # nothing but the serialized fields and the model's a, b, A, B:
+    #   H(t) = m^2 (c0 + c_n t^n + c_2n t^(2n)),  n = g + 1,
+    # with (c0, c_n, c_2n) = (b/a) (AB, -(A+B), 1) on chart "st", c0 and
+    # c_2n swapped on chart "ST", and m the lcm of their denominators
     res = certify_all_local(CURVE_0)
     checked = 0
     for pl, cert in res.certificates.items():
@@ -353,12 +364,56 @@ def test_witness_reverification_from_json_alone():
         prec = int(data["precision"])
         t_center = int(data["t_center"])
         model, _ = integral_model(CURVE_0, p)
-        H, _ = cleared_chart_poly(model, data["chart"])
-        V = _eval_int(H, t_center)
+        lead = model.b / model.a
+        c = [lead * model.A * model.B, -lead * (model.A + model.B), lead]
+        if data["chart"] == "ST":
+            c.reverse()
+        m = math.lcm(*(x.denominator for x in c))
+        n = PARAMS.g + 1
+        V = sum(int(x * m * m) * t_center ** (n * i) for i, x in enumerate(c))
         assert (sigma * sigma - V) % p**prec == 0
         assert V != 0 and prec > padic_val(V, p)  # the Hensel margin
         checked += 1
     assert checked >= 2
+
+
+def _closed_form_cases():
+    """(model, centers, certificate) at every finite critical place of the
+    16 g = 1, h = 0 grid fibers and of the g = 3 theta = 0 fiber: the
+    place's p-integral model, t in range(-5, 6) and the witness center."""
+    g3 = sieve_params(3, 0, bound=10**12, count=1)[0]
+    fibers = [(PARAMS, theta) for theta in default_theta_grid()] + [(g3, Theta.of(0))]
+    for params, theta in fibers:
+        curve = build_curve(fiber_coeffs(params, theta))
+        res = certify_all_local(curve, sample_count=1)
+        for place in res.critical.places:
+            if place.is_real:
+                continue
+            cert = res.certificates[place]
+            centers = list(range(-5, 6)) + [cert.witness.t_center]
+            yield integral_model(curve, place.p)[0], centers, cert
+
+
+def test_closed_form_chart_matches_dense_oracle():
+    # the cleared triple and its closed-form (H, H') agree with the dense
+    # cleared chart polynomial and its derivative, on both charts, and the
+    # F_p scan finds the residue the dense scan finds
+    rescaled = scanned = 0
+    for model, centers, cert in _closed_form_cases():
+        n = model.genus + 1
+        p = cert.place.p
+        rescaled += model.change.t_mult != 1
+        for chart in ("st", "ST"):
+            h, m = _cleared_chart(model, chart)
+            H, m_dense = cleared_chart_poly(model, chart)
+            Hp = [i * c for i, c in enumerate(H)][1:]
+            assert m == m_dense, (p, chart)
+            for t in centers:
+                assert _chart_values(h, n, t) == (_eval_int(H, t), _eval_int(Hp, t)), (p, t)
+        if p != 2 and (p < 10**4 or cert.method in ("good-reduction-hw", "fp-smooth-lift")):
+            assert _scan_fp_point(model, p) == scan_fp_point_dense(model, p), p
+            scanned += 1
+    assert rescaled > 0 and scanned > 0
 
 
 def test_root_margin_is_strict():

@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 
-from hassecert.polynomials import Polynomial
 from oracles import (
+    Polynomial,
     cauchy_root_bound,
     degree,
     derivative,

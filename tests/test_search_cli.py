@@ -468,6 +468,21 @@ def test_cli_sieve_and_point_search(tmp_path):
     assert res[0]["curve_points"] == []
 
 
+def test_cli_reused_parser_keeps_no_theta_between_calls(tmp_path):
+    # main parses with one parser per process; --theta appends, so each
+    # call must start from an empty list, not from the previous call's
+    assert cli._parser() is cli._parser()
+    runs = [(["--theta", "0", "--theta", "1/2"], ["0", "1/2"]),
+            (["--theta", "inf"], ["inf"]),
+            ([], [str(t) for t in default_theta_grid()])]
+    for i, (theta_args, expected) in enumerate(runs):
+        out = tmp_path / f"fibers{i}.json"
+        assert main(["instantiate", "--g", "1", "--h", "0", *theta_args,
+                     "--out", str(out)]) == 0
+        fibers = json.loads(out.read_text())["fibers"]
+        assert [str(Theta.from_json(f["theta"])) for f in fibers] == expected
+
+
 STAGE_THETAS = [Theta.of(0), Theta.of(1, 2), Theta.infinity()]
 
 
