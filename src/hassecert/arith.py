@@ -4,10 +4,12 @@ Everything works on plain ints and fractions.Fraction.  No floating point
 enters any computation; the single float in the module is math.inf, used
 as the valuation of zero (it is only ever compared, never computed with).
 
-Every function that takes a prime p proves it once per process, through one
-guard, _require_prime; a non-prime p raises ValueError on every call.
+Every function or constructor that takes a prime p proves it once per
+process, through one guard, _require_prime; a non-prime p raises
+ValueError on every call.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,8 +74,55 @@ def legendre(a, p):
     return -1 if r == p - 1 else 1
 
 
+@functools.cache
+def _tonelli_constants(p):
+    """(q, s, c) for a proved odd prime p: p - 1 = q 2^s with q odd, and c =
+    z^q mod p for the least non-residue z (recorded in _NON_RESIDUES), or
+    c = 1 when s = 1, where no Tonelli-Shanks step runs."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q, c = (p - 1) >> s, 1
+    if s > 1:
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        _NON_RESIDUES[p] = z
+        c = pow(z, q, p)
+    return q, s, c
+
+
+def _sqrt_unit(a, p, q, s, c):
+    """(r, y) with r^2 = a and r y = 1 mod p, or None when the unit a mod p
+    is a non-residue; (q, s, c) = _tonelli_constants(p).  No guard runs.
+
+    One exponentiation w = a^((q-1)/2) decides and roots: r = w a and t = w r
+    = a^q, and Euler's criterion a^((p-1)/2) = t^(2^(s-1)) = 1 costs only
+    squarings.  Tonelli-Shanks keeps r^2 = a t and y = r / a (initially w)
+    while it drives t to 1, so y ends as the inverse root without an
+    inverse; s = 1 (p = 3 mod 4) is the case where no step runs.
+    """
+    w = pow(a, (q - 1) >> 1, p)
+    r = w * a % p
+    t = w * r % p
+    e = t
+    for _ in range(s - 1):
+        e = e * e % p
+    if e != 1:
+        return None
+    y, m = w, s
+    while t != 1:
+        t2, i = t * t % p, 1
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r, y = t * c % p, r * b % p, y * b % p
+    return r, y
+
+
 def sqrt_mod(a, p):
-    """Tonelli-Shanks square root of a mod the odd prime p.
+    """Square root of a mod the odd prime p by Tonelli-Shanks, decided and
+    rooted with one exponentiation (see _sqrt_unit).
 
     Returns the canonical representative in [0, p/2], or None when a is a
     non-residue.
@@ -82,31 +131,10 @@ def sqrt_mod(a, p):
     a %= p
     if a == 0:
         return 0
-    if legendre(a, p) != 1:
+    ry = _sqrt_unit(a, p, *_tonelli_constants(p))
+    if ry is None:
         return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = _NON_RESIDUES.get(p)
-    if z is None:
-        z = 2
-        while legendre(z, p) != -1:
-            z += 1
-        _NON_RESIDUES[p] = z
-    m, c = s, pow(z, q, p)
-    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t * t % p, 1
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
+    r = ry[0]
     return min(r, p - r)
 
 
@@ -195,11 +223,13 @@ def is_local_square(x, place):
 def hensel_sqrt(a, p, k):
     """Square root of a mod p^k for a p-adic unit a, canonical in [0, p^k/2].
 
-    Returns None when a is not a square in Q_p.  At p = 2 the unit square
-    criterion is a = 1 mod 8; lifting proceeds bit by bit since the usual
-    Newton step degenerates there.  An int a is read as a unit residue:
-    only a mod p^k (mod 2^max(k, 3) at p = 2) matters, and no Fraction is
-    built; any other a is an exact rational, reduced to such a residue.
+    Returns None when a is not a square in Q_p.  At odd p, _sqrt_unit gives
+    the root mod p with its inverse, and _lift_sqrt lifts without further
+    inverses.  At p = 2 the unit square criterion is a = 1 mod 8, and
+    _sqrt_two_adic lifts bit by bit since the usual Newton step degenerates
+    there.  An int a is read as a unit residue: only a mod p^k (mod
+    2^max(k, 3) at p = 2) matters, and no Fraction is built; any other a is
+    an exact rational, reduced to such a residue.
     """
     if k < 1:
         raise ValueError("precision k must be >= 1")
@@ -209,28 +239,92 @@ def hensel_sqrt(a, p, k):
         a = frac_mod(a, p ** max(k, 3)) if padic_val(a, p) == 0 else 0
     if a % p == 0:
         raise ValueError("hensel_sqrt expects a p-adic unit (factor out even powers first)")
-    pk = p**k
     if p == 2:
-        if a % 8 != 1:
-            return None
-        if k <= 2:
-            return 1
-        r = 1
-        for i in range(3, k):
-            if (r * r - a) % (1 << (i + 1)) != 0:
-                r += 1 << (i - 1)
-        r %= pk
-        return min(r, pk - r)
-    r = sqrt_mod(a, p)
-    if r is None:
-        return None
+        return _sqrt_two_adic(a, k)
+    ry = _sqrt_unit(a % p, p, *_tonelli_constants(p))
+    return None if ry is None else _lift_sqrt(a, ry[1], p, k)
+
+
+def _lift_sqrt(a, y, p, k):
+    """The canonical root of the unit a mod p^k at odd p, from y with a y^2
+    = 1 mod p.  Newton on the inverse root, y <- y (3 - a y^2) / 2, doubles
+    the precision of a y^2 = 1 at each step and needs no inverse (1/2 mod
+    p^j is (p^j + 1) / 2); the root is a y."""
     prec = 1
     while prec < k:
         prec = min(2 * prec, k)
         mod = p**prec
-        r = (r + a * pow(r, -1, mod)) * ((mod + 1) // 2) % mod  # 1/2 mod odd mod
+        y = y * (3 - a * y * y) * ((mod + 1) // 2) % mod
+    pk = p**k
+    r = a * y % pk
+    return min(r, pk - r)
+
+
+def _sqrt_two_adic(a, k):
+    """The canonical root of the odd a mod 2^k, or None unless a = 1 mod 8."""
+    if a % 8 != 1:
+        return None
+    if k <= 2:
+        return 1
+    r = 1
+    for i in range(3, k):
+        if (r * r - a) % (1 << (i + 1)) != 0:
+            r += 1 << (i - 1)
+    pk = 1 << k
     r %= pk
     return min(r, pk - r)
+
+
+# ResidueRooter.test's token for a residue divisible by p^(prec-1)
+_DEEP = ("deep",)
+
+
+class ResidueRooter:
+    """Square roots of p-integral values x read off their residues r = x mod
+    p^(prec+2), with p proved and its constants read once, at construction.
+
+    test(r) is None when x is not a square in Q_p, else a token: v = v_p(x)
+    must be even, and the unit part a square mod p (one exponentiation,
+    _sqrt_unit, which also gives the inverse root) or 1 mod 8 at p = 2.
+    lift(token, exact) is then the root p^(v/2) w mod p^prec, w the
+    canonical root of the unit part mod p^(prec-v) (hensel_sqrt's).  Below
+    p^(prec-1) the residue fixes v, and the unit part is known mod
+    p^(prec+2-v), enough for the lift and for the mod 8 test.  A residue
+    r = 0 mod p^(prec-1) gets the token _DEEP, and only for it does lift
+    call exact(), for the exact x, to tell a zero (root 0) from a deep
+    nonzero value (None).
+    """
+
+    __slots__ = ("p", "prec", "pk", "pk1", "tonelli")
+
+    def __init__(self, p, prec):
+        _require_prime(p)
+        self.p, self.prec = p, prec
+        self.pk, self.pk1 = p**prec, p ** (prec - 1)
+        self.tonelli = None if p == 2 else _tonelli_constants(p)
+
+    def test(self, r):
+        if r % self.pk1 == 0:
+            return _DEEP
+        p = self.p
+        v = 0
+        while r % p == 0:
+            r //= p
+            v += 1
+        if v % 2:
+            return None
+        if p == 2:
+            return (v, r, None) if r % 8 == 1 else None
+        ry = _sqrt_unit(r % p, p, *self.tonelli)
+        return None if ry is None else (v, r, ry[1])
+
+    def lift(self, token, exact):
+        if token is _DEEP:
+            return 0 if exact() == 0 else None
+        v, unit, y = token
+        p, k = self.p, self.prec - v
+        root = _sqrt_two_adic(unit, k) if p == 2 else _lift_sqrt(unit, y, p, k)
+        return p ** (v // 2) * root % self.pk
 
 
 def _prime_factors(n):

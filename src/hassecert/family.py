@@ -13,7 +13,9 @@ with A, B, C, D exact rationals depending on the fiber parameter theta
 and satisfying B - A = 2 c D^2 identically.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .arith import is_rational_square, padic_val
@@ -159,6 +161,15 @@ class HyperellipticCurve:
         if chart == "ST":
             return c2n, cn, c0
         raise ValueError(f"unknown chart {chart!r}")
+
+    @cached_property
+    def cleared_st(self):
+        """(h, m): the st triple cleared to integers, h = m^2 (c0, c_n,
+        c_2n) with m the lcm of its denominators, built once per model.
+        The ST triple clears to h reversed, with the same m."""
+        cs = self.chart_coeffs("st")
+        m = math.lcm(*(c.denominator for c in cs))
+        return tuple(int(c * m * m) for c in cs), m
 
     def chart_value(self, chart, t):
         """f(t) or F(T) as an exact Fraction."""

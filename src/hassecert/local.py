@@ -15,13 +15,13 @@ rational t with a nonnegative chart value.
 
 import bisect
 import functools
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import (
     Place,
+    ResidueRooter,
     count_points_hyperelliptic,
     factorize,
     find_smooth_fp_point,
@@ -116,10 +116,14 @@ class Witness:
 
 def _cleared_chart(curve_model, chart):
     """(h, m): the integer triple h = m^2 (c0, c_n, c_2n) of the chart, m
-    the lcm of the triple's denominators."""
-    cs = curve_model.chart_coeffs(chart)
-    m = math.lcm(*(c.denominator for c in cs))
-    return tuple(int(c * m * m) for c in cs), m
+    the lcm of the triple's denominators; the model's cleared st triple,
+    built once per model, reversed on "ST"."""
+    h, m = curve_model.cleared_st
+    if chart == "ST":
+        return h[::-1], m
+    if chart != "st":
+        raise ValueError(f"unknown chart {chart!r}")
+    return h, m
 
 
 def _chart_values(h, n, t):
@@ -142,27 +146,6 @@ def _exact_padic_sqrt(x, p, prec):
         return None
     r = hensel_sqrt(unit_part(x, p), p, prec - v)
     return None if r is None else p ** (v // 2) * r % p**prec
-
-
-def _residue_sqrt(r, p, prec, exact):
-    """_exact_padic_sqrt(x, p, prec) for a p-integral x, read off its
-    residue r = x mod p^(prec+2).
-
-    Below p^(prec-1) the residue fixes v_p(x), and the unit part is known
-    mod p^(prec+2-v), enough for the lift to p^(prec-v) (and for the mod 8
-    test at p = 2).  Only when r = 0 mod p^(prec-1) is exact() called, for
-    the exact x, to tell a zero (root 0) from a deep nonzero value (None).
-    """
-    if r % p ** (prec - 1) == 0:
-        return 0 if exact() == 0 else None
-    v = 0
-    while r % p == 0:
-        r //= p
-        v += 1
-    if v % 2:
-        return None
-    root = hensel_sqrt(r, p, prec - v)
-    return None if root is None else p ** (v // 2) * root % p**prec
 
 
 def _witness_from_center(curve_model, chart, p, t_center):
@@ -257,6 +240,9 @@ class LocalCertificate:
     witness: Witness | None = None
     notes: str = ""
     hypotheses: list = field(default_factory=list)
+    # the model the lemmas ran on (the p-integral model at a finite place),
+    # which the witness is relative to; not part of the JSON
+    model: object = field(default=None, repr=False, compare=False)
 
     def to_json(self):
         return {
@@ -267,13 +253,6 @@ class LocalCertificate:
             "notes": self.notes,
             "hypotheses": list(self.hypotheses),
         }
-
-
-def _model_at(curve, place):
-    if place.is_real:
-        return curve
-    model, _ = integral_model(curve, place.p)
-    return model
 
 
 def _try_ab_square(model, place):
@@ -461,13 +440,14 @@ def certify_local_curve(curve, place):
     (good-reduction-hw or fp-smooth-lift), g+1-power, then the disc-center
     case analysis.  Where none applies the certificate is a refusal:
     solvable None, method "refused", the place named in the notes."""
-    model = _model_at(curve, place)
+    model = curve if place.is_real else integral_model(curve, place.p)[0]
     for path in (_try_ab_square, _try_good_reduction, _try_power, _try_center_probe):
         cert = path(model, place)
         if cert is not None:
+            cert.model = model
             return cert
     return LocalCertificate(place, None, "refused",
-                            notes=f"refused: no local lemma applies at {place}")
+                            notes=f"refused: no local lemma applies at {place}", model=model)
 
 
 # --------------------------------------------------------------------------
@@ -605,7 +585,7 @@ def certify_all_local(curve, sample_count=20):
         certs[place] = cert
         if cert.solvable is not True:
             failures.append((place, cert.method, cert.notes))
-        elif not cert.witness.verify(_model_at(curve, place)):
+        elif not cert.witness.verify(cert.model):
             failures.append((place, cert.method, "witness failed re-verification"))
     blanket = _blanket_check(curve, crit, sample_count)
     if not crit.complete:
@@ -763,8 +743,10 @@ def delta_surface_point(surface_model, curve, place, cert, ctx=None):
     """Image of the curve certificate's witness on the given surface model:
     residues mod p^prec at finite places (prec the working precision of
     sample_surface_points), exact data at the real place.  Raises when the
-    image fails the model's quadrics.  ctx is the model's ResidueContext
-    at p; it is built here when not given."""
+    image fails the model's quadrics.  cert is certify_local_curve's
+    certificate for the curve at the place; the p-integral model it carries
+    (with its cleared chart triple) is reused.  ctx is the model's
+    ResidueContext at p; it is built here when not given."""
     wit = cert.witness
     if wit is None:
         raise ValueError("certificate carries no witness")
@@ -779,7 +761,8 @@ def delta_surface_point(surface_model, curve, place, cert, ctx=None):
     if ctx is None:
         ctx = ResidueContext.of(surface_model, p)
     prec = ctx.prec
-    curve_m, curve_change = integral_model(curve, p)
+    curve_m = cert.model
+    curve_change = curve_m.change
     mults = surface_model.change.mults
     shift = sum(
         abs(int(padic_val(fr, p)))
@@ -803,18 +786,15 @@ def delta_surface_point(surface_model, curve, place, cert, ctx=None):
     return SurfacePoint(place=place, coords=residues, prec=prec)
 
 
-def _may_be_square(r, p, pk1):
-    """False iff _residue_sqrt(r, p, prec, ...) is None for p odd and r !=
-    0 mod pk1 = p^(prec-1): v_p(r) odd, or its unit part a non-residue by
-    Euler's criterion.  True at p = 2 and for deep r, left to
-    _residue_sqrt."""
-    if p == 2 or r % pk1 == 0:
-        return True
-    v = 0
-    while r % p == 0:
-        r //= p
-        v += 1
-    return v % 2 == 0 and pow(r, (p - 1) // 2, p) == 1
+def _randbelow(getrandbits, n):
+    """random.Random.randrange(n) for getrandbits the generator's bound
+    getrandbits: CPython's rejection draw of n.bit_length() bits, the same
+    integers without randrange's argument checks."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 class SamplerBudgetExceeded(RuntimeError):
@@ -834,13 +814,15 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
     """n independent local points of the surface model at the place.
 
     Finite places: random residue points whose x^2, y^2, z^2 are formed
-    as residues mod p^(prec+2) of exact p-integral values and rooted by
-    _residue_sqrt, with _exact_padic_sqrt's verdict on each, so the
-    quadrics hold to the working precision.  Both squares of a trial are
-    tested by _may_be_square before either is rooted, so a rejected trial
-    lifts nothing.  At places
-    with v_p(a) = 1 the sampler uses the structured shape that any local
-    point must have there: x = p x1, v a unit (taken 1), u = A + p u1.
+    as residues mod p^(prec+2) of exact p-integral values and rooted by an
+    arith.ResidueRooter built once for the place, with _exact_padic_sqrt's
+    verdict on each, so the quadrics hold to the working precision.  Both
+    squares of a trial are tested (valuation parity, then one
+    exponentiation at odd p or the unit mod 8 at p = 2) before either is
+    lifted, so a rejected trial lifts nothing.  The draws are
+    random.Random(seed)'s randrange integers, made by _randbelow.  At
+    places with v_p(a) = 1 the sampler uses the structured shape that any
+    local point must have there: x = p x1, v a unit (taken 1), u = A + p u1.
     Real place: (u, v, y) rational with y large enough that both quadrics
     are solvable in x and z over R.  ctx is the model's ResidueContext at
     p as ResidueContext.of builds it; it is built here when not given.
@@ -880,6 +862,9 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
         ctx = ResidueContext.of(surface_model, p)
     va = max(0, ctx.a_val)
     prec, pk, pk1, m, inv = ctx.prec, ctx.pk, ctx.pk1, ctx.m, ctx.a_inv
+    rooter = ResidueRooter(p, prec)
+    test, lift = rooter.test, rooter.lift
+    bits = rng.getrandbits
     # every value below is p-integral and is drawn and tested as a residue
     # mod m = p^(prec+2); a / p^va is a unit with inverse inv
     a_, b_, A_, B_, C_ = ctx.coeffs
@@ -893,48 +878,44 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
                 f"with {len(out)} points found"
             )
         if va == 0:
-            u = rng.randrange(1, pk)
-            v = rng.randrange(1, pk)
-            y = rng.randrange(pk)
+            u = 1 + _randbelow(bits, pk - 1)
+            v = 1 + _randbelow(bits, pk - 1)
+            y = _randbelow(bits, pk)
             if u % p == 0 or v % p == 0:
                 continue
             w = (y * y - c2 * u * v) % m  # x^2 / a
-            x2 = a_ * w % m
-            z2 = (w + b_ * (u - A_ * v) * (u - B_ * v) * inv) % m
-            if not (_may_be_square(x2, p, pk1) and _may_be_square(z2, p, pk1)):
+            tx = test(a_ * w % m)
+            if tx is None:
                 continue
-            x = _residue_sqrt(x2, p, prec,
-                              lambda: a * (Fraction(y) ** 2 - C * C * u * v))
+            tz = test((w + b_ * (u - A_ * v) * (u - B_ * v) * inv) % m)  # z^2
+            if tz is None:
+                continue
+            x = lift(tx, lambda: a * (Fraction(y) ** 2 - C * C * u * v))
             if x is None:
                 continue
-            z = _residue_sqrt(
-                z2, p, prec,
-                lambda: Fraction(y) ** 2 - C * C * u * v + b * (u - A * v) * (u - B * v) / a,
-            )
+            z = lift(tz, lambda: (Fraction(y) ** 2 - C * C * u * v
+                                  + b * (u - A * v) * (u - B * v) / a))
             if z is None:
                 continue
             coords = (x, y, z, u, v)
         elif va == 1:
-            u1 = rng.randrange(1, pk)
-            x1 = rng.randrange(pk)
+            u1 = 1 + _randbelow(bits, pk - 1)
+            x1 = _randbelow(bits, pk)
             # x = p x1, u = A + p u1, v = 1: z^2 = (x^2 + b p u1 psi) / a and
             # y^2 = (x^2 + a C^2 u) / a, with the p of a cancelled
             u = (A_ + p * u1) % m
             px2 = p * x1 * x1
-            z2 = (px2 + b_ * u1 * (u - B_)) * inv % m
-            y2 = (px2 * inv + c2 * u) % m
-            if not (_may_be_square(z2, p, pk1) and _may_be_square(y2, p, pk1)):
+            tz = test((px2 + b_ * u1 * (u - B_)) * inv % m)  # z^2
+            if tz is None:
                 continue
-            z = _residue_sqrt(
-                z2, p, prec,
-                lambda: (Fraction(p) ** 2 * x1 * x1 + b * p * u1 * (A + p * u1 - B)) / a,
-            )
+            ty = test((px2 * inv + c2 * u) % m)  # y^2
+            if ty is None:
+                continue
+            z = lift(tz, lambda: (Fraction(p) ** 2 * x1 * x1
+                                  + b * p * u1 * (A + p * u1 - B)) / a)
             if z is None:
                 continue
-            y = _residue_sqrt(
-                y2, p, prec,
-                lambda: (Fraction(p) ** 2 * x1 * x1 + a * C * C * (A + p * u1)) / a,
-            )
+            y = lift(ty, lambda: (Fraction(p) ** 2 * x1 * x1 + a * C * C * (A + p * u1)) / a)
             if y is None:
                 continue
             coords = (p * x1 % pk, y, z, u % pk, 1)

@@ -1,7 +1,8 @@
 """Reference oracles for the tests: dense chart polynomials and the
 polynomial algebra over Q, general local decision procedures, the F_p
-scan over dense coefficients, the point searches' residue patterns built
-one residue at a time, and the residue check of a surface point.
+scan over dense coefficients, square roots mod p and p^k by the earlier
+legendre-first and inverting kernels, the point searches' residue patterns
+built one residue at a time, and the residue check of a surface point.
 
 The library certifies each place by a named local lemma and refuses a
 place where none applies; it never runs a general decision procedure.
@@ -324,6 +325,76 @@ def decide_real_points(curve):
         t += step
         iterations += 1
     return True, None  # value 0 is attained, but only at irrational points
+
+
+# --------------------------------------------------------------------------
+# square roots mod p and mod p^k, as the library computed them before the
+# one-exponentiation kernels
+
+
+def legendre_first_sqrt_mod(a, p):
+    """Tonelli-Shanks root of a mod the odd prime p, canonical in [0, p/2],
+    or None: Euler's criterion by legendre first, then the root by a second
+    exponentiation (a third, z^q, where p = 1 mod 4)."""
+    a %= p
+    if a == 0:
+        return 0
+    if legendre(a, p) != 1:
+        return None
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+        return min(r, p - r)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while legendre(z, p) != -1:
+        z += 1
+    m, c = s, pow(z, q, p)
+    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        t2, i = t * t % p, 1
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return min(r, p - r)
+
+
+def inverting_hensel_sqrt(a, p, k):
+    """Root of the p-adic unit a mod p^k, canonical in [0, p^k/2], or None:
+    Newton on the root itself, r <- (r + a / r) / 2, with a modular inverse
+    at every doubling of the precision (bit by bit at p = 2)."""
+    if not isinstance(a, int):
+        a = Fraction(a)
+        a = frac_mod(a, p ** max(k, 3)) if padic_val(a, p) == 0 else 0
+    if a % p == 0:
+        raise ValueError("expects a p-adic unit")
+    pk = p**k
+    if p == 2:
+        if a % 8 != 1:
+            return None
+        if k <= 2:
+            return 1
+        r = 1
+        for i in range(3, k):
+            if (r * r - a) % (1 << (i + 1)) != 0:
+                r += 1 << (i - 1)
+        r %= pk
+        return min(r, pk - r)
+    r = legendre_first_sqrt_mod(a, p)
+    if r is None:
+        return None
+    prec = 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        mod = p**prec
+        r = (r + a * pow(r, -1, mod)) * ((mod + 1) // 2) % mod
+    r %= pk
+    return min(r, pk - r)
 
 
 # --------------------------------------------------------------------------

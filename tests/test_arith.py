@@ -32,7 +32,13 @@ from hassecert.arith import (
 from hassecert.family import Theta, build_curve, fiber_coeffs
 from hassecert.local import _blanket_check, certify_all_local, critical_places
 from hassecert.params import sieve_params
-from oracles import Polynomial, discriminant, f_poly
+from oracles import (
+    Polynomial,
+    discriminant,
+    f_poly,
+    inverting_hensel_sqrt,
+    legendre_first_sqrt_mod,
+)
 
 
 # ----- independent oracles -------------------------------------------------
@@ -160,6 +166,7 @@ PRIME_TAKERS = [
     ("legendre", lambda p: legendre(2, p)),
     ("sqrt_mod", lambda p: sqrt_mod(2, p)),
     ("hensel_sqrt", lambda p: hensel_sqrt(2, p, 3)),
+    ("ResidueRooter", lambda p: arith.ResidueRooter(p, 6)),
     ("hilbert_symbol_units", lambda p: hilbert_symbol_units(0, 2, 1, 3, p)),
     ("count_points_hyperelliptic",
      lambda p: count_points_hyperelliptic([1, 0, 0, 0, 1], 1, p)),
@@ -298,13 +305,45 @@ def test_sqrt_mod_exhaustive_at_high_two_power_primes(p):
     assert legendre(z, p) == -1 and all(legendre(k, p) == 1 for k in range(2, z))
 
 
+# 60-bit primes: 3 mod 8 (s = 1), 5 mod 8 (s = 2), 1 mod 8 with s = 5 and
+# s = 6, for p - 1 = q 2^s with q odd
+SIXTY_BIT_PRIMES = (576460752303423619, 576460752303423733, 576460752303423649,
+                    576460752303426241)
+
+
 def test_sqrt_mod_large_prime():
-    p = 10**9 + 7
-    for a in (2, 3, 5, 123456789):
+    assert all(is_prime(p) and p.bit_length() == 60 for p in SIXTY_BIT_PRIMES)
+    assert [((p - 1) & (1 - p)).bit_length() - 1 for p in SIXTY_BIT_PRIMES] == [1, 2, 5, 6]
+    for p in (10**9 + 7, *SIXTY_BIT_PRIMES):
+        nones = 0
+        for a in (2, 3, 5, 7, 11, 13, 123456789):
+            r = sqrt_mod(a, p)
+            assert r == legendre_first_sqrt_mod(a, p), (a, p)
+            if r is not None:
+                assert r * r % p == a % p
+                assert r <= p // 2
+            nones += r is None
+        assert 0 < nones < 7, p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 257, 65537, *SIXTY_BIT_PRIMES])
+def test_sqrt_kernels_match_the_earlier_kernels(p):
+    # one exponentiation per root and no inverse per lift step give the
+    # roots of the legendre-first sqrt_mod and the inverting Hensel lift,
+    # None for every non-residue included
+    rng = random.Random(p)
+    residues = 0
+    for _ in range(60):
+        a = rng.randrange(1, p)
         r = sqrt_mod(a, p)
-        if r is not None:
-            assert r * r % p == a % p
-            assert r <= p // 2
+        assert r == legendre_first_sqrt_mod(a, p), (a, p)
+        residues += r is not None
+        for k in range(1, 13):
+            x = a + p * rng.randrange(p**k)
+            assert hensel_sqrt(x, p, k) == inverting_hensel_sqrt(x, p, k), (x, p, k)
+        x = Fraction(a + p * rng.randrange(p**3), rng.randrange(1, p))
+        assert hensel_sqrt(x, p, 5) == inverting_hensel_sqrt(x, p, 5), (x, p)
+    assert 0 < residues < 60
 
 
 # ----- padic_val ------------------------------------------------------------
@@ -393,7 +432,7 @@ def test_hensel_sqrt_int_residue_matches_fraction():
     # an int is read as a unit residue: any representative mod p^k (mod 8
     # at least, at p = 2) gives the root of the exact rational
     rng = random.Random(11)
-    for p in (2, 3, 5, 73):
+    for p in (2, 3, 5, 73, SIXTY_BIT_PRIMES[2]):
         for k in (1, 2, 3, 5, 8):
             for _ in range(40):
                 x = Fraction(rng.randrange(1, 10**6), rng.randrange(1, 10**3))

@@ -559,30 +559,49 @@ def test_residue_context_refuses_a_point_of_another_precision():
         evaluate_invariant_at_point(surface, pt, place, ctx)
 
 
-@pytest.mark.parametrize("p", [3, 5, 73, 1753])
+@pytest.mark.parametrize("p", [2, 3, 5, 73, 1753, 6671001769760072149, 1598673339833924063])
 def test_squareness_pretest_predicts_residue_sqrt(p):
-    # at odd p the pretest is _residue_sqrt's verdict for every residue not
-    # divisible by p^(prec-1); it never rejects a residue that has a root
+    # the rooter's test is exact for every residue not divisible by
+    # p^(prec-1): it passes a residue iff its value is a square in Q_p
+    # (even valuation, and a unit part that is a square mod p, or 1 mod 8
+    # at p = 2), and the lift then gives _exact_padic_sqrt's root without
+    # reading the exact value.  The large primes are critical primes of the
+    # g = 1, h = 0 fibers theta = 3/5 (p = 5 mod 8) and theta = 4/3 (p = 7
+    # mod 8).
     import random
 
-    from hassecert.local import _may_be_square, _residue_sqrt
+    from hassecert.arith import _DEEP, ResidueRooter
+    from hassecert.local import _exact_padic_sqrt
 
     rng = random.Random(p)
     prec = 6
     m, pk1 = p ** (prec + 2), p ** (prec - 1)
+    rooter = ResidueRooter(p, prec)
 
     def forbidden():
         raise AssertionError("the exact value is needed only for deep residues")
 
+    passed = 0
     for v in range(prec - 1):
         for _ in range(40):
             r = rng.randrange(1, p ** (prec + 2 - v)) * p**v % m
             if r % p ** (v + 1) == 0:
                 continue
-            rooted = _residue_sqrt(r, p, prec, forbidden) is not None
-            assert _may_be_square(r, p, pk1) == rooted, (r, p)
-    assert _may_be_square(0, p, pk1) and _may_be_square(pk1, p, pk1)
-    assert _may_be_square(3, 2, 2**5)  # p = 2 is left to _residue_sqrt
+            unit = r // p**v
+            square = v % 2 == 0 and (unit % 8 == 1 if p == 2
+                                     else pow(unit, (p - 1) // 2, p) == 1)
+            token = rooter.test(r)
+            assert (token is not None) == square, (r, p)
+            want = _exact_padic_sqrt(r, p, prec)
+            assert (want is not None) == square, (r, p)
+            if token is not None:
+                assert rooter.lift(token, forbidden) == want, (r, p)
+                passed += 1
+    assert passed >= 10
+    assert rooter.test(0) is _DEEP and rooter.test(pk1) is _DEEP
+    if p == 2:
+        # 3 is not 1 mod 8: rejected before any lift
+        assert rooter.test(3) is None
 
 
 def test_config_grid_spec():

@@ -1,5 +1,6 @@
 """The direct surface sampler against an exact-rational oracle of the same
-draw, and the residue square root against _exact_padic_sqrt."""
+draw, its draw helper against randrange, and the residue square root
+against _exact_padic_sqrt."""
 
 import random
 from dataclasses import replace
@@ -7,14 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from hassecert.arith import Place, factorize, frac_mod, padic_val
+from hassecert import local
+from hassecert.arith import Place, ResidueRooter, factorize, frac_mod, padic_val
 from hassecert.family import Theta, admissible_model, build_curve, build_surface, fiber_coeffs
 from hassecert.local import (
     SAMPLER_BUDGET,
     SamplerBudgetExceeded,
     SurfacePoint,
     _exact_padic_sqrt,
-    _residue_sqrt,
+    _randbelow,
     _working_precision,
     critical_places,
     sample_surface_points,
@@ -136,6 +138,73 @@ def test_sampler_matches_exact_oracle_when_a_over_p_is_not_one(scale):
     assert got == oracle_sample(model, place, 9)
 
 
+@pytest.mark.parametrize("n", [2**8, 3**8, 1753**6, 6671001769760072149**6])
+def test_randbelow_draws_the_integers_of_randrange(n):
+    # the sampler's draw helper gives randrange's integers and leaves the
+    # generator in randrange's state, so the oracle's draws are its draws
+    for seed in range(4):
+        rng, ref = random.Random(seed), random.Random(seed)
+        bits = rng.getrandbits
+        for _ in range(100):
+            assert _randbelow(bits, n) == ref.randrange(n)
+            assert 1 + _randbelow(bits, n - 1) == ref.randrange(1, n)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_lifts_run_only_on_trials_whose_two_squares_pass(monkeypatch):
+    # on the g = 1 theta = 0 fiber, every lift follows two passing square
+    # tests in its trial; at p = 2 the mod 8 test rejects before any lift,
+    # where the earlier pretest passed every p = 2 trial on to the lift
+    log = []
+
+    class CountingRooter(ResidueRooter):
+        __slots__ = ()
+
+        def test(self, r):
+            token = super().test(r)
+            log.append(token is not None)
+            return token
+
+        def lift(self, token, exact):
+            root = super().lift(token, exact)
+            log.append("lift" if root is not None else "no root")
+            return root
+
+    monkeypatch.setattr(local, "ResidueRooter", CountingRooter)
+    th = Theta.of(0)
+    co = fiber_coeffs(PARAMS_G1, th)
+    curve, surface = build_curve(co), build_surface(co)
+    for p in critical_places(curve).primes():
+        model, _ = admissible_model(surface, p, th)
+        log.clear()
+        pts = sample_surface_points(model, Place.finite(p), 9)
+        tested, lifts, i = 0, 0, 0
+        while i < len(log):
+            # a trial past the unit check of u and v tests its first square
+            tested += 1
+            assert log[i] in (True, False), (p, i)
+            if not log[i]:
+                i += 1
+                continue
+            assert log[i + 1] in (True, False), (p, i)
+            if not log[i + 1]:
+                i += 2
+                continue
+            assert log[i + 2] in ("lift", "no root"), (p, i)
+            lifts += 1
+            i += 3
+            if log[i - 1] == "lift":
+                assert log[i] in ("lift", "no root"), (p, i)
+                lifts += 1
+                i += 1
+        assert lifts >= 2 * len(pts) == 18
+        if p == 2:
+            # 57 trials reach the first square's test; the earlier pretest
+            # passed each of them to the residue root of x^2, which made
+            # 68 residue roots and 52 Hensel lifts where 18 lifts are made
+            assert (tested, lifts) == (57, 18)
+
+
 def test_cases_include_theta_inf_and_den_theta_primes():
     thetas = [t for g, t in CASES if g == 1]
     assert len(thetas) == 40 and "inf" in thetas
@@ -144,6 +213,13 @@ def test_cases_include_theta_inf_and_den_theta_primes():
 
 
 # ----- the residue square root ----------------------------------------------
+
+def _residue_sqrt(r, p, prec, exact):
+    """The sampler's verdict and root for one residue r = x mod p^(prec+2)."""
+    rooter = ResidueRooter(p, prec)
+    token = rooter.test(r)
+    return None if token is None else rooter.lift(token, exact)
+
 
 def _p_integral(rng, p, v):
     """A random rational of valuation exactly v, denominator prime to p."""
