@@ -139,7 +139,7 @@ def _trace(trace, text, ok):
     return bool(ok)
 
 
-def certify_invariant(surface, place, theta, model=None):
+def certify_invariant(surface, place, model=None):
     """Walk the per-place decision tree and certify the invariant value.
 
     Branches (hypotheses re-verified numerically, never assumed):
@@ -162,7 +162,7 @@ def certify_invariant(surface, place, theta, model=None):
         return _refused(place, trace, "negative a at the real place")
     p = place.p
     if model is None:
-        model, _ = admissible_model(surface, p, theta)
+        model = admissible_model(surface, p)
     model.change.assert_square_factor()
     a = model.a
     if padic_val(a, p) == 0 and is_local_square(a, place):
@@ -256,7 +256,6 @@ def obstruction_certificate(curve, surface, local_result, samples=10):
         raise ValueError("obstruction table needs everywhere-local solvability first")
     coeffs = surface.coeffs
     params = coeffs.params
-    theta = coeffs.theta
     table = {}
     errors = []
     for place in local_result.critical.places:
@@ -264,8 +263,8 @@ def obstruction_certificate(curve, surface, local_result, samples=10):
         # for every point of the sampling confirmation
         model, ctx = surface, None
         if not place.is_real:
-            model, _ = admissible_model(surface, place.p, theta)
-        cert = certify_invariant(surface, place, theta, model=model)
+            model = admissible_model(surface, place.p)
+        cert = certify_invariant(surface, place, model=model)
         table[place] = cert
         if not cert.rigorous:
             errors.append(f"invariant at {place} {cert.warning}")

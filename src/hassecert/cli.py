@@ -13,7 +13,6 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .brauer import obstruction_certificate
 from .family import (
@@ -24,6 +23,7 @@ from .family import (
     check_smooth_curve,
     check_smooth_surface,
     fiber_coeffs,
+    frac_str,
     j_invariant,
 )
 from .local import certify_all_local
@@ -159,11 +159,6 @@ def resolve_params(config):
     return sieve_params(config.g, config.h, bound=config.sieve_bound, count=1)[0]
 
 
-def _frac_str(x):
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
 # The stages certify_fiber runs after build, nonvanishing and smoothness,
 # keyed by subcommand.  Each stage subcommand prints one entry of the fiber
 # record, named in SECTIONS.
@@ -218,7 +213,7 @@ def certify_fiber(params, theta, height_bound=1000, sample_count=10,
             surf_pts = surface_point_search(surface, height_bound)
             out["point_search"] = {
                 "height": str(height_bound),
-                "curve_points": [[str(t), _frac_str(s)] for t, s in curve_pts],
+                "curve_points": [[str(t), frac_str(s)] for t, s in curve_pts],
                 "surface_points": [[str(c) for c in pt] for pt in surf_pts],
             }
             if (curve_pts or surf_pts) and "brauer" in stages:
@@ -227,7 +222,7 @@ def certify_fiber(params, theta, height_bound=1000, sample_count=10,
                 )
         if "j" in stages and params.g == 1:
             stage = "j-invariant"
-            out["j_invariant"] = _frac_str(j_invariant(coeffs))
+            out["j_invariant"] = frac_str(j_invariant(coeffs))
         out["certified"] = True
         out["stage"] = "done"
     except Exception as e:  # noqa: BLE001 - the fiber report carries the reason
@@ -287,7 +282,7 @@ def report_j_invariants(config):
     values = set()
     for theta in config.theta_list:
         j = j_invariant(fiber_coeffs(params, theta))
-        rows.append({"theta": str(theta), "j": _frac_str(j)})
+        rows.append({"theta": str(theta), "j": frac_str(j)})
         values.add(j)
     if len(config.theta_list) >= 2 and len(values) < 2:
         raise ArithmeticError("j-invariant failed to separate two fibers")
@@ -323,12 +318,15 @@ _FLAG_FIELDS = (
 
 def _config_from_args(args):
     cfg = RunConfig()
-    if args.config:
-        with open(args.config) as fh:
-            cfg = RunConfig.from_json(json.load(fh))
-    if args.theta:
-        cfg.theta_list = [Theta.parse(x) for chunk in args.theta
-                          for x in chunk.split(",")]
+    try:
+        if args.config:
+            with open(args.config) as fh:
+                cfg = RunConfig.from_json(json.load(fh))
+        if args.theta:
+            cfg.theta_list = [Theta.parse(x) for chunk in args.theta
+                              for x in chunk.split(",")]
+    except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"malformed input ({type(e).__name__}): {e}") from None
     for flag, key in _FLAG_FIELDS:
         if getattr(args, flag) is not None:
             setattr(cfg, key, getattr(args, flag))

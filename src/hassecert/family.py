@@ -14,7 +14,7 @@ and satisfying B - A = 2 c D^2 identically.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 
@@ -70,6 +70,12 @@ class NonvanishingError(ArithmeticError):
         super().__init__(f"coefficient {symbol} vanishes on fiber theta={coeffs.theta}")
 
 
+def frac_str(x):
+    """A rational as the string "num/den", den >= 1 (integers too)."""
+    x = Fraction(x)
+    return f"{x.numerator}/{x.denominator}"
+
+
 @dataclass(frozen=True)
 class FamilyCoeffs:
     """Structured coefficients of one fiber."""
@@ -82,13 +88,10 @@ class FamilyCoeffs:
     params: ParamSet
 
     def to_json(self):
-        def frac(x):
-            return f"{x.numerator}/{x.denominator}"
-
         return {
             "params": self.params.to_json(),
             "theta": self.theta.to_json(),
-            "coeffs": {k: frac(getattr(self, k)) for k in "ABCD"},
+            "coeffs": {k: frac_str(getattr(self, k)) for k in "ABCD"},
             "genus": str(self.params.g),
             "h": str(self.params.h),
         }
@@ -291,133 +294,67 @@ def j_invariant(coeffs):
     return 16 * ((A - B) ** 2 + 16 * A * B) ** 3 / den
 
 
-def _tilde_coeffs(params, theta, p, l):
-    """Coefficients after clearing p^l from the denominator of theta.
-
-    With theta = p^(-l) * thetatilde (thetatilde a p-adic unit):
-        Dtilde = a^(2h+1) b^(2h+1) thetatilde^(g+1) - p^((g+1)l)
-        Ctilde = a^(2h+1) thetatilde^(g+1) - p^((g+1)l)
-        Atilde = a^(4h+3) thetatilde^(2g+2) + b c^2 d Dtilde^2
-        Btilde = Atilde + 2 c Dtilde^2
-    and Atilde = p^((2g+2)l) A, similarly for B; Ctilde = p^((g+1)l) C.
-    """
-    a, b, c, d = (Fraction(v) for v in (params.a, params.b, params.c, params.d))
-    g, h = params.g, params.h
-    tt = theta.value * Fraction(p) ** l
-    pw = Fraction(p) ** ((g + 1) * l)
-    Dt = a ** (2 * h + 1) * b ** (2 * h + 1) * tt ** (g + 1) - pw
-    Ct = a ** (2 * h + 1) * tt ** (g + 1) - pw
-    At = a ** (4 * h + 3) * tt ** (2 * g + 2) + b * c**2 * d * Dt**2
-    Bt = At + 2 * c * Dt**2
-    return At, Bt, Ct, Dt
-
-
 def integral_model(curve, p):
-    """A p-integral model of the curve with the substitution recorded.
+    """A p-integral model of the curve: the fiber scaled by one lambda.
 
-    For v_p(theta) = -l < 0 the fiber coordinates are rescaled by
-    (s, t) -> (p^(-(2g+2)l) s, p^(-2l) t), turning the structured
-    coefficients into Atilde = p^((2g+2)l) A and Btilde likewise, which
-    are p-adic integers.  Elsewhere the model is already integral.
+    For v_p(theta) = -l < 0, lambda = p^((g+1)l) and the substitution
+    (s, t) -> (lambda^(-2) s, p^(-2l) t) turns A and B into lambda^2 A and
+    lambda^2 B, which are p-adic integers.  Elsewhere the model is the
+    fiber itself.
     """
     coeffs = curve.coeffs
-    if coeffs is None:
-        return curve, CurveChange()
-    theta = coeffs.theta
-    g = curve.genus
-    if theta.is_infinity or padic_val(theta.value, p) >= 0:
-        return curve, CurveChange()
-    l = -padic_val(theta.value, p)
-    At, Bt, _, _ = _tilde_coeffs(coeffs.params, theta, p, l)
-    change = CurveChange(
-        s_mult=Fraction(1, p ** ((2 * g + 2) * l)), t_mult=Fraction(1, p ** (2 * l))
-    )
-    model = HyperellipticCurve(
-        a=curve.a, b=curve.b, A=At, B=Bt, genus=g, coeffs=coeffs, change=change
-    )
-    return model, change
+    if coeffs is None or coeffs.theta.is_infinity:
+        return curve
+    l = -padic_val(coeffs.theta.value, p)
+    if l <= 0:
+        return curve
+    lam = Fraction(p) ** ((curve.genus + 1) * l)
+    change = CurveChange(s_mult=1 / lam**2, t_mult=Fraction(1, p ** (2 * l)))
+    return replace(curve, A=lam**2 * curve.A, B=lam**2 * curve.B, change=change)
 
 
-def admissible_model(surface, p, theta):
-    """A model of the surface whose coefficients are p-adic integers, with
-    the quaternion-class transport factor recorded (always a square).
+def admissible_model(surface, p):
+    """A model of the surface whose coefficients are p-adic integers: the
+    fiber scaled by one lambda, (A, B, C) -> (lambda^2 A, lambda^2 B,
+    lambda C), with the quaternion class multiplied by the square
+    lambda^(-2).
 
-    Cases:
-      - theta = infinity: global v-rescaling by a^(-4h-2), giving the
-        reduced coefficients A = a + b^(4h+3) c^2 d etc., valid at every p.
+    With X = a^(2h+1) theta^(g+1) the fiber has C = X - 1,
+    D = b^(2h+1) X - 1, A = a X^2 + b c^2 d D^2 and B = A + 2 c D^2 (at
+    theta = infinity, C = X and D = b^(2h+1) X with X = a^(2h+1)), so a
+    lambda that makes lambda X p-integral makes all four scaled
+    coefficients p-integral:
+      - theta = infinity: lambda = a^(-(2h+1)), valid at every p, applied
+        as v -> lambda^2 v; it gives A = a + b^(4h+3) c^2 d and C = 1.
       - v_p(theta) >= 0: identity.
-      - v_p(theta) = -l < 0, p != a: clear p^l from theta; coordinates
-        (x,y,z,u) scale by p^((2g+2)l), the class by the square p^(-(2g+2)l).
-      - p = a, v_a(theta) = -l < 0: with k = (g+1)l - (2h+1), the raw
-        coefficients are already a-integral when k < 0; when k > 0 an
-        extra a-power rescaling reduces A to a thetatilde^(2g+2) + ...
-        (k = 0 cannot happen for odd g).
+      - v_p(theta) = -l < 0, p != a: lambda = p^((g+1)l), applied as
+        (x, y, z, u) -> lambda^(-2) (x, y, z, u).
+      - p = a, v_a(theta) = -l < 0: with k = (g+1)l - (2h+1), the
+        coefficients are already a-integral when k < 0 (identity); when
+        k > 0, lambda = a^k, applied as for p != a.  k = 0 cannot happen
+        for odd g.
     """
     coeffs = surface.coeffs
     if coeffs is None:
-        return surface, SurfaceChange()
-    params = coeffs.params
-    g, h = params.g, params.h
-    a = Fraction(params.a)
-    b, c, d = Fraction(params.b), Fraction(params.c), Fraction(params.d)
-
+        return surface
+    theta, params = coeffs.theta, coeffs.params
     if theta.is_infinity:
-        scale = a ** (4 * h + 2)
-        Adot = a + b ** (4 * h + 3) * c**2 * d
-        Bdot = Adot + 2 * b ** (4 * h + 2) * c
-        change = SurfaceChange(
-            mults=(Fraction(1),) * 4 + (Fraction(1) / scale,),
-            brauer_factor=scale,
-        )
-        change.assert_square_factor()
-        model = DP4Surface(
-            a=surface.a, b=surface.b, A=Adot, B=Bdot, C=Fraction(1),
-            genus=g, coeffs=coeffs, change=change,
-        )
-        return model, change
-
-    v = padic_val(theta.value, p)
-    if v >= 0:
-        return surface, SurfaceChange()
-    l = -v
-
-    if p != params.a:
-        At, Bt, Ct, _ = _tilde_coeffs(params, theta, p, l)
-        m = Fraction(1, p ** ((2 * g + 2) * l))
-        change = SurfaceChange(
-            mults=(m, m, m, m, Fraction(1)),
-            brauer_factor=m,
-        )
-        change.assert_square_factor()
-        model = DP4Surface(
-            a=surface.a, b=surface.b, A=At, B=Bt, C=Ct,
-            genus=g, coeffs=coeffs, change=change,
-        )
-        return model, change
-
-    # p = a
-    k = (g + 1) * l - (2 * h + 1)
-    if k == 0:
-        raise ArithmeticError("(g+1)l = 2h+1 is impossible for odd g")
-    tt = theta.value * a**l
-    if k < 0:
-        # raw coefficients are a-integral already (rewritten form has
-        # Dtilde = a^(-k) b^(2h+1) thetatilde^(g+1) - 1); keep identity
-        return surface, SurfaceChange()
-    # k > 0: rescale (x,y,z,u) by a^((2g+2)l - (4h+2))
-    Dt = b ** (2 * h + 1) * tt ** (g + 1) - a**k
-    Ct = tt ** (g + 1) - a**k
-    At = a * tt ** (2 * g + 2) + b * c**2 * d * Dt**2
-    Bt = At + 2 * c * Dt**2
-    e = (2 * g + 2) * l - (4 * h + 2)
-    m = Fraction(1) / a**e
-    change = SurfaceChange(
-        mults=(m, m, m, m, Fraction(1)),
-        brauer_factor=m,
-    )
+        lam = Fraction(1, params.a ** (2 * params.h + 1))
+        mults = (Fraction(1),) * 4 + (lam**2,)
+    else:
+        l = -padic_val(theta.value, p)
+        if l <= 0:
+            return surface
+        k = (params.g + 1) * l
+        if p == params.a:
+            k -= 2 * params.h + 1
+            if k == 0:
+                raise ArithmeticError("(g+1)l = 2h+1 is impossible for odd g")
+            if k < 0:
+                return surface
+        lam = Fraction(p) ** k
+        mults = (1 / lam**2,) * 4 + (Fraction(1),)
+    change = SurfaceChange(mults=mults, brauer_factor=1 / lam**2)
     change.assert_square_factor()
-    model = DP4Surface(
-        a=surface.a, b=surface.b, A=At, B=Bt, C=Ct,
-        genus=g, coeffs=coeffs, change=change,
-    )
-    return model, change
+    return replace(surface, A=lam**2 * surface.A, B=lam**2 * surface.B,
+                   C=lam * surface.C, change=change)

@@ -440,7 +440,7 @@ def certify_local_curve(curve, place):
     (good-reduction-hw or fp-smooth-lift), g+1-power, then the disc-center
     case analysis.  Where none applies the certificate is a refusal:
     solvable None, method "refused", the place named in the notes."""
-    model = curve if place.is_real else integral_model(curve, place.p)[0]
+    model = curve if place.is_real else integral_model(curve, place.p)
     for path in (_try_ab_square, _try_good_reduction, _try_power, _try_center_probe):
         cert = path(model, place)
         if cert is not None:

@@ -2,7 +2,8 @@
 polynomial algebra over Q, general local decision procedures, the F_p
 scan over dense coefficients, square roots mod p and p^k by the earlier
 legendre-first and inverting kernels, the point searches' residue patterns
-built one residue at a time, and the residue check of a surface point.
+built one residue at a time, the residue check of a surface point, and
+the local models rebuilt from re-derived family formulas.
 
 The library certifies each place by a named local lemma and refuses a
 place where none applies; it never runs a general decision procedure.
@@ -15,6 +16,7 @@ import math
 from fractions import Fraction
 
 from hassecert.arith import frac_mod, is_prime, legendre, padic_val, square_residues
+from hassecert.family import CurveChange, DP4Surface, HyperellipticCurve, SurfaceChange
 from hassecert.local import SCAN_CAP, ResidueContext, Witness, _witness_from_center
 
 
@@ -455,3 +457,143 @@ def surface_sieve_pattern(surface, v, x1, M):
         if sq[(y0 + y1 * r) % M] and sq[(z0 + zb * (q * r - cA) * (q * r - cB)) % M]:
             bits |= 1 << r
     return bits
+
+
+# --------------------------------------------------------------------------
+# the local models by re-derived family formulas: each p-integral or
+# p-admissible model rebuilt from a, b, c, d and theta with p^l (or a
+# power of a) cleared out of theta, as the library built them before it
+# scaled the fiber's own coefficients by one lambda; returns
+# (model, change)
+
+
+def tilde_coeffs(params, theta, p, l):
+    """Coefficients after clearing p^l from the denominator of theta.
+
+    With theta = p^(-l) * thetatilde (thetatilde a p-adic unit):
+        Dtilde = a^(2h+1) b^(2h+1) thetatilde^(g+1) - p^((g+1)l)
+        Ctilde = a^(2h+1) thetatilde^(g+1) - p^((g+1)l)
+        Atilde = a^(4h+3) thetatilde^(2g+2) + b c^2 d Dtilde^2
+        Btilde = Atilde + 2 c Dtilde^2
+    and Atilde = p^((2g+2)l) A, similarly for B; Ctilde = p^((g+1)l) C.
+    """
+    a, b, c, d = (Fraction(v) for v in (params.a, params.b, params.c, params.d))
+    g, h = params.g, params.h
+    tt = theta.value * Fraction(p) ** l
+    pw = Fraction(p) ** ((g + 1) * l)
+    Dt = a ** (2 * h + 1) * b ** (2 * h + 1) * tt ** (g + 1) - pw
+    Ct = a ** (2 * h + 1) * tt ** (g + 1) - pw
+    At = a ** (4 * h + 3) * tt ** (2 * g + 2) + b * c**2 * d * Dt**2
+    Bt = At + 2 * c * Dt**2
+    return At, Bt, Ct, Dt
+
+
+def rederived_integral_model(curve, p):
+    """A p-integral model of the curve with the substitution recorded.
+
+    For v_p(theta) = -l < 0 the fiber coordinates are rescaled by
+    (s, t) -> (p^(-(2g+2)l) s, p^(-2l) t), turning the structured
+    coefficients into Atilde = p^((2g+2)l) A and Btilde likewise, which
+    are p-adic integers.  Elsewhere the model is already integral.
+    """
+    coeffs = curve.coeffs
+    if coeffs is None:
+        return curve, CurveChange()
+    theta = coeffs.theta
+    g = curve.genus
+    if theta.is_infinity or padic_val(theta.value, p) >= 0:
+        return curve, CurveChange()
+    l = -padic_val(theta.value, p)
+    At, Bt, _, _ = tilde_coeffs(coeffs.params, theta, p, l)
+    change = CurveChange(
+        s_mult=Fraction(1, p ** ((2 * g + 2) * l)), t_mult=Fraction(1, p ** (2 * l))
+    )
+    model = HyperellipticCurve(
+        a=curve.a, b=curve.b, A=At, B=Bt, genus=g, coeffs=coeffs, change=change
+    )
+    return model, change
+
+
+def rederived_admissible_model(surface, p, theta):
+    """A model of the surface whose coefficients are p-adic integers, with
+    the quaternion-class transport factor recorded (always a square).
+
+    Cases:
+      - theta = infinity: global v-rescaling by a^(-4h-2), giving the
+        reduced coefficients A = a + b^(4h+3) c^2 d etc., valid at every p.
+      - v_p(theta) >= 0: identity.
+      - v_p(theta) = -l < 0, p != a: clear p^l from theta; coordinates
+        (x,y,z,u) scale by p^((2g+2)l), the class by the square p^(-(2g+2)l).
+      - p = a, v_a(theta) = -l < 0: with k = (g+1)l - (2h+1), the raw
+        coefficients are already a-integral when k < 0; when k > 0 an
+        extra a-power rescaling reduces A to a thetatilde^(2g+2) + ...
+        (k = 0 cannot happen for odd g).
+    """
+    coeffs = surface.coeffs
+    if coeffs is None:
+        return surface, SurfaceChange()
+    params = coeffs.params
+    g, h = params.g, params.h
+    a = Fraction(params.a)
+    b, c, d = Fraction(params.b), Fraction(params.c), Fraction(params.d)
+
+    if theta.is_infinity:
+        scale = a ** (4 * h + 2)
+        Adot = a + b ** (4 * h + 3) * c**2 * d
+        Bdot = Adot + 2 * b ** (4 * h + 2) * c
+        change = SurfaceChange(
+            mults=(Fraction(1),) * 4 + (Fraction(1) / scale,),
+            brauer_factor=scale,
+        )
+        change.assert_square_factor()
+        model = DP4Surface(
+            a=surface.a, b=surface.b, A=Adot, B=Bdot, C=Fraction(1),
+            genus=g, coeffs=coeffs, change=change,
+        )
+        return model, change
+
+    v = padic_val(theta.value, p)
+    if v >= 0:
+        return surface, SurfaceChange()
+    l = -v
+
+    if p != params.a:
+        At, Bt, Ct, _ = tilde_coeffs(params, theta, p, l)
+        m = Fraction(1, p ** ((2 * g + 2) * l))
+        change = SurfaceChange(
+            mults=(m, m, m, m, Fraction(1)),
+            brauer_factor=m,
+        )
+        change.assert_square_factor()
+        model = DP4Surface(
+            a=surface.a, b=surface.b, A=At, B=Bt, C=Ct,
+            genus=g, coeffs=coeffs, change=change,
+        )
+        return model, change
+
+    # p = a
+    k = (g + 1) * l - (2 * h + 1)
+    if k == 0:
+        raise ArithmeticError("(g+1)l = 2h+1 is impossible for odd g")
+    tt = theta.value * a**l
+    if k < 0:
+        # raw coefficients are a-integral already (rewritten form has
+        # Dtilde = a^(-k) b^(2h+1) thetatilde^(g+1) - 1); keep identity
+        return surface, SurfaceChange()
+    # k > 0: rescale (x,y,z,u) by a^((2g+2)l - (4h+2))
+    Dt = b ** (2 * h + 1) * tt ** (g + 1) - a**k
+    Ct = tt ** (g + 1) - a**k
+    At = a * tt ** (2 * g + 2) + b * c**2 * d * Dt**2
+    Bt = At + 2 * c * Dt**2
+    e = (2 * g + 2) * l - (4 * h + 2)
+    m = Fraction(1) / a**e
+    change = SurfaceChange(
+        mults=(m, m, m, m, Fraction(1)),
+        brauer_factor=m,
+    )
+    change.assert_square_factor()
+    model = DP4Surface(
+        a=surface.a, b=surface.b, A=At, B=Bt, C=Ct,
+        genus=g, coeffs=coeffs, change=change,
+    )
+    return model, change

@@ -160,7 +160,7 @@ def _check_local_criterion(g, h):
         for place, cert in local.certificates.items():
             assert cert.solvable is True
             assert cert.method in LOCAL_LEMMAS, (str(theta), str(place), cert.method)
-            model = curve if place.is_real else integral_model(curve, place.p)[0]
+            model = curve if place.is_real else integral_model(curve, place.p)
             assert cert.witness.verify(model)
         assert local.blanket.ok
         assert len(local.blanket.sampled_primes) == 20
@@ -201,7 +201,7 @@ def test_ac4_generic_decider_matches_exhaustive_oracle():
     for theta, co, curve, surface, local in rows:
         small = [p for p in local.critical.primes() if p % 2 == 1 and p <= 13]
         for p in small:
-            model, _ = integral_model(curve, p)
+            model = integral_model(curve, p)
             verdict, wit = decide_qp_points(model, p)
             expected = oracle_qp(model, p, 4)
             assert expected is not None, (str(theta), p)

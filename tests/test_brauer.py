@@ -32,14 +32,14 @@ SURFACE_0 = build_surface(CO_0)
 def test_invariant_zero_where_a_is_square():
     # at the real place and at 2, a is a local square: value 0 regardless
     for place in (Place.real(), Place.finite(2)):
-        cert = certify_invariant(SURFACE_0, place, CO_0.theta)
+        cert = certify_invariant(SURFACE_0, place)
         assert cert.value == ZERO
         assert cert.method == "prop-square"
         assert cert.rigorous
 
 
 def test_invariant_half_exactly_at_a():
-    cert = certify_invariant(SURFACE_0, Place.finite(PARAMS.a), CO_0.theta)
+    cert = certify_invariant(SURFACE_0, Place.finite(PARAMS.a))
     assert cert.value == HALF
     assert cert.method == "prop-a"
     assert cert.rigorous
@@ -49,7 +49,7 @@ def test_invariant_half_exactly_at_a():
 
 
 def test_invariant_at_c_via_prop_c():
-    cert = certify_invariant(SURFACE_0, Place.finite(PARAMS.c), CO_0.theta)
+    cert = certify_invariant(SURFACE_0, Place.finite(PARAMS.c))
     assert cert.value == ZERO
     assert cert.method == "prop-c"
     # c^-2 A = bd must be a nonsquare mod c, and so must a
@@ -62,17 +62,17 @@ def test_invariant_at_c_via_prop_c():
 def test_invariant_at_infinity_fiber():
     co = fiber_coeffs(PARAMS, Theta.infinity())
     surface = build_surface(co)
-    cert = certify_invariant(surface, Place.finite(PARAMS.a), co.theta)
+    cert = certify_invariant(surface, Place.finite(PARAMS.a))
     assert cert.value == HALF and cert.method == "prop-a"
-    cert_c = certify_invariant(surface, Place.finite(PARAMS.c), co.theta)
+    cert_c = certify_invariant(surface, Place.finite(PARAMS.c))
     assert cert_c.value == ZERO and cert_c.method == "prop-c"
 
 
 def test_sampled_values_agree_with_certified():
     for p in (PARAMS.a, PARAMS.c, 11):
         place = Place.finite(p)
-        model, _ = admissible_model(SURFACE_0, p, CO_0.theta)
-        cert = certify_invariant(SURFACE_0, place, CO_0.theta)
+        model = admissible_model(SURFACE_0, p)
+        cert = certify_invariant(SURFACE_0, place)
         value, consistent, count = sample_invariant(model, place, 10, seed=3)
         assert consistent and count >= 10
         assert value == cert.value, p
@@ -97,7 +97,7 @@ def test_representation_independence_on_samples():
         surface = build_surface(co)
         for p in critical_places(build_curve(co)).primes():
             place = Place.finite(p)
-            model, _ = admissible_model(surface, p, th)
+            model = admissible_model(surface, p)
             ctx = ResidueContext.of(model, p)
             for pt in sample_surface_points(model, place, 8, seed=5):
                 reps = ctx.slot_residues(int(pt.coords[3]), int(pt.coords[4]))
@@ -139,7 +139,7 @@ def test_sampled_fallback_marked_non_rigorous():
     surf = DP4Surface(a=Fraction(3), b=Fraction(1), A=Fraction(1),
                       B=Fraction(51), C=Fraction(5), genus=1,
                       coeffs=CO_0)
-    cert = certify_invariant(surf, Place.finite(5), Theta.of(0))
+    cert = certify_invariant(surf, Place.finite(5))
     assert cert.method == "refused"
     assert cert.value is None
     assert not cert.rigorous
@@ -159,10 +159,10 @@ def test_refused_place_fails_the_fiber(monkeypatch, tmp_path):
     refused = Place.finite(PARAMS.c)
     certify = brauer.certify_invariant
 
-    def refuse_at_c(surface, place, theta, **kwargs):
+    def refuse_at_c(surface, place, **kwargs):
         if place == refused:
             return brauer._refused(place, [], "test refusal")
-        return certify(surface, place, theta, **kwargs)
+        return certify(surface, place, **kwargs)
 
     monkeypatch.setattr(brauer, "certify_invariant", refuse_at_c)
     res = certify_all_local(CURVE_0, sample_count=2)

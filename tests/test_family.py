@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hassecert.arith import factorize, padic_val
 from hassecert.family import (
     DP4Surface,
     FamilyCoeffs,
@@ -24,7 +25,13 @@ from hassecert.family import (
     smoothness_quartic,
 )
 from hassecert.params import sieve_params
-from oracles import F_poly, evaluate, f_poly
+from oracles import (
+    F_poly,
+    evaluate,
+    f_poly,
+    rederived_admissible_model,
+    rederived_integral_model,
+)
 
 
 PARAMS = sieve_params(1, 0, bound=10**7, count=1)[0]
@@ -186,7 +193,8 @@ def test_j_invariant_rejections():
 def test_integral_model_identity_when_integral():
     co = fiber_coeffs(PARAMS, Theta.of(3))
     curve = build_curve(co)
-    model, change = integral_model(curve, 7)
+    model = integral_model(curve, 7)
+    change = model.change
     assert change == CurveChange() and model.A == co.A
 
 
@@ -194,7 +202,8 @@ def test_integral_model_clears_denominator():
     p = 7
     co = fiber_coeffs(PARAMS, Theta.of(1, p))
     curve = build_curve(co)
-    model, change = integral_model(curve, p)
+    model = integral_model(curve, p)
+    change = model.change
     from hassecert.arith import padic_val
 
     assert padic_val(model.A, p) >= 0
@@ -216,8 +225,7 @@ def test_admissible_model_theta_zero_identity():
     co = fiber_coeffs(PARAMS, Theta.of(0))
     surf = build_surface(co)
     for p in (2, PARAMS.a, PARAMS.b, PARAMS.c, 11):
-        model, change = admissible_model(surf, p, Theta.of(0))
-        assert change == SurfaceChange()
+        assert admissible_model(surf, p).change == SurfaceChange()
 
 
 def test_admissible_model_infinity_dot():
@@ -225,7 +233,8 @@ def test_admissible_model_infinity_dot():
     h = PARAMS.h
     co = fiber_coeffs(PARAMS, Theta.infinity())
     surf = build_surface(co)
-    model, change = admissible_model(surf, 11, Theta.infinity())
+    model = admissible_model(surf, 11)
+    change = model.change
     assert model.A == a + F(b) ** (4 * h + 3) * c * c * d
     assert model.C == 1
     change.assert_square_factor()
@@ -238,7 +247,8 @@ def test_admissible_model_clears_theta_denominator():
     th = Theta.of(3, p)
     co = fiber_coeffs(PARAMS, th)
     surf = build_surface(co)
-    model, change = admissible_model(surf, p, th)
+    model = admissible_model(surf, p)
+    change = model.change
     for val in (model.A, model.B, model.C):
         assert padic_val(val, p) >= 0
     assert model.A != model.B
@@ -260,7 +270,8 @@ def test_admissible_model_at_a_negative_valuation():
         th = Theta.of(3, a**l)
         co = fiber_coeffs(ps, th)
         surf = build_surface(co)
-        model, change = admissible_model(surf, a, th)
+        model = admissible_model(surf, a)
+        change = model.change
         for val in (model.A, model.B, model.C):
             assert padic_val(val, a) >= 0, (l, ps.h, val)
         assert model.A != model.B
@@ -271,3 +282,31 @@ def test_admissible_model_at_a_negative_valuation():
             u_orig, v_orig = change.mults[3] * u, change.mults[4] * v
             slot_orig = surf.b * (u_orig - surf.A * v_orig) / v_orig
             assert slot_orig == change.brauer_factor * slot_model
+
+
+def test_scaled_models_match_the_rederived_models():
+    # every local model is the fiber scaled by one lambda; it equals, field
+    # by field and change record included, the model rebuilt from the
+    # family formulas with p^l (or a power of a) cleared out of theta
+    seen = {"curve rescaled": 0, "surface rescaled": 0, "p = a, k < 0": 0, "p = a, k > 0": 0}
+    for g, h, bound in ((1, 0, 10**7), (1, 1, 10**7), (1, 2, 10**7), (3, 0, 10**12)):
+        ps = sieve_params(g, h, bound=bound, count=1)[0]
+        a, b, c, d = ps.a, ps.b, ps.c, ps.d
+        dens = (1, 2, 3, 4, 5, 7, 9, 12, 25, 49, a, a * a, 2 * a, 3 * a**3, b, c * d)
+        thetas = {Theta.infinity()} | {Theta.of(m, n) for m in range(-6, 7) for n in dens}
+        for th in thetas:
+            co = fiber_coeffs(ps, th)
+            curve, surface = build_curve(co), build_surface(co)
+            den = 1 if th.is_infinity else th.value.denominator
+            for p in {2, 3, 5, 7, 11, a, b, c, d} | set(factorize(den)[0]):
+                model = integral_model(curve, p)
+                assert (model, model.change) == rederived_integral_model(curve, p), (th, p)
+                seen["curve rescaled"] += model.change != CurveChange()
+                model = admissible_model(surface, p)
+                ref = rederived_admissible_model(surface, p, th)
+                assert (model, model.change) == ref, (g, h, th, p)
+                seen["surface rescaled"] += model.change != SurfaceChange()
+                if p == a and not th.is_infinity and padic_val(th.value, a) < 0:
+                    k = (g + 1) * -padic_val(th.value, a) - (2 * h + 1)
+                    seen["p = a, k < 0" if k < 0 else "p = a, k > 0"] += 1
+    assert all(seen.values()), seen

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -139,7 +140,7 @@ def test_decide_agrees_with_oracle_on_fiber_primes():
     for theta in (Theta.of(0), Theta.of(1), Theta.of(1, 2)):
         curve = build_curve(fiber_coeffs(PARAMS, theta))
         for p in (3, 5, 7, 11, 13):
-            model, _ = integral_model(curve, p)
+            model = integral_model(curve, p)
             got, wit = decide_qp_points(model, p)
             expected = oracle_qp(model, p, 4)
             assert expected is True, (str(theta), p)
@@ -342,39 +343,63 @@ def test_witnesses_verify_and_serialize():
     for pl, cert in res.certificates.items():
         j = cert.to_json()
         assert j["place"] == str(pl)
-        model = CURVE_0 if pl.is_real else integral_model(CURVE_0, pl.p)[0]
+        model = CURVE_0 if pl.is_real else integral_model(CURVE_0, pl.p)
         assert cert.witness.verify(model)
 
 
-def test_witness_reverification_from_json_alone():
-    # an external consumer must be able to confirm a sqrt witness with
-    # nothing but the serialized fields and the model's a, b, A, B:
+@pytest.mark.parametrize("theta", ["0", "1/3", "3/2", "1/1753", "-2/3073009"])
+def test_witness_reverification_from_json_alone(theta, tmp_path):
+    # an external consumer must be able to confirm a witness with nothing
+    # but the report's fields.  The place's model has the fiber's coeffs
+    # A, B scaled by p^((2g+2)l) where v_p(theta) = -l < 0, and is the
+    # fiber itself elsewhere; its chart is
     #   H(t) = m^2 (c0 + c_n t^n + c_2n t^(2n)),  n = g + 1,
     # with (c0, c_n, c_2n) = (b/a) (AB, -(A+B), 1) on chart "st", c0 and
-    # c_2n swapped on chart "ST", and m the lcm of their denominators
-    res = certify_all_local(CURVE_0)
-    checked = 0
-    for pl, cert in res.certificates.items():
-        w = cert.witness
-        if w is None or pl.is_real or w.kind != "sqrt":
+    # c_2n swapped on chart "ST", and m the lcm of their denominators.
+    # a sqrt witness has sigma^2 = H(t_center) mod p^precision past the
+    # Hensel margin, a root witness v_p(H(t_center)) > 2 v_p(H'(t_center))
+    from hassecert.cli import main
+
+    out = tmp_path / "report.json"
+    assert main(["certify-all", "--g", "1", "--h", "0", f"--theta={theta}",
+                 "--height", "10", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())["fibers"][0]
+    fiber, local = record["fiber"], record["local"]
+    a, b = (Fraction(int(fiber["params"][k])) for k in "ab")
+    A0, B0 = (Fraction(fiber["coeffs"][k]) for k in "AB")
+    n = int(fiber["genus"]) + 1
+    den = int(fiber["theta"]["den"])
+    checked = rescaled = 0
+    for entry in local["certificates"]:
+        data = entry["witness"]
+        if data["kind"] not in ("sqrt", "root"):
             continue
-        data = w.to_json()
         p = int(data["prime"])
-        sigma = int(data["sigma"])
-        prec = int(data["precision"])
         t_center = int(data["t_center"])
-        model, _ = integral_model(CURVE_0, p)
-        lead = model.b / model.a
-        c = [lead * model.A * model.B, -lead * (model.A + model.B), lead]
+        l = 0
+        while den % p ** (l + 1) == 0:
+            l += 1
+        scale = Fraction(p) ** (2 * n * l)
+        A, B = scale * A0, scale * B0
+        lead = b / a
+        c = [lead * A * B, -lead * (A + B), lead]
         if data["chart"] == "ST":
             c.reverse()
         m = math.lcm(*(x.denominator for x in c))
-        n = PARAMS.g + 1
-        V = sum(int(x * m * m) * t_center ** (n * i) for i, x in enumerate(c))
-        assert (sigma * sigma - V) % p**prec == 0
-        assert V != 0 and prec > padic_val(V, p)  # the Hensel margin
+        h = [int(x * m * m) for x in c]
+        V = h[0] + (h[1] + h[2] * t_center**n) * t_center**n
+        assert V != 0
+        if data["kind"] == "sqrt":
+            sigma, prec = int(data["sigma"]), int(data["precision"])
+            assert (sigma * sigma - V) % p**prec == 0
+            assert prec > padic_val(V, p) + 2 * (p == 2)  # the Hensel margin
+        else:
+            dV = n * t_center ** (n - 1) * (h[1] + 2 * h[2] * t_center**n)
+            assert dV != 0 and padic_val(V, p) > 2 * padic_val(dV, p)
         checked += 1
+        rescaled += l > 0
     assert checked >= 2
+    assert rescaled == (den > 1)  # each den here is a prime power
 
 
 def _closed_form_cases():
@@ -391,7 +416,7 @@ def _closed_form_cases():
                 continue
             cert = res.certificates[place]
             centers = list(range(-5, 6)) + [cert.witness.t_center]
-            yield integral_model(curve, place.p)[0], centers, cert
+            yield integral_model(curve, place.p), centers, cert
 
 
 def test_closed_form_chart_matches_dense_oracle():
@@ -444,7 +469,7 @@ def test_delta_surface_points_verify():
             pt = delta_surface_point(surface, CURVE_0, pl, cert)
             assert pt.coords[3] is not None
             continue
-        model, _ = admissible_model(surface, pl.p, CO_0.theta)
+        model = admissible_model(surface, pl.p)
         pt = delta_surface_point(model, CURVE_0, pl, cert)
         q1, q2 = _residue_quadrics(model, pt, pl.p, pt.prec)
         assert q1 == 0 and q2 == 0
@@ -462,10 +487,10 @@ def test_delta_images_at_primes_of_den_theta(theta):
     curve, surface = build_curve(co), build_surface(co)
     for p in factorize(th.value.denominator)[0]:
         place = Place.finite(p)
-        model, _ = admissible_model(surface, p, th)
+        model = admissible_model(surface, p)
         pt = delta_surface_point(model, curve, place, certify_local_curve(curve, place))
         assert _residue_quadrics(model, pt, p, pt.prec) == (0, 0)
-        value = certify_invariant(surface, place, th).value
+        value = certify_invariant(surface, place).value
         assert evaluate_invariant_at_point(model, pt, place) == value
 
 
@@ -522,7 +547,7 @@ def test_residue_context_matches_model_and_callers(theta, p):
     th = Theta.parse(theta)
     co = fiber_coeffs(PARAMS, th)
     curve, surface = build_curve(co), build_surface(co)
-    model, _ = admissible_model(surface, p, th)
+    model = admissible_model(surface, p)
     place = Place.finite(p)
     ctx = ResidueContext.of(model, p)
     prec = _working_precision(model, p)
@@ -540,7 +565,7 @@ def test_residue_context_matches_model_and_callers(theta, p):
     assert pts == sample_surface_points(model, place, 9, seed=0)
     delta = delta_surface_point(model, curve, place, certify_local_curve(curve, place), ctx)
     assert delta == delta_surface_point(model, curve, place, certify_local_curve(curve, place))
-    value = certify_invariant(surface, place, th).value
+    value = certify_invariant(surface, place).value
     for pt in [delta] + pts:
         assert ctx.quadrics(pt.coords) == _residue_quadrics(model, pt, p, pt.prec)
         assert evaluate_invariant_at_point(model, pt, place, ctx) == value

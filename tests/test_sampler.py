@@ -115,7 +115,7 @@ def test_sampler_matches_exact_oracle(g, theta):
         assert set(factorize(th.value.denominator)[0]) <= set(primes)
     for p in primes:
         place = Place.finite(p)
-        model, _ = admissible_model(surface, p, th)
+        model = admissible_model(surface, p)
         if p == params.a:
             assert padic_val(model.a, p) == 1
         for seed, n in ((0, 9), (1, 3)):
@@ -129,8 +129,7 @@ def test_sampler_matches_exact_oracle_when_a_over_p_is_not_one(scale):
     # a unit (4, and the non-squares 5 and 7 mod p) exercises the division
     # by a / p
     p = PARAMS_G1.a
-    model, _ = admissible_model(build_surface(fiber_coeffs(PARAMS_G1, Theta.of(0))), p,
-                                Theta.of(0))
+    model = admissible_model(build_surface(fiber_coeffs(PARAMS_G1, Theta.of(0))), p)
     model = replace(model, a=model.a * scale)
     assert padic_val(model.a, p) == 1
     place = Place.finite(p)
@@ -175,7 +174,7 @@ def test_lifts_run_only_on_trials_whose_two_squares_pass(monkeypatch):
     co = fiber_coeffs(PARAMS_G1, th)
     curve, surface = build_curve(co), build_surface(co)
     for p in critical_places(curve).primes():
-        model, _ = admissible_model(surface, p, th)
+        model = admissible_model(surface, p)
         log.clear()
         pts = sample_surface_points(model, Place.finite(p), 9)
         tested, lifts, i = 0, 0, 0

@@ -455,6 +455,25 @@ def test_cli_config_with_non_prime_params_exits_2(tmp_path, capsys, change, cond
     assert cond in err
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["--theta=1/0"], None),
+    (["--theta=abc"], None),
+    (["--config", "CFG"], '{"g": "x"}'),
+    (["--config", "CFG"], '{"theta_list": ["1/0"]}'),
+    (["--config", "CFG"], None),  # no such file
+], ids=["theta-1/0", "theta-abc", "config-g", "config-theta", "config-missing"])
+def test_cli_malformed_input_exits_2(tmp_path, capsys, argv, config):
+    # malformed input is a config error (exit 2, one line), never a
+    # traceback or exit 1, which is kept for a failed certification
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(config)
+    argv = [str(cfg) if x == "CFG" else x for x in argv]
+    assert main(["certify-all", "--g", "1", "--h", "0", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed input (") and err.count("\n") == 1
+
+
 def test_cli_sieve_and_point_search(tmp_path):
     out = tmp_path / "q.json"
     assert main(["sieve-params", "--g", "1", "--h", "0", "--count", "2",
