@@ -27,7 +27,7 @@ from .family import (
     j_invariant,
 )
 from .local import certify_all_local
-from .params import ParamSet, SieveExhausted, sieve_params, verify_conditions
+from .params import ParamSet, SieveExhausted, json_int, sieve_params, verify_conditions
 from .search import curve_point_search, surface_point_search
 
 VERSION = "0.1.0"
@@ -117,14 +117,16 @@ class RunConfig:
         elif "theta_grid" in obj:
             spec = obj["theta_grid"]
             cfg.theta_list = default_theta_grid(
-                int(spec.get("num_max", 3)), int(spec.get("den_max", 3)),
-                spec.get("include_zero", True), spec.get("include_infinity", True))
+                json_int(spec.get("num_max", 3), "num_max"),
+                json_int(spec.get("den_max", 3), "den_max"),
+                _json_bool(spec.get("include_zero", True), "include_zero"),
+                _json_bool(spec.get("include_infinity", True), "include_infinity"))
         if "params" in obj and obj["params"] is not None:
             cfg.params = ParamSet.from_json(obj["params"])
         for key in ("g", "h", "sieve_bound", "sieve_count", "height_bound",
                     "sample_count", "parallelism"):
             if key in obj:
-                setattr(cfg, key, int(obj[key]))
+                setattr(cfg, key, json_int(obj[key], key))
         for key in ("mode", "output_path"):
             if key in obj:
                 setattr(cfg, key, obj[key])
@@ -144,6 +146,12 @@ class RunConfig:
             "parallelism": str(self.parallelism),
             "output_path": self.output_path,
         }
+
+
+def _json_bool(value, name):
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def resolve_params(config):

@@ -813,16 +813,22 @@ def _working_precision(surface_model, p):
 def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET, ctx=None):
     """n independent local points of the surface model at the place.
 
-    Finite places: random residue points whose x^2, y^2, z^2 are formed
-    as residues mod p^(prec+2) of exact p-integral values and rooted by an
+    Finite places: random residue points whose squares are formed as
+    residues mod p^(prec+2) of exact p-integral values and rooted by an
     arith.ResidueRooter built once for the place, with _exact_padic_sqrt's
-    verdict on each, so the quadrics hold to the working precision.  Both
-    squares of a trial are tested (valuation parity, then one
-    exponentiation at odd p or the unit mod 8 at p = 2) before either is
-    lifted, so a rejected trial lifts nothing.  The draws are
-    random.Random(seed)'s randrange integers, made by _randbelow.  At
-    places with v_p(a) = 1 the sampler uses the structured shape that any
-    local point must have there: x = p x1, v a unit (taken 1), u = A + p u1.
+    verdict on each, so the quadrics hold to the working precision.  Where
+    v_p(a) = 0 and p does not divide C, a and C are units, so on the chart
+    v = 1 the second quadric x^2 - a y^2 + a C^2 u v = 0 is linear in u:
+    the sampler draws x and y, solves u = (a y^2 - x^2) (a C^2)^-1 mod
+    p^(prec+2) with the inverse taken once per place, keeps u only when it
+    is a unit, and roots z^2 = (x^2 + b (u - A)(u - B)) / a alone.  Where
+    p divides C it draws units u, v and any y and roots x^2 and z^2; at
+    places with v_p(a) = 1 it uses the structured shape that any local
+    point must have there: x = p x1, v a unit (taken 1), u = A + p u1, and
+    roots z^2 and y^2.  Both squares of such a trial are tested (valuation
+    parity, then one exponentiation at odd p or the unit mod 8 at p = 2)
+    before either is lifted, so a rejected trial lifts nothing.  The draws
+    are random.Random(seed)'s randrange integers, made by _randbelow.
     Real place: (u, v, y) rational with y large enough that both quadrics
     are solvable in x and z over R.  ctx is the model's ResidueContext at
     p as ResidueContext.of builds it; it is built here when not given.
@@ -831,7 +837,7 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
     which determines the square class of b phi / v or of -psi / v (phi =
     u - Av, psi = u - Bv) at every returned point: slot_residues
     needs numerator and denominator nonzero mod p^prec, of valuation at
-    most prec - 1 - m.  The denominator v is a unit (drawn as one, or 1)
+    most prec - 1 - m.  The denominator v is a unit (1, or drawn as one)
     and prec >= 6 > m.  Mod p^prec, phi - psi = (B - A) v has valuation
     v_p(B - A) < prec (A, B, b are p-integral on the model), so phi and
     psi cannot both have larger valuation; hence min(v_p(psi), v_p(b) +
@@ -869,6 +875,9 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
     # mod m = p^(prec+2); a / p^va is a unit with inverse inv
     a_, b_, A_, B_, C_ = ctx.coeffs
     c2 = C_ * C_ % m
+    solve_u = va == 0 and C_ % p != 0
+    if solve_u:
+        ac2_inv = pow(a_ * c2, -1, m)
     trials = 0
     while len(out) < n:
         trials += 1
@@ -877,7 +886,27 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
                 f"direct sampler exceeded {budget} trials at {place} "
                 f"with {len(out)} points found"
             )
-        if va == 0:
+        if solve_u:
+            x = _randbelow(bits, pk)
+            y = _randbelow(bits, pk)
+            # v = 1: u from x^2 - a y^2 + a C^2 u = 0, z^2 = (x^2 + b phi psi) / a
+            x2 = x * x
+            u = (a_ * y * y - x2) * ac2_inv % m
+            if u % p == 0:
+                continue
+            tz = test((x2 + b_ * (u - A_) * (u - B_)) * inv % m)
+            if tz is None:
+                continue
+
+            def exact_z2():
+                ue = Fraction(a * y * y - x2) / (a * C * C)
+                return (x2 + b * (ue - A) * (ue - B)) / a
+
+            z = lift(tz, exact_z2)
+            if z is None:
+                continue
+            coords = (x, y, z, u % pk, 1)
+        elif va == 0:
             u = 1 + _randbelow(bits, pk - 1)
             v = 1 + _randbelow(bits, pk - 1)
             y = _randbelow(bits, pk)

@@ -7,10 +7,23 @@ with the sieve, so a sieve bug cannot certify itself.
 """
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from . import arith
 from .arith import is_prime, legendre, sieve_primes_upto, square_residues
+
+
+def json_int(value, name):
+    """An integer field of a JSON config: a JSON integer (not a boolean) or
+    a decimal-integer string, the form every integer takes in the JSON this
+    package writes.  Anything else, a float such as 1.9 among them, is a
+    ValueError, never a truncation."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,13 +70,8 @@ class ParamSet:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            a=int(obj["a"]),
-            b=int(obj["b"]),
-            c=int(obj["c"]),
-            d=int(obj["d"]),
-            omega0=tuple(int(q) for q in obj["omega0"]),
-            g=int(obj["g"]),
-            h=int(obj["h"]),
+            omega0=tuple(json_int(q, "omega0") for q in obj["omega0"]),
+            **{k: json_int(obj[k], k) for k in ("a", "b", "c", "d", "g", "h")},
         )
 
 

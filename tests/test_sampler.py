@@ -33,8 +33,8 @@ PARAMS_G3 = sieve_params(3, 0, bound=10**12, count=1)[0]
 
 def oracle_sample(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET):
     """The finite-place draw on exact rationals: the same randrange calls in
-    the same order, each x^2, y^2, z^2 an exact Fraction rooted by
-    _exact_padic_sqrt, each point checked by _residue_quadrics."""
+    the same order, u on the chart v = 1 and each square an exact Fraction
+    rooted by _exact_padic_sqrt, each point checked by _residue_quadrics."""
     rng = random.Random(seed)
     a, b, A, B, C = (surface_model.a, surface_model.b, surface_model.A,
                      surface_model.B, surface_model.C)
@@ -48,7 +48,19 @@ def oracle_sample(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET):
         trials += 1
         if trials > budget:
             raise SamplerBudgetExceeded(f"oracle exceeded {budget} trials at {place}")
-        if va == 0:
+        if va == 0 and padic_val(C, p) == 0:
+            # the second quadric with v = 1, solved for u
+            x = rng.randrange(pk)
+            y = rng.randrange(pk)
+            u = Fraction(a * y * y - x * x) / (a * C * C)
+            if u == 0 or padic_val(u, p) > 0:
+                continue
+            z2 = (x * x + b * (u - A) * (u - B)) / a
+            z = _exact_padic_sqrt(z2, p, prec)
+            if z is None:
+                continue
+            coords = (x, y, z % pk, frac_mod(u, pk), 1)
+        elif va == 0:
             u = rng.randrange(1, pk)
             v = rng.randrange(1, pk)
             y = rng.randrange(pk)
@@ -150,58 +162,77 @@ def test_randbelow_draws_the_integers_of_randrange(n):
         assert rng.getstate() == ref.getstate()
 
 
-def test_lifts_run_only_on_trials_whose_two_squares_pass(monkeypatch):
-    # on the g = 1 theta = 0 fiber, every lift follows two passing square
-    # tests in its trial; at p = 2 the mod 8 test rejects before any lift,
-    # where the earlier pretest passed every p = 2 trial on to the lift
+def test_one_square_test_per_trial_where_u_is_solved(monkeypatch):
+    # on the g = 1 theta = 0 fiber C = -1, so every place but the place of a
+    # solves the second quadric for u: a trial draws x and y, then tests z^2
+    # at most once, and lifts only after a passing test; at the place of a
+    # (v_p(a) = 1) a trial tests up to two squares before it lifts.  Each
+    # lift's exact value, read only for deep residues, is the trial's z^2.
     log = []
+
+    def counting_randbelow(getrandbits, n):
+        r = _randbelow(getrandbits, n)
+        log.append(("draw", r))
+        return r
 
     class CountingRooter(ResidueRooter):
         __slots__ = ()
 
         def test(self, r):
             token = super().test(r)
-            log.append(token is not None)
+            log.append(("test", token is not None))
             return token
 
         def lift(self, token, exact):
-            root = super().lift(token, exact)
-            log.append("lift" if root is not None else "no root")
-            return root
+            log.append(("lift", exact()))
+            return super().lift(token, exact)
 
+    monkeypatch.setattr(local, "_randbelow", counting_randbelow)
     monkeypatch.setattr(local, "ResidueRooter", CountingRooter)
     th = Theta.of(0)
     co = fiber_coeffs(PARAMS_G1, th)
     curve, surface = build_curve(co), build_surface(co)
     for p in critical_places(curve).primes():
         model = admissible_model(surface, p)
+        a, b, A, B, C = model.a, model.b, model.A, model.B, model.C
         log.clear()
         pts = sample_surface_points(model, Place.finite(p), 9)
-        tested, lifts, i = 0, 0, 0
-        while i < len(log):
-            # a trial past the unit check of u and v tests its first square
-            tested += 1
-            assert log[i] in (True, False), (p, i)
-            if not log[i]:
-                i += 1
-                continue
-            assert log[i + 1] in (True, False), (p, i)
-            if not log[i + 1]:
-                i += 2
-                continue
-            assert log[i + 2] in ("lift", "no root"), (p, i)
-            lifts += 1
-            i += 3
-            if log[i - 1] == "lift":
-                assert log[i] in ("lift", "no root"), (p, i)
-                lifts += 1
-                i += 1
-        assert lifts >= 2 * len(pts) == 18
+        # two draws open each trial on either shape, since C = -1 is a unit
+        trials = []
+        for kind, value in log:
+            if kind == "draw":
+                if not trials or len(trials[-1][0]) == 2:
+                    trials.append(([], []))
+                assert not trials[-1][1], (p, trials[-1])
+                trials[-1][0].append(value)
+            else:
+                trials[-1][1].append((kind, value))
+        max_tests = 2 if p == PARAMS_G1.a else 1
+        tests = lifts = 0
+        for draws, events in trials:
+            verdicts = [v for k, v in events if k == "test"]
+            exact = [v for k, v in events if k == "lift"]
+            assert len(verdicts) <= max_tests and len(exact) <= max_tests, (p, events)
+            # every lift follows the trial's tests, all of which passed
+            if exact:
+                assert events[:max_tests] == [("test", True)] * max_tests, (p, events)
+            if exact and p != PARAMS_G1.a:
+                x, y = draws
+                u = Fraction(a * y * y - x * x) / (a * C * C)
+                assert exact == [(x * x + b * (u - A) * (u - B)) / a], (p, draws)
+            tests += len(verdicts)
+            lifts += len(exact)
+        assert len(pts) == 9
+        for pt in pts:
+            x, y, z, u, v = pt.coords
+            assert v == 1, (p, pt)
+            if p != PARAMS_G1.a:
+                assert u % p, (p, pt)
         if p == 2:
-            # 57 trials reach the first square's test; the earlier pretest
-            # passed each of them to the residue root of x^2, which made
-            # 68 residue roots and 52 Hensel lifts where 18 lifts are made
-            assert (tested, lifts) == (57, 18)
+            # 18 trials, 9 of them with u even, make 9 tests and 9 lifts
+            # for 9 points, where the two-square draw made 57 first-square
+            # tests and 18 lifts
+            assert (len(trials), tests, lifts) == (18, 9, 9)
 
 
 def test_cases_include_theta_inf_and_den_theta_primes():
@@ -209,6 +240,17 @@ def test_cases_include_theta_inf_and_den_theta_primes():
     assert len(thetas) == 40 and "inf" in thetas
     assert any(Fraction(t).denominator > 1 for t in thetas if t != "inf")
     assert (3, "0") in CASES
+
+
+@pytest.mark.parametrize("theta, p", [("1", 2), ("1", 3), ("-1", 73)])
+def test_cases_reach_places_that_keep_the_two_square_draw(theta, p):
+    # the oracle cases reach places with v_p(a) = 0 and p | C, where u
+    # cannot be solved for and the sampler draws u, v and y; p = 2 among them
+    assert (1, theta) in CASES
+    co = fiber_coeffs(PARAMS_G1, Theta.parse(theta))
+    assert p in critical_places(build_curve(co)).primes()
+    model = admissible_model(build_surface(co), p)
+    assert padic_val(model.a, p) == 0 and padic_val(model.C, p) > 0
 
 
 # ----- the residue square root ----------------------------------------------

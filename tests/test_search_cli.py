@@ -474,6 +474,35 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, argv, config):
     assert err.startswith("config error: malformed input (") and err.count("\n") == 1
 
 
+PARAMS_JSON = {"a": "1753", "b": "73", "c": "5", "d": "146059", "omega0": ["3"],
+               "g": "1", "h": "0"}
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"g": 1.9}, "g"),
+    ({"height_bound": 20.7}, "height_bound"),
+    ({"sample_count": True}, "sample_count"),
+    ({"sieve_bound": "1e7"}, "sieve_bound"),
+    ({"h": " 0"}, "h"),
+    ({"params": {**PARAMS_JSON, "a": 1753.9}}, "a"),
+    ({"params": {**PARAMS_JSON, "omega0": [3.0]}}, "omega0"),
+    ({"theta_grid": {"num_max": 2.5}}, "num_max"),
+    ({"theta_grid": {"den_max": "1.0"}}, "den_max"),
+    ({"theta_grid": {"include_zero": "false"}}, "include_zero"),
+    ({"theta_grid": {"include_infinity": 0}}, "include_infinity"),
+])
+def test_cli_config_fields_must_be_integers_and_booleans(tmp_path, capsys, config, field):
+    # an integer field takes a JSON integer or a decimal-integer string and
+    # a flag a JSON boolean; a float is never truncated and "false" is
+    # never true: each is a config error, exit 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g": 1, "h": 0, **config}))
+    assert main(["instantiate", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed input (") and err.count("\n") == 1
+    assert f"{field} must be" in err
+
+
 def test_cli_sieve_and_point_search(tmp_path):
     out = tmp_path / "q.json"
     assert main(["sieve-params", "--g", "1", "--h", "0", "--count", "2",
