@@ -5,7 +5,6 @@ curves over Q."""
 from .arith import (
     Place,
     count_points_hyperelliptic,
-    find_smooth_fp_point,
     hensel_nth_root,
     hensel_sqrt,
     hilbert_symbol,

@@ -611,21 +611,21 @@ def _split_count(c0, cn, c2n, d, p):
     return count + 2 * legendre(c2n, p) * (order - p - 1)
 
 
-def count_points_hyperelliptic(f_mod_p, g, p):
+def count_points_hyperelliptic(q, g, p):
     """Number of F_p-points of the smooth projective hyperelliptic model
     s^2 = f(t), deg f = 2g+2, glued with its reversed chart, for
     f = q(t^n) with n = g+1 and q(u) = c0 + c_n u + c_2n u^2, as every
     fiber's f = (b/a)(t^n - A)(t^n - B) is.
 
-    f_mod_p is the dense coefficient list (low to high) reduced mod p.  An
-    f with a nonzero coefficient at an index not divisible by n raises
-    ValueError, and so does an f that is not separable mod p.  f = q(t^n)
-    is separable mod p iff p does not divide n, c_n^2 - 4 c0 c_2n != 0 and
-    (for n >= 2) c0 != 0.  Proof: f' = n t^(n-1) q'(t^n), so f' = 0 when
-    p | n.  Otherwise a common root of f and f' (over the algebraic
-    closure) is either t = 0 with c0 = 0 (n >= 2), or a t != 0 where t^n
-    is a double root of q.  Conversely, for n >= 2, c0 = 0 makes t^n
-    divide f, and a double root u0 of q gives the common roots t^n = u0.
+    q is the triple (c0, c_n, c_2n) of integers, read mod p.  A c_2n that
+    vanishes mod p raises ValueError, and so does an f that is not
+    separable mod p.  f = q(t^n) is separable mod p iff p does not divide
+    n, c_n^2 - 4 c0 c_2n != 0 and (for n >= 2) c0 != 0.  Proof:
+    f' = n t^(n-1) q'(t^n), so f' = 0 when p | n.  Otherwise a common root
+    of f and f' (over the algebraic closure) is either t = 0 with c0 = 0
+    (n >= 2), or a t != 0 where t^n is a double root of q.  Conversely, for
+    n >= 2, c0 = 0 makes t^n divide f, and a double root u0 of q gives the
+    common roots t^n = u0.
 
     The count is the affine chart plus the two (or zero) points above
     t = infinity, which exist iff the leading coefficient is a square.
@@ -687,13 +687,10 @@ def count_points_hyperelliptic(f_mod_p, g, p):
     n -> d identity above) counts.
     """
     _require_prime(p, odd=True)
-    f = [c % p for c in f_mod_p]
-    if len(f) != 2 * g + 3 or f[-1] == 0:
+    c0, cn, c2n = (c % p for c in q)
+    if c2n == 0:
         raise ValueError("f must have exact degree 2g+2 mod p")
     n = g + 1
-    if any(c for i, c in enumerate(f) if i % n):
-        raise ValueError("f must be a polynomial in t^(g+1) mod p")
-    c0, cn, c2n = f[0], f[n], f[2 * n]
     if n % p == 0 or (cn * cn - 4 * c0 * c2n) % p == 0 or (n > 1 and c0 == 0):
         raise ValueError("f is not separable mod p")
     d = math.gcd(n, p - 1)
@@ -720,44 +717,6 @@ def count_points_hyperelliptic(f_mod_p, g, p):
     if sq[c2n]:
         count += 2
     return count
-
-
-@dataclass(frozen=True)
-class FpPoint:
-    """An affine point mod p on one of the two hyperelliptic charts."""
-
-    chart: str  # "st" (s^2 = f(t)) or "ST" (the reversed chart)
-    coords: tuple  # (s, t) or (S, T) residues
-    modulus: int
-
-
-def find_smooth_fp_point(a, b, r, g, p):
-    """A smooth F_p-point on a S^2 = b (1 - r T^(g+1)) for p > 4g^2.
-
-    Scans T = 0, 1, ... testing whether b(1 - rT^(g+1))/a is a square;
-    existence is guaranteed under the stated hypotheses, so exhausting the
-    scan signals corrupted input and raises.
-    """
-    _require_prime(p, odd=True)
-    if p <= 4 * g * g:
-        raise ValueError("requires p > 4g^2")
-    if (g + 1) % p == 0:
-        raise ValueError("requires p not dividing g+1")
-    a, b, r = a % p, b % p, r % p
-    if a == 0 or b == 0 or r == 0:
-        raise ValueError("a, b, r must be nonzero mod p")
-    inv_a = pow(a, -1, p)
-    for t in range(p):
-        val = b * (1 - r * pow(t, g + 1, p)) % p * inv_a % p
-        if val == 0:
-            # then rT^(g+1) = 1, so T != 0 and the Jacobian row is nonzero
-            return FpPoint("ST", (0, t), p)
-        s = sqrt_mod(val, p)
-        if s is not None:
-            return FpPoint("ST", (s, t), p)
-    raise ArithmeticError(
-        "no smooth point found; hypotheses p > 4g^2 and a,b,r != 0 must have been violated"
-    )
 
 
 def sieve_primes_upto(n):

@@ -111,25 +111,28 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, obj):
+        _json_typed(obj, dict, "config")
         cfg = cls()
         if "theta_list" in obj:
-            cfg.theta_list = [Theta.parse(s) for s in obj["theta_list"]]
+            cfg.theta_list = [Theta.parse(_json_typed(s, str, "theta_list entry"))
+                              for s in _json_typed(obj["theta_list"], list, "theta_list")]
         elif "theta_grid" in obj:
-            spec = obj["theta_grid"]
+            spec = _json_typed(obj["theta_grid"], dict, "theta_grid")
             cfg.theta_list = default_theta_grid(
                 json_int(spec.get("num_max", 3), "num_max"),
                 json_int(spec.get("den_max", 3), "den_max"),
-                _json_bool(spec.get("include_zero", True), "include_zero"),
-                _json_bool(spec.get("include_infinity", True), "include_infinity"))
+                _json_typed(spec.get("include_zero", True), bool, "include_zero"),
+                _json_typed(spec.get("include_infinity", True), bool, "include_infinity"))
         if "params" in obj and obj["params"] is not None:
             cfg.params = ParamSet.from_json(obj["params"])
         for key in ("g", "h", "sieve_bound", "sieve_count", "height_bound",
                     "sample_count", "parallelism"):
             if key in obj:
                 setattr(cfg, key, json_int(obj[key], key))
-        for key in ("mode", "output_path"):
-            if key in obj:
-                setattr(cfg, key, obj[key])
+        if "mode" in obj:
+            cfg.mode = obj["mode"]
+        if obj.get("output_path") is not None:
+            cfg.output_path = _json_typed(obj["output_path"], str, "output_path")
         return cfg
 
     def to_json(self):
@@ -148,9 +151,14 @@ class RunConfig:
         }
 
 
-def _json_bool(value, name):
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
+# the JSON types a config field is checked against, as a refusal names them
+_JSON_TYPES = {bool: "true or false", str: "a string", list: "an array", dict: "an object"}
+
+
+def _json_typed(value, kind, name):
+    """value when it has the JSON type kind, else ValueError naming the field."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
 

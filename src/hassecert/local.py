@@ -24,7 +24,6 @@ from .arith import (
     ResidueRooter,
     count_points_hyperelliptic,
     factorize,
-    find_smooth_fp_point,
     frac_mod,
     hensel_nth_root,
     hensel_sqrt,
@@ -268,11 +267,11 @@ def _try_ab_square(model, place):
     return LocalCertificate(place, True, "ab-square", wit, hypotheses=hyp)
 
 
-def _scan_fp_point(curve_m, p):
-    """First t whose reduction is liftable on either chart: a nonzero
-    square value mod p, or a simple root of the reduction."""
+def _scan_fp_point(curve_m, p, charts):
+    """First t whose reduction is liftable on the charts, in their order:
+    a nonzero square value mod p, or a simple root of the reduction."""
     n = curve_m.genus + 1
-    for chart in ("st", "ST"):
+    for chart in charts:
         h0, hn, h2n = (c % p for c in _cleared_chart(curve_m, chart)[0])
         for t in range(min(p, SCAN_CAP)):
             tn1 = pow(t, n - 1, p)
@@ -312,11 +311,9 @@ def _in_hasse_weil_window(n, g, p):
 
 
 def _st_mod_p(curve, p):
-    """The st chart polynomial as the dense coefficient list mod p that
+    """The st chart triple (c0, c_n, c_2n) mod p that
     count_points_hyperelliptic reads."""
-    c0, cn, c2n = (frac_mod(c, p) for c in curve.chart_coeffs("st"))
-    gap = [0] * curve.genus
-    return [c0, *gap, cn, *gap, c2n]
+    return tuple(frac_mod(c, p) for c in curve.chart_coeffs("st"))
 
 
 def _try_good_reduction(model, place):
@@ -338,6 +335,7 @@ def _try_good_reduction(model, place):
         return None
     hyp = [f"p = {p} > 4g^2 = {4 * g * g}"] + [f"{k} = 0" for k in checks]
     vA, vB = padic_val(A, p), padic_val(B, p)
+    method, charts = "fp-smooth-lift", ("st", "ST")
     if vA == 0 and vB == 0:
         # separable reduction: Hasse-Weil guarantees a smooth point
         if p <= COUNT_CAP:
@@ -347,28 +345,23 @@ def _try_good_reduction(model, place):
             hyp.append(f"|X(F_p)| = {n}, inside the Hasse-Weil window")
             method = "good-reduction-hw"
         else:
-            method = "fp-smooth-lift"
             hyp.append("p too large to count; existence via the Hasse-Weil bound")
-        found = _scan_fp_point(model, p)
-        if found is None:
-            raise ArithmeticError(f"no liftable residue inside the scan cap at {place}")
-        chart, t0, kind = found
-        wit = (_witness_from_center(model, chart, p, t0) if kind == "sqrt"
-               else _root_witness(model, chart, p, t0))
-        if wit is None:
-            raise ArithmeticError(f"margin failure at the root t = {t0} at {place}")
-        return LocalCertificate(place, True, method, wit, hypotheses=hyp)
-    # p | AB but p does not divide A - B: the reversed chart reduces to the
-    # one-term model a S^2 = b (1 - r T^(g+1)) with r the surviving coefficient
-    r = frac_mod(B if vA > 0 else A, p)
-    pt = find_smooth_fp_point(frac_mod(a, p), frac_mod(b, p), r, g, p)
-    S0, T0 = pt.coords
-    hyp.append(f"reduction is a S^2 = b (1 - r T^(g+1)) with r = {r} mod p")
-    wit = (_witness_from_center(model, "ST", p, T0) if S0 != 0
-           else _root_witness(model, "ST", p, T0))
+    else:
+        # p | AB but p does not divide A - B: the reversed chart reduces to
+        # the one-term model a S^2 = b (1 - r T^(g+1)) with r the surviving
+        # coefficient, and its point is sought on that chart alone
+        charts = ("ST",)
+        r = frac_mod(B if vA > 0 else A, p)
+        hyp.append(f"reduction is a S^2 = b (1 - r T^(g+1)) with r = {r} mod p")
+    found = _scan_fp_point(model, p, charts)
+    if found is None:
+        raise ArithmeticError(f"no liftable residue inside the scan cap at {place}")
+    chart, t0, kind = found
+    wit = (_witness_from_center(model, chart, p, t0) if kind == "sqrt"
+           else _root_witness(model, chart, p, t0))
     if wit is None:
-        raise ArithmeticError(f"margin failure at the root T = {T0} at {place}")
-    return LocalCertificate(place, True, "fp-smooth-lift", wit, hypotheses=hyp)
+        raise ArithmeticError(f"margin failure at the root t = {t0} at {place}")
+    return LocalCertificate(place, True, method, wit, hypotheses=hyp)
 
 
 def _try_power(model, place):
@@ -416,10 +409,9 @@ def _try_center_probe(model, place):
         for t0 in PROBE_CENTERS:
             V, _ = _chart_values(h, n, t0)
             if V == 0:
-                wit = Witness(kind="exact", chart=chart, prime=p,
-                              t_center=Fraction(t0), s_exact=Fraction(0))
                 return LocalCertificate(
-                    place, True, "case-analysis(disc-center)", wit,
+                    place, True, "case-analysis(disc-center)",
+                    _witness_from_center(model, chart, p, t0),
                     hypotheses=[f"chart {chart}: exact root at t = {t0}"],
                 )
             if is_local_square(V, place):

@@ -1,9 +1,10 @@
 """Reference oracles for the tests: dense chart polynomials and the
 polynomial algebra over Q, general local decision procedures, the F_p
-scan over dense coefficients, square roots mod p and p^k by the earlier
-legendre-first and inverting kernels, the point searches' residue patterns
-built one residue at a time, the residue check of a surface point, and
-the local models rebuilt from re-derived family formulas.
+scan over dense coefficients and the one-term scan at a prime of AB,
+square roots mod p and p^k by the earlier legendre-first and inverting
+kernels, the point searches' residue patterns built one residue at a
+time, the residue check of a surface point, and the local models rebuilt
+from re-derived family formulas.
 
 The library certifies each place by a named local lemma and refuses a
 place where none applies; it never runs a general decision procedure.
@@ -15,7 +16,7 @@ verdict, and every refusal, against an independent answer.
 import math
 from fractions import Fraction
 
-from hassecert.arith import frac_mod, is_prime, legendre, padic_val, square_residues
+from hassecert.arith import frac_mod, is_prime, legendre, padic_val, sqrt_mod, square_residues
 from hassecert.family import CurveChange, DP4Surface, HyperellipticCurve, SurfaceChange
 from hassecert.local import SCAN_CAP, ResidueContext, Witness, _witness_from_center
 
@@ -113,6 +114,37 @@ def scan_fp_point_dense(curve_m, p):
             if legendre(v, p) == 1:
                 return chart, t, "sqrt"
     return None
+
+
+def find_smooth_fp_point(a, b, r, g, p):
+    """(S, T): the first T = 0, 1, ... with a smooth F_p point on
+    a S^2 = b (1 - r T^(g+1)), the reversed chart's reduction at a prime of
+    AB, for p > 4g^2 and a, b, r units mod p.  Existence is guaranteed under
+    those hypotheses, so exhausting the scan raises."""
+    if p <= 4 * g * g or (g + 1) % p == 0:
+        raise ValueError("requires p > 4g^2 and p not dividing g+1")
+    a, b, r = a % p, b % p, r % p
+    if a == 0 or b == 0 or r == 0:
+        raise ValueError("a, b, r must be nonzero mod p")
+    inv_a = pow(a, -1, p)
+    for t in range(p):
+        val = b * (1 - r * pow(t, g + 1, p)) % p * inv_a % p
+        if val == 0:
+            # then r T^(g+1) = 1, so T != 0 and the Jacobian row is nonzero
+            return 0, t
+        s = sqrt_mod(val, p)
+        if s is not None:
+            return s, t
+    raise ArithmeticError("no smooth point found")
+
+
+def chart_triple(f, g):
+    """(c0, c_n, c_2n) of a dense f = q(t^n), n = g + 1: the triple that
+    arith.count_points_hyperelliptic counts."""
+    n = g + 1
+    if len(f) != 2 * n + 1 or any(c for i, c in enumerate(f) if i % n):
+        raise ValueError("f is not c0 + c_n t^n + c_2n t^(2n)")
+    return f[0], f[n], f[2 * n]
 
 
 def degree(f):

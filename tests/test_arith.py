@@ -9,11 +9,9 @@ import pytest
 from hassecert import arith
 from hassecert.arith import (
     INF,
-    FpPoint,
     Place,
     count_points_hyperelliptic,
     factorize,
-    find_smooth_fp_point,
     frac_mod,
     hensel_nth_root,
     hensel_sqrt,
@@ -29,13 +27,15 @@ from hassecert.arith import (
     sqrt_mod,
     MR_DETERMINISTIC_BOUND,
 )
-from hassecert.family import Theta, build_curve, fiber_coeffs
-from hassecert.local import _blanket_check, certify_all_local, critical_places
+from hassecert.family import HyperellipticCurve, Theta, build_curve, fiber_coeffs
+from hassecert.local import _blanket_check, _scan_fp_point, certify_all_local, critical_places
 from hassecert.params import sieve_params
 from oracles import (
     Polynomial,
+    chart_triple,
     discriminant,
     f_poly,
+    find_smooth_fp_point,
     inverting_hensel_sqrt,
     legendre_first_sqrt_mod,
 )
@@ -169,8 +169,7 @@ PRIME_TAKERS = [
     ("ResidueRooter", lambda p: arith.ResidueRooter(p, 6)),
     ("hilbert_symbol_units", lambda p: hilbert_symbol_units(0, 2, 1, 3, p)),
     ("count_points_hyperelliptic",
-     lambda p: count_points_hyperelliptic([1, 0, 0, 0, 1], 1, p)),
-    ("find_smooth_fp_point", lambda p: find_smooth_fp_point(1, 1, 1, 1, p)),
+     lambda p: count_points_hyperelliptic((1, 0, 1), 1, p)),
 ]
 
 
@@ -588,30 +587,21 @@ def test_hilbert_a_minus_a():
 
 def test_count_points_conic():
     # genus 0, f = t^2 - 1 over F_5: a smooth conic has p + 1 points
-    assert count_points_hyperelliptic([-1, 0, 1], 0, 5) == 6
+    assert count_points_hyperelliptic((-1, 0, 1), 0, 5) == 6
     assert double_loop_count([-1, 0, 1], 0, 5) == 6
 
 
 def test_count_points_quartic_oracle():
     f = [1, 0, 0, 0, 1]  # t^4 + 1, genus 1
-    assert count_points_hyperelliptic(f, 1, 5) == double_loop_count(f, 1, 5)
+    assert count_points_hyperelliptic(chart_triple(f, 1), 1, 5) == double_loop_count(f, 1, 5)
 
 
-OFF_THE_POWERS = r"t\^\(g\+1\)"
-
-
-def _refused_or_powers(rng, g, p):
-    """A random dense f of degree 2g+2 must be refused when a coefficient
-    off the powers t^(g+1) is nonzero; returns a separable f = q(t^(g+1))
-    and its count."""
-    f = [rng.randrange(p) for _ in range(2 * g + 2)] + [rng.randrange(1, p)]
-    if any(c for i, c in enumerate(f) if i % (g + 1)):
-        with pytest.raises(ValueError, match=OFF_THE_POWERS):
-            count_points_hyperelliptic(f, g, p)
+def _separable_powers(rng, g, p):
+    """A random separable f = q(t^(g+1)) mod p, dense, and its count."""
     while True:
         f = _powers_supported(rng, g, p)
         try:
-            return f, count_points_hyperelliptic(f, g, p)
+            return f, count_points_hyperelliptic(chart_triple(f, g), g, p)
         except ValueError as e:
             assert "not separable" in str(e)
 
@@ -621,7 +611,7 @@ def test_count_points_oracle_many():
     for p in (5, 7, 11, 13):
         for _ in range(8):
             g = rng.choice((0, 1))
-            f, n = _refused_or_powers(rng, g, p)
+            f, n = _separable_powers(rng, g, p)
             assert n == double_loop_count(f, g, p)
 
 
@@ -630,7 +620,7 @@ def test_count_points_hasse_weil_window():
     for p in (29, 101, 211):
         for g in (1, 2):  # g = 2 has odd n = 3
             for _ in range(3):
-                f, n = _refused_or_powers(rng, g, p)
+                f, n = _separable_powers(rng, g, p)
                 assert n == single_loop_count(f, p)
                 # |n - (p+1)| <= 2g sqrt(p), checked by integer squaring
                 d = abs(n - (p + 1))
@@ -639,7 +629,13 @@ def test_count_points_hasse_weil_window():
 
 def test_count_points_rejects_nonseparable():
     with pytest.raises(ValueError):
-        count_points_hyperelliptic([0, 0, 1], 0, 5)  # t^2: double root
+        count_points_hyperelliptic((0, 0, 1), 0, 5)  # t^2: double root
+
+
+def test_count_points_rejects_a_vanishing_leading_coefficient():
+    # c_2n = 0 mod p drops the degree below 2g + 2: refused, not counted
+    with pytest.raises(ValueError, match="exact degree"):
+        count_points_hyperelliptic((1, 1, 5), 1, 5)
 
 
 def _powers_supported(rng, g, p, c0=None, lead=None):
@@ -684,7 +680,7 @@ def test_count_points_over_powers_small_primes(g):
     for p in _SMALL_PRIMES:
         for f in _small_prime_cases(g, p, rng):
             try:
-                n = count_points_hyperelliptic(f, g, p)
+                n = count_points_hyperelliptic(chart_triple(f, g), g, p)
             except ValueError:
                 continue  # not separable mod p
             assert n == double_loop_count(f, g, p), (f, g, p)
@@ -707,7 +703,7 @@ def _large_prime_case(g, p):
 def test_count_points_over_powers_large_primes(g, p, d):
     assert math.gcd(g + 1, p - 1) == d
     f = _large_prime_case(g, p)
-    assert count_points_hyperelliptic(f, g, p) == single_loop_count(f, p)
+    assert count_points_hyperelliptic(chart_triple(f, g), g, p) == single_loop_count(f, p)
 
 
 def _count_ec_order_calls(monkeypatch):
@@ -759,7 +755,7 @@ def test_order_search_runs_exactly_when_d_is_2(monkeypatch):
     for g, p, f in cases:
         calls.clear()
         try:
-            n = count_points_hyperelliptic(f, g, p)
+            n = count_points_hyperelliptic(chart_triple(f, g), g, p)
         except ValueError:
             assert calls == [], (f, g, p)
             continue  # not separable mod p
@@ -785,7 +781,7 @@ def test_undecided_order_at_higher_genus_falls_back_to_the_walk(monkeypatch, g, 
     assert math.gcd(g + 1, p - 1) == 2
     f = _large_prime_case(g, p)
     monkeypatch.setattr(arith, "_ec_order", lambda a2, a4, p: None)
-    assert count_points_hyperelliptic(f, g, p) == single_loop_count(f, p)
+    assert count_points_hyperelliptic(chart_triple(f, g), g, p) == single_loop_count(f, p)
 
 
 def _d4_case(rng, g, p, kappa_class):
@@ -811,7 +807,8 @@ def test_d4_count_small_primes(g, kappa_class):
         assert math.gcd(g + 1, p - 1) == 4
         for _ in range(2):
             f = _d4_case(rng, g, p, kappa_class)
-            assert count_points_hyperelliptic(f, g, p) == double_loop_count(f, g, p), (f, p)
+            n = count_points_hyperelliptic(chart_triple(f, g), g, p)
+            assert n == double_loop_count(f, g, p), (f, p)
 
 
 @pytest.mark.parametrize("g, p", [(3, 50_021), (3, 50_033), (7, 50_021), (7, 50_053)])
@@ -822,7 +819,7 @@ def test_d4_count_large_primes(monkeypatch, g, p, kappa_class):
     assert math.gcd(g + 1, p - 1) == 4
     f = _d4_case(random.Random(p + g), g, p, kappa_class)
     built = _count_square_residues(monkeypatch)
-    assert count_points_hyperelliptic(f, g, p) == single_loop_count(f, p)
+    assert count_points_hyperelliptic(chart_triple(f, g), g, p) == single_loop_count(f, p)
     assert built == ([p] if kappa_class == "non-square" else [])
 
 
@@ -840,7 +837,7 @@ def test_undecided_order_at_d4_falls_back_to_the_walk(monkeypatch, g, p, kappa_c
         return None if len(calls) == undecided else ec_order(a2, a4, p)
 
     monkeypatch.setattr(arith, "_ec_order", flaky)
-    assert count_points_hyperelliptic(f, g, p) == single_loop_count(f, p)
+    assert count_points_hyperelliptic(chart_triple(f, g), g, p) == single_loop_count(f, p)
     assert calls == [p] * undecided
 
 
@@ -854,32 +851,13 @@ def test_singular_e_mu_raises(monkeypatch):
     monkeypatch.setattr(arith, "sqrt_mod", lambda x, p: bad_lam if x % p == kappa else 1)
     monkeypatch.setattr(arith, "_ec_order", lambda a2, a4, p: p + 1)
     with pytest.raises(ArithmeticError, match="singular"):
-        count_points_hyperelliptic(f, g, p)
+        count_points_hyperelliptic(chart_triple(f, g), g, p)
 
 
 @pytest.mark.parametrize("p", [5, 7, 50_023])
 def test_count_points_over_powers_rejects_nonseparable(p):
     with pytest.raises(ValueError, match="not separable"):
-        count_points_hyperelliptic([1, 0, -2, 0, 1], 1, p)  # (t^2 - 1)^2
-
-
-@pytest.mark.parametrize("g, p", [(1, 13), (3, 29), (5, 37), (1, 50_023), (5, 70_009)])
-def test_count_points_one_coefficient_off_the_powers(g, p):
-    # a separable f = q(t^(g+1)) is counted; one nonzero coefficient at an
-    # index not divisible by g + 1 puts f outside that form, and it is refused
-    rng = random.Random(g * p)
-    while True:
-        f = _powers_supported(rng, g, p)
-        try:
-            n = count_points_hyperelliptic(f, g, p)
-            break
-        except ValueError as e:
-            assert "not separable" in str(e)
-    oracle = double_loop_count(f, g, p) if p < 100 else single_loop_count(f, p)
-    assert n == oracle
-    f[rng.choice([i for i in range(1, 2 * g + 2) if i % (g + 1)])] = rng.randrange(1, p)
-    with pytest.raises(ValueError, match=OFF_THE_POWERS):
-        count_points_hyperelliptic(f, g, p)
+        count_points_hyperelliptic((1, -2, 1), 1, p)  # (t^2 - 1)^2
 
 
 @pytest.mark.parametrize("g", [0, 1, 2, 3, 5])
@@ -906,9 +884,10 @@ def test_count_points_separability_matches_the_discriminant(g):
                 seen.add("p | n" if n % p == 0 else "c0 = 0" if n > 1 and f[0] == 0
                          else "double root")
                 with pytest.raises(ValueError, match="not separable"):
-                    count_points_hyperelliptic(f, g, p)
+                    count_points_hyperelliptic(chart_triple(f, g), g, p)
             else:
-                assert count_points_hyperelliptic(f, g, p) == single_loop_count(f, p)
+                count = count_points_hyperelliptic(chart_triple(f, g), g, p)
+                assert count == single_loop_count(f, p)
     expected = {"c0 = 0", "double root"} if g else {"double root"}
     assert seen == expected | ({"p | n"} if n % 3 == 0 else set())
 
@@ -934,7 +913,7 @@ def test_genus1_even_quartics_large_primes(p, c2_zero, lead_square):
         if c2_zero:
             f[2] = 0
         try:
-            n = count_points_hyperelliptic(f, 1, p)
+            n = count_points_hyperelliptic(chart_triple(f, 1), 1, p)
             break
         except ValueError:
             continue
@@ -953,7 +932,7 @@ def test_genus1_even_quartics_large_primes(p, c2_zero, lead_square):
 def test_genus1_orders_at_the_ends_of_the_hasse_interval(p, f, n):
     assert single_loop_count(f, p) == n
     assert _ec_order_of(f, p) == n
-    assert count_points_hyperelliptic(f, 1, p) == n
+    assert count_points_hyperelliptic(chart_triple(f, 1), 1, p) == n
 
 
 # The first point leaves more than one candidate in the Hasse interval.  At
@@ -967,7 +946,7 @@ def test_genus1_orders_at_the_ends_of_the_hasse_interval(p, f, n):
 def test_genus1_order_decided_by_a_later_point(monkeypatch, p, f, n):
     assert single_loop_count(f, p) == n
     assert _ec_order_of(f, p) == n
-    assert count_points_hyperelliptic(f, 1, p) == n
+    assert count_points_hyperelliptic(chart_triple(f, 1), 1, p) == n
     monkeypatch.setattr(arith, "_EC_ORDER_POINTS", 1)
     assert _ec_order_of(f, p) is None
 
@@ -980,26 +959,39 @@ def test_genus1_order_decided_by_a_later_point(monkeypatch, p, f, n):
 def test_genus1_undecided_order_falls_back_to_the_walk(p, f, n):
     assert _ec_order_of(f, p) is None
     assert single_loop_count(f, p) == n
-    assert count_points_hyperelliptic(f, 1, p) == n
+    assert count_points_hyperelliptic(chart_triple(f, 1), 1, p) == n
 
 
-# ----- find_smooth_fp_point ---------------------------------------------------
+# ----- the one-term scan at a prime of AB ----------------------------------
+
+def _scanned_point(a, b, r, g, p):
+    """(S, T, kind): local._scan_fp_point on the reversed chart of a curve
+    with A = 0 and B = r, which is a S^2 = b (1 - r T^(g+1)); S = 0 at a
+    root, else the root sqrt_mod gives."""
+    curve = HyperellipticCurve(a=Fraction(a), b=Fraction(b), A=Fraction(0),
+                               B=Fraction(r), genus=g)
+    chart, t, kind = _scan_fp_point(curve, p, ("ST",))
+    assert chart == "ST"
+    if kind == "root":
+        return 0, t, kind
+    return sqrt_mod(b * (1 - r * pow(t, g + 1, p)) * pow(a, -1, p), p), t, kind
+
 
 def test_find_smooth_point_genus0():
-    pt = find_smooth_fp_point(1, 1, 1, 0, 5)
-    s, t = pt.coords
+    s, t, _ = _scanned_point(1, 1, 1, 0, 5)
     assert (s * s - (1 - t)) % 5 == 0
 
 
 def test_find_smooth_point_genus1():
-    pt = find_smooth_fp_point(1, 2, 1, 1, 7)
-    s, t = pt.coords
+    s, t, _ = _scanned_point(1, 2, 1, 1, 7)
     assert (1 * s * s - 2 * (1 - pow(t, 2, 7))) % 7 == 0
     # smoothness: not both Jacobian entries zero
     assert (2 * s) % 7 != 0 or (2 * 2 * 1 * t) % 7 != 0
 
 
 def test_find_smooth_point_existence_sweep():
+    # the scan finds a smooth point wherever the hypotheses hold, and it is
+    # the reference scan's first point
     for p in (5, 7, 11, 13):
         for a in (1, 2, 3):
             for b in (1, 2):
@@ -1007,9 +999,10 @@ def test_find_smooth_point_existence_sweep():
                     for g in (0, 1) if p > 4 else (0,):
                         if p <= 4 * g * g:
                             continue
-                        pt = find_smooth_fp_point(a, b, r, g, p)
-                        s, t = pt.coords
+                        s, t, kind = _scanned_point(a, b, r, g, p)
                         assert (a * s * s - b * (1 - r * pow(t, g + 1, p))) % p == 0
+                        assert (kind == "root") == (s == 0)
+                        assert (s, t) == find_smooth_fp_point(a, b, r, g, p)
 
 
 # ----- misc -------------------------------------------------------------------

@@ -1,10 +1,11 @@
+import functools
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from hassecert.arith import Place, factorize, padic_val
+from hassecert.arith import Place, factorize, frac_mod, padic_val
 from hassecert.cli import default_theta_grid
 from hassecert.family import (
     HyperellipticCurve,
@@ -40,6 +41,7 @@ from oracles import (
     decide_real_points,
     default_depth_bound,
     f_poly,
+    find_smooth_fp_point,
     residue_quadrics as _residue_quadrics,
     scan_fp_point_dense,
 )
@@ -436,9 +438,35 @@ def test_closed_form_chart_matches_dense_oracle():
             for t in centers:
                 assert _chart_values(h, n, t) == (_eval_int(H, t), _eval_int(Hp, t)), (p, t)
         if p != 2 and (p < 10**4 or cert.method in ("good-reduction-hw", "fp-smooth-lift")):
-            assert _scan_fp_point(model, p) == scan_fp_point_dense(model, p), p
+            assert _scan_fp_point(model, p, ("st", "ST")) == scan_fp_point_dense(model, p), p
             scanned += 1
     assert rescaled > 0 and scanned > 0
+
+
+def test_witness_at_a_prime_of_ab_is_the_one_term_scan():
+    # where p divides num(A) num(B) the reversed chart reduces to
+    # a S^2 = b (1 - r T^(g+1)); every fp-smooth-lift certificate there, on
+    # the g = 1 grids, has its witness on that chart at the first T where
+    # the reference scan finds a smooth point
+    primes_of = functools.cache(lambda n: set(factorize(n)[0]))
+    checked = 0
+    for h in (0, 1):
+        params = sieve_params(1, h, bound=10**7, count=1)[0]
+        for theta in default_theta_grid():
+            co = fiber_coeffs(params, theta)
+            curve = build_curve(co)
+            for p in sorted(primes_of(co.A.numerator) | primes_of(co.B.numerator)):
+                cert = certify_local_curve(curve, Place.finite(p))
+                model = cert.model
+                vA, vB = padic_val(model.A, p), padic_val(model.B, p)
+                if cert.method != "fp-smooth-lift" or vA == vB == 0:
+                    continue
+                r = frac_mod(model.B if vA > 0 else model.A, p)
+                _, T = find_smooth_fp_point(frac_mod(model.a, p), frac_mod(model.b, p),
+                                            r, 1, p)
+                assert (cert.witness.chart, cert.witness.t_center) == ("ST", T), (h, theta, p)
+                checked += 1
+    assert checked > 50
 
 
 def test_root_margin_is_strict():
@@ -505,7 +533,7 @@ def test_good_reduction_failures_raise(monkeypatch):
     with pytest.raises(ArithmeticError, match="escaped the Hasse-Weil window at 11"):
         certify_local_curve(CURVE_0, place)
     monkeypatch.undo()
-    monkeypatch.setattr(local, "_scan_fp_point", lambda model, p: None)
+    monkeypatch.setattr(local, "_scan_fp_point", lambda model, p, charts: None)
     with pytest.raises(ArithmeticError, match="no liftable residue"):
         certify_local_curve(CURVE_0, place)
 

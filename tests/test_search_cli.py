@@ -490,13 +490,20 @@ PARAMS_JSON = {"a": "1753", "b": "73", "c": "5", "d": "146059", "omega0": ["3"],
     ({"theta_grid": {"den_max": "1.0"}}, "den_max"),
     ({"theta_grid": {"include_zero": "false"}}, "include_zero"),
     ({"theta_grid": {"include_infinity": 0}}, "include_infinity"),
+    ({"theta_list": [5]}, "theta_list entry"),
+    ({"theta_list": "12"}, "theta_list"),
+    ({"theta_grid": 5}, "theta_grid"),
+    ({"output_path": 7}, "output_path"),
+    ([], "config"),
 ])
 def test_cli_config_fields_must_be_integers_and_booleans(tmp_path, capsys, config, field):
     # an integer field takes a JSON integer or a decimal-integer string and
     # a flag a JSON boolean; a float is never truncated and "false" is
-    # never true: each is a config error, exit 2
+    # never true.  theta entries and output_path are strings, theta_list an
+    # array, and theta_grid and the config itself objects.  Each violation
+    # is a config error, exit 2
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"g": 1, "h": 0, **config}))
+    cfg.write_text(json.dumps({"g": 1, "h": 0, **config} if isinstance(config, dict) else config))
     assert main(["instantiate", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: malformed input (") and err.count("\n") == 1
