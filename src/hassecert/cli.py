@@ -375,8 +375,24 @@ def _parser():
     return parser
 
 
+def _attach_theta_values(argv):
+    """argv with each "--theta -VALUE" joined into "--theta=-VALUE".
+
+    argparse takes a separate argument that starts with "-" for an option
+    unless it is a plain negative number, so "--theta -7/2" would stop at
+    "expected one argument".  Joined, the value reaches Theta.parse, and a
+    malformed one is a config error like any other theta."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--theta" and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"--theta={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_theta_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _config_from_args(args)
         if args.command == "sieve-params":

@@ -35,6 +35,16 @@ So the pattern of (w, z) is the base pattern of (d, z u^-1) read at
 r u^-1, and one search call builds a pattern directly only once per
 (d, z u^-1), in a Python loop over the residues.  Every other pattern is
 the base pattern permuted by bytes.translate, in C.
+
+A window costs one mask lookup per modulus until its AND is empty, so a
+call puts its most selective moduli first, as ratpoints does: those whose
+unit base pattern (d = 1, z = 0) passes the smallest share of residues.
+Ranking has a set-up cost, every unit base pattern and the window masks
+that a modulus moved forward builds, so a call probes its first windows
+in SIEVE_MODULI order and ranks only when that set-up costs less than the
+scan it could shorten (see _Sieve).  The AND does not depend on the
+order, and _set_bits reads its bits in ascending order, so neither does
+the output.
 """
 
 import functools
@@ -44,9 +54,22 @@ from fractions import Fraction
 from .arith import is_prime, is_rational_square, square_residues
 
 # The prime powers 9, 25, 49 and 64 reject more non-squares than 3, 5, 7
-# and 2 would.  Ascending order builds the cheap masks first: a dearer one
-# is built only for a window that still has survivors.
+# and 2 would.  Until ranking pays (see _Sieve) a search scans in this
+# order: a small modulus has few mask classes, so few windows build its
+# masks.
 SIEVE_MODULI = (9, 11, 13, 17, 19, 23, 25, 29, 31, 37, 41, 43, 47, 49, 53, 64)
+
+# A search probes this many windows in SIEVE_MODULI order before it weighs
+# ranking.  Their lookups estimate the rest: on the 32 g = 1 grid fiber
+# searches at height 1000, within 40% of the mean over all windows, except
+# on the two curves whose first 8 windows never empty.
+_PROBE_WINDOWS = 8
+
+# Set-up costs in mask lookups.  On a 2-core Intel Xeon with Python 3.11 a
+# lookup (one list index and one AND) takes about 0.17 us, a residue step
+# of a direct pattern build 2-4 lookups, and a window-mask build 8-15.
+_STEP_COST = 3
+_MASK_COST = 10
 
 # the bytes 0 and 1 of a direct pattern as the digits of int(..., 2)
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -97,18 +120,39 @@ def _set_bits(mask):
 
 class _Sieve:
     """The sieve of one search call over the numerator window -height, ...,
-    height (bit i for numerator i - height).
+    height (bit i for numerator i - height), for the outer coordinates
+    (w, z) with w = 1, ..., height and z_count values of z.
 
     direct(M, sq, d, z) builds the residue pattern mod M of the outer
     coordinates (d, z), d a divisor of M, from the squares sq mod M: bytes
     of length M whose entry r is 1 when the numerators = r mod M pass, else
-    0.  The base patterns and window masks are cached for this call only."""
+    0.  The base patterns and window masks are cached for this call only.
+    Modulus M keeps its window masks in a list with one slot per
+    (w mod M, z mod M) class, the slot w mod M * Z + z mod M where Z, the
+    number of z classes, is min(M, z_count): an index costs less than a
+    dict get.
 
-    def __init__(self, height, direct):
+    The first _PROBE_WINDOWS windows run in SIEVE_MODULI order and count
+    the lookups of those whose AND empties: no order shortens a window that
+    survives every modulus.  Then the sieve ranks the moduli, most
+    selective first, by the share of residues their unit base patterns
+    (d = 1, z = 0) pass, if the set-up costs less than the scan it could
+    shorten, the windows left at the probe's lookups per window.  The
+    set-up is every unit base pattern not yet built and, per modulus, one
+    window mask per class not yet built, up to the windows left: a modulus
+    moved forward builds a mask for nearly every window when the windows
+    are few or the classes many (z varying).  Otherwise the order stays."""
+
+    def __init__(self, height, direct, z_count=1):
         self.height = height
         self.direct = direct
         self.bases = {}
-        self.masks = [(M, {}) for M in SIEVE_MODULI]
+        self.masks = [(M, min(M, z_count), [None] * (M * min(M, z_count)))
+                      for M in SIEVE_MODULI]
+        self.windows = height * z_count
+        # the windows left to probe, and the lookups of the emptied ones
+        self.probe = _PROBE_WINDOWS
+        self.lookups = 0
 
     def pattern(self, M, w, z):
         """The residue pattern mod M of the outer coordinates (w, z), bit r
@@ -123,20 +167,48 @@ class _Sieve:
         # translate reads a 256-byte table; only its first M entries are hit
         return int(perm.translate(base.ljust(256)), 2)
 
+    def _share(self, item):
+        """The share of residues that pass in the unit base pattern (d = 1,
+        z = 0) of the modulus of a self.masks entry."""
+        M = item[0]
+        return Fraction(self.pattern(M, 1, 0).bit_count(), M)
+
+    def _ranking_pays(self):
+        """Whether the set-up of ranking costs less than the scan ahead, in
+        lookups.  The dearest moduli come first, so a losing set-up stops
+        the count early."""
+        left = self.windows - _PROBE_WINDOWS
+        # the scan ahead less the set-up so far, times _PROBE_WINDOWS
+        budget = left * self.lookups
+        for M, _, masks in reversed(self.masks):
+            setup = _MASK_COST * min(masks.count(None), left)
+            if (M, 1, 0) not in self.bases:
+                setup += _STEP_COST * M
+            budget -= _PROBE_WINDOWS * setup
+            if budget <= 0:
+                return False
+        return True
+
     def survivors(self, w, z=0):
         """Bitmask of the numerators that pass every modulus at the outer
         coordinates (w, z): the AND of one mask per modulus, stopping once
         empty."""
         width = 2 * self.height + 1
         alive = (1 << width) - 1
-        for M, masks in self.masks:
-            key = w % M * M + z % M
-            mask = masks.get(key)
+        for M, Z, masks in self.masks:
+            key = w % M * Z + z % M
+            mask = masks[key]
             if mask is None:
                 mask = masks[key] = _window_mask(self.pattern(M, w, z), M, -self.height, width)
             alive &= mask
             if not alive:
                 break
+        if self.probe:
+            if not alive:
+                self.lookups += SIEVE_MODULI.index(M) + 1
+            self.probe -= 1
+            if not self.probe and self._ranking_pays():
+                self.masks.sort(key=self._share)
         return alive
 
 
@@ -257,7 +329,7 @@ def surface_point_search(surface, height):
     x1_max = height // x_step
     for x1 in range(x1_max + 1):
         check(1, 0, x1)
-    sieve = _Sieve(height, direct)
+    sieve = _Sieve(height, direct, x1_max + 1)
     for v in range(1, height + 1):
         for x1 in range(x1_max + 1):
             for i in _set_bits(sieve.survivors(v, x1)):

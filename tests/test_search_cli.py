@@ -150,10 +150,17 @@ ORACLE_HEIGHT = 60
 
 
 # the 16 grid fibers at g = 1, then the g = 3 theta-zero fiber
-@pytest.mark.parametrize("g, theta", [(1, str(t)) for t in default_theta_grid()] + [(3, "0")])
-def test_sieved_search_matches_oracle_on_fibers(g, theta):
+FIBERS = [(1, str(t)) for t in default_theta_grid()] + [(3, "0")]
+
+
+def _fiber(g, theta):
     params = PARAMS if g == 1 else sieve_params(3, 0, bound=10**12, count=1)[0]
-    co = fiber_coeffs(params, Theta.parse(theta))
+    return fiber_coeffs(params, Theta.parse(theta))
+
+
+@pytest.mark.parametrize("g, theta", FIBERS)
+def test_sieved_search_matches_oracle_on_fibers(g, theta):
+    co = _fiber(g, theta)
     curve, surface = build_curve(co), build_surface(co)
     assert curve_point_search(curve, ORACLE_HEIGHT) == _oracle_curve_points(curve, ORACLE_HEIGHT)
     assert surface_point_search(surface, ORACLE_HEIGHT) == \
@@ -242,8 +249,8 @@ def _sieve_of(monkeypatch, search_fn, obj):
     sieves = []
     sieve_class = search._Sieve
 
-    def recording(height, direct):
-        sieves.append(sieve_class(height, direct))
+    def recording(height, direct, *rest):
+        sieves.append(sieve_class(height, direct, *rest))
         return sieves[-1]
 
     monkeypatch.setattr(search, "_Sieve", recording)
@@ -289,7 +296,7 @@ def test_fiber_search_builds_each_base_pattern_once(monkeypatch, search_fn, buil
 
     sieve_class = search._Sieve
     monkeypatch.setattr(search, "_Sieve",
-                        lambda height, direct: sieve_class(height, counting(direct)))
+                        lambda height, direct, *rest: sieve_class(height, counting(direct), *rest))
     assert search_fn(build(fiber_coeffs(PARAMS, Theta.of(0))), 1000) == []
     assert calls and len(set(calls)) == len(calls)
     for M, d, z in calls:
@@ -297,6 +304,98 @@ def test_fiber_search_builds_each_base_pattern_once(monkeypatch, search_fn, buil
     for M in SIEVE_MODULI:
         non_units = sum(math.gcd(w, M) > 1 for w in range(M))
         assert sum(c[0] == M for c in calls) <= 1 + non_units
+
+
+class _Tally(list):
+    """A window-mask cache that counts its lookups and its builds."""
+
+    def __init__(self, masks, counts):
+        super().__init__(masks)
+        self.counts = counts
+
+    def __getitem__(self, key):
+        self.counts["lookups"] += 1
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, mask):
+        self.counts["masks"] += 1
+        super().__setitem__(key, mask)
+
+
+def _search_work(monkeypatch, search_fn, obj, height, rank=None):
+    """search_fn(obj, height) with its sieve's work counted: the output,
+    the sieve's modulus order at the end, the survivors of every window,
+    and the mask lookups, window-mask builds and base-pattern builds.
+    rank True or False forces the sieve's ranking decision; False keeps
+    SIEVE_MODULI order."""
+    counts = {"lookups": 0, "masks": 0, "bases": 0}
+    sieves, windows = [], []
+    with monkeypatch.context() as m:
+        if rank is not None:
+            m.setattr(search._Sieve, "_ranking_pays", lambda self: rank)
+
+        class Recording(search._Sieve):
+            def __init__(self, height, direct, *rest):
+                def counted(*args):
+                    counts["bases"] += 1
+                    return direct(*args)
+
+                super().__init__(height, counted, *rest)
+                self.masks = [(M, Z, _Tally(masks, counts)) for M, Z, masks in self.masks]
+                sieves.append(self)
+
+            def survivors(self, w, z=0):
+                windows.append((w, z, super().survivors(w, z)))
+                return windows[-1][2]
+
+        m.setattr(search, "_Sieve", Recording)
+        out = search_fn(obj, height)
+    (sieve,) = sieves
+    return out, [M for M, *_ in sieve.masks], windows, counts
+
+
+@pytest.mark.parametrize("g, theta", FIBERS)
+def test_ranked_sieve_matches_ascending_order(monkeypatch, g, theta):
+    # at height 1000, ranked or not by the sieve's own choice or ranked by
+    # force, every window keeps the survivors of SIEVE_MODULI order, and so
+    # every output does
+    co = _fiber(g, theta)
+    for search_fn, obj in ((curve_point_search, build_curve(co)),
+                           (surface_point_search, build_surface(co))):
+        runs = {rank: _search_work(monkeypatch, search_fn, obj, 1000, rank)
+                for rank in (None, True, False)}
+        out, order, windows, _ = runs[False]
+        assert order == list(SIEVE_MODULI)
+        assert runs[True][1] != order
+        for rank in (None, True):
+            assert runs[rank][2] == windows
+            assert runs[rank][0] == out
+
+
+def test_ranking_cuts_lookups_at_height_1000(monkeypatch):
+    co = fiber_coeffs(PARAMS, Theta.of(1, 2))
+    for search_fn, obj, ascending, most in ((curve_point_search, build_curve(co), 14_718, 7_500),
+                                            (surface_point_search, build_surface(co), 9_152, 2_500)):
+        out, order, _, counts = _search_work(monkeypatch, search_fn, obj, 1000)
+        plain_out, _, _, plain_counts = _search_work(monkeypatch, search_fn, obj, 1000,
+                                                     rank=False)
+        assert order != list(SIEVE_MODULI)
+        assert out == plain_out == []
+        assert plain_counts["lookups"] == ascending
+        assert counts["lookups"] <= most
+
+
+@pytest.mark.parametrize("theta", [str(t) for t in default_theta_grid()])
+def test_height_100_searches_build_no_extra_base_patterns(monkeypatch, theta):
+    # with few windows, ranking would build base patterns and masks that
+    # the ascending scan never needs
+    co = fiber_coeffs(PARAMS, Theta.parse(theta))
+    for search_fn, obj in ((curve_point_search, build_curve(co)),
+                           (surface_point_search, build_surface(co))):
+        *_, counts = _search_work(monkeypatch, search_fn, obj, 100)
+        *_, plain_counts = _search_work(monkeypatch, search_fn, obj, 100, rank=False)
+        assert counts["bases"] <= plain_counts["bases"]
+        assert counts["masks"] <= plain_counts["masks"]
 
 
 def test_import_builds_no_modulus_tables():
@@ -458,10 +557,12 @@ def test_cli_config_with_non_prime_params_exits_2(tmp_path, capsys, change, cond
 @pytest.mark.parametrize("argv, config", [
     (["--theta=1/0"], None),
     (["--theta=abc"], None),
+    (["--theta", "-x/2"], None),  # a separate value that starts with "-"
     (["--config", "CFG"], '{"g": "x"}'),
     (["--config", "CFG"], '{"theta_list": ["1/0"]}'),
     (["--config", "CFG"], None),  # no such file
-], ids=["theta-1/0", "theta-abc", "config-g", "config-theta", "config-missing"])
+], ids=["theta-1/0", "theta-abc", "theta-separate-negative", "config-g", "config-theta",
+        "config-missing"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, argv, config):
     # malformed input is a config error (exit 2, one line), never a
     # traceback or exit 1, which is kept for a failed certification
@@ -472,6 +573,21 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, argv, config):
     assert main(["certify-all", "--g", "1", "--h", "0", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: malformed input (") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("theta", ["-7/2", "-1/3,2"])
+def test_cli_negative_theta_as_separate_argument(capsys, theta):
+    # argparse reads a separate "-7/2" as an option; the CLI must take it
+    # as the value of --theta, as it does "--theta=-7/2"
+    reports = []
+    for theta_args in ([f"--theta={theta}"], ["--theta", theta]):
+        assert main(["certify-all", "--g", "1", "--h", "0", *theta_args,
+                     "--height", "20", "--samples", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        del report["generated_at"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert [f["theta"] for f in reports[0]["fibers"]] == theta.split(",")
 
 
 PARAMS_JSON = {"a": "1753", "b": "73", "c": "5", "d": "146059", "omega0": ["3"],
