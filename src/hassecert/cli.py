@@ -12,8 +12,10 @@ import datetime
 import functools
 import json
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
+from . import __version__ as VERSION
 from .brauer import obstruction_certificate
 from .family import (
     Theta,
@@ -30,8 +32,6 @@ from .local import certify_all_local
 from .params import ParamSet, SieveExhausted, json_int, sieve_params, verify_conditions
 from .search import curve_point_search, surface_point_search
 
-VERSION = "0.1.0"
-
 EXIT_OK = 0
 EXIT_CERTIFICATION_FAILED = 1
 EXIT_CONFIG = 2
@@ -39,6 +39,10 @@ EXIT_CONFIG = 2
 
 class ConfigError(ValueError):
     pass
+
+
+class RunRefused(Exception):
+    """A run that ends without a report: exit 1 with one line on stderr."""
 
 
 def default_theta_grid(num_max=3, den_max=3, include_zero=True,
@@ -60,6 +64,20 @@ def _theta_key(theta):
     return (0, theta.value, theta.value.denominator)
 
 
+# Each integer setting of a run: its RunConfig field, which is also its
+# config key, its flag, its least value and its help text.
+Setting = namedtuple("Setting", "field flag least help")
+SETTINGS = (
+    Setting("g", "--g", 1, "curve genus, odd"),
+    Setting("h", "--h", 0, "family exponent h"),
+    Setting("height_bound", "--height", 1, "point-search height bound"),
+    Setting("sample_count", "--samples", 1, "sampled points per place"),
+    Setting("parallelism", "--jobs", 1, "worker processes"),
+    Setting("sieve_bound", "--bound", 1, "sieve magnitude bound per slot"),
+    Setting("sieve_count", "--count", 1, "number of quadruples to sieve"),
+)
+
+
 @dataclass
 class RunConfig:
     g: int = 1
@@ -77,8 +95,10 @@ class RunConfig:
     def validate(self):
         if self.g < 1 or self.g % 2 == 0:
             raise ConfigError(f"g must be an odd positive integer, got {self.g}")
-        if self.h < 0:
-            raise ConfigError("h must be nonnegative")
+        for s in SETTINGS:
+            if getattr(self, s.field) < s.least:
+                raise ConfigError(f"{s.field} ({s.flag}) must be >= {s.least}, "
+                                  f"got {getattr(self, s.field)}")
         if self.mode not in ("full", "theta-zero"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not self.theta_list:
@@ -86,10 +106,7 @@ class RunConfig:
                 default_theta_grid() if self.mode == "full" else [Theta.of(0)]
             )
         if self.mode == "full":
-            if self.g % 4 != 1:
-                raise ConfigError(
-                    f"full-family mode needs g = 1 mod 4 (for (g+1) | (4h+2)); got g = {self.g}"
-                )
+            # at odd g, (g+1) | (4h+2) forces g = 1 mod 4
             if (4 * self.h + 2) % (self.g + 1) != 0:
                 raise ConfigError(
                     f"full-family mode needs (g+1) | (4h+2); got g={self.g}, h={self.h}"
@@ -101,12 +118,6 @@ class RunConfig:
                     "theta-zero mode certifies only the fiber at 0; "
                     f"drop {[str(t) for t in nonzero]}"
                 )
-        if self.height_bound < 1:
-            raise ConfigError("height bound must be >= 1")
-        if self.sample_count < 1:
-            raise ConfigError("sample count must be >= 1")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
         return self
 
     @classmethod
@@ -123,12 +134,13 @@ class RunConfig:
                 json_int(spec.get("den_max", 3), "den_max"),
                 _json_typed(spec.get("include_zero", True), bool, "include_zero"),
                 _json_typed(spec.get("include_infinity", True), bool, "include_infinity"))
-        if "params" in obj and obj["params"] is not None:
-            cfg.params = ParamSet.from_json(obj["params"])
-        for key in ("g", "h", "sieve_bound", "sieve_count", "height_bound",
-                    "sample_count", "parallelism"):
-            if key in obj:
-                setattr(cfg, key, json_int(obj[key], key))
+        if obj.get("params") is not None:
+            params = _json_typed(obj["params"], dict, "params")
+            _json_typed(params["omega0"], list, "omega0")
+            cfg.params = ParamSet.from_json(params)
+        for s in SETTINGS:
+            if s.field in obj:
+                setattr(cfg, s.field, json_int(obj[s.field], s.field))
         if "mode" in obj:
             cfg.mode = obj["mode"]
         if obj.get("output_path") is not None:
@@ -137,16 +149,10 @@ class RunConfig:
 
     def to_json(self):
         return {
-            "g": str(self.g),
-            "h": str(self.h),
+            **{s.field: str(getattr(self, s.field)) for s in SETTINGS},
             "mode": self.mode,
             "theta_list": [str(t) for t in self.theta_list],
             "params": self.params.to_json() if self.params else None,
-            "sieve_bound": str(self.sieve_bound),
-            "sieve_count": str(self.sieve_count),
-            "height_bound": str(self.height_bound),
-            "sample_count": str(self.sample_count),
-            "parallelism": str(self.parallelism),
             "output_path": self.output_path,
         }
 
@@ -163,26 +169,31 @@ def _json_typed(value, kind, name):
 
 
 def resolve_params(config):
-    if config.params is not None:
-        ps = config.params
-        if ps.g != config.g or ps.h != config.h:
-            ps = ParamSet(a=ps.a, b=ps.b, c=ps.c, d=ps.d, omega0=ps.omega0,
-                          g=config.g, h=config.h)
-        report = verify_conditions(ps)
-        if not report.ok:
-            raise ConfigError(f"explicit parameters fail verification: {report.failures()}")
-        return ps
-    return sieve_params(config.g, config.h, bound=config.sieve_bound, count=1)[0]
+    """The config's params, verified and for the run's g and h, or else the
+    first sieved quadruple."""
+    ps = config.params
+    if ps is None:
+        return sieve_params(config.g, config.h, bound=config.sieve_bound, count=1)[0]
+    if (ps.g, ps.h) != (config.g, config.h):
+        raise ConfigError(f"params are for g = {ps.g}, h = {ps.h}, "
+                          f"but the run is for g = {config.g}, h = {config.h}")
+    report = verify_conditions(ps)
+    if not report.ok:
+        raise ConfigError(f"explicit parameters fail verification: {report.failures()}")
+    return ps
 
 
 # The stages certify_fiber runs after build, nonvanishing and smoothness,
 # keyed by subcommand.  Each stage subcommand prints one entry of the fiber
-# record, named in SECTIONS.
+# record, named in SECTIONS; instantiate prints the "fiber" entry and
+# j-report the "j_invariant" one.
 STAGES = {
-    "certify-all": ("local", "brauer", "search", "j"),
+    "instantiate": (),
     "certify-local": ("local",),
     "certify-brauer": ("local", "brauer"),
+    "certify-all": ("local", "brauer", "search", "j"),
     "point-search": ("search",),
+    "j-report": ("j",),
 }
 SECTIONS = {
     "certify-local": "local",
@@ -247,32 +258,24 @@ def certify_fiber(params, theta, height_bound=1000, sample_count=10,
     return out
 
 
-def _fiber_task(args):
-    params_json, theta_str, height, samples, command = args
-    params = ParamSet.from_json(params_json)
-    return certify_fiber(params, Theta.parse(theta_str), height, samples,
-                         stages=STAGES[command])
-
-
-def _certify_fibers(config, params, command):
-    """One fiber record per theta of the config, in order."""
-    tasks = [
-        (params.to_json(), str(theta), config.height_bound, config.sample_count, command)
-        for theta in config.theta_list
-    ]
+def _certify_fibers(config, command):
+    """The validated config's params, and one certify_fiber record per theta
+    of the config, in order, with the subcommand's stages."""
+    config.validate()
+    params = resolve_params(config)
+    task = functools.partial(certify_fiber, params, height_bound=config.height_bound,
+                             sample_count=config.sample_count, stages=STAGES[command])
     if config.parallelism > 1:
         with concurrent.futures.ProcessPoolExecutor(config.parallelism) as pool:
-            return list(pool.map(_fiber_task, tasks))
-    return [_fiber_task(t) for t in tasks]
+            return params, list(pool.map(task, config.theta_list))
+    return params, list(map(task, config.theta_list))
 
 
 def run_certify(config):
     """Certify every fiber in the theta list; returns the report dict."""
-    config.validate()
-    params = resolve_params(config)
-    fibers = _certify_fibers(config, params, "certify-all")
+    params, fibers = _certify_fibers(config, "certify-all")
     certified = sum(1 for f in fibers if f["certified"])
-    report = {
+    return {
         "tool": "hassecert",
         "version": VERSION,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -285,23 +288,22 @@ def run_certify(config):
             "failed": len(fibers) - certified,
         },
     }
-    return report
 
 
 def report_j_invariants(config):
-    """theta -> j table for genus 1; exact values, distinctness asserted."""
-    config.validate()
+    """theta -> j table for genus 1, read off the fiber records.  Distinct
+    fibers that all share one j are refused; theta and -theta give one
+    fiber, since it depends on theta only through theta^(g+1)."""
     if config.g != 1:
         raise ConfigError("j-invariant reports need g = 1")
-    params = resolve_params(config)
-    rows = []
-    values = set()
-    for theta in config.theta_list:
-        j = j_invariant(fiber_coeffs(params, theta))
-        rows.append({"theta": str(theta), "j": frac_str(j)})
-        values.add(j)
-    if len(config.theta_list) >= 2 and len(values) < 2:
-        raise ArithmeticError("j-invariant failed to separate two fibers")
+    params, fibers = _certify_fibers(config, "j-report")
+    for f in fibers:
+        if f["stage"] != "done":
+            raise RunRefused(f"fiber {f['theta']} failed at stage {f['stage']}: {f['error']}")
+    j_of_fiber = {tuple(f["fiber"]["coeffs"].values()): f["j_invariant"] for f in fibers}
+    if len(j_of_fiber) >= 2 and len(set(j_of_fiber.values())) < 2:
+        raise RunRefused(f"j-invariant failed to separate {len(j_of_fiber)} distinct fibers")
+    rows = [{"theta": f["theta"], "j": f["j_invariant"]} for f in fibers]
     return {"params": params.to_json(), "rows": rows}
 
 
@@ -311,25 +313,14 @@ def report_j_invariants(config):
 
 def _add_common(sp):
     sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--g", type=int)
-    sp.add_argument("--h", type=int)
     sp.add_argument("--theta", action="append",
                     help="fiber parameter: m/n, inf or 0 (repeatable)")
-    sp.add_argument("--height", type=int)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--jobs", type=int)
-    sp.add_argument("--bound", type=int, help="sieve magnitude bound per slot")
-    sp.add_argument("--count", type=int, help="number of quadruples to sieve")
+    for s in SETTINGS:
+        sp.add_argument(s.flag, type=int, dest=s.field, metavar=s.flag[2:].upper(),
+                        help=s.help)
     sp.add_argument("--mode", choices=["full", "theta-zero"])
-    sp.add_argument("--out", help="output path for the JSON report")
-
-
-# command-line flag -> RunConfig field it overrides (besides --theta)
-_FLAG_FIELDS = (
-    ("g", "g"), ("h", "h"), ("height", "height_bound"), ("samples", "sample_count"),
-    ("jobs", "parallelism"), ("bound", "sieve_bound"), ("count", "sieve_count"),
-    ("mode", "mode"), ("out", "output_path"),
-)
+    sp.add_argument("--out", dest="output_path", metavar="PATH",
+                    help="output path for the JSON report")
 
 
 def _config_from_args(args):
@@ -343,19 +334,22 @@ def _config_from_args(args):
                               for x in chunk.split(",")]
     except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"malformed input ({type(e).__name__}): {e}") from None
-    for flag, key in _FLAG_FIELDS:
-        if getattr(args, flag) is not None:
-            setattr(cfg, key, getattr(args, flag))
+    for key in [s.field for s in SETTINGS] + ["mode", "output_path"]:
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     return cfg
 
 
 def _emit(payload, path):
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if path:
+    if not path:
+        print(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write the output file: {e}") from None
 
 
 @functools.cache
@@ -368,8 +362,7 @@ def _parser():
         "quadric-pair surfaces and hyperelliptic curves",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("sieve-params", "instantiate", "certify-local", "certify-brauer",
-                 "certify-all", "point-search", "j-report"):
+    for name in ("sieve-params", *STAGES):
         sp = sub.add_parser(name)
         _add_common(sp)
     return parser
@@ -401,19 +394,18 @@ def main(argv=None):
                                  count=cfg.sieve_count)
             _emit({"quadruples": [q.to_json() for q in quads]}, cfg.output_path)
             return EXIT_OK
-        if args.command == "instantiate":
-            cfg.validate()
-            params = resolve_params(cfg)
-            fibers = [fiber_coeffs(params, t).to_json() for t in cfg.theta_list]
-            _emit({"fibers": fibers}, cfg.output_path)
-            return EXIT_OK
         if args.command == "j-report":
             _emit(report_j_invariants(cfg), cfg.output_path)
             return EXIT_OK
-        if args.command in SECTIONS:
+        if args.command == "certify-all":
+            out = run_certify(cfg)
+            fibers = out["fibers"]
+        else:
             # the certify-all pipeline cut after the subcommand's stage
-            cfg.validate()
-            fibers = _certify_fibers(cfg, resolve_params(cfg), args.command)
+            _, fibers = _certify_fibers(cfg, args.command)
+            if args.command == "instantiate":
+                _emit({"fibers": [f["fiber"] for f in fibers]}, cfg.output_path)
+                return EXIT_OK
             key = SECTIONS[args.command]
             results = []
             for f in fibers:
@@ -427,17 +419,15 @@ def main(argv=None):
             out = {"results": results}
             if key == "point_search":
                 out["height"] = str(cfg.height_bound)
-            _emit(out, cfg.output_path)
-            ok = all(f["stage"] == "done" for f in fibers)
-            return EXIT_OK if ok else EXIT_CERTIFICATION_FAILED
-        # certify-all
-        report = run_certify(cfg)
-        _emit(report, cfg.output_path)
-        failed = report["summary"]["failed"]
-        return EXIT_OK if failed == 0 else EXIT_CERTIFICATION_FAILED
+        _emit(out, cfg.output_path)
+        ok = all(f["stage"] == "done" for f in fibers)
+        return EXIT_OK if ok else EXIT_CERTIFICATION_FAILED
     except (ConfigError, SieveExhausted) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except RunRefused as e:
+        print(f"{args.command}: {e}", file=sys.stderr)
+        return EXIT_CERTIFICATION_FAILED
 
 
 if __name__ == "__main__":

@@ -611,19 +611,74 @@ PARAMS_JSON = {"a": "1753", "b": "73", "c": "5", "d": "146059", "omega0": ["3"],
     ({"theta_grid": 5}, "theta_grid"),
     ({"output_path": 7}, "output_path"),
     ([], "config"),
+    ({"params": {**PARAMS_JSON, "omega0": "35"}}, "omega0"),
+    ({"params": {**PARAMS_JSON, "omega0": "3"}}, "omega0"),
+    ({"params": ["1753", "73", "5", "146059"]}, "params"),
 ])
 def test_cli_config_fields_must_be_integers_and_booleans(tmp_path, capsys, config, field):
     # an integer field takes a JSON integer or a decimal-integer string and
     # a flag a JSON boolean; a float is never truncated and "false" is
-    # never true.  theta entries and output_path are strings, theta_list an
-    # array, and theta_grid and the config itself objects.  Each violation
-    # is a config error, exit 2
+    # never true.  theta entries and output_path are strings, theta_list and
+    # omega0 arrays, and theta_grid, params and the config itself objects.
+    # Each violation is a config error, exit 2
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"g": 1, "h": 0, **config} if isinstance(config, dict) else config))
     assert main(["instantiate", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: malformed input (") and err.count("\n") == 1
     assert f"{field} must be" in err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--count", "0"], "sieve_count"),
+    (["--count", "-2"], "sieve_count"),
+    (["--height", "0"], "height_bound"),
+    (["--jobs", "0"], "parallelism"),
+])
+def test_cli_settings_below_their_least_value_exit_2(capsys, argv, field):
+    # every integer setting is range-checked from the one settings table
+    assert main(["sieve-params", "--g", "1", "--h", "0", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field} ({argv[0]}) must be >= ")
+    assert err.count("\n") == 1
+
+
+def test_cli_params_for_another_genus_exit_2(tmp_path, capsys):
+    # a config's params are certified only for their own g and h, never
+    # rebuilt for the run's
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {**PARAMS_JSON, "g": "5", "h": "1"}}))
+    assert main(["instantiate", "--config", str(cfg), "--theta", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: params are for g = 5, h = 1, "
+                   "but the run is for g = 1, h = 0\n")
+
+
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["certify-all", "--g", "1", "--h", "0", "--theta", "0",
+                 "--height", "10", "--samples", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write the output file: ")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_cli_j_report_theta_and_minus_theta_share_a_fiber(tmp_path):
+    # at odd g the fiber depends on theta only through theta^(g+1)
+    out = tmp_path / "j.json"
+    assert main(["j-report", "--g", "1", "--h", "0", "--theta", "1,-1",
+                 "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["theta"] for r in rows] == ["1", "-1"]
+    assert rows[0]["j"] == rows[1]["j"]
+
+
+def test_cli_j_report_refuses_distinct_fibers_with_one_j(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "j_invariant", lambda coeffs: Fraction(1728))
+    assert main(["j-report", "--g", "1", "--h", "0", "--theta", "0,1,-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "j-report: j-invariant failed to separate 2 distinct fibers\n"
 
 
 def test_cli_sieve_and_point_search(tmp_path):
@@ -659,7 +714,8 @@ STAGE_THETAS = [Theta.of(0), Theta.of(1, 2), Theta.infinity()]
 
 def test_stage_subcommands_print_certify_fiber_sections(tmp_path):
     # each stage subcommand prints, per theta, the entry of the full
-    # certify-all fiber record that its stage produces
+    # certify-all fiber record that its stage produces; instantiate prints
+    # the "fiber" entries and j-report the "j_invariant" ones
     fibers = [certify_fiber(PARAMS, t, height_bound=300, sample_count=2)
               for t in STAGE_THETAS]
     assert all(f["stage"] == "done" for f in fibers)
@@ -679,6 +735,13 @@ def test_stage_subcommands_print_certify_fiber_sections(tmp_path):
                 assert printed["height"] == section.pop("height") == "300"
             expected.append({"theta": f["theta"], **section})
         assert printed["results"] == expected, command
+    out = tmp_path / "instantiate.json"
+    assert main(["instantiate", "--g", "1", "--h", "0", *theta_args, "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"fibers": [f["fiber"] for f in fibers]}
+    out = tmp_path / "j-report.json"
+    assert main(["j-report", "--g", "1", "--h", "0", *theta_args, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["rows"] == [
+        {"theta": f["theta"], "j": f["j_invariant"]} for f in fibers]
 
 
 def test_certify_brauer_names_failed_local_stage(tmp_path):
