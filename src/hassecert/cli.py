@@ -11,6 +11,7 @@ import concurrent.futures
 import datetime
 import functools
 import json
+import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -29,7 +30,8 @@ from .family import (
     j_invariant,
 )
 from .local import certify_all_local
-from .params import ParamSet, SieveExhausted, json_int, sieve_params, verify_conditions
+from .params import (ParamSet, SieveExhausted, json_int, json_typed, sieve_params,
+                     verify_conditions)
 from .search import curve_point_search, surface_point_search
 
 EXIT_OK = 0
@@ -122,29 +124,27 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, obj):
-        _json_typed(obj, dict, "config")
+        json_typed(obj, dict, "config")
         cfg = cls()
         if "theta_list" in obj:
-            cfg.theta_list = [Theta.parse(_json_typed(s, str, "theta_list entry"))
-                              for s in _json_typed(obj["theta_list"], list, "theta_list")]
+            cfg.theta_list = [Theta.parse(json_typed(s, str, "theta_list entry"))
+                              for s in json_typed(obj["theta_list"], list, "theta_list")]
         elif "theta_grid" in obj:
-            spec = _json_typed(obj["theta_grid"], dict, "theta_grid")
+            spec = json_typed(obj["theta_grid"], dict, "theta_grid")
             cfg.theta_list = default_theta_grid(
                 json_int(spec.get("num_max", 3), "num_max"),
                 json_int(spec.get("den_max", 3), "den_max"),
-                _json_typed(spec.get("include_zero", True), bool, "include_zero"),
-                _json_typed(spec.get("include_infinity", True), bool, "include_infinity"))
+                json_typed(spec.get("include_zero", True), bool, "include_zero"),
+                json_typed(spec.get("include_infinity", True), bool, "include_infinity"))
         if obj.get("params") is not None:
-            params = _json_typed(obj["params"], dict, "params")
-            _json_typed(params["omega0"], list, "omega0")
-            cfg.params = ParamSet.from_json(params)
+            cfg.params = ParamSet.from_json(json_typed(obj["params"], dict, "params"))
         for s in SETTINGS:
             if s.field in obj:
                 setattr(cfg, s.field, json_int(obj[s.field], s.field))
         if "mode" in obj:
             cfg.mode = obj["mode"]
         if obj.get("output_path") is not None:
-            cfg.output_path = _json_typed(obj["output_path"], str, "output_path")
+            cfg.output_path = json_typed(obj["output_path"], str, "output_path")
         return cfg
 
     def to_json(self):
@@ -155,17 +155,6 @@ class RunConfig:
             "params": self.params.to_json() if self.params else None,
             "output_path": self.output_path,
         }
-
-
-# the JSON types a config field is checked against, as a refusal names them
-_JSON_TYPES = {bool: "true or false", str: "a string", list: "an array", dict: "an object"}
-
-
-def _json_typed(value, kind, name):
-    """value when it has the JSON type kind, else ValueError naming the field."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
-    return value
 
 
 def resolve_params(config):
@@ -340,6 +329,22 @@ def _config_from_args(args):
     return cfg
 
 
+def _check_writable(path):
+    """Refuse an output path that cannot be written before any work runs.
+    The probe opens it for appending, which changes no file, and removes
+    a file it created, so a later refusal leaves nothing behind."""
+    if not path:
+        return
+    existed = os.path.exists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as e:
+        raise ConfigError(f"cannot write the output file: {e}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _emit(payload, path):
     text = json.dumps(payload, indent=2, sort_keys=True)
     if not path:
@@ -388,6 +393,7 @@ def main(argv=None):
     args = _parser().parse_args(_attach_theta_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _config_from_args(args)
+        _check_writable(cfg.output_path)
         if args.command == "sieve-params":
             cfg.validate()
             quads = sieve_params(cfg.g, cfg.h, bound=cfg.sieve_bound,

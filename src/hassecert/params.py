@@ -6,6 +6,8 @@ residue conditions the quadruple must satisfy; it shares no search logic
 with the sieve, so a sieve bug cannot certify itself.
 """
 
+import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -24,6 +26,17 @@ def json_int(value, name):
     if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+# the JSON types a config field is checked against, as a refusal names them
+_JSON_TYPES = {bool: "true or false", str: "a string", list: "an array", dict: "an object"}
+
+
+def json_typed(value, kind, name):
+    """value when it has the JSON type kind, else ValueError naming the field."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -70,7 +83,7 @@ class ParamSet:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            omega0=tuple(json_int(q, "omega0") for q in obj["omega0"]),
+            omega0=tuple(json_int(q, "omega0") for q in json_typed(obj["omega0"], list, "omega0")),
             **{k: json_int(obj[k], k) for k in ("a", "b", "c", "d", "g", "h")},
         )
 
@@ -189,11 +202,47 @@ def _qr_tables(omega0):
 WHEEL_PRIMES = 7
 
 
+def _lifted(rq, table, m, q, q_w):
+    """The bytes table[(j + r) mod q] for the lifts j + r of wheel residues
+    r mod m, j = 0, m, ..., (q_w - 1) m in that order and r in turn, given
+    rq, the bytes r mod q of the residues (q < 256), and a table whose
+    slice table[t:t + 256], t < q, sends x < q to table[(x + t) mod q].
+    In C: block j reads rq through the slice at t = j m mod q."""
+    shifts = (j * m % q for j in range(q_w))
+    return b"".join(rq.translate(table[t:t + 256]) for t in shifts)
+
+
 def _wheel_stage(residues, m, q, ok):
     """Lift the wheel residues mod m to the residues mod m*q whose terms
-    pass q, ascending; ok[x] is 1 when the term with k = x mod q passes."""
-    return [k for k in (j + r for j in range(0, m * q, m) for r in residues)
-            if ok[k % q]]
+    pass q (q < 256), ascending; ok[x] is 1 when the term with k = x mod q
+    passes.  Also returns the selector: for each lift j + r in _lifted's
+    order, the byte 1 when it passes, else 0."""
+    selector = _lifted(bytes([r % q for r in residues]), ok * 2 + bytes(256), m, q, q)
+    lifts = [j + r for j in range(0, m * q, m) for r in residues]
+    return list(itertools.compress(lifts, selector)), selector
+
+
+@functools.cache
+def _rotation(q):
+    """The bytes 0, ..., q - 1 twice, then 256 zeros: the table under which
+    _lifted reads (j + r) mod q itself."""
+    return bytes(range(q)) * 2 + bytes(256)
+
+
+# a selector's bytes 1 (keep) and 0 (drop) as 0x00 and 0xff: ORed into a
+# string of residues below 255, it marks the dropped ones for deletion
+_DROP = bytes.maketrans(b"\0\1", b"\xff\0")
+
+
+def _lift_residues_mod(rq, q, m, q_w, drop):
+    """The bytes r mod q (q < 256) of the residues that _wheel_stage lifts
+    by q_w from residues mod m, given rq, their bytes r mod q before the
+    lift, and drop, the lift's selector translated by _DROP, as an
+    integer.  In C: ORing drop into the lifts' bytes sets those of the
+    lifts that fail to 0xff, and translate deletes them."""
+    blocks = _lifted(rq, _rotation(q), m, q, q_w)
+    kept = (int.from_bytes(blocks, "big") | drop).to_bytes(len(blocks), "big")
+    return kept.translate(None, b"\xff")
 
 
 def _progression_survivors(step, omega0, bound, tables):
@@ -201,18 +250,21 @@ def _progression_survivors(step, omega0, bound, tables):
     mod every q in omega0 and are not perfect squares, ascending.
 
     A wheel over k skips the terms that fail one of its primes.  Its
-    residues mod M = q_1 ... q_w (the first w primes of omega0 not
-    dividing step) are ascending, and k runs through them block by block:
-    k = base + r, base = 0, M, 2M, ...  In each block one residue table
-    per marked prime, shifted by base mod q and applied to the byte
-    string of r mod q with bytes.translate, marks the residues that pass;
-    the marks are ANDed as integers.  Each mark passes about half the
-    residues, so len(residues).bit_length() marked primes (the first
-    primes below 256 after the wheel's) leave about one survivor per
-    block.  The other primes are checked term by term on the survivors.
+    residues mod M = q_1 ... q_w (the first w primes of omega0 not dividing
+    step, all below 256) are ascending, and k runs through them block by
+    block: k = base + r, base = 0, M, 2M, ...  In each block one residue
+    table per marked prime, shifted by base mod q (a slice of the table
+    twice over, padded to 256 bytes) and applied to the byte string of r mod
+    q with bytes.translate, marks the residues that pass; the marks are
+    ANDed as integers.  A prime's string of r mod q is carried from wheel to
+    wheel by _lift_residues_mod, in C, not rebuilt one residue at a time.
+    Each mark passes about half the residues, so len(residues).bit_length()
+    marked primes (the first primes below 256 after the wheel's) leave about
+    one survivor per block.  The other primes are checked term by term on
+    the survivors.
 
     The wheel grows with the scan.  It starts from q_1.  Setting up
-    wheel w + 1 costs one Python step per residue and marked prime, so
+    wheel w + 1 is charged one step per residue and marked prime, so
     wheel w scans blocks until the residues it has passed over reach that
     cost and base is a multiple of M*q_{w+1}; then _wheel_stage lifts its
     residues by q_{w+1} and the scan goes on from base.  Set-up never
@@ -227,16 +279,28 @@ def _progression_survivors(step, omega0, bound, tables):
     qs = [q for q in omega0 if step % q]
     # kok[q][x]: 1 when the term with k = x mod q is a nonzero square mod q
     kok = {q: bytes(tables[q][(1 + step * x) % q] for x in range(q)) for q in qs}
-    cap = min(WHEEL_PRIMES, len(qs))
+    # wheel primes are below 256, for the byte strings of _wheel_stage
+    cap = min(WHEEL_PRIMES, len([q for q in qs if q < 256]))
     w, m, residues, base = 0, 1, [0], 0
+    # the (m, q_w, drop) of each wheel lift (see _lift_residues_mod), and
+    # for each prime marked so far, (lifts applied, its bytes r mod q then)
+    stages, rmod = [], {}
+
+    def residues_mod(q):
+        done, rq = rmod.get(q, (0, b"\0"))
+        for stage in stages[done:]:
+            rq = _lift_residues_mod(rq, q, *stage)
+        rmod[q] = len(stages), rq
+        return rq
+
     while True:
         if w < cap:
-            residues = _wheel_stage(residues, m, qs[w], kok[qs[w]])
+            residues, selector = _wheel_stage(residues, m, qs[w], kok[qs[w]])
+            stages.append((m, qs[w], int.from_bytes(selector.translate(_DROP), "big")))
             m, w = m * qs[w], w + 1
         rest = qs[w:]
         marked = [q for q in rest if q < 256][:len(residues).bit_length()]
-        marks = [(q, kok[q] * 2, bytes(256 - q), bytes(r % q for r in residues))
-                 for q in marked]
+        marks = [(q, kok[q] * 2 + bytes(256), residues_mod(q)) for q in marked]
         late = [q for q in rest if q not in marked]
         width = len(residues)
         full = int.from_bytes(bytes([1]) * width, "little")
@@ -248,9 +312,9 @@ def _progression_survivors(step, omega0, bound, tables):
         scanned = 0
         while True:
             alive = full
-            for q, ok2, pad, rq in marks:
+            for q, okt, rq in marks:
                 s = base % q
-                alive &= int.from_bytes(rq.translate(ok2[s:s + q] + pad), "little")
+                alive &= int.from_bytes(rq.translate(okt[s:s + 256]), "little")
                 if not alive:
                     break
             if alive:

@@ -36,6 +36,22 @@ r u^-1, and one search call builds a pattern directly only once per
 (d, z u^-1), in a Python loop over the residues.  Every other pattern is
 the base pattern permuted by bytes.translate, in C.
 
+Lemma.  If n^(g+1) = n'^(g+1) mod M, the curve's patterns mod M at the
+denominators n and n' agree.
+
+Proof.  The curve's form is a polynomial with integer coefficients in r
+and n^(g+1), and reduction mod M is a ring homomorphism.
+
+So a window's mask mod M depends on its denominator only through the
+class of n^(g+1) mod M, and the curve search keeps one mask per class:
+237 over SIEVE_MODULI at g = 1, 180 at g = 3 and 172 at g = 5, where one
+per residue would be 511.  The surface's outer coordinate v enters its
+forms through v and v^2, so it keeps one mask per residue.  A mask lays
+the pattern over the window with one multiply: with the repunit
+R = 2^0 + 2^M + ... + 2^((K-1) M), K M >= width + M, bit j of
+pattern * R is bit j mod M of the pattern for j < K M, so shifting right
+by -height mod M puts the pattern's bit of numerator i - height at bit i.
+
 A window costs one mask lookup per modulus until its AND is empty, so a
 call puts its most selective moduli first, as ratpoints does: those whose
 unit base pattern (d = 1, z = 0) passes the smallest share of residues.
@@ -67,9 +83,10 @@ _PROBE_WINDOWS = 8
 
 # Set-up costs in mask lookups.  On a 2-core Intel Xeon with Python 3.11 a
 # lookup (one list index and one AND) takes about 0.17 us, a residue step
-# of a direct pattern build 2-4 lookups, and a window-mask build 8-15.
+# of a direct pattern build about 1 lookup on the curve and 2-3 on the
+# surface (charged at the surface's), and a window-mask build about 0.8 us.
 _STEP_COST = 3
-_MASK_COST = 10
+_MASK_COST = 5
 
 # the bytes 0 and 1 of a direct pattern as the digits of int(..., 2)
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -98,16 +115,13 @@ def _modulus_constants(M):
     return square_residues(M), forms
 
 
-def _window_mask(pattern, modulus, lo, width):
-    """Bit i is bit (lo + i) mod modulus of pattern, for 0 <= i < width:
-    the residue pattern laid over the window lo, ..., lo + width - 1."""
-    s = lo % modulus
-    bits = ((pattern >> s) | (pattern << (modulus - s))) & ((1 << modulus) - 1)
-    span = modulus
-    while span < width:
-        bits |= bits << span
-        span *= 2
-    return bits & ((1 << width) - 1)
+@functools.cache
+def _power_classes(M, e):
+    """For each residue w mod M, the class of w^e mod M: its index among the
+    distinct e-th powers mod M in order of first appearance.  Built on
+    first use, like _modulus_constants."""
+    index = {}
+    return [index.setdefault(pow(w, e, M), len(index)) for w in range(M)]
 
 
 def _set_bits(mask):
@@ -121,16 +135,20 @@ def _set_bits(mask):
 class _Sieve:
     """The sieve of one search call over the numerator window -height, ...,
     height (bit i for numerator i - height), for the outer coordinates
-    (w, z) with w = 1, ..., height and z_count values of z.
+    (w, z) with w = 1, ..., height and z_count values of z.  Its patterns
+    mod M depend on w only through the class of w^power mod M (power 1:
+    through w mod M).
 
     direct(M, sq, d, z) builds the residue pattern mod M of the outer
     coordinates (d, z), d a divisor of M, from the squares sq mod M: bytes
     of length M whose entry r is 1 when the numerators = r mod M pass, else
-    0.  The base patterns and window masks are cached for this call only.
-    Modulus M keeps its window masks in a list with one slot per
-    (w mod M, z mod M) class, the slot w mod M * Z + z mod M where Z, the
-    number of z classes, is min(M, z_count): an index costs less than a
-    dict get.
+    0.  The base patterns, stored as 256-byte translation tables, and the
+    window masks are cached for this call only.  Each self.masks entry
+    (M, slots, masks, repunit, shift) holds one modulus's constants and
+    its window masks, in a list with one slot per (class of w, z mod M):
+    slots[w mod M] + z mod M, with Z = min(M, z_count) slots per class.
+    A mask is the pattern times the repunit, shifted right by shift and
+    cut to the window: one multiply (see the module docstring).
 
     The first _PROBE_WINDOWS windows run in SIEVE_MODULI order and count
     the lookups of those whose AND empties: no order shortens a window that
@@ -139,16 +157,25 @@ class _Sieve:
     (d = 1, z = 0) pass, if the set-up costs less than the scan it could
     shorten, the windows left at the probe's lookups per window.  The
     set-up is every unit base pattern not yet built and, per modulus, one
-    window mask per class not yet built, up to the windows left: a modulus
-    moved forward builds a mask for nearly every window when the windows
-    are few or the classes many (z varying).  Otherwise the order stays."""
+    window mask per empty slot, up to the windows left: a modulus moved
+    forward builds a mask for nearly every window when the windows are few
+    or the slots many (z varying).  Otherwise the order stays."""
 
-    def __init__(self, height, direct, z_count=1):
+    def __init__(self, height, direct, z_count=1, power=1):
         self.height = height
         self.direct = direct
         self.bases = {}
-        self.masks = [(M, min(M, z_count), [None] * (M * min(M, z_count)))
-                      for M in SIEVE_MODULI]
+        width = 2 * height + 1
+        self.full = (1 << width) - 1
+        self.masks = []
+        for M in SIEVE_MODULI:
+            Z = min(M, z_count)
+            classes = _power_classes(M, power)
+            # the repunit sum of 2^(k M) for k < K, K M >= width + M
+            bits = (width // M + 2) * M
+            repunit = ((1 << bits) - 1) // ((1 << M) - 1)
+            self.masks.append((M, [c * Z for c in classes], [None] * ((max(classes) + 1) * Z),
+                               repunit, -height % M))
         self.windows = height * z_count
         # the windows left to probe, and the lookups of the emptied ones
         self.probe = _PROBE_WINDOWS
@@ -163,9 +190,9 @@ class _Sieve:
         zs = z * inv % M
         base = self.bases.get((M, d, zs))
         if base is None:
-            base = self.bases[M, d, zs] = self.direct(M, sq, d, zs).translate(_DIGITS)
-        # translate reads a 256-byte table; only its first M entries are hit
-        return int(perm.translate(base.ljust(256)), 2)
+            # translate reads a 256-byte table; only its first M entries are hit
+            base = self.bases[M, d, zs] = self.direct(M, sq, d, zs).translate(_DIGITS).ljust(256)
+        return int(perm.translate(base), 2)
 
     def _share(self, item):
         """The share of residues that pass in the unit base pattern (d = 1,
@@ -180,7 +207,7 @@ class _Sieve:
         left = self.windows - _PROBE_WINDOWS
         # the scan ahead less the set-up so far, times _PROBE_WINDOWS
         budget = left * self.lookups
-        for M, _, masks in reversed(self.masks):
+        for M, _, masks, _, _ in reversed(self.masks):
             setup = _MASK_COST * min(masks.count(None), left)
             if (M, 1, 0) not in self.bases:
                 setup += _STEP_COST * M
@@ -193,13 +220,12 @@ class _Sieve:
         """Bitmask of the numerators that pass every modulus at the outer
         coordinates (w, z): the AND of one mask per modulus, stopping once
         empty."""
-        width = 2 * self.height + 1
-        alive = (1 << width) - 1
-        for M, Z, masks in self.masks:
-            key = w % M * Z + z % M
+        alive = full = self.full
+        for M, slots, masks, repunit, shift in self.masks:
+            key = slots[w % M] + z % M
             mask = masks[key]
             if mask is None:
-                mask = masks[key] = _window_mask(self.pattern(M, w, z), M, -self.height, width)
+                mask = masks[key] = (self.pattern(M, w, z) * repunit >> shift) & full
             alive &= mask
             if not alive:
                 break
@@ -233,13 +259,19 @@ def curve_point_search(curve, height):
     ab = a * b
     k = ab.numerator * ab.denominator
 
+    @functools.cache
+    def qpowers(M):
+        # q r^(g+1) mod M for r = 0, ..., M - 1, once per modulus
+        return [q * pow(r, g + 1, M) % M for r in range(M)]
+
     def direct(M, sq, n, _):
         npow = pow(n, g + 1, M)
         c1, c2 = alpha * npow % M, beta * npow % M
-        ys = [q * pow(r, g + 1, M) for r in range(M)]
-        return bytes(sq[k * (y - c1) * (y - c2) % M] for y in ys)
+        kM = k % M
+        return bytes(sq[kM * (y - c1) * (y - c2) % M] for y in qpowers(M))
 
-    sieve = _Sieve(height, direct)
+    # one mask slot per class of n^(g+1) mod M (z_count 1, power g + 1)
+    sieve = _Sieve(height, direct, 1, g + 1)
     found = []
     for n in range(1, height + 1):
         npow = n ** (g + 1)

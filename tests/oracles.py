@@ -3,8 +3,9 @@ polynomial algebra over Q, general local decision procedures, the F_p
 scan over dense coefficients and the one-term scan at a prime of AB,
 square roots mod p and p^k by the earlier legendre-first and inverting
 kernels, the point searches' residue patterns built one residue at a
-time, the residue check of a surface point, and the local models rebuilt
-from re-derived family formulas.
+time and laid over a window by shift-doubling, the residue check of a
+surface point, and the local models rebuilt from re-derived family
+formulas.
 
 The library certifies each place by a named local lemma and refuses a
 place where none applies; it never runs a general decision procedure.
@@ -442,6 +443,19 @@ def residue_quadrics(surface_model, pt, p, prec):
 
 # --------------------------------------------------------------------------
 # point-search residue patterns, one residue at a time
+
+
+def window_mask(pattern, modulus, lo, width):
+    """Bit i is bit (lo + i) mod modulus of pattern, for 0 <= i < width:
+    the residue pattern laid over the window lo, ..., lo + width - 1, by
+    rotating it and doubling its span."""
+    s = lo % modulus
+    bits = ((pattern >> s) | (pattern << (modulus - s))) & ((1 << modulus) - 1)
+    span = modulus
+    while span < width:
+        bits |= bits << span
+        span *= 2
+    return bits & ((1 << width) - 1)
 
 
 def curve_sieve_pattern(curve, n, M):

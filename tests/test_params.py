@@ -131,6 +131,14 @@ def test_json_roundtrip():
     assert all(isinstance(q, str) for q in obj["omega0"])
 
 
+@pytest.mark.parametrize("omega0", ["35", "3", 3, {"3": "3"}])
+def test_json_refuses_an_omega0_that_is_not_an_array(omega0):
+    # a string omega0 is never taken apart digit by digit ("35" as (3, 5))
+    obj = {**sieve_params(1, 0, bound=10**7, count=1)[0].to_json(), "omega0": omega0}
+    with pytest.raises(ValueError, match=r"^omega0 must be an array, got "):
+        ParamSet.from_json(obj)
+
+
 def test_sieve_g1_h1_same_quadruples():
     # the conditions do not involve h
     q0 = sieve_params(1, 0, bound=10**7, count=1)[0]

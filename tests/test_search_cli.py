@@ -30,7 +30,7 @@ from hassecert.family import (
 from hassecert.params import sieve_params
 import hassecert.search as search
 from hassecert.search import SIEVE_MODULI, curve_point_search, surface_point_search
-from oracles import curve_sieve_pattern, surface_sieve_pattern
+from oracles import curve_sieve_pattern, surface_sieve_pattern, window_mask
 
 
 PARAMS = sieve_params(1, 0, bound=10**7, count=1)[0]
@@ -341,7 +341,8 @@ def _search_work(monkeypatch, search_fn, obj, height, rank=None):
                     return direct(*args)
 
                 super().__init__(height, counted, *rest)
-                self.masks = [(M, Z, _Tally(masks, counts)) for M, Z, masks in self.masks]
+                self.masks = [(M, slots, _Tally(masks, counts), *rest)
+                              for M, slots, masks, *rest in self.masks]
                 sieves.append(self)
 
             def survivors(self, w, z=0):
@@ -398,10 +399,59 @@ def test_height_100_searches_build_no_extra_base_patterns(monkeypatch, theta):
         assert counts["masks"] <= plain_counts["masks"]
 
 
+@pytest.mark.parametrize("height", [1, 2, 7, 100, 1000])
+def test_window_masks_match_shift_doubling_oracle(height):
+    # one multiply by the repunit lays each pattern over the window as the
+    # oracle's rotate-and-double does, for every modulus and every class
+    # that a window reaches
+    def direct(M, sq, d, z):
+        # residue 0 always passes, so no AND empties and every modulus builds
+        return bytes(r == 0 or (r * r + d) % 5 < 2 for r in range(M))
+
+    sieve = search._Sieve(height, direct)
+    for w in range(1, height + 1):
+        sieve.survivors(w)
+    width = 2 * height + 1
+    for M, slots, masks, *_ in sieve.masks:
+        for w in range(1, min(M, height) + 1):
+            assert masks[slots[w % M]] == window_mask(sieve.pattern(M, w, 0), M, -height, width)
+
+
+@pytest.mark.parametrize("name", ["g1", "g3", "g5-q4-ab3/2", "fiber-g1", "fiber-g3"])
+def test_curve_survivors_match_per_residue_oracle(monkeypatch, name):
+    # with one mask per class of n^(g+1) mod M, every window still ANDs the
+    # masks that the oracle builds residue by residue for its own n
+    curve = build_curve(_fiber(3, "0")) if name == "fiber-g3" else MASK_CURVES[name]
+    height = 150
+    width = 2 * height + 1
+    _, _, windows, _ = _search_work(monkeypatch, curve_point_search, curve, height)
+    assert [n for n, *_ in windows] == list(range(1, height + 1))
+    for n, _, alive in windows:
+        expected = (1 << width) - 1
+        for M in SIEVE_MODULI:
+            expected &= window_mask(curve_sieve_pattern(curve, n, M), M, -height, width)
+        assert alive == expected, n
+
+
+def test_curve_builds_one_mask_per_power_class(monkeypatch):
+    # a curve search keeps one mask slot per class of n^(g+1) mod M: 237
+    # slots at g = 1 and 180 at g = 3, where one per residue would be 511
+    assert sum(max(search._power_classes(M, 2)) + 1 for M in SIEVE_MODULI) == 237
+    assert sum(max(search._power_classes(M, 4)) + 1 for M in SIEVE_MODULI) == 180
+    curve = build_curve(fiber_coeffs(PARAMS, Theta.of(1, 2)))
+    *_, plain = _search_work(monkeypatch, curve_point_search, curve, 1000, rank=False)
+    assert plain["lookups"] == 14_718 and plain["masks"] <= 237
+    for obj, height, most in ((curve, 1000, 237), (curve, 100, 214),
+                              (build_curve(_fiber(3, "0")), 1000, 180)):
+        *_, counts = _search_work(monkeypatch, curve_point_search, obj, height)
+        assert counts["masks"] <= most, (height, counts)
+
+
 def test_import_builds_no_modulus_tables():
     root = Path(__file__).resolve().parent.parent
     code = ("import hassecert, hassecert.cli, hassecert.search as s; "
-            "assert s._modulus_constants.cache_info().currsize == 0")
+            "assert s._modulus_constants.cache_info().currsize == 0; "
+            "assert s._power_classes.cache_info().currsize == 0")
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     subprocess.run([sys.executable, "-c", code], check=True, cwd=root, env=env, timeout=60)
     # the probe can see a build
@@ -661,6 +711,36 @@ def test_cli_unwritable_out_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write the output file: ")
     assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["certify-all", "certify-local", "point-search",
+                                     "instantiate", "j-report"])
+def test_cli_unwritable_out_runs_no_fiber(tmp_path, capsys, monkeypatch, command):
+    # the output path is checked before the run, so no fiber is certified
+    # for a report that could not be written
+    def never(*args, **kwargs):
+        raise AssertionError("a fiber ran")
+
+    monkeypatch.setattr(cli, "certify_fiber", never)
+    out = tmp_path / "missing" / "r.json"
+    assert main([command, "--g", "1", "--h", "0", "--theta", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write the output file: ")
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_cli_refusal_after_the_out_check_leaves_no_file(tmp_path, capsys):
+    # the check's probe removes the file it made, and a refused run writes
+    # none; an existing file is left as it was
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {**PARAMS_JSON, "g": "5", "h": "1"}}))
+    out = tmp_path / "r.json"
+    assert main(["certify-all", "--config", str(cfg), "--theta", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: params are for g = 5")
+    assert not out.exists()
+    out.write_text("earlier report\n")
+    assert main(["certify-all", "--config", str(cfg), "--theta", "0", "--out", str(out)]) == 2
+    assert out.read_text() == "earlier report\n"
 
 
 def test_cli_j_report_theta_and_minus_theta_share_a_fiber(tmp_path):
