@@ -14,11 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# The strong-probable-prime test to the first 13 prime bases is
-# deterministic below psi_13 = MR_DETERMINISTIC_BOUND (Sorenson-Webster,
-# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).  The
-# bases up to 37 alone stop at psi_12 = 318,665,857,834,031,151,167,461,
-# itself a strong pseudoprime to all of them.
+# The bound psi_13 of is_prime's 13 bases.  The bases up to 37 alone stop
+# at psi_12 = 318,665,857,834,031,151,167,461, itself a strong pseudoprime
+# to all of them.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
@@ -30,8 +28,12 @@ INF = math.inf
 def is_prime(n):
     """Deterministic primality test for 0 <= n < MR_DETERMINISTIC_BOUND.
 
-    Raises ValueError above the bound: probabilistic verdicts are never
-    allowed to leak into certificates.
+    Trial division by the primes up to 53, then the strong-probable-prime
+    test to the first 13 prime bases (_MR_BASES), which no composite below
+    psi_13 = MR_DETERMINISTIC_BOUND, about 3.3 * 10^24, passes (Sorenson
+    and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp.
+    86, 2017).  Raises ValueError above the bound: probabilistic verdicts
+    are never allowed to leak into certificates.
     """
     if n < 0:
         raise ValueError("is_prime expects n >= 0")
@@ -538,13 +540,12 @@ def _ec_add(P, Q, a2, a4, p):
 
 
 def _ec_mul(n, P, a2, a4, p):
-    """n P for n >= 0, by double-and-add."""
-    R = None
-    while n:
-        if n & 1:
+    """n P for n >= 1, by double-and-add from the top bit."""
+    R = P
+    for bit in bin(n)[3:]:
+        R = _ec_add(R, R, a2, a4, p)
+        if bit == "1":
             R = _ec_add(R, P, a2, a4, p)
-        P = _ec_add(P, P, a2, a4, p)
-        n >>= 1
     return R
 
 
@@ -555,33 +556,66 @@ def _ec_order(a2, a4, p):
     """#E(F_p) for a smooth E: Y^2 = X^3 + a2 X^2 + a4 X, or None.
 
     #E lies in the Hasse interval [lo, hi] = [p+1 - isqrt(4p), p+1 +
-    isqrt(4p)] and kills every point.  For the points P with x = 1, 2, ...
-    a baby-step giant-step search collects every N in [lo, hi] with
-    N P = O (Mestre; Cohen, A Course in Computational Algebraic Number
-    Theory, 7.4), and the sets are intersected.  #E is in each of them, so
-    when one N survives it is #E.  None after _EC_ORDER_POINTS points.
+    isqrt(4p)] and kills every point.  It is also a multiple of
+    t = #E[2](F_p): t = 4 when a2^2 - 4 a4 is a nonzero square mod p, and
+    t = 2 otherwise.  Proof: E[2] is O, (0, 0) and the (r, 0) for the roots
+    r of X^2 + a2 X + a4, which are distinct and nonzero because E is
+    smooth; it is a subgroup, so Lagrange gives t | #E.
+
+    So #E = t k with k in [k_lo, k_hi] = [ceil(lo/t), floor(hi/t)].  For
+    the points P with x = 1, 2, ... outside E[2], which t P would send to
+    O, baby-step giant-step (Mestre; Cohen, A Course in Computational
+    Algebraic Number Theory, 7.4) searches k on R = t P, with the
+    known-torsion and +- tricks of generic order computation (Sutherland,
+    Order Computations in Generic Groups, MIT thesis, 2007).  The baby
+    steps j R, 0 <= j <= m, are keyed by x, with O under its own key.
+    The giant centres c = k_lo + m + i (2m+1) step by
+    (2m+1) R = m R + (m+1) R, read off the baby list.  c R = +-j R exactly
+    when the x-coordinates agree, and the y-coordinate tells the sign
+    (both signs when y = 0): c R = j R kills k = c - j, and c R = -j R
+    kills k = c + j.  Each centre covers 2m + 1 values of k, so for the
+    K = k_hi - k_lo + 1 values in range m is about sqrt(K/2), where a
+    search of every N in [lo, hi] takes m about sqrt(hi - lo).
+
+    Invariant: the kill set of each point holds every k in [k_lo, k_hi]
+    with k R = O, points of small order included, because every j with
+    j R = +-c R is listed under c R's key.  #E/t is in each kill set, so
+    it survives their intersection, and when one k survives, #E = t k.
+    None after _EC_ORDER_POINTS points.
     """
     w = math.isqrt(4 * p)
     lo, hi = max(1, p + 1 - w), p + 1 + w
-    m = math.isqrt(hi - lo) + 1  # N = lo + i m + j, 0 <= i, j < m, covers [lo, hi]
+    t = 4 if legendre(a2 * a2 - 4 * a4, p) == 1 else 2
+    k_lo, k_hi = -(-lo // t), hi // t
+    m = math.isqrt((k_hi - k_lo + 1) // 2) + 1
     survivors, tried = None, 0
     for x in range(1, p):
         y = sqrt_mod(x * (x * (x + a2) + a4), p)
-        if y is None:
+        if not y:  # no point with this x, or a point of E[2]
             continue
-        P, baby, jP = (x, y), {}, None
-        for j in range(m):
-            baby.setdefault(jP, []).append(j)
-            jP = _ec_add(jP, P, a2, a4, p)
-        G, kills = _ec_mul(lo, P, a2, a4, p), set()  # G = (lo + i m) P
-        for i in range(m):
-            minus_G = None if G is None else (G[0], -G[1] % p)
-            kills.update(lo + i * m + j for j in baby.get(minus_G, ())
-                         if i * m + j <= hi - lo)
-            G = _ec_add(G, jP, a2, a4, p)  # jP = m P
+        R = _ec_mul(t, (x, y), a2, a4, p)
+        baby, jR = {}, None
+        for j in range(m + 1):
+            xj, yj = jR or (None, None)  # O is keyed by None
+            baby.setdefault(xj, []).append((j, yj))
+            mR, jR = jR, _ec_add(jR, R, a2, a4, p)
+        step = _ec_add(mR, jR, a2, a4, p)  # (2m+1) R
+        c, G, kills = k_lo + m, _ec_mul(k_lo + m, R, a2, a4, p), set()
+        while True:
+            xg, yg = G or (None, None)
+            for j, yj in baby.get(xg, ()):
+                if yj == yg:  # c R = j R
+                    kills.add(c - j)
+                if yg is None or (yj + yg) % p == 0:  # c R = -j R
+                    kills.add(c + j)
+            c += 2 * m + 1
+            if c - m > k_hi:
+                break
+            G = _ec_add(G, step, a2, a4, p)
+        kills = {k for k in kills if k <= k_hi}
         survivors = kills if survivors is None else survivors & kills
         if len(survivors) == 1:
-            return survivors.pop()
+            return t * survivors.pop()
         tried += 1
         if tried == _EC_ORDER_POINTS:
             break

@@ -245,6 +245,15 @@ def _lift_residues_mod(rq, q, m, q_w, drop):
     return kept.translate(None, b"\xff")
 
 
+def _progression_table(table, step):
+    """The bytes table[(1 + step x) mod q] for x = 0, ..., q - 1, where
+    q = len(table) does not divide step.  In C: with s = step mod q, entry
+    x of table repeated s + 1 times, read from 1 in steps of s, is at
+    1 + s x < q (s + 1), so it is table[(1 + s x) mod q]."""
+    s = step % len(table)
+    return (table * (s + 1))[1::s][:len(table)]
+
+
 def _progression_survivors(step, omega0, bound, tables):
     """Terms n = 1 + step*k, k >= 1, n <= bound, that are nonzero squares
     mod every q in omega0 and are not perfect squares, ascending.
@@ -278,7 +287,7 @@ def _progression_survivors(step, omega0, bound, tables):
     kmax = (bound - 1) // step
     qs = [q for q in omega0 if step % q]
     # kok[q][x]: 1 when the term with k = x mod q is a nonzero square mod q
-    kok = {q: bytes(tables[q][(1 + step * x) % q] for x in range(q)) for q in qs}
+    kok = {q: _progression_table(tables[q], step) for q in qs}
     # wheel primes are below 256, for the byte strings of _wheel_stage
     cap = min(WHEEL_PRIMES, len([q for q in qs if q < 256]))
     w, m, residues, base = 0, 1, [0], 0

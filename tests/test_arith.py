@@ -936,12 +936,14 @@ def test_genus1_orders_at_the_ends_of_the_hasse_interval(p, f, n):
 
 
 # The first point leaves more than one candidate in the Hasse interval.  At
-# p = 61 and 1259 the second point alone decides; at p = 59 and 1021 neither
-# of the first two does, and only their intersection leaves one candidate
-# (p = 59: {48, 60, 72} and {54, 72}; p = 1021: {972, 1053} and {972, 1080}).
+# p = 61 and 1259 the second point alone decides (p = 61: 48, 52, ..., 76,
+# then 76; p = 1259: 1200, 1212, ..., 1320, then 1308); at p = 59 and 1021
+# neither of the first two does, and only their intersection leaves one
+# candidate (p = 59: {48, 72} and {54, 72}; p = 1021: {960, 1020, 1080} and
+# {972, 1008, 1044, 1080}).
 @pytest.mark.parametrize("p, f, n", [
-    (61, [53, 0, 55, 0, 18], 76), (1259, [1182, 0, 910, 0, 275], 1308),
-    (59, [41, 0, 54, 0, 20], 72), (1021, [365, 0, 446, 0, 765], 972),
+    (61, [41, 0, 48, 0, 12], 76), (1259, [23, 0, 1189, 0, 437], 1308),
+    (59, [45, 0, 2, 0, 48], 72), (1021, [719, 0, 940, 0, 343], 1080),
 ])
 def test_genus1_order_decided_by_a_later_point(monkeypatch, p, f, n):
     assert single_loop_count(f, p) == n
@@ -954,12 +956,84 @@ def test_genus1_order_decided_by_a_later_point(monkeypatch, p, f, n):
 # No point tried leaves a single candidate (the group exponent has several
 # multiples in the Hasse interval), so the walk counts.
 @pytest.mark.parametrize("p, f, n", [
-    (373, [327, 0, 239, 0, 238], 348), (2689, [1685, 0, 1011, 0, 610], 2624),
+    (373, [291, 0, 82, 0, 53], 384), (2689, [1685, 0, 1011, 0, 610], 2624),
 ])
 def test_genus1_undecided_order_falls_back_to_the_walk(p, f, n):
     assert _ec_order_of(f, p) is None
     assert single_loop_count(f, p) == n
     assert count_points_hyperelliptic(chart_triple(f, 1), 1, p) == n
+
+
+def _two_torsion(a2, a4, p):
+    """#E[2](F_p) for E: Y^2 = X^3 + a2 X^2 + a4 X, by its roots in F_p."""
+    return 1 + sum(1 for x in range(p) if x * (x * (x + a2) + a4) % p == 0)
+
+
+def _first_small_order(a2, a4, p):
+    """The order of 2P or 4P (by #E[2]) for the first point P with x >= 1
+    outside E[2], when it is at most 8; else None."""
+    t = _two_torsion(a2, a4, p)
+    for x in range(1, p):
+        rhs = x * (x * (x + a2) + a4) % p
+        if rhs and pow(rhs, (p - 1) // 2, p) == 1:
+            R = P = (x, next(y for y in range(p) if y * y % p == rhs))
+            for _ in range(t - 1):
+                R = arith._ec_add(R, P, a2, a4, p)
+            Q, order = R, 1
+            while Q is not None and order <= 8:
+                Q, order = arith._ec_add(Q, R, a2, a4, p), order + 1
+            return order if Q is None else None
+    return None
+
+
+def test_genus1_order_matches_the_character_sum():
+    # whenever the order search decides, it gives p + 1 + sum_x chi(x^3 +
+    # a2 x^2 + a4 x), on every smooth curve of the slice: all (a2, a4) for
+    # p <= 13, and a2 in {0, 1, 2, p - 1} for the other p <= 97.  The slice
+    # holds full 2-torsion, and first points P whose multiple R = t P
+    # (t = #E[2]) is O, a point of E[2] (y = 0: both signs match), or of
+    # order 3 to 8, so that R's multiples repeat within the baby steps.
+    seen, decided, total = set(), 0, 0
+    for p in sieve_primes_upto(97)[1:]:
+        chi = [0] + [1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in range(1, p)]
+        a2s = range(p) if p <= 13 else (0, 1, 2, p - 1)
+        for a2 in a2s:
+            for a4 in range(1, p):
+                if (a2 * a2 - 4 * a4) % p == 0:
+                    continue  # singular
+                n = p + 1 + sum(chi[x * (x * (x + a2) + a4) % p] for x in range(p))
+                order = arith._ec_order(a2, a4, p)
+                total += 1
+                if order is None:
+                    continue
+                decided += 1
+                assert order == n, (a2, a4, p)
+                if p in (3, 5, 7):
+                    seen.add(f"p = {p}")
+                if _two_torsion(a2, a4, p) == 4:
+                    seen.add("full 2-torsion")
+                small = _first_small_order(a2, a4, p)
+                if small:
+                    seen.add("R = O" if small == 1 else "R in E[2]" if small == 2
+                             else "R of order 3 to 8")
+    assert seen == {"p = 3", "p = 5", "p = 7", "full 2-torsion", "R = O", "R in E[2]",
+                    "R of order 3 to 8"}
+    assert decided > 0.8 * total, (decided, total)
+
+
+# Group operations (_ec_add calls, doublings included) that one order
+# search spends: t = 2 at p = 50,023, t = 4 at p = 50,021, and the p = 1021
+# and p = 59 curves above, which need a second point.
+@pytest.mark.parametrize("p, f, t, ops", [
+    (50_023, [1, 0, 1, 0, 3], 2, 51), (50_021, [1, 0, 1, 0, 3], 4, 43),
+    (1021, [719, 0, 940, 0, 343], 4, 46), (59, [45, 0, 2, 0, 48], 2, 28),
+])
+def test_genus1_order_search_group_operations(monkeypatch, p, f, t, ops):
+    assert _two_torsion(f[2], f[0] * f[4] % p, p) == t
+    adds, ec_add = [], arith._ec_add
+    monkeypatch.setattr(arith, "_ec_add", lambda *args: adds.append(1) or ec_add(*args))
+    assert _ec_order_of(f, p) == single_loop_count(f, p)
+    assert len(adds) == ops
 
 
 # ----- the one-term scan at a prime of AB ----------------------------------

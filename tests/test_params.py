@@ -10,6 +10,7 @@ from hassecert.params import (
     _a_candidates,
     _b_candidates,
     _progression_survivors,
+    _progression_table,
     _qr_tables,
     omega0_for_genus,
     sieve_params,
@@ -227,6 +228,19 @@ def test_wheel_matches_stepwise_survivors(omega0, wheel, monkeypatch):
         dropped = set(stepwise) - set(_progression_survivors(8, omega0, 2 * 10**5, tables))
         assert dropped and dropped == {n for n in stepwise if _is_square(n)}
         assert all(n % 2 and all(n % q for q in omega0) for n in dropped)
+
+
+@pytest.mark.parametrize("g", [1, 3, 5, 7])
+def test_progression_table_matches_the_term_by_term_table(g):
+    # entry x is the table's entry at the term 1 + step x mod q, for every q
+    # of omega0 that does not divide step: steps 1 and -1 mod some q among them
+    omega0 = omega0_for_genus(g)
+    tables = _qr_tables(omega0)
+    for step in (8, 24, 8 * 73, 8 * 1201, 8 * 1753, 8 * 23_616_331_489):
+        for q in omega0:
+            if step % q:
+                expected = bytes(tables[q][(1 + step * x) % q] for x in range(q))
+                assert _progression_table(tables[q], step) == expected, (q, step)
 
 
 def _stage_starts(step, omega0):

@@ -753,6 +753,27 @@ def test_cli_j_report_theta_and_minus_theta_share_a_fiber(tmp_path):
     assert rows[0]["j"] == rows[1]["j"]
 
 
+def test_certify_fiber_records_of_theta_and_minus_theta_differ_only_in_theta():
+    # at odd g the fiber depends on theta only through theta^(g+1), so on
+    # the 7 +- pairs of the default g = 1 grid the certify_fiber records at
+    # height 100 are equal once their three theta fields are swapped
+    grid = {str(t): t for t in default_theta_grid()}
+    pairs = [(grid[s], grid["-" + s]) for s in grid if "-" + s in grid]
+    assert len(pairs) == 7
+    for theta, minus in pairs:
+        plus_rec = certify_fiber(PARAMS, theta, height_bound=100)
+        minus_rec = certify_fiber(PARAMS, minus, height_bound=100)
+        assert plus_rec["certified"] and plus_rec != minus_rec
+        num = str(theta.value.numerator)
+        assert minus_rec["theta"] == "-" + plus_rec["theta"]
+        assert minus_rec["fiber"]["theta"]["num"] == "-" + num
+        assert minus_rec["obstruction"]["fiber"]["theta"]["num"] == "-" + num
+        minus_rec["theta"] = plus_rec["theta"]
+        minus_rec["fiber"]["theta"]["num"] = num
+        minus_rec["obstruction"]["fiber"]["theta"]["num"] = num
+        assert minus_rec == plus_rec, str(theta)
+
+
 def test_cli_j_report_refuses_distinct_fibers_with_one_j(monkeypatch, capsys):
     monkeypatch.setattr(cli, "j_invariant", lambda coeffs: Fraction(1728))
     assert main(["j-report", "--g", "1", "--h", "0", "--theta", "0,1,-1"]) == 1

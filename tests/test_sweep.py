@@ -1,0 +1,37 @@
+"""The report comparison of tools/sweep.py, on small JSON values."""
+
+import importlib.util
+from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location(
+    "sweep", Path(__file__).resolve().parent.parent / "tools" / "sweep.py")
+sweep = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(sweep)
+
+
+def test_the_set_is_145_reports():
+    calls = sweep.invocations()
+    assert len(calls) == 145
+    assert len({label for label, _ in calls}) == 145
+    assert sum("--h" in argv and argv[argv.index("--h") + 1] == "1" for _, argv in calls) == 72
+    assert calls[-1][1][-4:] == ["--mode", "theta-zero", "--bound", str(10**12)]
+
+
+def test_patterns_star_list_indices_and_integer_keys():
+    assert sweep.pattern("fibers[3].local.places[12].method") == \
+        "fibers[*].local.places[*].method"
+    assert sweep.pattern("summary.total") == "summary.total"
+    assert sweep.pattern("fibers[0].local.blanket.sample_counts.20369") == \
+        "fibers[*].local.blanket.sample_counts.*"
+    assert sweep.pattern("17.x2[3].y") == "*.x2[*].y"
+
+
+def test_differences_are_counted_per_pattern_without_the_dropped_keys():
+    old = {"generated_at": "t0", "config": {"output_path": "a.json", "g": "1"},
+           "fibers": [{"places": [{"p": "3"}, {"p": "5"}]}, {"places": [{"p": "7"}]}]}
+    new = {"generated_at": "t1", "config": {"output_path": "b.json", "g": "1"},
+           "fibers": [{"places": [{"p": "3"}, {"p": "11"}]}, {"places": []}]}
+    assert sweep.differing_patterns(old, old) == {}
+    assert sweep.differing_patterns(old, new) == {"fibers[*].places[*].p": 2}
+    assert sweep.differing_patterns(None, None) == {}
+    assert sweep.differing_patterns(None, {"a": 1}) == {"": 1, "a": 1}
