@@ -6,7 +6,6 @@ from .arith import (
     Place,
     count_points_hyperelliptic,
     hensel_nth_root,
-    hensel_sqrt,
     hilbert_symbol,
     is_local_square,
     is_prime,

@@ -51,9 +51,6 @@ def is_prime(n):
 
 
 _PROVED_PRIMES = set()  # moduli proved prime in this process; never a composite
-# the least quadratic non-residue of each proved prime p = 1 mod 4 that
-# sqrt_mod has rooted at: a constant of p, looked up after the guard
-_NON_RESIDUES = {}
 
 
 def _require_prime(p, odd=False):
@@ -79,15 +76,14 @@ def legendre(a, p):
 @functools.cache
 def _tonelli_constants(p):
     """(q, s, c) for a proved odd prime p: p - 1 = q 2^s with q odd, and c =
-    z^q mod p for the least non-residue z (recorded in _NON_RESIDUES), or
-    c = 1 when s = 1, where no Tonelli-Shanks step runs."""
+    z^q mod p for the least non-residue z, or c = 1 when s = 1, where no
+    Tonelli-Shanks step runs."""
     s = ((p - 1) & (1 - p)).bit_length() - 1
     q, c = (p - 1) >> s, 1
     if s > 1:
         z = 2
         while pow(z, (p - 1) // 2, p) != p - 1:
             z += 1
-        _NON_RESIDUES[p] = z
         c = pow(z, q, p)
     return q, s, c
 
@@ -222,31 +218,6 @@ def is_local_square(x, place):
     return legendre(u, p) == 1
 
 
-def hensel_sqrt(a, p, k):
-    """Square root of a mod p^k for a p-adic unit a, canonical in [0, p^k/2].
-
-    Returns None when a is not a square in Q_p.  At odd p, _sqrt_unit gives
-    the root mod p with its inverse, and _lift_sqrt lifts without further
-    inverses.  At p = 2 the unit square criterion is a = 1 mod 8, and
-    _sqrt_two_adic lifts bit by bit since the usual Newton step degenerates
-    there.  An int a is read as a unit residue: only a mod p^k (mod
-    2^max(k, 3) at p = 2) matters, and no Fraction is built; any other a is
-    an exact rational, reduced to such a residue.
-    """
-    if k < 1:
-        raise ValueError("precision k must be >= 1")
-    _require_prime(p)
-    if not isinstance(a, int):
-        a = Fraction(a)
-        a = frac_mod(a, p ** max(k, 3)) if padic_val(a, p) == 0 else 0
-    if a % p == 0:
-        raise ValueError("hensel_sqrt expects a p-adic unit (factor out even powers first)")
-    if p == 2:
-        return _sqrt_two_adic(a, k)
-    ry = _sqrt_unit(a % p, p, *_tonelli_constants(p))
-    return None if ry is None else _lift_sqrt(a, ry[1], p, k)
-
-
 def _lift_sqrt(a, y, p, k):
     """The canonical root of the unit a mod p^k at odd p, from y with a y^2
     = 1 mod p.  Newton on the inverse root, y <- y (3 - a y^2) / 2, doubles
@@ -277,24 +248,19 @@ def _sqrt_two_adic(a, k):
     return min(r, pk - r)
 
 
-# ResidueRooter.test's token for a residue divisible by p^(prec-1)
-_DEEP = ("deep",)
-
-
 class ResidueRooter:
     """Square roots of p-integral values x read off their residues r = x mod
     p^(prec+2), with p proved and its constants read once, at construction.
 
-    test(r) is None when x is not a square in Q_p, else a token: v = v_p(x)
-    must be even, and the unit part a square mod p (one exponentiation,
-    _sqrt_unit, which also gives the inverse root) or 1 mod 8 at p = 2.
-    lift(token, exact) is then the root p^(v/2) w mod p^prec, w the
-    canonical root of the unit part mod p^(prec-v) (hensel_sqrt's).  Below
-    p^(prec-1) the residue fixes v, and the unit part is known mod
-    p^(prec+2-v), enough for the lift and for the mod 8 test.  A residue
-    r = 0 mod p^(prec-1) gets the token _DEEP, and only for it does lift
-    call exact(), for the exact x, to tell a zero (root 0) from a deep
-    nonzero value (None).
+    test(r) is None when x is not a square in Q_p or r = 0 mod p^(prec-1),
+    else a token: v = v_p(x) must be even, and the unit part a square mod
+    p (one exponentiation, _sqrt_unit, which also gives the inverse root)
+    or 1 mod 8 at p = 2.  lift(token) is then the root p^(v/2) w mod
+    p^prec, w the canonical root of the unit part mod p^(prec-v), in
+    [0, p^(prec-v)/2].  Below p^(prec-1) the residue fixes v, and the unit
+    part is known mod p^(prec+2-v), enough for the lift and for the mod 8
+    test.  A residue that is 0 mod p^(prec-1), an exact zero included, is
+    refused: it fixes neither v nor whether x is a square.
     """
 
     __slots__ = ("p", "prec", "pk", "pk1", "tonelli")
@@ -307,7 +273,7 @@ class ResidueRooter:
 
     def test(self, r):
         if r % self.pk1 == 0:
-            return _DEEP
+            return None
         p = self.p
         v = 0
         while r % p == 0:
@@ -320,9 +286,7 @@ class ResidueRooter:
         ry = _sqrt_unit(r % p, p, *self.tonelli)
         return None if ry is None else (v, r, ry[1])
 
-    def lift(self, token, exact):
-        if token is _DEEP:
-            return 0 if exact() == 0 else None
+    def lift(self, token):
         v, unit, y = token
         p, k = self.p, self.prec - v
         root = _sqrt_two_adic(unit, k) if p == 2 else _lift_sqrt(unit, y, p, k)
@@ -475,9 +439,9 @@ def hilbert_symbol_char(alpha, chi, beta, v, p):
     """Hilbert symbol (p^alpha u, p^beta v)_p in {+1,-1}, with u given by
     its character chi = unit_character(u, p) and v as an int unit residue
     (only v mod p, mod 8 at p = 2, matters).  The one formula behind
-    hilbert_symbol_units and hilbert_symbol; at odd p it reads (v|p) only
-    when alpha is odd, so a caller holding a fixed first argument's
-    character pays no exponentiation at an even alpha."""
+    hilbert_symbol; at odd p it reads (v|p) only when alpha is odd, so a
+    caller holding a fixed first argument's character pays no
+    exponentiation at an even alpha."""
     _require_prime(p)
     if v % p == 0:
         raise ValueError("hilbert_symbol_char expects a p-adic unit v")
@@ -493,13 +457,6 @@ def hilbert_symbol_char(alpha, chi, beta, v, p):
     return -1 if odd % 2 else 1
 
 
-def hilbert_symbol_units(alpha, u, beta, v, p):
-    """Hilbert symbol (p^alpha u, p^beta v)_p in {+1,-1} for ints alpha,
-    beta and p-adic units u, v given as int residues: only u, v mod p (mod
-    8 at p = 2) matter."""
-    return hilbert_symbol_char(alpha, unit_character(u, p), beta, v, p)
-
-
 def hilbert_symbol(a, b, place):
     """Hilbert symbol (a,b)_v in {+1,-1} for nonzero rationals a, b."""
     a, b = Fraction(a), Fraction(b)
@@ -508,7 +465,8 @@ def hilbert_symbol(a, b, place):
     if place.is_real:
         return -1 if (a < 0 and b < 0) else 1
     p = place.p
-    return hilbert_symbol_units(*square_class(a, p), *square_class(b, p), p)
+    alpha, u = square_class(a, p)
+    return hilbert_symbol_char(alpha, unit_character(u, p), *square_class(b, p), p)
 
 
 def square_residues(m):

@@ -23,7 +23,7 @@ from .arith import (
     unit_part,
 )
 from .family import admissible_model
-from .local import ResidueContext, delta_surface_point, sample_surface_points
+from .local import ResidueContext, delta_surface_point, sample_surface_points, slot_terms
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
@@ -35,22 +35,14 @@ class PrecisionError(ArithmeticError):
 
 
 def slot_fractions(surface_model, u, v):
-    """The class (a, slot)'s four slot representations b(u-Av)/v,
-    -(u-Bv)/v, b(u-Av)/(-au), -(u-Bv)/(-au) at exact rational (u, v);
-    entries are None where the value is zero or undefined.  Any two differ
-    by a norm from Q(sqrt(a)) times a square, so their symbols agree at
-    every point where both are defined and nonzero.  At finite places
+    """The class (a, slot)'s four slot representations of
+    local.slot_terms at exact rational (u, v), in its order; entries are
+    None where the value is zero or undefined.  At finite places
     ResidueContext.slot_residues reads the same four off residues."""
-    a, b, A, B = surface_model.a, surface_model.b, surface_model.A, surface_model.B
-    out = []
-    phi = u - A * v
-    psi = u - B * v
-    for num, den in ((b * phi, v), (-psi, v), (b * phi, -a * u), (-psi, -a * u)):
-        if den == 0 or num == 0:
-            out.append(None)
-        else:
-            out.append(num / den)
-    return out
+    m = surface_model
+    nums, dens = slot_terms(m.a, m.b, m.A, m.B, u, v)
+    return [num / den if num != 0 and den != 0 else None
+            for den in dens for num in nums]
 
 
 def evaluate_invariant_at_point(surface_model, point, place, ctx=None):

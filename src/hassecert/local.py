@@ -26,7 +26,6 @@ from .arith import (
     factorize,
     frac_mod,
     hensel_nth_root,
-    hensel_sqrt,
     is_local_square,
     legendre,
     padic_val,
@@ -135,16 +134,14 @@ def _chart_values(h, n, t):
 
 
 def _exact_padic_sqrt(x, p, prec):
-    """Residue r mod p^prec with r^2 = x (x an exact rational), or None
-    when x is not a square in Q_p or is too deep to represent."""
-    x = Fraction(x)
-    if x == 0:
-        return 0
-    v = padic_val(x, p)
-    if v % 2 != 0 or v < 0 or v >= prec - 1:
+    """Residue r mod p^prec with r^2 = x (x an exact rational), read by a
+    ResidueRooter off x mod p^(prec+2); None when x is not a square in
+    Q_p, is not p-integral, or is 0 mod p^(prec-1)."""
+    if padic_val(x, p) < 0:
         return None
-    r = hensel_sqrt(unit_part(x, p), p, prec - v)
-    return None if r is None else p ** (v // 2) * r % p**prec
+    rooter = ResidueRooter(p, prec)
+    token = rooter.test(frac_mod(x, p ** (prec + 2)))
+    return None if token is None else rooter.lift(token)
 
 
 def _witness_from_center(curve_model, chart, p, t_center):
@@ -654,6 +651,16 @@ def _split_residue(x, p, pk, deepest):
     return None if w > deepest else (w, x)
 
 
+def slot_terms(a, b, A, B, u, v):
+    """The numerators (b(u-Av), Bv-u) and denominators (v, -au) of the
+    quaternion class's four slot representations num/den, listed
+    denominator by denominator: b(u-Av)/v, -(u-Bv)/v, b(u-Av)/(-au),
+    -(u-Bv)/(-au).  Any two differ by a norm from Q(sqrt(a)) times a
+    square, so their symbols agree wherever both are defined and nonzero.
+    Works over any commutative ring."""
+    return (b * (u - A * v), B * v - u), (v, -a * u)
+
+
 @dataclass(frozen=True)
 class ResidueContext:
     """A surface model's residue data at one finite place, reduced once and
@@ -701,23 +708,17 @@ class ResidueContext:
         return q1, q2
 
     def slot_residues(self, u, v):
-        """Square classes (w, r) of the four representations b(u-Av)/v,
-        -(u-Bv)/v, b(u-Av)/(-au), -(u-Bv)/(-au) of the quaternion class's
-        slot at a residue point (u, v) mod p^prec: w the valuation, r the
-        unit part mod p^(margin+1) as an int (margin 3 at p = 2, else 1);
-        None where indeterminate (zero mod p^prec, or a numerator or
-        denominator of valuation above prec - 1 - margin).  Any two differ
-        by a norm from Q(sqrt(a)) times a square, so their symbols agree
-        wherever both are determined."""
+        """Square classes (w, r) of the four slot representations of
+        slot_terms at a residue point (u, v) mod p^prec, in its order: w
+        the valuation, r the unit part mod p^(margin+1) as an int (margin 3
+        at p = 2, else 1); None where indeterminate (zero mod p^prec, or a
+        numerator or denominator of valuation above prec - 1 - margin)."""
         p, pk = self.p, self.pk
-        a, b, A, B, _ = self.coeffs
         margin = 3 if p == 2 else 1
         unit_mod = p ** (margin + 1)
         deepest = self.prec - 1 - margin
-        nums = (_split_residue(b * (u - A * v), p, pk, deepest),
-                _split_residue(B * v - u, p, pk, deepest))
-        dens = (_split_residue(v, p, pk, deepest),
-                _split_residue(-a * u, p, pk, deepest))
+        nums, dens = ([_split_residue(t, p, pk, deepest) for t in terms]
+                      for terms in slot_terms(*self.coeffs[:4], u, v))
         out = []
         for den in dens:
             if den is not None:
@@ -746,9 +747,7 @@ def delta_surface_point(surface_model, curve, place, cert, ctx=None):
     g = curve.genus
     if place.is_real:
         t = wit.t_real if wit.kind == "real" else Fraction(wit.t_center)
-        y = co.C * t ** ((g + 1) // 2)
-        u, v = (t ** (g + 1), Fraction(1)) if wit.chart == "st" else (Fraction(1), t ** (g + 1))
-        return SurfacePoint(place=place, coords=(Fraction(0), y, None, u, v))
+        return SurfacePoint(place=place, coords=delta_coords(wit.chart, None, t, co.C, g))
     p = place.p
     if ctx is None:
         ctx = ResidueContext.of(surface_model, p)
@@ -807,8 +806,9 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
 
     Finite places: random residue points whose squares are formed as
     residues mod p^(prec+2) of exact p-integral values and rooted by an
-    arith.ResidueRooter built once for the place, with _exact_padic_sqrt's
-    verdict on each, so the quadrics hold to the working precision.  Where
+    arith.ResidueRooter built once for the place, so the quadrics hold to
+    the working precision; a square that is 0 mod p^(prec-1), an exact
+    zero included, is refused and ends the trial.  Where
     v_p(a) = 0 and p does not divide C, a and C are units, so on the chart
     v = 1 the second quadric x^2 - a y^2 + a C^2 u v = 0 is linear in u:
     the sampler draws x and y, solves u = (a y^2 - x^2) (a C^2)^-1 mod
@@ -889,15 +889,7 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
             tz = test((x2 + b_ * (u - A_) * (u - B_)) * inv % m)
             if tz is None:
                 continue
-
-            def exact_z2():
-                ue = Fraction(a * y * y - x2) / (a * C * C)
-                return (x2 + b * (ue - A) * (ue - B)) / a
-
-            z = lift(tz, exact_z2)
-            if z is None:
-                continue
-            coords = (x, y, z, u % pk, 1)
+            coords = (x, y, lift(tz), u % pk, 1)
         elif va == 0:
             u = 1 + _randbelow(bits, pk - 1)
             v = 1 + _randbelow(bits, pk - 1)
@@ -911,14 +903,7 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
             tz = test((w + b_ * (u - A_ * v) * (u - B_ * v) * inv) % m)  # z^2
             if tz is None:
                 continue
-            x = lift(tx, lambda: a * (Fraction(y) ** 2 - C * C * u * v))
-            if x is None:
-                continue
-            z = lift(tz, lambda: (Fraction(y) ** 2 - C * C * u * v
-                                  + b * (u - A * v) * (u - B * v) / a))
-            if z is None:
-                continue
-            coords = (x, y, z, u, v)
+            coords = (lift(tx), y, lift(tz), u, v)
         elif va == 1:
             u1 = 1 + _randbelow(bits, pk - 1)
             x1 = _randbelow(bits, pk)
@@ -932,14 +917,7 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
             ty = test((px2 * inv + c2 * u) % m)  # y^2
             if ty is None:
                 continue
-            z = lift(tz, lambda: (Fraction(p) ** 2 * x1 * x1
-                                  + b * p * u1 * (A + p * u1 - B)) / a)
-            if z is None:
-                continue
-            y = lift(ty, lambda: (Fraction(p) ** 2 * x1 * x1 + a * C * C * (A + p * u1)) / a)
-            if y is None:
-                continue
-            coords = (p * x1 % pk, y, z, u % pk, 1)
+            coords = (p * x1 % pk, lift(ty), lift(tz), u % pk, 1)
         else:
             raise ValueError(f"sampler does not handle v_p(a) = {va}")
         q1, q2 = ctx.quadrics(coords)

@@ -324,15 +324,12 @@ def surface_point_search(surface, height):
 
     def check(u, v, x1):
         x = x_step * x1
-        # y^2 * nu^2 = (x^2 / a) nu^2 + gamma^2 u v; with x = a x1 (or
-        # direct x when not forced) the left side must be an integer
-        if a_forces:
-            My = a_i * x1 * x1 * nu * nu + gamma * gamma * u * v
-        else:
-            num = x * x * nu * nu + a_i * gamma * gamma * u * v
-            if num % a_i:
-                return
-            My = num // a_i
+        # y^2 * nu^2 = (x^2 nu^2 + a gamma^2 u v) / a must be an integer
+        # (always so when a forces x = a x1)
+        num = x * x * nu * nu + a_i * gamma * gamma * u * v
+        if num % a_i:
+            return
+        My = num // a_i
         if _is_square_int(My):
             ry = math.isqrt(My)
             if ry % nu == 0 and ry // nu <= height:

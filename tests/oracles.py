@@ -432,6 +432,21 @@ def inverting_hensel_sqrt(a, p, k):
     return min(r, pk - r)
 
 
+def exact_padic_sqrt(x, p, prec):
+    """The root mod p^prec of the exact rational x in Q_p: p^(v/2) times
+    inverting_hensel_sqrt of the unit part mod p^(prec-v), for v = v_p(x)
+    even with 0 <= v < prec - 1, and None otherwise, x = 0 included (the
+    contract of local._exact_padic_sqrt and of the sampler's rooter)."""
+    x = Fraction(x)
+    if x == 0:
+        return None
+    v = padic_val(x, p)
+    if v % 2 or v < 0 or v >= prec - 1:
+        return None
+    r = inverting_hensel_sqrt(x / Fraction(p) ** v, p, prec - v)
+    return None if r is None else p ** (v // 2) * r % p**prec
+
+
 # --------------------------------------------------------------------------
 # residue checks of surface points
 

@@ -14,9 +14,8 @@ from hassecert.arith import (
     factorize,
     frac_mod,
     hensel_nth_root,
-    hensel_sqrt,
     hilbert_symbol,
-    hilbert_symbol_units,
+    hilbert_symbol_char,
     is_local_square,
     is_prime,
     is_rational_square,
@@ -25,6 +24,7 @@ from hassecert.arith import (
     sieve_primes_upto,
     square_residues,
     sqrt_mod,
+    unit_character,
     MR_DETERMINISTIC_BOUND,
 )
 from hassecert.family import HyperellipticCurve, Theta, build_curve, fiber_coeffs
@@ -60,6 +60,17 @@ def squares_mod(p):
 
 def exhaustive_sqrt_candidates(a, m):
     return sorted(r for r in range(m) if r * r % m == a % m)
+
+
+def hensel_sqrt(a, p, k):
+    """The rooter's root of the p-adic unit a mod p^k, k >= 2, or None: a is
+    an exact rational or an int residue, read by arith.ResidueRooter(p, k)
+    through its class mod p^(k+2)."""
+    if not isinstance(a, int):
+        a = frac_mod(Fraction(a), p ** (k + 2))
+    rooter = arith.ResidueRooter(p, k)
+    token = rooter.test(a % p ** (k + 2))
+    return None if token is None else rooter.lift(token)
 
 
 def exhaustive_hilbert(a, b, p, k=6):
@@ -167,7 +178,8 @@ PRIME_TAKERS = [
     ("sqrt_mod", lambda p: sqrt_mod(2, p)),
     ("hensel_sqrt", lambda p: hensel_sqrt(2, p, 3)),
     ("ResidueRooter", lambda p: arith.ResidueRooter(p, 6)),
-    ("hilbert_symbol_units", lambda p: hilbert_symbol_units(0, 2, 1, 3, p)),
+    ("hilbert_symbol_char",
+     lambda p: hilbert_symbol_char(0, unit_character(2, p), 1, 3, p)),
     ("count_points_hyperelliptic",
      lambda p: count_points_hyperelliptic((1, 0, 1), 1, p)),
 ]
@@ -292,7 +304,7 @@ def test_sqrt_mod_exhaustive_small_primes():
 @pytest.mark.parametrize("p", [257, 7681, 12289, 65537])
 def test_sqrt_mod_exhaustive_at_high_two_power_primes(p):
     # p - 1 = 2^8, 2^9 * 15, 2^12 * 3, 2^16: Tonelli-Shanks runs its longest
-    # loops, with the non-residue remembered after the first call
+    # loops, with its constants built from the least non-residue
     squares = {x * x % p for x in range(p)}
     for a in range(p):
         r = sqrt_mod(a, p)
@@ -300,8 +312,9 @@ def test_sqrt_mod_exhaustive_at_high_two_power_primes(p):
             assert r * r % p == a and r <= p // 2, (a, p)
         else:
             assert r is None, (a, p)
-    z = arith._NON_RESIDUES[p]
-    assert legendre(z, p) == -1 and all(legendre(k, p) == 1 for k in range(2, z))
+    z = next(k for k in range(2, p) if legendre(k, p) == -1)
+    q, s, c = arith._tonelli_constants(p)
+    assert q % 2 == 1 and q << s == p - 1 and c == pow(z, q, p)
 
 
 # 60-bit primes: 3 mod 8 (s = 1), 5 mod 8 (s = 2), 1 mod 8 with s = 5 and
@@ -337,7 +350,7 @@ def test_sqrt_kernels_match_the_earlier_kernels(p):
         r = sqrt_mod(a, p)
         assert r == legendre_first_sqrt_mod(a, p), (a, p)
         residues += r is not None
-        for k in range(1, 13):
+        for k in range(2, 13):
             x = a + p * rng.randrange(p**k)
             assert hensel_sqrt(x, p, k) == inverting_hensel_sqrt(x, p, k), (x, p, k)
         x = Fraction(a + p * rng.randrange(p**3), rng.randrange(1, p))
@@ -386,7 +399,7 @@ def test_is_local_square_vs_hensel():
             assert is_local_square(a, Place.finite(p)) == expected
 
 
-# ----- hensel_sqrt ----------------------------------------------------------
+# ----- the rooter's Hensel square root (hensel_sqrt above) -------------------
 
 def test_hensel_sqrt_examples():
     assert hensel_sqrt(1, 7, 4) == 1
@@ -397,7 +410,7 @@ def test_hensel_sqrt_examples():
 
 def test_hensel_sqrt_agrees_with_exhaustive():
     for p in (3, 5, 7, 11, 13):
-        for k in (1, 2, 3):
+        for k in (2, 3):
             m = p**k
             for a in range(1, m):
                 if a % p == 0:
@@ -420,19 +433,12 @@ def test_hensel_sqrt_two_adic():
     assert hensel_sqrt(5, 2, 4) is None
 
 
-def test_hensel_sqrt_rejects_non_unit():
-    with pytest.raises(ValueError):
-        hensel_sqrt(Fraction(7), 7, 2)
-    with pytest.raises(ValueError):
-        hensel_sqrt(14, 7, 2)
-
-
 def test_hensel_sqrt_int_residue_matches_fraction():
     # an int is read as a unit residue: any representative mod p^k (mod 8
     # at least, at p = 2) gives the root of the exact rational
     rng = random.Random(11)
     for p in (2, 3, 5, 73, SIXTY_BIT_PRIMES[2]):
-        for k in (1, 2, 3, 5, 8):
+        for k in (2, 3, 5, 8):
             for _ in range(40):
                 x = Fraction(rng.randrange(1, 10**6), rng.randrange(1, 10**3))
                 if padic_val(x, p) != 0:
@@ -527,18 +533,19 @@ def test_hilbert_kernel_entry_points_against_exhaustive(p, k):
                     assert hilbert_symbol(a, b, Place.finite(p)) == want, (a, b, p)
                     assert hilbert_symbol(Fraction(a, 9 if p != 3 else 4), b,
                                           Place.finite(p)) == want
-                    assert hilbert_symbol_units(alpha, u, beta, v, p) == want
+                    chi = unit_character(u, p)
+                    assert hilbert_symbol_char(alpha, chi, beta, v, p) == want
                     # only the class matters: other unit representatives,
                     # valuations shifted by 2
-                    assert hilbert_symbol_units(alpha - 2, u + 8 * p, beta + 2,
-                                                v + 8 * p * p, p) == want
+                    assert hilbert_symbol_char(alpha - 2, unit_character(u + 8 * p, p),
+                                               beta + 2, v + 8 * p * p, p) == want
 
 
 def test_hilbert_kernel_rejects_non_units():
     with pytest.raises(ValueError):
-        hilbert_symbol_units(0, 5, 1, 3, 5)
+        hilbert_symbol_char(0, unit_character(5, 5), 1, 3, 5)
     with pytest.raises(ValueError):
-        hilbert_symbol_units(0, 3, 1, 4, 2)
+        hilbert_symbol_char(0, unit_character(3, 2), 1, 4, 2)
 
 
 def test_hilbert_symbol_rejects_zero():

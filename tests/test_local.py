@@ -617,23 +617,19 @@ def test_squareness_pretest_predicts_residue_sqrt(p):
     # the rooter's test is exact for every residue not divisible by
     # p^(prec-1): it passes a residue iff its value is a square in Q_p
     # (even valuation, and a unit part that is a square mod p, or 1 mod 8
-    # at p = 2), and the lift then gives _exact_padic_sqrt's root without
-    # reading the exact value.  The large primes are critical primes of the
-    # g = 1, h = 0 fibers theta = 3/5 (p = 5 mod 8) and theta = 4/3 (p = 7
-    # mod 8).
+    # at p = 2), and the lift then gives the oracle's root.  A residue
+    # divisible by p^(prec-1), zero included, is refused.  The large primes
+    # are critical primes of the g = 1, h = 0 fibers theta = 3/5 (p = 5
+    # mod 8) and theta = 4/3 (p = 7 mod 8).
     import random
 
-    from hassecert.arith import _DEEP, ResidueRooter
-    from hassecert.local import _exact_padic_sqrt
+    from hassecert.arith import ResidueRooter
+    from oracles import exact_padic_sqrt
 
     rng = random.Random(p)
     prec = 6
     m, pk1 = p ** (prec + 2), p ** (prec - 1)
     rooter = ResidueRooter(p, prec)
-
-    def forbidden():
-        raise AssertionError("the exact value is needed only for deep residues")
-
     passed = 0
     for v in range(prec - 1):
         for _ in range(40):
@@ -645,13 +641,14 @@ def test_squareness_pretest_predicts_residue_sqrt(p):
                                      else pow(unit, (p - 1) // 2, p) == 1)
             token = rooter.test(r)
             assert (token is not None) == square, (r, p)
-            want = _exact_padic_sqrt(r, p, prec)
+            want = exact_padic_sqrt(r, p, prec)
             assert (want is not None) == square, (r, p)
             if token is not None:
-                assert rooter.lift(token, forbidden) == want, (r, p)
+                assert rooter.lift(token) == want, (r, p)
                 passed += 1
     assert passed >= 10
-    assert rooter.test(0) is _DEEP and rooter.test(pk1) is _DEEP
+    assert rooter.test(0) is None and rooter.test(pk1) is None
+    assert rooter.test(p**prec) is None  # even valuation, but deep
     if p == 2:
         # 3 is not 1 mod 8: rejected before any lift
         assert rooter.test(3) is None

@@ -1,7 +1,8 @@
 """The direct surface sampler against an exact-rational oracle of the same
-draw, its draw helper against randrange, and the residue square root
-against _exact_padic_sqrt."""
+draw, its draw helper against randrange, and the residue square root and
+_exact_padic_sqrt against the inverting Hensel oracle."""
 
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -22,6 +23,7 @@ from hassecert.local import (
     sample_surface_points,
 )
 from hassecert.params import sieve_params
+from oracles import exact_padic_sqrt
 from oracles import residue_quadrics as _residue_quadrics
 
 
@@ -34,7 +36,8 @@ PARAMS_G3 = sieve_params(3, 0, bound=10**12, count=1)[0]
 def oracle_sample(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET):
     """The finite-place draw on exact rationals: the same randrange calls in
     the same order, u on the chart v = 1 and each square an exact Fraction
-    rooted by _exact_padic_sqrt, each point checked by _residue_quadrics."""
+    rooted by the exact_padic_sqrt oracle, each point checked by
+    _residue_quadrics."""
     rng = random.Random(seed)
     a, b, A, B, C = (surface_model.a, surface_model.b, surface_model.A,
                      surface_model.B, surface_model.C)
@@ -56,7 +59,7 @@ def oracle_sample(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET):
             if u == 0 or padic_val(u, p) > 0:
                 continue
             z2 = (x * x + b * (u - A) * (u - B)) / a
-            z = _exact_padic_sqrt(z2, p, prec)
+            z = exact_padic_sqrt(z2, p, prec)
             if z is None:
                 continue
             coords = (x, y, z % pk, frac_mod(u, pk), 1)
@@ -67,11 +70,11 @@ def oracle_sample(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET):
             if u % p == 0 or v % p == 0:
                 continue
             x2 = a * (Fraction(y) ** 2 - C * C * u * v)
-            x = _exact_padic_sqrt(x2, p, prec)
+            x = exact_padic_sqrt(x2, p, prec)
             if x is None:
                 continue
             z2 = Fraction(y) ** 2 - C * C * u * v + b * (u - A * v) * (u - B * v) / a
-            z = _exact_padic_sqrt(z2, p, prec)
+            z = exact_padic_sqrt(z2, p, prec)
             if z is None:
                 continue
             coords = (x % pk, y % pk, z % pk, u % pk, v % pk)
@@ -83,11 +86,11 @@ def oracle_sample(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET):
             psi = u - B
             x2 = Fraction(p) ** 2 * x1 * x1
             z2 = (x2 + b * phi * psi) / a
-            z = _exact_padic_sqrt(z2, p, prec)
+            z = exact_padic_sqrt(z2, p, prec)
             if z is None:
                 continue
             y2 = (x2 + a * C * C * u) / a
-            y = _exact_padic_sqrt(y2, p, prec)
+            y = exact_padic_sqrt(y2, p, prec)
             if y is None:
                 continue
             coords = ((p * x1) % pk, y % pk, z % pk, frac_mod(u, pk), 1)
@@ -167,7 +170,7 @@ def test_one_square_test_per_trial_where_u_is_solved(monkeypatch):
     # solves the second quadric for u: a trial draws x and y, then tests z^2
     # at most once, and lifts only after a passing test; at the place of a
     # (v_p(a) = 1) a trial tests up to two squares before it lifts.  Each
-    # lift's exact value, read only for deep residues, is the trial's z^2.
+    # lifted root squares to the trial's exact z^2 mod p^prec.
     log = []
 
     def counting_randbelow(getrandbits, n):
@@ -183,9 +186,10 @@ def test_one_square_test_per_trial_where_u_is_solved(monkeypatch):
             log.append(("test", token is not None))
             return token
 
-        def lift(self, token, exact):
-            log.append(("lift", exact()))
-            return super().lift(token, exact)
+        def lift(self, token):
+            root = super().lift(token)
+            log.append(("lift", root))
+            return root
 
     monkeypatch.setattr(local, "_randbelow", counting_randbelow)
     monkeypatch.setattr(local, "ResidueRooter", CountingRooter)
@@ -195,6 +199,7 @@ def test_one_square_test_per_trial_where_u_is_solved(monkeypatch):
     for p in critical_places(curve).primes():
         model = admissible_model(surface, p)
         a, b, A, B, C = model.a, model.b, model.A, model.B, model.C
+        pk = p ** _working_precision(model, p)
         log.clear()
         pts = sample_surface_points(model, Place.finite(p), 9)
         # two draws open each trial on either shape, since C = -1 is a unit
@@ -211,17 +216,18 @@ def test_one_square_test_per_trial_where_u_is_solved(monkeypatch):
         tests = lifts = 0
         for draws, events in trials:
             verdicts = [v for k, v in events if k == "test"]
-            exact = [v for k, v in events if k == "lift"]
-            assert len(verdicts) <= max_tests and len(exact) <= max_tests, (p, events)
+            roots = [v for k, v in events if k == "lift"]
+            assert len(verdicts) <= max_tests and len(roots) <= max_tests, (p, events)
             # every lift follows the trial's tests, all of which passed
-            if exact:
+            if roots:
                 assert events[:max_tests] == [("test", True)] * max_tests, (p, events)
-            if exact and p != PARAMS_G1.a:
+            if roots and p != PARAMS_G1.a:
                 x, y = draws
                 u = Fraction(a * y * y - x * x) / (a * C * C)
-                assert exact == [(x * x + b * (u - A) * (u - B)) / a], (p, draws)
+                z2 = (x * x + b * (u - A) * (u - B)) / a
+                assert [z * z % pk for z in roots] == [frac_mod(z2, pk)], (p, draws)
             tests += len(verdicts)
-            lifts += len(exact)
+            lifts += len(roots)
         assert len(pts) == 9
         for pt in pts:
             x, y, z, u, v = pt.coords
@@ -233,6 +239,30 @@ def test_one_square_test_per_trial_where_u_is_solved(monkeypatch):
             # for 9 points, where the two-square draw made 57 first-square
             # tests and 18 lifts
             assert (len(trials), tests, lifts) == (18, 9, 9)
+
+
+# sha256 of repr([(p, coords, prec) for each point]) over the critical
+# places in order: the draws of a sampler whose rooter read the exact
+# value of each residue divisible by p^(prec-1); refusing those residues
+# outright must leave every draw as it was
+PINNED_DRAWS = {
+    "0": "d2b377aa4d2d67da3e1752f0b9e09d52df51c81ae675785fd8ef3de388f6ac78",
+    "1/3": "72625a2a74fe0fd18d407d4fe93fd6c4877c4f6eca89c9790bc9098f7ff8ec6a",
+}
+
+
+@pytest.mark.parametrize("theta", sorted(PINNED_DRAWS))
+def test_sampler_draws_are_pinned(theta):
+    # the pipeline's draw (seed 0, 9 points) at every critical place of a
+    # g = 1, h = 0 fiber gives the recorded points, so a change to the
+    # rooter or the trial shapes that moves a draw shows here
+    co = fiber_coeffs(PARAMS_G1, Theta.parse(theta))
+    curve, surface = build_curve(co), build_surface(co)
+    digest = hashlib.sha256()
+    for p in critical_places(curve).primes():
+        pts = sample_surface_points(admissible_model(surface, p), Place.finite(p), 9)
+        digest.update(repr([(p, pt.coords, pt.prec) for pt in pts]).encode())
+    assert digest.hexdigest() == PINNED_DRAWS[theta]
 
 
 def test_cases_include_theta_inf_and_den_theta_primes():
@@ -255,11 +285,11 @@ def test_cases_reach_places_that_keep_the_two_square_draw(theta, p):
 
 # ----- the residue square root ----------------------------------------------
 
-def _residue_sqrt(r, p, prec, exact):
+def _residue_sqrt(r, p, prec):
     """The sampler's verdict and root for one residue r = x mod p^(prec+2)."""
     rooter = ResidueRooter(p, prec)
     token = rooter.test(r)
-    return None if token is None else rooter.lift(token, exact)
+    return None if token is None else rooter.lift(token)
 
 
 def _p_integral(rng, p, v):
@@ -281,28 +311,23 @@ def test_residue_sqrt_matches_exact(p):
         for v in range(prec + 1):
             for _ in range(30):
                 x = _p_integral(rng, p, v)
-                got = _residue_sqrt(frac_mod(x, m), p, prec, lambda: x)
-                assert got == _exact_padic_sqrt(x, p, prec), (x, p, prec)
+                want = exact_padic_sqrt(x, p, prec)
+                assert _residue_sqrt(frac_mod(x, m), p, prec) == want, (x, p, prec)
+                assert _exact_padic_sqrt(x, p, prec) == want, (x, p, prec)
 
 
 @pytest.mark.parametrize("p", [2, 7])
 def test_residue_sqrt_zero_and_deep_values(p):
     prec = 6
     m = p ** (prec + 2)
-    # an exact zero has the root 0
-    assert _residue_sqrt(0, p, prec, lambda: 0) == 0
-    assert _exact_padic_sqrt(0, p, prec) == 0
+    # an exact zero is refused: its residue does not tell it from a deep
+    # nonzero value
+    assert _residue_sqrt(0, p, prec) is None
+    assert _exact_padic_sqrt(0, p, prec) is None
     # nonzero values that vanish mod p^(prec-1) are too deep: None, even
     # when the residue itself is 0
     for x in (Fraction(p ** (prec - 1)), Fraction(p ** (prec + 2), 3), Fraction(p ** (prec + 4))):
-        assert _residue_sqrt(frac_mod(x, m), p, prec, lambda: x) is None
+        assert _residue_sqrt(frac_mod(x, m), p, prec) is None
         assert _exact_padic_sqrt(x, p, prec) is None
-
-
-def test_residue_sqrt_reads_exact_value_only_when_deep():
-    def forbidden():
-        raise AssertionError("the exact value is needed only for deep residues")
-
-    assert _residue_sqrt(4, 5, 6, forbidden) == 2
-    assert _residue_sqrt(2, 5, 6, forbidden) is None
-    assert _residue_sqrt(5, 5, 6, forbidden) is None
+    # a value that is not p-integral has no residue
+    assert _exact_padic_sqrt(Fraction(1, p * p), p, prec) is None

@@ -35,3 +35,26 @@ def test_differences_are_counted_per_pattern_without_the_dropped_keys():
     assert sweep.differing_patterns(old, new) == {"fibers[*].places[*].p": 2}
     assert sweep.differing_patterns(None, None) == {}
     assert sweep.differing_patterns(None, {"a": 1}) == {"": 1, "a": 1}
+
+
+def test_the_printed_set_runs_every_subcommand_and_both_refusals():
+    calls = sweep.printed_invocations()
+    assert len(calls) == 13
+    assert len({label for label, _ in calls} | {label for label, _ in sweep.invocations()}) == 158
+    commands = [argv[0] for _, argv in calls]
+    assert set(commands) == {"certify-all", "certify-local", "certify-brauer", "point-search",
+                             "instantiate", "j-report", "sieve-params"}
+    assert not any("--out" in argv for _, argv in calls)
+    assert ["--jobs", "2"] == calls[1][1][-2:]
+    assert sum("(exit 1)" in label for label, _ in calls) == 2
+    assert sum("(exit 2)" in label for label, _ in calls) == 1
+
+
+def test_a_printed_run_is_compared_as_json_and_a_refusal_by_stderr():
+    tree = Path(__file__).resolve().parent.parent
+    code, err, report = sweep.run(tree, ["sieve-params", "--count", "1"], None)
+    assert (code, err) == (0, "")
+    assert [q["a"] for q in report["quadruples"]] == ["1753"]
+    argv = dict(sweep.printed_invocations())["certify-all g=7 theta-zero (exit 2)"]
+    code, err, report = sweep.run(tree, argv, None)
+    assert code == 2 and err.startswith("config error: no admissible value") and report is None

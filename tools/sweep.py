@@ -7,14 +7,19 @@ Take the parent from git without touching the working tree, for example
 `mkdir P && git archive HEAD~1 | tar -x -C P`, or `git worktree add P
 HEAD~1`.  Nothing is downloaded.
 
-The set is 145 `certify-all` reports, one fiber each: every theta = m/n
-with |m|, n <= 7, and inf, at g = 1 with h = 0 and with h = 1 (72 fibers
-each), and theta = 0 at g = 3 (`--mode theta-zero --bound 10^12`).  Each
-report runs in a fresh interpreter on the tree's own src/, two at a time.
+The set has two parts.  The first is 145 `certify-all` reports, one
+fiber each, written with --out: every theta = m/n with |m|, n <= 7, and
+inf, at g = 1 with h = 0 and with h = 1 (72 fibers each), and theta = 0
+at g = 3 (`--mode theta-zero --bound 10^12`).  The second is 13 runs that
+print to standard output, one per subcommand and exit path (see
+printed_invocations): the default g = 1 grid through every subcommand,
+both refusal exits, and a parallel run.  Each call runs in a fresh
+interpreter on the tree's own src/, two at a time.
 
-`generated_at` and `output_path` are dropped from every report.  The
-script prints the exit codes of both trees side by side, counted by pair,
-and every invocation whose exit code, standard error or report differs.
+`generated_at` and `output_path` are dropped from every report, and
+printed output is compared as JSON when it parses.  The script prints the
+exit codes of both trees side by side, counted by pair, and every
+invocation whose exit code, standard error or report differs.
 It then counts the differing values per JSON path pattern, with each list
 index written [*] and each integer key written * (for example
 fibers[*].local.blanket.sample_counts.*, keyed by prime).
@@ -39,7 +44,7 @@ WORKERS = 2
 
 
 def invocations():
-    """(label, argv) of the fixed set, in order."""
+    """(label, argv) of the 145 one-fiber reports, in order."""
     thetas = sorted({Fraction(m, n) for n in range(1, 8) for m in range(-7, 8)})
     out = []
     for h in (0, 1):
@@ -51,12 +56,50 @@ def invocations():
     return out
 
 
+def printed_invocations():
+    """(label, argv) of the 13 runs that print their result, in order: the
+    default g = 1 grid (h = 0, height 1000) through certify-all at one and
+    two jobs and through each other fiber subcommand, g = 3 theta-zero,
+    g = 5 instantiate, three quadruples sieved, and the refusals: g = 1,
+    h = 1 fibers that fail (exit 1) and g = 7 theta-zero, whose sieve is
+    exhausted (exit 2)."""
+    return [
+        ("certify-all grid --jobs 1", ["certify-all", "--jobs", "1"]),
+        ("certify-all grid --jobs 2", ["certify-all", "--jobs", "2"]),
+        ("certify-all g=3 theta-zero", ["certify-all", "--g", "3", "--mode", "theta-zero",
+                                        "--bound", str(10**12)]),
+        ("certify-all g=1 h=1 height 100 (exit 1)",
+         ["certify-all", "--h", "1", "--height", "100", "--theta=-3,-1/2,1/3,2,inf"]),
+        ("certify-local grid", ["certify-local"]),
+        ("certify-brauer grid", ["certify-brauer"]),
+        ("point-search grid", ["point-search"]),
+        ("instantiate grid", ["instantiate"]),
+        ("instantiate g=5 h=1", ["instantiate", "--g", "5", "--h", "1",
+                                 "--bound", str(10**24)]),
+        ("j-report grid", ["j-report"]),
+        ("sieve-params --count 3", ["sieve-params", "--count", "3"]),
+        ("certify-all g=7 theta-zero (exit 2)", ["certify-all", "--g", "7",
+                                                 "--mode", "theta-zero"]),
+        ("certify-brauer g=1 h=1 theta=3/2 (exit 1)",
+         ["certify-brauer", "--h", "1", "--theta", "3/2"]),
+    ]
+
+
 def run(tree, argv, out_path):
-    """(exit code, stderr, report or None) of one CLI call in tree."""
+    """(exit code, stderr, report or None) of one CLI call in tree.  With
+    out_path None the report is what the call printed: its JSON value, or
+    the text itself when it does not parse."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()))
-    proc = subprocess.run([sys.executable, "-m", "hassecert.cli", *argv, "--out", out_path],
+    out = [] if out_path is None else ["--out", out_path]
+    proc = subprocess.run([sys.executable, "-m", "hassecert.cli", *argv, *out],
                           cwd=tree, env=env, capture_output=True, text=True)
-    report = json.loads(Path(out_path).read_text()) if os.path.exists(out_path) else None
+    if out_path is None:
+        try:
+            report = json.loads(proc.stdout) if proc.stdout else None
+        except ValueError:
+            report = proc.stdout
+    else:
+        report = json.loads(Path(out_path).read_text()) if os.path.exists(out_path) else None
     return proc.returncode, proc.stderr, report
 
 
@@ -89,14 +132,18 @@ def differing_patterns(old, new):
 
 
 def sweep(trees):
-    """For each invocation: (label, per tree (exit code, stderr, report))."""
-    calls = invocations()
+    """For each invocation, reports first: (label, per tree (exit code,
+    stderr, report))."""
+    calls = [(label, argv, True) for label, argv in invocations()]
+    calls += [(label, argv, False) for label, argv in printed_invocations()]
     with tempfile.TemporaryDirectory() as tmp, \
             concurrent.futures.ThreadPoolExecutor(WORKERS) as pool:
-        futures = [[pool.submit(run, tree, argv, os.path.join(tmp, f"{t}-{i}.json"))
-                    for t, tree in enumerate(trees)] for i, (_, argv) in enumerate(calls)]
+        futures = [[pool.submit(run, tree, argv,
+                                os.path.join(tmp, f"{t}-{i}.json") if to_file else None)
+                    for t, tree in enumerate(trees)]
+                   for i, (_, argv, to_file) in enumerate(calls)]
         return [(label, [f.result() for f in row])
-                for (label, _), row in zip(calls, futures)]
+                for (label, _, _), row in zip(calls, futures)]
 
 
 def main(argv=None):
@@ -116,7 +163,8 @@ def main(argv=None):
             print(f"differs: {label}: exit {code0} -> {code1}, "
                   f"{sum(found.values())} values")
         patterns.update(found)
-    print(f"{len(results)} invocations, {differing} differ")
+    print(f"{len(results)} invocations ({len(invocations())} reports, "
+          f"{len(printed_invocations())} printed), {differing} differ")
     print("exit codes, parent -> change: " + ", ".join(
         f"{a} -> {b}: {n}" for (a, b), n in sorted(exits.items())))
     for name, n in sorted(patterns.items()):
