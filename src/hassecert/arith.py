@@ -73,19 +73,25 @@ def legendre(a, p):
     return -1 if r == p - 1 else 1
 
 
+def _least_non_power(p, qs):
+    """The least z > 1 with z^((p-1)/q) != 1 mod p for every prime q in qs
+    (p an odd prime, each q dividing p - 1): the least non-residue for
+    qs = (2,), the least non-r-th power for (r,), and the least primitive
+    root when qs holds every prime of p - 1."""
+    z = 2
+    while any(pow(z, (p - 1) // q, p) == 1 for q in qs):
+        z += 1
+    return z
+
+
 @functools.cache
 def _tonelli_constants(p):
     """(q, s, c) for a proved odd prime p: p - 1 = q 2^s with q odd, and c =
     z^q mod p for the least non-residue z, or c = 1 when s = 1, where no
     Tonelli-Shanks step runs."""
     s = ((p - 1) & (1 - p)).bit_length() - 1
-    q, c = (p - 1) >> s, 1
-    if s > 1:
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        c = pow(z, q, p)
-    return q, s, c
+    q = (p - 1) >> s
+    return q, s, pow(_least_non_power(p, (2,)), q, p) if s > 1 else 1
 
 
 def _sqrt_unit(a, p, q, s, c):
@@ -293,21 +299,9 @@ class ResidueRooter:
         return p ** (v // 2) * root % self.pk
 
 
-def _prime_factors(n):
-    out = []
-    q = 2
-    while q * q <= n:
-        while n % q == 0:
-            out.append(q)
-            n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _amm_prime_root(a, r, p):
-    """One r-th root of a mod p for an odd prime r dividing p-1.
+    """(x, zeta): one r-th root x of a mod p and a primitive r-th root of
+    unity zeta, for an odd prime r dividing p-1.
 
     Adleman-Manders-Miller; assumes a is an r-th power residue mod p.
     """
@@ -315,11 +309,8 @@ def _amm_prime_root(a, r, p):
     while t % r == 0:
         t //= r
         s += 1
-    z = 2
-    while pow(z, (p - 1) // r, p) == 1:
-        z += 1
-    g = pow(z, t, p)  # order r^s
-    zeta = pow(g, r ** (s - 1), p)  # primitive r-th root of unity
+    g = pow(_least_non_power(p, (r,)), t, p)  # order r^s
+    zeta = pow(g, r ** (s - 1), p)
     alpha = pow(r, -1, t) if t > 1 else 0
     x = pow(a, alpha, p)
     b = pow(x, r, p) * pow(a, -1, p) % p  # lies in <g>, exponent divisible by r
@@ -336,7 +327,7 @@ def _amm_prime_root(a, r, p):
         if j:
             b = b * pow(g, (rs - j) * r**i % rs, p) % p
             h = h * pow(g, (rs - j) * r ** (i - 1) % rs, p) % p
-    return x * h % p
+    return x * h % p, zeta
 
 
 def _all_prime_roots(a, r, p):
@@ -349,12 +340,8 @@ def _all_prime_roots(a, r, p):
         return [pow(a, pow(r, -1, p - 1), p)]
     if pow(a, (p - 1) // r, p) != 1:
         return []
-    r0 = _amm_prime_root(a, r, p)
-    z = 2
-    while pow(z, (p - 1) // r, p) == 1:
-        z += 1
-    zeta = pow(z, (p - 1) // r, p)
-    roots, y = set(), r0
+    y, zeta = _amm_prime_root(a, r, p)
+    roots = set()
     for _ in range(r):
         roots.add(y)
         y = y * zeta % p
@@ -369,22 +356,23 @@ def _nth_root_mod_p(a, n, p):
     along another, e.g. x^4 = 2 mod 7 via the square root 4 but not 3).
     """
     candidates = {a % p}
-    for r in _prime_factors(n):
-        nxt = set()
-        for c in candidates:
-            nxt.update(_all_prime_roots(c, r, p))
-        if not nxt:
-            return None
-        candidates = nxt
+    for r, e in factorize(n)[0].items():
+        for _ in range(e):
+            nxt = set()
+            for c in candidates:
+                nxt.update(_all_prime_roots(c, r, p))
+            if not nxt:
+                return None
+            candidates = nxt
     return min(candidates)
 
 
 def hensel_nth_root(a, n, p, k):
     """r with r^n = a mod p^k for a p-adic unit a, or None.
 
-    Requires p ∤ n and n >= 1.  Existence is decided by the residue test
-    a^((p-1)/gcd(n, p-1)) = 1 mod p (odd p); the root is lifted by Newton
-    iteration, which is nondegenerate because p ∤ n.
+    Requires p ∤ n and n >= 1.  At odd p the root mod p is the least one
+    (_nth_root_mod_p, None when there is none), lifted by Newton
+    iteration, which is nondegenerate because p ∤ n and keeps r mod p.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -394,18 +382,12 @@ def hensel_nth_root(a, n, p, k):
     if padic_val(a, p) != 0:
         raise ValueError("hensel_nth_root expects a p-adic unit")
     pk = p**k
-    if n == 1:
-        return frac_mod(a, pk)
     if p == 2:
         # n is odd here, so x -> x^n is a bijection on the 2-adic units
         lam = 1 if k == 1 else (2 if k == 2 else 1 << (k - 2))
         expo = pow(n, -1, lam) if lam > 1 else 1
         return pow(frac_mod(a, pk), expo, pk)
-    a1 = frac_mod(a, p)
-    e = math.gcd(n, p - 1)
-    if pow(a1, (p - 1) // e, p) != 1:
-        return None
-    r = _nth_root_mod_p(a1, n, p)
+    r = _nth_root_mod_p(frac_mod(a, p), n, p)
     if r is None:
         return None
     prec = 1
@@ -692,11 +674,10 @@ def count_points_hyperelliptic(q, g, p):
             return count
     sq = square_residues(p)
     count = 1 if c0 == 0 else 2 * sq[c0]  # t = 0
-    qs = set(_prime_factors(p - 1))
-    z = 2
-    while any(pow(z, (p - 1) // q, p) == 1 for q in qs):
-        z += 1
-    step = pow(z, d, p)
+    primes, unresolved = factorize(p - 1)
+    if unresolved:
+        raise ArithmeticError(f"p - 1 = {p - 1} is not fully factored")
+    step = pow(_least_non_power(p, primes), d, p)
     u, per_u = 1, 0
     for _ in range((p - 1) // d):
         v = (c0 + u * (cn + c2n * u)) % p

@@ -307,15 +307,16 @@ def _in_hasse_weil_window(n, g, p):
     return n >= 1 and d * d <= 4 * g * g * p
 
 
-def _st_mod_p(curve, p):
-    """The st chart triple (c0, c_n, c_2n) mod p that
-    count_points_hyperelliptic reads."""
-    return tuple(frac_mod(c, p) for c in curve.chart_coeffs("st"))
-
-
 def _try_good_reduction(model, place):
-    if place.is_real or place.p == 2:
-        return None
+    """Good reduction at an odd p > 4g^2 prime to a, b, A - B and g + 1.
+
+    The point count here and in _blanket_check reads the model's cleared
+    triple h = m^2 (c0, c_n, c_2n) (cleared_st).  p does not divide m at a
+    counted prime: m's primes are a and the primes of den(theta), which
+    are critical, or, on the integral model at p, prime to p, since its
+    triple is p-integral there.  So m^2 is a unit square mod p, s -> m s
+    matches the points of s^2 = f and s^2 = m^2 f, and the count is that
+    of the triple itself."""
     p = place.p
     g = model.genus
     if p <= 4 * g * g or (g + 1) % p == 0:
@@ -336,7 +337,7 @@ def _try_good_reduction(model, place):
     if vA == 0 and vB == 0:
         # separable reduction: Hasse-Weil guarantees a smooth point
         if p <= COUNT_CAP:
-            n = count_points_hyperelliptic(_st_mod_p(model, p), g, p)
+            n = count_points_hyperelliptic(model.cleared_st[0], g, p)
             if not _in_hasse_weil_window(n, g, p):
                 raise ArithmeticError(f"count {n} escaped the Hasse-Weil window at {place}")
             hyp.append(f"|X(F_p)| = {n}, inside the Hasse-Weil window")
@@ -362,8 +363,6 @@ def _try_good_reduction(model, place):
 
 
 def _try_power(model, place):
-    if place.is_real or place.p == 2:
-        return None
     p = place.p
     n = model.genus + 1
     if n % p == 0:
@@ -397,29 +396,20 @@ def _try_center_probe(model, place):
     """Exact-evaluation probes: the curve-side case analysis at the place
     dividing b reduces to the disc t = 0 carrying a square value, and the
     probe checks exactly that (plus two cheap neighbours)."""
-    if place.is_real or place.p == 2:
-        return None
     p = place.p
     n = model.genus + 1
     for chart in ("st", "ST"):
         h, _ = _cleared_chart(model, chart)
         for t0 in PROBE_CENTERS:
             V, _ = _chart_values(h, n, t0)
-            if V == 0:
-                return LocalCertificate(
-                    place, True, "case-analysis(disc-center)",
-                    _witness_from_center(model, chart, p, t0),
-                    hypotheses=[f"chart {chart}: exact root at t = {t0}"],
-                )
-            if is_local_square(V, place):
-                wit = _witness_from_center(model, chart, p, t0)
-                hyp = [
-                    f"chart {chart}, disc center t = {t0}: "
-                    f"value has even valuation {padic_val(V, p)}",
-                    "the unit part is a square mod p",
-                ]
+            if V == 0 or is_local_square(V, place):
+                hyp = ([f"chart {chart}: exact root at t = {t0}"] if V == 0 else
+                       [f"chart {chart}, disc center t = {t0}: "
+                        f"value has even valuation {padic_val(V, p)}",
+                        "the unit part is a square mod p"])
                 return LocalCertificate(place, True, "case-analysis(disc-center)",
-                                        wit, hypotheses=hyp)
+                                        _witness_from_center(model, chart, p, t0),
+                                        hypotheses=hyp)
     return None
 
 
@@ -427,10 +417,15 @@ def certify_local_curve(curve, place):
     """Certificate for one place from the first lemma, in a fixed order,
     whose hypotheses hold there: ab-square, good reduction
     (good-reduction-hw or fp-smooth-lift), g+1-power, then the disc-center
-    case analysis.  Where none applies the certificate is a refusal:
-    solvable None, method "refused", the place named in the notes."""
+    case analysis; the real place and 2 try ab-square alone, and the other
+    lemmas assume an odd prime.  Where none applies the certificate is a
+    refusal: solvable None, method "refused", the place named in the
+    notes."""
     model = curve if place.is_real else integral_model(curve, place.p)
-    for path in (_try_ab_square, _try_good_reduction, _try_power, _try_center_probe):
+    paths = (_try_ab_square,)
+    if not (place.is_real or place.p == 2):
+        paths += (_try_good_reduction, _try_power, _try_center_probe)
+    for path in paths:
         cert = path(model, place)
         if cert is not None:
             cert.model = model
@@ -543,7 +538,7 @@ def _blanket_check(curve, crit, sample_count=20):
     sampled = sorted(rng.sample(pool, min(sample_count, len(pool))))
     counts = {}
     for q in sampled:
-        n = count_points_hyperelliptic(_st_mod_p(curve, q), g, q)
+        n = count_points_hyperelliptic(curve.cleared_st[0], g, q)
         counts[q] = n
         if not _in_hasse_weil_window(n, g, q):
             ok = False
@@ -922,6 +917,7 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
             raise ValueError(f"sampler does not handle v_p(a) = {va}")
         q1, q2 = ctx.quadrics(coords)
         if q1 % pk1 or q2 % pk1:
-            continue
+            raise ArithmeticError(f"sampled point {coords} misses the quadrics "
+                                  f"mod p^{prec - 1} at {place}; sampler bug")
         out.append(SurfacePoint(place=place, coords=coords, prec=prec))
     return out

@@ -345,22 +345,13 @@ def _progression_survivors(step, omega0, bound, tables):
                 break
 
 
-def _b_candidates(omega0, bound, tables):
-    """Primes b = 1 mod 8 that are squares mod every q in omega0, ascending."""
-    for n in _progression_survivors(8, omega0, bound, tables):
-        if n not in omega0 and is_prime(n):
-            yield n
-
-
-def _a_candidates(b, omega0, bound, tables):
-    """Primes a = 1 mod lcm(8, b) that are squares mod every q in omega0.
-
-    The stronger congruence a = 1 mod b forces both the square condition
-    mod b and the divisibility condition a = 1 mod b at once.
-    """
-    step = 8 * b // math.gcd(8, b)
+def _slot_candidates(step, omega0, bound, tables, taken):
+    """Primes n = 1 mod step that are squares mod every q in omega0 and lie
+    neither in omega0 nor in taken, ascending: b with step 8, and a with
+    step lcm(8, b) and taken (b,), where a = 1 mod b gives both the square
+    condition mod b and the divisibility condition at once."""
     for n in _progression_survivors(step, omega0, bound, tables):
-        if n not in omega0 and n != b and is_prime(n):
+        if n not in omega0 and n not in taken and is_prime(n):
             yield n
 
 
@@ -422,10 +413,11 @@ def sieve_params(g, h, omega0=None, bound=10**7, count=1):
             first_failure = (slot, detail)
 
     b_seen = False
-    for b in _b_candidates(omega0, cap, tables):
+    for b in _slot_candidates(8, omega0, cap, tables, ()):
         b_seen = True
         a_seen = False
-        for a in _a_candidates(b, omega0, cap, tables):
+        step = 8 * b // math.gcd(8, b)
+        for a in _slot_candidates(step, omega0, cap, tables, (b,)):
             a_seen = True
             c_seen = False
             for c in _c_candidates(a, b, omega0, cap):
@@ -449,7 +441,7 @@ def sieve_params(g, h, omega0=None, bound=10**7, count=1):
             if not c_seen:
                 note_failure("c", f"for a={a}, b={b}")
         if not a_seen:
-            note_failure("a", f"for b={b}, progression 1 mod {8 * b // math.gcd(8, b)}")
+            note_failure("a", f"for b={b}, progression 1 mod {step}")
     if not b_seen:
         slot, detail = "b", f"no prime = 1 mod 8 and a square mod each of {list(omega0)}"
     elif out:

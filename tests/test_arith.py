@@ -461,7 +461,9 @@ def test_hensel_nth_root_examples():
 
 def test_hensel_nth_root_exhaustive():
     # p = 11 hits the prime-root extraction with 5 | p-1; p = 19 has
-    # 9 | p-1, exercising the two-digit subgroup descent for r = 3
+    # 9 | p-1, exercising the two-digit subgroup descent for r = 3.  The
+    # root is the least one mod p, lifted: the g+1-power witness's
+    # t_center depends on that
     for p in (3, 5, 7, 11, 13, 19):
         for n in (2, 3, 4, 5, 6):
             if n % p == 0:
@@ -475,8 +477,29 @@ def test_hensel_nth_root_exhaustive():
                     r = hensel_nth_root(a, n, p, k)
                     if roots:
                         assert r in roots
+                        assert r % p == min(x % p for x in roots)
                     else:
                         assert r is None
+
+
+def test_least_non_power_matches_brute_force():
+    # the least z > 1 of each search in arith.py: a non-r-th power for each
+    # prime r | p - 1 (r = 2 gives the non-residue), and a primitive root
+    def order(z, p):
+        e, x = 1, z
+        while x != 1:
+            e, x = e + 1, x * z % p
+        return e
+
+    for p in sieve_primes_upto(300)[1:]:
+        primes = sorted(factorize(p - 1)[0])
+        assert primes[0] == 2
+        for r in primes:
+            powers = {pow(x, r, p) for x in range(1, p)}
+            want = next(z for z in range(2, p) if z not in powers)
+            assert arith._least_non_power(p, (r,)) == want, (p, r)
+        want = next(z for z in range(2, p) if order(z, p) == p - 1)
+        assert arith._least_non_power(p, primes) == want, p
 
 
 def test_hensel_nth_root_two_adic_odd_exponent():

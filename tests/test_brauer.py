@@ -243,3 +243,20 @@ def test_sum_invariance_25_random_thetas():
         assert res.solvable_everywhere, str(th)
         obs = obstruction_certificate(curve, surface, res, samples=3)
         assert obs.total == HALF and obs.conclusion, str(th)
+
+
+def test_every_small_theta_certifies_with_support_exactly_at_a():
+    # the reach at g = 1, h = 0: every theta = m/n with |m| <= 6 and
+    # 1 <= n <= 6, and theta = inf, certifies through the whole pipeline
+    from hassecert import cli
+
+    thetas = {Theta.of(m, n) for m in range(-6, 7) for n in range(1, 7)}
+    thetas.add(Theta.infinity())
+    assert len(thetas) == 48
+    for th in sorted(thetas, key=str):
+        out = cli.certify_fiber(PARAMS, th, height_bound=20)
+        assert out["certified"] and out["stage"] == "done", (str(th), out.get("error"))
+        obs = out["obstruction"]
+        assert obs["sum"] == "1/2" and obs["conclusion"], str(th)
+        support = [row["place"] for row in obs["table"] if row["value"] == "1/2"]
+        assert support == [str(Place.finite(PARAMS.a))], str(th)

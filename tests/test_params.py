@@ -7,11 +7,10 @@ from hassecert.arith import is_prime, legendre
 from hassecert.params import (
     ParamSet,
     SieveExhausted,
-    _a_candidates,
-    _b_candidates,
     _progression_survivors,
     _progression_table,
     _qr_tables,
+    _slot_candidates,
     omega0_for_genus,
     sieve_params,
     verify_conditions,
@@ -194,10 +193,11 @@ _CUSTOM_OMEGA0 = (3, 5, 7, 11, 13, 17, 19, 23, 263, 271)
 def test_wheel_matches_stepwise_candidates(omega0):
     tables = _qr_tables(omega0)
     bound = 10**6
-    assert list(_b_candidates(omega0, bound, tables)) == \
+    assert list(_slot_candidates(8, omega0, bound, tables, ())) == \
         list(_stepwise_b(omega0, bound, tables))
     for b in (73, 97, 193, 1201):
-        assert list(_a_candidates(b, omega0, 10**7, tables)) == \
+        step = 8 * b // math.gcd(8, b)
+        assert list(_slot_candidates(step, omega0, 10**7, tables, (b,))) == \
             list(_stepwise_a(b, omega0, 10**7, tables))
 
 

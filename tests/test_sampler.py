@@ -152,6 +152,20 @@ def test_sampler_matches_exact_oracle_when_a_over_p_is_not_one(scale):
     assert got == oracle_sample(model, place, 9)
 
 
+def test_a_point_off_the_quadrics_is_a_sampler_bug(monkeypatch):
+    # every point is built to satisfy the quadrics, so a lifted root that
+    # is off by one raises at once, naming the place, rather than ending
+    # the trial
+    lift = ResidueRooter.lift
+    monkeypatch.setattr(ResidueRooter, "lift", lambda self, token: lift(self, token) + 1)
+    co = fiber_coeffs(PARAMS_G1, Theta.of(0))
+    curve, surface = build_curve(co), build_surface(co)
+    for p in critical_places(curve).primes():
+        place = Place.finite(p)
+        with pytest.raises(ArithmeticError, match=f"misses the quadrics .* at {place}"):
+            sample_surface_points(admissible_model(surface, p), place, 9)
+
+
 @pytest.mark.parametrize("n", [2**8, 3**8, 1753**6, 6671001769760072149**6])
 def test_randbelow_draws_the_integers_of_randrange(n):
     # the sampler's draw helper gives randrange's integers and leaves the

@@ -58,3 +58,20 @@ def test_a_printed_run_is_compared_as_json_and_a_refusal_by_stderr():
     argv = dict(sweep.printed_invocations())["certify-all g=7 theta-zero (exit 2)"]
     code, err, report = sweep.run(tree, argv, None)
     assert code == 2 and err.startswith("config error: no admissible value") and report is None
+
+
+def test_the_summary_gives_both_src_line_counts(monkeypatch, capsys, tmp_path):
+    trees = []
+    for name, text in (("parent", "a = 1\nb = 2\n\n"), ("change", "a = 1\n")):
+        pkg = tmp_path / name / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "mod.py").write_text(text)
+        (pkg / "notes.txt").write_text("not counted\n")
+        trees.append(str(tmp_path / name))
+    assert [sweep.src_lines(tree) for tree in trees] == [3, 1]
+    report = {"config": {"g": "1"}}
+    monkeypatch.setattr(sweep, "sweep", lambda trees: [("one", [(0, "", report)] * 2)])
+    assert sweep.main(trees) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith(", 0 differ")
+    assert out[2] == "src/ lines, parent -> change: 3 -> 1 (-2)"

@@ -18,8 +18,9 @@ interpreter on the tree's own src/, two at a time.
 
 `generated_at` and `output_path` are dropped from every report, and
 printed output is compared as JSON when it parses.  The script prints the
-exit codes of both trees side by side, counted by pair, and every
-invocation whose exit code, standard error or report differs.
+exit codes of both trees side by side, counted by pair, each tree's
+line count of src/ and their difference, and every invocation whose exit
+code, standard error or report differs.
 It then counts the differing values per JSON path pattern, with each list
 index written [*] and each integer key written * (for example
 fibers[*].local.blanket.sample_counts.*, keyed by prime).
@@ -83,6 +84,12 @@ def printed_invocations():
         ("certify-brauer g=1 h=1 theta=3/2 (exit 1)",
          ["certify-brauer", "--h", "1", "--theta", "3/2"]),
     ]
+
+
+def src_lines(tree):
+    """Lines of the Python files under the tree's src/."""
+    return sum(len(path.read_text().splitlines())
+               for path in Path(tree, "src").rglob("*.py"))
 
 
 def run(tree, argv, out_path):
@@ -167,6 +174,9 @@ def main(argv=None):
           f"{len(printed_invocations())} printed), {differing} differ")
     print("exit codes, parent -> change: " + ", ".join(
         f"{a} -> {b}: {n}" for (a, b), n in sorted(exits.items())))
+    lines = [src_lines(tree) for tree in (args.parent, args.change)]
+    print(f"src/ lines, parent -> change: {lines[0]} -> {lines[1]} "
+          f"({lines[1] - lines[0]:+d})")
     for name, n in sorted(patterns.items()):
         print(f"  {n:6d}  {name}")
     return 1 if differing else 0
