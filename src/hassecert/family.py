@@ -142,8 +142,10 @@ class CurveChange:
 class HyperellipticCurve:
     """Two-chart model a s^2 = b prod, with exact structured coefficients.
 
-    Each chart polynomial is c0 + c_n u + c_2n u^2 in u = t^n (T^n on the
-    reversed chart), n = g + 1; chart_coeffs gives the triple.
+    Each chart polynomial f is c0 + c_n u + c_2n u^2 in u = t^n (T^n on
+    the reversed chart), n = g + 1, with (c0, c_n, c_2n) = (b/a)(AB,
+    -(A+B), 1) on "st", c0 and c_2n swapped on "ST"; it is read only as
+    H = m^2 f, through chart_values.
     """
 
     a: Fraction
@@ -154,31 +156,37 @@ class HyperellipticCurve:
     coeffs: FamilyCoeffs | None = None
     change: CurveChange = CurveChange()
 
-    def chart_coeffs(self, chart):
-        """(c0, c_n, c_2n): (b/a) (AB, -(A+B), 1) on "st", the same triple
-        with c0 and c_2n swapped on "ST"."""
-        lead = self.b / self.a
-        c0, cn, c2n = lead * self.A * self.B, -lead * (self.A + self.B), lead
-        if chart == "st":
-            return c0, cn, c2n
-        if chart == "ST":
-            return c2n, cn, c0
-        raise ValueError(f"unknown chart {chart!r}")
-
     @cached_property
     def cleared_st(self):
         """(h, m): the st triple cleared to integers, h = m^2 (c0, c_n,
-        c_2n) with m the lcm of its denominators, built once per model.
-        The ST triple clears to h reversed, with the same m."""
-        cs = self.chart_coeffs("st")
+        c_2n) with m the lcm of its denominators, built once per model."""
+        lead = self.b / self.a
+        cs = (lead * self.A * self.B, -lead * (self.A + self.B), lead)
         m = math.lcm(*(c.denominator for c in cs))
         return tuple(int(c * m * m) for c in cs), m
 
+    def cleared(self, chart):
+        """(h, m): the chart's integer triple h = m^2 (c0, c_n, c_2n), the
+        st triple of cleared_st reversed on "ST", with the same m."""
+        h, m = self.cleared_st
+        if chart not in ("st", "ST"):
+            raise ValueError(f"unknown chart {chart!r}")
+        return (h[::-1] if chart == "ST" else h), m
+
+    def chart_values(self, chart, t):
+        """(H(t), H'(t)) for the cleared chart polynomial H(t) = h0 +
+        h_n t^n + h_2n t^(2n), exact at an integer or rational t:
+        H'(t) = n t^(n-1) (h_n + 2 h_2n t^n)."""
+        (h0, hn, h2n), _ = self.cleared(chart)
+        n = self.genus + 1
+        tn1 = t ** (n - 1)
+        u = tn1 * t
+        return h0 + (hn + h2n * u) * u, n * tn1 * (hn + 2 * h2n * u)
+
     def chart_value(self, chart, t):
-        """f(t) or F(T) as an exact Fraction."""
-        c0, cn, c2n = self.chart_coeffs(chart)
-        u = Fraction(t) ** (self.genus + 1)
-        return c0 + (cn + c2n * u) * u
+        """f(t) or F(T) as an exact Fraction: H(t) / m^2."""
+        m = self.cleared_st[1]
+        return Fraction(self.chart_values(chart, Fraction(t))[0], m * m)
 
 
 @dataclass(frozen=True)
@@ -284,8 +292,7 @@ def j_invariant(coeffs):
 
         j = 16 [ (A-B)^2 + 16 A B ]^3  /  ( A B (A-B)^4 ).
     """
-    g = getattr(coeffs.params, "g", None) if coeffs.params is not None else 1
-    if g != 1:
+    if coeffs.params.g != 1:
         raise ValueError("j-invariant is defined here only for genus 1")
     A, B = coeffs.A, coeffs.B
     den = A * B * (A - B) ** 4

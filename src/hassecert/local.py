@@ -44,6 +44,7 @@ COUNT_CAP = 200_000
 SCAN_CAP = 1_000_000
 # the disc centers the exact-evaluation probe tries on each chart
 PROBE_CENTERS = (0, 1, -1)
+# trials the direct sampler makes per call before SamplerBudgetExceeded
 SAMPLER_BUDGET = 10_000
 
 
@@ -55,16 +56,15 @@ SAMPLER_BUDGET = 10_000
 class Witness:
     """A re-verifiable local point on one chart of a curve model.
 
-    kinds:
-      sqrt  - sigma^2 = H(t_center) mod p^precision, val = v_p(H(t_center)),
-              for H(t) = m^2 (c0 + c_n t^n + c_2n t^(2n)), n = g + 1, with
-              (c0, c_n, c_2n) = (b/a)(AB, -(A+B), 1) on "st", c0 and c_2n
-              swapped on "ST", m the lcm of their denominators; the margin
-              precision > val (+2 at p = 2) yields a true Q_p point.
+    H = m^2 f is the model's cleared chart polynomial, read through
+    HyperellipticCurve.chart_values.  kinds:
+      sqrt  - sigma^2 = H(t_center) mod p^precision, val = v_p(H(t_center));
+              the margin precision > val (+2 at p = 2) yields a true Q_p
+              point.
       root  - v_p(H(t_center)) = val > 2 mu = 2 v_p(H'(t_center)): the
               center converges to an exact root of H, giving s = 0.
-      exact - an exact rational point (t_center, s_exact) of the chart.
-      real  - a real point: t_real with chart value >= 0.
+      exact - an exact rational point: H(t_center) = (m s_exact)^2.
+      real  - a real point: H(t_real) >= 0.
     """
 
     kind: str
@@ -79,17 +79,17 @@ class Witness:
     t_real: Fraction | None = None
 
     def verify(self, curve_model):
-        """Re-check against the model's chart equation; True iff the data
-        certifies a genuine local point."""
+        """Re-check against the model's H; True iff the data certifies a
+        genuine local point."""
         if self.kind == "real":
-            return curve_model.chart_value(self.chart, self.t_real) >= 0
+            return curve_model.chart_values(self.chart, self.t_real)[0] >= 0
         if self.kind == "exact":
-            return curve_model.chart_value(self.chart, self.t_center) == self.s_exact**2
+            V, _ = curve_model.chart_values(self.chart, self.t_center)
+            return V == (curve_model.cleared_st[1] * self.s_exact) ** 2
         p = self.prime
         if self.kind == "root":
             return _root_witness(curve_model, self.chart, p, self.t_center) is not None
-        h, _ = _cleared_chart(curve_model, self.chart)
-        V, _ = _chart_values(h, curve_model.genus + 1, self.t_center)
+        V, _ = curve_model.chart_values(self.chart, self.t_center)
         if self.kind == "sqrt":
             pk = p**self.precision
             if (self.sigma * self.sigma - V) % pk != 0:
@@ -112,27 +112,6 @@ class Witness:
         return out
 
 
-def _cleared_chart(curve_model, chart):
-    """(h, m): the integer triple h = m^2 (c0, c_n, c_2n) of the chart, m
-    the lcm of the triple's denominators; the model's cleared st triple,
-    built once per model, reversed on "ST"."""
-    h, m = curve_model.cleared_st
-    if chart == "ST":
-        return h[::-1], m
-    if chart != "st":
-        raise ValueError(f"unknown chart {chart!r}")
-    return h, m
-
-
-def _chart_values(h, n, t):
-    """(H(t), H'(t)) for H(t) = h0 + h_n t^n + h_2n t^(2n):
-    H'(t) = n t^(n-1) (h_n + 2 h_2n t^n)."""
-    h0, hn, h2n = h
-    tn1 = t ** (n - 1)
-    u = tn1 * t
-    return h0 + (hn + h2n * u) * u, n * tn1 * (hn + 2 * h2n * u)
-
-
 def _exact_padic_sqrt(x, p, prec):
     """Residue r mod p^prec with r^2 = x (x an exact rational), read by a
     ResidueRooter off x mod p^(prec+2); None when x is not a square in
@@ -146,12 +125,10 @@ def _exact_padic_sqrt(x, p, prec):
 
 def _witness_from_center(curve_model, chart, p, t_center):
     """A sqrt/exact witness at an integer center whose exact chart value is
-    a p-adic square (or zero)."""
-    h, _ = _cleared_chart(curve_model, chart)
-    V, _ = _chart_values(h, curve_model.genus + 1, t_center)
+    a p-adic square (or zero, read by _root_witness)."""
+    V, _ = curve_model.chart_values(chart, t_center)
     if V == 0:
-        return Witness(kind="exact", chart=chart, prime=p, t_center=Fraction(t_center),
-                       s_exact=Fraction(0))
+        return _root_witness(curve_model, chart, p, t_center)
     w = padic_val(V, p)
     prec = max(3, w + 2) if p != 2 else max(6, w + 4)
     sigma = _exact_padic_sqrt(V, p, prec)
@@ -267,18 +244,14 @@ def _try_ab_square(model, place):
 def _scan_fp_point(curve_m, p, charts):
     """First t whose reduction is liftable on the charts, in their order:
     a nonzero square value mod p, or a simple root of the reduction."""
-    n = curve_m.genus + 1
     for chart in charts:
-        h0, hn, h2n = (c % p for c in _cleared_chart(curve_m, chart)[0])
         for t in range(min(p, SCAN_CAP)):
-            tn1 = pow(t, n - 1, p)
-            u = tn1 * t % p
-            v = (h0 + (hn + h2n * u) * u) % p
-            if v == 0:
-                if n * tn1 * (hn + 2 * h2n * u) % p != 0:
+            V, dV = curve_m.chart_values(chart, t)
+            if V % p == 0:
+                if dV % p != 0:
                     return chart, t, "root"
                 continue
-            if legendre(v, p) == 1:
+            if legendre(V, p) == 1:
                 return chart, t, "sqrt"
     return None
 
@@ -287,8 +260,7 @@ def _root_witness(curve_m, chart, p, t_center):
     """The root-margin rule, shared with Witness.verify: an exact witness
     when H(t_center) = 0, a root witness when v_p(H(t_center)) >
     2 v_p(H'(t_center)), else None."""
-    h, _ = _cleared_chart(curve_m, chart)
-    V, dV = _chart_values(h, curve_m.genus + 1, t_center)
+    V, dV = curve_m.chart_values(chart, t_center)
     if V == 0:
         return Witness(kind="exact", chart=chart, prime=p, t_center=Fraction(t_center),
                        s_exact=Fraction(0))
@@ -308,7 +280,8 @@ def _in_hasse_weil_window(n, g, p):
 
 
 def _try_good_reduction(model, place):
-    """Good reduction at an odd p > 4g^2 prime to a, b, A - B and g + 1.
+    """Good reduction at an odd p > 4g^2 (so p does not divide g + 1) prime
+    to a, b and A - B.
 
     The point count here and in _blanket_check reads the model's cleared
     triple h = m^2 (c0, c_n, c_2n) (cleared_st).  p does not divide m at a
@@ -319,7 +292,7 @@ def _try_good_reduction(model, place):
     of the triple itself."""
     p = place.p
     g = model.genus
-    if p <= 4 * g * g or (g + 1) % p == 0:
+    if p <= 4 * g * g:
         return None
     a, b, A, B = model.a, model.b, model.A, model.B
     if A == B or A == 0 or B == 0:
@@ -397,11 +370,9 @@ def _try_center_probe(model, place):
     dividing b reduces to the disc t = 0 carrying a square value, and the
     probe checks exactly that (plus two cheap neighbours)."""
     p = place.p
-    n = model.genus + 1
     for chart in ("st", "ST"):
-        h, _ = _cleared_chart(model, chart)
         for t0 in PROBE_CENTERS:
-            V, _ = _chart_values(h, n, t0)
+            V, _ = model.chart_values(chart, t0)
             if V == 0 or is_local_square(V, place):
                 hyp = ([f"chart {chart}: exact root at t = {t0}"] if V == 0 else
                        [f"chart {chart}, disc center t = {t0}: "
@@ -492,9 +463,11 @@ def _spot_check_primes():
     return tuple(sieve_primes_upto(100_000))
 
 
-def _blanket_check(curve, crit, sample_count=20):
+def _blanket_check(curve, crit):
     """Re-verify the inclusions that make every non-critical place good,
-    then spot-check random non-critical primes for nonempty reductions.
+    then spot-check 20 random non-critical primes for nonempty reductions;
+    a count outside the Hasse-Weil window raises, as in
+    _try_good_reduction.
 
     num(D) and den(theta) are covered when dividing the critical primes
     out of each leaves 1; neither is factored a second time."""
@@ -535,19 +508,18 @@ def _blanket_check(curve, crit, sample_count=20):
         if i < len(pool) and pool[i] == q:
             del pool[i]
     rng = random.Random(0)
-    sampled = sorted(rng.sample(pool, min(sample_count, len(pool))))
+    sampled = sorted(rng.sample(pool, min(20, len(pool))))
     counts = {}
     for q in sampled:
         n = count_points_hyperelliptic(curve.cleared_st[0], g, q)
         counts[q] = n
         if not _in_hasse_weil_window(n, g, q):
-            ok = False
-            statements.append(f"spot-check failed at p = {q}: count {n}")
+            raise ArithmeticError(f"spot-check count {n} escaped the Hasse-Weil window at {q}")
     return BlanketRecord(ok=ok, statements=statements, sampled_primes=sampled,
                          sample_counts=counts)
 
 
-def certify_all_local(curve, sample_count=20):
+def certify_all_local(curve):
     """Certificates at every critical place plus the symbolic blanket.
 
     Fibers away from theta = 0 need the full-family divisibility
@@ -571,7 +543,7 @@ def certify_all_local(curve, sample_count=20):
             failures.append((place, cert.method, cert.notes))
         elif not cert.witness.verify(cert.model):
             failures.append((place, cert.method, "witness failed re-verification"))
-    blanket = _blanket_check(curve, crit, sample_count)
+    blanket = _blanket_check(curve, crit)
     if not crit.complete:
         failures.append(("factorization", "critical-set",
                          f"unresolved composites: {crit.unresolved}"))
@@ -609,21 +581,19 @@ def _refine_curve_witness(curve_m, wit, p, prec):
     a true chart point is at least p^-prec (s carries the approximation)."""
     if wit.kind == "exact":
         return Fraction(wit.t_center), Fraction(wit.s_exact)
-    h, m = _cleared_chart(curve_m, wit.chart)
-    n = curve_m.genus + 1
     if wit.kind == "sqrt":
-        V, _ = _chart_values(h, n, wit.t_center)
+        V, _ = curve_m.chart_values(wit.chart, wit.t_center)
         sigma = _exact_padic_sqrt(V, p, prec + 2 * padic_val(V, p) + 2)
         if sigma is None:
             raise ArithmeticError(f"sqrt witness value is not a square in Q_{p}")
-        return Fraction(wit.t_center), Fraction(sigma) / m
+        return Fraction(wit.t_center), Fraction(sigma, curve_m.cleared_st[1])
     if wit.kind == "root":
         # Newton-refine the center toward the exact root; s = 0
         t = int(wit.t_center)
         target = prec + 2 * (wit.mu or 0) + 4
         modulus = p**target
         for _ in range(200):
-            V, dV = _chart_values(h, n, t)
+            V, dV = curve_m.chart_values(wit.chart, t)
             if V == 0 or padic_val(V, p) >= target:
                 break
             mu = padic_val(dV, p)
@@ -796,7 +766,7 @@ def _working_precision(surface_model, p):
                + padic_val(surface_model.B - surface_model.A, p) + m + 2)
 
 
-def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET, ctx=None):
+def sample_surface_points(surface_model, place, n, seed=0, ctx=None):
     """n independent local points of the surface model at the place.
 
     Finite places: random residue points whose squares are formed as
@@ -868,9 +838,9 @@ def sample_surface_points(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET
     trials = 0
     while len(out) < n:
         trials += 1
-        if trials > budget:
+        if trials > SAMPLER_BUDGET:
             raise SamplerBudgetExceeded(
-                f"direct sampler exceeded {budget} trials at {place} "
+                f"direct sampler exceeded {SAMPLER_BUDGET} trials at {place} "
                 f"with {len(out)} points found"
             )
         if solve_u:

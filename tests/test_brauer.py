@@ -165,7 +165,7 @@ def test_refused_place_fails_the_fiber(monkeypatch, tmp_path):
         return certify(surface, place, **kwargs)
 
     monkeypatch.setattr(brauer, "certify_invariant", refuse_at_c)
-    res = certify_all_local(CURVE_0, sample_count=2)
+    res = certify_all_local(CURVE_0)
     obs = obstruction_certificate(CURVE_0, SURFACE_0, res, samples=2)
     assert obs.conclusion is False and obs.complete is False
     assert f"invariant at {refused} refused: test refusal" in obs.notes
@@ -205,6 +205,78 @@ def test_sampling_failures_fail_the_fiber(monkeypatch, target, error):
     assert out["error"] == str(error)
 
 
+def _flip_samples_at(monkeypatch, place, which):
+    """Make the sampled invariant at place read 1/2 - value on the points
+    whose index in their table's two samples (0 the delta image) is in
+    which."""
+    from hassecert import brauer
+
+    evaluate = brauer.evaluate_invariant_at_point
+    seen = []
+
+    def flip(model, point, pl, ctx=None):
+        value = evaluate(model, point, pl, ctx)
+        if pl != place:
+            return value
+        seen.append(point)
+        return HALF - value if (len(seen) - 1) % 2 in which else value
+
+    monkeypatch.setattr(brauer, "evaluate_invariant_at_point", flip)
+
+
+def _obstruction_failure(error):
+    """certify_fiber at theta = 0 stops at brauer-obstruction, its error
+    naming the failed check."""
+    from hassecert import cli
+
+    out = cli.certify_fiber(PARAMS, Theta.of(0), height_bound=20, sample_count=2)
+    assert out["certified"] is False and out["stage"] == "brauer-obstruction"
+    assert out["error"].startswith("obstruction certificate incomplete: ")
+    assert error in out["error"]
+
+
+def test_disagreeing_samples_fail_the_fiber(monkeypatch):
+    # the second point at c reads 1/2 beside the delta image's 0
+    place = Place.finite(PARAMS.c)
+    _flip_samples_at(monkeypatch, place, {1})
+    obs = obstruction_certificate(CURVE_0, SURFACE_0, certify_all_local(CURVE_0), samples=2)
+    assert obs.conclusion is False and not obs.table[place].samples_consistent
+    assert obs.notes.endswith(f"; samples disagree among themselves at {place}")
+    _obstruction_failure(f"samples disagree among themselves at {place}")
+
+
+def test_contradicting_samples_fail_the_fiber(monkeypatch):
+    # every point at c reads 1/2, consistently, against the certified 0
+    place = Place.finite(PARAMS.c)
+    _flip_samples_at(monkeypatch, place, {0, 1})
+    obs = obstruction_certificate(CURVE_0, SURFACE_0, certify_all_local(CURVE_0), samples=2)
+    assert obs.conclusion is False and obs.table[place].samples_consistent
+    assert obs.table[place].value == ZERO and obs.total == HALF
+    assert obs.notes.endswith(f"; sampled value 1/2 contradicts certified 0 at {place}")
+    _obstruction_failure(f"sampled value 1/2 contradicts certified 0 at {place}")
+
+
+def test_support_other_than_a_fails_the_fiber(monkeypatch):
+    # a certified 0 at a leaves the half-valued support empty
+    from dataclasses import replace
+
+    from hassecert import brauer
+
+    certify = brauer.certify_invariant
+    place = Place.finite(PARAMS.a)
+
+    def zero_at_a(surface, pl, **kwargs):
+        cert = certify(surface, pl, **kwargs)
+        return replace(cert, value=ZERO) if pl == place else cert
+
+    monkeypatch.setattr(brauer, "certify_invariant", zero_at_a)
+    obs = obstruction_certificate(CURVE_0, SURFACE_0, certify_all_local(CURVE_0), samples=2)
+    assert obs.conclusion is False and obs.total == ZERO
+    error = f"invariant support [] is not exactly the place of a = {PARAMS.a}"
+    assert obs.notes.endswith(f"; {error}")
+    _obstruction_failure(error)
+
+
 def test_obstruction_certificate_theta_zero():
     res = certify_all_local(CURVE_0)
     obs = obstruction_certificate(CURVE_0, SURFACE_0, res)
@@ -239,7 +311,7 @@ def test_sum_invariance_25_random_thetas():
     for th in sorted(seen, key=str):
         co = fiber_coeffs(PARAMS, th)
         curve, surface = build_curve(co), build_surface(co)
-        res = certify_all_local(curve, sample_count=5)
+        res = certify_all_local(curve)
         assert res.solvable_everywhere, str(th)
         obs = obstruction_certificate(curve, surface, res, samples=3)
         assert obs.total == HALF and obs.conclusion, str(th)

@@ -96,8 +96,9 @@ def test_build_curve_theta_zero_polynomial():
     # triple with c0 and c_2n swapped
     Fp = F_poly(curve)
     assert list(Fp.coeffs) == list(reversed(f.coeffs))
-    assert curve.chart_coeffs("st") == f.coeffs[::2]
-    assert curve.chart_coeffs("ST") == Fp.coeffs[::2]
+    for chart, dense in (("st", f), ("ST", Fp)):
+        h, m = curve.cleared(chart)
+        assert tuple(F(c, m * m) for c in h) == dense.coeffs[::2]
     T = F(2, 7)
     assert evaluate(Fp, T) == T**4 * evaluate(f, 1 / T)
     assert curve.chart_value("ST", T) == evaluate(Fp, T)

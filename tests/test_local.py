@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,8 +26,6 @@ from hassecert.local import (
     delta_surface_point,
     sample_surface_points,
     _blanket_check,
-    _chart_values,
-    _cleared_chart,
     _root_witness,
     _scan_fp_point,
 )
@@ -287,11 +286,11 @@ def test_blanket_inclusion_fails_without_a_prime_of_num_D():
     assert q in crit.primes()
     inclusion = "the critical set contains 2, a, b, c, omega0 and every prime dividing " \
         "num(D) and den(theta)"
-    full = _blanket_check(curve, crit, sample_count=1)
+    full = _blanket_check(curve, crit)
     assert full.ok and f"{inclusion}: True" in full.statements
     dropped = CriticalSet(places=[pl for pl in crit.places if pl != Place.finite(q)],
                           provenance=crit.provenance)
-    blanket = _blanket_check(curve, dropped, sample_count=1)
+    blanket = _blanket_check(curve, dropped)
     assert not blanket.ok and f"{inclusion}: False" in blanket.statements
 
 
@@ -327,10 +326,79 @@ def test_refused_place_fails_the_fiber(monkeypatch):
     place = Place.finite(PARAMS.b)
     assert certify_local_curve(CURVE_0, place).method == "case-analysis(disc-center)"
     monkeypatch.setattr(local, "_try_center_probe", lambda curve, place: None)
-    res = certify_all_local(CURVE_0, sample_count=1)
+    res = certify_all_local(CURVE_0)
     assert not res.solvable_everywhere
     assert res.failures == [(place, "refused", f"refused: no local lemma applies at {place}")]
     assert res.certificates[place].solvable is None
+
+
+def test_tampered_witness_fails_the_fiber(monkeypatch):
+    # one sqrt witness with sigma + 1 no longer squares to H(t_center):
+    # certify_all_local's re-verification lists the place as a failure,
+    # and the fiber stops at local-solvability with the place named
+    from hassecert import cli, local
+
+    res = certify_all_local(CURVE_0)
+    place = next(pl for pl in res.critical.places
+                 if res.certificates[pl].witness.kind == "sqrt" and not pl.is_real)
+    method = res.certificates[place].method
+    certify = local.certify_local_curve
+
+    def tamper(curve, pl):
+        cert = certify(curve, pl)
+        if pl == place:
+            cert.witness = replace(cert.witness, sigma=cert.witness.sigma + 1)
+        return cert
+
+    monkeypatch.setattr(local, "certify_local_curve", tamper)
+    res = certify_all_local(CURVE_0)
+    assert not res.solvable_everywhere
+    assert res.failures == [(place, method, "witness failed re-verification")]
+    out = cli.certify_fiber(PARAMS, Theta.of(0), height_bound=20, sample_count=2)
+    assert out["certified"] is False and out["stage"] == "local-solvability"
+    assert out["error"] == f"local certification failed: {res.failures}"
+    assert f"Place(p={place.p})" in out["error"]
+
+
+def test_spot_check_count_outside_the_window_fails_the_fiber(monkeypatch):
+    # a blanket count outside the Hasse-Weil window raises, naming the
+    # spot-check prime, and the fiber stops at local-solvability
+    from hassecert import cli, local
+
+    q = _blanket_check(CURVE_0, critical_places(CURVE_0)).sampled_primes[0]
+    count = local.count_points_hyperelliptic
+    monkeypatch.setattr(local, "count_points_hyperelliptic",
+                        lambda h, g, p: 0 if p == q else count(h, g, p))
+    with pytest.raises(ArithmeticError, match=f"escaped the Hasse-Weil window at {q}$"):
+        certify_all_local(CURVE_0)
+    out = cli.certify_fiber(PARAMS, Theta.of(0), height_bound=20, sample_count=2)
+    assert out["certified"] is False and out["stage"] == "local-solvability"
+    assert out["error"] == f"spot-check count 0 escaped the Hasse-Weil window at {q}"
+
+
+def test_power_lemma_doubles_its_precision(monkeypatch):
+    # a = 1, b = 2, A = 3, B = 3 + 11^10 at p = 11: ab = 2 is not a square
+    # mod 11, 11^10 divides A - B, and 3 = 5^2 mod 11.  At precision 8 the
+    # root of A gives v(H) = 16 = 2 v(H'), no margin; at 16 it gives
+    # v(H) = 26 > 2 v(H') = 20
+    from hassecert import local
+
+    curve = HyperellipticCurve(a=Fraction(1), b=Fraction(2), A=Fraction(3),
+                               B=Fraction(3 + 11**10), genus=1)
+    precisions = []
+    root = local.hensel_nth_root
+
+    def record(u, n, p, prec):
+        precisions.append(prec)
+        return root(u, n, p, prec)
+
+    monkeypatch.setattr(local, "hensel_nth_root", record)
+    cert = certify_local_curve(curve, Place.finite(11))
+    assert cert.method == "g+1-power"
+    assert precisions == [8, 16]
+    wit = cert.witness
+    assert (wit.kind, wit.chart, wit.val, wit.mu) == ("root", "st", 26, 10)
+    assert wit.verify(cert.model)
 
 
 def test_certify_all_local_rejects_bad_mode():
@@ -412,7 +480,7 @@ def _closed_form_cases():
     fibers = [(PARAMS, theta) for theta in default_theta_grid()] + [(g3, Theta.of(0))]
     for params, theta in fibers:
         curve = build_curve(fiber_coeffs(params, theta))
-        res = certify_all_local(curve, sample_count=1)
+        res = certify_all_local(curve)
         for place in res.critical.places:
             if place.is_real:
                 continue
@@ -427,16 +495,15 @@ def test_closed_form_chart_matches_dense_oracle():
     # F_p scan finds the residue the dense scan finds
     rescaled = scanned = 0
     for model, centers, cert in _closed_form_cases():
-        n = model.genus + 1
         p = cert.place.p
         rescaled += model.change.t_mult != 1
         for chart in ("st", "ST"):
-            h, m = _cleared_chart(model, chart)
+            _, m = model.cleared(chart)
             H, m_dense = cleared_chart_poly(model, chart)
             Hp = [i * c for i, c in enumerate(H)][1:]
             assert m == m_dense, (p, chart)
             for t in centers:
-                assert _chart_values(h, n, t) == (_eval_int(H, t), _eval_int(Hp, t)), (p, t)
+                assert model.chart_values(chart, t) == (_eval_int(H, t), _eval_int(Hp, t)), (p, t)
         if p != 2 and (p < 10**4 or cert.method in ("good-reduction-hw", "fp-smooth-lift")):
             assert _scan_fp_point(model, p, ("st", "ST")) == scan_fp_point_dense(model, p), p
             scanned += 1
@@ -551,10 +618,13 @@ def test_sampler_points_satisfy_quadrics():
     assert len(real_pts) == 3
 
 
-def test_sampler_budget_error():
+def test_sampler_budget_error(monkeypatch):
+    from hassecert import local
+
+    monkeypatch.setattr(local, "SAMPLER_BUDGET", 5)
     surface = build_surface(CO_0)
     with pytest.raises(SamplerBudgetExceeded):
-        sample_surface_points(surface, Place.finite(11), 10**6, budget=5)
+        sample_surface_points(surface, Place.finite(11), 10**6)
 
 
 # ----- the residue context ---------------------------------------------------

@@ -27,7 +27,7 @@ from hassecert.family import (
     build_surface,
     fiber_coeffs,
 )
-from hassecert.params import sieve_params
+from hassecert.params import omega0_for_genus, sieve_params
 import hassecert.search as search
 from hassecert.search import SIEVE_MODULI, curve_point_search, surface_point_search
 from oracles import curve_sieve_pattern, surface_sieve_pattern, window_mask
@@ -702,6 +702,36 @@ def test_cli_params_for_another_genus_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("config error: params are for g = 5, h = 1, "
                    "but the run is for g = 1, h = 0\n")
+
+
+def test_cli_certifies_genus_5_through_explicit_params(tmp_path, monkeypatch):
+    # AC1's first g = 5, h = 1 quadruple, given as the config's params:
+    # resolve_params verifies it and sieves nothing, and theta = 0
+    # certifies end to end with the fiber record of the sieved run
+    g5 = {"a": "82957914004081763089", "b": "23616331489", "c": "107",
+          "d": "75831858899179651581527", "g": "5", "h": "1",
+          "omega0": [str(q) for q in omega0_for_genus(5)]}
+    sieved = tmp_path / "sieved.json"
+    assert main(["certify-all", "--g", "5", "--h", "1", "--theta", "0",
+                 "--bound", str(10**24), "--out", str(sieved)]) == 0
+    expected = json.loads(sieved.read_text())
+    assert expected["params"] == g5
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("explicit params must not be sieved")
+
+    monkeypatch.setattr(cli, "sieve_params", no_sieve)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "explicit.json"
+    cfg.write_text(json.dumps({"g": 5, "h": 1, "theta_list": ["0"], "params": g5}))
+    assert main(["certify-all", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    (fiber,) = report["fibers"]
+    assert fiber["stage"] == "done" and fiber["certified"] is True
+    obstruction = fiber["obstruction"]
+    assert obstruction["sum"] == "1/2"
+    assert [e["place"] for e in obstruction["table"] if e["value"] == "1/2"] == [g5["a"]]
+    assert len(fiber["local"]["critical"]["places"]) == 33
+    assert report["fibers"] == expected["fibers"]
 
 
 def test_cli_unwritable_out_exits_2(tmp_path, capsys):

@@ -39,8 +39,8 @@ def test_differences_are_counted_per_pattern_without_the_dropped_keys():
 
 def test_the_printed_set_runs_every_subcommand_and_both_refusals():
     calls = sweep.printed_invocations()
-    assert len(calls) == 13
-    assert len({label for label, _ in calls} | {label for label, _ in sweep.invocations()}) == 158
+    assert len(calls) == 14
+    assert len({label for label, _ in calls} | {label for label, _ in sweep.invocations()}) == 159
     commands = [argv[0] for _, argv in calls]
     assert set(commands) == {"certify-all", "certify-local", "certify-brauer", "point-search",
                              "instantiate", "j-report", "sieve-params"}
