@@ -1,8 +1,9 @@
 """Exact modular and p-adic arithmetic primitives.
 
-Everything works on plain ints and fractions.Fraction.  No floating point
-enters any computation; the single float in the module is math.inf, used
-as the valuation of zero (it is only ever compared, never computed with).
+Everything reads ints and Fractions through numerator and denominator.
+No floating point enters any computation; the single float in the
+module is math.inf, used as the valuation of zero (it is only ever
+compared, never computed with).
 
 Every function or constructor that takes a prime p proves it once per
 process, through one guard, _require_prime; a non-prime p raises
@@ -142,33 +143,43 @@ def sqrt_mod(a, p):
     return min(r, p - r)
 
 
-def padic_val(x, p):
-    """p-adic valuation of an int or Fraction; math.inf for x = 0."""
+def _split(x, p):
+    """(v, n, d) with x = p^v n/d and p dividing neither n nor d, for an int
+    or Fraction x; (math.inf, 0, 1) for x = 0."""
     _require_prime(p)
-    if x == 0:
-        return INF
-    if isinstance(x, Fraction):
-        return padic_val(x.numerator, p) - padic_val(x.denominator, p)
-    n = abs(x)
+    n, d = x.numerator, x.denominator
+    if n == 0:
+        return INF, 0, 1
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    return v
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v, n, d
+
+
+def padic_val(x, p):
+    """p-adic valuation of an int or Fraction; math.inf for x = 0."""
+    return _split(x, p)[0]
 
 
 def unit_part(x, p):
-    """x / p^v_p(x) as an exact Fraction (x nonzero)."""
-    v = padic_val(x, p)
-    return Fraction(x) / Fraction(p) ** v
+    """x / p^v_p(x) (x nonzero): x itself when v_p(x) = 0, else an int when
+    the quotient is one and a Fraction otherwise."""
+    v, n, d = _split(x, p)
+    return x if v == 0 else n if d == 1 else Fraction(n, d)
 
 
 def frac_mod(x, m):
     """Reduce a Fraction (or int) with denominator invertible mod m."""
-    x = Fraction(x)
-    if math.gcd(x.denominator, m) != 1:
+    n, d = x.numerator, x.denominator
+    if d == 1:
+        return n % m
+    if math.gcd(d, m) != 1:
         raise ValueError(f"denominator of {x} not invertible mod {m}")
-    return x.numerator * pow(x.denominator, -1, m) % m
+    return n * pow(d, -1, m) % m
 
 
 @dataclass(frozen=True)
@@ -204,17 +215,17 @@ class Place:
 def square_class(x, p):
     """(v_p(x), unit part of x mod p, mod 8 at p = 2) for a nonzero rational
     x: the data that fixes the class of x in Q_p* / Q_p*^2."""
-    v = padic_val(x, p)
-    return v, frac_mod(Fraction(x) / Fraction(p) ** v, 8 if p == 2 else p)
+    v, n, d = _split(x, p)
+    m = 8 if p == 2 else p
+    return v, n * pow(d, -1, m) % m
 
 
 def is_local_square(x, place):
     """True iff the nonzero rational x is a square in the completion at place."""
-    x = Fraction(x)
-    if x == 0:
+    if x.numerator == 0:
         raise ValueError("is_local_square expects x != 0")
     if place.is_real:
-        return x > 0
+        return x.numerator > 0
     p = place.p
     v, u = square_class(x, p)
     if v % 2 != 0:
@@ -441,11 +452,10 @@ def hilbert_symbol_char(alpha, chi, beta, v, p):
 
 def hilbert_symbol(a, b, place):
     """Hilbert symbol (a,b)_v in {+1,-1} for nonzero rationals a, b."""
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
+    if a.numerator == 0 or b.numerator == 0:
         raise ValueError("hilbert_symbol expects nonzero arguments")
     if place.is_real:
-        return -1 if (a < 0 and b < 0) else 1
+        return -1 if (a.numerator < 0 and b.numerator < 0) else 1
     p = place.p
     alpha, u = square_class(a, p)
     return hilbert_symbol_char(alpha, unit_character(u, p), *square_class(b, p), p)
@@ -705,6 +715,7 @@ def sieve_primes_upto(n):
 
 
 _TRIAL_PRIMES = sieve_primes_upto(10_000)
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 # rho iterations spent on one cofactor before factorize lists it as unresolved
 RHO_BUDGET = 4_000_000
 
@@ -779,12 +790,19 @@ def factorize(n):
     unresolved = []
     if n <= 1:
         return factors, unresolved
+    # the trial primes of n are those of g; once p^2 > g, g is 1 or prime
+    g = math.gcd(n, _TRIAL_PRODUCT)
     for p in _TRIAL_PRIMES:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        if n == 1:
-            return factors, unresolved
+        if g == 1:
+            break
+        if p * p > g:
+            p = g
+        if g % p == 0:
+            g //= p
+            factors[p] = 0
+            while n % p == 0:
+                factors[p] += 1
+                n //= p
     stack = [n]
     while stack:
         m = stack.pop()

@@ -4,9 +4,8 @@ certificate that rules out rational points.
 
 The class is (a, b(u - Av)/v), with three further equivalent slot
 expressions obtained from the defining quadrics; only the square class of
-the slot matters, so every evaluation goes through one Hilbert-symbol
-formula: on exact rationals at the real place, on (valuation, unit
-residue) pairs at finite places.
+the slot matters, so every evaluation reads one Hilbert symbol: off signs
+at the real place, off (valuation, unit residue) pairs at finite places.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +14,6 @@ from fractions import Fraction
 from .arith import (
     Place,
     frac_mod,
-    hilbert_symbol,
     hilbert_symbol_char,
     is_local_square,
     legendre,
@@ -34,31 +32,24 @@ class PrecisionError(ArithmeticError):
     """Every slot representation is indeterminate at the point's precision."""
 
 
-def slot_fractions(surface_model, u, v):
-    """The class (a, slot)'s four slot representations of
-    local.slot_terms at exact rational (u, v), in its order; entries are
-    None where the value is zero or undefined.  At finite places
-    ResidueContext.slot_residues reads the same four off residues."""
-    m = surface_model
-    nums, dens = slot_terms(m.a, m.b, m.A, m.B, u, v)
-    return [num / den if num != 0 and den != 0 else None
-            for den in dens for num in nums]
-
-
 def evaluate_invariant_at_point(surface_model, point, place, ctx=None):
     """Invariant in {0, 1/2} of the class at one local point.
 
     Picks every representation whose square class is determined at the
     point's precision, asserts they agree, and converts the Hilbert symbol
-    (a, slot)_v: +1 -> 0, -1 -> 1/2.  At a finite place ctx is the model's
-    ResidueContext at the point's precision (built here when not given):
-    the slots are read off its residues and each symbol off a's character
-    in it.
+    (a, slot)_v: +1 -> 0, -1 -> 1/2.  At the real place each symbol is read
+    off the signs of a and of the slot's numerator and denominator.  At a
+    finite place ctx is the model's ResidueContext at the point's
+    precision (built here when not given): the slots are read off its
+    residues and each symbol off a's character in it.
     """
     u, v = point.coords[3], point.coords[4]
     if place.is_real:
-        reps = slot_fractions(surface_model, Fraction(u), Fraction(v))
-        symbols = {hilbert_symbol(surface_model.a, r, place) for r in reps if r is not None}
+        m = surface_model
+        nums, dens = slot_terms(m.a, m.b, m.A, m.B, u, v)
+        a_neg = m.a < 0
+        symbols = {-1 if a_neg and (num < 0) != (den < 0) else 1
+                   for den in dens for num in nums if num != 0 and den != 0}
     else:
         if ctx is None:
             ctx = ResidueContext.of(surface_model, place.p, point.prec)
@@ -72,6 +63,9 @@ def evaluate_invariant_at_point(surface_model, point, place, ctx=None):
         raise PrecisionError(f"every slot representation is indeterminate at {place} "
                              f"to precision {point.prec}")
     if len(symbols) != 1:
+        if place.is_real:  # the message shows the exact slot values
+            reps = [Fraction(num, den) if num != 0 and den != 0 else None
+                    for den in dens for num in nums]
         raise ArithmeticError(
             f"representations disagree at {place}: {reps} -> {symbols}"
         )

@@ -15,6 +15,7 @@ rational t with a nonnegative chart value.
 
 import bisect
 import functools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -88,7 +89,8 @@ class Witness:
             return V == (curve_model.cleared_st[1] * self.s_exact) ** 2
         p = self.prime
         if self.kind == "root":
-            return _root_witness(curve_model, self.chart, p, self.t_center) is not None
+            wit = _root_witness(curve_model, self.chart, p, self.t_center)
+            return wit is not None and (wit.val, wit.mu) == (self.val, self.mu)
         V, _ = curve_model.chart_values(self.chart, self.t_center)
         if self.kind == "sqrt":
             pk = p**self.precision
@@ -98,7 +100,7 @@ class Witness:
                 return False
             w = padic_val(V, p)
             need = w + 2 if p == 2 else w
-            return self.precision > need
+            return w == self.val and self.precision > need
         raise ValueError(f"unknown witness kind {self.kind}")
 
     def to_json(self):
@@ -734,12 +736,16 @@ def delta_surface_point(surface_model, curve, place, cert, ctx=None):
     coords = delta_coords(wit.chart, s, t, co.C, g)
     model_coords = [c / m for c, m in zip(coords, mults)]
     m0 = min(padic_val(c, p) for c in model_coords if c != 0)
-    residues = tuple(frac_mod(c * Fraction(p) ** -m0, ctx.pk) for c in model_coords)
+    q, pk, residues = p ** abs(m0), ctx.pk, []
+    for c in model_coords:  # c p^(-m0) = n/d, p-integral once g is cancelled
+        n, d = (c.numerator * q, c.denominator) if m0 < 0 else (c.numerator, c.denominator * q)
+        g = math.gcd(n, d)
+        residues.append(n // g * pow(d // g, -1, pk) % pk)
     if ctx.quadrics(residues) != (0, 0):
         raise ArithmeticError(
             f"delta image failed to verify against the surface equations at {place}"
         )
-    return SurfacePoint(place=place, coords=residues, prec=prec)
+    return SurfacePoint(place=place, coords=tuple(residues), prec=prec)
 
 
 def _randbelow(getrandbits, n):
@@ -807,16 +813,17 @@ def sample_surface_points(surface_model, place, n, seed=0, ctx=None):
     if place.is_real:
         if a <= 0:
             raise ValueError("real sampler requires a > 0")
+        c2, ba = C * C, b / a
         while len(out) < n:
             u = Fraction(rng.randrange(-50, 51), rng.randrange(1, 9))
             v = Fraction(rng.randrange(-50, 51), rng.randrange(1, 9))
             if u == 0 or v == 0:
                 continue
-            bound = abs(C * C * u * v) + abs(b * (u - A * v) * (u - B * v) / a) + 1
-            y = bound + rng.randrange(1, 10)
-            x2 = a * (y * y - C * C * u * v)
-            z2 = (x2 + b * (u - A * v) * (u - B * v)) / a
-            if x2 < 0 or z2 < 0:
+            c2uv, bpp = c2 * u * v, ba * (u - A * v) * (u - B * v)
+            y = abs(c2uv) + abs(bpp) + 1 + rng.randrange(1, 10)
+            # x^2 = a w and, with a > 0, z^2 = (x^2 + b phi psi) / a = w + (b/a) phi psi
+            w = y * y - c2uv
+            if w < 0 or w + bpp < 0:
                 continue
             out.append(SurfacePoint(place=place, coords=(None, y, None, u, v)))
         return out

@@ -1,11 +1,13 @@
-"""Reference oracles for the tests: dense chart polynomials and the
-polynomial algebra over Q, general local decision procedures, the F_p
-scan over dense coefficients and the one-term scan at a prime of AB,
-square roots mod p and p^k by the earlier legendre-first and inverting
-kernels, the point searches' residue patterns built one residue at a
-time and laid over a window by shift-doubling, the residue check of a
-surface point, and the local models rebuilt from re-derived family
-formulas.
+"""Reference oracles for the tests: Fraction-based bodies of the p-adic
+primitives, factoring by trial division, a counter of Fraction
+constructions, dense chart polynomials and the polynomial algebra over
+Q, general local decision procedures, the F_p scan over dense
+coefficients and the one-term scan at a prime of AB, square roots mod p
+and p^k by the earlier legendre-first and inverting kernels, the point
+searches' residue patterns built one residue at a time and laid over a
+window by shift-doubling, the residue check of a surface point, the real
+place's exact slot fractions, and the local models rebuilt from
+re-derived family formulas.
 
 The library certifies each place by a named local lemma and refuses a
 place where none applies; it never runs a general decision procedure.
@@ -17,9 +19,87 @@ verdict, and every refusal, against an independent answer.
 import math
 from fractions import Fraction
 
-from hassecert.arith import frac_mod, is_prime, legendre, padic_val, sqrt_mod, square_residues
+from hassecert.arith import is_prime, legendre, sqrt_mod, square_residues
 from hassecert.family import CurveChange, DP4Surface, HyperellipticCurve, SurfaceChange
-from hassecert.local import SCAN_CAP, ResidueContext, Witness, _witness_from_center
+from hassecert.local import SCAN_CAP, ResidueContext, Witness, _witness_from_center, slot_terms
+
+
+# --------------------------------------------------------------------------
+# the p-adic primitives as Fraction arithmetic, and factoring by trial
+# division: each body rebuilds and divides Fractions (or ints); of
+# hassecert.arith only is_prime, which test_arith checks against trial
+# division, guards p
+
+
+def _require_prime(p):
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
+def padic_val(x, p):
+    """v_p(x) by dividing Fraction(x) by p while p divides its numerator
+    and multiplying while p divides its denominator; math.inf for x = 0."""
+    _require_prime(p)
+    x = Fraction(x)
+    if x == 0:
+        return math.inf
+    v = 0
+    while x.numerator % p == 0:
+        x, v = x / p, v + 1
+    while x.denominator % p == 0:
+        x, v = x * p, v - 1
+    return v
+
+
+def unit_part(x, p):
+    """x / p^v_p(x) as a Fraction (x nonzero)."""
+    return Fraction(x) / Fraction(p) ** padic_val(x, p)
+
+
+def frac_mod(x, m):
+    """Fraction(x) mod m, its denominator invertible mod m."""
+    x = Fraction(x)
+    if math.gcd(x.denominator, m) != 1:
+        raise ValueError(f"denominator of {x} not invertible mod {m}")
+    return x.numerator * pow(x.denominator, -1, m) % m
+
+
+def square_class(x, p):
+    """(v_p(x), the unit part mod p, mod 8 at p = 2) for nonzero x."""
+    return padic_val(x, p), frac_mod(unit_part(x, p), 8 if p == 2 else p)
+
+
+def trial_division_factorize(n):
+    """The prime factorization of |n| as {prime: exponent}, by trial
+    division by every d >= 2 up to the square root of what is left."""
+    n, factors, d = abs(n), {}, 2
+    while n > 1 and d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+# --------------------------------------------------------------------------
+# a counter of Fraction constructions
+
+
+def count_fraction_constructions(monkeypatch):
+    """Wrap Fraction.__new__ for the rest of the test: the returned list
+    gains one entry, the constructor's arguments, per Fraction built,
+    whether by a Fraction(...) call or inside Fraction arithmetic."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return built
 
 
 # --------------------------------------------------------------------------
@@ -454,6 +534,17 @@ def exact_padic_sqrt(x, p, prec):
 def residue_quadrics(surface_model, pt, p, prec):
     """The two quadrics of surface_model at the residue point pt, mod p^prec."""
     return ResidueContext.of(surface_model, p, prec).quadrics(pt.coords)
+
+
+def slot_fractions(surface_model, u, v):
+    """The four slot representations of local.slot_terms at exact rational
+    (u, v) as Fractions num/den, in its order; None where the value is zero
+    or undefined.  The real place's invariant is the Hilbert symbol
+    (a, r)_real of any one of them."""
+    m = surface_model
+    nums, dens = slot_terms(m.a, m.b, m.A, m.B, Fraction(u), Fraction(v))
+    return [num / den if num != 0 and den != 0 else None
+            for den in dens for num in nums]
 
 
 # --------------------------------------------------------------------------

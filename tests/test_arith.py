@@ -22,22 +22,27 @@ from hassecert.arith import (
     legendre,
     padic_val,
     sieve_primes_upto,
+    square_class,
     square_residues,
     sqrt_mod,
     unit_character,
+    unit_part,
     MR_DETERMINISTIC_BOUND,
 )
 from hassecert.family import HyperellipticCurve, Theta, build_curve, fiber_coeffs
 from hassecert.local import _blanket_check, _scan_fp_point, certify_all_local, critical_places
 from hassecert.params import sieve_params
+import oracles
 from oracles import (
     Polynomial,
     chart_triple,
+    count_fraction_constructions,
     discriminant,
     f_poly,
     find_smooth_fp_point,
     inverting_hensel_sqrt,
     legendre_first_sqrt_mod,
+    trial_division_factorize,
 )
 
 
@@ -374,6 +379,86 @@ def test_padic_val_additive_fuzz():
         x = Fraction(rng.randrange(-999, 1000) or 1, rng.randrange(1, 1000))
         y = Fraction(rng.randrange(-999, 1000) or 1, rng.randrange(1, 1000))
         assert padic_val(x * y, p) == padic_val(x, p) + padic_val(y, p)
+
+
+# ----- the integer kernels against their Fraction oracles ---------------------
+
+BIG_PRIME = 10**12 + 39
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def _rationals(p):
+    """ints (0 and negatives included) and Fractions with p in the
+    numerator, in the denominator, or in neither."""
+    rng = random.Random(p)
+    xs = [0, 1, -1, p, -p, 7 * p**5, -11 * p**3, 12, -30, 2**10 * 3**4 * 1753,
+          Fraction(5 * p**4, 7), Fraction(-3, 5 * p**2), Fraction(7 * p, 99),
+          Fraction(-(p**6), 13), Fraction(10, 21), Fraction(-1, p), Fraction(p**9, 1)]
+    for _ in range(40):
+        e = rng.randrange(-4, 5)
+        num = rng.randrange(-10**6, 10**6) or 1
+        den = rng.randrange(1, 10**6)
+        xs.append(Fraction(num * p ** max(e, 0), den * p ** max(-e, 0)))
+    return xs
+
+
+@pytest.mark.parametrize("p", [2, 3, 1753, BIG_PRIME])
+def test_primitives_match_their_fraction_oracles(p):
+    assert is_prime(BIG_PRIME)
+    for x in _rationals(p):
+        assert padic_val(x, p) == oracles.padic_val(x, p), x
+        for m in (p, p**3, 8, 9, 1753 * 3):
+            assert _outcome(frac_mod, x, m) == _outcome(oracles.frac_mod, x, m), (x, m)
+        if x != 0:
+            assert unit_part(x, p) == oracles.unit_part(x, p), x
+            assert square_class(x, p) == oracles.square_class(x, p), x
+    assert padic_val(0, p) == INF
+    # a non-invertible denominator is refused with the oracle's message
+    x = Fraction(1, 3 * p)
+    assert _outcome(frac_mod, x, p)[0] == "ValueError"
+    assert _outcome(frac_mod, x, p) == _outcome(oracles.frac_mod, x, p)
+
+
+@pytest.mark.parametrize("p", [1, 9, 15, 1753 * 1759])
+def test_primitives_refuse_non_primes_as_their_oracles_do(p):
+    for x in (0, 6, -p, Fraction(5, 9 * p)):
+        for name in ("padic_val", "unit_part", "square_class"):
+            new = _outcome(getattr(arith, name), x, p)
+            assert new == ("ValueError", f"{p} is not prime")
+            assert new == _outcome(getattr(oracles, name), x, p)
+
+
+def test_primitives_build_no_fraction(monkeypatch):
+    # the kernel reads numerator and denominator as ints: no Fraction is
+    # built for any int or Fraction argument, except the one unit_part must
+    # return when x / p^v is neither x itself nor an int
+    cases = [(p, x) for p in (2, 3, 1753) for x in _rationals(p) if x != 0]
+    others = [Fraction(3, 5), -7, Fraction(-22, 9)]
+    x0, unit = Fraction(5 * 3**4, 7), Fraction(5, 7)
+    built = count_fraction_constructions(monkeypatch)
+    for p, x in cases:
+        place = Place.finite(p)
+        padic_val(x, p)
+        square_class(x, p)
+        is_local_square(x, place)
+        is_local_square(x, Place.real())
+        if x.denominator % p:
+            frac_mod(x, p**4)
+        for y in others:
+            hilbert_symbol(x, y, place)
+            hilbert_symbol(y, x, Place.real())
+        if padic_val(x, p) == 0 or x.denominator == 1:  # x itself, or an int
+            unit_part(x, p)
+    assert built == []
+    assert unit_part(x0, 3) == unit
+    assert built == [(5, 7)]
 
 
 # ----- is_local_square -------------------------------------------------------
@@ -1126,6 +1211,30 @@ def test_factorize_roundtrip():
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+
+def test_factorize_matches_trial_division(monkeypatch):
+    # the gcd against the trial primes' product finds the same factors as
+    # dividing by every trial prime, with the trial primes first and in
+    # increasing order; cofactors beyond the trial bound go on to rho
+    rho_inputs = []
+    rho = arith._brent_rho
+
+    def record(n, budget):
+        rho_inputs.append(n)
+        return rho(n, budget)
+
+    monkeypatch.setattr(arith, "_brent_rho", record)
+    cases = [0, 1, -1, -360, 2**40, 9973**3, -(9973**3), 10007, -2 * 10007**2,
+             3**5 * 9973 * 10007, 9967 * 9973, 2**3 * 10007 * 10009,
+             (10**6 + 3) * (10**6 + 33), -(10**6 + 3) * 7**3]
+    for n in cases:
+        factors, unresolved = factorize(n)
+        assert unresolved == []
+        assert factors == trial_division_factorize(n), n
+        trial = [q for q in factors if q < 10_000]
+        assert list(factors)[:len(trial)] == sorted(trial), n
+    assert 10007 * 10009 in rho_inputs and (10**6 + 3) * (10**6 + 33) in rho_inputs
 
 
 def test_square_residues():

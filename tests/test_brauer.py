@@ -12,15 +12,24 @@ from hassecert.brauer import (
     obstruction_certificate,
     sample_invariant,
 )
-from hassecert.family import Theta, admissible_model, build_curve, build_surface, fiber_coeffs
+from hassecert.family import (
+    DP4Surface,
+    Theta,
+    admissible_model,
+    build_curve,
+    build_surface,
+    fiber_coeffs,
+)
 from hassecert.local import (
     ResidueContext,
     SamplerBudgetExceeded,
     SurfacePoint,
     certify_all_local,
+    critical_places,
     sample_surface_points,
 )
 from hassecert.params import sieve_params
+from oracles import count_fraction_constructions, slot_fractions
 
 
 PARAMS = sieve_params(1, 0, bound=10**7, count=1)[0]
@@ -88,8 +97,6 @@ def test_representation_independence_on_samples():
     # at every finite critical place of the grid, every determined slot
     # gives the same Fraction Hilbert symbol, and the integer evaluation
     # agrees with it
-    from hassecert.local import critical_places
-
     places_seen = 0
     for theta in _grid_thetas():
         th = Theta.parse(theta)
@@ -111,11 +118,64 @@ def test_representation_independence_on_samples():
     assert places_seen >= 16 * 6
 
 
+def _real_oracle(surface, u, v):
+    """The old real-place evaluation: the Fraction Hilbert symbols
+    (a, num/den)_real over the defined slot fractions."""
+    reps = slot_fractions(surface, u, v)
+    return reps, {hilbert_symbol(surface.a, r, Place.real()) for r in reps if r is not None}
+
+
 def test_real_evaluation_uses_exact_slots():
-    pts = sample_surface_points(SURFACE_0, Place.real(), 5, seed=2)
-    for pt in pts:
-        val = evaluate_invariant_at_point(SURFACE_0, pt, Place.real())
-        assert val == ZERO
+    # at the real sampler's points of every default-grid fiber, the value
+    # read off signs is the one the slot fractions' Hilbert symbols give
+    real, checked = Place.real(), 0
+    for theta in _grid_thetas():
+        surface = build_surface(fiber_coeffs(PARAMS, Theta.parse(theta)))
+        for pt in sample_surface_points(surface, real, 5, seed=2):
+            _, symbols = _real_oracle(surface, pt.coords[3], pt.coords[4])
+            assert symbols == {1}, theta  # a > 0 on every fiber
+            assert evaluate_invariant_at_point(surface, pt, real) == ZERO
+            checked += 1
+    assert checked == 16 * 5
+
+
+def test_real_evaluation_with_negative_a():
+    # a = -1: every slot at the real point x = y = 1, z = sqrt 2,
+    # (u, v) = (1, 2) is negative, so the value is 1/2; at (2, -1), off the
+    # surface, the slots' signs disagree and the error lists the slot
+    # fractions as the Fraction evaluation did
+    surface = DP4Surface(a=Fraction(-1), b=Fraction(1), A=Fraction(1), B=Fraction(-1),
+                         C=Fraction(1), genus=1)
+    real = Place.real()
+    on = SurfacePoint(place=real, coords=(None, Fraction(1), None, Fraction(1), Fraction(2)))
+    reps, symbols = _real_oracle(surface, Fraction(1), Fraction(2))
+    assert None not in reps and symbols == {-1}
+    assert evaluate_invariant_at_point(surface, on, real) == HALF
+    off = SurfacePoint(place=real, coords=(None, Fraction(1), None, Fraction(2), Fraction(-1)))
+    reps, symbols = _real_oracle(surface, Fraction(2), Fraction(-1))
+    assert symbols == {1, -1}
+    message = f"representations disagree at real: {reps} -> {symbols}"
+    assert message == ("representations disagree at real: [Fraction(-3, 1), Fraction(1, 1), "
+                       "Fraction(3, 2), Fraction(-1, 2)] -> {1, -1}")
+    with pytest.raises(ArithmeticError) as err:
+        evaluate_invariant_at_point(surface, off, real)
+    assert str(err.value) == message
+
+
+def test_finite_sampling_builds_no_fraction(monkeypatch):
+    # once a place's ResidueContext is built, drawing and evaluating its
+    # sampled points is integer arithmetic only (g = 1, theta = 1/2)
+    co = fiber_coeffs(PARAMS, Theta.of(1, 2))
+    surface = build_surface(co)
+    cases = []
+    for p in critical_places(build_curve(co)).primes():
+        model = admissible_model(surface, p)
+        cases.append((model, Place.finite(p), ResidueContext.of(model, p)))
+    built = count_fraction_constructions(monkeypatch)
+    for model, place, ctx in cases:
+        value, consistent, count = sample_invariant(model, place, 10, ctx=ctx)
+        assert consistent and count == 10
+    assert len(cases) >= 6 and built == []
 
 
 def test_precision_error_on_degenerate_point():
@@ -134,8 +194,6 @@ def test_sampled_fallback_marked_non_rigorous():
     # synthetic coefficients outside the family: a non-square mod 5,
     # B - A divisible by 5, and C divisible by 5 defeat every branch, so
     # the place is refused; no value is read off samples
-    from hassecert.family import DP4Surface
-
     surf = DP4Surface(a=Fraction(3), b=Fraction(1), A=Fraction(1),
                       B=Fraction(51), C=Fraction(5), genus=1,
                       coeffs=CO_0)

@@ -399,6 +399,32 @@ def test_power_lemma_doubles_its_precision(monkeypatch):
     wit = cert.witness
     assert (wit.kind, wit.chart, wit.val, wit.mu) == ("root", "st", 26, 10)
     assert wit.verify(cert.model)
+    # the recorded margin data is checked too
+    assert not replace(wit, val=0, mu=99).verify(cert.model)
+    assert not replace(wit, mu=wit.mu + 1).verify(cert.model)
+
+
+def test_sqrt_witness_val_is_checked():
+    # a sqrt witness whose recorded v_p(H(t_center)) is wrong fails
+    # re-verification, though sigma still squares to H(t_center)
+    res = certify_all_local(CURVE_0)
+    certs = [c for pl, c in res.certificates.items()
+             if not pl.is_real and c.witness.kind == "sqrt"]
+    assert certs
+    for cert in certs:
+        wit = cert.witness
+        assert wit.verify(cert.model)
+        assert not replace(wit, val=wit.val + 5).verify(cert.model)
+
+
+def test_every_grid_witness_verifies():
+    # val and mu recorded by the certifier match the recomputed ones at
+    # every place of the default grid
+    for theta in default_theta_grid():
+        res = certify_all_local(build_curve(fiber_coeffs(PARAMS, theta)))
+        assert res.failures == [], theta
+        for cert in res.certificates.values():
+            assert cert.witness.verify(cert.model), (theta, cert.place)
 
 
 def test_certify_all_local_rejects_bad_mode():
