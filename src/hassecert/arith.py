@@ -169,6 +169,8 @@ def unit_part(x, p):
     """x / p^v_p(x) (x nonzero): x itself when v_p(x) = 0, else an int when
     the quotient is one and a Fraction otherwise."""
     v, n, d = _split(x, p)
+    if n == 0:
+        raise ValueError("unit_part expects x != 0")
     return x if v == 0 else n if d == 1 else Fraction(n, d)
 
 
@@ -216,6 +218,8 @@ def square_class(x, p):
     """(v_p(x), unit part of x mod p, mod 8 at p = 2) for a nonzero rational
     x: the data that fixes the class of x in Q_p* / Q_p*^2."""
     v, n, d = _split(x, p)
+    if n == 0:
+        raise ValueError("square_class expects x != 0")
     m = 8 if p == 2 else p
     return v, n * pow(d, -1, m) % m
 

@@ -32,16 +32,16 @@ class PrecisionError(ArithmeticError):
     """Every slot representation is indeterminate at the point's precision."""
 
 
-def evaluate_invariant_at_point(surface_model, point, place, ctx=None):
+def evaluate_invariant_at_point(surface_model, point, place, ctx):
     """Invariant in {0, 1/2} of the class at one local point.
 
     Picks every representation whose square class is determined at the
     point's precision, asserts they agree, and converts the Hilbert symbol
-    (a, slot)_v: +1 -> 0, -1 -> 1/2.  At the real place each symbol is read
-    off the signs of a and of the slot's numerator and denominator.  At a
-    finite place ctx is the model's ResidueContext at the point's
-    precision (built here when not given): the slots are read off its
-    residues and each symbol off a's character in it.
+    (a, slot)_v: +1 -> 0, -1 -> 1/2.  At the real place (ctx None) each
+    symbol is read off the signs of a and of the slot's numerator and
+    denominator.  At a finite place ctx is the model's ResidueContext, of
+    the point's precision: the slots are read off its residues and each
+    symbol off a's character in it.
     """
     u, v = point.coords[3], point.coords[4]
     if place.is_real:
@@ -51,9 +51,7 @@ def evaluate_invariant_at_point(surface_model, point, place, ctx=None):
         symbols = {-1 if a_neg and (num < 0) != (den < 0) else 1
                    for den in dens for num in nums if num != 0 and den != 0}
     else:
-        if ctx is None:
-            ctx = ResidueContext.of(surface_model, place.p, point.prec)
-        elif ctx.prec != point.prec:
+        if ctx.prec != point.prec:
             raise ValueError(f"point of precision {point.prec} evaluated in a residue "
                              f"context of precision {ctx.prec}")
         reps = ctx.slot_residues(int(u), int(v))
@@ -72,23 +70,17 @@ def evaluate_invariant_at_point(surface_model, point, place, ctx=None):
     return ZERO if symbols.pop() == 1 else HALF
 
 
-def sample_invariant(surface_model, place, n, seed=0, extra_points=(), ctx=None):
-    """Invariant at n local points: the caller's (delta images), then
-    direct samples up to n.  At a finite place every point is drawn and
-    evaluated in one ResidueContext: ctx, or one built here.
-
-    Returns (value, consistent, count).  A sampler shortfall or an
-    indeterminate point raises; no point is dropped.
+def sample_invariant(surface_model, place, delta, n, ctx):
+    """The invariant's values at n local points: delta, the delta image
+    of the curve's witness, then n - 1 direct samples, every point drawn
+    and evaluated in ctx (the model's ResidueContext; None at the real
+    place).  A sampler shortfall or an indeterminate point raises; no
+    point is dropped.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    if ctx is None and not place.is_real:
-        ctx = ResidueContext.of(surface_model, place.p)
-    pts = list(extra_points)
-    if len(pts) < n:
-        pts += sample_surface_points(surface_model, place, n - len(pts), seed=seed, ctx=ctx)
-    values = [evaluate_invariant_at_point(surface_model, pt, place, ctx) for pt in pts]
-    return values[0], len(set(values)) == 1, len(values)
+    pts = [delta] + sample_surface_points(surface_model, place, n - 1, ctx)
+    return [evaluate_invariant_at_point(surface_model, pt, place, ctx) for pt in pts]
 
 
 @dataclass
@@ -125,7 +117,7 @@ def _trace(trace, text, ok):
     return bool(ok)
 
 
-def certify_invariant(surface, place, model=None):
+def certify_invariant(model, place):
     """Walk the per-place decision tree and certify the invariant value.
 
     Branches (hypotheses re-verified numerically, never assumed):
@@ -138,17 +130,15 @@ def certify_invariant(surface, place, model=None):
     A fiber over verified parameters always lands in a branch.  Where no
     branch applies the entry is a refusal: method "refused", value None,
     the failed hypotheses in the trace and the reason in warning.  No value
-    read off sampled points ever enters the table.  At a finite place model
-    is the surface's admissible_model at p, built here when not given.
+    read off sampled points ever enters the table.  model is the surface
+    at the real place and its admissible_model at p at a finite place.
     """
     trace = []
     if place.is_real:
-        if _trace(trace, "a > 0, so a is a real square", surface.a > 0):
+        if _trace(trace, "a > 0, so a is a real square", model.a > 0):
             return InvariantCertificate(place, ZERO, "prop-square", trace)
         return _refused(place, trace, "negative a at the real place")
     p = place.p
-    if model is None:
-        model = admissible_model(surface, p)
     model.change.assert_square_factor()
     a = model.a
     if padic_val(a, p) == 0 and is_local_square(a, place):
@@ -228,15 +218,16 @@ class ObstructionCertificate:
         }
 
 
-def obstruction_certificate(curve, surface, local_result, samples=10):
+def obstruction_certificate(surface, local_result, samples=10):
     """The per-place invariant table, its sum, and the final conclusion.
 
     Requires everywhere-local solvability (otherwise the adelic pairing is
-    vacuous).  Every certified value is additionally confirmed on sampled
-    local points (delta images of the curve witnesses plus direct samples);
-    any disagreement, refusal or unexpected table is a hard failure, and a
-    failed delta image, sampler shortfall or indeterminate point raises.
-    A refused place adds nothing to the sum.
+    vacuous), so every critical place carries a curve witness.  Every
+    certified value is additionally confirmed on sampled local points (the
+    delta image of the witness plus direct samples); any disagreement,
+    refusal or unexpected table is a hard failure, and a failed delta
+    image, sampler shortfall or indeterminate point raises.  A refused
+    place adds nothing to the sum.
     """
     if not local_result.solvable_everywhere:
         raise ValueError("obstruction table needs everywhere-local solvability first")
@@ -245,31 +236,24 @@ def obstruction_certificate(curve, surface, local_result, samples=10):
     table = {}
     errors = []
     for place in local_result.critical.places:
-        # one model and one residue context per place, for the branch and
-        # for every point of the sampling confirmation
-        model, ctx = surface, None
-        if not place.is_real:
-            model = admissible_model(surface, place.p)
-        cert = certify_invariant(surface, place, model=model)
+        # each place's model and residue context are built here alone, once,
+        # for the branch and for every point of the sampling confirmation
+        model = surface if place.is_real else admissible_model(surface, place.p)
+        cert = certify_invariant(model, place)
         table[place] = cert
         if not cert.rigorous:
             errors.append(f"invariant at {place} {cert.warning}")
             continue
-        if not place.is_real:
-            ctx = ResidueContext.of(model, place.p)
-        extra = []
-        curve_cert = local_result.certificates.get(place)
-        if curve_cert is not None and curve_cert.witness is not None:
-            extra = [delta_surface_point(model, curve, place, curve_cert, ctx)]
-        sval, consistent, count = sample_invariant(model, place, samples,
-                                                   extra_points=extra, ctx=ctx)
-        cert.sample_count = count
-        cert.samples_consistent = consistent
-        if not consistent:
+        ctx = None if place.is_real else ResidueContext.of(model, place.p)
+        delta = delta_surface_point(model, place, local_result.certificates[place], ctx)
+        values = sample_invariant(model, place, delta, samples, ctx)
+        cert.sample_count = len(values)
+        cert.samples_consistent = len(set(values)) == 1
+        if not cert.samples_consistent:
             errors.append(f"samples disagree among themselves at {place}")
-        if sval != cert.value:
+        if values[0] != cert.value:
             errors.append(
-                f"sampled value {sval} contradicts certified {cert.value} at {place}"
+                f"sampled value {values[0]} contradicts certified {cert.value} at {place}"
             )
     expected_half = {Place.finite(params.a)}
     support = {pl for pl, cert in table.items() if cert.value == HALF}

@@ -219,7 +219,7 @@ def certify_fiber(params, theta, height_bound=1000, sample_count=10,
                 raise ArithmeticError(f"local certification failed: {local.failures}")
         if "brauer" in stages:
             stage = "brauer-obstruction"
-            obs = obstruction_certificate(curve, surface, local, samples=sample_count)
+            obs = obstruction_certificate(surface, local, samples=sample_count)
             out["obstruction"] = obs.to_json()
             if not obs.conclusion:
                 raise ArithmeticError(f"obstruction certificate incomplete: {obs.notes}")

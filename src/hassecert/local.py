@@ -634,8 +634,8 @@ class ResidueContext:
     read by the delta image's quadric check, the sampler and the invariant
     evaluation at every point.
 
-    prec is the working precision (_working_precision unless a point of
-    another precision is evaluated), pk = p^prec, pk1 = p^(prec-1);
+    prec is the working precision (_working_precision), pk = p^prec,
+    pk1 = p^(prec-1);
     coeffs are a, b, A, B, C mod m = p^(prec+2); a_val = v_p(a), a_char
     the character of a's unit part (arith.unit_character), and a_inv the
     inverse of a / p^max(0, a_val) mod m.
@@ -652,9 +652,8 @@ class ResidueContext:
     a_inv: int
 
     @classmethod
-    def of(cls, surface_model, p, prec=None):
-        if prec is None:
-            prec = _working_precision(surface_model, p)
+    def of(cls, surface_model, p):
+        prec = _working_precision(surface_model, p)
         m = p ** (prec + 2)
         a = surface_model.a
         a_val, a_unit = square_class(a, p)
@@ -699,25 +698,23 @@ class ResidueContext:
         return out
 
 
-def delta_surface_point(surface_model, curve, place, cert, ctx=None):
+def delta_surface_point(surface_model, place, cert, ctx):
     """Image of the curve certificate's witness on the given surface model:
-    residues mod p^prec at finite places (prec the working precision of
-    sample_surface_points), exact data at the real place.  Raises when the
-    image fails the model's quadrics.  cert is certify_local_curve's
-    certificate for the curve at the place; the p-integral model it carries
-    (with its cleared chart triple) is reused.  ctx is the model's
-    ResidueContext at p; it is built here when not given."""
+    residues mod p^prec at finite places, exact data at the real place.
+    Raises when the image fails the model's quadrics.  cert is
+    certify_local_curve's certificate for the fiber's curve at the place;
+    the p-integral model it carries (with its cleared chart triple) is
+    reused.  The map reads the fiber's C and the genus off the surface
+    model.  ctx is the model's ResidueContext at p (None at the real
+    place), and prec its working precision."""
     wit = cert.witness
     if wit is None:
         raise ValueError("certificate carries no witness")
-    co = curve.coeffs
-    g = curve.genus
+    C, g = surface_model.coeffs.C, surface_model.genus
     if place.is_real:
         t = wit.t_real if wit.kind == "real" else Fraction(wit.t_center)
-        return SurfacePoint(place=place, coords=delta_coords(wit.chart, None, t, co.C, g))
+        return SurfacePoint(place=place, coords=delta_coords(wit.chart, None, t, C, g))
     p = place.p
-    if ctx is None:
-        ctx = ResidueContext.of(surface_model, p)
     prec = ctx.prec
     curve_m = cert.model
     curve_change = curve_m.change
@@ -733,14 +730,14 @@ def delta_surface_point(surface_model, curve, place, cert, ctx=None):
         # T = 1/t scales by 1/t_mult; S = s/t^(g+1) is unchanged, since
         # s_mult = t_mult^(g+1)
         t, s = t_m / curve_change.t_mult, s_m
-    coords = delta_coords(wit.chart, s, t, co.C, g)
+    coords = delta_coords(wit.chart, s, t, C, g)
     model_coords = [c / m for c, m in zip(coords, mults)]
     m0 = min(padic_val(c, p) for c in model_coords if c != 0)
     q, pk, residues = p ** abs(m0), ctx.pk, []
-    for c in model_coords:  # c p^(-m0) = n/d, p-integral once g is cancelled
+    for c in model_coords:  # c p^(-m0) = n/d, p-integral once their gcd is cancelled
         n, d = (c.numerator * q, c.denominator) if m0 < 0 else (c.numerator, c.denominator * q)
-        g = math.gcd(n, d)
-        residues.append(n // g * pow(d // g, -1, pk) % pk)
+        e = math.gcd(n, d)
+        residues.append(n // e * pow(d // e, -1, pk) % pk)
     if ctx.quadrics(residues) != (0, 0):
         raise ArithmeticError(
             f"delta image failed to verify against the surface equations at {place}"
@@ -772,7 +769,7 @@ def _working_precision(surface_model, p):
                + padic_val(surface_model.B - surface_model.A, p) + m + 2)
 
 
-def sample_surface_points(surface_model, place, n, seed=0, ctx=None):
+def sample_surface_points(surface_model, place, n, ctx, seed=0):
     """n independent local points of the surface model at the place.
 
     Finite places: random residue points whose squares are formed as
@@ -794,7 +791,7 @@ def sample_surface_points(surface_model, place, n, seed=0, ctx=None):
     are random.Random(seed)'s randrange integers, made by _randbelow.
     Real place: (u, v, y) rational with y large enough that both quadrics
     are solvable in x and z over R.  ctx is the model's ResidueContext at
-    p as ResidueContext.of builds it; it is built here when not given.
+    p (None at the real place).
 
     Residues are taken mod p^prec, prec = _working_precision(model, p),
     which determines the square class of b phi / v or of -psi / v (phi =
@@ -828,8 +825,6 @@ def sample_surface_points(surface_model, place, n, seed=0, ctx=None):
             out.append(SurfacePoint(place=place, coords=(None, y, None, u, v)))
         return out
     p = place.p
-    if ctx is None:
-        ctx = ResidueContext.of(surface_model, p)
     va = max(0, ctx.a_val)
     prec, pk, pk1, m, inv = ctx.prec, ctx.pk, ctx.pk1, ctx.m, ctx.a_inv
     rooter = ResidueRooter(p, prec)

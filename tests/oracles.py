@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from hassecert.arith import is_prime, legendre, sqrt_mod, square_residues
 from hassecert.family import CurveChange, DP4Surface, HyperellipticCurve, SurfaceChange
-from hassecert.local import SCAN_CAP, ResidueContext, Witness, _witness_from_center, slot_terms
+from hassecert.local import SCAN_CAP, Witness, _witness_from_center, slot_terms
 
 
 # --------------------------------------------------------------------------
@@ -532,8 +532,14 @@ def exact_padic_sqrt(x, p, prec):
 
 
 def residue_quadrics(surface_model, pt, p, prec):
-    """The two quadrics of surface_model at the residue point pt, mod p^prec."""
-    return ResidueContext.of(surface_model, p, prec).quadrics(pt.coords)
+    """The two quadrics of surface_model at the residue point pt, mod
+    p^prec: each quadric evaluated exactly on the model's rational
+    coefficients, then reduced by frac_mod (the model is p-integral)."""
+    m = surface_model
+    x, y, z, u, v = pt.coords
+    q1 = x * x - m.a * z * z + m.b * (u - m.A * v) * (u - m.B * v)
+    q2 = x * x - m.a * y * y + m.a * m.C * m.C * u * v
+    return frac_mod(q1, p**prec), frac_mod(q2, p**prec)
 
 
 def slot_fractions(surface_model, u, v):

@@ -228,7 +228,7 @@ def test_ac4_generic_decider_matches_exhaustive_oracle():
 def _check_brauer_criterion(g, h):
     ps, rows = grid_certifications(g, h)
     for theta, co, curve, surface, local in rows:
-        obs = obstruction_certificate(curve, surface, local, samples=10)
+        obs = obstruction_certificate(surface, local, samples=10)
         assert obs.conclusion, (str(theta), obs.notes)
         assert obs.total == HALF
         for place, cert in obs.table.items():
@@ -342,7 +342,7 @@ def _certify_theta_zero(g, bound):
     curve, surface = build_curve(co), build_surface(co)
     local = certify_all_local(curve)
     assert local.solvable_everywhere, local.failures
-    obs = obstruction_certificate(curve, surface, local, samples=10)
+    obs = obstruction_certificate(surface, local, samples=10)
     assert obs.conclusion and obs.total == HALF
     return ps
 

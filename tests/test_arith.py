@@ -435,6 +435,18 @@ def test_primitives_refuse_non_primes_as_their_oracles_do(p):
             assert new == _outcome(getattr(oracles, name), x, p)
 
 
+@pytest.mark.parametrize("p", [2, 3, 1753, BIG_PRIME])
+def test_square_class_and_unit_part_refuse_zero(p):
+    # both are defined only for x != 0, and refuse zero as is_local_square
+    # does; a non-prime p is still refused first
+    for x in (0, Fraction(0)):
+        assert _outcome(square_class, x, p) == ("ValueError", "square_class expects x != 0")
+        assert _outcome(unit_part, x, p) == ("ValueError", "unit_part expects x != 0")
+        assert _outcome(is_local_square, x, Place.finite(p))[0] == "ValueError"
+    assert _outcome(square_class, 0, 9) == _outcome(unit_part, 0, 9) == \
+        ("ValueError", "9 is not prime")
+
+
 def test_primitives_build_no_fraction(monkeypatch):
     # the kernel reads numerator and denominator as ints: no Fraction is
     # built for any int or Fraction argument, except the one unit_part must

@@ -25,7 +25,9 @@ from hassecert.local import (
     SamplerBudgetExceeded,
     SurfacePoint,
     certify_all_local,
+    certify_local_curve,
     critical_places,
+    delta_surface_point,
     sample_surface_points,
 )
 from hassecert.params import sieve_params
@@ -71,20 +73,26 @@ def test_invariant_at_c_via_prop_c():
 def test_invariant_at_infinity_fiber():
     co = fiber_coeffs(PARAMS, Theta.infinity())
     surface = build_surface(co)
-    cert = certify_invariant(surface, Place.finite(PARAMS.a))
+    cert = certify_invariant(admissible_model(surface, PARAMS.a), Place.finite(PARAMS.a))
     assert cert.value == HALF and cert.method == "prop-a"
-    cert_c = certify_invariant(surface, Place.finite(PARAMS.c))
+    cert_c = certify_invariant(admissible_model(surface, PARAMS.c), Place.finite(PARAMS.c))
     assert cert_c.value == ZERO and cert_c.method == "prop-c"
+
+
+def _delta_and_ctx(curve, model, place):
+    """The delta image of the curve's witness at a finite place, and the
+    model's ResidueContext it lies in."""
+    ctx = ResidueContext.of(model, place.p)
+    return delta_surface_point(model, place, certify_local_curve(curve, place), ctx), ctx
 
 
 def test_sampled_values_agree_with_certified():
     for p in (PARAMS.a, PARAMS.c, 11):
         place = Place.finite(p)
         model = admissible_model(SURFACE_0, p)
-        cert = certify_invariant(SURFACE_0, place)
-        value, consistent, count = sample_invariant(model, place, 10, seed=3)
-        assert consistent and count >= 10
-        assert value == cert.value, p
+        cert = certify_invariant(model, place)
+        delta, ctx = _delta_and_ctx(CURVE_0, model, place)
+        assert sample_invariant(model, place, delta, 10, ctx) == [cert.value] * 10, p
 
 
 def _grid_thetas():
@@ -106,13 +114,13 @@ def test_representation_independence_on_samples():
             place = Place.finite(p)
             model = admissible_model(surface, p)
             ctx = ResidueContext.of(model, p)
-            for pt in sample_surface_points(model, place, 8, seed=5):
+            for pt in sample_surface_points(model, place, 8, ctx, seed=5):
                 reps = ctx.slot_residues(int(pt.coords[3]), int(pt.coords[4]))
                 defined = [Fraction(p) ** w * r for w, r in (x for x in reps if x is not None)]
                 assert len(defined) >= 2 or p != PARAMS.a
                 symbols = {hilbert_symbol(model.a, r, place) for r in defined}
                 assert len(symbols) == 1, (theta, p)
-                value = evaluate_invariant_at_point(model, pt, place)
+                value = evaluate_invariant_at_point(model, pt, place, ctx)
                 assert value == (ZERO if symbols.pop() == 1 else HALF), (theta, p)
             places_seen += 1
     assert places_seen >= 16 * 6
@@ -131,10 +139,10 @@ def test_real_evaluation_uses_exact_slots():
     real, checked = Place.real(), 0
     for theta in _grid_thetas():
         surface = build_surface(fiber_coeffs(PARAMS, Theta.parse(theta)))
-        for pt in sample_surface_points(surface, real, 5, seed=2):
+        for pt in sample_surface_points(surface, real, 5, None, seed=2):
             _, symbols = _real_oracle(surface, pt.coords[3], pt.coords[4])
             assert symbols == {1}, theta  # a > 0 on every fiber
-            assert evaluate_invariant_at_point(surface, pt, real) == ZERO
+            assert evaluate_invariant_at_point(surface, pt, real, None) == ZERO
             checked += 1
     assert checked == 16 * 5
 
@@ -150,7 +158,7 @@ def test_real_evaluation_with_negative_a():
     on = SurfacePoint(place=real, coords=(None, Fraction(1), None, Fraction(1), Fraction(2)))
     reps, symbols = _real_oracle(surface, Fraction(1), Fraction(2))
     assert None not in reps and symbols == {-1}
-    assert evaluate_invariant_at_point(surface, on, real) == HALF
+    assert evaluate_invariant_at_point(surface, on, real, None) == HALF
     off = SurfacePoint(place=real, coords=(None, Fraction(1), None, Fraction(2), Fraction(-1)))
     reps, symbols = _real_oracle(surface, Fraction(2), Fraction(-1))
     assert symbols == {1, -1}
@@ -158,7 +166,7 @@ def test_real_evaluation_with_negative_a():
     assert message == ("representations disagree at real: [Fraction(-3, 1), Fraction(1, 1), "
                        "Fraction(3, 2), Fraction(-1, 2)] -> {1, -1}")
     with pytest.raises(ArithmeticError) as err:
-        evaluate_invariant_at_point(surface, off, real)
+        evaluate_invariant_at_point(surface, off, real, None)
     assert str(err.value) == message
 
 
@@ -166,28 +174,31 @@ def test_finite_sampling_builds_no_fraction(monkeypatch):
     # once a place's ResidueContext is built, drawing and evaluating its
     # sampled points is integer arithmetic only (g = 1, theta = 1/2)
     co = fiber_coeffs(PARAMS, Theta.of(1, 2))
-    surface = build_surface(co)
+    curve, surface = build_curve(co), build_surface(co)
     cases = []
-    for p in critical_places(build_curve(co)).primes():
-        model = admissible_model(surface, p)
-        cases.append((model, Place.finite(p), ResidueContext.of(model, p)))
+    for p in critical_places(curve).primes():
+        model, place = admissible_model(surface, p), Place.finite(p)
+        cases.append((model, place, *_delta_and_ctx(curve, model, place)))
     built = count_fraction_constructions(monkeypatch)
-    for model, place, ctx in cases:
-        value, consistent, count = sample_invariant(model, place, 10, ctx=ctx)
-        assert consistent and count == 10
+    for model, place, delta, ctx in cases:
+        values = sample_invariant(model, place, delta, 10, ctx)
+        assert len(values) == 10 and len(set(values)) == 1
     assert len(cases) >= 6 and built == []
 
 
 def test_precision_error_on_degenerate_point():
     place = Place.finite(PARAMS.c)
-    pt = SurfacePoint(place=place, coords=(0, 0, 0, 0, 0), prec=6)
+    ctx = ResidueContext.of(SURFACE_0, PARAMS.c)
+    pt = SurfacePoint(place=place, coords=(0, 0, 0, 0, 0), prec=ctx.prec)
     with pytest.raises(PrecisionError):
-        evaluate_invariant_at_point(SURFACE_0, pt, place)
+        evaluate_invariant_at_point(SURFACE_0, pt, place, ctx)
 
 
 def test_sample_invariant_rejects_zero_count():
-    with pytest.raises(ValueError):
-        sample_invariant(SURFACE_0, Place.real(), 0)
+    real = Place.real()
+    delta = delta_surface_point(SURFACE_0, real, certify_local_curve(CURVE_0, real), None)
+    with pytest.raises(ValueError, match="sample count must be >= 1"):
+        sample_invariant(SURFACE_0, real, delta, 0, None)
 
 
 def test_sampled_fallback_marked_non_rigorous():
@@ -207,6 +218,62 @@ def test_sampled_fallback_marked_non_rigorous():
     assert cert.to_json()["value"] is None
 
 
+def test_each_place_builds_its_model_and_context_once(monkeypatch):
+    # obstruction_certificate is the only builder of the local models and
+    # residue contexts: one of each per finite critical place, passed to
+    # the branch, the delta image, the sampler and every evaluation
+    from hassecert import brauer, family, local
+
+    co = fiber_coeffs(PARAMS, Theta.of(1, 2))
+    curve, surface = build_curve(co), build_surface(co)
+    res = certify_all_local(curve)
+    model_of, ctx_of = family.admissible_model, local.ResidueContext.of.__func__
+    built = {"model": [], "ctx": []}
+
+    def counting_model(surface, p):
+        built["model"].append(p)
+        return model_of(surface, p)
+
+    def counting_ctx(cls, model, p):
+        built["ctx"].append(p)
+        return ctx_of(cls, model, p)
+
+    for module in (family, brauer):
+        monkeypatch.setattr(module, "admissible_model", counting_model)
+    monkeypatch.setattr(local.ResidueContext, "of", classmethod(counting_ctx))
+    assert obstruction_certificate(surface, res).conclusion
+    primes = res.critical.primes()
+    assert len(primes) >= 6
+    assert sorted(built["model"]) == sorted(built["ctx"]) == sorted(primes)
+
+
+def test_one_sample_is_the_delta_image_alone(monkeypatch, tmp_path):
+    # --samples 1 confirms each value at the delta image of the curve's
+    # witness alone: the sampler is asked for no point, and every table
+    # entry counts one sample
+    import json
+
+    from hassecert import brauer, cli
+
+    sample = brauer.sample_surface_points
+    asked = []
+
+    def recording(model, place, n, ctx, seed=0):
+        asked.append(n)
+        return sample(model, place, n, ctx, seed)
+
+    monkeypatch.setattr(brauer, "sample_surface_points", recording)
+    report = tmp_path / "report.json"
+    code = cli.main(["certify-all", "--g", "1", "--h", "0", "--theta=0,1/2,inf",
+                     "--height", "20", "--samples", "1", "--out", str(report)])
+    assert code == 0
+    fibers = json.loads(report.read_text())["fibers"]
+    entries = [e for fiber in fibers for e in fiber["obstruction"]["table"]]
+    assert len(fibers) == 3 and len(entries) >= 3 * 7
+    assert all(e["sample_count"] == 1 and e["samples_consistent"] for e in entries)
+    assert asked and set(asked) == {0}
+
+
 def test_refused_place_fails_the_fiber(monkeypatch, tmp_path):
     # one refused place: no conclusion, an incomplete certificate whose
     # notes name the place, and the fiber stops at brauer-obstruction
@@ -217,14 +284,14 @@ def test_refused_place_fails_the_fiber(monkeypatch, tmp_path):
     refused = Place.finite(PARAMS.c)
     certify = brauer.certify_invariant
 
-    def refuse_at_c(surface, place, **kwargs):
+    def refuse_at_c(model, place):
         if place == refused:
             return brauer._refused(place, [], "test refusal")
-        return certify(surface, place, **kwargs)
+        return certify(model, place)
 
     monkeypatch.setattr(brauer, "certify_invariant", refuse_at_c)
     res = certify_all_local(CURVE_0)
-    obs = obstruction_certificate(CURVE_0, SURFACE_0, res, samples=2)
+    obs = obstruction_certificate(SURFACE_0, res, samples=2)
     assert obs.conclusion is False and obs.complete is False
     assert f"invariant at {refused} refused: test refusal" in obs.notes
     assert obs.total == HALF  # the refused place adds nothing
@@ -272,7 +339,7 @@ def _flip_samples_at(monkeypatch, place, which):
     evaluate = brauer.evaluate_invariant_at_point
     seen = []
 
-    def flip(model, point, pl, ctx=None):
+    def flip(model, point, pl, ctx):
         value = evaluate(model, point, pl, ctx)
         if pl != place:
             return value
@@ -297,7 +364,7 @@ def test_disagreeing_samples_fail_the_fiber(monkeypatch):
     # the second point at c reads 1/2 beside the delta image's 0
     place = Place.finite(PARAMS.c)
     _flip_samples_at(monkeypatch, place, {1})
-    obs = obstruction_certificate(CURVE_0, SURFACE_0, certify_all_local(CURVE_0), samples=2)
+    obs = obstruction_certificate(SURFACE_0, certify_all_local(CURVE_0), samples=2)
     assert obs.conclusion is False and not obs.table[place].samples_consistent
     assert obs.notes.endswith(f"; samples disagree among themselves at {place}")
     _obstruction_failure(f"samples disagree among themselves at {place}")
@@ -307,7 +374,7 @@ def test_contradicting_samples_fail_the_fiber(monkeypatch):
     # every point at c reads 1/2, consistently, against the certified 0
     place = Place.finite(PARAMS.c)
     _flip_samples_at(monkeypatch, place, {0, 1})
-    obs = obstruction_certificate(CURVE_0, SURFACE_0, certify_all_local(CURVE_0), samples=2)
+    obs = obstruction_certificate(SURFACE_0, certify_all_local(CURVE_0), samples=2)
     assert obs.conclusion is False and obs.table[place].samples_consistent
     assert obs.table[place].value == ZERO and obs.total == HALF
     assert obs.notes.endswith(f"; sampled value 1/2 contradicts certified 0 at {place}")
@@ -323,12 +390,12 @@ def test_support_other_than_a_fails_the_fiber(monkeypatch):
     certify = brauer.certify_invariant
     place = Place.finite(PARAMS.a)
 
-    def zero_at_a(surface, pl, **kwargs):
-        cert = certify(surface, pl, **kwargs)
+    def zero_at_a(model, pl):
+        cert = certify(model, pl)
         return replace(cert, value=ZERO) if pl == place else cert
 
     monkeypatch.setattr(brauer, "certify_invariant", zero_at_a)
-    obs = obstruction_certificate(CURVE_0, SURFACE_0, certify_all_local(CURVE_0), samples=2)
+    obs = obstruction_certificate(SURFACE_0, certify_all_local(CURVE_0), samples=2)
     assert obs.conclusion is False and obs.total == ZERO
     error = f"invariant support [] is not exactly the place of a = {PARAMS.a}"
     assert obs.notes.endswith(f"; {error}")
@@ -337,7 +404,7 @@ def test_support_other_than_a_fails_the_fiber(monkeypatch):
 
 def test_obstruction_certificate_theta_zero():
     res = certify_all_local(CURVE_0)
-    obs = obstruction_certificate(CURVE_0, SURFACE_0, res)
+    obs = obstruction_certificate(SURFACE_0, res)
     assert obs.conclusion and obs.complete
     assert obs.total == HALF
     support = [pl for pl, c in obs.table.items() if c.value == HALF]
@@ -355,7 +422,7 @@ def test_obstruction_requires_local_solvability():
     res = certify_all_local(CURVE_0)
     res.solvable_everywhere = False
     with pytest.raises(ValueError):
-        obstruction_certificate(CURVE_0, SURFACE_0, res)
+        obstruction_certificate(SURFACE_0, res)
 
 
 def test_sum_invariance_25_random_thetas():
@@ -371,7 +438,7 @@ def test_sum_invariance_25_random_thetas():
         curve, surface = build_curve(co), build_surface(co)
         res = certify_all_local(curve)
         assert res.solvable_everywhere, str(th)
-        obs = obstruction_certificate(curve, surface, res, samples=3)
+        obs = obstruction_certificate(surface, res, samples=3)
         assert obs.total == HALF and obs.conclusion, str(th)
 
 

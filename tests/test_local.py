@@ -18,6 +18,7 @@ from hassecert.family import (
 )
 from hassecert.local import (
     CriticalSet,
+    ResidueContext,
     SamplerBudgetExceeded,
     Witness,
     certify_all_local,
@@ -587,11 +588,11 @@ def test_delta_surface_points_verify():
     for pl in res.critical.places:
         cert = res.certificates[pl]
         if pl.is_real:
-            pt = delta_surface_point(surface, CURVE_0, pl, cert)
+            pt = delta_surface_point(surface, pl, cert, None)
             assert pt.coords[3] is not None
             continue
         model = admissible_model(surface, pl.p)
-        pt = delta_surface_point(model, CURVE_0, pl, cert)
+        pt = delta_surface_point(model, pl, cert, ResidueContext.of(model, pl.p))
         q1, q2 = _residue_quadrics(model, pt, pl.p, pt.prec)
         assert q1 == 0 and q2 == 0
 
@@ -609,10 +610,11 @@ def test_delta_images_at_primes_of_den_theta(theta):
     for p in factorize(th.value.denominator)[0]:
         place = Place.finite(p)
         model = admissible_model(surface, p)
-        pt = delta_surface_point(model, curve, place, certify_local_curve(curve, place))
+        ctx = ResidueContext.of(model, p)
+        pt = delta_surface_point(model, place, certify_local_curve(curve, place), ctx)
         assert _residue_quadrics(model, pt, p, pt.prec) == (0, 0)
-        value = certify_invariant(surface, place).value
-        assert evaluate_invariant_at_point(model, pt, place) == value
+        value = certify_invariant(model, place).value
+        assert evaluate_invariant_at_point(model, pt, place, ctx) == value
 
 
 def test_good_reduction_failures_raise(monkeypatch):
@@ -632,15 +634,17 @@ def test_good_reduction_failures_raise(monkeypatch):
 
 
 def test_sampler_points_satisfy_quadrics():
+    # theta = 0: the fiber is its own admissible model at every p
     surface = build_surface(CO_0)
     for p in (11, PARAMS.c, PARAMS.a):
-        pts = sample_surface_points(surface, Place.finite(p), 5, seed=1)
+        ctx = ResidueContext.of(surface, p)
+        pts = sample_surface_points(surface, Place.finite(p), 5, ctx, seed=1)
         assert len(pts) == 5
         for pt in pts:
             q1, q2 = _residue_quadrics(surface, pt, p, pt.prec)
             assert q1 % p ** (pt.prec - 1) == 0
             assert q2 % p ** (pt.prec - 1) == 0
-    real_pts = sample_surface_points(surface, Place.real(), 3, seed=1)
+    real_pts = sample_surface_points(surface, Place.real(), 3, None, seed=1)
     assert len(real_pts) == 3
 
 
@@ -649,8 +653,9 @@ def test_sampler_budget_error(monkeypatch):
 
     monkeypatch.setattr(local, "SAMPLER_BUDGET", 5)
     surface = build_surface(CO_0)
+    ctx = ResidueContext.of(surface, 11)
     with pytest.raises(SamplerBudgetExceeded):
-        sample_surface_points(surface, Place.finite(11), 10**6)
+        sample_surface_points(surface, Place.finite(11), 10**6, ctx)
 
 
 # ----- the residue context ---------------------------------------------------
@@ -661,12 +666,13 @@ def test_sampler_budget_error(monkeypatch):
 ])
 def test_residue_context_matches_model_and_callers(theta, p):
     # 2, the place of a (v_p(a) = 1), primes of den(theta) and theta = inf:
-    # the context holds the model's own residues, and every caller returns
-    # the same points and values with the context as without it
+    # the context holds the model's own residues, its quadrics are the
+    # oracle's at the delta image and the sampled points, and every point
+    # evaluates to the certified value
     from hassecert.arith import frac_mod, legendre, square_class
     from hassecert.brauer import certify_invariant, evaluate_invariant_at_point
     from hassecert.family import admissible_model
-    from hassecert.local import ResidueContext, _working_precision
+    from hassecert.local import _working_precision
 
     th = Theta.parse(theta)
     co = fiber_coeffs(PARAMS, th)
@@ -685,27 +691,24 @@ def test_residue_context_matches_model_and_callers(theta, p):
     if p == PARAMS.a:
         assert alpha == 1
 
-    pts = sample_surface_points(model, place, 9, seed=0, ctx=ctx)
-    assert pts == sample_surface_points(model, place, 9, seed=0)
-    delta = delta_surface_point(model, curve, place, certify_local_curve(curve, place), ctx)
-    assert delta == delta_surface_point(model, curve, place, certify_local_curve(curve, place))
-    value = certify_invariant(surface, place).value
+    pts = sample_surface_points(model, place, 9, ctx)
+    delta = delta_surface_point(model, place, certify_local_curve(curve, place), ctx)
+    value = certify_invariant(model, place).value
     for pt in [delta] + pts:
         assert ctx.quadrics(pt.coords) == _residue_quadrics(model, pt, p, pt.prec)
         assert evaluate_invariant_at_point(model, pt, place, ctx) == value
-        assert evaluate_invariant_at_point(model, pt, place) == value
 
 
 def test_residue_context_refuses_a_point_of_another_precision():
     from hassecert.brauer import evaluate_invariant_at_point
-    from hassecert.local import ResidueContext
 
     place = Place.finite(PARAMS.c)
     surface = build_surface(CO_0)
-    (pt,) = sample_surface_points(surface, place, 1)
-    ctx = ResidueContext.of(surface, PARAMS.c, pt.prec + 1)
+    ctx = ResidueContext.of(surface, PARAMS.c)
+    (pt,) = sample_surface_points(surface, place, 1, ctx)
+    assert evaluate_invariant_at_point(surface, pt, place, ctx) is not None
     with pytest.raises(ValueError, match="precision"):
-        evaluate_invariant_at_point(surface, pt, place, ctx)
+        evaluate_invariant_at_point(surface, replace(pt, prec=pt.prec + 1), place, ctx)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 73, 1753, 6671001769760072149, 1598673339833924063])

@@ -14,6 +14,7 @@ from hassecert.arith import Place, ResidueRooter, factorize, frac_mod, padic_val
 from hassecert.family import Theta, admissible_model, build_curve, build_surface, fiber_coeffs
 from hassecert.local import (
     SAMPLER_BUDGET,
+    ResidueContext,
     SamplerBudgetExceeded,
     SurfacePoint,
     _exact_padic_sqrt,
@@ -106,6 +107,12 @@ def oracle_sample(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET):
 
 # ----- the sampler draws exactly the oracle's points ------------------------
 
+def _sample(model, place, n, seed=0):
+    """The sampler's n points at a finite place, drawn in the model's
+    ResidueContext."""
+    return sample_surface_points(model, place, n, ResidueContext.of(model, place.p), seed)
+
+
 def _height5_thetas():
     vals = sorted({Fraction(m, n) for n in range(1, 6) for m in range(-5, 6)})
     return [str(v) for v in vals] + ["inf"]
@@ -134,7 +141,7 @@ def test_sampler_matches_exact_oracle(g, theta):
         if p == params.a:
             assert padic_val(model.a, p) == 1
         for seed, n in ((0, 9), (1, 3)):
-            got = sample_surface_points(model, place, n, seed=seed)
+            got = _sample(model, place, n, seed=seed)
             assert got == oracle_sample(model, place, n, seed=seed), (theta, p, seed)
 
 
@@ -148,7 +155,7 @@ def test_sampler_matches_exact_oracle_when_a_over_p_is_not_one(scale):
     model = replace(model, a=model.a * scale)
     assert padic_val(model.a, p) == 1
     place = Place.finite(p)
-    got = sample_surface_points(model, place, 9)
+    got = _sample(model, place, 9)
     assert got == oracle_sample(model, place, 9)
 
 
@@ -163,7 +170,7 @@ def test_a_point_off_the_quadrics_is_a_sampler_bug(monkeypatch):
     for p in critical_places(curve).primes():
         place = Place.finite(p)
         with pytest.raises(ArithmeticError, match=f"misses the quadrics .* at {place}"):
-            sample_surface_points(admissible_model(surface, p), place, 9)
+            _sample(admissible_model(surface, p), place, 9)
 
 
 @pytest.mark.parametrize("n", [2**8, 3**8, 1753**6, 6671001769760072149**6])
@@ -215,7 +222,7 @@ def test_one_square_test_per_trial_where_u_is_solved(monkeypatch):
         a, b, A, B, C = model.a, model.b, model.A, model.B, model.C
         pk = p ** _working_precision(model, p)
         log.clear()
-        pts = sample_surface_points(model, Place.finite(p), 9)
+        pts = _sample(model, Place.finite(p), 9)
         # two draws open each trial on either shape, since C = -1 is a unit
         trials = []
         for kind, value in log:
@@ -274,7 +281,7 @@ def test_sampler_draws_are_pinned(theta):
     curve, surface = build_curve(co), build_surface(co)
     digest = hashlib.sha256()
     for p in critical_places(curve).primes():
-        pts = sample_surface_points(admissible_model(surface, p), Place.finite(p), 9)
+        pts = _sample(admissible_model(surface, p), Place.finite(p), 9)
         digest.update(repr([(p, pt.coords, pt.prec) for pt in pts]).encode())
     assert digest.hexdigest() == PINNED_DRAWS[theta]
 

@@ -39,13 +39,14 @@ def test_differences_are_counted_per_pattern_without_the_dropped_keys():
 
 def test_the_printed_set_runs_every_subcommand_and_both_refusals():
     calls = sweep.printed_invocations()
-    assert len(calls) == 14
-    assert len({label for label, _ in calls} | {label for label, _ in sweep.invocations()}) == 159
+    assert len(calls) == 15
+    assert len({label for label, _ in calls} | {label for label, _ in sweep.invocations()}) == 160
     commands = [argv[0] for _, argv in calls]
     assert set(commands) == {"certify-all", "certify-local", "certify-brauer", "point-search",
                              "instantiate", "j-report", "sieve-params"}
     assert not any("--out" in argv for _, argv in calls)
     assert ["--jobs", "2"] == calls[1][1][-2:]
+    assert ["--samples", "1"] == calls[2][1][-2:]
     assert sum("(exit 1)" in label for label, _ in calls) == 2
     assert sum("(exit 2)" in label for label, _ in calls) == 1
 
