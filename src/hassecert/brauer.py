@@ -29,21 +29,22 @@ REFUSED = "refused"
 
 
 class PrecisionError(ArithmeticError):
-    """Every slot representation is indeterminate at the point's precision."""
+    """Every slot representation is indeterminate at the context's precision."""
 
 
 def evaluate_invariant_at_point(surface_model, point, place, ctx):
-    """Invariant in {0, 1/2} of the class at one local point.
+    """Invariant in {0, 1/2} of the class at one local point, a tuple
+    (x, y, z, u, v) of which only u and v are read.
 
     Picks every representation whose square class is determined at the
-    point's precision, asserts they agree, and converts the Hilbert symbol
+    point, asserts they agree, and converts the Hilbert symbol
     (a, slot)_v: +1 -> 0, -1 -> 1/2.  At the real place (ctx None) each
     symbol is read off the signs of a and of the slot's numerator and
-    denominator.  At a finite place ctx is the model's ResidueContext, of
-    the point's precision: the slots are read off its residues and each
-    symbol off a's character in it.
+    denominator.  At a finite place the coordinates are residues of ctx,
+    the model's ResidueContext: the slots are read off them and each
+    symbol off a's character in ctx.
     """
-    u, v = point.coords[3], point.coords[4]
+    u, v = point[3], point[4]
     if place.is_real:
         m = surface_model
         nums, dens = slot_terms(m.a, m.b, m.A, m.B, u, v)
@@ -51,15 +52,12 @@ def evaluate_invariant_at_point(surface_model, point, place, ctx):
         symbols = {-1 if a_neg and (num < 0) != (den < 0) else 1
                    for den in dens for num in nums if num != 0 and den != 0}
     else:
-        if ctx.prec != point.prec:
-            raise ValueError(f"point of precision {point.prec} evaluated in a residue "
-                             f"context of precision {ctx.prec}")
-        reps = ctx.slot_residues(int(u), int(v))
+        reps = ctx.slot_residues(u, v)
         symbols = {hilbert_symbol_char(ctx.a_val, ctx.a_char, *r, place.p)
                    for r in reps if r is not None}
     if not symbols:
-        raise PrecisionError(f"every slot representation is indeterminate at {place} "
-                             f"to precision {point.prec}")
+        raise PrecisionError(f"every slot representation is indeterminate at {place}"
+                             + ("" if ctx is None else f" to precision {ctx.prec}"))
     if len(symbols) != 1:
         if place.is_real:  # the message shows the exact slot values
             reps = [Fraction(num, den) if num != 0 and den != 0 else None

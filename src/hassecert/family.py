@@ -220,13 +220,6 @@ class DP4Surface:
     coeffs: FamilyCoeffs | None = None
     change: SurfaceChange = SurfaceChange()
 
-    def quadric_residuals(self, point):
-        """The two quadric values at a 5-tuple (x, y, z, u, v); exact."""
-        x, y, z, u, v = (Fraction(w) for w in point)
-        q1 = x**2 - self.a * z**2 + self.b * (u - self.A * v) * (u - self.B * v)
-        q2 = x**2 - self.a * y**2 + self.a * self.C**2 * u * v
-        return q1, q2
-
 
 def build_curve(coeffs):
     check_nonvanishing(coeffs)

@@ -563,21 +563,6 @@ def certify_all_local(curve):
 # surface points (delta images and direct sampling)
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    """A point on a surface model.
-
-    Finite places: coords are residues mod p^prec, jointly satisfying the
-    model's quadrics to that precision.  Real place: u, v, y are exact
-    rationals and x, z exist over R by the recorded value analysis (the
-    invariant evaluation uses only u and v).
-    """
-
-    place: Place
-    coords: tuple
-    prec: int | None = None
-
-
 def _refine_curve_witness(curve_m, wit, p, prec):
     """(t, s) for the witness, as exact rationals whose p-adic distance to
     a true chart point is at least p^-prec (s carries the approximation)."""
@@ -628,17 +613,33 @@ def slot_terms(a, b, A, B, u, v):
     return (b * (u - A * v), B * v - u), (v, -a * u)
 
 
+def _slot_margin(p):
+    """The slot margin, 3 at p = 2 and 1 otherwise: slot_residues reads a
+    slot's unit part mod p^(margin+1)."""
+    return 3 if p == 2 else 1
+
+
+def _working_precision(surface_model, p):
+    """max(6, 2 v_p(a) + 4, v_p(b) + v_p(B - A) + m + 2), m the slot
+    margin; see sample_surface_points."""
+    return max(6, 2 * padic_val(surface_model.a, p) + 4,
+               padic_val(surface_model.b, p)
+               + padic_val(surface_model.B - surface_model.A, p) + _slot_margin(p) + 2)
+
+
 @dataclass(frozen=True)
 class ResidueContext:
-    """A surface model's residue data at one finite place, reduced once and
-    read by the delta image's quadric check, the sampler and the invariant
-    evaluation at every point.
+    """A surface model's residue data at one finite place, built once per
+    place and read by the delta image's quadric check, the sampler and the
+    invariant evaluation at every point.  A local point is a tuple
+    (x, y, z, u, v) of residues mod pk.
 
-    prec is the working precision (_working_precision), pk = p^prec,
-    pk1 = p^(prec-1);
+    prec is the working precision (_working_precision); pk = p^prec and
+    pk1 = p^(prec-1) are read off rooter, the place's arith.ResidueRooter;
     coeffs are a, b, A, B, C mod m = p^(prec+2); a_val = v_p(a), a_char
     the character of a's unit part (arith.unit_character), and a_inv the
-    inverse of a / p^max(0, a_val) mod m.
+    inverse of a / p^max(0, a_val) mod m; unit_mod = p^(margin+1) and
+    deepest = prec - 1 - margin bound slot_residues (_slot_margin).
     """
 
     p: int
@@ -646,22 +647,28 @@ class ResidueContext:
     pk: int
     pk1: int
     m: int
+    rooter: ResidueRooter
     coeffs: tuple
     a_val: int
     a_char: int
     a_inv: int
+    unit_mod: int
+    deepest: int
 
     @classmethod
     def of(cls, surface_model, p):
         prec = _working_precision(surface_model, p)
+        rooter = ResidueRooter(p, prec)
+        margin = _slot_margin(p)
         m = p ** (prec + 2)
         a = surface_model.a
         a_val, a_unit = square_class(a, p)
         return cls(
-            p=p, prec=prec, pk=p**prec, pk1=p ** (prec - 1), m=m,
+            p=p, prec=prec, pk=rooter.pk, pk1=rooter.pk1, m=m, rooter=rooter,
             coeffs=tuple(frac_mod(getattr(surface_model, k), m) for k in "abABC"),
             a_val=a_val, a_char=unit_character(a_unit, p),
             a_inv=pow(frac_mod(a / p ** max(0, a_val), m), -1, m),
+            unit_mod=p ** (margin + 1), deepest=prec - 1 - margin,
         )
 
     def quadrics(self, coords):
@@ -676,13 +683,10 @@ class ResidueContext:
     def slot_residues(self, u, v):
         """Square classes (w, r) of the four slot representations of
         slot_terms at a residue point (u, v) mod p^prec, in its order: w
-        the valuation, r the unit part mod p^(margin+1) as an int (margin 3
-        at p = 2, else 1); None where indeterminate (zero mod p^prec, or a
-        numerator or denominator of valuation above prec - 1 - margin)."""
-        p, pk = self.p, self.pk
-        margin = 3 if p == 2 else 1
-        unit_mod = p ** (margin + 1)
-        deepest = self.prec - 1 - margin
+        the valuation, r the unit part mod unit_mod as an int; None where
+        indeterminate (zero mod p^prec, or a numerator or denominator of
+        valuation above deepest)."""
+        p, pk, unit_mod, deepest = self.p, self.pk, self.unit_mod, self.deepest
         nums, dens = ([_split_residue(t, p, pk, deepest) for t in terms]
                       for terms in slot_terms(*self.coeffs[:4], u, v))
         out = []
@@ -699,23 +703,21 @@ class ResidueContext:
 
 
 def delta_surface_point(surface_model, place, cert, ctx):
-    """Image of the curve certificate's witness on the given surface model:
-    residues mod p^prec at finite places, exact data at the real place.
-    Raises when the image fails the model's quadrics.  cert is
-    certify_local_curve's certificate for the fiber's curve at the place;
-    the p-integral model it carries (with its cleared chart triple) is
-    reused.  The map reads the fiber's C and the genus off the surface
-    model.  ctx is the model's ResidueContext at p (None at the real
-    place), and prec its working precision."""
+    """Image of the curve certificate's witness on the given surface model,
+    as a tuple (x, y, z, u, v): residues mod ctx.pk at finite places, exact
+    data at the real place.  Raises when the image fails the model's
+    quadrics.  cert is certify_local_curve's certificate for the fiber's
+    curve at the place; the p-integral model it carries (with its cleared
+    chart triple) is reused.  The map reads the fiber's C and the genus off
+    the surface model.  ctx is the model's ResidueContext at p (None at
+    the real place)."""
     wit = cert.witness
     if wit is None:
         raise ValueError("certificate carries no witness")
     C, g = surface_model.coeffs.C, surface_model.genus
-    if place.is_real:
-        t = wit.t_real if wit.kind == "real" else Fraction(wit.t_center)
-        return SurfacePoint(place=place, coords=delta_coords(wit.chart, None, t, C, g))
+    if place.is_real:  # ab-square, the real place's one method, gives a real witness
+        return delta_coords(wit.chart, None, wit.t_real, C, g)
     p = place.p
-    prec = ctx.prec
     curve_m = cert.model
     curve_change = curve_m.change
     mults = surface_model.change.mults
@@ -723,7 +725,7 @@ def delta_surface_point(surface_model, place, cert, ctx):
         abs(int(padic_val(fr, p)))
         for fr in (curve_change.s_mult, curve_change.t_mult, *mults)
     ) * (2 * g + 2)
-    t_m, s_m = _refine_curve_witness(curve_m, wit, p, prec + shift + 8)
+    t_m, s_m = _refine_curve_witness(curve_m, wit, p, ctx.prec + shift + 8)
     if wit.chart == "st":
         t, s = curve_change.t_mult * t_m, curve_change.s_mult * s_m
     else:
@@ -742,7 +744,7 @@ def delta_surface_point(surface_model, place, cert, ctx):
         raise ArithmeticError(
             f"delta image failed to verify against the surface equations at {place}"
         )
-    return SurfacePoint(place=place, coords=tuple(residues), prec=prec)
+    return tuple(residues)
 
 
 def _randbelow(getrandbits, n):
@@ -760,25 +762,17 @@ class SamplerBudgetExceeded(RuntimeError):
     pass
 
 
-def _working_precision(surface_model, p):
-    """max(6, 2 v_p(a) + 4, v_p(b) + v_p(B - A) + m + 2), m the slot
-    margin (3 at p = 2, else 1); see sample_surface_points."""
-    m = 3 if p == 2 else 1
-    return max(6, 2 * padic_val(surface_model.a, p) + 4,
-               padic_val(surface_model.b, p)
-               + padic_val(surface_model.B - surface_model.A, p) + m + 2)
-
-
 def sample_surface_points(surface_model, place, n, ctx, seed=0):
-    """n independent local points of the surface model at the place.
+    """n independent local points of the surface model at the place, each
+    a tuple (x, y, z, u, v).
 
     Finite places: random residue points whose squares are formed as
-    residues mod p^(prec+2) of exact p-integral values and rooted by an
-    arith.ResidueRooter built once for the place, so the quadrics hold to
-    the working precision; a square that is 0 mod p^(prec-1), an exact
-    zero included, is refused and ends the trial.  Where
-    v_p(a) = 0 and p does not divide C, a and C are units, so on the chart
-    v = 1 the second quadric x^2 - a y^2 + a C^2 u v = 0 is linear in u:
+    residues mod p^(prec+2) of exact p-integral values and rooted by the
+    context's arith.ResidueRooter, so the quadrics hold to the working
+    precision; a square that is 0 mod p^(prec-1), an exact zero included,
+    is refused and ends the trial.  Where v_p(a) = 0 and p does not
+    divide C, a and C are units, so on the chart v = 1 the second quadric
+    x^2 - a y^2 + a C^2 u v = 0 is linear in u:
     the sampler draws x and y, solves u = (a y^2 - x^2) (a C^2)^-1 mod
     p^(prec+2) with the inverse taken once per place, keeps u only when it
     is a unit, and roots z^2 = (x^2 + b (u - A)(u - B)) / a alone.  Where
@@ -822,13 +816,12 @@ def sample_surface_points(surface_model, place, n, ctx, seed=0):
             w = y * y - c2uv
             if w < 0 or w + bpp < 0:
                 continue
-            out.append(SurfacePoint(place=place, coords=(None, y, None, u, v)))
+            out.append((None, y, None, u, v))
         return out
     p = place.p
     va = max(0, ctx.a_val)
     prec, pk, pk1, m, inv = ctx.prec, ctx.pk, ctx.pk1, ctx.m, ctx.a_inv
-    rooter = ResidueRooter(p, prec)
-    test, lift = rooter.test, rooter.lift
+    test, lift = ctx.rooter.test, ctx.rooter.lift
     bits = rng.getrandbits
     # every value below is p-integral and is drawn and tested as a residue
     # mod m = p^(prec+2); a / p^va is a unit with inverse inv
@@ -891,5 +884,5 @@ def sample_surface_points(surface_model, place, n, ctx, seed=0):
         if q1 % pk1 or q2 % pk1:
             raise ArithmeticError(f"sampled point {coords} misses the quadrics "
                                   f"mod p^{prec - 1} at {place}; sampler bug")
-        out.append(SurfacePoint(place=place, coords=coords, prec=prec))
+        out.append(coords)
     return out

@@ -528,18 +528,23 @@ def exact_padic_sqrt(x, p, prec):
 
 
 # --------------------------------------------------------------------------
-# residue checks of surface points
+# the quadrics at surface points, exact and as residues
 
 
-def residue_quadrics(surface_model, pt, p, prec):
-    """The two quadrics of surface_model at the residue point pt, mod
-    p^prec: each quadric evaluated exactly on the model's rational
-    coefficients, then reduced by frac_mod (the model is p-integral)."""
-    m = surface_model
-    x, y, z, u, v = pt.coords
-    q1 = x * x - m.a * z * z + m.b * (u - m.A * v) * (u - m.B * v)
-    q2 = x * x - m.a * y * y + m.a * m.C * m.C * u * v
-    return frac_mod(q1, p**prec), frac_mod(q2, p**prec)
+def quadric_residuals(surface, point):
+    """The two quadric values of surface at a 5-tuple (x, y, z, u, v),
+    evaluated exactly on Fractions."""
+    x, y, z, u, v = (Fraction(w) for w in point)
+    q1 = x**2 - surface.a * z**2 + surface.b * (u - surface.A * v) * (u - surface.B * v)
+    q2 = x**2 - surface.a * y**2 + surface.a * surface.C**2 * u * v
+    return q1, q2
+
+
+def residue_quadrics(surface_model, point, p, prec):
+    """The two quadrics of surface_model at the residue point, a 5-tuple,
+    mod p^prec: quadric_residuals on the model's rational coefficients,
+    then reduced by frac_mod (the model is p-integral)."""
+    return tuple(frac_mod(q, p**prec) for q in quadric_residuals(surface_model, point))
 
 
 def slot_fractions(surface_model, u, v):

@@ -23,7 +23,6 @@ from hassecert.family import (
 from hassecert.local import (
     ResidueContext,
     SamplerBudgetExceeded,
-    SurfacePoint,
     certify_all_local,
     certify_local_curve,
     critical_places,
@@ -115,7 +114,7 @@ def test_representation_independence_on_samples():
             model = admissible_model(surface, p)
             ctx = ResidueContext.of(model, p)
             for pt in sample_surface_points(model, place, 8, ctx, seed=5):
-                reps = ctx.slot_residues(int(pt.coords[3]), int(pt.coords[4]))
+                reps = ctx.slot_residues(pt[3], pt[4])
                 defined = [Fraction(p) ** w * r for w, r in (x for x in reps if x is not None)]
                 assert len(defined) >= 2 or p != PARAMS.a
                 symbols = {hilbert_symbol(model.a, r, place) for r in defined}
@@ -140,7 +139,7 @@ def test_real_evaluation_uses_exact_slots():
     for theta in _grid_thetas():
         surface = build_surface(fiber_coeffs(PARAMS, Theta.parse(theta)))
         for pt in sample_surface_points(surface, real, 5, None, seed=2):
-            _, symbols = _real_oracle(surface, pt.coords[3], pt.coords[4])
+            _, symbols = _real_oracle(surface, pt[3], pt[4])
             assert symbols == {1}, theta  # a > 0 on every fiber
             assert evaluate_invariant_at_point(surface, pt, real, None) == ZERO
             checked += 1
@@ -155,11 +154,11 @@ def test_real_evaluation_with_negative_a():
     surface = DP4Surface(a=Fraction(-1), b=Fraction(1), A=Fraction(1), B=Fraction(-1),
                          C=Fraction(1), genus=1)
     real = Place.real()
-    on = SurfacePoint(place=real, coords=(None, Fraction(1), None, Fraction(1), Fraction(2)))
+    on = (None, Fraction(1), None, Fraction(1), Fraction(2))
     reps, symbols = _real_oracle(surface, Fraction(1), Fraction(2))
     assert None not in reps and symbols == {-1}
     assert evaluate_invariant_at_point(surface, on, real, None) == HALF
-    off = SurfacePoint(place=real, coords=(None, Fraction(1), None, Fraction(2), Fraction(-1)))
+    off = (None, Fraction(1), None, Fraction(2), Fraction(-1))
     reps, symbols = _real_oracle(surface, Fraction(2), Fraction(-1))
     assert symbols == {1, -1}
     message = f"representations disagree at real: {reps} -> {symbols}"
@@ -170,15 +169,22 @@ def test_real_evaluation_with_negative_a():
     assert str(err.value) == message
 
 
-def test_finite_sampling_builds_no_fraction(monkeypatch):
-    # once a place's ResidueContext is built, drawing and evaluating its
-    # sampled points is integer arithmetic only (g = 1, theta = 1/2)
+def _finite_places_of_theta_half():
+    """(model, place, delta image, context) at each finite critical place
+    of the g = 1, theta = 1/2 fiber."""
     co = fiber_coeffs(PARAMS, Theta.of(1, 2))
     curve, surface = build_curve(co), build_surface(co)
     cases = []
     for p in critical_places(curve).primes():
         model, place = admissible_model(surface, p), Place.finite(p)
         cases.append((model, place, *_delta_and_ctx(curve, model, place)))
+    return cases
+
+
+def test_finite_sampling_builds_no_fraction(monkeypatch):
+    # once a place's ResidueContext is built, drawing and evaluating its
+    # sampled points is integer arithmetic only (g = 1, theta = 1/2)
+    cases = _finite_places_of_theta_half()
     built = count_fraction_constructions(monkeypatch)
     for model, place, delta, ctx in cases:
         values = sample_invariant(model, place, delta, 10, ctx)
@@ -189,9 +195,31 @@ def test_finite_sampling_builds_no_fraction(monkeypatch):
 def test_precision_error_on_degenerate_point():
     place = Place.finite(PARAMS.c)
     ctx = ResidueContext.of(SURFACE_0, PARAMS.c)
-    pt = SurfacePoint(place=place, coords=(0, 0, 0, 0, 0), prec=ctx.prec)
     with pytest.raises(PrecisionError):
-        evaluate_invariant_at_point(SURFACE_0, pt, place, ctx)
+        evaluate_invariant_at_point(SURFACE_0, (0, 0, 0, 0, 0), place, ctx)
+
+
+def test_sampling_builds_no_rooter(monkeypatch):
+    # each place's ResidueRooter is built once, by ResidueContext.of: the
+    # sampler draws with the context's, for n = 10 and for n = 1, where it
+    # draws nothing (g = 1, theta = 1/2)
+    from hassecert import local
+
+    cases = _finite_places_of_theta_half()
+    rooter, built = local.ResidueRooter, []
+
+    def counting_rooter(p, prec):
+        built.append(p)
+        return rooter(p, prec)
+
+    monkeypatch.setattr(local, "ResidueRooter", counting_rooter)
+    for model, place, delta, ctx in cases:
+        for n in (10, 1):
+            assert len(sample_invariant(model, place, delta, n, ctx)) == n
+    assert len(cases) >= 6 and built == []
+    for model, place, _, _ in cases:
+        ResidueContext.of(model, place.p)
+    assert built == [place.p for _, place, _, _ in cases]
 
 
 def test_sample_invariant_rejects_zero_count():

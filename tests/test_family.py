@@ -29,6 +29,7 @@ from oracles import (
     F_poly,
     evaluate,
     f_poly,
+    quadric_residuals,
     rederived_admissible_model,
     rederived_integral_model,
 )
@@ -150,7 +151,7 @@ def test_delta_residual_identity():
             s = F(rng.randrange(-50, 51), rng.randrange(1, 20))
             for chart in ("st", "ST"):
                 pt = delta_coords(chart, s, t, co.C, co.params.g)
-                q1, q2 = surf.quadric_residuals(pt)
+                q1, q2 = quadric_residuals(surf, pt)
                 assert q2 == 0
                 assert q1 == -a * (s * s - curve.chart_value(chart, t))
 

@@ -589,11 +589,12 @@ def test_delta_surface_points_verify():
         cert = res.certificates[pl]
         if pl.is_real:
             pt = delta_surface_point(surface, pl, cert, None)
-            assert pt.coords[3] is not None
+            assert pt[3] is not None
             continue
         model = admissible_model(surface, pl.p)
-        pt = delta_surface_point(model, pl, cert, ResidueContext.of(model, pl.p))
-        q1, q2 = _residue_quadrics(model, pt, pl.p, pt.prec)
+        ctx = ResidueContext.of(model, pl.p)
+        pt = delta_surface_point(model, pl, cert, ctx)
+        q1, q2 = _residue_quadrics(model, pt, pl.p, ctx.prec)
         assert q1 == 0 and q2 == 0
 
 
@@ -612,7 +613,7 @@ def test_delta_images_at_primes_of_den_theta(theta):
         model = admissible_model(surface, p)
         ctx = ResidueContext.of(model, p)
         pt = delta_surface_point(model, place, certify_local_curve(curve, place), ctx)
-        assert _residue_quadrics(model, pt, p, pt.prec) == (0, 0)
+        assert _residue_quadrics(model, pt, p, ctx.prec) == (0, 0)
         value = certify_invariant(model, place).value
         assert evaluate_invariant_at_point(model, pt, place, ctx) == value
 
@@ -641,9 +642,9 @@ def test_sampler_points_satisfy_quadrics():
         pts = sample_surface_points(surface, Place.finite(p), 5, ctx, seed=1)
         assert len(pts) == 5
         for pt in pts:
-            q1, q2 = _residue_quadrics(surface, pt, p, pt.prec)
-            assert q1 % p ** (pt.prec - 1) == 0
-            assert q2 % p ** (pt.prec - 1) == 0
+            q1, q2 = _residue_quadrics(surface, pt, p, ctx.prec)
+            assert q1 % ctx.pk1 == 0
+            assert q2 % ctx.pk1 == 0
     real_pts = sample_surface_points(surface, Place.real(), 3, None, seed=1)
     assert len(real_pts) == 3
 
@@ -683,6 +684,9 @@ def test_residue_context_matches_model_and_callers(theta, p):
     prec = _working_precision(model, p)
     assert (ctx.p, ctx.prec, ctx.pk, ctx.pk1, ctx.m) == (
         p, prec, p**prec, p ** (prec - 1), p ** (prec + 2))
+    assert (ctx.rooter.p, ctx.rooter.prec) == (p, prec)
+    margin = 3 if p == 2 else 1
+    assert (ctx.unit_mod, ctx.deepest) == (p ** (margin + 1), prec - 1 - margin)
     assert ctx.coeffs == tuple(frac_mod(getattr(model, k), ctx.m) for k in "abABC")
     alpha, unit = square_class(model.a, p)
     assert ctx.a_val == alpha == padic_val(model.a, p)
@@ -695,20 +699,29 @@ def test_residue_context_matches_model_and_callers(theta, p):
     delta = delta_surface_point(model, place, certify_local_curve(curve, place), ctx)
     value = certify_invariant(model, place).value
     for pt in [delta] + pts:
-        assert ctx.quadrics(pt.coords) == _residue_quadrics(model, pt, p, pt.prec)
+        assert ctx.quadrics(pt) == _residue_quadrics(model, pt, p, ctx.prec)
         assert evaluate_invariant_at_point(model, pt, place, ctx) == value
 
 
-def test_residue_context_refuses_a_point_of_another_precision():
-    from hassecert.brauer import evaluate_invariant_at_point
+def test_precision_error_reads_the_context_precision():
+    # a point is a bare tuple and its context alone knows the precision: a
+    # sampled point evaluates in its context, and an indeterminate point is
+    # refused at the context's precision; the real place has no context,
+    # and its refusal names no precision
+    from hassecert.brauer import PrecisionError, evaluate_invariant_at_point
 
     place = Place.finite(PARAMS.c)
     surface = build_surface(CO_0)
     ctx = ResidueContext.of(surface, PARAMS.c)
     (pt,) = sample_surface_points(surface, place, 1, ctx)
     assert evaluate_invariant_at_point(surface, pt, place, ctx) is not None
-    with pytest.raises(ValueError, match="precision"):
-        evaluate_invariant_at_point(surface, replace(pt, prec=pt.prec + 1), place, ctx)
+    with pytest.raises(PrecisionError) as err:
+        evaluate_invariant_at_point(surface, (0, 0, 0, 0, 0), place, ctx)
+    assert str(err.value) == (f"every slot representation is indeterminate at {place} "
+                              f"to precision {ctx.prec}")
+    with pytest.raises(PrecisionError) as err:
+        evaluate_invariant_at_point(surface, (0, 0, 0, 0, 0), Place.real(), None)
+    assert str(err.value) == "every slot representation is indeterminate at real"
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 73, 1753, 6671001769760072149, 1598673339833924063])

@@ -16,7 +16,6 @@ from hassecert.local import (
     SAMPLER_BUDGET,
     ResidueContext,
     SamplerBudgetExceeded,
-    SurfacePoint,
     _exact_padic_sqrt,
     _randbelow,
     _working_precision,
@@ -97,11 +96,10 @@ def oracle_sample(surface_model, place, n, seed=0, budget=SAMPLER_BUDGET):
             coords = ((p * x1) % pk, y % pk, z % pk, frac_mod(u, pk), 1)
         else:
             raise ValueError(f"oracle does not handle v_p(a) = {va}")
-        pt = SurfacePoint(place=place, coords=coords, prec=prec)
-        q1, q2 = _residue_quadrics(surface_model, pt, p, prec)
+        q1, q2 = _residue_quadrics(surface_model, coords, p, prec)
         if q1 % p ** (prec - 1) or q2 % p ** (prec - 1):
             continue
-        out.append(pt)
+        out.append(coords)
     return out
 
 
@@ -251,7 +249,7 @@ def test_one_square_test_per_trial_where_u_is_solved(monkeypatch):
             lifts += len(roots)
         assert len(pts) == 9
         for pt in pts:
-            x, y, z, u, v = pt.coords
+            x, y, z, u, v = pt
             assert v == 1, (p, pt)
             if p != PARAMS_G1.a:
                 assert u % p, (p, pt)
@@ -281,8 +279,10 @@ def test_sampler_draws_are_pinned(theta):
     curve, surface = build_curve(co), build_surface(co)
     digest = hashlib.sha256()
     for p in critical_places(curve).primes():
-        pts = _sample(admissible_model(surface, p), Place.finite(p), 9)
-        digest.update(repr([(p, pt.coords, pt.prec) for pt in pts]).encode())
+        model = admissible_model(surface, p)
+        ctx = ResidueContext.of(model, p)
+        pts = sample_surface_points(model, Place.finite(p), 9, ctx)
+        digest.update(repr([(p, pt, ctx.prec) for pt in pts]).encode())
     assert digest.hexdigest() == PINNED_DRAWS[theta]
 
 

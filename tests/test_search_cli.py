@@ -30,7 +30,7 @@ from hassecert.family import (
 from hassecert.params import omega0_for_genus, sieve_params
 import hassecert.search as search
 from hassecert.search import SIEVE_MODULI, curve_point_search, surface_point_search
-from oracles import curve_sieve_pattern, surface_sieve_pattern, window_mask
+from oracles import curve_sieve_pattern, quadric_residuals, surface_sieve_pattern, window_mask
 
 
 PARAMS = sieve_params(1, 0, bound=10**7, count=1)[0]
@@ -90,7 +90,7 @@ def _oracle_surface_points(surface, height):
                 continue
             z = _oracle_root(x * x * q * q + z_off, a_i * q * q)
             if z is not None and z <= height:
-                assert surface.quadric_residuals((x, y, z, u, v)) == (0, 0)
+                assert quadric_residuals(surface, (x, y, z, u, v)) == (0, 0)
                 found.append((x, y, z, u, v))
 
     check(1, 0)
@@ -142,7 +142,7 @@ def test_surface_search_nonzero_x():
     pts = surface_point_search(surf, 10)
     assert (2, 4, 2, 6, 2) in pts
     for x, y, z, u, v in pts:
-        q1, q2 = surf.quadric_residuals((x, y, z, u, v))
+        q1, q2 = quadric_residuals(surf, (x, y, z, u, v))
         assert q1 == 0 and q2 == 0
 
 
