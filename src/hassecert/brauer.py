@@ -137,7 +137,6 @@ def certify_invariant(model, place):
             return InvariantCertificate(place, ZERO, "prop-square", trace)
         return _refused(place, trace, "negative a at the real place")
     p = place.p
-    model.change.assert_square_factor()
     a = model.a
     if padic_val(a, p) == 0 and is_local_square(a, place):
         _trace(trace, f"a is a square in Q_{p}", True)

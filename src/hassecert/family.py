@@ -11,6 +11,12 @@ Conventions for one fiber over a verified parameter quadruple (a,b,c,d):
 
 with A, B, C, D exact rationals depending on the fiber parameter theta
 and satisfying B - A = 2 c D^2 identically.
+
+Every local model is the fiber scaled by one lambda, its lam (1 on the
+fiber).  A curve model's A and B are lambda^2 times the fiber's.  A
+surface model's (A, B, C) are (lambda^2 A, lambda^2 B, lambda C), the
+fiber's (x:y:z:u:v) is (x:y:z:u:v/lambda^2) on it, and the quaternion
+slot b(u - Av)/v picks up the square lambda^2, so invariants transport.
 """
 
 import math
@@ -18,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 
-from .arith import is_rational_square, padic_val
+from .arith import padic_val
 from .params import ParamSet
 
 
@@ -130,15 +136,6 @@ def check_nonvanishing(coeffs):
 
 
 @dataclass(frozen=True)
-class CurveChange:
-    """Multiplicative substitution mapping model coordinates back to the
-    original fiber coordinates: s_orig = s_mult * s_model, t likewise."""
-
-    s_mult: Fraction = Fraction(1)
-    t_mult: Fraction = Fraction(1)
-
-
-@dataclass(frozen=True)
 class HyperellipticCurve:
     """Two-chart model a s^2 = b prod, with exact structured coefficients.
 
@@ -154,7 +151,7 @@ class HyperellipticCurve:
     B: Fraction
     genus: int
     coeffs: FamilyCoeffs | None = None
-    change: CurveChange = CurveChange()
+    lam: Fraction = Fraction(1)
 
     @cached_property
     def cleared_st(self):
@@ -190,24 +187,6 @@ class HyperellipticCurve:
 
 
 @dataclass(frozen=True)
-class SurfaceChange:
-    """Diagonal substitution mapping model coordinates back to the original
-    fiber: orig_i = mult_i * model_i.  brauer_factor is the multiplicative
-    factor the second slot of the quaternion class picks up under the
-    substitution; it must be a nonzero rational square for the invariant
-    to transport unchanged, and consumers assert that."""
-
-    mults: tuple = (Fraction(1),) * 5  # (x, y, z, u, v)
-    brauer_factor: Fraction = Fraction(1)
-
-    def assert_square_factor(self):
-        if is_rational_square(self.brauer_factor) is None:
-            raise ArithmeticError(
-                f"model change multiplies the quaternion slot by the non-square {self.brauer_factor}"
-            )
-
-
-@dataclass(frozen=True)
 class DP4Surface:
     """Quadric pair x^2-az^2 = -b(u-Av)(u-Bv), x^2-ay^2 = -aC^2 uv."""
 
@@ -218,7 +197,7 @@ class DP4Surface:
     C: Fraction
     genus: int
     coeffs: FamilyCoeffs | None = None
-    change: SurfaceChange = SurfaceChange()
+    lam: Fraction = Fraction(1)
 
 
 def build_curve(coeffs):
@@ -262,21 +241,26 @@ def check_smooth_surface(surface):
     return smoothness_quartic(a, b, A, B, C) != 0
 
 
-def delta_coords(chart, s, t, C, g):
-    """Image of a curve point under the degree-(g+1)/2 map to the surface.
+def delta_coords(chart, s, t, C, g, mu):
+    """Image of a point of a curve model under the degree-(g+1)/2 map to a
+    surface model: C is the surface model's C and mu = lambda_curve /
+    lambda_surface (1 on the fiber pair).
 
     Works over any commutative ring: coordinates are polynomial in the
     inputs.  Charts:
-        st: (s, t)  ->  (0 : C t^((g+1)/2) : s : t^(g+1) : 1)
-        ST: (S, T)  ->  (0 : C T^((g+1)/2) : S : 1 : T^(g+1))
+        st: (s, t)  ->  (0 : mu C t^((g+1)/2) : s : t^(g+1) : mu^2)
+        ST: (S, T)  ->  (0 : mu C T^((g+1)/2) : S : 1 : mu^2 T^(g+1))
+    On the image the second quadric vanishes identically and the first is
+    -a (s^2 - f(t)), f the curve model's chart polynomial.
     """
     if g % 2 == 0:
         raise ValueError("the curve-to-surface map needs odd genus")
     half = (g + 1) // 2
+    y = mu * C * t**half
     if chart == "st":
-        return (0 * t, C * t**half, s, t ** (g + 1), t**0)
+        return (0 * t, y, s, t ** (g + 1), mu * mu * t**0)
     if chart == "ST":
-        return (0 * t, C * t**half, s, t**0, t ** (g + 1))
+        return (0 * t, y, s, t**0, mu * mu * t ** (g + 1))
     raise ValueError(f"unknown chart {chart!r}")
 
 
@@ -297,10 +281,10 @@ def j_invariant(coeffs):
 def integral_model(curve, p):
     """A p-integral model of the curve: the fiber scaled by one lambda.
 
-    For v_p(theta) = -l < 0, lambda = p^((g+1)l) and the substitution
-    (s, t) -> (lambda^(-2) s, p^(-2l) t) turns A and B into lambda^2 A and
-    lambda^2 B, which are p-adic integers.  Elsewhere the model is the
-    fiber itself.
+    For v_p(theta) = -l < 0, lambda = p^((g+1)l): the fiber's point (s, t)
+    is (lambda^2 s, p^(2l) t) on the model, whose A and B are lambda^2 A
+    and lambda^2 B, p-adic integers.  Elsewhere the model is the fiber
+    itself.
     """
     coeffs = curve.coeffs
     if coeffs is None or coeffs.theta.is_infinity:
@@ -309,30 +293,26 @@ def integral_model(curve, p):
     if l <= 0:
         return curve
     lam = Fraction(p) ** ((curve.genus + 1) * l)
-    change = CurveChange(s_mult=1 / lam**2, t_mult=Fraction(1, p ** (2 * l)))
-    return replace(curve, A=lam**2 * curve.A, B=lam**2 * curve.B, change=change)
+    return replace(curve, A=lam**2 * curve.A, B=lam**2 * curve.B, lam=lam)
 
 
 def admissible_model(surface, p):
     """A model of the surface whose coefficients are p-adic integers: the
     fiber scaled by one lambda, (A, B, C) -> (lambda^2 A, lambda^2 B,
-    lambda C), with the quaternion class multiplied by the square
-    lambda^(-2).
+    lambda C).
 
     With X = a^(2h+1) theta^(g+1) the fiber has C = X - 1,
     D = b^(2h+1) X - 1, A = a X^2 + b c^2 d D^2 and B = A + 2 c D^2 (at
     theta = infinity, C = X and D = b^(2h+1) X with X = a^(2h+1)), so a
     lambda that makes lambda X p-integral makes all four scaled
     coefficients p-integral:
-      - theta = infinity: lambda = a^(-(2h+1)), valid at every p, applied
-        as v -> lambda^2 v; it gives A = a + b^(4h+3) c^2 d and C = 1.
+      - theta = infinity: lambda = a^(-(2h+1)), valid at every p; it gives
+        A = a + b^(4h+3) c^2 d and C = 1.
       - v_p(theta) >= 0: identity.
-      - v_p(theta) = -l < 0, p != a: lambda = p^((g+1)l), applied as
-        (x, y, z, u) -> lambda^(-2) (x, y, z, u).
+      - v_p(theta) = -l < 0, p != a: lambda = p^((g+1)l).
       - p = a, v_a(theta) = -l < 0: with k = (g+1)l - (2h+1), the
         coefficients are already a-integral when k < 0 (identity); when
-        k > 0, lambda = a^k, applied as for p != a.  k = 0 cannot happen
-        for odd g.
+        k > 0, lambda = a^k.  k = 0 cannot happen for odd g.
     """
     coeffs = surface.coeffs
     if coeffs is None:
@@ -340,7 +320,6 @@ def admissible_model(surface, p):
     theta, params = coeffs.theta, coeffs.params
     if theta.is_infinity:
         lam = Fraction(1, params.a ** (2 * params.h + 1))
-        mults = (Fraction(1),) * 4 + (lam**2,)
     else:
         l = -padic_val(theta.value, p)
         if l <= 0:
@@ -353,8 +332,5 @@ def admissible_model(surface, p):
             if k < 0:
                 return surface
         lam = Fraction(p) ** k
-        mults = (1 / lam**2,) * 4 + (Fraction(1),)
-    change = SurfaceChange(mults=mults, brauer_factor=1 / lam**2)
-    change.assert_square_factor()
     return replace(surface, A=lam**2 * surface.A, B=lam**2 * surface.B,
-                   C=lam * surface.C, change=change)
+                   C=lam * surface.C, lam=lam)

@@ -6,7 +6,8 @@ uniform good-reduction argument applies.  No general decision procedure
 runs here: a refused place fails the fiber.
 
 Witness discipline: every solvable verdict carries a witness, and
-certify_all_local re-verifies each one.  At a finite place it re-verifies
+certify_all_local re-verifies each one and fails one whose prime is not
+its place's (None at the real place).  At a finite place it re-verifies
 against the chart equation of the p-integral model at a stated precision
 with a stated Hensel margin, so a consumer can confirm the existence of a
 genuine Q_p point without rerunning any search; at the real place it is a
@@ -543,7 +544,7 @@ def certify_all_local(curve):
         certs[place] = cert
         if cert.solvable is not True:
             failures.append((place, cert.method, cert.notes))
-        elif not cert.witness.verify(cert.model):
+        elif cert.witness.prime != place.p or not cert.witness.verify(cert.model):
             failures.append((place, cert.method, "witness failed re-verification"))
     blanket = _blanket_check(curve, crit)
     if not crit.complete:
@@ -703,40 +704,32 @@ class ResidueContext:
 
 
 def delta_surface_point(surface_model, place, cert, ctx):
-    """Image of the curve certificate's witness on the given surface model,
-    as a tuple (x, y, z, u, v): residues mod ctx.pk at finite places, exact
-    data at the real place.  Raises when the image fails the model's
-    quadrics.  cert is certify_local_curve's certificate for the fiber's
-    curve at the place; the p-integral model it carries (with its cleared
-    chart triple) is reused.  The map reads the fiber's C and the genus off
-    the surface model.  ctx is the model's ResidueContext at p (None at
-    the real place)."""
+    """Image of the curve certificate's witness on the surface model, as a
+    tuple (x, y, z, u, v): residues mod ctx.pk at finite places, exact data
+    at the real place.  Raises when the image fails the model's quadrics.
+    cert is certify_local_curve's certificate at the place; the image is
+    read on the pair of its curve model and the surface model, through
+    delta_coords with mu = lambda_curve / lambda_surface, a positive
+    integer.  ctx is the model's ResidueContext at p (None at the real
+    place).
+
+    The image's coordinates are polynomials in the witness's (t, s) with
+    p-integral coefficients, and v = mu^2 on chart st, u = 1 on ST, so
+    their common p-power is at most p^(2 v_p(mu)): a witness refined to
+    ctx.prec + 2 v_p(mu) plus a margin fixes the image mod ctx.pk."""
     wit = cert.witness
     if wit is None:
         raise ValueError("certificate carries no witness")
-    C, g = surface_model.coeffs.C, surface_model.genus
+    C, g = surface_model.C, surface_model.genus
     if place.is_real:  # ab-square, the real place's one method, gives a real witness
-        return delta_coords(wit.chart, None, wit.t_real, C, g)
+        return delta_coords(wit.chart, None, wit.t_real, C, g, 1)
     p = place.p
-    curve_m = cert.model
-    curve_change = curve_m.change
-    mults = surface_model.change.mults
-    shift = sum(
-        abs(int(padic_val(fr, p)))
-        for fr in (curve_change.s_mult, curve_change.t_mult, *mults)
-    ) * (2 * g + 2)
-    t_m, s_m = _refine_curve_witness(curve_m, wit, p, ctx.prec + shift + 8)
-    if wit.chart == "st":
-        t, s = curve_change.t_mult * t_m, curve_change.s_mult * s_m
-    else:
-        # T = 1/t scales by 1/t_mult; S = s/t^(g+1) is unchanged, since
-        # s_mult = t_mult^(g+1)
-        t, s = t_m / curve_change.t_mult, s_m
-    coords = delta_coords(wit.chart, s, t, C, g)
-    model_coords = [c / m for c, m in zip(coords, mults)]
-    m0 = min(padic_val(c, p) for c in model_coords if c != 0)
+    mu = cert.model.lam / surface_model.lam
+    t, s = _refine_curve_witness(cert.model, wit, p, ctx.prec + 2 * padic_val(mu, p) + 8)
+    coords = delta_coords(wit.chart, s, t, C, g, mu)
+    m0 = min(padic_val(c, p) for c in coords if c != 0)
     q, pk, residues = p ** abs(m0), ctx.pk, []
-    for c in model_coords:  # c p^(-m0) = n/d, p-integral once their gcd is cancelled
+    for c in coords:  # c p^(-m0) = n/d, p-integral once their gcd is cancelled
         n, d = (c.numerator * q, c.denominator) if m0 < 0 else (c.numerator, c.denominator * q)
         e = math.gcd(n, d)
         residues.append(n // e * pow(d // e, -1, pk) % pk)

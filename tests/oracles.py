@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from hassecert.arith import is_prime, legendre, sqrt_mod, square_residues
-from hassecert.family import CurveChange, DP4Surface, HyperellipticCurve, SurfaceChange
+from hassecert.family import DP4Surface, HyperellipticCurve
 from hassecert.local import SCAN_CAP, Witness, _witness_from_center, slot_terms
 
 
@@ -626,8 +626,8 @@ def surface_sieve_pattern(surface, v, x1, M):
 # the local models by re-derived family formulas: each p-integral or
 # p-admissible model rebuilt from a, b, c, d and theta with p^l (or a
 # power of a) cleared out of theta, as the library built them before it
-# scaled the fiber's own coefficients by one lambda; returns
-# (model, change)
+# scaled the fiber's own coefficients by one lambda; each carries the
+# lambda re-derived here
 
 
 def tilde_coeffs(params, theta, p, l):
@@ -652,87 +652,69 @@ def tilde_coeffs(params, theta, p, l):
 
 
 def rederived_integral_model(curve, p):
-    """A p-integral model of the curve with the substitution recorded.
+    """A p-integral model of the curve with its scale lambda.
 
     For v_p(theta) = -l < 0 the fiber coordinates are rescaled by
-    (s, t) -> (p^(-(2g+2)l) s, p^(-2l) t), turning the structured
+    (s, t) -> (p^((2g+2)l) s, p^(2l) t), turning the structured
     coefficients into Atilde = p^((2g+2)l) A and Btilde likewise, which
-    are p-adic integers.  Elsewhere the model is already integral.
+    are p-adic integers: lambda = p^((g+1)l).  Elsewhere the model is
+    already integral, lambda = 1.
     """
     coeffs = curve.coeffs
     if coeffs is None:
-        return curve, CurveChange()
+        return curve
     theta = coeffs.theta
     g = curve.genus
     if theta.is_infinity or padic_val(theta.value, p) >= 0:
-        return curve, CurveChange()
+        return curve
     l = -padic_val(theta.value, p)
     At, Bt, _, _ = tilde_coeffs(coeffs.params, theta, p, l)
-    change = CurveChange(
-        s_mult=Fraction(1, p ** ((2 * g + 2) * l)), t_mult=Fraction(1, p ** (2 * l))
-    )
-    model = HyperellipticCurve(
-        a=curve.a, b=curve.b, A=At, B=Bt, genus=g, coeffs=coeffs, change=change
-    )
-    return model, change
+    return HyperellipticCurve(a=curve.a, b=curve.b, A=At, B=Bt, genus=g, coeffs=coeffs,
+                              lam=Fraction(p ** ((g + 1) * l)))
 
 
 def rederived_admissible_model(surface, p, theta):
     """A model of the surface whose coefficients are p-adic integers, with
-    the quaternion-class transport factor recorded (always a square).
+    its scale lambda: the quaternion slot on the fiber is the model's slot
+    over lambda^2, a square.
 
     Cases:
-      - theta = infinity: global v-rescaling by a^(-4h-2), giving the
-        reduced coefficients A = a + b^(4h+3) c^2 d etc., valid at every p.
+      - theta = infinity: global v-rescaling by a^(4h+2), giving the
+        reduced coefficients A = a + b^(4h+3) c^2 d etc., valid at every
+        p; lambda = a^(-(2h+1)).
       - v_p(theta) >= 0: identity.
       - v_p(theta) = -l < 0, p != a: clear p^l from theta; coordinates
-        (x,y,z,u) scale by p^((2g+2)l), the class by the square p^(-(2g+2)l).
+        (x,y,z,u) scale by p^((2g+2)l), lambda = p^((g+1)l).
       - p = a, v_a(theta) = -l < 0: with k = (g+1)l - (2h+1), the raw
         coefficients are already a-integral when k < 0; when k > 0 an
-        extra a-power rescaling reduces A to a thetatilde^(2g+2) + ...
-        (k = 0 cannot happen for odd g).
+        extra a-power rescaling reduces A to a thetatilde^(2g+2) + ...,
+        lambda = a^k (k = 0 cannot happen for odd g).
     """
     coeffs = surface.coeffs
     if coeffs is None:
-        return surface, SurfaceChange()
+        return surface
     params = coeffs.params
     g, h = params.g, params.h
     a = Fraction(params.a)
     b, c, d = Fraction(params.b), Fraction(params.c), Fraction(params.d)
 
+    def model(A, B, C, lam):
+        return DP4Surface(a=surface.a, b=surface.b, A=A, B=B, C=C,
+                          genus=g, coeffs=coeffs, lam=lam)
+
     if theta.is_infinity:
-        scale = a ** (4 * h + 2)
         Adot = a + b ** (4 * h + 3) * c**2 * d
         Bdot = Adot + 2 * b ** (4 * h + 2) * c
-        change = SurfaceChange(
-            mults=(Fraction(1),) * 4 + (Fraction(1) / scale,),
-            brauer_factor=scale,
-        )
-        change.assert_square_factor()
-        model = DP4Surface(
-            a=surface.a, b=surface.b, A=Adot, B=Bdot, C=Fraction(1),
-            genus=g, coeffs=coeffs, change=change,
-        )
-        return model, change
+        return model(Adot, Bdot, Fraction(1), 1 / a ** (2 * h + 1))
 
     v = padic_val(theta.value, p)
     if v >= 0:
-        return surface, SurfaceChange()
+        return surface
     l = -v
 
     if p != params.a:
         At, Bt, Ct, _ = tilde_coeffs(params, theta, p, l)
-        m = Fraction(1, p ** ((2 * g + 2) * l))
-        change = SurfaceChange(
-            mults=(m, m, m, m, Fraction(1)),
-            brauer_factor=m,
-        )
-        change.assert_square_factor()
-        model = DP4Surface(
-            a=surface.a, b=surface.b, A=At, B=Bt, C=Ct,
-            genus=g, coeffs=coeffs, change=change,
-        )
-        return model, change
+        return model(At, Bt, Ct, Fraction(p) ** ((g + 1) * l))
 
     # p = a
     k = (g + 1) * l - (2 * h + 1)
@@ -742,21 +724,10 @@ def rederived_admissible_model(surface, p, theta):
     if k < 0:
         # raw coefficients are a-integral already (rewritten form has
         # Dtilde = a^(-k) b^(2h+1) thetatilde^(g+1) - 1); keep identity
-        return surface, SurfaceChange()
-    # k > 0: rescale (x,y,z,u) by a^((2g+2)l - (4h+2))
+        return surface
+    # k > 0: rescale (x,y,z,u) by a^((2g+2)l - (4h+2)) = a^(2k)
     Dt = b ** (2 * h + 1) * tt ** (g + 1) - a**k
     Ct = tt ** (g + 1) - a**k
     At = a * tt ** (2 * g + 2) + b * c**2 * d * Dt**2
     Bt = At + 2 * c * Dt**2
-    e = (2 * g + 2) * l - (4 * h + 2)
-    m = Fraction(1) / a**e
-    change = SurfaceChange(
-        mults=(m, m, m, m, Fraction(1)),
-        brauer_factor=m,
-    )
-    change.assert_square_factor()
-    model = DP4Surface(
-        a=surface.a, b=surface.b, A=At, B=Bt, C=Ct,
-        genus=g, coeffs=coeffs, change=change,
-    )
-    return model, change
+    return model(At, Bt, Ct, a**k)

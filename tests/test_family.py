@@ -16,8 +16,6 @@ from hassecert.family import (
     check_nonvanishing,
     check_smooth_curve,
     check_smooth_surface,
-    CurveChange,
-    SurfaceChange,
     delta_coords,
     fiber_coeffs,
     integral_model,
@@ -139,21 +137,36 @@ def test_smooth_surface_rejects_constructed_quartic_zero():
 def test_delta_residual_identity():
     # on the image of delta, the second quadric vanishes identically and
     # the first reduces to -a times the curve-chart residual, so genuine
-    # curve points (residual zero) map to genuine surface points
+    # curve points (residual zero) map to genuine surface points: on the
+    # fiber pair (mu = 1), and on the (integral_model, admissible_model)
+    # pair at p = a, read through mu = lambda_curve / lambda_surface, a
+    # positive integer other than 1 on each of these fibers: theta = inf,
+    # and both p = a branches, k > 0 (1/a and 1/a^2 at h = 0, 1/a^2 at
+    # h = 1) and k < 0 (1/a at h = 1)
     rng = random.Random(23)
+    a = PARAMS.a
+    pairs = []
     for th in (Theta.of(2, 3), Theta.of(0), Theta.infinity()):
         co = fiber_coeffs(PARAMS, th)
-        surf = build_surface(co)
-        curve = build_curve(co)
-        a = F(PARAMS.a)
+        pairs.append((build_curve(co), build_surface(co), 1))
+    for ps in (PARAMS, PARAMS_H1):
+        for th in (Theta.infinity(), Theta.of(1, a), Theta.of(1, a * a)):
+            co = fiber_coeffs(ps, th)
+            curve, surf = integral_model(build_curve(co), a), admissible_model(build_surface(co), a)
+            mu = curve.lam / surf.lam
+            assert mu != 1 and mu.denominator == 1 and mu > 0, (ps.h, th)
+            for val in (curve.A, curve.B, surf.A, surf.B, surf.C):
+                assert padic_val(val, a) >= 0, (ps.h, th)
+            pairs.append((curve, surf, mu))
+    for curve, surf, mu in pairs:
         for _ in range(10):
             t = F(rng.randrange(-50, 51), rng.randrange(1, 20))
             s = F(rng.randrange(-50, 51), rng.randrange(1, 20))
             for chart in ("st", "ST"):
-                pt = delta_coords(chart, s, t, co.C, co.params.g)
+                pt = delta_coords(chart, s, t, surf.C, surf.genus, mu)
                 q1, q2 = quadric_residuals(surf, pt)
                 assert q2 == 0
-                assert q1 == -a * (s * s - curve.chart_value(chart, t))
+                assert q1 == -surf.a * (s * s - curve.chart_value(chart, t))
 
 
 def test_j_invariant_A_minus_B_is_1728():
@@ -192,12 +205,20 @@ def test_j_invariant_rejections():
         j_invariant(bad)
 
 
+def _slot_transports_by_lam(surf, model, u, v):
+    # the fiber's (u : v) is (u : v / lam^2) on the model, where the slot
+    # b(u - Av)/v is lam^2, a square, times the fiber's
+    vm = v / model.lam**2
+    slot_model = model.b * (u - model.A * vm) / vm
+    slot_orig = surf.b * (u - surf.A * v) / v
+    return slot_orig == slot_model / model.lam**2
+
+
 def test_integral_model_identity_when_integral():
     co = fiber_coeffs(PARAMS, Theta.of(3))
     curve = build_curve(co)
     model = integral_model(curve, 7)
-    change = model.change
-    assert change == CurveChange() and model.A == co.A
+    assert model.lam == 1 and model.A == co.A
 
 
 def test_integral_model_clears_denominator():
@@ -205,29 +226,29 @@ def test_integral_model_clears_denominator():
     co = fiber_coeffs(PARAMS, Theta.of(1, p))
     curve = build_curve(co)
     model = integral_model(curve, p)
-    change = model.change
-    from hassecert.arith import padic_val
+    lam = model.lam
 
+    assert lam == p ** (PARAMS.g + 1)
     assert padic_val(model.A, p) >= 0
     assert padic_val(model.B, p) >= 0
     assert model.A != model.B
-    # round trip: a model-chart identity pulled back satisfies the original
-    g = PARAMS.g
+    # round trip: the model point (s, t) is the fiber point
+    # (s / lam^2, t / p^2), and the residuals differ by lam^4
     t_model = F(3)
     s_model = F(5)
     lhs = s_model**2 - model.chart_value("st", t_model)
-    t_orig = change.t_mult * t_model
-    s_orig = change.s_mult * s_model
+    t_orig = t_model / p**2
+    s_orig = s_model / lam**2
     rhs = s_orig**2 - curve.chart_value("st", t_orig)
-    # both residuals differ by the square of the s-scaling
-    assert rhs == change.s_mult**2 * lhs
+    assert rhs == lhs / lam**4
 
 
 def test_admissible_model_theta_zero_identity():
     co = fiber_coeffs(PARAMS, Theta.of(0))
     surf = build_surface(co)
     for p in (2, PARAMS.a, PARAMS.b, PARAMS.c, 11):
-        assert admissible_model(surf, p).change == SurfaceChange()
+        model = admissible_model(surf, p)
+        assert model == surf and model.lam == 1
 
 
 def test_admissible_model_infinity_dot():
@@ -236,60 +257,44 @@ def test_admissible_model_infinity_dot():
     co = fiber_coeffs(PARAMS, Theta.infinity())
     surf = build_surface(co)
     model = admissible_model(surf, 11)
-    change = model.change
     assert model.A == a + F(b) ** (4 * h + 3) * c * c * d
     assert model.C == 1
-    change.assert_square_factor()
+    assert model.lam == F(1, a ** (2 * h + 1))
+    assert _slot_transports_by_lam(surf, model, F(9), F(4))
 
 
 def test_admissible_model_clears_theta_denominator():
-    from hassecert.arith import padic_val
-
     p = 11
     th = Theta.of(3, p)
     co = fiber_coeffs(PARAMS, th)
     surf = build_surface(co)
     model = admissible_model(surf, p)
-    change = model.change
     for val in (model.A, model.B, model.C):
         assert padic_val(val, p) >= 0
     assert model.A != model.B
-    change.assert_square_factor()
-    # transported class: slot factor between models is the recorded one
-    # at corresponding points (u, v) -> (u / mult, v)
-    u, v = F(9), F(4)
-    slot_model = model.b * (u - model.A * v) / v
-    u_orig, v_orig = change.mults[3] * u, change.mults[4] * v
-    slot_orig = surf.b * (u_orig - surf.A * v_orig) / v_orig
-    assert slot_orig == change.brauer_factor * slot_model
+    assert model.lam == p ** (PARAMS.g + 1)
+    assert _slot_transports_by_lam(surf, model, F(9), F(4))
 
 
 def test_admissible_model_at_a_negative_valuation():
-    from hassecert.arith import padic_val
-
     a = PARAMS.a
     for l, ps in ((1, PARAMS), (1, PARAMS_H1), (2, PARAMS_H1)):
         th = Theta.of(3, a**l)
         co = fiber_coeffs(ps, th)
         surf = build_surface(co)
         model = admissible_model(surf, a)
-        change = model.change
         for val in (model.A, model.B, model.C):
             assert padic_val(val, a) >= 0, (l, ps.h, val)
         assert model.A != model.B
-        change.assert_square_factor()
-        if change != SurfaceChange():
-            u, v = F(10), F(3)
-            slot_model = model.b * (u - model.A * v) / v
-            u_orig, v_orig = change.mults[3] * u, change.mults[4] * v
-            slot_orig = surf.b * (u_orig - surf.A * v_orig) / v_orig
-            assert slot_orig == change.brauer_factor * slot_model
+        k = (ps.g + 1) * l - (2 * ps.h + 1)
+        assert model.lam == (a**k if k > 0 else 1), (l, ps.h)
+        assert _slot_transports_by_lam(surf, model, F(10), F(3))
 
 
 def test_scaled_models_match_the_rederived_models():
     # every local model is the fiber scaled by one lambda; it equals, field
-    # by field and change record included, the model rebuilt from the
-    # family formulas with p^l (or a power of a) cleared out of theta
+    # by field and lambda included, the model rebuilt from the family
+    # formulas with p^l (or a power of a) cleared out of theta
     seen = {"curve rescaled": 0, "surface rescaled": 0, "p = a, k < 0": 0, "p = a, k > 0": 0}
     for g, h, bound in ((1, 0, 10**7), (1, 1, 10**7), (1, 2, 10**7), (3, 0, 10**12)):
         ps = sieve_params(g, h, bound=bound, count=1)[0]
@@ -302,12 +307,12 @@ def test_scaled_models_match_the_rederived_models():
             den = 1 if th.is_infinity else th.value.denominator
             for p in {2, 3, 5, 7, 11, a, b, c, d} | set(factorize(den)[0]):
                 model = integral_model(curve, p)
-                assert (model, model.change) == rederived_integral_model(curve, p), (th, p)
-                seen["curve rescaled"] += model.change != CurveChange()
+                assert model == rederived_integral_model(curve, p), (th, p)
+                seen["curve rescaled"] += model.lam != 1
                 model = admissible_model(surface, p)
                 ref = rederived_admissible_model(surface, p, th)
-                assert (model, model.change) == ref, (g, h, th, p)
-                seen["surface rescaled"] += model.change != SurfaceChange()
+                assert model == ref, (g, h, th, p)
+                seen["surface rescaled"] += model.lam != 1
                 if p == a and not th.is_infinity and padic_val(th.value, a) < 0:
                     k = (g + 1) * -padic_val(th.value, a) - (2 * h + 1)
                     seen["p = a, k < 0" if k < 0 else "p = a, k > 0"] += 1

@@ -9,6 +9,7 @@ import pytest
 from hassecert.arith import Place, factorize, frac_mod, padic_val
 from hassecert.cli import default_theta_grid
 from hassecert.family import (
+    DP4Surface,
     HyperellipticCurve,
     Theta,
     build_curve,
@@ -48,6 +49,7 @@ from oracles import (
 
 
 PARAMS = sieve_params(1, 0, bound=10**7, count=1)[0]
+PARAMS_H1 = sieve_params(1, 1, bound=10**7, count=1)[0]
 CO_0 = fiber_coeffs(PARAMS, Theta.of(0))
 CURVE_0 = build_curve(CO_0)
 
@@ -361,6 +363,31 @@ def test_tampered_witness_fails_the_fiber(monkeypatch):
     assert f"Place(p={place.p})" in out["error"]
 
 
+@pytest.mark.parametrize("target", [2, 5, None], ids=["2", "5", "real"])
+def test_witness_filed_under_another_place_fails_the_fiber(monkeypatch, target):
+    # Witness.verify reads the witness's own prime, never the place: at
+    # theta = 0 every model is the fiber, so place 3's witness re-verifies
+    # on the model of any other place; certify_all_local fails it there
+    from hassecert import local
+
+    place = Place(target)
+    certify = local.certify_local_curve
+    witness = certify(CURVE_0, Place.finite(3)).witness
+    assert witness.prime == 3 and witness.verify(certify(CURVE_0, place).model)
+
+    def refile(curve, pl):
+        cert = certify(curve, pl)
+        if pl == place:
+            cert.witness = witness
+        return cert
+
+    monkeypatch.setattr(local, "certify_local_curve", refile)
+    res = certify_all_local(CURVE_0)
+    assert not res.solvable_everywhere
+    assert res.failures == [(place, res.certificates[place].method,
+                             "witness failed re-verification")]
+
+
 def test_spot_check_count_outside_the_window_fails_the_fiber(monkeypatch):
     # a blanket count outside the Hasse-Weil window raises, naming the
     # spot-check prime, and the fiber stops at local-solvability
@@ -523,7 +550,7 @@ def test_closed_form_chart_matches_dense_oracle():
     rescaled = scanned = 0
     for model, centers, cert in _closed_form_cases():
         p = cert.place.p
-        rescaled += model.change.t_mult != 1
+        rescaled += model.lam != 1
         for chart in ("st", "ST"):
             _, m = model.cleared(chart)
             H, m_dense = cleared_chart_poly(model, chart)
@@ -598,24 +625,48 @@ def test_delta_surface_points_verify():
         assert q1 == 0 and q2 == 0
 
 
-@pytest.mark.parametrize("theta", ["1/2", "1/3", "-2/3", "3/2"])
+@pytest.mark.parametrize("theta", ["1/2", "1/3", "-2/3", "3/2", "inf", "1/1753", "1/3073009"])
 def test_delta_images_at_primes_of_den_theta(theta):
-    # the witness at a prime of den(theta) lives on the integral model;
-    # on its reversed chart T scales by 1/t_mult and S does not change
+    # the witness at a prime of den(theta) (at a for theta = inf) lives on
+    # the integral model, and the image is read on the pair of it and the
+    # admissible model; at p = a = 1753, for inf, 1/a and 1/a^2 at h = 0
+    # and 1, mu = lambda_curve / lambda_surface is not 1, and these cover
+    # both p = a branches of admissible_model (k > 0 and k < 0)
     from hassecert.brauer import certify_invariant, evaluate_invariant_at_point
     from hassecert.family import admissible_model
 
     th = Theta.parse(theta)
-    co = fiber_coeffs(PARAMS, th)
-    curve, surface = build_curve(co), build_surface(co)
-    for p in factorize(th.value.denominator)[0]:
-        place = Place.finite(p)
-        model = admissible_model(surface, p)
-        ctx = ResidueContext.of(model, p)
-        pt = delta_surface_point(model, place, certify_local_curve(curve, place), ctx)
-        assert _residue_quadrics(model, pt, p, ctx.prec) == (0, 0)
-        value = certify_invariant(model, place).value
-        assert evaluate_invariant_at_point(model, pt, place, ctx) == value
+    for params in (PARAMS, PARAMS_H1):
+        co = fiber_coeffs(params, th)
+        curve, surface = build_curve(co), build_surface(co)
+        primes = [params.a] if th.is_infinity else factorize(th.value.denominator)[0]
+        for p in primes:
+            place = Place.finite(p)
+            model = admissible_model(surface, p)
+            ctx = ResidueContext.of(model, p)
+            cert = certify_local_curve(curve, place)
+            assert (cert.model.lam / model.lam != 1) == (p == params.a), (params.h, p)
+            pt = delta_surface_point(model, place, cert, ctx)
+            assert _residue_quadrics(model, pt, p, ctx.prec) == (0, 0)
+            value = certify_invariant(model, place).value
+            assert evaluate_invariant_at_point(model, pt, place, ctx) == value
+
+
+def test_exact_witness_delta_image_on_a_surface_without_coeffs():
+    # the control pair a = 2, b = 1, A = 1, B = 4, C = 1, built without
+    # FamilyCoeffs: at p = 3 the (g+1)-th power lemma lands on the exact
+    # root t = 1, and its delta image, read with the model's own C, passes
+    # the quadrics
+    F = Fraction
+    curve = HyperellipticCurve(a=F(2), b=F(1), A=F(1), B=F(4), genus=1)
+    surface = DP4Surface(a=F(2), b=F(1), A=F(1), B=F(4), C=F(1), genus=1)
+    place = Place.finite(3)
+    cert = certify_local_curve(curve, place)
+    assert cert.method == "g+1-power"
+    assert (cert.witness.kind, cert.witness.t_center) == ("exact", 1)
+    ctx = ResidueContext.of(surface, 3)
+    pt = delta_surface_point(surface, place, cert, ctx)
+    assert _residue_quadrics(surface, pt, 3, ctx.prec) == (0, 0)
 
 
 def test_good_reduction_failures_raise(monkeypatch):

@@ -39,8 +39,8 @@ def test_differences_are_counted_per_pattern_without_the_dropped_keys():
 
 def test_the_printed_set_runs_every_subcommand_and_both_refusals():
     calls = sweep.printed_invocations()
-    assert len(calls) == 15
-    assert len({label for label, _ in calls} | {label for label, _ in sweep.invocations()}) == 160
+    assert len(calls) == 17
+    assert len({label for label, _ in calls} | {label for label, _ in sweep.invocations()}) == 162
     commands = [argv[0] for _, argv in calls]
     assert set(commands) == {"certify-all", "certify-local", "certify-brauer", "point-search",
                              "instantiate", "j-report", "sieve-params"}
@@ -49,6 +49,8 @@ def test_the_printed_set_runs_every_subcommand_and_both_refusals():
     assert ["--samples", "1"] == calls[2][1][-2:]
     assert sum("(exit 1)" in label for label, _ in calls) == 2
     assert sum("(exit 2)" in label for label, _ in calls) == 1
+    assert [argv[2] for _, argv in calls if "--theta=1/1753,3/1753,1/3073009,5/127969" in argv] \
+        == ["0", "1"]
 
 
 def test_a_printed_run_is_compared_as_json_and_a_refusal_by_stderr():

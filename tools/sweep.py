@@ -10,11 +10,11 @@ HEAD~1`.  Nothing is downloaded.
 The set has two parts.  The first is 145 `certify-all` reports, one
 fiber each, written with --out: every theta = m/n with |m|, n <= 7, and
 inf, at g = 1 with h = 0 and with h = 1 (72 fibers each), and theta = 0
-at g = 3 (`--mode theta-zero --bound 10^12`).  The second is 15 runs that
+at g = 3 (`--mode theta-zero --bound 10^12`).  The second is 17 runs that
 print to standard output, one per subcommand and exit path (see
 printed_invocations): the default g = 1 grid through every subcommand
-and with one sample per place, theta = 0 at g = 5, both refusal exits,
-and a parallel run.  Each call runs in a fresh
+and with one sample per place, theta = 0 at g = 5, fibers whose models
+at p = a are rescaled, both refusal exits, and a parallel run.  Each call runs in a fresh
 interpreter on the tree's own src/, two at a time.
 
 `generated_at` and `output_path` are dropped from every report, and
@@ -59,15 +59,17 @@ def invocations():
 
 
 def printed_invocations():
-    """(label, argv) of the 15 runs that print their result, in order: the
+    """(label, argv) of the 17 runs that print their result, in order: the
     default g = 1 grid (h = 0, height 1000) through certify-all at one and
     two jobs and with one sample per place (the delta image alone, no
     direct draw), and through each other fiber subcommand, g = 3 theta-zero,
     g = 5 theta = 0 through certify-all (the n = 6 chart, the
-    Adleman-Manders-Miller cube roots and the d = 6 count walk), g = 5
-    instantiate, three quadruples sieved, and the refusals: g = 1, h = 1
-    fibers that fail (exit 1) and g = 7 theta-zero, whose sieve is
-    exhausted (exit 2)."""
+    Adleman-Manders-Miller cube roots and the d = 6 count walk), four
+    g = 1 fibers with a power of a = 1753 in den(theta) at h = 0 and at
+    h = 1 (the rescaled models at p = a, on both branches of
+    admissible_model there), g = 5 instantiate, three quadruples sieved,
+    and the refusals: g = 1, h = 1 fibers that fail (exit 1) and g = 7
+    theta-zero, whose sieve is exhausted (exit 2)."""
     return [
         ("certify-all grid --jobs 1", ["certify-all", "--jobs", "1"]),
         ("certify-all grid --jobs 2", ["certify-all", "--jobs", "2"]),
@@ -76,6 +78,9 @@ def printed_invocations():
                                         "--bound", str(10**12)]),
         ("certify-all g=5 h=1 theta=0", ["certify-all", "--g", "5", "--h", "1", "--theta", "0",
                                          "--bound", str(10**24)]),
+        *((f"certify-all g=1 h={h} p = a fibers",
+           ["certify-all", "--h", str(h), "--theta=1/1753,3/1753,1/3073009,5/127969"])
+          for h in (0, 1)),
         ("certify-all g=1 h=1 height 100 (exit 1)",
          ["certify-all", "--h", "1", "--height", "100", "--theta=-3,-1/2,1/3,2,inf"]),
         ("certify-local grid", ["certify-local"]),
