@@ -10,15 +10,21 @@ process, through one guard, _require_prime; a non-prime p raises
 ValueError on every call.
 """
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# The bound psi_13 of is_prime's 13 bases.  The bases up to 37 alone stop
-# at psi_12 = 318,665,857,834,031,151,167,461, itself a strong pseudoprime
-# to all of them.
+# psi_t, the least composite that is a strong pseudoprime to the first t
+# prime bases (OEIS A014233; Sorenson and Webster, Math. Comp. 86, 2017):
+# below psi_t the first t bases of _MR_BASES decide primality.  _MR_PSI
+# lists psi_1..psi_12, and psi_13 is MR_DETERMINISTIC_BOUND.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+           3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+           3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+           3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461)
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -30,11 +36,12 @@ def is_prime(n):
     """Deterministic primality test for 0 <= n < MR_DETERMINISTIC_BOUND.
 
     Trial division by the primes up to 53, then the strong-probable-prime
-    test to the first 13 prime bases (_MR_BASES), which no composite below
-    psi_13 = MR_DETERMINISTIC_BOUND, about 3.3 * 10^24, passes (Sorenson
-    and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp.
-    86, 2017).  Raises ValueError above the bound: probabilistic verdicts
-    are never allowed to leak into certificates.
+    test to the first t prime bases of _MR_BASES, t the least with n <
+    psi_t, which no composite below psi_t passes (Sorenson and Webster,
+    "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017);
+    psi_13 = MR_DETERMINISTIC_BOUND is about 3.3 * 10^24.  Raises
+    ValueError above the bound: probabilistic verdicts are never allowed
+    to leak into certificates.
     """
     if n < 0:
         raise ValueError("is_prime expects n >= 0")
@@ -48,7 +55,7 @@ def is_prime(n):
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    return not _sprp_composite(n)
+    return not _sprp_composite(n, _MR_BASES[:bisect.bisect_right(_MR_PSI, n) + 1])
 
 
 _PROVED_PRIMES = set()  # moduli proved prime in this process; never a composite
@@ -454,6 +461,17 @@ def hilbert_symbol_char(alpha, chi, beta, v, p):
     return -1 if odd % 2 else 1
 
 
+def hilbert_symbols_char(alpha, chi, classes, p):
+    """The set of hilbert_symbol_char(alpha, chi, beta, v, p) over the
+    square classes (beta, v) in classes, None entries skipped.  At odd p
+    with alpha even each symbol is chi^beta, so only beta's parity is read
+    and v is not."""
+    _require_prime(p)
+    if p != 2 and alpha % 2 == 0:
+        return {chi if c[0] % 2 else 1 for c in classes if c is not None}
+    return {hilbert_symbol_char(alpha, chi, *c, p) for c in classes if c is not None}
+
+
 def hilbert_symbol(a, b, place):
     """Hilbert symbol (a,b)_v in {+1,-1} for nonzero rationals a, b."""
     if a.numerator == 0 or b.numerator == 0:
@@ -760,15 +778,15 @@ def _brent_rho(n, budget):
     return None
 
 
-def _sprp_composite(n):
-    """True only with a compositeness witness among _MR_BASES (n odd,
-    n > 41); False means strong probable prime, a proof of primality only
-    below MR_DETERMINISTIC_BOUND."""
+def _sprp_composite(n, bases):
+    """True only with a compositeness witness among bases, a prefix of
+    _MR_BASES (n odd, n > 41); False means strong probable prime, a proof
+    of primality only below psi_t for t = len(bases)."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for base in _MR_BASES:
+    for base in bases:
         x = pow(base, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -816,7 +834,7 @@ def factorize(n):
             if is_prime(m):
                 factors[m] = factors.get(m, 0) + 1
                 continue
-        elif not _sprp_composite(m):
+        elif not _sprp_composite(m, _MR_BASES):
             # probable prime too large to certify deterministically
             unresolved.append(m)
             continue

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .arith import (
     Place,
     frac_mod,
-    hilbert_symbol_char,
+    hilbert_symbols_char,
     is_local_square,
     legendre,
     padic_val,
@@ -53,8 +53,7 @@ def evaluate_invariant_at_point(surface_model, point, place, ctx):
                    for den in dens for num in nums if num != 0 and den != 0}
     else:
         reps = ctx.slot_residues(u, v)
-        symbols = {hilbert_symbol_char(ctx.a_val, ctx.a_char, *r, place.p)
-                   for r in reps if r is not None}
+        symbols = hilbert_symbols_char(ctx.a_val, ctx.a_char, reps, place.p)
     if not symbols:
         raise PrecisionError(f"every slot representation is indeterminate at {place}"
                              + ("" if ctx is None else f" to precision {ctx.prec}"))

@@ -15,6 +15,7 @@ import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from . import __version__ as VERSION
 from .brauer import obstruction_certificate
@@ -345,8 +346,31 @@ def _check_writable(path):
         os.remove(path)
 
 
+def _json_text(value, indent="\n"):
+    """json.dumps(value, indent=2, sort_keys=True) on the report's types:
+    str, int, bool, None, lists, and dicts with str keys.  Any other value,
+    a float or a subclass of str included, raises TypeError, and so does a
+    key that is not a str or a subclass of one.  indent is the newline and
+    indentation before the closing bracket."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if type(value) is dict:
+        items = [encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
+                 for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if type(value) is list:
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    if type(value) is int:
+        return str(value)
+    raise TypeError(f"not a report value: {value!r}")
+
+
 def _emit(payload, path):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _json_text(payload)
     if not path:
         print(text)
         return

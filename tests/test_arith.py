@@ -16,6 +16,7 @@ from hassecert.arith import (
     hensel_nth_root,
     hilbert_symbol,
     hilbert_symbol_char,
+    hilbert_symbols_char,
     is_local_square,
     is_prime,
     is_rational_square,
@@ -174,6 +175,69 @@ def test_is_prime_rejects_psi_12():
     assert factorize(PSI_12) == (dict.fromkeys(PSI_12_FACTORS, 1), [])
 
 
+# ----- the psi_t prefix of bases ---------------------------------------------
+
+def _strong_probable_prime(n, base):
+    """The strong-probable-prime test of the odd n > base to one base."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _thirteen_base_verdict(n):
+    """is_prime's verdict with all thirteen bases on every n."""
+    if n < 2:
+        return False
+    for p in arith._SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    return not arith._sprp_composite(n, arith._MR_BASES)
+
+
+def test_psi_table_entries_are_strong_pseudoprimes_to_their_bases():
+    # psi_t passes the first t bases and some later base exposes it, so a
+    # typo in the table reads as a failure here, not as a composite that
+    # is_prime lets through
+    psi = (*arith._MR_PSI, MR_DETERMINISTIC_BOUND)
+    assert len(psi) == len(arith._MR_BASES) == 13
+    assert list(psi) == sorted(psi)
+    for t, n in enumerate(psi, start=1):
+        bases = arith._MR_BASES[:t]
+        assert n % 2 == 1 and all(_strong_probable_prime(n, b) for b in bases), t
+        if t < 13:
+            assert not all(_strong_probable_prime(n, b) for b in arith._MR_BASES), t
+            assert not is_prime(n), t
+    assert arith._MR_PSI[11] == PSI_12
+
+
+def test_is_prime_agrees_with_thirteen_bases_below_two_hundred_thousand():
+    primes = set(sieve_primes_upto(200_000))
+    for n in range(200_000):
+        assert is_prime(n) == _thirteen_base_verdict(n) == (n in primes), n
+
+
+def test_is_prime_agrees_with_thirteen_bases_on_random_n():
+    # bit lengths drawn uniformly, so every band [psi_(t-1), psi_t) is hit
+    rng = random.Random(35)
+    top = MR_DETERMINISTIC_BOUND.bit_length()
+    seen_primes = 0
+    for _ in range(10_000):
+        k = rng.randrange(2, top + 1)
+        n = rng.randrange(1 << (k - 1), min(1 << k, MR_DETERMINISTIC_BOUND)) | 1
+        verdict = is_prime(n)
+        assert verdict == _thirteen_base_verdict(n), n
+        seen_primes += verdict
+    assert seen_primes > 100
+
+
 # ----- the prime guard ------------------------------------------------------
 
 PRIME_TAKERS = [
@@ -185,6 +249,7 @@ PRIME_TAKERS = [
     ("ResidueRooter", lambda p: arith.ResidueRooter(p, 6)),
     ("hilbert_symbol_char",
      lambda p: hilbert_symbol_char(0, unit_character(2, p), 1, 3, p)),
+    ("hilbert_symbols_char", lambda p: hilbert_symbols_char(0, 1, [(1, 3)], p)),
     ("count_points_hyperelliptic",
      lambda p: count_points_hyperelliptic((1, 0, 1), 1, p)),
 ]
@@ -659,6 +724,23 @@ def test_hilbert_kernel_entry_points_against_exhaustive(p, k):
                     # valuations shifted by 2
                     assert hilbert_symbol_char(alpha - 2, unit_character(u + 8 * p, p),
                                                beta + 2, v + 8 * p * p, p) == want
+
+
+def test_hilbert_symbol_sets_are_the_kernel_over_each_class():
+    # the set form reads only beta's parity at odd p with alpha even; it
+    # must give hilbert_symbol_char's set at every alpha, chi and class
+    rng = random.Random(35)
+    for p in (2, 3, 5, 7, 11, 13):
+        units = [u for u in range(1, 8 * p) if u % p]
+        for alpha in range(-2, 4):
+            for chi in (1, -1):
+                for _ in range(40):
+                    classes = [None if rng.random() < 0.2 else
+                               (rng.randrange(-3, 4), rng.choice(units))
+                               for _ in range(rng.randrange(5))]
+                    want = {hilbert_symbol_char(alpha, chi, *c, p)
+                            for c in classes if c is not None}
+                    assert hilbert_symbols_char(alpha, chi, classes, p) == want, (p, alpha)
 
 
 def test_hilbert_kernel_rejects_non_units():

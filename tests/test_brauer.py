@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from hassecert.arith import Place, hilbert_symbol
+from hassecert import brauer
+from hassecert.arith import Place, hilbert_symbol, hilbert_symbol_char, hilbert_symbols_char
 from hassecert.brauer import (
     HALF,
     ZERO,
@@ -123,6 +124,84 @@ def test_representation_independence_on_samples():
                 assert value == (ZERO if symbols.pop() == 1 else HALF), (theta, p)
             places_seen += 1
     assert places_seen >= 16 * 6
+
+
+@pytest.mark.parametrize("g, theta", [(1, t) for t in _grid_thetas()] + [(3, "0")])
+def test_parity_read_matches_the_general_formula(monkeypatch, g, theta):
+    # at every finite critical place, at the delta image and the 9 draws:
+    # where p is odd and v_p(a) even, the symbol read off the slot's
+    # valuation parity, chi(a)^v_p(slot), is hilbert_symbol_char on every
+    # determinate representation
+    params = PARAMS if g == 1 else sieve_params(3, 0, bound=10**12, count=1)[0]
+    co = fiber_coeffs(params, Theta.parse(theta))
+    evaluate, evaluations = brauer.evaluate_invariant_at_point, []
+
+    def recording_evaluate(model, point, place, ctx):
+        value = evaluate(model, point, place, ctx)
+        evaluations.append((point, place, ctx, value))
+        return value
+
+    monkeypatch.setattr(brauer, "evaluate_invariant_at_point", recording_evaluate)
+    obs = obstruction_certificate(build_surface(co), certify_all_local(build_curve(co)))
+    assert obs.conclusion
+    finite = [e for e in evaluations if not e[1].is_real]
+    places = {place for _, place, _, _ in finite}
+    assert len(finite) == 10 * len(places) == 10 * (len(obs.table) - 1)
+    parity_points = 0
+    for point, place, ctx, value in finite:
+        p, symbols = place.p, set()
+        for rep in ctx.slot_residues(point[3], point[4]):
+            if rep is not None:
+                symbol = hilbert_symbol_char(ctx.a_val, ctx.a_char, *rep, p)
+                symbols.add(symbol)
+                assert hilbert_symbols_char(ctx.a_val, ctx.a_char, [rep], p) == {symbol}
+        parity_points += p != 2 and ctx.a_val % 2 == 0
+        assert len(symbols) == 1 and value == (ZERO if symbols == {1} else HALF), (theta, p)
+    assert 0 < parity_points < len(finite)
+
+
+def _general_outcome(evaluate, *args):
+    """An evaluation's value, or the class of the error it raises."""
+    try:
+        return evaluate(*args)
+    except PrecisionError:
+        return PrecisionError
+    except ArithmeticError:
+        return ArithmeticError
+
+
+def _general_invariant(model, point, place, ctx):
+    """evaluate_invariant_at_point with hilbert_symbol_char on every
+    determinate representation, at every finite place."""
+    symbols = {hilbert_symbol_char(ctx.a_val, ctx.a_char, *rep, place.p)
+               for rep in ctx.slot_residues(point[3], point[4]) if rep is not None}
+    if not symbols:
+        raise PrecisionError
+    if len(symbols) != 1:
+        raise ArithmeticError
+    return ZERO if symbols == {1} else HALF
+
+
+def test_parity_read_matches_the_general_symbol_off_the_surface():
+    # at c, a is a non-square unit, so an odd slot valuation reads -1 and
+    # the invariant 1/2; (u, v) off the surface also reach the
+    # disagreement and the indeterminate point, which both paths refuse
+    import random
+
+    rng = random.Random(35)
+    place = Place.finite(PARAMS.c)
+    model = admissible_model(SURFACE_0, PARAMS.c)
+    ctx = ResidueContext.of(model, PARAMS.c)
+    assert ctx.a_val % 2 == 0 and ctx.a_char == -1
+    outcomes = set()
+    for _ in range(2000):
+        u, v = (rng.randrange(ctx.pk) * PARAMS.c ** rng.randrange(4) % ctx.pk
+                for _ in range(2))
+        point = (0, 0, 0, u, v)
+        outcome = _general_outcome(evaluate_invariant_at_point, model, point, place, ctx)
+        assert outcome == _general_outcome(_general_invariant, model, point, place, ctx)
+        outcomes.add(outcome)
+    assert outcomes == {ZERO, HALF, ArithmeticError, PrecisionError}
 
 
 def _real_oracle(surface, u, v):

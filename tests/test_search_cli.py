@@ -897,3 +897,66 @@ def test_certify_local_checks_smoothness(tmp_path, monkeypatch):
         "stage": "smoothness",
         "error": "surface smoothness check failed",
     }]
+
+
+# ----- the report writer ---------------------------------------------------
+
+WRITER_RUNS = [[command] for command in ("certify-all", "certify-local", "certify-brauer",
+                                         "point-search", "instantiate", "j-report",
+                                         "sieve-params")]
+# a failed fiber record: theta = 3/2 at h = 1 stops at local solvability
+FAILED_FIBER_RUN = ["certify-all", "--h", "1", "--theta", "3/2", "--height", "10",
+                    "--samples", "2"]
+
+
+def _emitted(monkeypatch, capsys, argv):
+    """(exit code, the one payload the run emitted, the text it printed)."""
+    payloads, emit = [], cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload, path: (payloads.append(payload),
+                                                             emit(payload, path))[1])
+    code = main(argv)
+    (payload,) = payloads
+    return code, payload, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", WRITER_RUNS + [FAILED_FIBER_RUN],
+                         ids=[argv[0] for argv in WRITER_RUNS] + ["failed-fiber"])
+def test_report_text_is_the_stdlib_layout(monkeypatch, capsys, argv):
+    # indent 2, sorted keys and ASCII escapes: the text of
+    # json.dumps(payload, indent=2, sort_keys=True), byte for byte
+    code, payload, out = _emitted(monkeypatch, capsys, argv)
+    assert code == (1 if argv is FAILED_FIBER_RUN else 0)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if argv is FAILED_FIBER_RUN:
+        assert payload["fibers"][0]["stage"] == "local-solvability"
+
+
+def test_report_file_is_the_stdlib_layout(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "grid.json"
+    code, payload, printed = _emitted(monkeypatch, capsys, ["certify-all", "--out", str(out)])
+    assert code == 0 and printed == ""
+    assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_writer_edge_values():
+    values = [[], {}, [[], {}], {"b": [None, True, False], "a": {"y": -7, "x": 10**30}},
+              {"quote": '"\\\n\t', "accents": "déjà θ \U0001d11e", "": ""},
+              {_Name("key"): _Name("value")[:2]}]  # a str-subclass key is written
+    for value in values:
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+class _Name(str):
+    pass
+
+
+@pytest.mark.parametrize("payload", [{"x": 1.5}, {"fibers": [{"ok": [0.0]}]}, {3: "a"},
+                                     {"a": {"b": {None: "c"}}}, {"t": ("a",)},
+                                     {"name": _Name("a")}],
+                         ids=["float", "nested-float", "int-key", "none-key", "tuple",
+                              "str-subclass"])
+def test_report_writer_refuses_other_types(tmp_path, payload):
+    out = tmp_path / "r.json"
+    with pytest.raises(TypeError):
+        cli._emit(payload, str(out))
+    assert not out.exists()

@@ -1,6 +1,8 @@
 """The report comparison of tools/sweep.py, on small JSON values."""
 
 import importlib.util
+import json
+import shutil
 from pathlib import Path
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -55,12 +57,55 @@ def test_the_printed_set_runs_every_subcommand_and_both_refusals():
 
 def test_a_printed_run_is_compared_as_json_and_a_refusal_by_stderr():
     tree = Path(__file__).resolve().parent.parent
-    code, err, report = sweep.run(tree, ["sieve-params", "--count", "1"], None)
+    code, err, report, text = sweep.run(tree, ["sieve-params", "--count", "1"], None)
     assert (code, err) == (0, "")
     assert [q["a"] for q in report["quadruples"]] == ["1753"]
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
     argv = dict(sweep.printed_invocations())["certify-all g=7 theta-zero (exit 2)"]
-    code, err, report = sweep.run(tree, argv, None)
+    code, err, report, text = sweep.run(tree, argv, None)
     assert code == 2 and err.startswith("config error: no admissible value") and report is None
+    assert text == ""
+
+
+def test_a_report_text_is_compared_without_the_dropped_lines(tmp_path):
+    tree = Path(__file__).resolve().parent.parent
+    out = str(tmp_path / "r.json")
+    argv = ["certify-all", "--theta=0", "--height", "10", "--samples", "1"]
+    code, err, report, text = sweep.run(tree, argv, out)
+    assert (code, err) == (0, "")
+    assert report["config"]["output_path"] == out and "generated_at" in report
+    stable = {k: v for k, v in report.items() if k != "generated_at"}
+    del stable["config"]["output_path"]
+    assert text == json.dumps(stable, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_layout_change_alone_makes_the_sweep_differ(monkeypatch, capsys, tmp_path):
+    # a tree whose _emit writes indent=1 prints and files the same JSON
+    # values in another layout: both runs differ, under (layout) alone
+    root = Path(__file__).resolve().parent.parent
+    trees = []
+    for name in ("parent", "change"):
+        shutil.copytree(root / "src", tmp_path / name / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        trees.append(str(tmp_path / name))
+    cli_py = tmp_path / "change" / "src" / "hassecert" / "cli.py"
+    text = cli_py.read_text()
+    assert text.count("text = _json_text(payload)\n") == 1
+    cli_py.write_text(text.replace("text = _json_text(payload)\n",
+                                   "text = json.dumps(payload, indent=1, sort_keys=True)\n"))
+    monkeypatch.setattr(sweep, "invocations", lambda: [
+        ("one fiber", ["certify-all", "--theta=0", "--height", "10", "--samples", "1"])])
+    monkeypatch.setattr(sweep, "printed_invocations", lambda: [
+        ("sieve", ["sieve-params", "--count", "1"])])
+    assert sweep.main([trees[0], trees[0]]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == \
+        "2 invocations (1 reports, 1 printed), 0 differ"
+    assert sweep.main(trees) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["differs: one fiber: exit 0 -> 0, 1 values",
+                       "differs: sieve: exit 0 -> 0, 1 values",
+                       "2 invocations (1 reports, 1 printed), 2 differ"]
+    assert out[-1] == "       2  (layout)"
 
 
 def test_the_summary_gives_both_src_line_counts(monkeypatch, capsys, tmp_path):
@@ -73,7 +118,7 @@ def test_the_summary_gives_both_src_line_counts(monkeypatch, capsys, tmp_path):
         trees.append(str(tmp_path / name))
     assert [sweep.src_lines(tree) for tree in trees] == [3, 1]
     report = {"config": {"g": "1"}}
-    monkeypatch.setattr(sweep, "sweep", lambda trees: [("one", [(0, "", report)] * 2)])
+    monkeypatch.setattr(sweep, "sweep", lambda trees: [("one", [(0, "", report, "{}")] * 2)])
     assert sweep.main(trees) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].endswith(", 0 differ")

@@ -18,13 +18,17 @@ at p = a are rescaled, both refusal exits, and a parallel run.  Each call runs i
 interpreter on the tree's own src/, two at a time.
 
 `generated_at` and `output_path` are dropped from every report, and
-printed output is compared as JSON when it parses.  The script prints the
+printed output is compared as JSON when it parses.  Each report's text,
+the --out file or what the call printed, is also compared byte for byte
+with the lines of those two keys removed, so a change of layout alone
+(indentation, key order, escapes) differs too.  The script prints the
 exit codes of both trees side by side, counted by pair, each tree's
 line count of src/ and their difference, and every invocation whose exit
 code, standard error or report differs.
 It then counts the differing values per JSON path pattern, with each list
 index written [*] and each integer key written * (for example
-fibers[*].local.blanket.sample_counts.*, keyed by prime).
+fibers[*].local.blanket.sample_counts.*, keyed by prime); a text that
+differs where the values agree counts once under (layout).
 A path present on one side only counts as differing.  The exit code is 0
 when nothing differs and 1 otherwise.
 """
@@ -42,6 +46,7 @@ from fractions import Fraction
 from pathlib import Path
 
 DROPPED = {"generated_at", "output_path"}
+DROPPED_LINES = re.compile(r'^ *"(?:generated_at|output_path)": .*\n', re.MULTILINE)
 WORKERS = 2
 
 
@@ -105,21 +110,24 @@ def src_lines(tree):
 
 
 def run(tree, argv, out_path):
-    """(exit code, stderr, report or None) of one CLI call in tree.  With
-    out_path None the report is what the call printed: its JSON value, or
-    the text itself when it does not parse."""
+    """(exit code, stderr, report or None, text) of one CLI call in tree.
+    With out_path None the report is what the call printed: its JSON value,
+    or the text itself when it does not parse.  text is the report's text
+    (the file, or what was printed) without the lines of the dropped keys,
+    or None when no file was written."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()))
     out = [] if out_path is None else ["--out", out_path]
     proc = subprocess.run([sys.executable, "-m", "hassecert.cli", *argv, *out],
                           cwd=tree, env=env, capture_output=True, text=True)
     if out_path is None:
-        try:
-            report = json.loads(proc.stdout) if proc.stdout else None
-        except ValueError:
-            report = proc.stdout
+        text = proc.stdout
     else:
-        report = json.loads(Path(out_path).read_text()) if os.path.exists(out_path) else None
-    return proc.returncode, proc.stderr, report
+        text = Path(out_path).read_text() if os.path.exists(out_path) else None
+    try:
+        report = json.loads(text) if text else None
+    except ValueError:
+        report = text
+    return proc.returncode, proc.stderr, report, text and DROPPED_LINES.sub("", text)
 
 
 def flatten(obj, path=""):
@@ -172,9 +180,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     results = sweep([args.parent, args.change])
     exits, patterns, differing = Counter(), Counter(), 0
-    for label, ((code0, err0, rep0), (code1, err1, rep1)) in results:
+    for label, ((code0, err0, rep0, text0), (code1, err1, rep1, text1)) in results:
         exits[code0, code1] += 1
         found = differing_patterns(rep0, rep1)
+        if text0 != text1 and not found:
+            found["(layout)"] += 1
         if err0 != err1:
             found["(stderr)"] += 1
         if code0 != code1 or found:
