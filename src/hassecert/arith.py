@@ -461,17 +461,6 @@ def hilbert_symbol_char(alpha, chi, beta, v, p):
     return -1 if odd % 2 else 1
 
 
-def hilbert_symbols_char(alpha, chi, classes, p):
-    """The set of hilbert_symbol_char(alpha, chi, beta, v, p) over the
-    square classes (beta, v) in classes, None entries skipped.  At odd p
-    with alpha even each symbol is chi^beta, so only beta's parity is read
-    and v is not."""
-    _require_prime(p)
-    if p != 2 and alpha % 2 == 0:
-        return {chi if c[0] % 2 else 1 for c in classes if c is not None}
-    return {hilbert_symbol_char(alpha, chi, *c, p) for c in classes if c is not None}
-
-
 def hilbert_symbol(a, b, place):
     """Hilbert symbol (a,b)_v in {+1,-1} for nonzero rationals a, b."""
     if a.numerator == 0 or b.numerator == 0:

@@ -4,8 +4,8 @@ certificate that rules out rational points.
 
 The class is (a, b(u - Av)/v), with three further equivalent slot
 expressions obtained from the defining quadrics; only the square class of
-the slot matters, so every evaluation reads one Hilbert symbol: off signs
-at the real place, off (valuation, unit residue) pairs at finite places.
+the slot matters, and by bimultiplicativity each representation's Hilbert
+symbol is the product of its numerator's and denominator's.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +14,6 @@ from fractions import Fraction
 from .arith import (
     Place,
     frac_mod,
-    hilbert_symbols_char,
     is_local_square,
     legendre,
     padic_val,
@@ -36,34 +35,33 @@ def evaluate_invariant_at_point(surface_model, point, place, ctx):
     """Invariant in {0, 1/2} of the class at one local point, a tuple
     (x, y, z, u, v) of which only u and v are read.
 
-    Picks every representation whose square class is determined at the
-    point, asserts they agree, and converts the Hilbert symbol
-    (a, slot)_v: +1 -> 0, -1 -> 1/2.  At the real place (ctx None) each
-    symbol is read off the signs of a and of the slot's numerator and
-    denominator.  At a finite place the coordinates are residues of ctx,
-    the model's ResidueContext: the slots are read off them and each
-    symbol off a's character in ctx.
+    The Hilbert symbol is bimultiplicative, so each slot representation
+    num/den of slot_terms has the symbol (a, num)_v (a, den)_v: one symbol
+    is read per term, None where the term is indeterminate.  At a finite
+    place the coordinates are residues of ctx, the model's ResidueContext,
+    and ctx.symbol reads each term; at the real place (ctx None) a term's
+    symbol is -1 exactly when a < 0 and the term is negative.  The
+    products over the determinate (num, den) pairs must agree, and their
+    one value converts: +1 -> 0, -1 -> 1/2.
     """
     u, v = point[3], point[4]
-    if place.is_real:
+    if ctx is None:
         m = surface_model
-        nums, dens = slot_terms(m.a, m.b, m.A, m.B, u, v)
-        a_neg = m.a < 0
-        symbols = {-1 if a_neg and (num < 0) != (den < 0) else 1
-                   for den in dens for num in nums if num != 0 and den != 0}
+        terms = slot_terms(m.a, m.b, m.A, m.B, u, v)
+        neg = m.a < 0
+
+        def symbol(t):
+            return None if t == 0 else -1 if neg and t < 0 else 1
     else:
-        reps = ctx.slot_residues(u, v)
-        symbols = hilbert_symbols_char(ctx.a_val, ctx.a_char, reps, place.p)
+        terms, symbol = slot_terms(*ctx.coeffs[:4], u, v), ctx.symbol
+    term_symbols = nums, dens = tuple(tuple(symbol(t) for t in ts) for ts in terms)
+    symbols = {n * d for d in dens if d is not None for n in nums if n is not None}
     if not symbols:
         raise PrecisionError(f"every slot representation is indeterminate at {place}"
                              + ("" if ctx is None else f" to precision {ctx.prec}"))
     if len(symbols) != 1:
-        if place.is_real:  # the message shows the exact slot values
-            reps = [Fraction(num, den) if num != 0 and den != 0 else None
-                    for den in dens for num in nums]
-        raise ArithmeticError(
-            f"representations disagree at {place}: {reps} -> {symbols}"
-        )
+        raise ArithmeticError(f"representations disagree at {place}: terms (numerators, "
+                              f"denominators) {terms} have symbols {term_symbols}")
     return ZERO if symbols.pop() == 1 else HALF
 
 
@@ -265,16 +263,14 @@ def obstruction_certificate(surface, local_result, samples=10):
         "valuation argument"
     )
     conclusion = (not errors) and total == HALF and local_result.solvable_everywhere
-    notes = ""
-    if params.g == 1:
+    notes = "; ".join(errors)
+    if conclusion and params.g == 1:  # the prose holds only for a certified fiber
         notes = (
             "genus 1: the curve is a torsor under its Jacobian, trivial in "
             "every completion yet without rational points, hence a nonzero "
             "element of the Tate-Shafarevich group; a point over the quadratic "
             "extension at t = 0 bounds its order by 2"
         )
-    if errors:
-        notes = (notes + "; " if notes else "") + "; ".join(errors)
     pullback = (
         "the sum of local invariants is 1/2, nonzero in Q/Z, so the surface "
         "has no rational point; the curve maps to the surface through the "

@@ -197,7 +197,10 @@ def certify_fiber(params, theta, height_bound=1000, sample_count=10,
     """The per-fiber pipeline: build, nonvanishing, smoothness, then the
     given stages in order (local certificates, obstruction certificate,
     point searches, j-invariant).  A failed stage aborts the fiber (never
-    the run) with the stage named; stage "done" means every stage passed."""
+    the run) with the stage named; stage "done" means every stage passed.
+    A theta that is not a Theta is a caller's error and raises TypeError."""
+    if not isinstance(theta, Theta):
+        raise TypeError(f"theta must be a Theta, not {type(theta).__name__}")
     out = {"theta": str(theta), "certified": False, "stage": None}
     try:
         stage = "build"

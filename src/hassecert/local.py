@@ -28,6 +28,7 @@ from .arith import (
     factorize,
     frac_mod,
     hensel_nth_root,
+    hilbert_symbol_char,
     is_local_square,
     legendre,
     padic_val,
@@ -591,19 +592,6 @@ def _refine_curve_witness(curve_m, wit, p, prec):
     raise ValueError(wit.kind)
 
 
-def _split_residue(x, p, pk, deepest):
-    """(v_p(x), x / p^v_p(x)) for a residue x mod pk, or None when x is 0
-    mod pk or its valuation exceeds deepest."""
-    x %= pk
-    if x == 0:
-        return None
-    w = 0
-    while x % p == 0:
-        x //= p
-        w += 1
-    return None if w > deepest else (w, x)
-
-
 def slot_terms(a, b, A, B, u, v):
     """The numerators (b(u-Av), Bv-u) and denominators (v, -au) of the
     quaternion class's four slot representations num/den, listed
@@ -615,8 +603,8 @@ def slot_terms(a, b, A, B, u, v):
 
 
 def _slot_margin(p):
-    """The slot margin, 3 at p = 2 and 1 otherwise: slot_residues reads a
-    slot's unit part mod p^(margin+1)."""
+    """The slot margin, 3 at p = 2 and 1 otherwise: ResidueContext.symbol
+    reads a term's unit part mod p^(margin+1)."""
     return 3 if p == 2 else 1
 
 
@@ -633,14 +621,16 @@ class ResidueContext:
     """A surface model's residue data at one finite place, built once per
     place and read by the delta image's quadric check, the sampler and the
     invariant evaluation at every point.  A local point is a tuple
-    (x, y, z, u, v) of residues mod pk.
+    (x, y, z, u, v) of residues mod pk, and the evaluation reads the
+    symbol (a, t)_p of one slot term t at a time through symbol.
 
     prec is the working precision (_working_precision); pk = p^prec and
     pk1 = p^(prec-1) are read off rooter, the place's arith.ResidueRooter;
-    coeffs are a, b, A, B, C mod m = p^(prec+2); a_val = v_p(a), a_char
-    the character of a's unit part (arith.unit_character), and a_inv the
-    inverse of a / p^max(0, a_val) mod m; unit_mod = p^(margin+1) and
-    deepest = prec - 1 - margin bound slot_residues (_slot_margin).
+    coeffs are a, b, A, B, C mod m = p^(prec+2); a_val = v_p(a) and a_char
+    the character of a's unit part (arith.unit_character), the fixed first
+    argument of every symbol; a_inv the inverse of a / p^max(0, a_val) mod
+    m; deepest = prec - 1 - margin, the largest term valuation that symbol
+    reads (_slot_margin).
     """
 
     p: int
@@ -653,14 +643,12 @@ class ResidueContext:
     a_val: int
     a_char: int
     a_inv: int
-    unit_mod: int
     deepest: int
 
     @classmethod
     def of(cls, surface_model, p):
         prec = _working_precision(surface_model, p)
         rooter = ResidueRooter(p, prec)
-        margin = _slot_margin(p)
         m = p ** (prec + 2)
         a = surface_model.a
         a_val, a_unit = square_class(a, p)
@@ -669,7 +657,7 @@ class ResidueContext:
             coeffs=tuple(frac_mod(getattr(surface_model, k), m) for k in "abABC"),
             a_val=a_val, a_char=unit_character(a_unit, p),
             a_inv=pow(frac_mod(a / p ** max(0, a_val), m), -1, m),
-            unit_mod=p ** (margin + 1), deepest=prec - 1 - margin,
+            deepest=prec - 1 - _slot_margin(p),
         )
 
     def quadrics(self, coords):
@@ -681,26 +669,23 @@ class ResidueContext:
         q2 = (x * x - a * y * y + a * C * C * u * v) % pk
         return q1, q2
 
-    def slot_residues(self, u, v):
-        """Square classes (w, r) of the four slot representations of
-        slot_terms at a residue point (u, v) mod p^prec, in its order: w
-        the valuation, r the unit part mod unit_mod as an int; None where
-        indeterminate (zero mod p^prec, or a numerator or denominator of
-        valuation above deepest)."""
-        p, pk, unit_mod, deepest = self.p, self.pk, self.unit_mod, self.deepest
-        nums, dens = ([_split_residue(t, p, pk, deepest) for t in terms]
-                      for terms in slot_terms(*self.coeffs[:4], u, v))
-        out = []
-        for den in dens:
-            if den is not None:
-                wd, ud = den
-                inv = pow(ud, -1, unit_mod)
-            for num in nums:
-                if num is None or den is None:
-                    out.append(None)
-                else:
-                    out.append((num[0] - wd, num[1] * inv % unit_mod))
-        return out
+    def symbol(self, t):
+        """The Hilbert symbol (a, t)_p of a residue term t mod p^prec, a
+        numerator or denominator of slot_terms: hilbert_symbol_char of t's
+        valuation w and its unit part, known mod p^(prec-w) and so mod
+        p^(margin+1) at least.  None where t is indeterminate: zero mod
+        p^prec, or of valuation above deepest."""
+        p = self.p
+        t %= self.pk
+        if t == 0:
+            return None
+        w = 0
+        while t % p == 0:
+            t //= p
+            w += 1
+        if w > self.deepest:
+            return None
+        return hilbert_symbol_char(self.a_val, self.a_char, w, t, p)
 
 
 def delta_surface_point(surface_model, place, cert, ctx):
@@ -782,9 +767,9 @@ def sample_surface_points(surface_model, place, n, ctx, seed=0):
 
     Residues are taken mod p^prec, prec = _working_precision(model, p),
     which determines the square class of b phi / v or of -psi / v (phi =
-    u - Av, psi = u - Bv) at every returned point: slot_residues
-    needs numerator and denominator nonzero mod p^prec, of valuation at
-    most prec - 1 - m.  The denominator v is a unit (1, or drawn as one)
+    u - Av, psi = u - Bv) at every returned point: ResidueContext.symbol
+    needs each term nonzero mod p^prec, of valuation at most
+    prec - 1 - m.  The denominator v is a unit (1, or drawn as one)
     and prec >= 6 > m.  Mod p^prec, phi - psi = (B - A) v has valuation
     v_p(B - A) < prec (A, B, b are p-integral on the model), so phi and
     psi cannot both have larger valuation; hence min(v_p(psi), v_p(b) +

@@ -547,14 +547,21 @@ def residue_quadrics(surface_model, point, p, prec):
     return tuple(frac_mod(q, p**prec) for q in quadric_residuals(surface_model, point))
 
 
-def slot_fractions(surface_model, u, v):
+def slot_fractions(surface_model, u, v, p=None, deepest=None):
     """The four slot representations of local.slot_terms at exact rational
     (u, v) as Fractions num/den, in its order; None where the value is zero
     or undefined.  The real place's invariant is the Hilbert symbol
-    (a, r)_real of any one of them."""
+    (a, r)_real of any one of them.  Given a prime p and a depth, None also
+    where num or den has valuation above deepest: for residues (u, v) mod
+    p^prec and deepest < prec, the representations whose square class the
+    residues fix, each with a representative of that class."""
     m = surface_model
     nums, dens = slot_terms(m.a, m.b, m.A, m.B, Fraction(u), Fraction(v))
-    return [num / den if num != 0 and den != 0 else None
+
+    def fixed(t):
+        return t != 0 and (p is None or padic_val(t, p) <= deepest)
+
+    return [num / den if fixed(num) and fixed(den) else None
             for den in dens for num in nums]
 
 

@@ -16,7 +16,6 @@ from hassecert.arith import (
     hensel_nth_root,
     hilbert_symbol,
     hilbert_symbol_char,
-    hilbert_symbols_char,
     is_local_square,
     is_prime,
     is_rational_square,
@@ -249,7 +248,6 @@ PRIME_TAKERS = [
     ("ResidueRooter", lambda p: arith.ResidueRooter(p, 6)),
     ("hilbert_symbol_char",
      lambda p: hilbert_symbol_char(0, unit_character(2, p), 1, 3, p)),
-    ("hilbert_symbols_char", lambda p: hilbert_symbols_char(0, 1, [(1, 3)], p)),
     ("count_points_hyperelliptic",
      lambda p: count_points_hyperelliptic((1, 0, 1), 1, p)),
 ]
@@ -726,21 +724,24 @@ def test_hilbert_kernel_entry_points_against_exhaustive(p, k):
                                                beta + 2, v + 8 * p * p, p) == want
 
 
-def test_hilbert_symbol_sets_are_the_kernel_over_each_class():
-    # the set form reads only beta's parity at odd p with alpha even; it
-    # must give hilbert_symbol_char's set at every alpha, chi and class
-    rng = random.Random(35)
+def test_hilbert_kernel_is_bimultiplicative_in_its_second_argument():
+    # the invariant evaluation reads (a, num/den)_p as the product of the
+    # terms' symbols (a, num)_p (a, den)_p; the one formula must give the
+    # product for the product and for the quotient of any two classes
+    rng = random.Random(36)
     for p in (2, 3, 5, 7, 11, 13):
+        m = 8 if p == 2 else p
         units = [u for u in range(1, 8 * p) if u % p]
         for alpha in range(-2, 4):
-            for chi in (1, -1):
+            for chi in ((1, 3, 5, 7) if p == 2 else (1, -1)):
                 for _ in range(40):
-                    classes = [None if rng.random() < 0.2 else
-                               (rng.randrange(-3, 4), rng.choice(units))
-                               for _ in range(rng.randrange(5))]
-                    want = {hilbert_symbol_char(alpha, chi, *c, p)
-                            for c in classes if c is not None}
-                    assert hilbert_symbols_char(alpha, chi, classes, p) == want, (p, alpha)
+                    (b1, v1), (b2, v2) = ((rng.randrange(-3, 4), rng.choice(units))
+                                          for _ in range(2))
+                    want = (hilbert_symbol_char(alpha, chi, b1, v1, p)
+                            * hilbert_symbol_char(alpha, chi, b2, v2, p))
+                    assert hilbert_symbol_char(alpha, chi, b1 + b2, v1 * v2, p) == want
+                    quotient = v1 * pow(v2, -1, m) % m
+                    assert hilbert_symbol_char(alpha, chi, b1 - b2, quotient, p) == want
 
 
 def test_hilbert_kernel_rejects_non_units():

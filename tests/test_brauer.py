@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hassecert import brauer
-from hassecert.arith import Place, hilbert_symbol, hilbert_symbol_char, hilbert_symbols_char
+from hassecert.arith import Place, hilbert_symbol
 from hassecert.brauer import (
     HALF,
     ZERO,
@@ -29,9 +29,10 @@ from hassecert.local import (
     critical_places,
     delta_surface_point,
     sample_surface_points,
+    slot_terms,
 )
 from hassecert.params import sieve_params
-from oracles import count_fraction_constructions, slot_fractions
+from oracles import count_fraction_constructions, padic_val, slot_fractions
 
 
 PARAMS = sieve_params(1, 0, bound=10**7, count=1)[0]
@@ -101,6 +102,14 @@ def _grid_thetas():
     return [str(v) for v in vals] + ["inf"]
 
 
+def _oracle_symbols(model, point, place, ctx):
+    """The Fraction Hilbert symbols (a, r)_p over the slot fractions r of
+    oracles.slot_fractions at the point's residues (u, v) whose square
+    class the residues fix (terms of valuation at most ctx.deepest)."""
+    reps = slot_fractions(model, point[3], point[4], place.p, ctx.deepest)
+    return {hilbert_symbol(model.a, r, place) for r in reps if r is not None}
+
+
 def test_representation_independence_on_samples():
     # at every finite critical place of the grid, every determined slot
     # gives the same Fraction Hilbert symbol, and the integer evaluation
@@ -115,10 +124,9 @@ def test_representation_independence_on_samples():
             model = admissible_model(surface, p)
             ctx = ResidueContext.of(model, p)
             for pt in sample_surface_points(model, place, 8, ctx, seed=5):
-                reps = ctx.slot_residues(pt[3], pt[4])
-                defined = [Fraction(p) ** w * r for w, r in (x for x in reps if x is not None)]
-                assert len(defined) >= 2 or p != PARAMS.a
-                symbols = {hilbert_symbol(model.a, r, place) for r in defined}
+                reps = slot_fractions(model, pt[3], pt[4], p, ctx.deepest)
+                assert len([r for r in reps if r is not None]) >= 2 or p != PARAMS.a
+                symbols = _oracle_symbols(model, pt, place, ctx)
                 assert len(symbols) == 1, (theta, p)
                 value = evaluate_invariant_at_point(model, pt, place, ctx)
                 assert value == (ZERO if symbols.pop() == 1 else HALF), (theta, p)
@@ -129,32 +137,37 @@ def test_representation_independence_on_samples():
 @pytest.mark.parametrize("g, theta", [(1, t) for t in _grid_thetas()] + [(3, "0")])
 def test_parity_read_matches_the_general_formula(monkeypatch, g, theta):
     # at every finite critical place, at the delta image and the 9 draws:
-    # where p is odd and v_p(a) even, the symbol read off the slot's
-    # valuation parity, chi(a)^v_p(slot), is hilbert_symbol_char on every
-    # determinate representation
+    # each slot term's symbol ctx.symbol(t) is the Fraction Hilbert symbol
+    # (a, t)_p of the exact term, None exactly where the term's valuation
+    # exceeds ctx.deepest, and the value is the one the determinate slot
+    # fractions' symbols give; places where p is odd and v_p(a) even, and
+    # places where not, are both reached
     params = PARAMS if g == 1 else sieve_params(3, 0, bound=10**12, count=1)[0]
     co = fiber_coeffs(params, Theta.parse(theta))
     evaluate, evaluations = brauer.evaluate_invariant_at_point, []
 
     def recording_evaluate(model, point, place, ctx):
         value = evaluate(model, point, place, ctx)
-        evaluations.append((point, place, ctx, value))
+        evaluations.append((model, point, place, ctx, value))
         return value
 
     monkeypatch.setattr(brauer, "evaluate_invariant_at_point", recording_evaluate)
     obs = obstruction_certificate(build_surface(co), certify_all_local(build_curve(co)))
     assert obs.conclusion
-    finite = [e for e in evaluations if not e[1].is_real]
-    places = {place for _, place, _, _ in finite}
+    finite = [e for e in evaluations if not e[2].is_real]
+    places = {place for _, _, place, _, _ in finite}
     assert len(finite) == 10 * len(places) == 10 * (len(obs.table) - 1)
     parity_points = 0
-    for point, place, ctx, value in finite:
-        p, symbols = place.p, set()
-        for rep in ctx.slot_residues(point[3], point[4]):
-            if rep is not None:
-                symbol = hilbert_symbol_char(ctx.a_val, ctx.a_char, *rep, p)
-                symbols.add(symbol)
-                assert hilbert_symbols_char(ctx.a_val, ctx.a_char, [rep], p) == {symbol}
+    for model, point, place, ctx, value in finite:
+        p, (u, v) = place.p, point[3:]
+        exact = slot_terms(model.a, model.b, model.A, model.B, Fraction(u), Fraction(v))
+        residues = slot_terms(*ctx.coeffs[:4], u, v)
+        for ts, rs in zip(exact, residues):
+            for t, r in zip(ts, rs):
+                fixed = t != 0 and padic_val(t, p) <= ctx.deepest
+                want = hilbert_symbol(model.a, t, place) if fixed else None
+                assert ctx.symbol(r) == want, (theta, p)
+        symbols = _oracle_symbols(model, point, place, ctx)
         parity_points += p != 2 and ctx.a_val % 2 == 0
         assert len(symbols) == 1 and value == (ZERO if symbols == {1} else HALF), (theta, p)
     assert 0 < parity_points < len(finite)
@@ -171,10 +184,9 @@ def _general_outcome(evaluate, *args):
 
 
 def _general_invariant(model, point, place, ctx):
-    """evaluate_invariant_at_point with hilbert_symbol_char on every
-    determinate representation, at every finite place."""
-    symbols = {hilbert_symbol_char(ctx.a_val, ctx.a_char, *rep, place.p)
-               for rep in ctx.slot_residues(point[3], point[4]) if rep is not None}
+    """evaluate_invariant_at_point read off the Fraction Hilbert symbols of
+    the determinate slot fractions, at every finite place."""
+    symbols = _oracle_symbols(model, point, place, ctx)
     if not symbols:
         raise PrecisionError
     if len(symbols) != 1:
@@ -182,25 +194,54 @@ def _general_invariant(model, point, place, ctx):
     return ZERO if symbols == {1} else HALF
 
 
-def test_parity_read_matches_the_general_symbol_off_the_surface():
-    # at c, a is a non-square unit, so an odd slot valuation reads -1 and
-    # the invariant 1/2; (u, v) off the surface also reach the
-    # disagreement and the indeterminate point, which both paths refuse
+def _off_surface_outcomes(model, p, seed):
+    """The outcome classes of the evaluation at 2,000 seeded residue points
+    (0, 0, 0, u, v) at p, each asserted to be the Fraction oracle's; u and
+    v carry p-powers up to p^(prec-1), so every outcome is reached."""
     import random
 
-    rng = random.Random(35)
-    place = Place.finite(PARAMS.c)
-    model = admissible_model(SURFACE_0, PARAMS.c)
-    ctx = ResidueContext.of(model, PARAMS.c)
-    assert ctx.a_val % 2 == 0 and ctx.a_char == -1
+    rng = random.Random(seed)
+    place = Place.finite(p)
+    ctx = ResidueContext.of(model, p)
     outcomes = set()
     for _ in range(2000):
-        u, v = (rng.randrange(ctx.pk) * PARAMS.c ** rng.randrange(4) % ctx.pk
+        u, v = (rng.randrange(ctx.pk) * p ** rng.randrange(ctx.prec) % ctx.pk
                 for _ in range(2))
         point = (0, 0, 0, u, v)
         outcome = _general_outcome(evaluate_invariant_at_point, model, point, place, ctx)
         assert outcome == _general_outcome(_general_invariant, model, point, place, ctx)
         outcomes.add(outcome)
+    return ctx, outcomes
+
+
+def test_parity_read_matches_the_general_symbol_off_the_surface():
+    # at c, a is a non-square unit, so an odd term valuation reads -1;
+    # (u, v) off the surface also reach the disagreement and the
+    # indeterminate point, which both paths refuse
+    ctx, outcomes = _off_surface_outcomes(admissible_model(SURFACE_0, PARAMS.c), PARAMS.c, 35)
+    assert ctx.a_val % 2 == 0 and ctx.a_char == -1
+    assert outcomes == {ZERO, HALF, ArithmeticError, PrecisionError}
+
+
+def _synthetic_model(a):
+    """A genus-1 surface model with the given a, at which p = 2 reads the
+    symbol's units mod 8; on the fiber a = 1 mod 8 is a 2-adic square."""
+    return DP4Surface(a=Fraction(a), b=Fraction(7), A=Fraction(1), B=Fraction(-1),
+                      C=Fraction(1), genus=1)
+
+
+@pytest.mark.parametrize("model, p, a_class", [
+    (admissible_model(SURFACE_0, PARAMS.a), PARAMS.a, (1, 1)),
+    (_synthetic_model(3), 2, (0, 3)),
+    (_synthetic_model(5), 2, (0, 5)),
+    (_synthetic_model(6), 2, (1, 3)),
+], ids=["a", "2-a3", "2-a5", "2-a6"])
+def test_term_symbols_match_the_general_symbol_off_the_surface(model, p, a_class):
+    # at p = a, v_p(a) = 1, so each term's symbol reads the Legendre symbol
+    # of the term's unit part; at p = 2 the formula reads units mod 8 and,
+    # for a = 6, an odd valuation of a
+    ctx, outcomes = _off_surface_outcomes(model, p, 36)
+    assert (ctx.a_val, ctx.a_char) == a_class
     assert outcomes == {ZERO, HALF, ArithmeticError, PrecisionError}
 
 
@@ -228,8 +269,8 @@ def test_real_evaluation_uses_exact_slots():
 def test_real_evaluation_with_negative_a():
     # a = -1: every slot at the real point x = y = 1, z = sqrt 2,
     # (u, v) = (1, 2) is negative, so the value is 1/2; at (2, -1), off the
-    # surface, the slots' signs disagree and the error lists the slot
-    # fractions as the Fraction evaluation did
+    # surface, the slots' signs disagree and the error shows the place, the
+    # terms and each term's symbol
     surface = DP4Surface(a=Fraction(-1), b=Fraction(1), A=Fraction(1), B=Fraction(-1),
                          C=Fraction(1), genus=1)
     real = Place.real()
@@ -239,13 +280,13 @@ def test_real_evaluation_with_negative_a():
     assert evaluate_invariant_at_point(surface, on, real, None) == HALF
     off = (None, Fraction(1), None, Fraction(2), Fraction(-1))
     reps, symbols = _real_oracle(surface, Fraction(2), Fraction(-1))
-    assert symbols == {1, -1}
-    message = f"representations disagree at real: {reps} -> {symbols}"
-    assert message == ("representations disagree at real: [Fraction(-3, 1), Fraction(1, 1), "
-                       "Fraction(3, 2), Fraction(-1, 2)] -> {1, -1}")
+    assert reps == [-3, 1, Fraction(3, 2), Fraction(-1, 2)] and symbols == {1, -1}
     with pytest.raises(ArithmeticError) as err:
         evaluate_invariant_at_point(surface, off, real, None)
-    assert str(err.value) == message
+    assert str(err.value) == (
+        "representations disagree at real: terms (numerators, denominators) "
+        "((Fraction(3, 1), Fraction(-1, 1)), (Fraction(-1, 1), Fraction(2, 1))) "
+        "have symbols ((1, -1), (-1, 1))")
 
 
 def _finite_places_of_theta_half():
@@ -473,7 +514,8 @@ def test_disagreeing_samples_fail_the_fiber(monkeypatch):
     _flip_samples_at(monkeypatch, place, {1})
     obs = obstruction_certificate(SURFACE_0, certify_all_local(CURVE_0), samples=2)
     assert obs.conclusion is False and not obs.table[place].samples_consistent
-    assert obs.notes.endswith(f"; samples disagree among themselves at {place}")
+    assert obs.notes == f"samples disagree among themselves at {place}"
+    assert "Tate-Shafarevich" not in obs.notes
     _obstruction_failure(f"samples disagree among themselves at {place}")
 
 
@@ -484,7 +526,8 @@ def test_contradicting_samples_fail_the_fiber(monkeypatch):
     obs = obstruction_certificate(SURFACE_0, certify_all_local(CURVE_0), samples=2)
     assert obs.conclusion is False and obs.table[place].samples_consistent
     assert obs.table[place].value == ZERO and obs.total == HALF
-    assert obs.notes.endswith(f"; sampled value 1/2 contradicts certified 0 at {place}")
+    assert obs.notes == f"sampled value 1/2 contradicts certified 0 at {place}"
+    assert "Tate-Shafarevich" not in obs.notes
     _obstruction_failure(f"sampled value 1/2 contradicts certified 0 at {place}")
 
 
@@ -505,7 +548,9 @@ def test_support_other_than_a_fails_the_fiber(monkeypatch):
     obs = obstruction_certificate(SURFACE_0, certify_all_local(CURVE_0), samples=2)
     assert obs.conclusion is False and obs.total == ZERO
     error = f"invariant support [] is not exactly the place of a = {PARAMS.a}"
-    assert obs.notes.endswith(f"; {error}")
+    contradiction = f"sampled value 1/2 contradicts certified 0 at {place}"
+    assert obs.notes == f"{contradiction}; {error}"
+    assert "Tate-Shafarevich" not in obs.notes
     _obstruction_failure(error)
 
 

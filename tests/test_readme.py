@@ -1,6 +1,7 @@
-"""The README's library example runs as written, and the primitives it
-lists are exported."""
+"""The README's library example runs as written, the primitives it lists
+are exported, and every module attribute it names exists."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -25,4 +26,23 @@ def test_readme_primitives_are_exported():
     names = re.findall(r"`(\w+)`", listed)
     assert names
     missing = [name for name in names if not hasattr(hassecert, name)]
+    assert not missing, missing
+
+
+def test_readme_module_names_resolve():
+    # every backticked module.name (module.name(...) included) resolves on
+    # hassecert.<module>; file names such as `arith.py` are not names
+    text = README.read_text()
+    modules = "arith|local|brauer|family|params|search|cli"
+    named = re.findall(rf"`({modules})\.(\w+(?:\.\w+)*)[^`]*`", text)
+    assert named
+    missing = []
+    for module, dotted in named:
+        if dotted == "py":
+            continue
+        obj = importlib.import_module(f"hassecert.{module}")
+        for attr in dotted.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(f"{module}.{dotted}")
     assert not missing, missing

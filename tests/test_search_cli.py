@@ -510,6 +510,18 @@ def test_certify_fiber_reports_stage_on_failure(monkeypatch):
     assert "obstruction" not in out and "point_search" not in out
 
 
+def test_certify_fiber_refuses_a_theta_that_is_not_a_theta(monkeypatch):
+    # a caller's error raises before any stage runs; it is never read as a
+    # fiber that failed to certify
+    built = []
+    monkeypatch.setattr(cli, "fiber_coeffs", lambda *args: built.append(args))
+    for theta in ("1/2", Fraction(1, 2), None):
+        with pytest.raises(TypeError) as err:
+            certify_fiber(PARAMS, theta, height_bound=20, sample_count=2)
+        assert str(err.value) == f"theta must be a Theta, not {type(theta).__name__}"
+    assert built == []
+
+
 def test_found_points_refute_only_after_obstruction(monkeypatch):
     monkeypatch.setattr(cli, "curve_point_search",
                         lambda curve, height: [(Fraction(1), Fraction(2))])
