@@ -39,30 +39,43 @@ def evaluate_invariant_at_point(surface_model, point, place, ctx):
     num/den of slot_terms has the symbol (a, num)_v (a, den)_v: one symbol
     is read per term, None where the term is indeterminate.  At a finite
     place the coordinates are residues of ctx, the model's ResidueContext,
-    and ctx.symbol reads each term; at the real place (ctx None) a term's
-    symbol is -1 exactly when a < 0 and the term is negative.  The
-    products over the determinate (num, den) pairs must agree, and their
-    one value converts: +1 -> 0, -1 -> 1/2.
+    and four ctx.symbol calls read the four terms.  At the real place
+    (ctx None) a term's symbol is -1 exactly when a < 0 and the term is
+    negative, so the terms are read on integers: slot_terms of u and v
+    over their common denominator and of A and B over theirs, each term a
+    positive multiple of the rational one.  The products over the
+    determinate (num, den) pairs must agree, and their one value
+    converts: +1 -> 0, -1 -> 1/2.
     """
     u, v = point[3], point[4]
     if ctx is None:
         m = surface_model
-        terms = slot_terms(m.a, m.b, m.A, m.B, u, v)
-        neg = m.a < 0
-
-        def symbol(t):
-            return None if t == 0 else -1 if neg and t < 0 else 1
+        ud, vd, Ad, Bd = u.denominator, v.denominator, m.A.denominator, m.B.denominator
+        terms = slot_terms(m.a.numerator, m.b.numerator, m.A.numerator * Bd,
+                           m.B.numerator * Ad, u.numerator * vd * Ad * Bd, v.numerator * ud)
+        neg = m.a.numerator < 0
+        s1, s2, s3, s4 = [None if t == 0 else -1 if neg and t < 0 else 1
+                          for ts in terms for t in ts]
     else:
-        terms, symbol = slot_terms(*ctx.coeffs[:4], u, v), ctx.symbol
-    term_symbols = nums, dens = tuple(tuple(symbol(t) for t in ts) for ts in terms)
-    symbols = {n * d for d in dens if d is not None for n in nums if n is not None}
+        (n1, n2), (d1, d2) = slot_terms(*ctx.coeffs[:4], u, v)
+        symbol = ctx.symbol
+        s1, s2, s3, s4 = symbol(n1), symbol(n2), symbol(d1), symbol(d2)
+    symbols = set()
+    for n in (s1, s2):
+        if n is not None:
+            if s3 is not None:
+                symbols.add(n * s3)
+            if s4 is not None:
+                symbols.add(n * s4)
+    if len(symbols) == 1:
+        return ZERO if symbols.pop() == 1 else HALF
     if not symbols:
         raise PrecisionError(f"every slot representation is indeterminate at {place}"
                              + ("" if ctx is None else f" to precision {ctx.prec}"))
-    if len(symbols) != 1:
-        raise ArithmeticError(f"representations disagree at {place}: terms (numerators, "
-                              f"denominators) {terms} have symbols {term_symbols}")
-    return ZERO if symbols.pop() == 1 else HALF
+    terms = (slot_terms(m.a, m.b, m.A, m.B, u, v) if ctx is None
+             else ((n1, n2), (d1, d2)))
+    raise ArithmeticError(f"representations disagree at {place}: terms (numerators, "
+                          f"denominators) {terms} have symbols {((s1, s2), (s3, s4))}")
 
 
 def sample_invariant(surface_model, place, delta, n, ctx):

@@ -8,6 +8,7 @@ runs up to the generated_at timestamp.
 
 import argparse
 import concurrent.futures
+import contextlib
 import datetime
 import functools
 import json
@@ -253,15 +254,49 @@ def certify_fiber(params, theta, height_bound=1000, sample_count=10,
 
 def _certify_fibers(config, command):
     """The validated config's params, and one certify_fiber record per theta
-    of the config, in order, with the subcommand's stages."""
+    of the config, in order, with the subcommand's stages.
+
+    Each distinct fiber is certified once.  Finite thetas with equal A, B,
+    C and D (theta and -theta at odd g) have equal theta^(g+1), which with
+    the coefficients fixes every stage's work (the models read only
+    whether theta is inf and v_p(theta)), so every later theta of a
+    certified fiber gets a copy of its first theta's record with the theta
+    fields rewritten.  A failed fiber's error may name its theta, so each
+    of its thetas is certified on its own."""
     config.validate()
     params = resolve_params(config)
     task = functools.partial(certify_fiber, params, height_bound=config.height_bound,
                              sample_count=config.sample_count, stages=STAGES[command])
-    if config.parallelism > 1:
-        with concurrent.futures.ProcessPoolExecutor(config.parallelism) as pool:
-            return params, list(pool.map(task, config.theta_list))
-    return params, list(map(task, config.theta_list))
+    thetas = config.theta_list
+    coeffs = [fiber_coeffs(params, t) for t in thetas]
+    first = {}
+    rep = [first.setdefault((c.A, c.B, c.C, c.D, c.theta.is_infinity), i)
+           for i, c in enumerate(coeffs)]
+    with _mapper(config.parallelism) as run:
+        records = dict(zip(first.values(), run(task, [thetas[i] for i in first.values()])))
+        alone = [i for i, r in enumerate(rep) if i != r and not records[r]["certified"]]
+        records.update(zip(alone, run(task, [thetas[i] for i in alone])))
+    return params, [records.get(i) or _retheta(records[r], coeffs[i]) for i, r in enumerate(rep)]
+
+
+@contextlib.contextmanager
+def _mapper(jobs):
+    """map, or a pool of jobs worker processes' map when jobs > 1."""
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(jobs) as pool:
+            yield pool.map
+    else:
+        yield map
+
+
+def _retheta(record, coeffs):
+    """A certified fiber's record as the record of coeffs.theta, a theta of
+    the same fiber: theta, fiber.theta and obstruction.fiber.theta
+    rewritten."""
+    out = {**record, "theta": str(coeffs.theta), "fiber": coeffs.to_json()}
+    if "obstruction" in record:
+        out["obstruction"] = {**record["obstruction"], "fiber": coeffs.to_json()}
+    return out
 
 
 def run_certify(config):

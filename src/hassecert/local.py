@@ -759,11 +759,16 @@ def sample_surface_points(surface_model, place, n, ctx, seed=0):
     point must have there: x = p x1, v a unit (taken 1), u = A + p u1, and
     roots z^2 and y^2.  Both squares of such a trial are tested (valuation
     parity, then one exponentiation at odd p or the unit mod 8 at p = 2)
-    before either is lifted, so a rejected trial lifts nothing.  The draws
-    are random.Random(seed)'s randrange integers, made by _randbelow.
-    Real place: (u, v, y) rational with y large enough that both quadrics
-    are solvable in x and z over R.  ctx is the model's ResidueContext at
-    p (None at the real place).
+    before either is lifted, so a rejected trial lifts nothing.
+    Real place: Fractions u = un/ud, v = vn/vd (0 < |un|, |vn| <= 50,
+    1 <= ud, vd <= 8) and y = |C^2 u v| + |(b/a) phi psi| + 1 + r
+    (1 <= r <= 9), computed on integer numerators over one common
+    denominator.  With a > 0 and y >= 2 + |C^2 u v| + |(b/a) phi psi|,
+    both w = y^2 - C^2 u v = x^2 / a and w + (b/a) phi psi = z^2 are at
+    least 4, so x and z exist over R; a point that breaks this is a
+    sampler bug and raises.  At every place the draws are
+    random.Random(seed)'s randrange integers, made by _randbelow.  ctx is
+    the model's ResidueContext at p (None at the real place).
 
     Residues are taken mod p^prec, prec = _working_precision(model, p),
     which determines the square class of b phi / v or of -psi / v (phi =
@@ -782,19 +787,29 @@ def sample_surface_points(surface_model, place, n, ctx, seed=0):
     if place.is_real:
         if a <= 0:
             raise ValueError("real sampler requires a > 0")
-        c2, ba = C * C, b / a
+        bits = rng.getrandbits
+        ba = b / a
+        An, Ad, Bn, Bd = A.numerator, A.denominator, B.numerator, B.denominator
+        # u = un/ud, v = vn/vd, phi = phi_n / (ud vd Ad), psi = psi_n / (ud vd Bd):
+        # over den = K (ud vd)^2, C^2 u v = P / den and (b/a) phi psi = Q / den
+        k, Cd2 = ba.denominator * Ad * Bd, C.denominator ** 2
+        K, kP, kQ = Cd2 * k, C.numerator ** 2 * k, ba.numerator * Cd2
         while len(out) < n:
-            u = Fraction(rng.randrange(-50, 51), rng.randrange(1, 9))
-            v = Fraction(rng.randrange(-50, 51), rng.randrange(1, 9))
-            if u == 0 or v == 0:
+            un, ud = _randbelow(bits, 101) - 50, 1 + _randbelow(bits, 8)
+            vn, vd = _randbelow(bits, 101) - 50, 1 + _randbelow(bits, 8)
+            if un == 0 or vn == 0:
                 continue
-            c2uv, bpp = c2 * u * v, ba * (u - A * v) * (u - B * v)
-            y = abs(c2uv) + abs(bpp) + 1 + rng.randrange(1, 10)
+            s = ud * vd
+            P = kP * un * vn * s
+            Q = kQ * (un * vd * Ad - An * vn * ud) * (un * vd * Bd - Bn * vn * ud)
+            den = K * s * s
+            yn = abs(P) + abs(Q) + (2 + _randbelow(bits, 9)) * den
             # x^2 = a w and, with a > 0, z^2 = (x^2 + b phi psi) / a = w + (b/a) phi psi
-            w = y * y - c2uv
-            if w < 0 or w + bpp < 0:
-                continue
-            out.append((None, y, None, u, v))
+            w = yn * yn - P * den  # w den^2
+            if w < 0 or w + Q * den < 0:
+                raise ArithmeticError(f"real sample y = {Fraction(yn, den)} leaves w or "
+                                      f"w + (b/a) phi psi negative; sampler bug")
+            out.append((None, Fraction(yn, den), None, Fraction(un, ud), Fraction(vn, vd)))
         return out
     p = place.p
     va = max(0, ctx.a_val)

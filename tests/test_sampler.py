@@ -10,8 +10,11 @@ from fractions import Fraction
 import pytest
 
 from hassecert import local
-from hassecert.arith import Place, ResidueRooter, factorize, frac_mod, padic_val
-from hassecert.family import Theta, admissible_model, build_curve, build_surface, fiber_coeffs
+from hassecert.arith import (Place, ResidueRooter, factorize, frac_mod, hilbert_symbol,
+                             padic_val)
+from hassecert.brauer import HALF, ZERO, PrecisionError, evaluate_invariant_at_point
+from hassecert.family import (DP4Surface, Theta, admissible_model, build_curve, build_surface,
+                              fiber_coeffs)
 from hassecert.local import (
     SAMPLER_BUDGET,
     ResidueContext,
@@ -25,6 +28,7 @@ from hassecert.local import (
 from hassecert.params import sieve_params
 from oracles import exact_padic_sqrt
 from oracles import residue_quadrics as _residue_quadrics
+from oracles import slot_fractions
 
 
 PARAMS_G1 = sieve_params(1, 0, bound=10**7, count=1)[0]
@@ -284,6 +288,60 @@ def test_sampler_draws_are_pinned(theta):
         pts = sample_surface_points(model, Place.finite(p), 9, ctx)
         digest.update(repr([(p, pt, ctx.prec) for pt in pts]).encode())
     assert digest.hexdigest() == PINNED_DRAWS[theta]
+
+
+# sha256 of repr(points) of the real place's draw (seed 0, 9 points): the
+# Fraction coordinates (u, v, y) of each point, recorded on the Fraction
+# sampler, so an integer rewrite of the draw must leave every point as it was
+PINNED_REAL_DRAWS = {
+    "0": "964248187a67f740bea1db8c702ddc3c9d4ba6fdb48b8e8d11cd07d6cb752324",
+    "1/3": "4d578d8457141fdc9504db30083a9e9663eecfc8dce033e30bf68b1eca942d9d",
+}
+
+# the a < 0 surface of tests/test_brauer.py::test_real_evaluation_with_negative_a
+NEGATIVE_A = DP4Surface(a=Fraction(-1), b=Fraction(1), A=Fraction(1), B=Fraction(-1),
+                        C=Fraction(1), genus=1)
+
+
+def _assert_real_value_is_the_oracle(surface, pt):
+    """The real evaluation at pt against the Hilbert symbols (a, r)_real of
+    the slot fractions r: their one value, or the error their absence or
+    disagreement raises.  Returns that value or error class."""
+    real = Place.real()
+    reps = slot_fractions(surface, pt[3], pt[4])
+    symbols = {hilbert_symbol(surface.a, r, real) for r in reps if r is not None}
+    if len(symbols) == 1:
+        expected = ZERO if symbols == {1} else HALF
+        assert evaluate_invariant_at_point(surface, pt, real, None) == expected, pt
+        return expected
+    error = ArithmeticError if symbols else PrecisionError
+    with pytest.raises(error) as err:
+        evaluate_invariant_at_point(surface, pt, real, None)
+    assert (err.type is PrecisionError) == (error is PrecisionError), pt
+    return error
+
+
+@pytest.mark.parametrize("theta", sorted(PINNED_REAL_DRAWS))
+def test_real_sampler_draws_are_pinned(theta):
+    # the pipeline's real draw on a g = 1, h = 0 fiber gives the recorded
+    # Fraction points, and the real evaluation at each of them, on the
+    # fiber's surface and on the a < 0 one, is the slot fractions' symbol
+    surface = build_surface(fiber_coeffs(PARAMS_G1, Theta.parse(theta)))
+    pts = sample_surface_points(surface, Place.real(), 9, None)
+    assert hashlib.sha256(repr(pts).encode()).hexdigest() == PINNED_REAL_DRAWS[theta]
+    assert all(type(c) is Fraction for pt in pts for c in pt[1::2] + pt[4:])
+    # a < 0 with the fiber's A and B, and a synthetic model with rational
+    # b, A and B, so the integer scaling of every term is read off signs
+    negated = replace(surface, a=-surface.a)
+    rational = replace(NEGATIVE_A, b=Fraction(-3, 2), A=Fraction(1, 3), B=Fraction(-5, 2))
+    for pt in pts:
+        for model in (surface, NEGATIVE_A, negated, rational):
+            _assert_real_value_is_the_oracle(model, pt)
+    grid = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
+    for model in (NEGATIVE_A, rational):
+        outcomes = {_assert_real_value_is_the_oracle(model, (None, None, None, u, v))
+                    for u in grid for v in grid}
+        assert outcomes == {HALF, ArithmeticError, PrecisionError}
 
 
 def test_cases_include_theta_inf_and_den_theta_primes():

@@ -816,6 +816,50 @@ def test_certify_fiber_records_of_theta_and_minus_theta_differ_only_in_theta():
         assert minus_rec == plus_rec, str(theta)
 
 
+class _CallLog:
+    """cli.certify_fiber through a log: each call appends its theta to a
+    file, so calls in worker processes are counted too.  Picklable, and it
+    calls the function this module imported."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __call__(self, params, theta, **kwargs):
+        with open(self.path, "a") as fh:
+            fh.write(f"{theta}\n")
+        return certify_fiber(params, theta, **kwargs)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_certify_all_certifies_each_distinct_fiber_once(tmp_path, monkeypatch, jobs):
+    # the 16-theta default grid holds 9 fibers: 0, inf and 7 +- pairs; each
+    # is certified once, and every record is the one certify_fiber gives
+    log, out = tmp_path / "calls", tmp_path / "r.json"
+    monkeypatch.setattr(cli, "certify_fiber", _CallLog(log))
+    assert main(["certify-all", "--g", "1", "--h", "0", "--height", "20",
+                 "--jobs", jobs, "--out", str(out)]) == 0
+    calls = log.read_text().split()
+    grid = default_theta_grid()
+    assert len(grid) == 16 and len(calls) == len(set(calls)) == 9
+    assert {abs(Fraction(t)) for t in calls if t != "inf"} == {
+        abs(t.value) for t in grid if not t.is_infinity}
+    fibers = json.loads(out.read_text())["fibers"]
+    expected = [certify_fiber(PARAMS, t, height_bound=20) for t in grid]
+    assert fibers == json.loads(json.dumps(expected))
+
+
+def test_failed_fiber_thetas_are_certified_on_their_own(tmp_path, monkeypatch):
+    # a failed record is never copied to the fiber's other theta
+    log = tmp_path / "calls"
+    monkeypatch.setattr(cli, "certify_fiber", _CallLog(log))
+    monkeypatch.setattr(cli, "check_smooth_curve", lambda curve: False)
+    cfg = RunConfig(g=1, h=0, theta_list=[Theta.of(1, 2), Theta.of(-1, 2), Theta.of(1)])
+    fibers = run_certify(cfg)["fibers"]
+    assert log.read_text().split() == ["1/2", "1", "-1/2"]
+    assert [(f["theta"], f["fiber"]["theta"]["num"], f["stage"]) for f in fibers] == [
+        ("1/2", "1", "smoothness"), ("-1/2", "-1", "smoothness"), ("1", "1", "smoothness")]
+
+
 def test_cli_j_report_refuses_distinct_fibers_with_one_j(monkeypatch, capsys):
     monkeypatch.setattr(cli, "j_invariant", lambda coeffs: Fraction(1728))
     assert main(["j-report", "--g", "1", "--h", "0", "--theta", "0,1,-1"]) == 1
