@@ -2,8 +2,10 @@
 point searches, j-invariant reports, and JSON I/O.
 
 Every integer in the JSON surfaces is a decimal string, so reports survive
-consumers with 64-bit integer parsers.  Reports are byte-stable across
-runs up to the generated_at timestamp.
+consumers with 64-bit integer parsers, except two small counts written as
+JSON integers: the obstruction table's sample_count and the values of the
+local blanket's sample_counts.  Reports are byte-stable across runs up to
+the generated_at timestamp.
 """
 
 import argparse
@@ -15,7 +17,7 @@ import json
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
 from . import __version__ as VERSION
@@ -32,8 +34,8 @@ from .family import (
     j_invariant,
 )
 from .local import certify_all_local
-from .params import (ParamSet, SieveExhausted, json_int, json_typed, sieve_params,
-                     verify_conditions)
+from .params import (ParamSet, SieveExhausted, json_int, json_keys, json_typed,
+                     sieve_params, verify_conditions)
 from .search import curve_point_search, surface_point_search
 
 EXIT_OK = 0
@@ -87,7 +89,7 @@ class RunConfig:
     g: int = 1
     h: int = 0
     mode: str = "full"  # "full" | "theta-zero"
-    theta_list: list = field(default_factory=list)
+    theta_list: list | None = None  # None: the mode's default thetas
     params: ParamSet | None = None
     sieve_bound: int = 10**7
     sieve_count: int = 1
@@ -105,10 +107,12 @@ class RunConfig:
                                   f"got {getattr(self, s.field)}")
         if self.mode not in ("full", "theta-zero"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if not self.theta_list:
+        if self.theta_list is None:
             self.theta_list = (
                 default_theta_grid() if self.mode == "full" else [Theta.of(0)]
             )
+        if not self.theta_list:
+            raise ConfigError("theta_list is empty")
         if self.mode == "full":
             # at odd g, (g+1) | (4h+2) forces g = 1 mod 4
             if (4 * self.h + 2) % (self.g + 1) != 0:
@@ -126,18 +130,32 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, obj):
-        json_typed(obj, dict, "config")
+        """The config of a JSON object.  Each key must be known, theta_list
+        and theta_grid exclude each other, and a theta_grid must give a
+        theta (validate refuses an empty theta_list)."""
+        json_keys(json_typed(obj, dict, "config"), CONFIG_KEYS, "config")
         cfg = cls()
+        if "theta_list" in obj and "theta_grid" in obj:
+            raise ValueError("theta_list and theta_grid exclude each other")
         if "theta_list" in obj:
             cfg.theta_list = [Theta.parse(json_typed(s, str, "theta_list entry"))
                               for s in json_typed(obj["theta_list"], list, "theta_list")]
         elif "theta_grid" in obj:
-            spec = json_typed(obj["theta_grid"], dict, "theta_grid")
+            spec = json_keys(json_typed(obj["theta_grid"], dict, "theta_grid"),
+                             ("num_max", "den_max", "include_zero", "include_infinity"),
+                             "theta_grid")
+            num_max = json_int(spec.get("num_max", 3), "num_max")
+            den_max = json_int(spec.get("den_max", 3), "den_max")
+            if num_max < 0:
+                raise ValueError(f"num_max must be >= 0, got {num_max}")
+            if den_max < 1:
+                raise ValueError(f"den_max must be >= 1, got {den_max}")
             cfg.theta_list = default_theta_grid(
-                json_int(spec.get("num_max", 3), "num_max"),
-                json_int(spec.get("den_max", 3), "den_max"),
+                num_max, den_max,
                 json_typed(spec.get("include_zero", True), bool, "include_zero"),
                 json_typed(spec.get("include_infinity", True), bool, "include_infinity"))
+            if not cfg.theta_list:
+                raise ValueError("theta_grid gives no theta")
         if obj.get("params") is not None:
             cfg.params = ParamSet.from_json(json_typed(obj["params"], dict, "params"))
         for s in SETTINGS:
@@ -157,6 +175,10 @@ class RunConfig:
             "params": self.params.to_json() if self.params else None,
             "output_path": self.output_path,
         }
+
+
+# a config file's keys: RunConfig's fields, and theta_grid for theta_list
+CONFIG_KEYS = (*(f.name for f in fields(RunConfig)), "theta_grid")
 
 
 def resolve_params(config):
@@ -256,27 +278,27 @@ def _certify_fibers(config, command):
     """The validated config's params, and one certify_fiber record per theta
     of the config, in order, with the subcommand's stages.
 
-    Each distinct fiber is certified once.  Finite thetas with equal A, B,
-    C and D (theta and -theta at odd g) have equal theta^(g+1), which with
-    the coefficients fixes every stage's work (the models read only
-    whether theta is inf and v_p(theta)), so every later theta of a
-    certified fiber gets a copy of its first theta's record with the theta
-    fields rewritten.  A failed fiber's error may name its theta, so each
-    of its thetas is certified on its own."""
+    Each distinct fiber is certified once.  A finite theta enters its
+    fiber only through X = a^(2h+1) theta^(g+1), so thetas with equal
+    theta^(g+1) (theta and -theta at odd g) share A, B, C, D, den(theta)
+    and every valuation the models read, and with them every stage's work;
+    inf is a key of its own.  Every later theta of a certified fiber gets
+    a copy of its first theta's record with the theta fields rewritten.  A
+    failed fiber's error may name its theta, so each of its thetas is
+    certified on its own."""
     config.validate()
     params = resolve_params(config)
     task = functools.partial(certify_fiber, params, height_bound=config.height_bound,
                              sample_count=config.sample_count, stages=STAGES[command])
     thetas = config.theta_list
-    coeffs = [fiber_coeffs(params, t) for t in thetas]
     first = {}
-    rep = [first.setdefault((c.A, c.B, c.C, c.D, c.theta.is_infinity), i)
-           for i, c in enumerate(coeffs)]
+    rep = [first.setdefault(None if t.is_infinity else t.value ** (params.g + 1), i)
+           for i, t in enumerate(thetas)]
     with _mapper(config.parallelism) as run:
         records = dict(zip(first.values(), run(task, [thetas[i] for i in first.values()])))
         alone = [i for i, r in enumerate(rep) if i != r and not records[r]["certified"]]
         records.update(zip(alone, run(task, [thetas[i] for i in alone])))
-    return params, [records.get(i) or _retheta(records[r], coeffs[i]) for i, r in enumerate(rep)]
+    return params, [records.get(i) or _retheta(records[r], thetas[i]) for i, r in enumerate(rep)]
 
 
 @contextlib.contextmanager
@@ -289,13 +311,15 @@ def _mapper(jobs):
         yield map
 
 
-def _retheta(record, coeffs):
-    """A certified fiber's record as the record of coeffs.theta, a theta of
+def _retheta(record, theta):
+    """A certified fiber's record as the record of theta, another theta of
     the same fiber: theta, fiber.theta and obstruction.fiber.theta
     rewritten."""
-    out = {**record, "theta": str(coeffs.theta), "fiber": coeffs.to_json()}
+    out = {**record, "theta": str(theta),
+           "fiber": {**record["fiber"], "theta": theta.to_json()}}
     if "obstruction" in record:
-        out["obstruction"] = {**record["obstruction"], "fiber": coeffs.to_json()}
+        obs = record["obstruction"]
+        out["obstruction"] = {**obs, "fiber": {**obs["fiber"], "theta": theta.to_json()}}
     return out
 
 

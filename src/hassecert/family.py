@@ -10,7 +10,7 @@ Conventions for one fiber over a verified parameter quadruple (a,b,c,d):
             x^2 - a y^2 = -a C^2 u v
 
 with A, B, C, D exact rationals depending on the fiber parameter theta
-and satisfying B - A = 2 c D^2 identically.
+only through X = a^(2h+1) theta^(g+1), and B - A = 2 c D^2 identically.
 
 Every local model is the fiber scaled by one lambda, its lam (1 on the
 fiber).  A curve model's A and B are lambda^2 times the fiber's.  A
@@ -104,35 +104,29 @@ class FamilyCoeffs:
 
 
 def fiber_coeffs(params, theta):
-    """Exact A, B, C, D of the fiber at theta; B - A = 2cD^2 by construction."""
+    """Exact A, B, C, D of the fiber at theta, read off X = a^(2h+1)
+    theta^(g+1): C = X - 1, D = b^(2h+1) X - 1, A = a X^2 + b c^2 d D^2 and
+    B = A + 2cD^2.  At theta = infinity X = a^(2h+1) and both -1 terms
+    drop."""
     a, b, c, d = (Fraction(v) for v in (params.a, params.b, params.c, params.d))
-    g, h = params.g, params.h
-    if theta.is_infinity:
-        D = a ** (2 * h + 1) * b ** (2 * h + 1)
-        C = a ** (2 * h + 1)
-        A = a ** (4 * h + 3) + b * c**2 * d * D**2
-    else:
-        t = theta.value
-        D = a ** (2 * h + 1) * b ** (2 * h + 1) * t ** (g + 1) - 1
-        C = a ** (2 * h + 1) * t ** (g + 1) - 1
-        A = a ** (4 * h + 3) * t ** (2 * g + 2) + b * c**2 * d * D**2
+    X = a ** (2 * params.h + 1)
+    X, one = (X, 0) if theta.is_infinity else (X * theta.value ** (params.g + 1), 1)
+    C = X - one
+    D = b ** (2 * params.h + 1) * X - one
+    A = a * X**2 + b * c**2 * d * D**2
     B = A + 2 * c * D**2
     return FamilyCoeffs(A=A, B=B, C=C, D=D, theta=theta, params=params)
 
 
 def check_nonvanishing(coeffs):
-    """Assert A, B, C, D all nonzero; returns the checked list.
+    """Raise NonvanishingError unless A, B, C and D are all nonzero.
 
     Vanishing contradicts the family construction over verified parameters,
     so it is treated as input corruption and raised loudly.
     """
-    trace = []
     for symbol in "ABCD":
-        value = getattr(coeffs, symbol)
-        trace.append((symbol, value != 0))
-        if value == 0:
+        if getattr(coeffs, symbol) == 0:
             raise NonvanishingError(symbol, coeffs)
-    return trace
 
 
 @dataclass(frozen=True)
@@ -279,20 +273,19 @@ def j_invariant(coeffs):
 
 
 def integral_model(curve, p):
-    """A p-integral model of the curve: the fiber scaled by one lambda.
-
-    For v_p(theta) = -l < 0, lambda = p^((g+1)l): the fiber's point (s, t)
-    is (lambda^2 s, p^(2l) t) on the model, whose A and B are lambda^2 A
-    and lambda^2 B, p-adic integers.  Elsewhere the model is the fiber
-    itself.
+    """A p-integral model of the curve: the fiber scaled by lambda = p^(-e)
+    with e = (g+1) v_p(theta) when e < 0, so that lambda^2 A and lambda^2 B
+    are p-adic integers; with v_p(theta) = -l the fiber's point (s, t) is
+    (lambda^2 s, p^(2l) t) on it.  When e >= 0, and at theta = infinity,
+    the model is the fiber itself.
     """
     coeffs = curve.coeffs
     if coeffs is None or coeffs.theta.is_infinity:
         return curve
-    l = -padic_val(coeffs.theta.value, p)
-    if l <= 0:
+    e = (curve.genus + 1) * padic_val(coeffs.theta.value, p)
+    if e >= 0:
         return curve
-    lam = Fraction(p) ** ((curve.genus + 1) * l)
+    lam = Fraction(p) ** -e
     return replace(curve, A=lam**2 * curve.A, B=lam**2 * curve.B, lam=lam)
 
 
@@ -301,18 +294,12 @@ def admissible_model(surface, p):
     fiber scaled by one lambda, (A, B, C) -> (lambda^2 A, lambda^2 B,
     lambda C).
 
-    With X = a^(2h+1) theta^(g+1) the fiber has C = X - 1,
-    D = b^(2h+1) X - 1, A = a X^2 + b c^2 d D^2 and B = A + 2 c D^2 (at
-    theta = infinity, C = X and D = b^(2h+1) X with X = a^(2h+1)), so a
-    lambda that makes lambda X p-integral makes all four scaled
-    coefficients p-integral:
-      - theta = infinity: lambda = a^(-(2h+1)), valid at every p; it gives
-        A = a + b^(4h+3) c^2 d and C = 1.
-      - v_p(theta) >= 0: identity.
-      - v_p(theta) = -l < 0, p != a: lambda = p^((g+1)l).
-      - p = a, v_a(theta) = -l < 0: with k = (g+1)l - (2h+1), the
-        coefficients are already a-integral when k < 0 (identity); when
-        k > 0, lambda = a^k.  k = 0 cannot happen for odd g.
+    The fiber's C and D are integer polynomials of degree 1 in
+    X = a^(2h+1) theta^(g+1), and A and B of degree 2 (see fiber_coeffs),
+    so lambda = p^(-e) with e = v_p(X) = (g+1) v_p(theta) + (2h+1) [p = a]
+    makes all four p-integral when e < 0; when e >= 0 the model is the
+    fiber.  At theta = infinity, where the -1 terms drop, lambda = 1/X =
+    a^(-(2h+1)) at every p.
     """
     coeffs = surface.coeffs
     if coeffs is None:
@@ -321,16 +308,9 @@ def admissible_model(surface, p):
     if theta.is_infinity:
         lam = Fraction(1, params.a ** (2 * params.h + 1))
     else:
-        l = -padic_val(theta.value, p)
-        if l <= 0:
+        e = (params.g + 1) * padic_val(theta.value, p) + (2 * params.h + 1) * (p == params.a)
+        if e >= 0:
             return surface
-        k = (params.g + 1) * l
-        if p == params.a:
-            k -= 2 * params.h + 1
-            if k == 0:
-                raise ArithmeticError("(g+1)l = 2h+1 is impossible for odd g")
-            if k < 0:
-                return surface
-        lam = Fraction(p) ** k
+        lam = Fraction(p) ** -e
     return replace(surface, A=lam**2 * surface.A, B=lam**2 * surface.B,
                    C=lam * surface.C, lam=lam)

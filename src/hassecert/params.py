@@ -39,6 +39,15 @@ def json_typed(value, kind, name):
     return value
 
 
+def json_keys(obj, known, name):
+    """obj when each of its keys is one of known, else ValueError naming an
+    unknown key: a misspelt key is never ignored."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {name}")
+    return obj
+
+
 @dataclass(frozen=True)
 class ParamSet:
     """A quadruple of odd primes with its genus data.
@@ -82,6 +91,7 @@ class ParamSet:
 
     @classmethod
     def from_json(cls, obj):
+        json_keys(obj, ("a", "b", "c", "d", "g", "h", "omega0"), "params")
         return cls(
             omega0=tuple(json_int(q, "omega0") for q in json_typed(obj["omega0"], list, "omega0")),
             **{k: json_int(obj[k], k) for k in ("a", "b", "c", "d", "g", "h")},

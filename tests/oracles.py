@@ -6,8 +6,8 @@ coefficients and the one-term scan at a prime of AB, square roots mod p
 and p^k by the earlier legendre-first and inverting kernels, the point
 searches' residue patterns built one residue at a time and laid over a
 window by shift-doubling, the residue check of a surface point, the real
-place's exact slot fractions, and the local models rebuilt from
-re-derived family formulas.
+place's exact slot fractions, and the fiber and its local models rebuilt
+from re-derived family formulas.
 
 The library certifies each place by a named local lemma and refuses a
 place where none applies; it never runs a general decision procedure.
@@ -630,11 +630,35 @@ def surface_sieve_pattern(surface, v, x1, M):
 
 
 # --------------------------------------------------------------------------
-# the local models by re-derived family formulas: each p-integral or
-# p-admissible model rebuilt from a, b, c, d and theta with p^l (or a
-# power of a) cleared out of theta, as the library built them before it
-# scaled the fiber's own coefficients by one lambda; each carries the
-# lambda re-derived here
+# the fiber and its local models by re-derived family formulas: the
+# fiber's coefficients with theta = infinity as a branch of its own, as
+# the library wrote them before it read both branches off X = a^(2h+1)
+# theta^(g+1); and each p-integral or p-admissible model rebuilt from a,
+# b, c, d and theta with p^l (or a power of a) cleared out of theta, as
+# the library built them before it scaled the fiber's own coefficients by
+# one lambda; each model carries the lambda re-derived here
+
+
+def rederived_fiber_coeffs(params, theta):
+    """(A, B, C, D) of the fiber at theta, B - A = 2cD^2:
+        theta finite:    D = a^(2h+1) b^(2h+1) theta^(g+1) - 1
+                         C = a^(2h+1) theta^(g+1) - 1
+                         A = a^(4h+3) theta^(2g+2) + b c^2 d D^2
+        theta = infinity: D = a^(2h+1) b^(2h+1), C = a^(2h+1)
+                         A = a^(4h+3) + b c^2 d D^2
+    """
+    a, b, c, d = (Fraction(v) for v in (params.a, params.b, params.c, params.d))
+    g, h = params.g, params.h
+    if theta.is_infinity:
+        D = a ** (2 * h + 1) * b ** (2 * h + 1)
+        C = a ** (2 * h + 1)
+        A = a ** (4 * h + 3) + b * c**2 * d * D**2
+    else:
+        t = theta.value
+        D = a ** (2 * h + 1) * b ** (2 * h + 1) * t ** (g + 1) - 1
+        C = a ** (2 * h + 1) * t ** (g + 1) - 1
+        A = a ** (4 * h + 3) * t ** (2 * g + 2) + b * c**2 * d * D**2
+    return A, A + 2 * c * D**2, C, D
 
 
 def tilde_coeffs(params, theta, p, l):

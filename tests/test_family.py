@@ -22,13 +22,14 @@ from hassecert.family import (
     j_invariant,
     smoothness_quartic,
 )
-from hassecert.params import sieve_params
+from hassecert.params import ParamSet, sieve_params
 from oracles import (
     F_poly,
     evaluate,
     f_poly,
     quadric_residuals,
     rederived_admissible_model,
+    rederived_fiber_coeffs,
     rederived_integral_model,
 )
 
@@ -73,6 +74,21 @@ def test_coeffs_invariant_random_theta():
         co = fiber_coeffs(PARAMS, th)
         assert co.B - co.A == 2 * c * co.D**2
         check_nonvanishing(co)
+
+
+@pytest.mark.parametrize("g, h", [(1, 0), (1, 1), (3, 0), (5, 1), (5, 4)])
+def test_fiber_coeffs_match_the_two_branch_formula(g, h):
+    # fiber_coeffs reads every fiber, theta = infinity included, off
+    # X = a^(2h+1) theta^(g+1); it equals the formula with infinity as a
+    # branch of its own.  The quadruple need not be verified here
+    ps = ParamSet(a=17, b=13, c=5, d=7, omega0=(3,), g=g, h=h)
+    thetas = [Theta.of(0), Theta.infinity(), Theta.of(1, ps.a), Theta.of(3, ps.a**2)]
+    thetas += [Theta.of(s * m, n) for m in range(1, 6) for n in range(1, 6) for s in (1, -1)]
+    for th in thetas:
+        co = fiber_coeffs(ps, th)
+        got = (co.A, co.B, co.C, co.D)
+        assert got == rederived_fiber_coeffs(ps, th), (g, h, th)
+        assert all(type(x) is Fraction for x in got)
 
 
 def test_nonvanishing_names_symbol():

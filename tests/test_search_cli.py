@@ -488,6 +488,9 @@ def test_config_json_roundtrip():
     loaded = RunConfig.from_json(cfg.to_json())
     assert loaded.g == 1 and loaded.height_bound == 50
     assert [str(t) for t in loaded.theta_list] == ["0", "1/2"]
+    # every key the config echo writes is one from_json reads, params included
+    cfg = RunConfig(params=PARAMS, output_path="r.json").validate()
+    assert RunConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_certify_fiber_reports_stage_on_failure(monkeypatch):
@@ -689,6 +692,38 @@ def test_cli_config_fields_must_be_integers_and_booleans(tmp_path, capsys, confi
     err = capsys.readouterr().err
     assert err.startswith("config error: malformed input (") and err.count("\n") == 1
     assert f"{field} must be" in err
+
+
+MALFORMED = "malformed input (ValueError): "
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"heigth": 5}, MALFORMED + "unknown key 'heigth' in config"),
+    ({"theta_grid": {"num_max": 1, "den": 2}}, MALFORMED + "unknown key 'den' in theta_grid"),
+    ({"params": {**PARAMS_JSON, "e": "7"}}, MALFORMED + "unknown key 'e' in params"),
+    ({"theta_list": []}, "theta_list is empty"),
+    ({"theta_grid": {"num_max": 0, "include_zero": False, "include_infinity": False}},
+     MALFORMED + "theta_grid gives no theta"),
+    ({"theta_grid": {"num_max": -2}}, MALFORMED + "num_max must be >= 0, got -2"),
+    ({"theta_grid": {"den_max": 0}}, MALFORMED + "den_max must be >= 1, got 0"),
+    ({"theta_list": ["1"], "theta_grid": {}},
+     MALFORMED + "theta_list and theta_grid exclude each other"),
+])
+def test_cli_config_refuses_unknown_keys_and_empty_theta_sets(tmp_path, capsys, config, message):
+    # a misspelt key, a theta set that gives no theta and two theta keys
+    # at once are config errors, never a silent fallback to the defaults
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g": 1, "h": 0, **config}))
+    out = tmp_path / "o.json"
+    assert main(["instantiate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_an_empty_theta_list_is_refused_in_code_too():
+    # a RunConfig built in code with theta_list=[] runs no fiber silently
+    with pytest.raises(ConfigError, match="theta_list is empty"):
+        cli._certify_fibers(RunConfig(theta_list=[]), "instantiate")
 
 
 @pytest.mark.parametrize("argv, field", [
