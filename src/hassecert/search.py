@@ -4,6 +4,15 @@ These searches corroborate the certificates empirically: a certified fiber
 must come back empty, while synthetic control inputs with known points
 must surface them.
 
+The surface search reads its slice x = 0 off the genus-1 section curve
+s^2 = (b/a)(t^2 - A)(t^2 - B), the hyperplane section that contains the
+image of the fiber's curve.  Lemma (proved in surface_point_search): for
+C != 0, a point with x = 0 and v >= 1 has (u, v) = e (m^2, n^2) with
+gcd(m, n) = 1 and t = m/n a point of that curve with m, n <= isqrt(height).
+So the slice costs one curve sieve at height isqrt(height), and only the
+slices x1 >= 1 (x = a x1 when a forces it, else x = x1) run the surface's
+own sieve.  A family fiber searched below height a has no such slice.
+
 Both searches sieve before any big-integer work, in the manner of
 ratpoints (M. Stoll; Bruin and Stoll, "Two-cover descent on hyperelliptic
 curves", Math. Comp. 78, 2009).  For each fixed outer coordinate, one
@@ -135,7 +144,7 @@ def _set_bits(mask):
 class _Sieve:
     """The sieve of one search call over the numerator window -height, ...,
     height (bit i for numerator i - height), for the outer coordinates
-    (w, z) with w = 1, ..., height and z_count values of z.  Its patterns
+    (w, z) with w = 1, ..., height and z in the range z_range.  Its patterns
     mod M depend on w only through the class of w^power mod M (power 1:
     through w mod M).
 
@@ -146,7 +155,7 @@ class _Sieve:
     window masks are cached for this call only.  Each self.masks entry
     (M, slots, masks, repunit, shift) holds one modulus's constants and
     its window masks, in a list with one slot per (class of w, z mod M):
-    slots[w mod M] + z mod M, with Z = min(M, z_count) slots per class.
+    slots[w mod M] + z mod M, with Z = min(M, z_range.stop) slots per class.
     A mask is the pattern times the repunit, shifted right by shift and
     cut to the window: one multiply (see the module docstring).
 
@@ -161,7 +170,7 @@ class _Sieve:
     forward builds a mask for nearly every window when the windows are few
     or the slots many (z varying).  Otherwise the order stays."""
 
-    def __init__(self, height, direct, z_count=1, power=1):
+    def __init__(self, height, direct, z_range=range(1), power=1):
         self.height = height
         self.direct = direct
         self.bases = {}
@@ -169,14 +178,14 @@ class _Sieve:
         self.full = (1 << width) - 1
         self.masks = []
         for M in SIEVE_MODULI:
-            Z = min(M, z_count)
+            Z = min(M, z_range.stop)
             classes = _power_classes(M, power)
             # the repunit sum of 2^(k M) for k < K, K M >= width + M
             bits = (width // M + 2) * M
             repunit = ((1 << bits) - 1) // ((1 << M) - 1)
             self.masks.append((M, [c * Z for c in classes], [None] * ((max(classes) + 1) * Z),
                                repunit, -height % M))
-        self.windows = height * z_count
+        self.windows = height * len(z_range)
         # the windows left to probe, and the lookups of the emptied ones
         self.probe = _PROBE_WINDOWS
         self.lookups = 0
@@ -238,17 +247,11 @@ class _Sieve:
         return alive
 
 
-def curve_point_search(curve, height):
-    """All points (t, s) with t = m/n, |m| <= height, 1 <= n <= height,
-    plus the two points above t = infinity when b/a is a rational square.
-
-    Returns a list of (t, s) pairs with s >= 0 (each found point also has
-    its mirror -s).
-    """
-    if height < 1:
-        raise ValueError("height bound must be >= 1")
-    g = curve.genus
-    a, b, A, B = curve.a, curve.b, curve.A, curve.B
+def _coprime_points(a, b, A, B, g, height):
+    """The coprime (m, n) with |m| <= height and 1 <= n <= height at which
+    (b/a)(t^(g+1) - A)(t^(g+1) - B) is a rational square, t = m/n, ordered
+    by n and then by m: the sieve of curve_point_search, which the x = 0
+    slice of surface_point_search runs on its section curve."""
     # s^2 = (b/a)(t^(g+1) - A)(t^(g+1) - B) with t = m/n is a rational
     # square iff k (m^(g+1) q - alpha n^(g+1)) (m^(g+1) q - beta n^(g+1))
     # is a perfect integer square, with A = alpha/q, B = beta/q and
@@ -270,9 +273,8 @@ def curve_point_search(curve, height):
         kM = k % M
         return bytes(sq[kM * (y - c1) * (y - c2) % M] for y in qpowers(M))
 
-    # one mask slot per class of n^(g+1) mod M (z_count 1, power g + 1)
-    sieve = _Sieve(height, direct, 1, g + 1)
-    found = []
+    # one mask slot per class of n^(g+1) mod M (z = 0 only, power g + 1)
+    sieve = _Sieve(height, direct, range(1), g + 1)
     for n in range(1, height + 1):
         npow = n ** (g + 1)
         for i in _set_bits(sieve.survivors(n)):
@@ -280,12 +282,28 @@ def curve_point_search(curve, height):
             if math.gcd(m, n) != 1:
                 continue
             mpow = m ** (g + 1)
-            if not _is_square_int(k * (mpow * q - alpha * npow) * (mpow * q - beta * npow)):
-                continue
-            t = Fraction(m, n)
-            s = is_rational_square(curve.chart_value("st", t))
-            if s is not None:
-                found.append((t, s))
+            if _is_square_int(k * (mpow * q - alpha * npow) * (mpow * q - beta * npow)):
+                yield m, n
+
+
+def curve_point_search(curve, height):
+    """All points (t, s) with t = m/n, |m| <= height, 1 <= n <= height,
+    plus the two points above t = infinity when b/a is a rational square.
+
+    Returns a list of (t, s) pairs with s >= 0 (each found point also has
+    its mirror -s).  Refuses a = 0 with ValueError.
+    """
+    if height < 1:
+        raise ValueError("height bound must be >= 1")
+    a, b = curve.a, curve.b
+    if a == 0:
+        raise ValueError("curve search expects a nonzero a")
+    found = []
+    for m, n in _coprime_points(a, b, curve.A, curve.B, curve.genus, height):
+        t = Fraction(m, n)
+        s = is_rational_square(curve.chart_value("st", t))
+        if s is not None:
+            found.append((t, s))
     lead = is_rational_square(b / a)
     if lead is not None:
         found.append(("inf", lead))
@@ -295,22 +313,43 @@ def curve_point_search(curve, height):
 def surface_point_search(surface, height):
     """All projective points with integer coordinates of size <= height.
 
-    Enumerates (u, v) in the box and, per pair, the x values the second
-    quadric allows: when a is a prime not dividing den(C), x must be a
-    multiple of a, which for desk-scale fibers pins x = 0 immediately;
-    otherwise x runs over 0, ..., height.  y and z then come from exact
-    integer square tests:
+    The points are (x, y, z, u, v) with 0 <= x, y, z <= height and either
+    (u, v) = (1, 0) or |u| <= height, 1 <= v <= height.  When a is a prime
+    not dividing den(C), x must be a multiple of a; otherwise x runs over
+    0, ..., height.  y and z come from exact integer square tests:
 
         y^2 = a x1^2 + C^2 u v        (x = a x1)
         z^2 = (x^2 + b (u - Av)(u - Bv)) / a
 
-    For each v and x the u window is sieved on both square conditions.
+    Lemma.  Let C = gamma/nu != 0.  A point with x = 0 and v >= 1 has
+    (u, v) = e (m^2, n^2) with e >= 1, m >= 0, gcd(m, n) = 1, at which
+    t = m/n is a point of the section curve s^2 = (b/a)(t^2 - A)(t^2 - B),
+    and m, n <= isqrt(height).
+
+    Proof.  At x = 0 the second quadric reads y^2 nu^2 = gamma^2 u v, so
+    u v is a perfect square, and u >= 0 as v >= 1.  With e = gcd(u, v),
+    u/e and v/e are coprime with a square product, so both are squares:
+    (u, v) = e (m^2, n^2), gcd(m, n) = 1 (m = 0, n = 1 when u = 0).  The
+    first quadric then reads a z^2 = b e^2 n^4 (t^2 - A)(t^2 - B), so
+    s = z / (e n^2) is a rational point above t.  Finally m^2 <= e m^2 =
+    u <= height and n^2 <= v <= height.
+
+    So the slice x = 0 runs the curve sieve on the section curve at height
+    isqrt(height), and every pair e (m^2, n^2) in the box over a found t
+    with m >= 0 gets the exact tests.  The slices x1 >= 1 sieve the u
+    window on both square conditions for each v and x1.  Refuses a = 0 and
+    C = 0 (where the surface is a cone and the lemma fails) with
+    ValueError.
     """
     if height < 1:
         raise ValueError("height bound must be >= 1")
     a, b, A, B, C = surface.a, surface.b, surface.A, surface.B, surface.C
     if a.denominator != 1 or b.denominator != 1:
         raise ValueError("surface search expects integral a, b")
+    if a == 0:
+        raise ValueError("surface search expects a nonzero a")
+    if C == 0:
+        raise ValueError("surface search expects a nonzero C (at C = 0 the surface is a cone)")
     a_i, b_i = int(a), int(b)
     q = A.denominator * B.denominator // math.gcd(A.denominator, B.denominator)
     pA, pB = int(A * q), int(B * q)
@@ -335,7 +374,7 @@ def surface_point_search(surface, height):
             if ry % nu == 0 and ry // nu <= height:
                 # z^2 * a * q^2 = x^2 q^2 + b (uq - pA v)(uq - pB v)
                 Nz = x * x * q * q + b_i * (u * q - pA * v) * (u * q - pB * v)
-                if Nz >= 0 and Nz % a_i == 0 and _is_square_int(Nz // a_i):
+                if Nz % a_i == 0 and _is_square_int(Nz // a_i):
                     rz = math.isqrt(Nz // a_i)
                     if rz % q == 0 and rz // q <= height:
                         found.add((x, ry // nu, rz // q, u, v))
@@ -358,9 +397,15 @@ def surface_point_search(surface, height):
     x1_max = height // x_step
     for x1 in range(x1_max + 1):
         check(1, 0, x1)
-    sieve = _Sieve(height, direct, x1_max + 1)
-    for v in range(1, height + 1):
-        for x1 in range(x1_max + 1):
-            for i in _set_bits(sieve.survivors(v, x1)):
-                check(i - height, v, x1)
+    # x = 0: the pairs over the section curve's points (see the lemma)
+    for m, n in _coprime_points(a_i, b_i, A, B, 1, math.isqrt(height)):
+        if m >= 0:
+            for e in range(1, height // max(m, n) ** 2 + 1):
+                check(e * m * m, e * n * n, 0)
+    if x1_max:
+        sieve = _Sieve(height, direct, range(1, x1_max + 1))
+        for v in range(1, height + 1):
+            for x1 in range(1, x1_max + 1):
+                for i in _set_bits(sieve.survivors(v, x1)):
+                    check(i - height, v, x1)
     return sorted(found)

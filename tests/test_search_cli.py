@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -61,8 +62,9 @@ def _oracle_curve_points(curve, height):
 
 
 def _oracle_root(num, den):
-    """sqrt(num / den) when it is an integer, else None."""
-    if num < 0 or num % den:
+    """sqrt(num / den) when it is an integer, else None (den < 0 when
+    a < 0)."""
+    if num % den or num // den < 0:
         return None
     r = math.isqrt(num // den)
     return r if r * r == num // den else None
@@ -224,6 +226,81 @@ def test_sieved_search_matches_oracle_on_control_surfaces(name):
     assert surface_point_search(surface, ORACLE_HEIGHT) == expected
 
 
+# The x = 0 slice runs through the section curve s^2 = (b/a)(t^2 - A)(t^2 - B)
+# at height isqrt(height) (the lemma in search.surface_point_search).  The
+# brute force, which scans every u and v at x = 0, must agree on seeded
+# random surfaces: forced and unforced x, q > 1, den(C) > 1, b = 0 (every t
+# on the section) and a > height (the x = 0 slice is the whole search).
+LEMMA_A = (-3, -2, -1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 18, 1753)
+LEMMA_B = (-1, 0, 1, 2, 3, 5, 73)
+
+
+def _lemma_surfaces(seed, count):
+    rng = random.Random(seed)
+
+    def frac(nonzero=False):
+        while True:
+            x = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+            if x or not nonzero:
+                return x
+
+    for _ in range(count):
+        A = frac()
+        B = frac()
+        while B == A:
+            B = frac()
+        surface = DP4Surface(a=Fraction(rng.choice(LEMMA_A)), b=Fraction(rng.choice(LEMMA_B)),
+                             A=A, B=B, C=frac(nonzero=True), genus=1)
+        yield surface, rng.randint(1, 40)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_x_zero_slice_matches_oracle_on_random_surfaces(seed):
+    section_points = 0
+    for surface, height in _lemma_surfaces(seed, 25):
+        expected = _oracle_surface_points(surface, height)
+        assert surface_point_search(surface, height) == expected, (surface, height)
+        section_points += sum(x == 0 and v > 0 for x, _, _, _, v in expected)
+    # the seeds reach the x = 0 slice, not only its (1, 0) row
+    assert section_points
+
+
+def test_fiber_surface_below_a_builds_only_the_section_sieve(monkeypatch):
+    # at height 1000 < a = 1753 the slice x = 0 is the whole search: one
+    # sieve, the section curve's at height isqrt(1000) = 31
+    built = []
+    sieve_class = search._Sieve
+
+    def recording(height, direct, *rest):
+        built.append((height, *rest))
+        return sieve_class(height, direct, *rest)
+
+    monkeypatch.setattr(search, "_Sieve", recording)
+    surface = build_surface(fiber_coeffs(PARAMS, Theta.of(1, 2)))
+    assert surface_point_search(surface, 1000) == []
+    assert built == [(31, range(1), 2)]
+
+
+def test_searches_refuse_a_zero_a():
+    curve = HyperellipticCurve(a=Fraction(0), b=Fraction(1), A=Fraction(1), B=Fraction(4),
+                               genus=1)
+    with pytest.raises(ValueError, match="curve search expects a nonzero a"):
+        curve_point_search(curve, 5)
+    surface = DP4Surface(a=Fraction(0), b=Fraction(1), A=Fraction(1), B=Fraction(4),
+                         C=Fraction(1), genus=1)
+    with pytest.raises(ValueError, match="surface search expects a nonzero a"):
+        surface_point_search(surface, 5)
+
+
+def test_surface_search_refuses_a_zero_c():
+    # at C = 0 the surface is a cone: the second quadric no longer makes
+    # u v a square at x = 0, and the section curve misses points
+    surface = DP4Surface(a=Fraction(2), b=Fraction(1), A=Fraction(1), B=Fraction(4),
+                         C=Fraction(0), genus=1)
+    with pytest.raises(ValueError, match="surface search expects a nonzero C"):
+        surface_point_search(surface, 5)
+
+
 # The sieve's residue patterns against the oracles' residue-by-residue
 # loops, at every key mod every modulus: every unit and non-unit outer
 # coordinate, and for the surfaces every x1 residue.
@@ -244,8 +321,11 @@ MASK_SURFACES = {
 }
 
 
-def _sieve_of(monkeypatch, search_fn, obj):
-    """The sieve that search_fn(obj, 1) builds, with its pattern builder."""
+def _sieve_of(monkeypatch, search_fn, obj, height=1):
+    """The sieve that search_fn(obj, height) builds over the window of
+    numerators -height, ..., height, with its pattern builder.  A surface
+    search also sieves its x = 0 section at height isqrt(height), so at
+    height >= 2 this picks out the sieve of its slices x1 >= 1."""
     sieves = []
     sieve_class = search._Sieve
 
@@ -254,8 +334,8 @@ def _sieve_of(monkeypatch, search_fn, obj):
         return sieves[-1]
 
     monkeypatch.setattr(search, "_Sieve", recording)
-    search_fn(obj, 1)
-    (sieve,) = sieves
+    search_fn(obj, height)
+    (sieve,) = [s for s in sieves if s.height == height]
     return sieve
 
 
@@ -270,8 +350,9 @@ def test_curve_sieve_patterns_match_oracle(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(MASK_SURFACES))
 def test_surface_sieve_patterns_match_oracle(monkeypatch, name):
+    # at height 2a every surface has a slice x1 >= 1, forced x = a x1 or not
     surface = MASK_SURFACES[name]
-    sieve = _sieve_of(monkeypatch, surface_point_search, surface)
+    sieve = _sieve_of(monkeypatch, surface_point_search, surface, 2 * int(surface.a))
     for M in SIEVE_MODULI:
         for v in range(M):
             for x1 in range(M):
@@ -323,19 +404,22 @@ class _Tally(list):
 
 
 def _search_work(monkeypatch, search_fn, obj, height, rank=None):
-    """search_fn(obj, height) with its sieve's work counted: the output,
-    the sieve's modulus order at the end, the survivors of every window,
-    and the mask lookups, window-mask builds and base-pattern builds.
-    rank True or False forces the sieve's ranking decision; False keeps
-    SIEVE_MODULI order."""
-    counts = {"lookups": 0, "masks": 0, "bases": 0}
-    sieves, windows = [], []
+    """search_fn(obj, height) with the work of its last sieve counted: the
+    output, the sieve's modulus order at the end, the survivors of every
+    window, and the mask lookups, window-mask builds and base-pattern
+    builds.  The last sieve is the curve's, or the surface's for its slices
+    x1 >= 1 when it has them, else its x = 0 section's.  rank True or False
+    forces every sieve's ranking decision; False keeps SIEVE_MODULI order."""
+    sieves = []
     with monkeypatch.context() as m:
         if rank is not None:
             m.setattr(search._Sieve, "_ranking_pays", lambda self: rank)
 
         class Recording(search._Sieve):
             def __init__(self, height, direct, *rest):
+                self.counts = counts = {"lookups": 0, "masks": 0, "bases": 0}
+                self.windows_seen = []
+
                 def counted(*args):
                     counts["bases"] += 1
                     return direct(*args)
@@ -346,13 +430,13 @@ def _search_work(monkeypatch, search_fn, obj, height, rank=None):
                 sieves.append(self)
 
             def survivors(self, w, z=0):
-                windows.append((w, z, super().survivors(w, z)))
-                return windows[-1][2]
+                self.windows_seen.append((w, z, super().survivors(w, z)))
+                return self.windows_seen[-1][2]
 
         m.setattr(search, "_Sieve", Recording)
         out = search_fn(obj, height)
-    (sieve,) = sieves
-    return out, [M for M, *_ in sieve.masks], windows, counts
+    sieve = sieves[-1]
+    return out, [M for M, *_ in sieve.masks], sieve.windows_seen, sieve.counts
 
 
 @pytest.mark.parametrize("g, theta", FIBERS)
@@ -374,9 +458,14 @@ def test_ranked_sieve_matches_ascending_order(monkeypatch, g, theta):
 
 
 def test_ranking_cuts_lookups_at_height_1000(monkeypatch):
+    # a fiber's surface sieves no slice x1 >= 1 below height a = 1753, so
+    # the surface half runs on a = 97, which forces x = 97 x1 and sieves
+    # the slices x1 = 1, ..., 10; it has no point of height <= 1000
     co = fiber_coeffs(PARAMS, Theta.of(1, 2))
+    surface = DP4Surface(a=Fraction(97), b=Fraction(5), A=Fraction(2), B=Fraction(3),
+                         C=Fraction(1), genus=1)
     for search_fn, obj, ascending, most in ((curve_point_search, build_curve(co), 14_718, 7_500),
-                                            (surface_point_search, build_surface(co), 9_152, 2_500)):
+                                            (surface_point_search, surface, 60_629, 12_500)):
         out, order, _, counts = _search_work(monkeypatch, search_fn, obj, 1000)
         plain_out, _, _, plain_counts = _search_work(monkeypatch, search_fn, obj, 1000,
                                                      rank=False)
