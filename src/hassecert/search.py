@@ -5,13 +5,7 @@ must come back empty, while synthetic control inputs with known points
 must surface them.
 
 The surface search reads its slice x = 0 off the genus-1 section curve
-s^2 = (b/a)(t^2 - A)(t^2 - B), the hyperplane section that contains the
-image of the fiber's curve.  Lemma (proved in surface_point_search): for
-C != 0, a point with x = 0 and v >= 1 has (u, v) = e (m^2, n^2) with
-gcd(m, n) = 1 and t = m/n a point of that curve with m, n <= isqrt(height).
-So the slice costs one curve sieve at height isqrt(height), and only the
-slices x1 >= 1 (x = a x1 when a forces it, else x = x1) run the surface's
-own sieve.  A family fiber searched below height a has no such slice.
+s^2 = (b/a)(t^2 - A)(t^2 - B), by the lemma in surface_point_search.
 
 Both searches sieve before any big-integer work, in the manner of
 ratpoints (M. Stoll; Bruin and Stoll, "Two-cover descent on hyperelliptic
@@ -144,7 +138,7 @@ def _set_bits(mask):
 class _Sieve:
     """The sieve of one search call over the numerator window -height, ...,
     height (bit i for numerator i - height), for the outer coordinates
-    (w, z) with w = 1, ..., height and z in the range z_range.  Its patterns
+    (w, z) with w = 1, ..., height and z_count values of z.  Its patterns
     mod M depend on w only through the class of w^power mod M (power 1:
     through w mod M).
 
@@ -155,7 +149,7 @@ class _Sieve:
     window masks are cached for this call only.  Each self.masks entry
     (M, slots, masks, repunit, shift) holds one modulus's constants and
     its window masks, in a list with one slot per (class of w, z mod M):
-    slots[w mod M] + z mod M, with Z = min(M, z_range.stop) slots per class.
+    slots[w mod M] + z mod M, with Z = min(M, z_count) slots per class.
     A mask is the pattern times the repunit, shifted right by shift and
     cut to the window: one multiply (see the module docstring).
 
@@ -170,7 +164,7 @@ class _Sieve:
     forward builds a mask for nearly every window when the windows are few
     or the slots many (z varying).  Otherwise the order stays."""
 
-    def __init__(self, height, direct, z_range=range(1), power=1):
+    def __init__(self, height, direct, z_count=1, power=1):
         self.height = height
         self.direct = direct
         self.bases = {}
@@ -178,14 +172,14 @@ class _Sieve:
         self.full = (1 << width) - 1
         self.masks = []
         for M in SIEVE_MODULI:
-            Z = min(M, z_range.stop)
+            Z = min(M, z_count)
             classes = _power_classes(M, power)
             # the repunit sum of 2^(k M) for k < K, K M >= width + M
             bits = (width // M + 2) * M
             repunit = ((1 << bits) - 1) // ((1 << M) - 1)
             self.masks.append((M, [c * Z for c in classes], [None] * ((max(classes) + 1) * Z),
                                repunit, -height % M))
-        self.windows = height * len(z_range)
+        self.windows = height * z_count
         # the windows left to probe, and the lookups of the emptied ones
         self.probe = _PROBE_WINDOWS
         self.lookups = 0
@@ -273,8 +267,8 @@ def _coprime_points(a, b, A, B, g, height):
         kM = k % M
         return bytes(sq[kM * (y - c1) * (y - c2) % M] for y in qpowers(M))
 
-    # one mask slot per class of n^(g+1) mod M (z = 0 only, power g + 1)
-    sieve = _Sieve(height, direct, range(1), g + 1)
+    # one mask slot per class of n^(g+1) mod M (z_count 1, power g + 1)
+    sieve = _Sieve(height, direct, 1, g + 1)
     for n in range(1, height + 1):
         npow = n ** (g + 1)
         for i in _set_bits(sieve.survivors(n)):
@@ -403,7 +397,7 @@ def surface_point_search(surface, height):
             for e in range(1, height // max(m, n) ** 2 + 1):
                 check(e * m * m, e * n * n, 0)
     if x1_max:
-        sieve = _Sieve(height, direct, range(1, x1_max + 1))
+        sieve = _Sieve(height, direct, x1_max + 1)
         for v in range(1, height + 1):
             for x1 in range(1, x1_max + 1):
                 for i in _set_bits(sieve.survivors(v, x1)):

@@ -278,7 +278,7 @@ def test_fiber_surface_below_a_builds_only_the_section_sieve(monkeypatch):
     monkeypatch.setattr(search, "_Sieve", recording)
     surface = build_surface(fiber_coeffs(PARAMS, Theta.of(1, 2)))
     assert surface_point_search(surface, 1000) == []
-    assert built == [(31, range(1), 2)]
+    assert built == [(31, 1, 2)]
 
 
 def test_searches_refuse_a_zero_a():
@@ -360,15 +360,22 @@ def test_surface_sieve_patterns_match_oracle(monkeypatch, name):
                     (M, v, x1)
 
 
-@pytest.mark.parametrize("search_fn, build", [(curve_point_search, build_curve),
-                                              (surface_point_search, build_surface)])
-def test_fiber_search_builds_each_base_pattern_once(monkeypatch, search_fn, build):
-    """At height 1000 a pattern is built residue by residue only for the
-    outer coordinates (d, 0), d a divisor of M, each at most once: never
-    more than one build per non-unit key, plus the unit base."""
-    calls = []
+# a = 97 forces x = 97 x1, so at height 1000 this surface sieves its slices
+# x1 = 1, ..., 10 beside its section; it has no point of height <= 1000
+SIEVING_SURFACE = DP4Surface(a=Fraction(97), b=Fraction(5), A=Fraction(2), B=Fraction(3),
+                             C=Fraction(1), genus=1)
+
+
+def _base_builds(monkeypatch, search_fn, obj, height):
+    """The direct pattern builds (M, d, z) of the last sieve that
+    search_fn(obj, height) builds (as in _search_work), after asserting
+    that its output is empty.  Each sieve keeps its own base patterns."""
+    sieves = []
 
     def counting(direct):
+        calls = []
+        sieves.append(calls)
+
         def counted(M, sq, d, z):
             calls.append((M, d, z))
             return direct(M, sq, d, z)
@@ -376,15 +383,33 @@ def test_fiber_search_builds_each_base_pattern_once(monkeypatch, search_fn, buil
         return counted
 
     sieve_class = search._Sieve
-    monkeypatch.setattr(search, "_Sieve",
-                        lambda height, direct, *rest: sieve_class(height, counting(direct), *rest))
-    assert search_fn(build(fiber_coeffs(PARAMS, Theta.of(0))), 1000) == []
+    with monkeypatch.context() as m:
+        m.setattr(search, "_Sieve",
+                  lambda height, direct, *rest: sieve_class(height, counting(direct), *rest))
+        assert search_fn(obj, height) == []
+    return sieves[-1]
+
+
+@pytest.mark.parametrize("search_fn, build", [(curve_point_search, build_curve),
+                                              (surface_point_search, build_surface)])
+def test_fiber_search_builds_each_base_pattern_once(monkeypatch, search_fn, build):
+    """At height 1000 a pattern is built residue by residue only for the
+    outer coordinates (d, 0), d a divisor of M, each at most once: never
+    more than one build per non-unit key, plus the unit base.  A surface
+    with slices x1 >= 1 builds each (d, z) at most once."""
+    calls = _base_builds(monkeypatch, search_fn, build(fiber_coeffs(PARAMS, Theta.of(0))), 1000)
     assert calls and len(set(calls)) == len(calls)
     for M, d, z in calls:
         assert M % d == 0 and z == 0
     for M in SIEVE_MODULI:
         non_units = sum(math.gcd(w, M) > 1 for w in range(M))
         assert sum(c[0] == M for c in calls) <= 1 + non_units
+    if search_fn is surface_point_search:
+        calls = _base_builds(monkeypatch, search_fn, SIEVING_SURFACE, 1000)
+        assert len(set(calls)) == len(calls)
+        assert all(M % d == 0 and 0 <= z < M for M, d, z in calls)
+        # the surface's own sieve built these, not the section's (z = 0)
+        assert any(z for *_, z in calls)
 
 
 class _Tally(list):
@@ -443,13 +468,17 @@ def _search_work(monkeypatch, search_fn, obj, height, rank=None):
 def test_ranked_sieve_matches_ascending_order(monkeypatch, g, theta):
     # at height 1000, ranked or not by the sieve's own choice or ranked by
     # force, every window keeps the survivors of SIEVE_MODULI order, and so
-    # every output does
+    # every output does; every fiber's surface sieves only its section below
+    # height a, so the surface sieve runs on SIEVING_SURFACE
     co = _fiber(g, theta)
     for search_fn, obj in ((curve_point_search, build_curve(co)),
-                           (surface_point_search, build_surface(co))):
+                           (surface_point_search, build_surface(co)),
+                           (surface_point_search, SIEVING_SURFACE)):
         runs = {rank: _search_work(monkeypatch, search_fn, obj, 1000, rank)
                 for rank in (None, True, False)}
         out, order, windows, _ = runs[False]
+        if obj is SIEVING_SURFACE:
+            assert any(z for _, z, _ in windows)
         assert order == list(SIEVE_MODULI)
         assert runs[True][1] != order
         for rank in (None, True):
@@ -459,13 +488,11 @@ def test_ranked_sieve_matches_ascending_order(monkeypatch, g, theta):
 
 def test_ranking_cuts_lookups_at_height_1000(monkeypatch):
     # a fiber's surface sieves no slice x1 >= 1 below height a = 1753, so
-    # the surface half runs on a = 97, which forces x = 97 x1 and sieves
-    # the slices x1 = 1, ..., 10; it has no point of height <= 1000
+    # the surface half runs on SIEVING_SURFACE
     co = fiber_coeffs(PARAMS, Theta.of(1, 2))
-    surface = DP4Surface(a=Fraction(97), b=Fraction(5), A=Fraction(2), B=Fraction(3),
-                         C=Fraction(1), genus=1)
     for search_fn, obj, ascending, most in ((curve_point_search, build_curve(co), 14_718, 7_500),
-                                            (surface_point_search, surface, 60_629, 12_500)):
+                                            (surface_point_search, SIEVING_SURFACE, 60_629,
+                                             12_500)):
         out, order, _, counts = _search_work(monkeypatch, search_fn, obj, 1000)
         plain_out, _, _, plain_counts = _search_work(monkeypatch, search_fn, obj, 1000,
                                                      rank=False)
@@ -478,12 +505,18 @@ def test_ranking_cuts_lookups_at_height_1000(monkeypatch):
 @pytest.mark.parametrize("theta", [str(t) for t in default_theta_grid()])
 def test_height_100_searches_build_no_extra_base_patterns(monkeypatch, theta):
     # with few windows, ranking would build base patterns and masks that
-    # the ascending scan never needs
+    # the ascending scan never needs; the fiber's surface sieves only its
+    # section, so the surface sieve runs on the a = 2 controls, forced
+    # x = 2 x1 or not
     co = fiber_coeffs(PARAMS, Theta.parse(theta))
+    controls = (CONTROL_SURFACES["a2-forced"], CONTROL_SURFACES["a2-unforced"])
     for search_fn, obj in ((curve_point_search, build_curve(co)),
-                           (surface_point_search, build_surface(co))):
-        *_, counts = _search_work(monkeypatch, search_fn, obj, 100)
+                           (surface_point_search, build_surface(co)),
+                           *((surface_point_search, surface) for surface in controls)):
+        *_, windows, counts = _search_work(monkeypatch, search_fn, obj, 100)
         *_, plain_counts = _search_work(monkeypatch, search_fn, obj, 100, rank=False)
+        if obj in controls:
+            assert any(z for _, z, _ in windows)
         assert counts["bases"] <= plain_counts["bases"]
         assert counts["masks"] <= plain_counts["masks"]
 
