@@ -34,8 +34,8 @@ from .family import (
     j_invariant,
 )
 from .local import certify_all_local
-from .params import (ParamSet, SieveExhausted, json_int, json_keys, json_typed,
-                     sieve_params, verify_conditions)
+from .params import (ParamSet, SieveExhausted, full_family, json_int, json_keys,
+                     json_typed, sieve_params, verify_conditions)
 from .search import curve_point_search, surface_point_search
 
 EXIT_OK = 0
@@ -114,8 +114,7 @@ class RunConfig:
         if not self.theta_list:
             raise ConfigError("theta_list is empty")
         if self.mode == "full":
-            # at odd g, (g+1) | (4h+2) forces g = 1 mod 4
-            if (4 * self.h + 2) % (self.g + 1) != 0:
+            if not full_family(self.g, self.h):
                 raise ConfigError(
                     f"full-family mode needs (g+1) | (4h+2); got g={self.g}, h={self.h}"
                 )

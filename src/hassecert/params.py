@@ -48,6 +48,13 @@ def json_keys(obj, known, name):
     return obj
 
 
+def full_family(g, h):
+    """Whether every fiber, not just theta = 0, is covered at odd g: needs
+    g = 1 mod 4 and (g+1) | (4h+2).  The divisibility alone decides: as
+    4h+2 = 2 (2h+1), 4 cannot divide the even g+1, so g = 1 mod 4."""
+    return (4 * h + 2) % (g + 1) == 0
+
+
 @dataclass(frozen=True)
 class ParamSet:
     """A quadruple of odd primes with its genus data.
@@ -74,9 +81,8 @@ class ParamSet:
 
     @property
     def full_family_ok(self):
-        """Whether every fiber (not just theta = 0) is covered: needs
-        g = 1 mod 4 and (g+1) | (4h+2)."""
-        return self.g % 4 == 1 and (4 * self.h + 2) % (self.g + 1) == 0
+        """Whether every fiber (not just theta = 0) is covered: see full_family."""
+        return full_family(self.g, self.h)
 
     def to_json(self):
         return {
@@ -355,46 +361,13 @@ def _progression_survivors(step, omega0, bound, tables):
                 break
 
 
-def _slot_candidates(step, omega0, bound, tables, taken):
-    """Primes n = 1 mod step that are squares mod every q in omega0 and lie
-    neither in omega0 nor in taken, ascending: b with step 8, and a with
-    step lcm(8, b) and taken (b,), where a = 1 mod b gives both the square
-    condition mod b and the divisibility condition at once."""
-    for n in _progression_survivors(step, omega0, bound, tables):
-        if n not in omega0 and n not in taken and is_prime(n):
-            yield n
-
-
-def _c_candidates(a, b, omega0, bound):
-    """Primes c with legendre(c, a) = legendre(c, b) = -1, ascending."""
-    for c in range(3, bound + 1, 2):
-        if c in omega0 or c in (a, b) or not is_prime(c):
-            continue
-        if legendre(c, a) == -1 and legendre(c, b) == -1:
-            yield c
-
-
-def _d_candidates(a, b, c, omega0, bound):
-    """Primes d = (b c^2)^(-1) mod a with the right symbols mod b and c.
-
-    Scans the single arithmetic progression mod a and tests the symbol
-    conditions directly; this reaches every admissible d in ascending
-    order, whatever residue classes mod b and c it happens to occupy.
-    """
-    w = pow(b * c * c, -1, a)
-    d = w if w > 1 else w + a
-    while d <= bound:
-        if (
-            d not in (a, b, c)
-            and d not in omega0
-            and d % 2 == 1
-            and legendre(d, b) == -1
-            and legendre(d, c) == 1
-            and (b * c * d + 2) % a != 0
-            and is_prime(d)
-        ):
-            yield d
-        d += a
+def _slot_candidates(step, omega0, bound, tables):
+    """Primes n = 1 mod step that are squares mod every q in omega0,
+    ascending: b with step 8, and a with step 8b, where a = 1 mod b gives
+    both the square condition mod b and the divisibility condition at once.
+    None is b or in omega0: every a = 1 + 8bk exceeds b, and every
+    survivor is a nonzero square mod each q of omega0, or 1 mod it."""
+    return filter(is_prime, _progression_survivors(step, omega0, bound, tables))
 
 
 def sieve_params(g, h, omega0=None, bound=10**7, count=1):
@@ -402,10 +375,17 @@ def sieve_params(g, h, omega0=None, bound=10**7, count=1):
 
     bound caps the magnitude of every slot, and so does the deterministic
     primality bound: no slot reaches arith.MR_DETERMINISTIC_BOUND, above
-    which is_prime decides nothing.  The search is deterministic:
-    each slot takes the smallest admissible value, and further quadruples
-    come from advancing d, then c, then a, then b.  Every emitted
-    quadruple is re-checked by verify_conditions.
+    which is_prime decides nothing.  The search is one lazy walk over b,
+    a = 1 mod 8b, c and d = (b c^2)^(-1) mod a, each ascending, so further
+    quadruples come from advancing d, then c, then a, then b.  Every
+    emitted quadruple is re-checked by verify_conditions.
+
+    c and d pass only the symbol tests and (vii), which reject every value
+    that (i) forbids: a prime q of omega0 is a square mod a and mod b by
+    reciprocity (a, b = 1 mod 8 are squares mod q); c = a, c = b, d = b and
+    d = c give the symbol 0; and d is not 0 mod a.  With no quadruple
+    found, the refusal names the first slot left empty: the first leaf of
+    the search is a quadruple unless its own chain dies first.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -414,51 +394,41 @@ def sieve_params(g, h, omega0=None, bound=10**7, count=1):
     omega0 = tuple(sorted(omega0))
     tables = _qr_tables(omega0)
     cap = min(bound, arith.MR_DETERMINISTIC_BOUND - 1)
-    out = []
-    first_failure = None
+    dead_end = []
 
-    def note_failure(slot, detail):
-        nonlocal first_failure
-        if first_failure is None:
-            first_failure = (slot, detail)
+    def slot(name, detail, candidates):
+        empty = True
+        for value in candidates:
+            empty = False
+            yield value
+        if empty and not dead_end:
+            dead_end.append((name, detail))
 
-    b_seen = False
-    for b in _slot_candidates(8, omega0, cap, tables, ()):
-        b_seen = True
-        a_seen = False
-        step = 8 * b // math.gcd(8, b)
-        for a in _slot_candidates(step, omega0, cap, tables, (b,)):
-            a_seen = True
-            c_seen = False
-            for c in _c_candidates(a, b, omega0, cap):
-                c_seen = True
-                d_seen = False
-                for d in _d_candidates(a, b, c, omega0, cap):
-                    d_seen = True
-                    ps = ParamSet(a=a, b=b, c=c, d=d, omega0=omega0, g=g, h=h)
-                    report = verify_conditions(ps)
-                    if not report.ok:
-                        raise AssertionError(
-                            f"sieve produced a quadruple failing verification: "
-                            f"{ps} -> {report.failures()}"
-                        )
-                    out.append(ps)
-                    if len(out) >= count:
-                        return out
-                if not d_seen:
-                    note_failure("d", f"for a={a}, b={b}, c={c}")
-                # replenish via larger d exhausted; advance c, then a, then b
-            if not c_seen:
-                note_failure("c", f"for a={a}, b={b}")
-        if not a_seen:
-            note_failure("a", f"for b={b}, progression 1 mod {step}")
-    if not b_seen:
-        slot, detail = "b", f"no prime = 1 mod 8 and a square mod each of {list(omega0)}"
-    elif out:
-        slot, detail = "d", f"only {len(out)} of {count} quadruples found"
-    else:
-        slot, detail = first_failure
+    def quadruples():
+        for b in slot("b", f"no prime = 1 mod 8 and a square mod each of {list(omega0)}",
+                      _slot_candidates(8, omega0, cap, tables)):
+            for a in slot("a", f"for b={b}, progression 1 mod {8 * b}",
+                          _slot_candidates(8 * b, omega0, cap, tables)):
+                cs = filter(lambda c: is_prime(c) and legendre(c, a) == -1
+                            and legendre(c, b) == -1, range(3, cap + 1, 2))
+                for c in slot("c", f"for a={a}, b={b}", cs):
+                    w = pow(b * c * c, -1, a)
+                    ds = filter(lambda d: legendre(d, b) == -1 and legendre(d, c) == 1
+                                and (b * c * d + 2) % a != 0 and is_prime(d),
+                                range(w + a if w % 2 == 0 else w, cap + 1, 2 * a))
+                    for d in slot("d", f"for a={a}, b={b}, c={c}", ds):
+                        ps = ParamSet(a=a, b=b, c=c, d=d, omega0=omega0, g=g, h=h)
+                        report = verify_conditions(ps)
+                        if not report.ok:
+                            raise AssertionError("sieve produced a quadruple failing "
+                                                 f"verification: {ps} -> {report.failures()}")
+                        yield ps
+
+    out = list(itertools.islice(quadruples(), count))
+    if len(out) == count:
+        return out
+    name, detail = ("d", f"only {len(out)} of {count} quadruples found") if out else dead_end[0]
     if cap < bound:
         detail += ("; every slot stops below the deterministic primality bound "
                    f"{arith.MR_DETERMINISTIC_BOUND}")
-    raise SieveExhausted(slot, bound, detail)
+    raise SieveExhausted(name, bound, detail)

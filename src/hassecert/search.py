@@ -309,8 +309,9 @@ def surface_point_search(surface, height):
 
     The points are (x, y, z, u, v) with 0 <= x, y, z <= height and either
     (u, v) = (1, 0) or |u| <= height, 1 <= v <= height.  When a is a prime
-    not dividing den(C), x must be a multiple of a; otherwise x runs over
-    0, ..., height.  y and z come from exact integer square tests:
+    not dividing den(C), or a prime above the height, x must be a multiple
+    of a; otherwise x runs over 0, ..., height.  y and z come from exact
+    integer square tests:
 
         y^2 = a x1^2 + C^2 u v        (x = a x1)
         z^2 = (x^2 + b (u - Av)(u - Bv)) / a
@@ -330,10 +331,21 @@ def surface_point_search(surface, height):
 
     So the slice x = 0 runs the curve sieve on the section curve at height
     isqrt(height), and every pair e (m^2, n^2) in the box over a found t
-    with m >= 0 gets the exact tests.  The slices x1 >= 1 sieve the u
-    window on both square conditions for each v and x1.  Refuses a = 0 and
-    C = 0 (where the surface is a cone and the lemma fails) with
-    ValueError.
+    with m >= 0 gets the exact tests.
+
+    Lemma.  If a is a prime dividing nu and height < a, every point in the
+    box has x = 0.
+
+    Proof.  Write nu = a^k nu' with k >= 1.  The second quadric reads
+    x^2 nu^2 + a gamma^2 u v = a y^2 nu^2, and gamma is prime to a, so
+    a^(2k-1) | u v.  As 1 <= v <= height < a, a divides u, and |u| <=
+    height < a gives u = 0.  Then x^2 = a y^2, so x = y = 0.  The row
+    (u, v) = (1, 0) reads x^2 = a y^2 at once.
+
+    So a prime a above the height forces x = a x1 = 0 whether or not it
+    divides nu.  The slices x1 >= 1 sieve the u window on both square
+    conditions for each v and x1.  Refuses a = 0 and C = 0 (where the
+    surface is a cone and the first lemma fails) with ValueError.
     """
     if height < 1:
         raise ValueError("height bound must be >= 1")
@@ -349,9 +361,10 @@ def surface_point_search(surface, height):
     pA, pB = int(A * q), int(B * q)
     gamma, nu = C.numerator, C.denominator
     # x^2 nu^2 = a (y^2 nu^2 - gamma^2 u v) puts a | x^2 nu^2, which forces
-    # a | x when a is a prime not dividing nu; a composite a (4 | 6^2) or
-    # one sharing a factor with nu forces nothing
-    a_forces = a_i > 1 and nu % a_i != 0 and is_prime(a_i)
+    # a | x when a is a prime not dividing nu, and x = 0 when a is a prime
+    # dividing nu above the height (see the second lemma); a composite a
+    # (4 | 6^2) forces nothing
+    a_forces = a_i > 1 and (nu % a_i != 0 or height < a_i) and is_prime(a_i)
     x_step = a_i if a_forces else 1
     found = set()
 

@@ -71,6 +71,31 @@ def test_invariant_at_c_via_prop_c():
     assert legendre(PARAMS.a, PARAMS.c) == -1
 
 
+def test_prop_good_refuses_a_prime_of_2ab():
+    # p = 11 divides b and a = 2 is not a square mod 11: no branch's
+    # hypotheses hold, and the trace names the one that failed
+    surface = DP4Surface(a=Fraction(2), b=Fraction(11), A=Fraction(1), B=Fraction(3),
+                         C=Fraction(1), genus=1)
+    cert = certify_invariant(surface, Place.finite(11))
+    assert cert.value is None and not cert.rigorous
+    assert cert.warning == "refused: prop-good hypotheses failed"
+    assert cert.hypothesis_trace[-1] == ("p does not divide 2ab", False)
+
+
+def test_unverified_quadruple_is_refused_at_a():
+    # c = 11 is a square mod a = 1753, against (v): at p = a, B - A is then
+    # a square, the prop-a hypotheses fail, and the fiber stops at
+    # brauer-obstruction naming a
+    from hassecert import cli
+    from hassecert.params import ParamSet, verify_conditions
+
+    ps = ParamSet(a=1753, b=73, c=11, d=146059, omega0=(3,), g=1, h=0)
+    assert not verify_conditions(ps).ok
+    out = cli.certify_fiber(ps, Theta.of(1, 2), height_bound=20)
+    assert out["certified"] is False and out["stage"] == "brauer-obstruction"
+    assert "invariant at 1753 refused: prop-a hypotheses failed" in out["error"]
+
+
 def test_invariant_at_infinity_fiber():
     co = fiber_coeffs(PARAMS, Theta.infinity())
     surface = build_surface(co)

@@ -685,6 +685,21 @@ def test_good_reduction_failures_raise(monkeypatch):
         certify_local_curve(CURVE_0, place)
 
 
+def test_good_reduction_above_the_count_cap_cites_hasse_weil():
+    # above COUNT_CAP no count is made: the certificate rests on the
+    # Hasse-Weil bound, and its witness still re-verifies
+    from hassecert.local import COUNT_CAP
+
+    curve = HyperellipticCurve(a=Fraction(1), b=Fraction(2), A=Fraction(1), B=Fraction(2),
+                               genus=1)
+    place = Place.finite(200_003)
+    assert place.p > COUNT_CAP
+    cert = certify_local_curve(curve, place)
+    assert cert.solvable and cert.method == "fp-smooth-lift"
+    assert cert.hypotheses[-1] == "p too large to count; existence via the Hasse-Weil bound"
+    assert cert.witness.verify(integral_model(curve, place.p))
+
+
 def test_sampler_points_satisfy_quadrics():
     # theta = 0: the fiber is its own admissible model at every p
     surface = build_surface(CO_0)

@@ -70,6 +70,15 @@ def test_sieve_g1_first_quadruple():
     assert ps.full_family_ok
 
 
+def test_full_family_divisibility_forces_g_1_mod_4():
+    # at odd g, (g+1) | (4h+2) alone decides: it forces g = 1 mod 4
+    for g in range(1, 40, 2):
+        for h in range(30):
+            expected = g % 4 == 1 and (4 * h + 2) % (g + 1) == 0
+            assert params.full_family(g, h) == expected, (g, h)
+            assert ParamSet(**{**G1_QUAD, "g": g, "h": h}).full_family_ok == expected
+
+
 def test_sieve_g1_five_distinct():
     quads = sieve_params(1, 0, bound=10**7, count=5)
     assert len(quads) == 5
@@ -84,6 +93,19 @@ def test_sieve_low_bound_exhausts_at_b():
         sieve_params(1, 0, bound=50, count=1)
     assert ei.value.slot == "b"
     assert "primality bound" not in str(ei.value)
+
+
+@pytest.mark.parametrize("bound, count, slot, detail", [
+    # the first b, 73, has no a = 1 mod 584 below 1000
+    (1000, 1, "a", "for b=73, progression 1 mod 584"),
+    # two quadruples lie below 2200, and the refusal counts them
+    (2200, 3, "d", "only 2 of 3 quadruples found"),
+])
+def test_sieve_refusal_names_its_slot(bound, count, slot, detail):
+    with pytest.raises(SieveExhausted) as ei:
+        sieve_params(1, 0, bound=bound, count=count)
+    assert (ei.value.slot, ei.value.bound) == (slot, bound)
+    assert str(ei.value) == f"no admissible value for slot '{slot}' below bound {bound} ({detail})"
 
 
 def test_sieve_stops_below_primality_bound(monkeypatch, capsys):
@@ -193,11 +215,11 @@ _CUSTOM_OMEGA0 = (3, 5, 7, 11, 13, 17, 19, 23, 263, 271)
 def test_wheel_matches_stepwise_candidates(omega0):
     tables = _qr_tables(omega0)
     bound = 10**6
-    assert list(_slot_candidates(8, omega0, bound, tables, ())) == \
+    assert list(_slot_candidates(8, omega0, bound, tables)) == \
         list(_stepwise_b(omega0, bound, tables))
     for b in (73, 97, 193, 1201):
         step = 8 * b // math.gcd(8, b)
-        assert list(_slot_candidates(step, omega0, 10**7, tables, (b,))) == \
+        assert list(_slot_candidates(step, omega0, 10**7, tables)) == \
             list(_stepwise_a(b, omega0, 10**7, tables))
 
 

@@ -267,7 +267,8 @@ def test_x_zero_slice_matches_oracle_on_random_surfaces(seed):
 
 def test_fiber_surface_below_a_builds_only_the_section_sieve(monkeypatch):
     # at height 1000 < a = 1753 the slice x = 0 is the whole search: one
-    # sieve, the section curve's at height isqrt(1000) = 31
+    # sieve, the section curve's at height isqrt(1000) = 31.  So also at
+    # theta = 1/1753, where a divides den(C) (the second lemma)
     built = []
     sieve_class = search._Sieve
 
@@ -276,9 +277,45 @@ def test_fiber_surface_below_a_builds_only_the_section_sieve(monkeypatch):
         return sieve_class(height, direct, *rest)
 
     monkeypatch.setattr(search, "_Sieve", recording)
-    surface = build_surface(fiber_coeffs(PARAMS, Theta.of(1, 2)))
-    assert surface_point_search(surface, 1000) == []
-    assert built == [(31, 1, 2)]
+    for theta in (Theta.of(1, 2), Theta.of(1, 1753)):
+        built.clear()
+        surface = build_surface(fiber_coeffs(PARAMS, theta))
+        assert (surface.C.denominator % PARAMS.a == 0) == (theta.value.denominator == PARAMS.a)
+        assert surface_point_search(surface, 1000) == []
+        assert built == [(31, 1, 2)], theta
+
+
+# a prime a that divides den(C) and exceeds the height forces x = 0 (the
+# second lemma in search.surface_point_search): seeded surfaces with
+# den(C) = a^k nu', k = 1 or 2, at heights below a, against the brute force
+# over every x
+DIVIDING_A = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _a_divides_nu_surfaces(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = rng.choice(DIVIDING_A)
+        A = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        B = A
+        while B == A:
+            B = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        gamma = rng.choice([g for g in range(-9, 10) if g % a])
+        nu = a ** rng.randint(1, 2) * rng.randint(1, 3)
+        surface = DP4Surface(a=Fraction(a), b=Fraction(rng.choice(LEMMA_B)), A=A, B=B,
+                             C=Fraction(gamma, nu), genus=1)
+        yield surface, rng.randint(1, min(a - 1, 30))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_dividing_den_c_above_the_height_matches_oracle(seed):
+    points = 0
+    for surface, height in _a_divides_nu_surfaces(seed, 50):
+        expected = _oracle_surface_points(surface, height)
+        assert all(x == 0 for x, *_ in expected)
+        assert surface_point_search(surface, height) == expected, (surface, height)
+        points += len(expected)
+    assert points
 
 
 def test_searches_refuse_a_zero_a():
@@ -593,7 +630,8 @@ def test_default_grid():
 def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(g=2).validate()
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^full-family mode needs \(g\+1\) \| \(4h\+2\); "
+                                          r"got g=3, h=0$"):
         RunConfig(g=3, mode="full").validate()
     with pytest.raises(ConfigError):
         RunConfig(g=3, h=1, mode="theta-zero",

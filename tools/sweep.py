@@ -10,12 +10,13 @@ HEAD~1`.  Nothing is downloaded.
 The set has two parts.  The first is 145 `certify-all` reports, one
 fiber each, written with --out: every theta = m/n with |m|, n <= 7, and
 inf, at g = 1 with h = 0 and with h = 1 (72 fibers each), and theta = 0
-at g = 3 (`--mode theta-zero --bound 10^12`).  The second is 17 runs that
+at g = 3 (`--mode theta-zero --bound 10^12`).  The second is 19 runs that
 print to standard output, one per subcommand and exit path (see
 printed_invocations): the default g = 1 grid through every subcommand
 and with one sample per place, theta = 0 at g = 5, fibers whose models
-at p = a are rescaled, both refusal exits, and a parallel run.  Each call runs in a fresh
-interpreter on the tree's own src/, two at a time.
+at p = a are rescaled, both refusal exits (fibers that fail, and sieves
+exhausted at slots b, a and d), and a parallel run.  Each call runs in a
+fresh interpreter on the tree's own src/, two at a time.
 
 `generated_at` and `output_path` are dropped from every report, and
 printed output is compared as JSON when it parses.  Each report's text,
@@ -64,7 +65,7 @@ def invocations():
 
 
 def printed_invocations():
-    """(label, argv) of the 17 runs that print their result, in order: the
+    """(label, argv) of the 19 runs that print their result, in order: the
     default g = 1 grid (h = 0, height 1000) through certify-all at one and
     two jobs and with one sample per place (the delta image alone, no
     direct draw), and through each other fiber subcommand, g = 3 theta-zero,
@@ -73,8 +74,10 @@ def printed_invocations():
     g = 1 fibers with a power of a = 1753 in den(theta) at h = 0 and at
     h = 1 (the rescaled models at p = a, on both branches of
     admissible_model there), g = 5 instantiate, three quadruples sieved,
-    and the refusals: g = 1, h = 1 fibers that fail (exit 1) and g = 7
-    theta-zero, whose sieve is exhausted (exit 2)."""
+    and the refusals: g = 1, h = 1 fibers that fail (exit 1), g = 7
+    theta-zero, whose sieve is exhausted at slot b (exit 2), and the g = 1
+    sieve at bound 1000, exhausted at slot a, and at bound 2200 with three
+    quadruples asked, exhausted at slot d (exit 2 each)."""
     return [
         ("certify-all grid --jobs 1", ["certify-all", "--jobs", "1"]),
         ("certify-all grid --jobs 2", ["certify-all", "--jobs", "2"]),
@@ -96,6 +99,9 @@ def printed_invocations():
                                  "--bound", str(10**24)]),
         ("j-report grid", ["j-report"]),
         ("sieve-params --count 3", ["sieve-params", "--count", "3"]),
+        ("sieve-params --bound 1000 (exit 2)", ["sieve-params", "--bound", "1000"]),
+        ("sieve-params --bound 2200 --count 3 (exit 2)",
+         ["sieve-params", "--bound", "2200", "--count", "3"]),
         ("certify-all g=7 theta-zero (exit 2)", ["certify-all", "--g", "7",
                                                  "--mode", "theta-zero"]),
         ("certify-brauer g=1 h=1 theta=3/2 (exit 1)",
