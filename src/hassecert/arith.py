@@ -321,72 +321,52 @@ class ResidueRooter:
         return p ** (v // 2) * root % self.pk
 
 
-def _amm_prime_root(a, r, p):
-    """(x, zeta): one r-th root x of a mod p and a primitive r-th root of
-    unity zeta, for an odd prime r dividing p-1.
-
-    Adleman-Manders-Miller; assumes a is an r-th power residue mod p.
-    """
-    s, t = 0, p - 1
-    while t % r == 0:
-        t //= r
-        s += 1
-    g = pow(_least_non_power(p, (r,)), t, p)  # order r^s
-    zeta = pow(g, r ** (s - 1), p)
-    alpha = pow(r, -1, t) if t > 1 else 0
-    x = pow(a, alpha, p)
-    b = pow(x, r, p) * pow(a, -1, p) % p  # lies in <g>, exponent divisible by r
-    h = 1
-    rs = r**s
-    for i in range(1, s):
-        d = pow(b, r ** (s - 1 - i), p)
-        j, acc = 0, 1
-        while acc != d:
-            acc = acc * zeta % p
-            j += 1
-            if j >= r:
-                raise ArithmeticError("digit extraction failed; a is not an r-th power")
-        if j:
-            b = b * pow(g, (rs - j) * r**i % rs, p) % p
-            h = h * pow(g, (rs - j) * r ** (i - 1) % rs, p) % p
-    return x * h % p, zeta
-
-
-def _all_prime_roots(a, r, p):
-    """All r-th roots of a mod p for prime r (p odd, p != r, p ∤ a)."""
-    a %= p
-    if r == 2:
-        r0 = sqrt_mod(a, p)
-        return [] if r0 is None else sorted({r0, (p - r0) % p})
-    if (p - 1) % r != 0:
-        return [pow(a, pow(r, -1, p - 1), p)]
-    if pow(a, (p - 1) // r, p) != 1:
-        return []
-    y, zeta = _amm_prime_root(a, r, p)
-    roots = set()
-    for _ in range(r):
-        roots.add(y)
-        y = y * zeta % p
-    return sorted(roots)
+@functools.cache
+def _root_constants(p, n):
+    """The constants of _nth_root_mod_p for the odd prime p and n: d, s,
+    d^-1 mod t, k, gamma, the d-th roots of unity and, per prime q of d,
+    (q, qe, m, gamma^-m, crt, table): qe the q-part of s, m = s/qe, crt = 1
+    mod qe and 0 mod m, and table the log of each power of gamma^(s/q)."""
+    d = math.gcd(n, p - 1)
+    parts = {q: math.gcd(p - 1, q ** (p - 1).bit_length()) for q in factorize(d)[0]}
+    s = math.prod(parts.values())
+    gamma = pow(_least_non_power(p, tuple(parts)), (p - 1) // s, p)
+    logs = [(q, qe, s // qe, pow(gamma, -(s // qe), p), s // qe * pow(s // qe, -1, qe),
+             {pow(gamma, s // q * i, p): i for i in range(q)}) for q, qe in parts.items()]
+    zeta = pow(gamma, s // d, p)
+    return (d, s, pow(d, -1, (p - 1) // s), pow(n // d, -1, (p - 1) // d), gamma,
+            logs, [pow(zeta, i, p) for i in range(d)])
 
 
 def _nth_root_mod_p(a, n, p):
-    """The smallest x with x^n = a mod p, or None (p odd prime, p ∤ an).
+    """The least x with x^n = a mod p, or None (p an odd prime, p ∤ an).
 
-    Peels one prime factor of n at a time, keeping every intermediate root
-    (a residue can fail to have an r-th root along one branch yet succeed
-    along another, e.g. x^4 = 2 mod 7 via the square root 4 but not 3).
+    F_p^* is cyclic.  With d = gcd(n, p - 1), a is an n-th power iff
+    a^((p-1)/d) = 1, and then the roots are x0 zeta^i, 0 <= i < d, for one
+    root x0 and any zeta of order d.  Write p - 1 = s t, s the part on the
+    primes of d, so gcd(d, t) = 1: gamma = z^t spans the subgroup of order
+    s, z = _least_non_power(p, primes of d).  y = a^(d^-1 mod t) leaves
+    b = a y^-d in <gamma>, and b = gamma^L with L read digit by digit per
+    prime power of s (Pohlig-Hellman) and joined by CRT; d | L, since b is
+    a d-th power.  So w = y gamma^(L/d) has w^d = a, and x0 = w^k for
+    k = (n/d)^-1 mod (p-1)/d, which exists as gcd(n/d, (p-1)/d) = 1.
+    zeta = gamma^(s/d).  The constants are read once per (p, n).
     """
-    candidates = {a % p}
-    for r, e in factorize(n)[0].items():
-        for _ in range(e):
-            nxt = set()
-            for c in candidates:
-                nxt.update(_all_prime_roots(c, r, p))
-            if not nxt:
-                return None
-            candidates = nxt
-    return min(candidates)
+    a %= p
+    d, s, e, k, gamma, logs, unity = _root_constants(p, n)
+    if pow(a, (p - 1) // d, p) != 1:
+        return None
+    y = pow(a, e, p)
+    b = a * pow(y, -d, p) % p
+    L = 0
+    for q, qe, m, inverse, crt, table in logs:
+        bq, x, qj = pow(b, m, p), 0, 1  # bq = (gamma^m)^(L - x) as x gathers L mod qe
+        while qj < qe:
+            i = table[pow(bq, qe // (qj * q), p)]
+            bq, x, qj = bq * pow(inverse, i * qj, p) % p, x + i * qj, qj * q
+        L += x * crt
+    x0 = pow(y * pow(gamma, L % s // d, p), k, p)
+    return min(x0 * u % p for u in unity)
 
 
 def hensel_nth_root(a, n, p, k):

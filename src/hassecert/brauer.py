@@ -178,7 +178,7 @@ def certify_invariant(model, place):
             ("p does not divide 2ab", padic_val(2 * a * model.b, p) == 0),
             ("p does not divide B - A", True),
             ("model coefficients are p-integral",
-             all(padic_val(x, p) >= 0 for x in (A, B, C) if x != 0)),
+             all(padic_val(x, p) >= 0 for x in (A, B, C))),
         ]
         if all(_trace(trace, t, ok) for t, ok in conds):
             return InvariantCertificate(place, ZERO, "prop-good", trace)

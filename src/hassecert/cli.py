@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
 from . import __version__ as VERSION
+from .arith import is_prime
 from .brauer import obstruction_certificate
 from .family import (
     Theta,
@@ -214,15 +215,32 @@ SECTIONS = {
 }
 
 
+@functools.cache
+def _composite_slot(params):
+    """The first slot of params, a to d or an omega0 entry, that is not a
+    prime, as certify_fiber names it, or None.  Cached, so the fibers of
+    one quadruple prove its primes once."""
+    for slot, q in (*((f"parameter {s} =", getattr(params, s)) for s in "abcd"),
+                    *(("omega0 entry", q) for q in params.omega0)):
+        if q < 2 or not is_prime(q):
+            return f"{slot} {q}"
+    return None
+
+
 def certify_fiber(params, theta, height_bound=1000, sample_count=10,
                   stages=STAGES["certify-all"]):
     """The per-fiber pipeline: build, nonvanishing, smoothness, then the
     given stages in order (local certificates, obstruction certificate,
     point searches, j-invariant).  A failed stage aborts the fiber (never
     the run) with the stage named; stage "done" means every stage passed.
-    A theta that is not a Theta is a caller's error and raises TypeError."""
+    A caller's error raises before any stage runs: TypeError on a theta
+    that is not a Theta, and ValueError naming the first slot, a to d or an
+    omega0 entry, that is not a prime."""
     if not isinstance(theta, Theta):
         raise TypeError(f"theta must be a Theta, not {type(theta).__name__}")
+    composite = _composite_slot(params)
+    if composite:
+        raise ValueError(f"{composite} is not prime")
     out = {"theta": str(theta), "certified": False, "stage": None}
     try:
         stage = "build"

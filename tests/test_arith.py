@@ -620,10 +620,9 @@ def test_hensel_nth_root_examples():
 
 
 def test_hensel_nth_root_exhaustive():
-    # p = 11 hits the prime-root extraction with 5 | p-1; p = 19 has
-    # 9 | p-1, exercising the two-digit subgroup descent for r = 3.  The
-    # root is the least one mod p, lifted: the g+1-power witness's
-    # t_center depends on that
+    # p = 11 has 5 | p-1, and p = 19 has 9 | p-1, a two-digit
+    # Pohlig-Hellman log for r = 3.  The root is the least one mod p,
+    # lifted: the g+1-power witness's t_center depends on that
     for p in (3, 5, 7, 11, 13, 19):
         for n in (2, 3, 4, 5, 6):
             if n % p == 0:
@@ -640,6 +639,19 @@ def test_hensel_nth_root_exhaustive():
                         assert r % p == min(x % p for x in roots)
                     else:
                         assert r is None
+
+
+@pytest.mark.parametrize("p", [97, 193, 257, 433, 487, 577, 1297, 251, 401, 7681])
+def test_least_root_mod_p_matches_brute_force(p):
+    # p - 1 = 2^5 3, 2^6 3, 2^8, 2^4 3^3, 2 3^5, 2^6 3^2, 2^4 3^4, 2 5^3,
+    # 2^4 5^2 and 2^9 3 5: Pohlig-Hellman logs of three or more digits for
+    # r = 2, 3 and 5, at every d = gcd(n, p - 1) that n reaches
+    for n in (2, 3, 4, 5, 6, 8, 10):
+        least = {}
+        for x in range(p - 1, 0, -1):
+            least[pow(x, n, p)] = x
+        for a in range(1, p):
+            assert hensel_nth_root(a, n, p, 1) == least.get(a), (a, n, p)
 
 
 def test_least_non_power_matches_brute_force():

@@ -82,6 +82,45 @@ def test_prop_good_refuses_a_prime_of_2ab():
     assert cert.hypothesis_trace[-1] == ("p does not divide 2ab", False)
 
 
+def _synthetic_model(a, A=1, B=-1):
+    """A genus-1 surface model with the given a, A and B, at which p = 2
+    reads the symbol's units mod 8; on the fiber a = 1 mod 8 is a 2-adic
+    square."""
+    return DP4Surface(a=Fraction(a), b=Fraction(7), A=Fraction(A), B=Fraction(B),
+                      C=Fraction(1), genus=1)
+
+
+_NOT_SQUARE_AT_3 = ("a is not a square mod p", True)
+_UNIT_2AB_AT_3 = ("p does not divide 2ab", True)
+
+
+@pytest.mark.parametrize("model, p, value, method, trace, warning", [
+    (_synthetic_model(-1), None, None, "refused", [("a > 0, so a is a real square", False)],
+     "refused: negative a at the real place"),
+    (_synthetic_model(0), None, None, "refused", [("a > 0, so a is a real square", False)],
+     "refused: negative a at the real place"),
+    (_synthetic_model(1), None, ZERO, "prop-square", [("a > 0, so a is a real square", True)], ""),
+    (_synthetic_model(5), 2, None, "refused", [("a is a square in Q_2", False)],
+     "refused: no branch at 2 when a is not a square"),
+    (_synthetic_model(17), 2, ZERO, "prop-square", [("a is a square in Q_2", True)], ""),
+    (_synthetic_model(2), 3, ZERO, "prop-good",
+     [_NOT_SQUARE_AT_3, _UNIT_2AB_AT_3, ("p does not divide B - A", True),
+      ("model coefficients are p-integral", True)], ""),
+    (_synthetic_model(2, A=2, B=5), 3, ZERO, "prop-c",
+     [_NOT_SQUARE_AT_3, _UNIT_2AB_AT_3, ("p does not divide C", True),
+      ("v_p(A) is even", True), ("the unit part of A is not a square mod p", True)], ""),
+], ids=["real-a-1", "real-a0", "real-a1", "2-a5", "2-a17", "3-prop-good", "3-prop-c"])
+def test_branch_hypotheses_on_synthetic_models(model, p, value, method, trace, warning):
+    # the branches that no fiber over verified params reaches: a <= 0 at
+    # the real place, a = 5 mod 8 at 2, and p = 3, where a = 2 is not a
+    # square and 2ab = 28 is a unit (the "2" of 2ab is read, not 3); the
+    # prop-c model has B - A = 3 and A = 2, a unit non-square mod 3
+    place = Place.real() if p is None else Place.finite(p)
+    cert = certify_invariant(model, place)
+    assert (cert.value, cert.method, cert.hypothesis_trace, cert.warning) == \
+        (value, method, trace, warning)
+
+
 def test_unverified_quadruple_is_refused_at_a():
     # c = 11 is a square mod a = 1753, against (v): at p = a, B - A is then
     # a square, the prop-a hypotheses fail, and the fiber stops at
@@ -246,13 +285,6 @@ def test_parity_read_matches_the_general_symbol_off_the_surface():
     ctx, outcomes = _off_surface_outcomes(admissible_model(SURFACE_0, PARAMS.c), PARAMS.c, 35)
     assert ctx.a_val % 2 == 0 and ctx.a_char == -1
     assert outcomes == {ZERO, HALF, ArithmeticError, PrecisionError}
-
-
-def _synthetic_model(a):
-    """A genus-1 surface model with the given a, at which p = 2 reads the
-    symbol's units mod 8; on the fiber a = 1 mod 8 is a 2-adic square."""
-    return DP4Surface(a=Fraction(a), b=Fraction(7), A=Fraction(1), B=Fraction(-1),
-                      C=Fraction(1), genus=1)
 
 
 @pytest.mark.parametrize("model, p, a_class", [

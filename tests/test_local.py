@@ -30,6 +30,7 @@ from hassecert.local import (
     _blanket_check,
     _root_witness,
     _scan_fp_point,
+    _try_power,
 )
 from hassecert.params import sieve_params
 from oracles import (
@@ -430,6 +431,28 @@ def test_power_lemma_doubles_its_precision(monkeypatch):
     # the recorded margin data is checked too
     assert not replace(wit, val=0, mu=99).verify(cert.model)
     assert not replace(wit, mu=wit.mu + 1).verify(cert.model)
+
+
+@pytest.mark.parametrize("g, A, p, u", [(1, 3, 7, 3), (3, 4 * 13**4, 13, 4)],
+                         ids=["g1-non-square", "g3-square-not-fourth-power"])
+def test_power_lemma_declines_a_unit_part_that_is_no_power(monkeypatch, g, A, p, u):
+    # 3 is not a square mod 7; 4 = 2^2 is a square mod 13 but not a fourth
+    # power (those are 1, 3 and 9), so v_13(A) = 4 passes and the root of
+    # the unit part does not exist: the lemma declines after one root call
+    from hassecert import local
+
+    curve = HyperellipticCurve(a=Fraction(1), b=Fraction(2), A=Fraction(A),
+                               B=Fraction(A + 1), genus=g)
+    calls = []
+    root = local.hensel_nth_root
+
+    def record(*args):
+        calls.append((args, root(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(local, "hensel_nth_root", record)
+    assert _try_power(curve, Place.finite(p)) is None
+    assert calls == [((u, g + 1, p, 8), None)]
 
 
 def test_sqrt_witness_val_is_checked():

@@ -19,7 +19,7 @@ from hassecert.cli import (
     report_j_invariants,
     run_certify,
 )
-from hassecert.arith import is_rational_square
+from hassecert.arith import is_rational_square, sieve_primes_upto
 from hassecert.family import (
     DP4Surface,
     HyperellipticCurve,
@@ -28,7 +28,7 @@ from hassecert.family import (
     build_surface,
     fiber_coeffs,
 )
-from hassecert.params import omega0_for_genus, sieve_params
+from hassecert.params import ParamSet, omega0_for_genus, sieve_params
 import hassecert.search as search
 from hassecert.search import SIEVE_MODULI, curve_point_search, surface_point_search
 from oracles import curve_sieve_pattern, quadric_residuals, surface_sieve_pattern, window_mask
@@ -683,6 +683,44 @@ def test_certify_fiber_refuses_a_theta_that_is_not_a_theta(monkeypatch):
             certify_fiber(PARAMS, theta, height_bound=20, sample_count=2)
         assert str(err.value) == f"theta must be a Theta, not {type(theta).__name__}"
     assert built == []
+
+
+@pytest.mark.parametrize("params, slot", [
+    (ParamSet(72667, 1483, 1889, 2767, (3,), 1, 0), "parameter a = 72667"),
+    (ParamSet(PARAMS.a, PARAMS.b, PARAMS.c, 146061, (3,), 1, 0), "parameter d = 146061"),
+    (ParamSet(PARAMS.a, PARAMS.b, -5, PARAMS.d, (3,), 1, 0), "parameter c = -5"),
+    (ParamSet(PARAMS.a, PARAMS.b, PARAMS.c, PARAMS.d, (3, 9), 1, 0), "omega0 entry 9"),
+], ids=["a", "d", "negative-c", "omega0"])
+def test_certify_fiber_refuses_a_slot_that_is_not_prime(monkeypatch, params, slot):
+    # 72667 = 1483 7^2 and 146061 = 3 48687: a caller's params, refused with
+    # the slot named before any stage runs rather than read as a failed
+    # local stage that names no place
+    built = []
+    monkeypatch.setattr(cli, "fiber_coeffs", lambda *args: built.append(args))
+    with pytest.raises(ValueError) as err:
+        certify_fiber(params, Theta.of(0), height_bound=20, sample_count=2)
+    assert str(err.value) == f"{slot} is not prime"
+    assert built == []
+
+
+def test_planted_points_are_found_and_never_certified():
+    # a = b puts (S, T) = (1, 0) on every fiber, so the curve search finds
+    # the point above t = inf at height 1, and certify_fiber must stop
+    # before the search, at a named local or invariant failure
+    rng = random.Random(25)
+    primes = [q for q in sieve_primes_upto(3000) if q > 3]
+    thetas = [Theta.parse(t) for t in ("0", "1", "1/2", "-3", "inf", "2/3")]
+    stages = set()
+    for _ in range(10):
+        a, c, d = rng.sample(primes, 3)
+        params = ParamSet(a, a, c, d, (3,), 1, 0)
+        for theta in thetas:
+            assert ("inf", 1) in curve_point_search(build_curve(fiber_coeffs(params, theta)), 1)
+            out = certify_fiber(params, theta, height_bound=20, sample_count=2)
+            assert out["certified"] is False, (params, theta)
+            assert out["stage"] in ("local-solvability", "brauer-obstruction"), out["error"]
+            stages.add(out["stage"])
+    assert stages == {"local-solvability", "brauer-obstruction"}
 
 
 def test_found_points_refute_only_after_obstruction(monkeypatch):

@@ -109,17 +109,25 @@ def test_a_layout_change_alone_makes_the_sweep_differ(monkeypatch, capsys, tmp_p
 
 
 def test_the_summary_gives_both_src_line_counts(monkeypatch, capsys, tmp_path):
+    # the total, then each module whose count changed: mod.py shrinks,
+    # same.py does not move, and new.py exists in the change alone
     trees = []
     for name, text in (("parent", "a = 1\nb = 2\n\n"), ("change", "a = 1\n")):
         pkg = tmp_path / name / "src" / "pkg"
         pkg.mkdir(parents=True)
         (pkg / "mod.py").write_text(text)
+        (pkg / "same.py").write_text("x = 1\n")
         (pkg / "notes.txt").write_text("not counted\n")
         trees.append(str(tmp_path / name))
-    assert [sweep.src_lines(tree) for tree in trees] == [3, 1]
+    (tmp_path / "change" / "src" / "pkg" / "new.py").write_text("y = 2\nz = 3\n")
+    assert [sweep.module_lines(tree) for tree in trees] == [
+        {"pkg/mod.py": 3, "pkg/same.py": 1},
+        {"pkg/mod.py": 1, "pkg/same.py": 1, "pkg/new.py": 2}]
     report = {"config": {"g": "1"}}
     monkeypatch.setattr(sweep, "sweep", lambda trees: [("one", [(0, "", report, "{}")] * 2)])
     assert sweep.main(trees) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].endswith(", 0 differ")
-    assert out[2] == "src/ lines, parent -> change: 3 -> 1 (-2)"
+    assert out[2:] == ["src/ lines, parent -> change: 4 -> 4 (+0)",
+                       "  pkg/mod.py 3 -> 1 (-2)",
+                       "  pkg/new.py 0 -> 2 (+2)"]

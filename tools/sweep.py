@@ -25,7 +25,8 @@ with the lines of those two keys removed, so a change of layout alone
 (indentation, key order, escapes) differs too.  The script prints the
 exit codes of both trees side by side, counted by pair, each tree's
 line count of src/ and their difference, and every invocation whose exit
-code, standard error or report differs.
+code, standard error or report differs.  Each module of src/ whose line
+count changed follows the total, as `hassecert/arith.py 852 -> 832 (-20)`.
 It then counts the differing values per JSON path pattern, with each list
 index written [*] and each integer key written * (for example
 fibers[*].local.blanket.sample_counts.*, keyed by prime); a text that
@@ -69,8 +70,8 @@ def printed_invocations():
     default g = 1 grid (h = 0, height 1000) through certify-all at one and
     two jobs and with one sample per place (the delta image alone, no
     direct draw), and through each other fiber subcommand, g = 3 theta-zero,
-    g = 5 theta = 0 through certify-all (the n = 6 chart, the
-    Adleman-Manders-Miller cube roots and the d = 6 count walk), four
+    g = 5 theta = 0 through certify-all (the n = 6 chart, whose
+    roots mod p have d = gcd(6, p - 1) = 6, and the d = 6 count walk), four
     g = 1 fibers with a power of a = 1753 in den(theta) at h = 0 and at
     h = 1 (the rescaled models at p = a, on both branches of
     admissible_model there), g = 5 instantiate, three quadruples sieved,
@@ -109,10 +110,12 @@ def printed_invocations():
     ]
 
 
-def src_lines(tree):
-    """Lines of the Python files under the tree's src/."""
-    return sum(len(path.read_text().splitlines())
-               for path in Path(tree, "src").rglob("*.py"))
+def module_lines(tree):
+    """Lines of each Python file under the tree's src/, keyed by its path
+    there (for example hassecert/arith.py)."""
+    src = Path(tree, "src")
+    return {path.relative_to(src).as_posix(): len(path.read_text().splitlines())
+            for path in src.rglob("*.py")}
 
 
 def run(tree, argv, out_path):
@@ -179,6 +182,10 @@ def sweep(trees):
                 for (label, _, _), row in zip(calls, futures)]
 
 
+def _change(old, new):
+    return f"{old} -> {new} ({new - old:+d})"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="the parent's source tree")
@@ -202,9 +209,12 @@ def main(argv=None):
           f"{len(printed_invocations())} printed), {differing} differ")
     print("exit codes, parent -> change: " + ", ".join(
         f"{a} -> {b}: {n}" for (a, b), n in sorted(exits.items())))
-    lines = [src_lines(tree) for tree in (args.parent, args.change)]
-    print(f"src/ lines, parent -> change: {lines[0]} -> {lines[1]} "
-          f"({lines[1] - lines[0]:+d})")
+    lines = [module_lines(tree) for tree in (args.parent, args.change)]
+    print("src/ lines, parent -> change: " + _change(*(sum(m.values()) for m in lines)))
+    for name in sorted(lines[0].keys() | lines[1].keys()):
+        old, new = (m.get(name, 0) for m in lines)
+        if old != new:
+            print(f"  {name} {_change(old, new)}")
     for name, n in sorted(patterns.items()):
         print(f"  {n:6d}  {name}")
     return 1 if differing else 0
