@@ -36,22 +36,33 @@ M / d lifts to a unit mod M.
 
 So the pattern of (w, z) is the base pattern of (d, z u^-1) read at
 r u^-1, and one search call builds a pattern directly only once per
-(d, z u^-1), in a Python loop over the residues.  Every other pattern is
-the base pattern permuted by bytes.translate, in C.
+(d, (z u^-1)^2 mod M), by the next lemma, in a Python loop over the
+residues.  Every other pattern is the base pattern permuted by
+bytes.translate, in C.
 
 Lemma.  If n^(g+1) = n'^(g+1) mod M, the curve's patterns mod M at the
-denominators n and n' agree.
+denominators n and n' agree.  If x1^2 = x1'^2 mod M, the surface's
+patterns mod M at (v, x1) and (v, x1') agree.
 
 Proof.  The curve's form is a polynomial with integer coefficients in r
-and n^(g+1), and reduction mod M is a ring homomorphism.
+and n^(g+1).  The surface's forms y0 + y1 u and
+z0 + a b (q u - pA v)(q u - pB v) read x1 only through y0 = a x1^2 nu^2
+(or a x^2 nu^2) and z0 = a x^2 q^2, with x = x_step x1, so they are
+polynomials with integer coefficients in u, v and x1^2.  Reduction mod M
+is a ring homomorphism.
 
 So a window's mask mod M depends on its denominator only through the
 class of n^(g+1) mod M, and the curve search keeps one mask per class:
 237 over SIEVE_MODULI at g = 1, 180 at g = 3 and 172 at g = 5, where one
 per residue would be 511.  The surface's outer coordinate v enters its
-forms through v and v^2, so it keeps one mask per residue.  A mask lays
-the pattern over the window with one multiply: with the repunit
-R = 2^0 + 2^M + ... + 2^((K-1) M), K M >= width + M, bit j of
+forms through v and v^2, so it keeps one mask per residue of v and class
+of x1^2 mod M: 237 slots per residue of v over SIEVE_MODULI, where one
+per residue of x1 would be 511.  The base pattern of (d, zs) is the
+pattern at (v, x1) = (d, zs), so it depends on zs only through zs^2 mod
+M; the curve's z is 0.
+
+A mask lays the pattern over the window with one multiply: with the
+repunit R = 2^0 + 2^M + ... + 2^((K-1) M), K M >= width + M, bit j of
 pattern * R is bit j mod M of the pattern for j < K M, so shifting right
 by -height mod M puts the pattern's bit of numerator i - height at bit i.
 
@@ -138,18 +149,23 @@ def _set_bits(mask):
 class _Sieve:
     """The sieve of one search call over the numerator window -height, ...,
     height (bit i for numerator i - height), for the outer coordinates
-    (w, z) with w = 1, ..., height and z_count values of z.  Its patterns
-    mod M depend on w only through the class of w^power mod M (power 1:
-    through w mod M).
+    (w, z) with w = 1, ..., height and z = 0, ..., z_count - 1.  Its
+    patterns mod M depend on w only through the class of w^power mod M
+    (power 1: through w mod M), and on z only through the class of z^2
+    mod M (see the module docstring).
 
     direct(M, sq, d, z) builds the residue pattern mod M of the outer
     coordinates (d, z), d a divisor of M, from the squares sq mod M: bytes
     of length M whose entry r is 1 when the numerators = r mod M pass, else
-    0.  The base patterns, stored as 256-byte translation tables, and the
-    window masks are cached for this call only.  Each self.masks entry
-    (M, slots, masks, repunit, shift) holds one modulus's constants and
-    its window masks, in a list with one slot per (class of w, z mod M):
-    slots[w mod M] + z mod M, with Z = min(M, z_count) slots per class.
+    0.  The base patterns, stored as 256-byte translation tables under
+    (M, d, z^2 mod M), and the window masks are cached for this call
+    only.  Each self.masks entry (M, slots, masks, zc, repunit, shift)
+    holds one modulus's constants and its window masks, in a list with
+    one slot per (class of w^power, class of z^2): slots[w mod M] +
+    zc[z mod M], with zc = _power_classes(M, 2) and one slot per class of
+    w for each square class that z = 0, ..., z_count - 1 reaches.  A
+    surface search keeps 237 slots per residue of v over SIEVE_MODULI,
+    against 511 residues of x1; a curve search (z = 0) keeps one.
     A mask is the pattern times the repunit, shifted right by shift and
     cut to the window: one multiply (see the module docstring).
 
@@ -172,13 +188,16 @@ class _Sieve:
         self.full = (1 << width) - 1
         self.masks = []
         for M in SIEVE_MODULI:
-            Z = min(M, z_count)
             classes = _power_classes(M, power)
+            zc = _power_classes(M, 2)
+            # classes are numbered by first appearance, so z = 0, ...,
+            # z_count - 1 reach the classes 0, ..., Z - 1
+            Z = max(zc[:z_count]) + 1
             # the repunit sum of 2^(k M) for k < K, K M >= width + M
             bits = (width // M + 2) * M
             repunit = ((1 << bits) - 1) // ((1 << M) - 1)
             self.masks.append((M, [c * Z for c in classes], [None] * ((max(classes) + 1) * Z),
-                               repunit, -height % M))
+                               zc, repunit, -height % M))
         self.windows = height * z_count
         # the windows left to probe, and the lookups of the emptied ones
         self.probe = _PROBE_WINDOWS
@@ -191,10 +210,11 @@ class _Sieve:
         sq, forms = _modulus_constants(M)
         d, inv, perm = forms[w % M]
         zs = z * inv % M
-        base = self.bases.get((M, d, zs))
+        key = M, d, zs * zs % M
+        base = self.bases.get(key)
         if base is None:
             # translate reads a 256-byte table; only its first M entries are hit
-            base = self.bases[M, d, zs] = self.direct(M, sq, d, zs).translate(_DIGITS).ljust(256)
+            base = self.bases[key] = self.direct(M, sq, d, zs).translate(_DIGITS).ljust(256)
         return int(perm.translate(base), 2)
 
     def _share(self, item):
@@ -210,7 +230,7 @@ class _Sieve:
         left = self.windows - _PROBE_WINDOWS
         # the scan ahead less the set-up so far, times _PROBE_WINDOWS
         budget = left * self.lookups
-        for M, _, masks, _, _ in reversed(self.masks):
+        for M, _, masks, *_ in reversed(self.masks):
             setup = _MASK_COST * min(masks.count(None), left)
             if (M, 1, 0) not in self.bases:
                 setup += _STEP_COST * M
@@ -224,8 +244,8 @@ class _Sieve:
         coordinates (w, z): the AND of one mask per modulus, stopping once
         empty."""
         alive = full = self.full
-        for M, slots, masks, repunit, shift in self.masks:
-            key = slots[w % M] + z % M
+        for M, slots, masks, zc, repunit, shift in self.masks:
+            key = slots[w % M] + zc[z % M]
             mask = masks[key]
             if mask is None:
                 mask = masks[key] = (self.pattern(M, w, z) * repunit >> shift) & full

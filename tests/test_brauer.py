@@ -13,6 +13,7 @@ from hassecert.brauer import (
     obstruction_certificate,
     sample_invariant,
 )
+from hassecert.cli import RunConfig, run_certify
 from hassecert.family import (
     DP4Surface,
     Theta,
@@ -31,7 +32,7 @@ from hassecert.local import (
     sample_surface_points,
     slot_terms,
 )
-from hassecert.params import sieve_params
+from hassecert.params import ParamSet, sieve_params
 from oracles import count_fraction_constructions, padic_val, slot_fractions
 
 
@@ -119,6 +120,30 @@ def test_branch_hypotheses_on_synthetic_models(model, p, value, method, trace, w
     cert = certify_invariant(model, place)
     assert (cert.value, cert.method, cert.hypothesis_trace, cert.warning) == \
         (value, method, trace, warning)
+
+
+def test_trace_flags_agree_with_each_entry():
+    # only a report shows the hypothesis flags: on the default g = 1 grid
+    # every entry is proved and traces only hypotheses that hold, and a
+    # refusal (real place, p = 2, prop-a at a = 1753 with c = 11 a square
+    # mod a, prop-c with v_3(A) odd) traces hypotheses that hold up to the
+    # one that failed
+    report = run_certify(RunConfig(g=1, h=0, height_bound=1).validate())
+    entries = [e for f in report["fibers"] for e in f["obstruction"]["table"]]
+    assert len(report["fibers"]) == 16 and entries
+    for e in entries:
+        assert e["method"] != "refused" and e["hypotheses"], e
+        assert all(ok for _, ok in e["hypotheses"]), e
+    unverified = ParamSet(a=1753, b=73, c=11, d=146059, omega0=(3,), g=1, h=0)
+    at_a = admissible_model(build_surface(fiber_coeffs(unverified, Theta.of(1, 2))), 1753)
+    for model, place in ((_synthetic_model(-1), Place.real()),
+                         (_synthetic_model(5), Place.finite(2)),
+                         (at_a, Place.finite(1753)),
+                         (_synthetic_model(2, A=3, B=6), Place.finite(3))):
+        e = certify_invariant(model, place).to_json()
+        assert e["method"] == "refused" and e["hypotheses"], e
+        *held, (_, last) = e["hypotheses"]
+        assert all(ok for _, ok in held) and last is False, e
 
 
 def test_unverified_quadruple_is_refused_at_a():

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -403,10 +404,11 @@ SIEVING_SURFACE = DP4Surface(a=Fraction(97), b=Fraction(5), A=Fraction(2), B=Fra
                              C=Fraction(1), genus=1)
 
 
-def _base_builds(monkeypatch, search_fn, obj, height):
+def _base_builds(monkeypatch, search_fn, obj, height, points=0):
     """The direct pattern builds (M, d, z) of the last sieve that
     search_fn(obj, height) builds (as in _search_work), after asserting
-    that its output is empty.  Each sieve keeps its own base patterns."""
+    that it finds that many points (by default none).  Each sieve keeps its
+    own base patterns."""
     sieves = []
 
     def counting(direct):
@@ -423,7 +425,7 @@ def _base_builds(monkeypatch, search_fn, obj, height):
     with monkeypatch.context() as m:
         m.setattr(search, "_Sieve",
                   lambda height, direct, *rest: sieve_class(height, counting(direct), *rest))
-        assert search_fn(obj, height) == []
+        assert len(search_fn(obj, height)) == points
     return sieves[-1]
 
 
@@ -592,6 +594,55 @@ def test_curve_survivors_match_per_residue_oracle(monkeypatch, name):
         assert alive == expected, n
 
 
+@pytest.mark.parametrize("name", ["a1", "a2-unforced"])
+def test_surface_survivors_match_per_residue_oracle(monkeypatch, name):
+    # with one mask slot per class of x1^2 mod M, every window (v, x1) of
+    # the slices' sieve still ANDs the masks that the oracle builds residue
+    # by residue for its own v and x1; x1 runs to 40, past the moduli up
+    # to 37, so distinct residues of x1 share slots
+    surface = CONTROL_SURFACES[name]
+    height = 40
+    width = 2 * height + 1
+    _, _, windows, _ = _search_work(monkeypatch, surface_point_search, surface, height)
+    box = range(1, height + 1)
+    assert [(v, x1) for v, x1, _ in windows] == [(v, x1) for v in box for x1 in box]
+
+    @functools.cache
+    def mask(M, v, x1):
+        return window_mask(surface_sieve_pattern(surface, v, x1, M), M, -height, width)
+
+    for v, x1, alive in windows:
+        expected = (1 << width) - 1
+        for M in SIEVE_MODULI:
+            expected &= mask(M, v % M, x1 % M)
+        assert alive == expected, (v, x1)
+
+
+def test_surface_keeps_one_slot_and_base_per_square_class(monkeypatch):
+    # the surface's patterns read x1 only through x1^2 mod M: each residue
+    # of v keeps one mask slot per square class, 237 over SIEVE_MODULI where
+    # one per residue of x1 would be 511, and a call builds each base
+    # pattern once per (M, d, z^2 mod M)
+    a1 = CONTROL_SURFACES["a1"]
+    sieve = _sieve_of(monkeypatch, surface_point_search, a1, 100)
+    assert sum(len(masks) // M for M, _, masks, *_ in sieve.masks) == 237
+    for surface, height, points in ((a1, 100, 507), (SIEVING_SURFACE, 1000, 0)):
+        calls = _base_builds(monkeypatch, surface_point_search, surface, height, points)
+        keys = [(M, d, z * z % M) for M, d, z in calls]
+        assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("name, lookups, masks, bases", [("a1", 52_839, 4_965, 406),
+                                                         ("a2-forced", 19_340, 1_612, 248)])
+def test_surface_sieve_work_at_height_100(monkeypatch, name, lookups, masks, bases):
+    # keyed by the square class of x1, the slices' sieve makes the lookups
+    # of one slot per residue of x1, which built 7,136 masks and 865 base
+    # patterns on a1, and 2,355 and 408 on a2-forced
+    *_, counts = _search_work(monkeypatch, surface_point_search, CONTROL_SURFACES[name], 100,
+                              rank=False)
+    assert counts == {"lookups": lookups, "masks": masks, "bases": bases}
+
+
 def test_curve_builds_one_mask_per_power_class(monkeypatch):
     # a curve search keeps one mask slot per class of n^(g+1) mod M: 237
     # slots at g = 1 and 180 at g = 3, where one per residue would be 511
@@ -721,6 +772,23 @@ def test_planted_points_are_found_and_never_certified():
             assert out["stage"] in ("local-solvability", "brauer-obstruction"), out["error"]
             stages.add(out["stage"])
     assert stages == {"local-solvability", "brauer-obstruction"}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_planted_points_with_a_square_multiple_of_b(monkeypatch, k):
+    # a = k^2 b puts (S, T) = (1/k, 0) on every fiber, found at height 1;
+    # a = 292 and 657 are not prime, so certify_fiber refuses the slot
+    # before any stage runs
+    params = ParamSet(k * k * 73, 73, 5, 146059, (3,), 1, 0)
+    theta = Theta.of(1, 2)
+    curve = build_curve(fiber_coeffs(params, theta))
+    assert curve_point_search(curve, 1) == [("inf", Fraction(1, k))]
+    built = []
+    monkeypatch.setattr(cli, "fiber_coeffs", lambda *args: built.append(args))
+    with pytest.raises(ValueError) as err:
+        certify_fiber(params, theta, height_bound=1)
+    assert str(err.value) == f"parameter a = {k * k * 73} is not prime"
+    assert built == []
 
 
 def test_found_points_refute_only_after_obstruction(monkeypatch):

@@ -41,14 +41,16 @@ def test_differences_are_counted_per_pattern_without_the_dropped_keys():
 
 def test_the_printed_set_runs_every_subcommand_and_both_refusals():
     calls = sweep.printed_invocations()
-    assert len(calls) == 19
-    assert len({label for label, _ in calls} | {label for label, _ in sweep.invocations()}) == 164
+    assert len(calls) == 20
+    assert len({label for label, _ in calls} | {label for label, _ in sweep.invocations()}) == 165
     commands = [argv[0] for _, argv in calls]
     assert set(commands) == {"certify-all", "certify-local", "certify-brauer", "point-search",
                              "instantiate", "j-report", "sieve-params"}
     assert not any("--out" in argv for _, argv in calls)
     assert ["--jobs", "2"] == calls[1][1][-2:]
     assert ["--samples", "1"] == calls[2][1][-2:]
+    # above a = 1753 the surfaces sieve their slice x1 = 1
+    assert ["point-search", "--theta=1/2,2", "--height", "1800"] in [argv for _, argv in calls]
     assert sum("(exit 1)" in label for label, _ in calls) == 2
     assert sum("(exit 2)" in label for label, _ in calls) == 3
     assert [argv[2] for _, argv in calls if "--theta=1/1753,3/1753,1/3073009,5/127969" in argv] \
