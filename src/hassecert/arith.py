@@ -658,15 +658,40 @@ def count_points_hyperelliptic(q, g, p):
         E_mu is smooth iff a + 2 lam != 0 and 4 (2 lam - a) != 0, that is
         a^2 != 4 kappa, which is c_n^2 != 4 c0 c_2n: separability again.
     When kappa is a non-square, when d is neither 2 nor 4, and whenever
-    _ec_order is undecided, the walk over u in <z^d> (the middle sum of the
-    n -> d identity above) counts.
+    _ec_order is undecided, the walk over u in H = <z^d> (the middle sum of
+    the n -> d identity above) counts, with step = z^d and N = |H| =
+    (p-1)/d.  It reads u = a x in rows: x runs over one baby list
+    S = [step^j, j < w] with w = ceil(sqrt(N)), a over the giants
+    step^(i w), and the last row is cut to the N - i w elements left, so
+    each u in H is read exactly once.  a^-1 is stepped once per row by the
+    giant's inverse step^-w.
+    Lemma: chi(a^2) = 1 for every a != 0, so when the discriminant
+    c_n^2 - 4 c0 c_2n is a square mod p, with roots r1, r2 of q (one
+    sqrt_mod), q(a x) = c_2n a^2 (x - r1 a^-1)(x - r2 a^-1) and the
+    multiplicativity of chi give
+        chi(q(a x)) = chi(c_2n) chi(x - s1) chi(x - s2),  s_i = r_i a^-1.
+    Every fiber's triple splits: its roots are A and B.  A split row reads
+    sq[x - s1] ^ sq[x - s2] over S, sq the squares mod p (0 included) as
+    bytes of length p, so a negative index x - s wraps mod p: each term is
+    1 exactly when the two characters differ.  A term with x = s_i is a
+    zero of q(a x), which adds 1, not 1 + chi; r1 != r2, so at most one
+    s_i is x, and a root r_i in H is one such zero term in the whole walk,
+    found in the row whose a^-1 r_i lies in S (a dict of baby positions)
+    and taken out of the mismatch count.  Over the zero terms Z and the M
+    remaining mismatches,
+        sum_{u in H} (1 + chi(q(u))) = N + chi(c_2n) (N - Z - 2 M).
+    Without a square discriminant q has no root, so every u counts
+    1 + chi = 2 sq[q(u)], and a row reads chi(a^-2 q(a x)) =
+    chi(c_2n x^2 + c_n a^-1 x + c0 a^-2) with c_2n x^2 kept per baby: one
+    multiplication per term.
     """
     _require_prime(p, odd=True)
     c0, cn, c2n = (c % p for c in q)
     if c2n == 0:
         raise ValueError("f must have exact degree 2g+2 mod p")
     n = g + 1
-    if n % p == 0 or (cn * cn - 4 * c0 * c2n) % p == 0 or (n > 1 and c0 == 0):
+    disc = (cn * cn - 4 * c0 * c2n) % p
+    if n % p == 0 or disc == 0 or (n > 1 and c0 == 0):
         raise ValueError("f is not separable mod p")
     d = math.gcd(n, p - 1)
     if d == 2 or d == 4:
@@ -679,14 +704,37 @@ def count_points_hyperelliptic(q, g, p):
     if unresolved:
         raise ArithmeticError(f"p - 1 = {p - 1} is not fully factored")
     step = pow(_least_non_power(p, primes), d, p)
-    u, per_u = 1, 0
-    for _ in range((p - 1) // d):
-        v = (c0 + u * (cn + c2n * u)) % p
-        if v == 0:
-            per_u += 1
-        elif sq[v]:
-            per_u += 2
-        u = u * step % p
+    size = (p - 1) // d
+    width = math.isqrt(size - 1) + 1  # ceil(sqrt(size))
+    baby = [1] * width
+    for j in range(1, width):
+        baby[j] = baby[j - 1] * step % p
+    back = pow(step, -width, p)
+    full, rest = divmod(size, width)
+    rows = [baby] * full + [baby[:rest]] * (rest > 0)
+    root = sqrt_mod(disc, p)
+    inv = 1  # a^-1 for the row's giant a
+    if root is None:
+        lead = [c2n * x * x % p for x in baby]
+        per_u = 0
+        for row in rows:
+            b1, b0 = cn * inv % p, c0 * inv * inv % p
+            per_u += 2 * sum([sq[(t + b1 * x + b0) % p] for t, x in zip(lead, row)])
+            inv = inv * back % p
+    else:
+        half = pow(2 * c2n, -1, p)
+        r1, r2 = (root - cn) * half % p, (-root - cn) * half % p
+        position = {x: j for j, x in enumerate(baby)}
+        zeros = mismatches = 0
+        for row in rows:
+            s1, s2 = r1 * inv % p, r2 * inv % p
+            mismatches += sum([sq[x - s1] ^ sq[x - s2] for x in row])
+            for s, t in ((s1, s2), (s2, s1)):
+                if position.get(s, width) < len(row):  # x = s is a zero term
+                    zeros += 1
+                    mismatches -= 1 ^ sq[s - t]
+            inv = inv * back % p
+        per_u = size + (1 if sq[c2n] else -1) * (size - zeros - 2 * mismatches)
     count += d * per_u
     if sq[c2n]:
         count += 2

@@ -1076,6 +1076,82 @@ def test_singular_e_mu_raises(monkeypatch):
         count_points_hyperelliptic(chart_triple(f, g), g, p)
 
 
+def _walked_triple(rng, g, p, roots_in_h):
+    """A triple (c0, c_n, c_2n) mod p that the row walk counts: d =
+    gcd(g + 1, p - 1) is not 2, and at d = 4 kappa = c0/c_2n is a
+    non-square.  q = c_2n (u - r1)(u - r2) has roots_in_h of its roots in H,
+    the d-th powers of F_p^*, or q has no root (a non-square discriminant)
+    when roots_in_h is None."""
+    d = math.gcd(g + 1, p - 1)
+    in_h = lambda r: pow(r, (p - 1) // d, p) == 1
+    while True:
+        c2n = rng.randrange(1, p)
+        if roots_in_h is None:
+            c0, cn = rng.randrange(1, p), rng.randrange(p)
+            if legendre(cn * cn - 4 * c0 * c2n, p) != -1:
+                continue
+        else:
+            r1, r2 = rng.randrange(1, p), rng.randrange(1, p)
+            if r1 == r2 or in_h(r1) + in_h(r2) != roots_in_h:
+                continue
+            c0, cn = c2n * r1 * r2 % p, -c2n * (r1 + r2) % p
+        if d != 4 or legendre(c0 * c2n, p) == -1:
+            return c0, cn, c2n
+
+
+def _dense(triple, g):
+    """The dense f = c0 + c_n t^n + c_2n t^(2n), n = g + 1, of a triple."""
+    n = g + 1
+    f = [0] * (2 * n + 1)
+    f[0], f[n], f[2 * n] = triple
+    return f
+
+
+# p < 100 with d = gcd(g + 1, p - 1) = g + 1, so that the walk counts: p = 1
+# mod 4 at g = 3, p = 1 mod 6 at g = 5, p = 1 mod 8 at g = 7
+_WALK_SMALL_PRIMES = {3: (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97),
+                      5: (7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 97),
+                      7: (17, 41, 73, 89, 97)}
+
+
+@pytest.mark.parametrize("g", sorted(_WALK_SMALL_PRIMES))
+def test_row_walk_small_primes(monkeypatch, g):
+    # the walk reads H = <z^d> in rows of w = ceil(sqrt(|H|)) elements, the
+    # last one cut; each q splits with 0, 1 or 2 roots in H (each root in
+    # H is one zero term) or has no root
+    rng = random.Random(f"row walk {g}")
+    built = _count_square_residues(monkeypatch)
+    shapes = set()
+    for p in _WALK_SMALL_PRIMES[g]:
+        d = math.gcd(g + 1, p - 1)
+        assert d == g + 1
+        size = (p - 1) // d
+        width = math.isqrt(size - 1) + 1
+        shapes.add("one" if size == 1 else "cut" if size % width else "full")
+        for roots_in_h in (0, 1, 2, None):
+            if roots_in_h == 2 and (d == 4 or size < 2):
+                continue  # both roots in H make kappa a square or coincide
+            for _ in range(2):
+                triple = _walked_triple(rng, g, p, roots_in_h)
+                built.clear()
+                n = count_points_hyperelliptic(triple, g, p)
+                assert built == [p], (triple, p)
+                assert n == double_loop_count(_dense(triple, g), g, p), (triple, p)
+    # |H| = 1 at p = 5 (g = 3) and p = 7 (g = 5)
+    assert shapes == ({"one", "cut", "full"} if g < 7 else {"cut", "full"})
+
+
+@pytest.mark.parametrize("roots_in_h", [0, 1, None])
+def test_row_walk_large_prime(monkeypatch, roots_in_h):
+    # d = 4 at 50,021 with a non-square kappa: |H| = 12,505 in 112 rows,
+    # the last one 73 long
+    g, p = 3, 50_021
+    triple = _walked_triple(random.Random(p), g, p, roots_in_h)
+    built = _count_square_residues(monkeypatch)
+    assert count_points_hyperelliptic(triple, g, p) == single_loop_count(_dense(triple, g), p)
+    assert built == [p]
+
+
 @pytest.mark.parametrize("p", [5, 7, 50_023])
 def test_count_points_over_powers_rejects_nonseparable(p):
     with pytest.raises(ValueError, match="not separable"):
@@ -1426,7 +1502,8 @@ def test_blanket_theta_zero_walks_only_where_kappa_is_a_non_square(monkeypatch):
     for q in _THETA_ZERO_SPLIT | _THETA_ZERO_WALKED:
         kappa = _kappa_class(f_poly(curve).mod_p(q), 3, q)
         assert (kappa == "non-square") == (q in _THETA_ZERO_WALKED), q
-    for q in sorted(_THETA_ZERO_SPLIT)[::2]:  # three of the six
+    # three of the six split counts, and the three walked ones
+    for q in sorted(_THETA_ZERO_SPLIT)[::2] + sorted(_THETA_ZERO_WALKED):
         assert counts[q] == single_loop_count(f_poly(curve).mod_p(q), q), q
 
 

@@ -160,6 +160,31 @@ def test_unverified_quadruple_is_refused_at_a():
     assert "invariant at 1753 refused: prop-a hypotheses failed" in out["error"]
 
 
+def _certified_at_a(params, theta, height_bound):
+    """Assert that certify_fiber certifies the fiber, with invariant sum 1/2
+    and support exactly {a}."""
+    from hassecert import cli
+
+    out = cli.certify_fiber(params, theta, height_bound=height_bound)
+    assert out["certified"] and out["stage"] == "done", (str(theta), out.get("error"))
+    obs = out["obstruction"]
+    assert obs["sum"] == "1/2" and obs["conclusion"], str(theta)
+    support = [row["place"] for row in obs["table"] if row["value"] == "1/2"]
+    assert support == [str(Place.finite(params.a))], str(theta)
+
+
+def test_ablated_quadruple_breaking_bc2d_mod_a_still_certifies():
+    # d = 11 breaks exactly (iv)'s bc^2 d = 1 mod a, and yet every fiber of
+    # a small theta grid certifies: the branch checks hold fiber by fiber
+    from hassecert.params import verify_conditions
+
+    ps = ParamSet(a=1753, b=73, c=5, d=11, omega0=(3,), g=1, h=0)
+    assert verify_conditions(ps).failures() == [("iv.bc2d-1-mod-a", "bc^2d mod a = 792")]
+    for theta in (Theta.of(0), Theta.of(1, 2), Theta.of(2), Theta.infinity(), Theta.of(-3),
+                  Theta.of(1, 3)):
+        _certified_at_a(ps, theta, height_bound=30)
+
+
 def test_invariant_at_infinity_fiber():
     co = fiber_coeffs(PARAMS, Theta.infinity())
     surface = build_surface(co)
@@ -679,15 +704,20 @@ def test_sum_invariance_25_random_thetas():
 def test_every_small_theta_certifies_with_support_exactly_at_a():
     # the reach at g = 1, h = 0: every theta = m/n with |m| <= 6 and
     # 1 <= n <= 6, and theta = inf, certifies through the whole pipeline
-    from hassecert import cli
-
     thetas = {Theta.of(m, n) for m in range(-6, 7) for n in range(1, 7)}
     thetas.add(Theta.infinity())
     assert len(thetas) == 48
     for th in sorted(thetas, key=str):
-        out = cli.certify_fiber(PARAMS, th, height_bound=20)
-        assert out["certified"] and out["stage"] == "done", (str(th), out.get("error"))
-        obs = out["obstruction"]
-        assert obs["sum"] == "1/2" and obs["conclusion"], str(th)
-        support = [row["place"] for row in obs["table"] if row["value"] == "1/2"]
-        assert support == [str(Place.finite(PARAMS.a))], str(th)
+        _certified_at_a(PARAMS, th, height_bound=20)
+
+
+def test_first_three_quadruples_certify_with_support_exactly_at_a():
+    # the reach across quadruples at g = 1, h = 0: the first three that
+    # sieve_params yields share a, b, c and differ in d
+    quadruples = sieve_params(1, 0, count=3)
+    assert [ps.d for ps in quadruples] == [146059, 153071, 205661]
+    for ps in quadruples:
+        assert (ps.a, ps.b, ps.c) == (1753, 73, 5)
+        for theta in (Theta.of(0), Theta.of(1, 2), Theta.of(-3), Theta.infinity(),
+                      Theta.of(2, 3)):
+            _certified_at_a(ps, theta, height_bound=30)
