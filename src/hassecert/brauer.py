@@ -139,7 +139,8 @@ def certify_invariant(model, place):
     branch applies the entry is a refusal: method "refused", value None,
     the failed hypotheses in the trace and the reason in warning.  No value
     read off sampled points ever enters the table.  model is the surface
-    at the real place and its admissible_model at p at a finite place.
+    at the real place and its admissible_model at p at a finite place, so
+    its A is lambda^2 A != 0 (check_nonvanishing holds on the fiber).
     """
     trace = []
     if place.is_real:
@@ -187,9 +188,9 @@ def certify_invariant(model, place):
     conds = [
         ("p does not divide 2ab", padic_val(2 * a * model.b, p) == 0),
         ("p does not divide C", padic_val(C, p) == 0),
-        ("v_p(A) is even", A != 0 and vA % 2 == 0),
+        ("v_p(A) is even", vA % 2 == 0),
         ("the unit part of A is not a square mod p",
-         A != 0 and legendre(frac_mod(unit_part(A, p), p), p) == -1),
+         legendre(frac_mod(unit_part(A, p), p), p) == -1),
     ]
     if all(_trace(trace, t, ok) for t, ok in conds):
         return InvariantCertificate(place, ZERO, "prop-c", trace)

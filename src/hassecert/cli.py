@@ -295,14 +295,15 @@ def _certify_fibers(config, command):
     """The validated config's params, and one certify_fiber record per theta
     of the config, in order, with the subcommand's stages.
 
-    Each distinct fiber is certified once.  A finite theta enters its
-    fiber only through X = a^(2h+1) theta^(g+1), so thetas with equal
-    theta^(g+1) (theta and -theta at odd g) share A, B, C, D, den(theta)
-    and every valuation the models read, and with them every stage's work;
-    inf is a key of its own.  Every later theta of a certified fiber gets
-    a copy of its first theta's record with the theta fields rewritten.  A
-    failed fiber's error may name its theta, so each of its thetas is
-    certified on its own."""
+    Each distinct fiber is certified once, failed or not.  A finite theta
+    enters its fiber only through X = a^(2h+1) theta^(g+1), so thetas with
+    equal theta^(g+1) (theta and -theta at odd g) share A, B, C, D,
+    den(theta) and every stage's work; inf is a key of its own.  Later
+    thetas of a fiber get a copy of its first theta's record, theta fields
+    rewritten.  No other field names theta: only NonvanishingError does, on
+    C = 0 or D = 0, that is a^(2h+1) theta^(g+1) or (ab)^(2h+1) theta^(g+1)
+    = 1, and on the quadruple resolve_params verifies both have odd
+    valuation at the prime a (theta^(g+1) is a square)."""
     config.validate()
     params = resolve_params(config)
     task = functools.partial(certify_fiber, params, height_bound=config.height_bound,
@@ -313,8 +314,6 @@ def _certify_fibers(config, command):
            for i, t in enumerate(thetas)]
     with _mapper(config.parallelism) as run:
         records = dict(zip(first.values(), run(task, [thetas[i] for i in first.values()])))
-        alone = [i for i, r in enumerate(rep) if i != r and not records[r]["certified"]]
-        records.update(zip(alone, run(task, [thetas[i] for i in alone])))
     return params, [records.get(i) or _retheta(records[r], thetas[i]) for i, r in enumerate(rep)]
 
 
@@ -329,9 +328,8 @@ def _mapper(jobs):
 
 
 def _retheta(record, theta):
-    """A certified fiber's record as the record of theta, another theta of
-    the same fiber: theta, fiber.theta and obstruction.fiber.theta
-    rewritten."""
+    """A fiber's record as the record of theta, another theta of the same
+    fiber: theta, fiber.theta and obstruction.fiber.theta rewritten."""
     out = {**record, "theta": str(theta),
            "fiber": {**record["fiber"], "theta": theta.to_json()}}
     if "obstruction" in record:

@@ -551,7 +551,8 @@ def certify_all_local(curve):
     if not crit.complete:
         failures.append(("factorization", "critical-set",
                          f"unresolved composites: {crit.unresolved}"))
-    solvable = not failures and blanket.ok
+    failures += [("blanket", "inclusion", s) for s in blanket.statements if s.endswith(": False")]
+    solvable = not failures
     return CurveLocalResult(
         certificates=certs,
         blanket=blanket,

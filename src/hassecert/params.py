@@ -138,8 +138,9 @@ def verify_conditions(ps):
     a, b, c, d = ps.a, ps.b, ps.c, ps.d
     omega0 = set(ps.omega0)
 
-    # (i) distinct odd primes avoiding omega0 and 2.  Stop unless the slots
-    # and omega0 are odd primes below the primality bound: (ii)-(vi) need it.
+    # (i) distinct odd primes avoiding omega0 and 2, with every odd prime
+    # <= 4g^2 in omega0.  Stop unless the slots and omega0 are odd primes
+    # below the primality bound: (ii)-(vi) need it.
     names = dict(a=a, b=b, c=c, d=d)
     prime = {v: 2 < v < arith.MR_DETERMINISTIC_BOUND and v % 2 == 1 and is_prime(v)
              for v in (a, b, c, d, *omega0)}
@@ -147,6 +148,9 @@ def verify_conditions(ps):
         r.add(f"i.{name}-prime", prime[v], f"{name} = {v}")
         r.add(f"i.{name}-not-omega0", v not in omega0, f"{name} = {v}")
     r.add("i.distinct", len({a, b, c, d}) == 4, f"{sorted({a, b, c, d})}")
+    missing = sorted(set(omega0_for_genus(ps.g)) - omega0)
+    r.add("i.omega0-covers-4g^2", not missing,
+          f"odd primes <= 4g^2 = {4 * ps.g * ps.g} missing from omega0: {missing}")
     for q in sorted(q for q in omega0 if not prime[q]):
         r.add(f"i.omega0-{q}-prime", False, f"omega0 entry {q}")
     if not all(prime.values()):
@@ -385,13 +389,16 @@ def sieve_params(g, h, omega0=None, bound=10**7, count=1):
     reciprocity (a, b = 1 mod 8 are squares mod q); c = a, c = b, d = b and
     d = c give the symbol 0; and d is not 0 mod a.  With no quadruple
     found, the refusal names the first slot left empty: the first leaf of
-    the search is a quadruple unless its own chain dies first.
+    the search is a quadruple unless its own chain dies first.  An omega0
+    missing an odd prime <= 4g^2 fails (i) and is refused up front.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if omega0 is None:
-        omega0 = omega0_for_genus(g)
-    omega0 = tuple(sorted(omega0))
+    full = omega0_for_genus(g)
+    omega0 = tuple(sorted(full if omega0 is None else omega0))
+    missing = sorted(set(full) - set(omega0))
+    if missing:
+        raise ValueError(f"omega0 misses the odd primes {missing} <= 4g^2 = {4 * g * g}")
     tables = _qr_tables(omega0)
     cap = min(bound, arith.MR_DETERMINISTIC_BOUND - 1)
     dead_end = []

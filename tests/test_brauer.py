@@ -122,6 +122,15 @@ def test_branch_hypotheses_on_synthetic_models(model, p, value, method, trace, w
         (value, method, trace, warning)
 
 
+def test_prop_c_reads_a_nonzero_a_without_a_guard():
+    # A != 0 holds on every model certify_invariant is given (the fiber
+    # passed check_nonvanishing, and a model's A is lambda^2 A), so prop-c
+    # does not guard it: a synthetic A = 0 at p = 3 (a = 2 not a square,
+    # B - A = 3) reaches unit_part's refusal of 0 instead of a refusal entry
+    with pytest.raises(ValueError, match="unit_part expects x != 0"):
+        certify_invariant(_synthetic_model(2, A=0, B=3), Place.finite(3))
+
+
 def test_trace_flags_agree_with_each_entry():
     # only a report shows the hypothesis flags: on the default g = 1 grid
     # every entry is proved and traces only hypotheses that hold, and a

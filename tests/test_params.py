@@ -62,6 +62,27 @@ def test_verify_fails_closed_on_non_primes(change, cond):
     assert all(i.startswith("i.") for i, _, _ in rep.items)
 
 
+def test_verify_names_an_omega0_missing_an_odd_prime_up_to_4g2():
+    # omega0 must hold every odd prime <= 4g^2: 3 at g = 1, and 3..31 at
+    # g = 3, where the g = 1 set leaves 5..31 out
+    assert verify_conditions(ParamSet(**G1_QUAD)).ok
+    for change, missing in (({"omega0": ()}, [3]),
+                            ({"g": 3}, list(omega0_for_genus(3)[1:]))):
+        rep = verify_conditions(ParamSet(**{**G1_QUAD, **change}))
+        assert [i for i, _ in rep.failures()][0] == "i.omega0-covers-4g^2"
+        assert dict(rep.failures())["i.omega0-covers-4g^2"].endswith(f"omega0: {missing}")
+
+
+def test_sieve_refuses_an_omega0_missing_an_odd_prime_up_to_4g2():
+    # refused before the search, by name, never by the internal
+    # re-verification of a sieved quadruple
+    for g, omega0, missing in ((1, (), [3]), (3, (3, 5, 7), [11, 13, 17, 19, 23, 29, 31])):
+        with pytest.raises(ValueError) as ei:
+            sieve_params(g, 0, omega0=omega0)
+        assert str(ei.value) == \
+            f"omega0 misses the odd primes {missing} <= 4g^2 = {4 * g * g}"
+
+
 def test_sieve_g1_first_quadruple():
     (ps,) = sieve_params(1, 0, bound=10**7, count=1)
     assert ps.b % 24 == 1  # b = 1 mod 8 and a square mod 3 forces 1 mod 24

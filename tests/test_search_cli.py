@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -873,6 +874,9 @@ def test_cli_exit_one_on_certification_failure(tmp_path):
     ({"a": "15"}, "i.a-prime"),
     ({"a": str(10**25 + 1)}, "i.a-prime"),
     ({"omega0": ["3", "9"]}, "i.omega0-9-prime"),
+    # without 3 every fiber would fail on the blanket's omega0 inclusion
+    ({"omega0": []}, "('i.omega0-covers-4g^2', "
+                     "'odd primes <= 4g^2 = 4 missing from omega0: [3]')"),
 ])
 def test_cli_config_with_non_prime_params_exits_2(tmp_path, capsys, change, cond):
     params = {"a": "1753", "b": "73", "c": "5", "d": "146059", "omega0": ["3"],
@@ -883,6 +887,18 @@ def test_cli_config_with_non_prime_params_exits_2(tmp_path, capsys, change, cond
     err = capsys.readouterr().err
     assert err.startswith("config error: explicit parameters fail verification: [")
     assert cond in err
+
+
+def test_false_blanket_statement_is_a_named_failure():
+    # certify_fiber does not verify params: with 3 left out of omega0 the
+    # blanket's first inclusion is false, and the fiber's failure says so
+    ps = dataclasses.replace(PARAMS, omega0=())
+    out = certify_fiber(ps, Theta.of(1, 2), height_bound=10)
+    statement = "every odd prime <= 4g^2 = 4 lies in omega0: False"
+    assert out["stage"] == "local-solvability" and out["local"]["blanket"]["ok"] is False
+    assert out["local"]["failures"] == [["blanket", "inclusion", statement]]
+    assert out["error"] == \
+        f"local certification failed: [('blanket', 'inclusion', '{statement}')]"
 
 
 @pytest.mark.parametrize("argv, config", [
@@ -1149,16 +1165,21 @@ def test_certify_all_certifies_each_distinct_fiber_once(tmp_path, monkeypatch, j
     assert fibers == json.loads(json.dumps(expected))
 
 
-def test_failed_fiber_thetas_are_certified_on_their_own(tmp_path, monkeypatch):
-    # a failed record is never copied to the fiber's other theta
-    log = tmp_path / "calls"
+def test_fibers_failing_local_solvability_are_certified_once(tmp_path, monkeypatch):
+    # the h = 1 fibers 3/2 and 1/3 fail at local-solvability on unresolved
+    # composites; -3/2 and -1/3 get copies, equal to what certify_fiber
+    # gives for them
+    log, out = tmp_path / "calls", tmp_path / "r.json"
     monkeypatch.setattr(cli, "certify_fiber", _CallLog(log))
-    monkeypatch.setattr(cli, "check_smooth_curve", lambda curve: False)
-    cfg = RunConfig(g=1, h=0, theta_list=[Theta.of(1, 2), Theta.of(-1, 2), Theta.of(1)])
-    fibers = run_certify(cfg)["fibers"]
-    assert log.read_text().split() == ["1/2", "1", "-1/2"]
-    assert [(f["theta"], f["fiber"]["theta"]["num"], f["stage"]) for f in fibers] == [
-        ("1/2", "1", "smoothness"), ("-1/2", "-1", "smoothness"), ("1", "1", "smoothness")]
+    thetas = [Theta.of(3, 2), Theta.of(-3, 2), Theta.of(1, 3), Theta.of(-1, 3)]
+    assert main(["certify-all", "--h", "1", "--height", "10",
+                 "--theta=" + ",".join(map(str, thetas)), "--out", str(out)]) == 1
+    assert log.read_text().split() == ["3/2", "1/3"]
+    fibers = json.loads(out.read_text())["fibers"]
+    params = dataclasses.replace(PARAMS, h=1)
+    expected = [certify_fiber(params, t, height_bound=10) for t in thetas]
+    assert [f["stage"] for f in expected] == ["local-solvability"] * 4
+    assert fibers == json.loads(json.dumps(expected))
 
 
 def test_cli_j_report_refuses_distinct_fibers_with_one_j(monkeypatch, capsys):

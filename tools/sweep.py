@@ -10,13 +10,14 @@ HEAD~1`.  Nothing is downloaded.
 The set has two parts.  The first is 145 `certify-all` reports, one
 fiber each, written with --out: every theta = m/n with |m|, n <= 7, and
 inf, at g = 1 with h = 0 and with h = 1 (72 fibers each), and theta = 0
-at g = 3 (`--mode theta-zero --bound 10^12`).  The second is 20 runs that
+at g = 3 (`--mode theta-zero --bound 10^12`).  The second is 21 runs that
 print to standard output, one per subcommand and exit path (see
 printed_invocations): the default g = 1 grid through every subcommand
 and with one sample per place, theta = 0 at g = 5, fibers whose models
 at p = a are rescaled, a point search above a that sieves the surface's
-slice x1 = 1, both refusal exits (fibers that fail, and sieves exhausted
-at slots b, a and d), and a parallel run.  Each call runs in a
+slice x1 = 1, both refusal exits (fibers that fail, among them failed
+fibers that a second theta shares, and sieves exhausted at slots b, a
+and d), and a parallel run.  Each call runs in a
 fresh interpreter on the tree's own src/, two at a time.
 
 `generated_at` and `output_path` are dropped from every report, and
@@ -67,7 +68,7 @@ def invocations():
 
 
 def printed_invocations():
-    """(label, argv) of the 20 runs that print their result, in order: the
+    """(label, argv) of the 21 runs that print their result, in order: the
     default g = 1 grid (h = 0, height 1000) through certify-all at one and
     two jobs and with one sample per place (the delta image alone, no
     direct draw), and through each other fiber subcommand, g = 3 theta-zero,
@@ -78,7 +79,8 @@ def printed_invocations():
     admissible_model there), g = 5 instantiate, three quadruples sieved,
     point-search at height 1800 > a = 1753 (the surfaces' slices x1 = 0
     and x1 = 1, the only CLI run that sieves a slice x1 >= 1), and the
-    refusals: g = 1, h = 1 fibers that fail (exit 1), g = 7
+    refusals: g = 1, h = 1 fibers that fail (exit 1), three of them with
+    -theta too, so that -theta's record is a copy of a failed one, g = 7
     theta-zero, whose sieve is exhausted at slot b (exit 2), and the g = 1
     sieve at bound 1000, exhausted at slot a, and at bound 2200 with three
     quadruples asked, exhausted at slot d (exit 2 each)."""
@@ -95,6 +97,9 @@ def printed_invocations():
           for h in (0, 1)),
         ("certify-all g=1 h=1 height 100 (exit 1)",
          ["certify-all", "--h", "1", "--height", "100", "--theta=-3,-1/2,1/3,2,inf"]),
+        ("certify-all g=1 h=1 height 100 failing +-theta pairs (exit 1)",
+         ["certify-all", "--h", "1", "--height", "100",
+          "--theta=3/2,-3/2,1/3,-1/3,1/2,-1/2"]),
         ("certify-local grid", ["certify-local"]),
         ("certify-brauer grid", ["certify-brauer"]),
         ("point-search grid", ["point-search"]),
